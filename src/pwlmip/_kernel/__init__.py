@@ -1,49 +1,98 @@
-"""Simplex pivot kernel selection.
+"""Phase-1 simplex pivot kernel over an integer tableau.
 
-Two interchangeable implementations of the phase-1 pivot loop exist: a
-compiled Cython extension and a pure-Python twin.  They execute identical
-pivot sequences (Bland's rule over exact rationals), so results cannot differ;
-only speed does.  The compiled kernel is preferred when importable, the
-environment variable ``PWLMIP_PURE_PYTHON=1`` forces the fallback, and
-:func:`use` switches explicitly (the benchmark does this).
+The tableau is a list of ``nrows + 1`` rows of Python ints.  Rows
+0..nrows-1 are constraint rows and row nrows is the priced-out objective row.
+Each row has ``ncols + 2`` entries: columns 0..ncols-1, the right-hand side at
+index ncols, and the row's positive denominator at index ncols + 1.  Row i
+stands for the rational row ``tableau[i][j] / tableau[i][ncols + 1]``, so the
+tableau is exact without any rational object.  ``basis[i]`` is the column
+currently basic in row i.
+
+A pivot keeps every row over its own denominator (fraction-free elimination
+in the manner of Bareiss 1968 and Edmonds 1967): the pivot row is divided by
+its pivot entry by moving that entry into the denominator, and every other
+row with a nonzero entry in the entering column is combined with it by
+cross-multiplication, touching only the pivot row's nonzero columns once the
+row is rescaled.  A rewritten row whose denominator is not 1 is divided by
+the gcd of its entries and denominator, which keeps the integers no larger
+than the lowest terms of the rational values.  Rows with a zero in the
+entering column are left untouched.
+
+Pivot selection is Bland's rule on the rational values: the entering column
+is the lowest index with a negative objective entry; the leaving row
+minimizes rhs/a over positive pivot candidates, compared by
+cross-multiplication (the row denominator cancels from the ratio), ties
+broken by the lowest basic variable index.  Bland's rule guarantees
+termination, and because every choice depends only on the rational values,
+the pivot sequence is the one a rational tableau would take.
 """
 
-import os
-
-from . import pure
-
-_KERNELS = {"python": pure.phase1}
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _speedups
-
-    _KERNELS["compiled"] = _speedups.phase1
-except ImportError:  # pragma: no cover
-    _speedups = None
-
-if os.environ.get("PWLMIP_PURE_PYTHON") == "1" or "compiled" not in _KERNELS:
-    _active = "python"
-else:
-    _active = "compiled"
-
-
-def available_kernels():
-    return sorted(_KERNELS)
-
-
-def active_kernel_name():
-    return _active
-
-
-def use(name):
-    """Select the pivot kernel by name ('python' or 'compiled')."""
-    global _active
-    if name not in _KERNELS:
-        raise ValueError(
-            "unknown kernel %r (available: %s)" % (name, ", ".join(sorted(_KERNELS)))
-        )
-    _active = name
+from math import gcd
 
 
 def phase1(tableau, basis, nrows, ncols):
-    """Run the active kernel; returns the pivot count."""
-    return _KERNELS[_active](tableau, basis, nrows, ncols)
+    """Pivot to a phase-1 optimum in place; returns the pivot count."""
+    pivots = 0
+    den = ncols + 1
+    while True:
+        obj = tableau[nrows]
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return pivots
+
+        leave = -1
+        best_rhs = best_a = 0
+        for i in range(nrows):
+            row = tableau[i]
+            a = row[enter]
+            if a > 0:
+                rhs = row[ncols]
+                if leave >= 0:
+                    lhs = rhs * best_a
+                    cmp = best_rhs * a
+                    if lhs > cmp or (lhs == cmp and basis[i] > basis[leave]):
+                        continue
+                best_rhs = rhs
+                best_a = a
+                leave = i
+        if leave < 0:
+            raise ArithmeticError(
+                "phase-1 objective unbounded below: malformed tableau"
+            )
+
+        # Divide the pivot row by its pivot entry: the entry becomes the
+        # row's denominator, so the entering column reads 1.
+        prow = tableau[leave]
+        p = prow[enter]
+        prow[den] = p
+        if p != 1:
+            g = gcd(*prow)
+            if g > 1:
+                prow = tableau[leave] = [x // g for x in prow]
+                p //= g
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        nonzero.pop()  # the denominator, always last and positive
+        for i in range(nrows + 1):
+            if i == leave:
+                continue
+            row = tableau[i]
+            f = row[enter]
+            if f:
+                # row/d - (f/d) * prow/p == (row*s - t*prow) / (d*s)
+                g = gcd(f, p)
+                s = p // g
+                t = f // g
+                if s != 1:
+                    row = tableau[i] = [x * s for x in row]
+                for j, x in nonzero:
+                    row[j] -= t * x
+                if row[den] != 1:
+                    g = gcd(*row)
+                    if g > 1:
+                        tableau[i] = [x // g for x in row]
+        basis[leave] = enter
+        pivots += 1

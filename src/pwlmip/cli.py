@@ -299,11 +299,21 @@ def _run_oracle(args):
     }
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive, got %d" % value)
+    return value
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="print a JSON report to stdout")
-    common.add_argument("--node-limit", type=int, default=None, metavar="N",
+    common.add_argument("--node-limit", type=_positive_int, default=None, metavar="N",
                         help="search node budget (or set PWLMIP_NODE_LIMIT)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for commands that generate instances")

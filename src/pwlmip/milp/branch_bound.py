@@ -36,8 +36,12 @@ _ENV_NODE_LIMIT = "PWLMIP_NODE_LIMIT"
 
 
 def resolve_node_limit(node_limit=None) -> int:
+    """Node budget: the argument, else PWLMIP_NODE_LIMIT, else the default."""
     if node_limit is not None:
-        return int(node_limit)
+        value = int(node_limit)
+        if value <= 0:
+            raise ValueError("node limit must be positive, got %d" % value)
+        return value
     env = os.environ.get(_ENV_NODE_LIMIT)
     if env is not None:
         try:
@@ -65,8 +69,11 @@ def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
             )
 
     stats = SolveStats()
-    lowers = tuple(v.lower for v in model.variables)
-    uppers = tuple(v.upper for v in model.variables)
+    # Node bounds are lists, not tuples: CPython keeps freed tuples on
+    # per-length free lists until a full garbage collection, so a deep search
+    # that unwinds would leave them holding memory for the rest of the process.
+    lowers = [v.lower for v in model.variables]
+    uppers = [v.upper for v in model.variables]
     stack = [(lowers, uppers)]
     while stack:
         if stats.nodes >= limit:
@@ -113,8 +120,8 @@ def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
         right_lo[branch_var] = (
             fl + 1 if lo[branch_var] is None else max(lo[branch_var], fl + 1)
         )
-        stack.append((tuple(right_lo), up))
-        stack.append((lo, tuple(left_up)))
+        stack.append((right_lo, up))
+        stack.append((lo, left_up))
     return SolveResult(False, None, stats)
 
 

@@ -1,49 +1,20 @@
-"""Exact rational scalars: parsing, formatting, and backend selection.
+"""Exact rational scalars: parsing, formatting, and denominator clearing.
 
-Every number in this package is an exact rational.  The public scalar type is
-:class:`fractions.Fraction`; inside the solver the arithmetic-heavy tableau
-work optionally runs on ``gmpy2.mpq`` (exactly the same semantics, several
-times faster).  Set ``PWLMIP_PURE_FRACTIONS=1`` to force Fraction everywhere.
+Every number in this package is an exact rational, and the public scalar type
+is :class:`fractions.Fraction`.  The solver's simplex tableau holds no
+Fractions: it keeps each row as Python ints over a positive row denominator
+(see :mod:`pwlmip.milp.lp` and :mod:`pwlmip._kernel`), and Fractions come back
+only for the vertex it reports.  :func:`clear_denominators` is how the
+lowering step makes its rows integer in the first place.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    mpq = None
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-_PURE = os.environ.get("PWLMIP_PURE_FRACTIONS") == "1"
-
-
-def scalar_backend_name():
-    """Name of the rational type used inside the solver tableau."""
-    return "fraction" if (mpq is None or _PURE) else "gmpy2.mpq"
-
-
-def to_backend(value):
-    """Convert a Fraction to the solver-internal rational type."""
-    if mpq is None or _PURE:
-        return value
-    return mpq(value.numerator, value.denominator)
-
-
-def from_backend(value) -> Fraction:
-    """Convert a solver-internal rational back to a Fraction.
-
-    The numerator/denominator are forced to built-in ints: a Fraction holding
-    gmpy2 integers would silently bounce mixed arithmetic back into gmpy2.
-    """
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(int(value.numerator), int(value.denominator))
 
 
 def parse_rational(value) -> Fraction:

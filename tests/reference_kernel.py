@@ -1,18 +1,21 @@
-# cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled twin of pure.phase1: identical pivot sequence, faster loop.
+"""Reference phase-1 simplex pivot loop over Fractions.
 
-Entries stay Python rational objects (Fraction or gmpy2.mpq); the speedup
-comes from typed index arithmetic and direct list access in the elimination
-loop, not from changing the arithmetic.  Keep this file line-for-line in sync
-with pure.py; any behavioural difference is a bug.
+The solver's kernel, ``pwlmip._kernel.phase1``, pivots on integer rows over
+per-row denominators; this is the plain rational loop it must agree with,
+pivot for pivot.  The tableau is a list of ``nrows + 1`` lists of length
+``ncols + 1``: rows 0..nrows-1 are constraint rows, row nrows is the
+priced-out objective row, and column ncols holds the right-hand side.
+Entries are Fractions.  ``basis[i]`` is the column currently basic in row i.
+
+Pivot selection is Bland's rule: the entering column is the lowest index with
+a negative objective entry; the leaving row minimizes rhs/a over positive
+pivot candidates, ties broken by the lowest basic variable index.
 """
 
 
-def phase1(list tableau, list basis, Py_ssize_t nrows, Py_ssize_t ncols):
-    cdef Py_ssize_t pivots = 0
-    cdef Py_ssize_t enter, leave, i, j
-    cdef list obj = tableau[nrows]
-    cdef list prow, row
+def phase1(tableau, basis, nrows, ncols):
+    pivots = 0
+    obj = tableau[nrows]
     while True:
         enter = -1
         for j in range(ncols):
@@ -25,9 +28,9 @@ def phase1(list tableau, list basis, Py_ssize_t nrows, Py_ssize_t ncols):
         leave = -1
         best = None
         for i in range(nrows):
-            a = (<list> tableau[i])[enter]
+            a = tableau[i][enter]
             if a > 0:
-                ratio = (<list> tableau[i])[ncols] / a
+                ratio = tableau[i][ncols] / a
                 if (
                     best is None
                     or ratio < best

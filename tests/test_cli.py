@@ -342,6 +342,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_node_limit_must_be_positive(capsys):
+    for bad in ("-3", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["wsm", fx("wsm3.json"), "--node-limit", bad, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
+
+
 def test_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enthrone"])

@@ -1,17 +1,20 @@
 """Exact LP feasibility, branch and bound, and threshold optimization."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from generators import grid_best, grid_feasible, random_grid_model
+from generators import grid_best, grid_feasible, random_fraction, random_grid_model
 from pwlmip import _kernel, milp
+from pwlmip._kernel import phase1 as integer_phase1
 from pwlmip.emip import VarKind, normalize
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import solve_lp_feasibility
 from pwlmip.milp.model import MilpModel, MilpVariable
 from pwlmip.reduction import lower
+from reference_kernel import phase1 as reference_phase1
 
 F = Fraction
 
@@ -116,6 +119,9 @@ def test_node_limit_environment_variable(monkeypatch):
     monkeypatch.setenv("PWLMIP_NODE_LIMIT", "17")
     assert resolve_node_limit() == 17
     assert resolve_node_limit(5) == 5  # explicit argument wins
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            resolve_node_limit(bad)
     monkeypatch.setenv("PWLMIP_NODE_LIMIT", "zero")
     with pytest.raises(ValueError, match="integer"):
         resolve_node_limit()
@@ -196,31 +202,168 @@ def test_maximize_against_grid_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# integer pivot kernel against the Fraction reference
 # ---------------------------------------------------------------------------
 
 
-def test_kernels_agree():
-    available = _kernel.available_kernels()
+def _integer_rows(tableau):
+    """Each Fraction row as integers over the lcm of its denominators."""
+    out = []
+    for row in tableau:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row] + [den])
+    return out
+
+
+def _fraction_rows(tableau, ncols):
+    return [[F(x, row[ncols + 1]) for x in row[:ncols + 1]] for row in tableau]
+
+
+def _assert_agrees_with_reference(tableau, basis, nrows, ncols):
+    """Pivot an integer tableau in place and its Fractions by the reference.
+
+    Returns the pivot count and the phase-1 optimum.
+    """
+    expected = _fraction_rows(tableau, ncols)
+    expected_basis = list(basis)
+    expected_pivots = reference_phase1(expected, expected_basis, nrows, ncols)
+    pivots = integer_phase1(tableau, basis, nrows, ncols)
+    assert pivots == expected_pivots
+    assert basis == expected_basis
+    # every entry, so also every vertex value and the phase-1 optimum
+    assert _fraction_rows(tableau, ncols) == expected
+    return pivots, -expected[nrows][ncols]
+
+
+def _random_phase1_tableau(rng, integer, degenerate):
+    """Phase-1 tableau of random rows ``A x <= b``.
+
+    Degenerate systems repeat rows scaled by a positive factor and use zero
+    right-hand sides, so the ratio test meets ties.
+    """
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 6)
+    max_den = 1 if integer else 4
+    rows = []
+    for _ in range(m):
+        if degenerate and rows and rng.random() < 0.5:
+            coeffs, rhs = rng.choice(rows)
+            k = random_fraction(rng, 1, 3, max_den)
+            rows.append(([c * k for c in coeffs], rhs * k))
+            continue
+        coeffs = [random_fraction(rng, -3, 3, max_den) if rng.random() < 0.7
+                  else F(0) for _ in range(n)]
+        if degenerate and rng.random() < 0.5:
+            rhs = F(0)
+        else:
+            rhs = random_fraction(rng, -4, 4, max_den)
+        rows.append((coeffs, rhs))
+    if all(rhs >= 0 for _, rhs in rows):
+        rows[0] = (rows[0][0], -rows[0][1] - 1)
+    return _phase1_tableau(rows, n)
+
+
+def _phase1_tableau(rows, n):
+    """Slack/artificial form of dense rows ``A x <= b`` over ``x >= 0``.
+
+    Rows with a negative right-hand side are negated and get an artificial;
+    the objective row is minus their sum, priced out.
+    """
+    m = len(rows)
+    n_art = sum(1 for _, rhs in rows if rhs < 0)
+    width = n + m + n_art
+    tableau, basis, art = [], [], n + m
+    for k, (coeffs, rhs) in enumerate(rows):
+        sign = -1 if rhs < 0 else 1
+        row = [sign * c for c in coeffs] + [F(0)] * (m + n_art) + [sign * rhs]
+        row[n + k] = F(sign)
+        if rhs < 0:
+            row[art] = F(1)
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(n + k)
+        tableau.append(row)
+    obj = [-sum(col) for col in
+           zip(*(row for row, b in zip(tableau, basis) if b >= n + m))]
+    for b in basis:
+        if b >= n + m:
+            obj[b] = F(0)
+    tableau.append(obj)
+    return tableau, basis, m, width
+
+
+def test_integer_kernel_matches_reference_on_random_tableaus():
     rng = random.Random(0xB53)
-    models = [random_grid_model(rng) for _ in range(12)]
-    runs = {}
-    previous = _kernel.active_kernel_name()
-    try:
-        for name in available:
-            _kernel.use(name)
-            outcomes = []
-            for model in models:
-                lowered, _ = lower(normalize(model))
-                result = milp.solve_feasibility(lowered)
-                outcomes.append((result.feasible, result.assignment,
-                                 result.stats.pivots))
-            runs[name] = outcomes
-    finally:
-        _kernel.use(previous)
-    baseline = runs[available[0]]
-    for name in available[1:]:
-        assert runs[name] == baseline  # identical pivot sequences
+    verdicts = set()
+    total = 0
+    for case in range(300):
+        tableau, basis, nrows, ncols = _random_phase1_tableau(
+            rng, integer=case % 3 == 0, degenerate=case % 2 == 0
+        )
+        pivots, optimum = _assert_agrees_with_reference(
+            _integer_rows(tableau), basis, nrows, ncols
+        )
+        verdicts.add(optimum == 0)
+        total += pivots
+    assert verdicts == {True, False}  # feasible and infeasible systems
+    assert total > 300
+
+
+def test_integer_kernel_matches_reference_on_lowered_models(monkeypatch):
+    pivots = []
+
+    def checked(tableau, basis, nrows, ncols):
+        count, _ = _assert_agrees_with_reference(tableau, basis, nrows, ncols)
+        pivots.append(count)
+        return count
+
+    monkeypatch.setattr(_kernel, "phase1", checked)
+    rng = random.Random(0xB53)
+    for _ in range(12):
+        lowered, _ = lower(normalize(random_grid_model(rng)))
+        milp.solve_feasibility(lowered)
+    assert sum(pivots) > 0
+
+
+def test_lp_rational_rows_and_bounds(monkeypatch):
+    built = []
+
+    def checked(tableau, basis, nrows, ncols):
+        built.append((_fraction_rows(tableau, ncols), list(basis)))
+        return _assert_agrees_with_reference(tableau, basis, nrows, ncols)[0]
+
+    monkeypatch.setattr(_kernel, "phase1", checked)
+    rng = random.Random(0xB54)
+    verdicts = set()
+    compared = 0
+    for case in range(150):
+        n = rng.randint(1, 4)
+        orthant = case % 3 == 0  # x >= 0 only: no shift, split or bound rows
+        lowers = [F(0) if orthant else None if rng.random() < 0.3
+                  else random_fraction(rng, -3, 2) for _ in range(n)]
+        uppers = [None if orthant or lo is None or rng.random() < 0.3
+                  else lo + random_fraction(rng, 0, 4) for lo in lowers]
+        rows = [
+            (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)),
+             random_fraction(rng, -5, 5))
+            for _ in range(rng.randint(1, 4))
+        ]
+        built.clear()
+        ok, point, _ = solve_lp_feasibility(rows, lowers, uppers)
+        verdicts.add(ok)
+        if orthant and built:
+            dense = [([c for _, c in coeffs], rhs) for coeffs, rhs in rows]
+            assert built[0] == _phase1_tableau(dense, n)[:2]
+            compared += 1
+        if ok:
+            for coeffs, rhs in rows:
+                assert sum(c * point[i] for i, c in coeffs) <= rhs
+            for x, lo, up in zip(point, lowers, uppers):
+                assert lo is None or x >= lo
+                assert up is None or x <= up
+    assert verdicts == {True, False}
+    assert compared > 10
 
 
 def test_check_assignment_reports_violations():
