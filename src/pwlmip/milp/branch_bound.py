@@ -10,7 +10,7 @@ makes every answer deterministic.
 Optimization: ``maximize`` binary-searches the largest integer T for which
 the model stays feasible with the extra row ``objective >= T``, as in the
 threshold trick that turns one optimization into about log(range) feasibility
-solves.
+solves.  The node limit counts the nodes of all of them together.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ..emip import VarKind
 from ..rationals import ZERO
-from .lp import solve_lp_feasibility
+from .lp import CompiledRows, solve_lp_feasibility
 from .model import (
     MilpModel,
     ResourceExhausted,
@@ -74,6 +74,9 @@ def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
     # that unwinds would leave them holding memory for the rest of the process.
     lowers = [v.lower for v in model.variables]
     uppers = [v.upper for v in model.variables]
+    # Branching moves only finite bounds of integer variables, so the column
+    # layout and the integer rows stay valid for every node of the search.
+    rows = CompiledRows(model.rows, lowers)
     stack = [(lowers, uppers)]
     while stack:
         if stats.nodes >= limit:
@@ -84,7 +87,7 @@ def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
             l is not None and u is not None and l > u for l, u in zip(lo, up)
         ):
             continue
-        feasible, point, pivots = solve_lp_feasibility(model.rows, lo, up)
+        feasible, point, pivots = solve_lp_feasibility(rows, lo, up)
         stats.lp_calls += 1
         stats.pivots += pivots
         if not feasible:
@@ -138,23 +141,32 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeR
 
     ``coeffs`` maps variable index to an exact coefficient.  The bracket must
     contain the optimum for the answer to be the true maximum; if the model is
-    infeasible even at ceil(t_lo) the result reports infeasible.  Each of the
-    ~log2(range) inner solves gets its own node budget.
+    infeasible even at ceil(t_lo) the result reports infeasible.  The node
+    limit bounds the whole call: the ~log2(range) inner solves share it, and
+    :class:`ResourceExhausted` reports the nodes of all of them.
     """
     if isinstance(coeffs, dict):
-        coeffs = sorted(coeffs.items())
-    coeffs = tuple((int(i), Fraction(c)) for i, c in coeffs)
+        coeffs = coeffs.items()
+    threshold = MilpModel.normalize_row(
+        ((i, -Fraction(c)) for i, c in coeffs), 0, model.n_vars
+    )[0]
     lo = math.ceil(Fraction(t_lo))
     hi = math.floor(Fraction(t_hi))
     if lo > hi:
         raise ValueError("empty threshold bracket [%s, %s]" % (t_lo, t_hi))
 
+    limit = resolve_node_limit(node_limit)
     stats = SolveStats()
 
     def solve_at(t):
-        row = (tuple((i, -c) for i, c in coeffs), Fraction(-t))
-        sub = MilpModel(model.variables, model.rows + (row,))
-        result = solve_feasibility(sub, node_limit)
+        left = limit - stats.nodes
+        if left <= 0:
+            raise ResourceExhausted(stats.nodes, limit)
+        sub = model.with_rows(((threshold, Fraction(-t)),))
+        try:
+            result = solve_feasibility(sub, left)
+        except ResourceExhausted as exc:
+            raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
         stats.absorb(result.stats)
         return result
 

@@ -10,6 +10,12 @@ the layout :func:`pwlmip._kernel.phase1` pivots on: a rational row is scaled
 by the least common multiple of its denominators and that multiple is stored
 as the row's denominator.  Rows from the lowering step are already integer,
 so their denominator is 1.  Fractions appear only in the returned point.
+
+Turning Fraction rows into integer rows is the same work at every node of a
+branch-and-bound search, because branching moves only bounds.  A search
+therefore compiles its rows once (:class:`CompiledRows`) and each call only
+shifts the right-hand sides by its lower bounds and appends its bound rows;
+the tableau is entry for entry the one a direct build would give.
 """
 
 from __future__ import annotations
@@ -21,60 +27,109 @@ from .. import _kernel
 from ..rationals import ZERO
 
 
+class CompiledRows:
+    """Rows ``sum(c * x) <= rhs`` turned into integer tableau rows once.
+
+    Holds the column layout (one shifted column per bounded-below variable,
+    a positive/negative pair per free variable) and, per row, the integer
+    coefficients over the row's denominator, the integer right-hand side,
+    and the shift terms ``(variable, coefficient, coefficient denominator)``
+    that subtract ``c * lower`` for each shifted column.  A search compiles
+    its model rows once; each node then only shifts the right-hand sides by
+    its own lower bounds (see :func:`solve_lp_feasibility`).  The layout
+    depends only on which lower bounds are None, so the compiled rows serve
+    every call whose lower bounds are None in the same places.
+    """
+
+    __slots__ = ("free", "col_of", "ncols", "rows")
+
+    def __init__(self, rows, lowers):
+        self.free = [lo is None for lo in lowers]
+        col_of = []  # per variable: ("shift", col) or ("split", pos, neg)
+        ncols = 0
+        for free in self.free:
+            if free:
+                col_of.append(("split", ncols, ncols + 1))
+                ncols += 2
+            else:
+                col_of.append(("shift", ncols))
+                ncols += 1
+        self.col_of = col_of
+        self.ncols = ncols
+        self.rows = []  # (dense, rhs, denominator, shifts)
+        for coeffs, rhs in rows:
+            den = rhs.denominator
+            for _, c in coeffs:
+                den = lcm(den, c.denominator)
+            dense = [0] * ncols
+            shifts = []
+            for i, c in coeffs:
+                if not c:
+                    continue
+                k = c.numerator * (den // c.denominator)
+                spec = col_of[i]
+                dense[spec[1]] += k
+                if spec[0] == "shift":
+                    shifts.append((i, k, c.denominator))
+                else:
+                    dense[spec[2]] -= k
+            total = rhs.numerator * (den // rhs.denominator)
+            self.rows.append((dense, total, den, tuple(shifts)))
+
+
 def solve_lp_feasibility(rows, lowers, uppers):
     """Find any exact point satisfying all rows and bounds.
 
-    rows: iterable of (coeffs, rhs) with coeffs (index, Fraction) pairs.
+    rows: a :class:`CompiledRows`, or an iterable of (coeffs, rhs) with
+    coeffs (index, Fraction) pairs, which is compiled on the spot.
     lowers/uppers: per-variable bounds, each entry a Fraction or None.
     Returns (feasible, point, pivots); point is a list of Fractions.
     """
+    if not isinstance(rows, CompiledRows):
+        rows = CompiledRows(rows, lowers)
+    elif [lo is None for lo in lowers] != rows.free:
+        raise ValueError("lower bounds do not match the compiled column layout")
     n = len(lowers)
+    col_of = rows.col_of
+    ncols = rows.ncols
 
-    # Column layout: one shifted column per bounded-below variable, a
-    # positive/negative pair per free variable.
-    col_of = []  # per variable: ("shift", col) or ("split", pos_col, neg_col)
-    ncols = 0
-    for i in range(n):
-        if lowers[i] is not None:
-            col_of.append(("shift", ncols))
-            ncols += 1
-        else:
-            col_of.append(("split", ncols, ncols + 1))
-            ncols += 2
-
-    int_rows = []  # (ncols integer coefficients, integer rhs, denominator)
-
-    def add_row(coeffs, rhs):
-        # The shifted row reads sum(c * col) <= rhs - sum(c * lower); its
-        # denominator is a multiple of every c, c * lower and rhs denominator.
-        den = rhs.denominator
-        for i, c in coeffs:
-            if c:
-                d = c.denominator
-                if col_of[i][0] == "shift":
-                    d *= lowers[i].denominator
-                den = lcm(den, d)
-        dense = [0] * ncols
-        total = rhs.numerator * (den // rhs.denominator)
-        for i, c in coeffs:
-            if not c:
-                continue
-            k = c.numerator * (den // c.denominator)
-            spec = col_of[i]
-            if spec[0] == "shift":
-                dense[spec[1]] += k
-                lo = lowers[i]
-                total -= k * lo.numerator // lo.denominator
-            else:
-                dense[spec[1]] += k
-                dense[spec[2]] -= k
+    # Each row as (integer coefficients, integer rhs, denominator).  A shifted
+    # row reads sum(c * col) <= rhs - sum(c * lower); a rational lower bound
+    # can raise the row's denominator.
+    int_rows = []
+    for dense, total, den, shifts in rows.rows:
+        node_den = den
+        for i, _, cden in shifts:
+            lo_den = lowers[i].denominator
+            if lo_den != 1:
+                node_den = lcm(node_den, cden * lo_den)
+        scale = node_den // den
+        if scale != 1:
+            dense = [x * scale for x in dense]
+            total *= scale
+            den = node_den
+        for i, k, _ in shifts:
+            lo = lowers[i]
+            total -= k * scale * lo.numerator // lo.denominator
         int_rows.append((dense, total, den))
-
-    for coeffs, rhs in rows:
-        add_row(coeffs, rhs)
     for i in range(n):
-        if uppers[i] is not None:
-            add_row(((i, 1),), uppers[i])
+        up = uppers[i]
+        if up is None:
+            continue
+        spec = col_of[i]
+        dense = [0] * ncols
+        if spec[0] == "shift":
+            lo = lowers[i]
+            den = lcm(up.denominator, lo.denominator)
+            dense[spec[1]] = den
+            total = (up.numerator * (den // up.denominator)
+                     - den * lo.numerator // lo.denominator)
+        else:
+            den = up.denominator
+            dense[spec[1]] = den
+            dense[spec[2]] = -den
+            total = up.numerator
+        int_rows.append((dense, total, den))
 
     m = len(int_rows)
     # Tableau columns: structural | slacks | artificials | rhs | denominator.

@@ -68,12 +68,28 @@ class MilpModel:
             names.add(v.name)
         n = len(self.variables)
         for coeffs, rhs in self.rows:
-            coeffs = tuple(sorted((int(i), Fraction(c)) for i, c in coeffs))
-            for i, _ in coeffs:
-                if not (0 <= i < n):
-                    raise ValueError("row references unknown variable index %d" % i)
-            rows.append((coeffs, Fraction(rhs)))
+            rows.append(self.normalize_row(coeffs, rhs, n))
         object.__setattr__(self, "rows", tuple(rows))
+
+    @staticmethod
+    def normalize_row(coeffs, rhs, n_vars):
+        """A row in model form: index-sorted (int, Fraction) pairs, Fraction rhs."""
+        coeffs = tuple(sorted((int(i), Fraction(c)) for i, c in coeffs))
+        for i, _ in coeffs:
+            if not (0 <= i < n_vars):
+                raise ValueError("row references unknown variable index %d" % i)
+        return coeffs, Fraction(rhs)
+
+    def with_rows(self, rows):
+        """This model plus ``rows``, which must already be in model form.
+
+        Neither the existing rows nor the variables are checked or copied
+        again, so a caller that adds a row per solve pays only for that row.
+        """
+        model = object.__new__(MilpModel)
+        object.__setattr__(model, "variables", self.variables)
+        object.__setattr__(model, "rows", self.rows + tuple(rows))
+        return model
 
     @property
     def n_vars(self) -> int:

@@ -6,11 +6,11 @@ auxiliary continuous variables and rows that pin w above the convex side and
 u below the concave side:
 
   convex f on x, breakpoints rho_1..rho_L, slopes d_0..d_L:
-      z_l >= 0,  z_l >= x - rho_l          (l = 1..L)
+      z_l >= 0 (a bound),  z_l >= x - rho_l          (l = 1..L)
       x*d_0 + sum_l z_l*(d_l - d_{l-1}) <= w
 
   concave g on x:
-      y_l >= 0,  y_l >= x - rho_l
+      y_l >= 0 (a bound),  y_l >= x - rho_l
       u <= x*d_0 + sum_l y_l*(d_l - d_{l-1})
 
 Because the convex slope steps are positive, any feasible w dominates f(x)
@@ -18,8 +18,23 @@ Because the convex slope steps are positive, any feasible w dominates f(x)
 under g(x); plugging in the witness values w = f(x), u = g(x),
 z_l = max(0, x - rho_l) embeds every feasible point of the source model.
 Integer variables pass through untouched, so the integer dimension is
-unchanged.  Rows are scaled to integer coefficients, and auxiliaries get
-exact range bounds so the LP relaxation stays tight.
+unchanged, and rows are scaled to integer coefficients.
+
+The rows are kept lean, which keeps the LP relaxation exactly as tight:
+
+* ``z_l >= 0`` is the auxiliary's lower bound, not a row.
+* w, u, z and y get no upper bound.  Each enters its rows in one direction
+  only: its own rows bound z_l and w from below and u from above, and every
+  other row it enters is only eased by lowering z_l or w or raising u.  So
+  from any LP-feasible point, setting z_l = max(0, x - rho_l), then
+  w = f(x) and u = g(x), keeps every row satisfied, and these values lie
+  within the exact ranges over x's box.  Upper bounds would cut off no
+  value of x and only add a tableau row per auxiliary.
+* One block of auxiliaries stands for each (variable, function, side), shared
+  by every constraint that uses it: ``w >= f(x)`` is the same constraint
+  wherever w appears, so one copy serves them all.  A multiset-cover yield
+  appears in every element row but is lowered once.
+* No row carries an explicit zero coefficient.
 """
 
 from __future__ import annotations
@@ -57,7 +72,9 @@ class LoweringMap:
 
     n_original: int
     original_names: tuple
-    terms: tuple  # ((constraint_index, side, var_index) -> LoweredTerm) pairs
+    # ((constraint_index, side, var_index), LoweredTerm) pairs, one per use;
+    # uses of the same (variable, function, side) share one LoweredTerm.
+    terms: tuple
 
     def term_index(self):
         return {key: term for key, term in self.terms}
@@ -78,6 +95,40 @@ def lower(model: EmipModel):
     ]
     rows = []
     term_map = []
+    blocks = {}  # (var index, function, sign) -> shared LoweredTerm
+
+    def lower_term(j, idx, fn, sign):
+        """Auxiliaries and rows for sign * fn(x_idx), first met in row j."""
+        src = model.variables[idx]
+        fmin, _ = fn.range_on(src.lower, src.upper)
+        prefix = "w" if sign > 0 else "u"
+        bound_var = len(variables)
+        variables.append(
+            MilpVariable(
+                "%s_c%d_%s" % (prefix, j, src.name), VarKind.CONTINUOUS, fmin, None
+            )
+        )
+        aux_vars = []
+        aux_prefix = "z" if sign > 0 else "y"
+        for l, rho in enumerate(fn.breakpoints, start=1):
+            aux = len(variables)
+            variables.append(
+                MilpVariable(
+                    "%s_c%d_%s_%d" % (aux_prefix, j, src.name, l),
+                    VarKind.CONTINUOUS,
+                    ZERO,
+                    None,
+                )
+            )
+            aux_vars.append(aux)
+            # z_l >= x - rho_l, written as a <=-row (z_l >= 0 is its bound)
+            rows.append((((idx, Fraction(1)), (aux, Fraction(-1))), Fraction(rho)))
+        link = [(idx, sign * fn.slopes[0])] if fn.slopes[0] else []
+        for aux, lo, hi in zip(aux_vars, fn.slopes, fn.slopes[1:]):
+            link.append((aux, sign * (hi - lo)))
+        link.append((bound_var, Fraction(-sign)))
+        rows.append((tuple(link), ZERO))
+        return LoweredTerm(idx, bound_var, tuple(aux_vars), fn)
 
     for j, cons in enumerate(model.constraints):
         budget = {}
@@ -90,53 +141,12 @@ def lower(model: EmipModel):
                 if fn.is_linear:
                     bump(idx, sign * fn.slopes[0])
                     continue
-                src = model.variables[idx]
-                fmin, fmax = fn.range_on(src.lower, src.upper)
-                prefix = "w" if sign > 0 else "u"
-                bound_var = len(variables)
-                variables.append(
-                    MilpVariable(
-                        "%s_c%d_%s" % (prefix, j, src.name),
-                        VarKind.CONTINUOUS,
-                        fmin,
-                        fmax,
-                    )
-                )
-                aux_vars = []
-                aux_prefix = "z" if sign > 0 else "y"
-                for l, rho in enumerate(fn.breakpoints, start=1):
-                    aux = len(variables)
-                    aux_upper = (
-                        None
-                        if src.upper is None
-                        else max(ZERO, src.upper - rho)
-                    )
-                    variables.append(
-                        MilpVariable(
-                            "%s_c%d_%s_%d" % (aux_prefix, j, src.name, l),
-                            VarKind.CONTINUOUS,
-                            ZERO,
-                            aux_upper,
-                        )
-                    )
-                    aux_vars.append(aux)
-                    # z_l >= 0 and z_l >= x - rho_l, written as <=-rows
-                    rows.append((((aux, Fraction(-1)),), ZERO))
-                    rows.append(
-                        (((idx, Fraction(1)), (aux, Fraction(-1))), Fraction(rho))
-                    )
-                link = [(idx, sign * fn.slopes[0])]
-                for aux, lo, hi in zip(aux_vars, fn.slopes, fn.slopes[1:]):
-                    link.append((aux, sign * (hi - lo)))
-                link.append((bound_var, Fraction(-sign)))
-                rows.append((tuple(link), ZERO))
-                bump(bound_var, Fraction(sign))
-                term_map.append(
-                    (
-                        (j, side_name, idx),
-                        LoweredTerm(idx, bound_var, tuple(aux_vars), fn),
-                    )
-                )
+                key = (idx, fn, sign)
+                term = blocks.get(key)
+                if term is None:
+                    term = blocks[key] = lower_term(j, idx, fn, sign)
+                bump(term.bound_var, Fraction(sign))
+                term_map.append(((j, side_name, idx), term))
         rows.append(
             (tuple(sorted((i, c) for i, c in budget.items() if c != 0)), cons.b)
         )

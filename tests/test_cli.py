@@ -153,7 +153,8 @@ def test_export_lp_round_trip(capsys, tmp_path):
                                "-o", str(target))
     assert code == 0
     assert report["status"] == "exported"
-    assert report["variables"] == 4 and report["rows"] == 4
+    # z >= x - rho, the link row and the budget row; z >= 0 is a bound
+    assert report["variables"] == 4 and report["rows"] == 3
     text = target.read_text()
     model, objective, _ = parse_lp(text)
     assert [v.name for v in model.variables] == ["x", "y", "w_c0_x",

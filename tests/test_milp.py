@@ -10,8 +10,9 @@ from generators import grid_best, grid_feasible, random_fraction, random_grid_mo
 from pwlmip import _kernel, milp
 from pwlmip._kernel import phase1 as integer_phase1
 from pwlmip.emip import VarKind, normalize
+from pwlmip.milp import branch_bound
 from pwlmip.milp.branch_bound import resolve_node_limit
-from pwlmip.milp.lp import solve_lp_feasibility
+from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
 from pwlmip.milp.model import MilpModel, MilpVariable
 from pwlmip.reduction import lower
 from reference_kernel import phase1 as reference_phase1
@@ -201,6 +202,40 @@ def test_maximize_against_grid_enumeration():
         checked += 1
 
 
+def test_maximize_node_limit_bounds_all_probes(monkeypatch):
+    model = _mk(
+        [("x", VarKind.INTEGER, F(0), F(6)), ("y", VarKind.INTEGER, F(0), F(6))],
+        [([(0, 2), (1, 2)], 9), ([(0, 3), (1, -1)], 4)],
+    )
+    probe_nodes = []
+    real_solve = branch_bound.solve_feasibility
+
+    def counted(sub, node_limit=None):
+        result = real_solve(sub, node_limit)
+        probe_nodes.append(result.stats.nodes)
+        return result
+
+    monkeypatch.setattr(branch_bound, "solve_feasibility", counted)
+    full = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12)
+    assert full.feasible and full.best == 4
+    total = sum(probe_nodes)
+    assert full.stats.nodes == total
+    assert len(probe_nodes) > 2 and max(probe_nodes) < total
+    # every probe fits a budget of max(probe_nodes), their sum does not
+    with pytest.raises(milp.ResourceExhausted) as exc:
+        milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12,
+                      node_limit=max(probe_nodes))
+    assert exc.value.nodes == exc.value.limit == max(probe_nodes)
+    again = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=total)
+    assert again.best == 4 and again.stats == full.stats
+
+
+def test_maximize_rejects_unknown_objective_variable():
+    model = _mk([("x", VarKind.INTEGER, F(0), F(2))], [([(0, 1)], 2)])
+    with pytest.raises(ValueError, match="unknown variable"):
+        milp.maximize(model, {3: F(1)}, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # integer pivot kernel against the Fraction reference
 # ---------------------------------------------------------------------------
@@ -364,6 +399,125 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
                 assert up is None or x <= up
     assert verdicts == {True, False}
     assert compared > 10
+
+
+def _per_node_tableau(rows, lowers, uppers):
+    """The phase-1 tableau built straight from Fraction rows and bounds.
+
+    The direct construction that compiled rows replace: shift or split every
+    column, scale each row (bound rows included) by the lcm of its
+    denominators, then add slacks, artificials and the priced-out objective.
+    Returns (tableau, basis, nrows, ncols), or None when the all-slack basis
+    is already feasible and no kernel call is needed.
+    """
+    col_of, ncols = [], 0
+    for lo in lowers:
+        col_of.append((ncols,) if lo is not None else (ncols, ncols + 1))
+        ncols += len(col_of[-1])
+    bound_rows = [(((i, F(1)),), up) for i, up in enumerate(uppers)
+                  if up is not None]
+    int_rows = []
+    for coeffs, rhs in list(rows) + bound_rows:
+        den = rhs.denominator
+        for i, c in coeffs:
+            if c:
+                den = math.lcm(den, c.denominator * (
+                    lowers[i].denominator if lowers[i] is not None else 1))
+        dense = [0] * ncols
+        total = rhs * den
+        for i, c in coeffs:
+            dense[col_of[i][0]] += int(c * den)
+            if lowers[i] is not None:
+                total -= c * den * lowers[i]
+            else:
+                dense[col_of[i][1]] -= int(c * den)
+        assert total.denominator == 1
+        int_rows.append((dense, int(total), den))
+    m = len(int_rows)
+    n_art = sum(1 for _, rhs, _ in int_rows if rhs < 0)
+    if not n_art:
+        return None
+    tableau, basis, art = [], [], ncols + m
+    for k, (dense, rhs, den) in enumerate(int_rows):
+        sign = -1 if rhs < 0 else 1
+        row = [sign * c for c in dense] + [0] * (m + n_art) + [sign * rhs, den]
+        row[ncols + k] = sign * den
+        if rhs < 0:
+            row[art] = den
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(ncols + k)
+        tableau.append(row)
+    art_rows = [row for row, b in zip(tableau, basis) if b >= ncols + m]
+    obj_den = math.lcm(*(row[-1] for row in art_rows))
+    obj = [-sum(F(row[j], row[-1]) for row in art_rows) * obj_den
+           for j in range(ncols + m + n_art + 1)]
+    obj = [int(x) for x in obj] + [obj_den]
+    for b in basis:
+        if b >= ncols + m:
+            obj[b] = 0
+    tableau.append(obj)
+    return tableau, basis, m, ncols + m + n_art
+
+
+def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
+    """One compiled row set serves every node of a search entry for entry.
+
+    Rows and root bounds are rational; nodes move integer-style bounds the
+    way branching does (an integer floor as upper, floor + 1 as lower).
+    """
+    built = []
+    real_phase1 = _kernel.phase1
+
+    def record(tableau, basis, nrows, ncols):
+        built.append(([list(row) for row in tableau], list(basis), nrows, ncols))
+        return real_phase1(tableau, basis, nrows, ncols)
+
+    monkeypatch.setattr(_kernel, "phase1", record)
+    rng = random.Random(0xB55)
+    compared = rational_lowers = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        lowers = [None if rng.random() < 0.2 else random_fraction(rng, -3, 2)
+                  for _ in range(n)]
+        uppers = [None if lo is None or rng.random() < 0.3
+                  else lo + random_fraction(rng, 0, 5) for lo in lowers]
+        rows = [
+            (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
+                   if rng.random() < 0.8),
+             random_fraction(rng, -5, 5))
+            for _ in range(rng.randint(1, 5))
+        ]
+        compiled = CompiledRows(rows, lowers)
+        for node in range(6):
+            lo, up = list(lowers), list(uppers)
+            if node:
+                for i in range(n):
+                    if lo[i] is None or up[i] is None or rng.random() < 0.5:
+                        continue
+                    cut = math.floor(rng.uniform(float(lo[i]), float(up[i])))
+                    if rng.random() < 0.5:
+                        up[i] = min(up[i], F(cut))
+                    else:
+                        lo[i] = max(lo[i], F(cut + 1))
+            rational_lowers += any(x is not None and x.denominator != 1
+                                   for x in lo)
+            expected = _per_node_tableau(rows, lo, up)
+            built.clear()
+            result = solve_lp_feasibility(compiled, lo, up)
+            assert built == ([] if expected is None else [expected])
+            assert result == solve_lp_feasibility(rows, lo, up)
+            compared += expected is not None
+    assert compared > 150 and rational_lowers > 100
+
+
+def test_compiled_rows_reject_another_column_layout():
+    rows = [(((0, F(1)), (1, F(1))), F(3))]
+    compiled = CompiledRows(rows, [F(0), None])
+    assert solve_lp_feasibility(compiled, [F(1), None], [None, None])[0]
+    with pytest.raises(ValueError, match="layout"):
+        solve_lp_feasibility(compiled, [F(0), F(0)], [None, None])
 
 
 def test_check_assignment_reports_violations():

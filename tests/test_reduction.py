@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from generators import grid_feasible, iter_grid, random_grid_model
-from pwlmip import milp
+from pwlmip import milp, pipeline
+from pwlmip.covering import CoverInstance, solve_umm, type_families
 from pwlmip.emip import (
     EmipConstraint,
     EmipModel,
@@ -14,6 +15,8 @@ from pwlmip.emip import (
     VarKind,
     normalize,
 )
+from pwlmip.milp.lp import solve_lp_feasibility
+from pwlmip.oracle import brute_cover
 from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import (
     NotNormalizedError,
@@ -39,15 +42,17 @@ def test_lowering_structure_of_one_convex_term():
     lowered, lmap = lower(_knapsack_model())
     names = [v.name for v in lowered.variables]
     assert names == ["x", "w_c0_x", "z_c0_x_1"]
-    # w carries the exact range of f over [0, 6]; z gets max(0, upper - rho)
-    assert (lowered.variables[1].lower, lowered.variables[1].upper) == (0, 14)
-    assert (lowered.variables[2].lower, lowered.variables[2].upper) == (0, 4)
-    # z >= 0, z >= x - 2, link x + 2z <= w, budget w <= 9
+    # w is bounded below by the minimum of f over [0, 6] and z by 0; neither
+    # gets an upper bound, because the rows already push both down to f(x)
+    # and max(0, x - 2)
+    assert (lowered.variables[1].lower, lowered.variables[1].upper) == (0, None)
+    assert (lowered.variables[2].lower, lowered.variables[2].upper) == (0, None)
+    # z >= x - 2, link x + 2z <= w, budget w <= 9; z >= 0 is a bound, not a row
     assert [set(dict(coeffs)) for coeffs, _ in lowered.rows] == [
-        {2}, {0, 2}, {0, 1, 2}, {1},
+        {0, 2}, {0, 1, 2}, {1},
     ]
-    assert [rhs for _, rhs in lowered.rows] == [0, 2, 0, 9]
-    link = dict(lowered.rows[2][0])
+    assert [rhs for _, rhs in lowered.rows] == [2, 0, 9]
+    link = dict(lowered.rows[1][0])
     assert link == {0: 1, 2: 2, 1: -1}
     # only the original variable is integer
     assert lowered.integer_indices() == [0]
@@ -159,3 +164,119 @@ def test_embed_of_every_feasible_grid_point_is_feasible():
             if all(c.holds(point) for c in norm.constraints):
                 full = witness_embed(norm, lmap, point)
                 assert lowered.check_assignment(full) == []
+
+
+def test_lowered_rows_carry_no_zero_coefficient():
+    # a zero first slope (a free first item) must not become a 0*x term
+    fn = PwlFunction.from_sorted_weights([0, 3, 5])
+    assert fn.slopes[0] == 0 and not fn.is_linear
+    flat_then_falling = PwlFunction(Shape.CONCAVE, 0, (1,), (0, -2))
+    models = [EmipModel(
+        (Variable("x", VarKind.INTEGER, 0, 3),),
+        (EmipConstraint(lhs={0: fn}, rhs={}, b=4),
+         EmipConstraint(lhs={}, rhs={0: flat_then_falling}, b=0)),
+    )]
+    rng = random.Random(0x1F1)
+    models += [normalize(random_grid_model(rng)) for _ in range(60)]
+    for model in models:
+        lowered, _ = lower(model)
+        for coeffs, _ in lowered.rows:
+            assert all(c != 0 for _, c in coeffs), coeffs
+
+
+def _blocks(lmap):
+    """The distinct auxiliary blocks of a lowering, in order of creation."""
+    seen = {}
+    for _, term in lmap.terms:
+        seen.setdefault(term.bound_var, term)
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_dropped_rows_and_bounds_are_redundant_in_the_lp():
+    """Adding back ``-z <= 0`` rows and auxiliary upper bounds changes no LP.
+
+    The bounds are the ones an exact-range lowering would give: f's maximum
+    over the variable's box for w (u) and max(0, upper - rho) for z (y).
+    The LP verdict must agree on every integer sub-box of the source
+    variables, which is how branch and bound sees the model.
+    """
+    rng = random.Random(0xD44)
+    verdicts = set()
+    boxes = 0
+    for _ in range(120):
+        norm = normalize(random_grid_model(rng))
+        lowered, lmap = lower(norm)
+        blocks = _blocks(lmap)
+        if not blocks:
+            continue
+        extra_rows = []
+        full_uppers = [v.upper for v in lowered.variables]
+        for term in blocks:
+            src = norm.variables[term.var]
+            full_uppers[term.bound_var] = term.fn.range_on(src.lower, src.upper)[1]
+            for aux, rho in zip(term.aux_vars, term.fn.breakpoints):
+                extra_rows.append((((aux, F(-1)),), F(0)))
+                full_uppers[aux] = max(F(0), src.upper - rho)
+        full_rows = lowered.rows + tuple(extra_rows)
+        for _ in range(6):
+            lowers = [v.lower for v in lowered.variables]
+            uppers = [v.upper for v in lowered.variables]
+            sub_uppers = list(full_uppers)
+            for i, v in enumerate(norm.variables):
+                # half the boxes are single points, where the LP must read
+                # each function at an integer exactly
+                lo = rng.randint(int(v.lower), int(v.upper))
+                up = lo if rng.random() < 0.5 else rng.randint(lo, int(v.upper))
+                lowers[i] = F(lo)
+                uppers[i] = sub_uppers[i] = F(up)
+            lean, _, _ = solve_lp_feasibility(lowered.rows, lowers, uppers)
+            full, _, _ = solve_lp_feasibility(full_rows, lowers, sub_uppers)
+            assert lean == full
+            verdicts.add(lean)
+            boxes += 1
+    assert verdicts == {True, False}
+    assert boxes > 300
+
+
+def test_umm_family_yield_lowers_to_one_shared_block(monkeypatch):
+    # family {0,1,2} has yields 3,2,1 and family {0,1} has 3,1: both concave
+    # with breakpoints, each used in the rows of several elements
+    inst = CoverInstance(
+        3,
+        [{0: 3, 1: 3, 2: 3}, {0: 2, 1: 2, 2: 2}, {0: 1, 1: 1, 2: 1},
+         {0: 3, 1: 3}, {0: 1, 1: 1}, {2: 4}],
+        [5, 6, 4],
+        4,
+    )
+    captured = []
+    real_lower = pipeline.lower
+
+    def capture(model):
+        out = real_lower(model)
+        captured.append((model, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "lower", capture)
+    solution = solve_umm(inst, minimize_cost=True)
+    assert solution.feasible and solution.cost == brute_cover(inst).best_cost
+
+    ((model, (lowered, lmap)),) = captured
+    families = type_families(inst)
+    uses = {}
+    for (j, side, idx), term in lmap.terms:
+        assert side == "rhs"
+        uses.setdefault(idx, []).append((j, term))
+    shared = 0
+    for i, fam in enumerate(families):
+        blocks = {id(term) for _, term in uses.get(i, ())}
+        if len(fam.members) == 1:
+            assert not blocks  # one member: a linear yield, no auxiliaries
+            continue
+        supported = [e for e in fam.support if inst.requirements[e] > 0]
+        assert len(uses[i]) == len(supported) > 1
+        assert len(blocks) == 1
+        shared += 1
+    assert shared == 2
+    # one u plus one y per breakpoint for each block, nothing per use
+    aux = sum(1 + len(term.aux_vars) for term in _blocks(lmap))
+    assert len(lowered.variables) == len(model.variables) + aux
