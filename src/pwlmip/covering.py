@@ -22,7 +22,6 @@ family counts as concrete set choices, re-checking the cover exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .emip import EmipConstraint, EmipModel, Objective, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
@@ -202,17 +201,8 @@ def solve_wsm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
         counts, _, stats = minimize_budget(model, len(constraints) - 1, node_limit)
     else:
         result = solve_emip(model, node_limit)
-        counts = result.assignment
-        stats = result.stats
-    if counts is None:
-        return CoverSolution(False, stats=stats)
-
-    chosen = []
-    for i, fam in enumerate(families):
-        z = int(counts[i])
-        chosen.extend(members_sorted[i][:z])
-    chosen = tuple(sorted(chosen))
-    return _realized_solution(instance, chosen, stats)
+        counts, stats = result.assignment, result.stats
+    return _realized_solution(instance, members_sorted, counts, stats)
 
 
 def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> CoverSolution:
@@ -251,31 +241,24 @@ def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
         constraints.append(EmipConstraint(lhs={}, rhs=gain, b=-r))
     count_terms = {i: 1 for i in range(len(families))}
     constraints.append(EmipConstraint(lhs=count_terms, rhs={}, b=instance.budget))
-    model = EmipModel(variables, tuple(constraints))
+    objective = Objective("min", count_terms) if minimize_cost else None
+    model = EmipModel(variables, tuple(constraints), objective=objective)
 
     if minimize_cost:
-        objective_model = EmipModel(
-            variables,
-            tuple(constraints),
-            objective=Objective("min", {i: 1 for i in range(len(families))}),
-        )
-        result = maximize_emip(objective_model, node_limit=node_limit)
-        counts, stats = result.assignment, result.stats
+        result = maximize_emip(model, node_limit=node_limit)
     else:
         result = solve_emip(model, node_limit)
-        counts, stats = result.assignment, result.stats
+    return _realized_solution(instance, members_sorted, result.assignment, result.stats)
+
+
+def _realized_solution(instance, members_sorted, counts, stats):
+    """Take the first z members of each family's ranked list; re-check."""
     if counts is None:
         return CoverSolution(False, stats=stats)
-
-    chosen = []
-    for i, fam in enumerate(families):
-        z = int(counts[i])
-        chosen.extend(members_sorted[i][:z])
-    chosen = tuple(sorted(chosen))
-    return _realized_solution(instance, chosen, stats)
-
-
-def _realized_solution(instance, chosen, stats):
+    chosen = tuple(sorted(
+        k for i, members in enumerate(members_sorted)
+        for k in members[:int(counts[i])]
+    ))
     coverage = instance.coverage_of(chosen)
     cost = sum(instance.weights[k] for k in chosen)
     if any(c < r for c, r in zip(coverage, instance.requirements)):

@@ -1,19 +1,28 @@
 """Election control and bribery through covering and piecewise models.
 
-The preferred candidate is always ``candidates[0]``.  Every solver returns
+The preferred candidate p is always ``candidates[0]``.  Every solver returns
 a :class:`ManipulationResult` whose action, replayed on the election, makes
-the preferred candidate a winner; that replay is re-checked exactly before
-any feasible result is returned.
+p a winner; that replay is re-checked exactly before any feasible result is
+returned.
 
-Approval problems reduce to weighted set multicover (prices) or uniform
-multiset multicover (weights) over the rival candidates:
+All approval problems share one reduction to a covering instance.  Element
+0 stands for the gain in p's score, element 1 + j for rival j.  Each voter
+who may act becomes a set covering, with the voter's weight, the rivals the
+action lowers relative to p:
 
-* deleting a voter who does not approve p lowers each approved rival by
-  the voter's weight — a set covering those rivals;
-* adding a spare voter who approves p raises p relative to exactly the
-  rivals the voter does *not* approve — a set covering those;
-* bribing a voter to approve only p combines both effects, with the gain
-  in p's score guessed by an outer loop.
+* deleting a voter who does not approve p lowers the rivals they approve;
+* adding a spare voter who approves p lowers, relative to p, the rivals
+  they do not approve;
+* bribing any voter to approve only p lowers the rivals they approve, and
+  covers element 0 too when they did not approve p.
+
+For a guessed gain ℓ, element 0 requires ℓ and each rival the amount by
+which it would still lead p + ℓ (plus one for a unique winner).  Deletion
+and addition solve once at ℓ = 0, where element 0 requires nothing and
+emits no row; bribery tries ℓ = 0..n in turn, all solves sharing one node
+budget.  Priced voters (unit weights) give weighted set multicover with
+the prices as set weights; weighted voters (unit prices) give uniform
+multiset multicover, where the budget caps the number of voters.
 
 Scoring-rule deletion keeps one integer variable per preference order with
 a convex price function (delete cheapest first) and linear winner rows.
@@ -25,7 +34,8 @@ from dataclasses import dataclass, field
 
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
-from .milp.model import SolveStats, SolverInternalError
+from .milp.branch_bound import resolve_node_limit
+from .milp.model import ResourceExhausted, SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
 
@@ -260,14 +270,6 @@ def approval_score(election: ApprovalElection):
     return scores
 
 
-def _deficits(election, scores, p_score, unique_winner):
-    """Per-rival coverage requirement: how far each rival must be pushed."""
-    bump = 1 if unique_winner else 0
-    return [
-        max(scores[c] - p_score + bump, 0) for c in election.candidates[1:]
-    ]
-
-
 def _wins(scores, p, unique_winner):
     rivals = [s for c, s in scores.items() if c != p]
     if not rivals:
@@ -283,223 +285,128 @@ def _verify(scores, p, unique_winner):
         )
 
 
-def solve_ccdv_priced(election, unique_winner=False, minimize_cost=False,
-                      node_limit=None):
-    """Control by deleting voters, each with a price, for approval ballots.
+_ACTION_NOUNS = {"delete": "deletion", "add": "addition", "bribe": "bribery"}
 
-    Builds one covering set per voter not approving p — deleting such a
-    voter lowers exactly the rivals on their ballot — and asks for the
-    rival score deficits to be covered within the budget.
+
+def _solve_approval(election, action, variant, unique_winner, minimize_cost,
+                    node_limit):
+    """The approval reduction for ``action`` in ("delete", "add", "bribe").
+
+    ``variant`` "priced" solves weighted set multicover with the prices as
+    set weights; "weighted" solves uniform multiset multicover with the
+    voter weights as multiplicities.  The other attribute must be one.
     """
-    if any(v.weight != 1 for v in election.voters):
-        raise ValueError("priced deletion needs unit weights")
     p = election.preferred
+    ballots = election.pool if action == "add" else election.voters
+    checked = election.voters + election.pool if action == "add" else ballots
+    unit = "weight" if variant == "priced" else "price"
+    if any(getattr(v, unit) != 1 for v in checked):
+        raise ValueError(
+            "%s %s needs unit %ss" % (variant, _ACTION_NOUNS[action], unit)
+        )
+
+    if action == "delete":
+        acting = [i for i, v in enumerate(ballots) if p not in v.approved]
+    elif action == "add":
+        acting = [i for i, v in enumerate(ballots) if p in v.approved]
+    else:
+        acting = list(range(len(ballots)))
+    rivals = election.candidates[1:]
+    sets = []
+    for i in acting:
+        v = ballots[i]
+        lowered = {
+            1 + j: v.weight for j, c in enumerate(rivals)
+            if (c in v.approved) != (action == "add")
+        }
+        if action == "bribe" and p not in v.approved:
+            lowered[0] = v.weight
+        sets.append(lowered)
+    prices = [ballots[i].price for i in acting] if variant == "priced" else None
+    solve = solve_wsm if variant == "priced" else solve_umm
+
     scores = approval_score(election)
-    need = _deficits(election, scores, scores[p], unique_winner)
-    rival_index = {c: i for i, c in enumerate(election.candidates[1:])}
+    bump = 1 if unique_winner else 0
+    gains = range(len(ballots) + 1) if action == "bribe" else (0,)
+    limit = resolve_node_limit(node_limit)
+    stats = SolveStats()
+    best = None
+    for gain in gains:
+        need = [gain] + [
+            max(scores[c] - scores[p] - gain + bump, 0) for c in rivals
+        ]
+        instance = CoverInstance(len(need), sets, need, election.budget, prices)
+        left = limit - stats.nodes
+        if left <= 0:
+            raise ResourceExhausted(stats.nodes, limit)
+        try:
+            sol = solve(instance, minimize_cost=minimize_cost, node_limit=left)
+        except ResourceExhausted as exc:
+            raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
+        stats.absorb(sol.stats)
+        if not sol.feasible:
+            continue
+        if best is None or sol.cost < best.cost:
+            best = sol
+        if not minimize_cost:
+            break
+    if best is None:
+        return ManipulationResult(False, kind=action, stats=stats)
 
-    deletable = [i for i, v in enumerate(election.voters) if p not in v.approved]
-    sets = [
-        {rival_index[c]: 1 for c in election.voters[i].approved}
-        for i in deletable
-    ]
-    instance = CoverInstance(
-        m=len(rival_index),
-        sets=sets,
-        requirements=need,
-        budget=election.budget,
-        weights=[election.voters[i].price for i in deletable],
-    )
-    sol = solve_wsm(instance, minimize_cost=minimize_cost, node_limit=node_limit)
-    if not sol.feasible:
-        return ManipulationResult(False, kind="delete", stats=sol.stats)
-    action = tuple(sorted(deletable[k] for k in sol.chosen))
-
-    kept = [v for i, v in enumerate(election.voters) if i not in set(action)]
+    chosen = tuple(sorted(acting[k] for k in best.chosen))
+    picked = set(chosen)
+    if action == "delete":
+        after = [v for i, v in enumerate(ballots) if i not in picked]
+    elif action == "add":
+        after = election.voters + tuple(ballots[i] for i in chosen)
+    else:
+        after = [
+            Voter({p}, v.weight, v.price) if i in picked else v
+            for i, v in enumerate(ballots)
+        ]
     replay = approval_score(
-        ApprovalElection(election.candidates, kept, election.budget)
+        ApprovalElection(election.candidates, after, election.budget)
     )
     _verify(replay, p, unique_winner)
-    return ManipulationResult(True, action, sol.cost, "delete", stats=sol.stats)
+    new_votes = tuple(frozenset({p}) for _ in chosen) if action == "bribe" else ()
+    return ManipulationResult(
+        True, chosen, best.cost, action, new_votes=new_votes, stats=stats
+    )
+
+
+def solve_ccdv_priced(election, unique_winner=False, minimize_cost=False,
+                      node_limit=None):
+    """Control by deleting priced voters (unit weights)."""
+    return _solve_approval(election, "delete", "priced", unique_winner,
+                           minimize_cost, node_limit)
 
 
 def solve_ccav_priced(election, unique_winner=False, minimize_cost=False,
                       node_limit=None):
-    """Control by registering spare voters, each with a price.
-
-    Only spare voters approving p are considered (others never help);
-    adding one raises p relative to exactly the rivals the voter does not
-    approve, so those rivals form the voter's covering set.
-    """
-    if any(v.weight != 1 for v in election.voters + election.pool):
-        raise ValueError("priced addition needs unit weights")
-    p = election.preferred
-    scores = approval_score(election)
-    need = _deficits(election, scores, scores[p], unique_winner)
-    rivals = election.candidates[1:]
-    rival_index = {c: i for i, c in enumerate(rivals)}
-
-    addable = [i for i, v in enumerate(election.pool) if p in v.approved]
-    sets = [
-        {rival_index[c]: 1 for c in rivals if c not in election.pool[i].approved}
-        for i in addable
-    ]
-    instance = CoverInstance(
-        m=len(rivals),
-        sets=sets,
-        requirements=need,
-        budget=election.budget,
-        weights=[election.pool[i].price for i in addable],
-    )
-    sol = solve_wsm(instance, minimize_cost=minimize_cost, node_limit=node_limit)
-    if not sol.feasible:
-        return ManipulationResult(False, kind="add", stats=sol.stats)
-    action = tuple(sorted(addable[k] for k in sol.chosen))
-
-    merged = election.voters + tuple(election.pool[i] for i in action)
-    replay = approval_score(
-        ApprovalElection(election.candidates, merged, election.budget)
-    )
-    _verify(replay, p, unique_winner)
-    return ManipulationResult(True, action, sol.cost, "add", stats=sol.stats)
+    """Control by registering priced spare voters (unit weights)."""
+    return _solve_approval(election, "add", "priced", unique_winner,
+                           minimize_cost, node_limit)
 
 
 def solve_bribery_priced(election, unique_winner=False, minimize_cost=False,
                          node_limit=None):
-    """Bribery: pay a voter's price to rewrite their ballot to {p}.
-
-    The gain ℓ in p's score (one per bribed voter not already approving p)
-    is guessed by an outer loop; for each guess the rival deficits against
-    the target score form a covering problem where a voter's set holds the
-    rivals they approve, plus p when bribing them raises p's score.
-    """
-    if any(v.weight != 1 for v in election.voters):
-        raise ValueError("priced bribery needs unit weights")
-    p = election.preferred
-    scores = approval_score(election)
-    p_score = scores[p]
-    rivals = election.candidates[1:]
-    bump = 1 if unique_winner else 0
-
-    stats = SolveStats()
-    best = None
-    for gain in range(len(election.voters) + 1):
-        target = p_score + gain
-        need = [gain] + [max(scores[c] - target + bump, 0) for c in rivals]
-        sets = []
-        for v in election.voters:
-            support = {1 + i for i, c in enumerate(rivals) if c in v.approved}
-            if p not in v.approved:
-                support.add(0)
-            sets.append({e: 1 for e in support})
-        instance = CoverInstance(
-            m=1 + len(rivals),
-            sets=sets,
-            requirements=need,
-            budget=election.budget,
-            weights=[v.price for v in election.voters],
-        )
-        sol = solve_wsm(instance, minimize_cost=minimize_cost,
-                        node_limit=node_limit)
-        stats.absorb(sol.stats)
-        if not sol.feasible:
-            continue
-        key = (sol.cost, gain)
-        if best is None or key < best[0]:
-            best = (key, sol.chosen)
-        if not minimize_cost:
-            break
-    if best is None:
-        return ManipulationResult(False, kind="bribe", stats=stats)
-    action = tuple(sorted(best[1]))
-
-    ballots = [
-        Voter(frozenset({p}), price=v.price) if i in set(action) else v
-        for i, v in enumerate(election.voters)
-    ]
-    replay = approval_score(
-        ApprovalElection(election.candidates, ballots, election.budget)
-    )
-    _verify(replay, p, unique_winner)
-    return ManipulationResult(
-        True, action, best[0][0], "bribe",
-        new_votes=tuple(frozenset({p}) for _ in action), stats=stats,
-    )
+    """Bribery: pay a voter's price to rewrite their ballot to {p}."""
+    return _solve_approval(election, "bribe", "priced", unique_winner,
+                           minimize_cost, node_limit)
 
 
 def solve_ccdv_weighted(election, unique_winner=False, minimize_cost=False,
                         node_limit=None):
-    """Deleting weighted voters, unit prices: the budget caps the count.
-
-    A voter of weight ω covers each approved rival ω times — a uniform
-    multiset — so the instance is a uniform multiset multicover.
-    """
-    if any(v.price != 1 for v in election.voters):
-        raise ValueError("weighted deletion needs unit prices")
-    p = election.preferred
-    scores = approval_score(election)
-    need = _deficits(election, scores, scores[p], unique_winner)
-    rival_index = {c: i for i, c in enumerate(election.candidates[1:])}
-
-    deletable = [i for i, v in enumerate(election.voters) if p not in v.approved]
-    sets = [
-        {rival_index[c]: election.voters[i].weight
-         for c in election.voters[i].approved}
-        for i in deletable
-    ]
-    instance = CoverInstance(
-        m=len(rival_index),
-        sets=sets,
-        requirements=need,
-        budget=election.budget,
-    )
-    sol = solve_umm(instance, minimize_cost=minimize_cost, node_limit=node_limit)
-    if not sol.feasible:
-        return ManipulationResult(False, kind="delete", stats=sol.stats)
-    action = tuple(sorted(deletable[k] for k in sol.chosen))
-
-    kept = [v for i, v in enumerate(election.voters) if i not in set(action)]
-    replay = approval_score(
-        ApprovalElection(election.candidates, kept, election.budget)
-    )
-    _verify(replay, p, unique_winner)
-    return ManipulationResult(True, action, sol.cost, "delete", stats=sol.stats)
+    """Deleting weighted voters, unit prices: the budget caps the count."""
+    return _solve_approval(election, "delete", "weighted", unique_winner,
+                           minimize_cost, node_limit)
 
 
 def solve_ccav_weighted(election, unique_winner=False, minimize_cost=False,
                         node_limit=None):
     """Adding weighted voters, unit prices: the budget caps the count."""
-    if any(v.price != 1 for v in election.voters + election.pool):
-        raise ValueError("weighted addition needs unit prices")
-    p = election.preferred
-    scores = approval_score(election)
-    need = _deficits(election, scores, scores[p], unique_winner)
-    rivals = election.candidates[1:]
-    rival_index = {c: i for i, c in enumerate(rivals)}
-
-    addable = [i for i, v in enumerate(election.pool) if p in v.approved]
-    sets = [
-        {rival_index[c]: election.pool[i].weight
-         for c in rivals if c not in election.pool[i].approved}
-        for i in addable
-    ]
-    instance = CoverInstance(
-        m=len(rivals),
-        sets=sets,
-        requirements=need,
-        budget=election.budget,
-    )
-    sol = solve_umm(instance, minimize_cost=minimize_cost, node_limit=node_limit)
-    if not sol.feasible:
-        return ManipulationResult(False, kind="add", stats=sol.stats)
-    action = tuple(sorted(addable[k] for k in sol.chosen))
-
-    merged = election.voters + tuple(election.pool[i] for i in action)
-    replay = approval_score(
-        ApprovalElection(election.candidates, merged, election.budget)
-    )
-    _verify(replay, p, unique_winner)
-    return ManipulationResult(True, action, sol.cost, "add", stats=sol.stats)
+    return _solve_approval(election, "add", "weighted", unique_winner,
+                           minimize_cost, node_limit)
 
 
 DEFAULT_CANDIDATE_CAP = 5

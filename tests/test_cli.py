@@ -295,6 +295,28 @@ def test_node_limit_env_exhaustion(capsys, tmp_path, monkeypatch):
     assert "status: infeasible" in out
 
 
+def test_bribery_node_limit_counts_every_gain(capsys, tmp_path):
+    # each of the three gain guesses needs one node, so a limit of one
+    # runs out before the second guess instead of reporting infeasible
+    path = tmp_path / "bribe.json"
+    path.write_text(json.dumps({
+        "format": "election-v1",
+        "candidates": ["p", "a", "b", "c"],
+        "voters": [{"approved": ["a", "c"], "price": 6},
+                   {"approved": ["a", "p"], "price": 4}],
+        "budget": 1,
+    }))
+    code, report, _ = run_json(capsys, "bribery", str(path),
+                               "--minimize-cost", "--node-limit", "1")
+    assert code == 3
+    assert report["status"] == "resource-exhausted"
+    assert report["nodes"] == 1 and report["limit"] == 1
+    code, report, _ = run_json(capsys, "bribery", str(path),
+                               "--minimize-cost", "--node-limit", "3")
+    assert code == 0 and report["status"] == "infeasible"
+    assert report["stats"]["nodes"] == 3
+
+
 # ---------------------------------------------------------------------------
 # gated oracle subcommand
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from generators import random_approval, random_ordinal
+from pwlmip import voting
+from pwlmip.milp import ResourceExhausted
 from pwlmip.oracle import brute_manipulate
 from pwlmip.voting import (
     ApprovalElection,
@@ -160,6 +162,33 @@ def test_bribery_priced_worked_example():
     assert res.new_votes == (frozenset({"p"}),)
 
 
+def test_bribery_node_limit_bounds_all_gains(monkeypatch):
+    # gains 0, 1, 2 are each infeasible after one node: 3 nodes in total
+    e = ApprovalElection(
+        ("p", "a", "b", "c"),
+        (Voter({"a", "c"}, price=6), Voter({"a", "p"}, price=4)),
+        1,
+    )
+    per_gain = []
+    solve_wsm = voting.solve_wsm
+
+    def counted(*args, **kwargs):
+        sol = solve_wsm(*args, **kwargs)
+        per_gain.append(sol.stats.nodes)
+        return sol
+
+    monkeypatch.setattr(voting, "solve_wsm", counted)
+    res = solve_bribery_priced(e, minimize_cost=True)
+    assert not res.feasible and res.stats.nodes == sum(per_gain) == 3
+    limit = 2
+    assert max(per_gain) <= limit < sum(per_gain)
+    with pytest.raises(ResourceExhausted) as info:
+        solve_bribery_priced(e, minimize_cost=True, node_limit=limit)
+    assert info.value.nodes == 2 and info.value.limit == limit
+    res = solve_bribery_priced(e, minimize_cost=True, node_limit=3)
+    assert not res.feasible and res.stats.nodes == 3
+
+
 def test_priced_solvers_reject_weights():
     weighted = ApprovalElection(("p", "a"), (Voter({"a"}, weight=2),), 1)
     with pytest.raises(ValueError, match="unit weights"):
@@ -306,10 +335,45 @@ def test_scoring_ccdv_candidate_cap():
 # ---------------------------------------------------------------------------
 
 
-def _assert_agrees(res, truth):
+def _scores_after(problem, election, acted):
+    """Scores once ``acted`` is applied, counted here rather than by voting."""
+    scores = dict.fromkeys(election.candidates, 0)
+    if problem == "scoring-ccdv":
+        for i, v in enumerate(election.voters):
+            if i not in acted:
+                for pos, c in enumerate(v.ranking):
+                    scores[c] += election.scoring_vector[pos]
+        return scores
+    ballots = []
+    for i, v in enumerate(election.voters):
+        if problem == "ccdv" and i in acted:
+            continue
+        ballots.append(({"p"} if problem == "bribery" and i in acted
+                        else v.approved, v.weight))
+    if problem == "ccav":
+        ballots += [(election.pool[i].approved, election.pool[i].weight)
+                    for i in acted]
+    for approved, weight in ballots:
+        for c in approved:
+            scores[c] += weight
+    return scores
+
+
+def _assert_agrees(res, truth, problem, election, unique_winner=False):
+    """Same verdict and optimum as the oracle; the action replays on its own."""
     assert res.feasible == truth.feasible
-    if truth.feasible:
-        assert res.cost == truth.best_cost
+    if not truth.feasible:
+        return
+    assert res.cost == truth.best_cost
+    group = election.pool if problem == "ccav" else election.voters
+    action = list(res.action)
+    assert action == sorted(set(action))
+    assert all(0 <= i < len(group) for i in action)
+    assert sum(group[i].price for i in action) == res.cost
+    scores = _scores_after(problem, election, set(action))
+    top = max((s for c, s in scores.items() if c != "p"), default=None)
+    if top is not None:
+        assert scores["p"] > top if unique_winner else scores["p"] >= top
 
 
 def test_ccdv_priced_matches_oracle():
@@ -317,7 +381,7 @@ def test_ccdv_priced_matches_oracle():
     for _ in range(60):
         e = random_approval(rng, variant="priced")
         res = solve_ccdv_priced(e, minimize_cost=True)
-        _assert_agrees(res, brute_manipulate("ccdv", e, "p"))
+        _assert_agrees(res, brute_manipulate("ccdv", e, "p"), "ccdv", e)
 
 
 def test_ccav_priced_matches_oracle():
@@ -325,7 +389,7 @@ def test_ccav_priced_matches_oracle():
     for _ in range(60):
         e = random_approval(rng, variant="priced", with_pool=True)
         res = solve_ccav_priced(e, minimize_cost=True)
-        _assert_agrees(res, brute_manipulate("ccav", e, "p"))
+        _assert_agrees(res, brute_manipulate("ccav", e, "p"), "ccav", e)
 
 
 def test_bribery_priced_matches_oracle():
@@ -333,7 +397,7 @@ def test_bribery_priced_matches_oracle():
     for _ in range(60):
         e = random_approval(rng, variant="priced")
         res = solve_bribery_priced(e, minimize_cost=True)
-        _assert_agrees(res, brute_manipulate("bribery", e, "p"))
+        _assert_agrees(res, brute_manipulate("bribery", e, "p"), "bribery", e)
 
 
 def test_ccdv_weighted_matches_oracle():
@@ -341,7 +405,7 @@ def test_ccdv_weighted_matches_oracle():
     for _ in range(60):
         e = random_approval(rng, variant="weighted")
         res = solve_ccdv_weighted(e, minimize_cost=True)
-        _assert_agrees(res, brute_manipulate("ccdv", e, "p"))
+        _assert_agrees(res, brute_manipulate("ccdv", e, "p"), "ccdv", e)
 
 
 def test_ccav_weighted_matches_oracle():
@@ -349,7 +413,7 @@ def test_ccav_weighted_matches_oracle():
     for _ in range(60):
         e = random_approval(rng, variant="weighted", with_pool=True)
         res = solve_ccav_weighted(e, minimize_cost=True)
-        _assert_agrees(res, brute_manipulate("ccav", e, "p"))
+        _assert_agrees(res, brute_manipulate("ccav", e, "p"), "ccav", e)
 
 
 def test_scoring_ccdv_matches_oracle():
@@ -364,7 +428,7 @@ def test_scoring_ccdv_matches_oracle():
                 truth = brute_manipulate(
                     "scoring-ccdv", e, "p", unique_winner=unique
                 )
-                _assert_agrees(res, truth)
+                _assert_agrees(res, truth, "scoring-ccdv", e, unique)
 
 
 def test_budget_monotonicity():
