@@ -20,7 +20,7 @@ from . import __version__
 from .approx import almost_cover, decomposition_json
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipModel, InvalidModelError, normalize
-from .milp import ResourceExhausted, export_lp
+from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, export_lp
 from .oracle import (CapExceeded, OracleBudget, brute_cover, brute_manipulate,
                      gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
@@ -149,24 +149,18 @@ def _run_solve_emip(args):
     return out
 
 
-def _run_wsm(args):
-    instance = _load_cover(args.file)
-    try:
-        sol = solve_wsm(instance, minimize_cost=args.minimize_cost,
-                        node_limit=args.node_limit)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return _cover_report("wsm", sol)
+_COVER_SOLVERS = {"wsm": solve_wsm, "umm": solve_umm}
 
 
-def _run_umm(args):
+def _run_cover(args):
     instance = _load_cover(args.file)
     try:
-        sol = solve_umm(instance, minimize_cost=args.minimize_cost,
-                        node_limit=args.node_limit)
+        sol = _COVER_SOLVERS[args.command](
+            instance, minimize_cost=args.minimize_cost,
+            node_limit=args.node_limit)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return _cover_report("umm", sol)
+    return _cover_report(args.command, sol)
 
 
 def _run_mmc_approx(args):
@@ -314,7 +308,7 @@ def build_parser():
     common.add_argument("--json", action="store_true",
                         help="print a JSON report to stdout")
     common.add_argument("--node-limit", type=_positive_int, default=None, metavar="N",
-                        help="search node budget (or set PWLMIP_NODE_LIMIT)")
+                        help="search node budget (default %d)" % DEFAULT_NODE_LIMIT)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for commands that generate instances")
 
@@ -388,8 +382,8 @@ def build_parser():
 
 _RUNNERS = {
     "solve-emip": _run_solve_emip,
-    "wsm": _run_wsm,
-    "umm": _run_umm,
+    "wsm": _run_cover,
+    "umm": _run_cover,
     "mmc-approx": _run_mmc_approx,
     "ccdv": _run_approval,
     "ccav": _run_approval,

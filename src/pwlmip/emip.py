@@ -8,14 +8,13 @@ constraints of the form
 where every left-hand f is convex or linear and every right-hand g is concave
 or linear.  ``normalize`` brings a model into the canonical form the lowering
 step expects: every transformation has f(0) = 0 and no breakpoints below 0,
-constants are folded into b, and variables that appear only linearly but may
-go negative are split as x = x_pos - x_neg.
+and constants are folded into b.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .pwl import PwlFunction, Shape
@@ -290,67 +289,13 @@ def _require_valid(model: EmipModel):
 # -- normalization -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarMap:
-    """How original variables map into a normalized model.
-
-    ``entries[i]`` is either ("same", j) or ("split", j_pos, j_neg) with
-    x_i = x[j_pos] - x[j_neg].
-    """
-
-    entries: tuple
-
-    def pull_back(self, assignment):
-        """Map a normalized-model assignment to original variable values."""
-        out = {}
-        for i, entry in enumerate(self.entries):
-            if entry[0] == "same":
-                out[i] = assignment[entry[1]]
-            else:
-                out[i] = assignment[entry[1]] - assignment[entry[2]]
-        return out
-
-    def push_forward(self, assignment):
-        """Map original variable values to a normalized-model assignment."""
-        out = {}
-        for i, entry in enumerate(self.entries):
-            x = Fraction(assignment[i])
-            if entry[0] == "same":
-                out[entry[1]] = x
-            else:
-                out[entry[1]] = max(ZERO, x)
-                out[entry[2]] = max(ZERO, -x)
-        return out
-
-
 def normalize(model: EmipModel) -> EmipModel:
-    """Canonical form: f(0)=0, no negative breakpoints, constants in b."""
-    return normalize_with_map(model)[0]
+    """Canonical form: f(0)=0, no negative breakpoints, constants in b.
 
-
-def normalize_with_map(model: EmipModel):
+    Only constraints change; the variables and the objective are the input's
+    own, so a solution of the result is a solution of the input.
+    """
     _require_valid(model)
-    transformed = model.nonlinear_var_indices()
-
-    variables = []
-    entries = []
-    split_bounds = {}
-    for i, v in enumerate(model.variables):
-        if v.lower < 0 and i not in transformed:
-            pos_lower = max(ZERO, v.lower)
-            pos_upper = None if v.upper is None else max(ZERO, v.upper)
-            neg_lower = ZERO if v.upper is None else max(ZERO, -v.upper)
-            neg_upper = max(ZERO, -v.lower)
-            j_pos = len(variables)
-            variables.append(replace(v, name=v.name + "__pos", lower=pos_lower, upper=pos_upper))
-            j_neg = len(variables)
-            variables.append(replace(v, name=v.name + "__neg", lower=neg_lower, upper=neg_upper))
-            entries.append(("split", j_pos, j_neg))
-            split_bounds[i] = (j_pos, j_neg)
-        else:
-            entries.append(("same", len(variables)))
-            variables.append(v)
-
     constraints = []
     for cons in model.constraints:
         b = cons.b
@@ -361,48 +306,10 @@ def normalize_with_map(model: EmipModel):
                 fn = fn.drop_negative_breakpoints()
                 b += sign * fn.eval(0)
                 fn = fn.with_value_at_zero(ZERO)
-                if fn.is_linear and fn.slopes[0] == 0:
-                    continue
-                entry = entries[idx]
-                if entry[0] == "same":
-                    _merge_term(bucket, entry[1], fn)
-                else:
-                    slope = fn.slopes[0]
-                    _merge_term(bucket, entry[1], PwlFunction.linear(slope))
-                    _merge_term(bucket, entry[2], PwlFunction.linear(-slope))
+                if not (fn.is_linear and fn.slopes[0] == 0):
+                    bucket[idx] = fn
         constraints.append(EmipConstraint(lhs=new_lhs, rhs=new_rhs, b=b))
-
-    objective = None
-    if model.objective is not None:
-        coeffs = {}
-        for idx, c in model.objective.coeffs:
-            entry = entries[idx]
-            if entry[0] == "same":
-                coeffs[entry[1]] = coeffs.get(entry[1], ZERO) + c
-            else:
-                coeffs[entry[1]] = coeffs.get(entry[1], ZERO) + c
-                coeffs[entry[2]] = coeffs.get(entry[2], ZERO) - c
-        objective = Objective(model.objective.sense, coeffs)
-
-    normalized = EmipModel(tuple(variables), tuple(constraints), objective)
-    return normalized, VarMap(tuple(entries))
-
-
-def _merge_term(bucket, idx, fn):
-    """Sum a new term into a side (two linear terms on one variable can meet)."""
-    if idx not in bucket:
-        bucket[idx] = fn
-        return
-    old = bucket[idx]
-    if not (old.is_linear and fn.is_linear):
-        raise InvalidModelError(
-            ["variable index %d has two non-linear terms on one side" % idx]
-        )
-    merged = old.slopes[0] + fn.slopes[0]
-    if merged == 0:
-        del bucket[idx]
-    else:
-        bucket[idx] = PwlFunction.linear(merged)
+    return EmipModel(model.variables, tuple(constraints), model.objective)
 
 
 def is_normalized(model: EmipModel) -> bool:

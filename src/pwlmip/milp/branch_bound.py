@@ -16,11 +16,9 @@ solves.  The node limit counts the nodes of all of them together.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..emip import VarKind
 from ..rationals import ZERO
 from .lp import CompiledRows, solve_lp_feasibility
 from .model import (
@@ -32,28 +30,16 @@ from .model import (
 )
 
 DEFAULT_NODE_LIMIT = 10**6
-_ENV_NODE_LIMIT = "PWLMIP_NODE_LIMIT"
 
 
 def resolve_node_limit(node_limit=None) -> int:
-    """Node budget: the argument, else PWLMIP_NODE_LIMIT, else the default."""
-    if node_limit is not None:
-        value = int(node_limit)
-        if value <= 0:
-            raise ValueError("node limit must be positive, got %d" % value)
-        return value
-    env = os.environ.get(_ENV_NODE_LIMIT)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(
-                "%s must be an integer, got %r" % (_ENV_NODE_LIMIT, env)
-            ) from exc
-        if value <= 0:
-            raise ValueError("%s must be positive" % _ENV_NODE_LIMIT)
-        return value
-    return DEFAULT_NODE_LIMIT
+    """Node budget: the argument, else the default."""
+    if node_limit is None:
+        return DEFAULT_NODE_LIMIT
+    value = int(node_limit)
+    if value <= 0:
+        raise ValueError("node limit must be positive, got %d" % value)
+    return value
 
 
 def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:

@@ -2,8 +2,11 @@
 
 The caller hands over <=-rows and per-variable bounds; this module shifts or
 splits variables to the nonnegative orthant, adds slacks and artificials, and
-runs the Bland-rule pivot kernel.  Feasibility holds iff the phase-1 optimum
-is zero, in which case the found vertex is mapped back to original variables.
+runs the Bland-rule pivot kernel.  It is the one place in the stack that
+handles variables that may go below zero or are unbounded below: the layers
+above pass every bound through as it is.  Feasibility holds iff the phase-1
+optimum is zero, in which case the found vertex is mapped back to original
+variables.
 
 Tableau rows are built as Python ints over a positive per-row denominator,
 the layout :func:`pwlmip._kernel.phase1` pivots on: a rational row is scaled

@@ -1,18 +1,17 @@
 """End-to-end solving of piecewise-linear models.
 
 Chains normalize -> lower -> branch and bound -> witness lift, keeping the
-plumbing (variable maps, witness verification) in one place for the covering,
-approximation, and election layers as well as the CLI.
+plumbing (witness verification) in one place for the covering, approximation,
+and election layers as well as the CLI.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import milp
-from .emip import EmipModel, normalize_with_map
+from .emip import EmipModel, normalize
 from .milp.model import SolveStats
 from .reduction import lower, witness_lift
 from .rationals import ZERO
@@ -28,14 +27,13 @@ class EmipSolveResult:
 
 def solve_emip(model: EmipModel, node_limit=None) -> EmipSolveResult:
     """Feasibility for an extended model; the witness is exact and verified."""
-    normalized, vmap = normalize_with_map(model)
+    normalized = normalize(model)
     lowered, lmap = lower(normalized)
     result = milp.solve_feasibility(lowered, node_limit)
     if not result.feasible:
         return EmipSolveResult(False, None, result.stats)
     lifted = witness_lift(normalized, lmap, result.assignment)
-    original = vmap.pull_back(lifted)
-    return EmipSolveResult(True, original, result.stats)
+    return EmipSolveResult(True, lifted, result.stats)
 
 
 def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> EmipSolveResult:
@@ -49,7 +47,7 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> Em
     """
     if model.objective is None:
         raise ValueError("model has no objective")
-    normalized, vmap = normalize_with_map(model)
+    normalized = normalize(model)
     lowered, lmap = lower(normalized)
     sense = normalized.objective.sense
     coeffs = dict(normalized.objective.coeffs)
@@ -65,9 +63,8 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> Em
     if not result.feasible:
         return EmipSolveResult(False, None, result.stats)
     lifted = witness_lift(normalized, lmap, result.assignment)
-    original = vmap.pull_back(lifted)
     best = result.best if sense == "max" else -result.best
-    return EmipSolveResult(True, original, result.stats, best=best)
+    return EmipSolveResult(True, lifted, result.stats, best=best)
 
 
 def objective_bracket(model: EmipModel, coeffs):
@@ -101,7 +98,7 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None):
     assignment in the original model's indices and ``best`` the exact
     minimum, or ``(None, None, stats)`` when the model is infeasible.
     """
-    normalized, vmap = normalize_with_map(model)
+    normalized = normalize(model)
     lowered, lmap = lower(normalized)
     term_index = lmap.term_index()
     coeffs = {}
@@ -116,4 +113,4 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None):
     if not result.feasible:
         return None, None, result.stats
     lifted = witness_lift(normalized, lmap, result.assignment)
-    return vmap.pull_back(lifted), -result.best, result.stats
+    return lifted, -result.best, result.stats

@@ -104,8 +104,9 @@ def random_grid_model(rng, max_vars=3, max_cons=3, max_pieces=3, with_objective=
 
     Variables carrying a transformation get nonnegative lower bounds (the
     canonical-form requirement); purely linear variables may dip below zero
-    so the split path gets exercised.  Functions may have nonzero values at
-    zero and negative breakpoints so normalization has real work to do.
+    so the LP's shift of finite lower bounds gets exercised.  Functions may
+    have nonzero values at zero and negative breakpoints so normalization
+    has real work to do.
     """
     n = rng.randint(1, max_vars)
     n_cons = rng.randint(1, max_cons)

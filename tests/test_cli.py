@@ -10,6 +10,8 @@ from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
 from pwlmip.milp import parse_lp
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+DOCS_FORMATS = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                            "formats.md")
 
 
 def fx(name):
@@ -56,6 +58,22 @@ def test_solve_emip_fixture(capsys):
     assert report["status"] == "feasible"
     assert report["best"] == 8
     assert report["assignment"] == {"x": "2", "y": "6"}
+
+
+def test_formats_doc_emip_example_solves(capsys, tmp_path):
+    # the first JSON block under the emip-v1 heading of docs/formats.md
+    with open(DOCS_FORMATS, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## `emip-v1`"):]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.json"
+    path.write_text(block)
+    code, report, _ = run_json(capsys, "solve-emip", str(path))
+    assert code == 0
+    assert report["status"] == "feasible"
+    # f(x) + c <= 9 with f(4) = 8 and f(5) = 11
+    assert report["best"] == 4
+    assert report["assignment"]["x"] == "4"
 
 
 def test_solve_emip_empty_model(capsys):
@@ -282,14 +300,7 @@ def test_node_limit_flag_exhaustion(capsys, tmp_path):
     assert report["nodes"] == 2 and report["limit"] == 2
     assert "error:" in err
 
-
-def test_node_limit_env_exhaustion(capsys, tmp_path, monkeypatch):
-    path = _parity_model_path(tmp_path)
-    monkeypatch.setenv("PWLMIP_NODE_LIMIT", "2")
-    code, out, err = run(capsys, "solve-emip", path)
-    assert code == 3 and out == ""
-
-    monkeypatch.delenv("PWLMIP_NODE_LIMIT")
+    # under the default budget the same solve completes
     code, out, err = run(capsys, "solve-emip", path)
     assert code == 0  # infeasible, but the solve completes
     assert "status: infeasible" in out

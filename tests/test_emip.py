@@ -15,10 +15,12 @@ from pwlmip.emip import (
     VarKind,
     is_normalized,
     normalize,
-    normalize_with_map,
     validate,
 )
+from pwlmip.milp.lp import CompiledRows
+from pwlmip.pipeline import maximize_emip
 from pwlmip.pwl import PwlFunction, Shape
+from pwlmip.reduction import lower
 
 F = Fraction
 
@@ -165,55 +167,65 @@ def test_normalize_drops_negative_breakpoints():
             norm.constraints[0].holds({0: F(x)})
 
 
-def test_normalize_splits_negative_linear_variable():
+def test_normalize_keeps_negative_linear_variable():
     model = EmipModel(
         (_var("x", lower=-3, upper=2),),
         (EmipConstraint(lhs={0: 2}, rhs={}, b=3),),
     )
-    norm, vmap = normalize_with_map(model)
-    names = [v.name for v in norm.variables]
-    assert names == ["x__pos", "x__neg"]
-    assert norm.variables[0].lower == 0 and norm.variables[0].upper == 2
-    assert norm.variables[1].lower == 0 and norm.variables[1].upper == 3
-    terms = dict(norm.constraints[0].lhs)
-    assert terms[0].slopes == (2,)
-    assert terms[1].slopes == (-2,)
-    # round trips through the map
-    point = {0: F(-2)}
-    fwd = vmap.push_forward(point)
-    assert fwd == {0: F(0), 1: F(2)}
-    assert vmap.pull_back(fwd) == point
+    norm = normalize(model)
+    assert norm.variables is model.variables
+    assert norm.variables[0].lower == -3 and norm.variables[0].upper == 2
+    (idx, fn), = norm.constraints[0].lhs
+    assert idx == 0 and fn.slopes == (2,)
 
 
-def test_normalize_objective_follows_split():
+def test_normalize_keeps_objective():
     model = EmipModel(
         (_var("x", lower=-3, upper=2),),
         (EmipConstraint(lhs={0: 1}, rhs={}, b=3),),
         Objective("max", {0: 5}),
     )
     norm = normalize(model)
-    assert norm.objective.coeffs == ((0, 5), (1, -5))
+    assert norm.variables is model.variables
+    assert norm.objective is model.objective
+    assert norm.objective.coeffs == ((0, 5),)
 
 
-def test_normalize_merges_split_terms_without_collision():
-    # both a positive and negative contribution of x on the same side
+def test_normalize_keeps_negative_variables_on_both_sides():
+    # x and y may go negative, one on each side of the same constraint
     model = EmipModel(
         (_var("x", lower=-2, upper=2), _var("y", lower=-2, upper=2)),
         (EmipConstraint(lhs={0: 3}, rhs={1: 1}, b=0),),
     )
     norm = normalize(model)
     assert is_normalized(norm)
+    assert norm.variables is model.variables
+    assert [v.lower for v in norm.variables] == [-2, -2]
+    assert [v.upper for v in norm.variables] == [2, 2]
     for point in iter_grid(model):
-        fwd = {0: max(F(0), point[0]), 1: max(F(0), -point[0]),
-               2: max(F(0), point[1]), 3: max(F(0), -point[1])}
         assert model.constraints[0].holds(point) == \
-            norm.constraints[0].holds(fwd)
+            norm.constraints[0].holds(point)
+
+
+def test_negative_lower_bound_lowers_to_one_shifted_column():
+    model = EmipModel(
+        (_var("x", lower=-3, upper=2),),
+        (EmipConstraint(lhs={0: 2}, rhs={}, b=-3),),
+        Objective("max", {0: 1}),
+    )
+    lowered, _ = lower(normalize(model))
+    assert [(v.name, v.lower, v.upper) for v in lowered.variables] == \
+        [("x", -3, 2)]
+    assert CompiledRows(lowered.rows, [F(-3)]).ncols == 1
+    result = maximize_emip(model)
+    assert result.best == -2
+    assert result.assignment == {0: F(-2)}
 
 
 def test_normalize_two_nonlinear_terms_one_variable_rejected():
     fn = PwlFunction(Shape.CONVEX, 0, (1,), (0, 1))
     model = EmipModel(
-        (_var("x", lower=-1),),  # forces a split; x carries only linear terms
+        (_var("x", lower=-1),),  # fine while x carries only linear terms
         (EmipConstraint(lhs={0: 2}, rhs={}),
          EmipConstraint(lhs={0: fn}, rhs={})),
     )
@@ -235,14 +247,14 @@ def test_normalize_preserves_grid_feasibility():
     rng = random.Random(0xE32)
     for _ in range(60):
         model = random_grid_model(rng)
-        norm, vmap = normalize_with_map(model)
+        norm = normalize(model)
+        assert norm.variables is model.variables
         for point in iter_grid(model):
             original = all(c.holds(point) for c in model.constraints)
-            fwd = vmap.push_forward(point)
-            image = all(c.holds(fwd) for c in norm.constraints)
+            image = all(c.holds(point) for c in norm.constraints)
             assert original == image
             if original:
-                assert satisfies(norm, fwd)
+                assert satisfies(norm, point)
         assert grid_feasible(model)[0] == grid_feasible(norm)[0]
 
 

@@ -114,21 +114,12 @@ def test_node_limit_raises_resource_exhausted():
     assert exc.value.limit == 2
 
 
-def test_node_limit_environment_variable(monkeypatch):
-    monkeypatch.delenv("PWLMIP_NODE_LIMIT", raising=False)
+def test_node_limit_default_and_explicit():
     assert resolve_node_limit() == milp.DEFAULT_NODE_LIMIT
-    monkeypatch.setenv("PWLMIP_NODE_LIMIT", "17")
-    assert resolve_node_limit() == 17
-    assert resolve_node_limit(5) == 5  # explicit argument wins
+    assert resolve_node_limit(5) == 5
     for bad in (0, -3):
         with pytest.raises(ValueError, match="positive"):
             resolve_node_limit(bad)
-    monkeypatch.setenv("PWLMIP_NODE_LIMIT", "zero")
-    with pytest.raises(ValueError, match="integer"):
-        resolve_node_limit()
-    monkeypatch.setenv("PWLMIP_NODE_LIMIT", "-3")
-    with pytest.raises(ValueError, match="positive"):
-        resolve_node_limit()
 
 
 def test_determinism():
