@@ -2,7 +2,9 @@
 
 Reports are deterministic: the JSON report for an invocation depends only
 on the input files, flags, and seed — wall time goes to stderr in human
-mode and never into the JSON.  Exit codes: 0 for any completed solve
+mode and never into the JSON.  The argparse tree is built once per process,
+on the first ``main`` call, and reused by every later call; each parse
+still gets a fresh namespace.  Exit codes: 0 for any completed solve
 (feasible or infeasible alike), 2 for input errors, 3 when the node
 budget runs out.
 """
@@ -10,8 +12,8 @@ budget runs out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import random
 import sys
 import time
@@ -30,8 +32,6 @@ from .voting import (ApprovalElection, OrdinalElection, load_election,
                      solve_bribery_priced, solve_ccav_priced,
                      solve_ccav_weighted, solve_ccdv_priced,
                      solve_ccdv_weighted, solve_scoring_ccdv)
-
-ORACLE_ENV = "PWLMIP_DEV_ORACLE"
 
 
 class InputError(Exception):
@@ -78,7 +78,8 @@ def _load_election(path, kind):
 
 def _stats(stats):
     return {"nodes": stats.nodes, "lp_calls": stats.lp_calls,
-            "pivots": stats.pivots}
+            "pivots": stats.pivots, "probes": stats.probes,
+            "infeasible_lps": stats.infeasible_lps}
 
 
 def _cover_report(command, sol):
@@ -246,16 +247,10 @@ def _run_export_lp(args):
 
 
 def _run_oracle(args):
-    if os.environ.get(ORACLE_ENV) != "1":
-        raise InputError(
-            "the oracle subcommand is a development tool; set %s=1 to enable"
-            % ORACLE_ENV
-        )
-    caps = OracleBudget(args.max_items) if args.max_items else OracleBudget()
     if args.oracle_command == "cover":
         instance = _load_cover(args.file)
         try:
-            answer = brute_cover(instance, caps)
+            answer = brute_cover(instance, OracleBudget(args.max_items))
         except CapExceeded as exc:
             raise InputError(str(exc)) from exc
         out = {"command": "oracle cover",
@@ -269,7 +264,8 @@ def _run_oracle(args):
         election = _load_election(args.file, kind)
         try:
             answer = brute_manipulate(args.problem, election,
-                                      election.preferred, caps,
+                                      election.preferred,
+                                      OracleBudget(args.max_items),
                                       unique_winner=args.unique_winner)
         except CapExceeded as exc:
             raise InputError(str(exc)) from exc
@@ -303,7 +299,9 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared afterwards."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="print a JSON report to stdout")
@@ -368,15 +366,17 @@ def build_parser():
     osub = p.add_subparsers(dest="oracle_command", required=True)
     oc = osub.add_parser("cover", parents=[common])
     oc.add_argument("file")
-    oc.add_argument("--max-items", type=int, default=None)
+    oc.add_argument("--max-items", type=_positive_int,
+                    default=OracleBudget.max_items)
     om = osub.add_parser("manipulate", parents=[common, winner])
     om.add_argument("problem",
                     choices=["ccdv", "ccav", "bribery", "scoring-ccdv"])
     om.add_argument("file")
-    om.add_argument("--max-items", type=int, default=None)
+    om.add_argument("--max-items", type=_positive_int,
+                    default=OracleBudget.max_items)
     og = osub.add_parser("gen", parents=[common])
     og.add_argument("kind", choices=["partition-wmm", "subsetsum-mmc"])
-    og.add_argument("--count", type=int, default=10)
+    og.add_argument("--count", type=_positive_int, default=10)
     return parser
 
 
@@ -410,36 +410,33 @@ def _emit(report, as_json, elapsed):
               " ".join("%s=%s" % kv for kv in report["assignment"].items()))
     if "stats" in report:
         s = report["stats"]
-        print("nodes: %d  lp calls: %d  pivots: %d"
-              % (s["nodes"], s["lp_calls"], s["pivots"]))
+        print("nodes: %d  lp calls: %d  pivots: %d  probes: %d  "
+              "infeasible lps: %d"
+              % (s["nodes"], s["lp_calls"], s["pivots"], s["probes"],
+                 s["infeasible_lps"]))
     print("wall time: %.3fs" % elapsed, file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "node_limit"):
-        args.node_limit = None
-    if not hasattr(args, "max_items"):
-        args.max_items = None
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         report = _RUNNERS[args.command](args)
     except InputError as exc:
         report = {"command": args.command, "status": "error",
                   "error": str(exc)}
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps(report, sort_keys=True, indent=2))
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceExhausted as exc:
         report = {"command": args.command, "status": "resource-exhausted",
                   "nodes": exc.nodes, "limit": exc.limit}
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps(report, sort_keys=True, indent=2))
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    _emit(report, getattr(args, "json", False), time.monotonic() - started)
+    _emit(report, args.json, time.monotonic() - started)
     return 0
 
 

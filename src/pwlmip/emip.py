@@ -293,7 +293,9 @@ def normalize(model: EmipModel) -> EmipModel:
     """Canonical form: f(0)=0, no negative breakpoints, constants in b.
 
     Only constraints change; the variables and the objective are the input's
-    own, so a solution of the result is a solution of the input.
+    own, so a solution of the result is a solution of the input.  A term is
+    rebuilt only when it has breakpoints below 0 or f(0) != 0; otherwise the
+    result holds the input's own function object.
     """
     _require_valid(model)
     constraints = []
@@ -303,9 +305,11 @@ def normalize(model: EmipModel) -> EmipModel:
         new_rhs = {}
         for side, sign, bucket in ((cons.lhs, -1, new_lhs), (cons.rhs, +1, new_rhs)):
             for idx, fn in side:
+                # Without breakpoints below 0, f(0) is value_at_zero exactly.
                 fn = fn.drop_negative_breakpoints()
-                b += sign * fn.eval(0)
-                fn = fn.with_value_at_zero(ZERO)
+                if fn.value_at_zero:
+                    b += sign * fn.value_at_zero
+                    fn = fn.with_value_at_zero(ZERO)
                 if not (fn.is_linear and fn.slopes[0] == 0):
                     bucket[idx] = fn
         constraints.append(EmipConstraint(lhs=new_lhs, rhs=new_rhs, b=b))

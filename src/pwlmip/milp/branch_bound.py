@@ -77,6 +77,7 @@ def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
         stats.lp_calls += 1
         stats.pivots += pivots
         if not feasible:
+            stats.infeasible_lps += 1
             continue
 
         branch_var = -1
@@ -154,6 +155,7 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeR
         except ResourceExhausted as exc:
             raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
         stats.absorb(result.stats)
+        stats.probes += 1
         return result
 
     base = solve_at(lo)

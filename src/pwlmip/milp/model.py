@@ -123,11 +123,15 @@ class SolveStats:
     nodes: int = 0
     lp_calls: int = 0
     pivots: int = 0
+    probes: int = 0  # threshold feasibility solves run by ``maximize``
+    infeasible_lps: int = 0  # LP relaxations that proved their box empty
 
     def absorb(self, other: "SolveStats"):
         self.nodes += other.nodes
         self.lp_calls += other.lp_calls
         self.pivots += other.pivots
+        self.probes += other.probes
+        self.infeasible_lps += other.infeasible_lps
 
 
 @dataclass

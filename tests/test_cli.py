@@ -2,14 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from pwlmip.cli import main
+from pwlmip.cli import build_parser, main
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
 from pwlmip.milp import parse_lp
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 DOCS_FORMATS = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                             "formats.md")
 
@@ -264,12 +267,6 @@ def test_bad_epsilon(capsys):
     assert code == 2
 
 
-def test_oracle_requires_opt_in(capsys, monkeypatch):
-    monkeypatch.delenv("PWLMIP_DEV_ORACLE", raising=False)
-    code, _, err = run(capsys, "oracle", "cover", fx("wsm3.json"))
-    assert code == 2 and "PWLMIP_DEV_ORACLE" in err
-
-
 # ---------------------------------------------------------------------------
 # resource exhaustion (exit code 3)
 # ---------------------------------------------------------------------------
@@ -329,28 +326,32 @@ def test_bribery_node_limit_counts_every_gain(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# gated oracle subcommand
+# oracle subcommand (development tool)
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_cover(capsys, monkeypatch):
-    monkeypatch.setenv("PWLMIP_DEV_ORACLE", "1")
+def test_oracle_runs_without_opt_in(capsys, monkeypatch):
+    monkeypatch.delenv("PWLMIP_DEV_ORACLE", raising=False)
+    code, report, err = run_json(capsys, "oracle", "cover", fx("wsm3.json"))
+    assert code == 0 and err == ""
+    assert report["status"] == "feasible"
+
+
+def test_oracle_cover(capsys):
     code, report, _ = run_json(capsys, "oracle", "cover", fx("wsm3.json"))
     assert code == 0
     assert report["status"] == "feasible"
     assert report["cost"] == 3 and report["witness"] == [0, 2]
 
 
-def test_oracle_manipulate(capsys, monkeypatch):
-    monkeypatch.setenv("PWLMIP_DEV_ORACLE", "1")
+def test_oracle_manipulate(capsys):
     code, report, _ = run_json(capsys, "oracle", "manipulate", "ccdv",
                                fx("ccdv.json"))
     assert code == 0
     assert report["cost"] == 3 and report["witness"] == [1, 2]
 
 
-def test_oracle_gen_deterministic(capsys, monkeypatch):
-    monkeypatch.setenv("PWLMIP_DEV_ORACLE", "1")
+def test_oracle_gen_deterministic(capsys):
     outs = []
     for _ in range(2):
         code, out, _ = run(capsys, "oracle", "gen", "subsetsum-mmc",
@@ -364,9 +365,105 @@ def test_oracle_gen_deterministic(capsys, monkeypatch):
     assert all(isinstance(e["feasible"], bool) for e in report["instances"])
 
 
+def test_oracle_max_items_must_be_positive(capsys):
+    code, _, err = run(capsys, "oracle", "cover", fx("wsm3.json"),
+                       "--max-items", "1", "--json")
+    assert code == 2 and "exceeds the cap of 1" in err
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "cover", fx("wsm3.json"), "--max-items", bad,
+                  "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
+
+
+def test_oracle_gen_count_must_be_positive(capsys):
+    for bad in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "gen", "subsetsum-mmc", "--count", bad, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# search counters
+# ---------------------------------------------------------------------------
+
+
+def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
+    # knapsackish maximizes by five threshold probes without branching;
+    # one of them is infeasible at the root
+    code, report, _ = run_json(capsys, "solve-emip", fx("knapsackish.json"))
+    assert code == 0
+    assert report["stats"] == {"nodes": 5, "lp_calls": 5, "pivots": 14,
+                               "probes": 5, "infeasible_lps": 1}
+
+    # a feasibility solve runs no probe; 7 of its 13 LPs prune a node
+    code, report, _ = run_json(capsys, "solve-emip",
+                               _parity_model_path(tmp_path))
+    assert code == 0 and report["status"] == "infeasible"
+    assert report["stats"]["probes"] == 0
+    assert report["stats"]["infeasible_lps"] == 7
+    assert report["stats"]["lp_calls"] == 13
+
+    # bribery sums the counters of every gain it tries
+    code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
+                               "--minimize-cost")
+    assert code == 0
+    assert report["stats"] == {"nodes": 11, "lp_calls": 11, "pivots": 37,
+                               "probes": 11, "infeasible_lps": 7}
+
+    code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
+    assert ("nodes: 5  lp calls: 5  pivots: 14  probes: 5  "
+            "infeasible lps: 1\n") in out
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    for _ in range(3):
+        run(capsys, "wsm", fx("wsm3.json"), "--json")
+    assert build_parser.cache_info().misses == 1
+
+
+def test_reused_parser_does_not_leak_flags(capsys, tmp_path):
+    argv = ["ccdv", fx("ccdv.json"), "--json"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    fresh = subprocess.run([sys.executable, "-m", "pwlmip.cli", *argv],
+                           env=env, capture_output=True, text=True,
+                           check=True).stdout
+    code, flagged, _ = run(capsys, *argv, "--unique-winner",
+                           "--minimize-cost", "--node-limit", "2")
+    assert code == 0 and flagged != fresh
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == fresh
+    # a node limit from one call does not bound the next solve
+    path = _parity_model_path(tmp_path)
+    code, _, _ = run(capsys, "solve-emip", path, "--node-limit", "2")
+    assert code == 3
+    code, _, _ = run(capsys, "solve-emip", path)
+    assert code == 0
+
+
+def test_help_and_usage_errors_repeat_exactly(capsys):
+    build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["ccdv", "--help"], ["oracle", "gen", "-h"],
+                     ["wsm"], ["wsm", fx("wsm3.json"), "--node-limit", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            outputs.append((argv, exc.value.code, captured.out, captured.err))
+    assert outputs[:5] == outputs[5:]
+    assert [o[1] for o in outputs[:5]] == [0, 0, 0, 2, 2]
+
 
 
 def test_version_flag(capsys):

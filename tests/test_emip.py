@@ -149,6 +149,25 @@ def test_normalize_folds_constants_into_b():
     assert is_normalized(norm)
 
 
+def test_normalize_rebuilds_only_terms_with_nonzero_value_at_zero():
+    canonical = PwlFunction(Shape.CONVEX, 0, (1, 3), (1, 2, 4))
+    shifted = PwlFunction(Shape.CONVEX, 3, (2,), (0, 1))
+    linear = PwlFunction.linear(2, 0, Shape.CONCAVE)
+    model = EmipModel(
+        (_var("x"), _var("y"), _var("z")),
+        (EmipConstraint(lhs={0: canonical, 1: shifted}, rhs={2: linear},
+                        b=5),),
+    )
+    cons, = normalize(model).constraints
+    (_, x_fn), (_, y_fn) = cons.lhs
+    (_, z_fn), = cons.rhs
+    assert x_fn is canonical and z_fn is linear
+    assert y_fn is not shifted
+    assert y_fn == PwlFunction(Shape.CONVEX, 0, (2,), (0, 1))
+    # b' = b - f_y(0) = 5 - 3
+    assert cons.b == 2
+
+
 def test_normalize_drops_negative_breakpoints():
     fn = PwlFunction(Shape.CONVEX, 7, (-1, 1), (-2, 0, 5))
     model = EmipModel(
