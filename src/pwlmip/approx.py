@@ -215,7 +215,7 @@ class AlmostCoverSolution:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def almost_cover(instance, epsilon, k=None, node_limit=None):
+def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
     """Cover all requirements up to a total shortfall of ε·Σr, if possible.
 
     ``k`` bounds how many vectors may be used (defaulting to the
@@ -223,6 +223,8 @@ def almost_cover(instance, epsilon, k=None, node_limit=None):
     Returns None when even the relaxed program is infeasible; otherwise
     the total miss is the exact minimum the decomposed program admits —
     in particular strictly below ε·Σr whenever k sets can cover exactly.
+    ``stats``, a :class:`SolveStats`, absorbs the search's counters either
+    way, which is how a caller sees the work of an infeasible answer.
     """
     if any(w != 1 for w in instance.weights):
         raise ValueError("almost_cover needs unit weights")
@@ -291,6 +293,8 @@ def almost_cover(instance, epsilon, k=None, node_limit=None):
     result = maximize_emip(
         model, t_lo=-math.floor(miss_cap), t_hi=0, node_limit=node_limit
     )
+    if stats is not None:
+        stats.absorb(result.stats)
     if not result.feasible:
         return None
 

@@ -22,7 +22,7 @@ from . import __version__
 from .approx import almost_cover, decomposition_json
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipModel, InvalidModelError, normalize
-from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, export_lp
+from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, SolveStats, export_lp
 from .oracle import (CapExceeded, OracleBudget, brute_cover, brute_manipulate,
                      gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
@@ -79,7 +79,9 @@ def _load_election(path, kind):
 def _stats(stats):
     return {"nodes": stats.nodes, "lp_calls": stats.lp_calls,
             "pivots": stats.pivots, "probes": stats.probes,
-            "infeasible_lps": stats.infeasible_lps}
+            "infeasible_lps": stats.infeasible_lps,
+            "max_depth": stats.max_depth,
+            "max_tableau": list(stats.max_tableau)}
 
 
 def _cover_report(command, sol):
@@ -168,10 +170,13 @@ def _run_mmc_approx(args):
     instance = _load_cover(args.file)
     try:
         epsilon = parse_rational(args.epsilon)
-        sol = almost_cover(instance, epsilon, node_limit=args.node_limit)
+        stats = SolveStats()
+        sol = almost_cover(instance, epsilon, node_limit=args.node_limit,
+                           stats=stats)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    out = {"command": "mmc-approx", "epsilon": str(epsilon)}
+    out = {"command": "mmc-approx", "epsilon": str(epsilon),
+           "stats": _stats(stats)}
     if sol is None:
         out["status"] = "infeasible"
     else:
@@ -183,7 +188,6 @@ def _run_mmc_approx(args):
             miss_total=str(sol.miss_total),
             miss_bound=str(sol.miss_bound),
             origins=list(sol.origins),
-            stats=_stats(sol.stats),
         )
     if args.dump_decomposition:
         out["decomposition"] = decomposition_json(instance, epsilon)
@@ -411,9 +415,9 @@ def _emit(report, as_json, elapsed):
     if "stats" in report:
         s = report["stats"]
         print("nodes: %d  lp calls: %d  pivots: %d  probes: %d  "
-              "infeasible lps: %d"
+              "infeasible lps: %d  max depth: %d  max tableau: %dx%d"
               % (s["nodes"], s["lp_calls"], s["pivots"], s["probes"],
-                 s["infeasible_lps"]))
+                 s["infeasible_lps"], s["max_depth"], *s["max_tableau"]))
     print("wall time: %.3fs" % elapsed, file=sys.stderr)
 
 

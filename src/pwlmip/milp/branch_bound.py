@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..rationals import ZERO
 from .lp import CompiledRows, solve_lp_feasibility
 from .model import (
     MilpModel,
@@ -27,6 +26,7 @@ from .model import (
     SolveResult,
     SolveStats,
     SolverInternalError,
+    integer_row,
 )
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -42,76 +42,89 @@ def resolve_node_limit(node_limit=None) -> int:
     return value
 
 
-def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
-    """Exact feasibility: a witness assignment or a proof of emptiness."""
-    limit = resolve_node_limit(node_limit)
+def _compile(model: MilpModel):
+    """What every node of a search shares: (rows, lowers, uppers, int_idx).
+
+    The integer variables' bounds are rounded inward to ints, which is the
+    identity on integral bounds; every other bound is fixed for the search
+    and folded into the compiled rows, which are None if the box is empty.
+    """
     int_idx = model.integer_indices()
+    lowers = [v.lower for v in model.variables]
+    uppers = [v.upper for v in model.variables]
     for i in int_idx:
-        v = model.variables[i]
-        if v.lower is None or v.upper is None:
+        if lowers[i] is None or uppers[i] is None:
             raise ValueError(
                 "integer variable %r needs finite bounds for the search to "
-                "terminate" % v.name
+                "terminate" % model.variables[i].name
             )
-
-    stats = SolveStats()
+        lowers[i], uppers[i] = math.ceil(lowers[i]), math.floor(uppers[i])
+    empty = any(l is not None and u is not None and l > u
+                for l, u in zip(lowers, uppers))
+    rows = None if empty else CompiledRows(model.rows, lowers, uppers, int_idx)
     # Node bounds are lists, not tuples: CPython keeps freed tuples on
     # per-length free lists until a full garbage collection, so a deep search
     # that unwinds would leave them holding memory for the rest of the process.
-    lowers = [v.lower for v in model.variables]
-    uppers = [v.upper for v in model.variables]
-    # Branching moves only finite bounds of integer variables, so the column
-    # layout and the integer rows stay valid for every node of the search.
-    rows = CompiledRows(model.rows, lowers)
-    stack = [(lowers, uppers)]
+    return (rows, [lowers[i] for i in int_idx], [uppers[i] for i in int_idx],
+            int_idx)
+
+
+class _Probe(MilpModel):
+    """A probe of :func:`maximize`: the model, its threshold row, and the
+    search compiled once for every probe, the threshold rhs set for this one."""
+
+    __slots__ = ("search",)
+
+    def __init__(self, model, row, search):
+        object.__setattr__(self, "variables", model.variables)
+        object.__setattr__(self, "rows", model.rows + (row,))
+        object.__setattr__(self, "search", search)
+
+
+def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
+    """Exact feasibility: a witness assignment or a proof of emptiness."""
+    limit = resolve_node_limit(node_limit)
+    search = model.search if isinstance(model, _Probe) else _compile(model)
+    rows, lowers, uppers, int_idx = search
+    stats = SolveStats()
+    stack = [(lowers, uppers, 0)]
     while stack:
         if stats.nodes >= limit:
             raise ResourceExhausted(stats.nodes, limit)
         stats.nodes += 1
-        lo, up = stack.pop()
-        if any(
-            l is not None and u is not None and l > u for l, u in zip(lo, up)
-        ):
+        lo, up, depth = stack.pop()
+        stats.max_depth = max(stats.max_depth, depth)
+        if rows is None:  # the rounded root box is empty
             continue
-        feasible, point, pivots = solve_lp_feasibility(rows, lo, up)
-        stats.lp_calls += 1
-        stats.pivots += pivots
+        feasible, point, _ = solve_lp_feasibility(rows, lo, up, stats)
         if not feasible:
-            stats.infeasible_lps += 1
             continue
 
-        branch_var = -1
-        branch_score = ZERO
-        for i in int_idx:
-            v = point[i]
-            frac = v - math.floor(v)
-            if frac == 0:
-                continue
-            score = min(frac, 1 - frac)
-            if score > branch_score:
-                branch_score = score
-                branch_var = i
-        if branch_var < 0:
-            assignment = {i: point[i] for i in range(model.n_vars)}
-            problems = model.check_assignment(assignment)
+        # Branch on the most fractional value p/q (ties to the lowest index):
+        # its distance to an integer is min(r, q - r)/q with r = p mod q.
+        branch, best, best_q = -1, 0, 1
+        for j, i in enumerate(int_idx):
+            q = point[i].denominator
+            r = point[i].numerator % q
+            score = min(r, q - r)
+            if score * best_q > best * q:
+                branch, best, best_q = j, score, q
+        if branch < 0:
+            problems = model.check_assignment(point)
             if problems:
                 raise SolverInternalError(
                     "feasible answer failed exact re-check: %s" % "; ".join(problems)
                 )
+            assignment = {i: Fraction(x) for i, x in enumerate(point)}
             return SolveResult(True, assignment, stats)
 
-        v = point[branch_var]
-        fl = Fraction(math.floor(v))
-        left_up = list(up)
-        left_up[branch_var] = (
-            fl if up[branch_var] is None else min(up[branch_var], fl)
-        )
-        right_lo = list(lo)
-        right_lo[branch_var] = (
-            fl + 1 if lo[branch_var] is None else max(lo[branch_var], fl + 1)
-        )
-        stack.append((right_lo, up))
-        stack.append((lo, left_up))
+        # x <= floor(v) is explored first, then x >= floor(v) + 1; with int
+        # bounds around v, neither box is empty.
+        floor = point[int_idx[branch]].numerator // best_q
+        left_up, right_lo = up[:], lo[:]
+        left_up[branch], right_lo[branch] = floor, floor + 1
+        stack.append((right_lo, up, depth + 1))
+        stack.append((lo, left_up, depth + 1))
     return SolveResult(False, None, stats)
 
 
@@ -134,9 +147,9 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeR
     """
     if isinstance(coeffs, dict):
         coeffs = coeffs.items()
-    threshold = MilpModel.normalize_row(
+    threshold, _, den = integer_row(
         ((i, -Fraction(c)) for i, c in coeffs), 0, model.n_vars
-    )[0]
+    )
     lo = math.ceil(Fraction(t_lo))
     hi = math.floor(Fraction(t_hi))
     if lo > hi:
@@ -144,12 +157,17 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeR
 
     limit = resolve_node_limit(node_limit)
     stats = SolveStats()
+    # One compile serves every probe: only the threshold row's rhs moves.
+    probe_row = len(model.rows)
+    search = _compile(_Probe(model, (threshold, 0, den), None))
 
     def solve_at(t):
         left = limit - stats.nodes
         if left <= 0:
             raise ResourceExhausted(stats.nodes, limit)
-        sub = model.with_rows(((threshold, Fraction(-t)),))
+        if search[0] is not None:
+            search[0].set_rhs(probe_row, -t * den)
+        sub = _Probe(model, (threshold, -t * den, den), search)
         try:
             result = solve_feasibility(sub, left)
         except ResourceExhausted as exc:

@@ -8,191 +8,218 @@ above pass every bound through as it is.  Feasibility holds iff the phase-1
 optimum is zero, in which case the found vertex is mapped back to original
 variables.
 
-Tableau rows are built as Python ints over a positive per-row denominator,
-the layout :func:`pwlmip._kernel.phase1` pivots on: a rational row is scaled
-by the least common multiple of its denominators and that multiple is stored
-as the row's denominator.  Rows from the lowering step are already integer,
-so their denominator is 1.  Fractions appear only in the returned point.
-
-Turning Fraction rows into integer rows is the same work at every node of a
-branch-and-bound search, because branching moves only bounds.  A search
-therefore compiles its rows once (:class:`CompiledRows`) and each call only
-shifts the right-hand sides by its lower bounds and appends its bound rows;
-the tableau is entry for entry the one a direct build would give.
+Tableau rows are Python ints over a positive per-row denominator, the layout
+:func:`pwlmip._kernel.phase1` pivots on, and model rows arrive in that form
+(see :mod:`pwlmip.milp.model`).  A branch-and-bound search moves only the
+bounds of its integer variables, and keeps them ints.  So a search compiles
+its rows once (:class:`CompiledRows`): the shifts and upper-bound rows of
+the variables whose bounds never move are folded in there, and a call only
+shifts right-hand sides by integer amounts.  The tableau is entry for entry
+the one a direct build from Fraction rows and bounds would give.  A vertex
+value is an int when its row divides evenly and a Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 
 from .. import _kernel
-from ..rationals import ZERO
+from .model import SolveStats, integer_row
 
 
 class CompiledRows:
-    """Rows ``sum(c * x) <= rhs`` turned into integer tableau rows once.
+    """Rows (integer or rational, as :class:`MilpModel` takes them) and the
+    upper bounds after them, in variable order, as integer tableau rows.
 
-    Holds the column layout (one shifted column per bounded-below variable,
-    a positive/negative pair per free variable) and, per row, the integer
-    coefficients over the row's denominator, the integer right-hand side,
-    and the shift terms ``(variable, coefficient, coefficient denominator)``
-    that subtract ``c * lower`` for each shifted column.  A search compiles
-    its model rows once; each node then only shifts the right-hand sides by
-    its own lower bounds (see :func:`solve_lp_feasibility`).  The layout
-    depends only on which lower bounds are None, so the compiled rows serve
-    every call whose lower bounds are None in the same places.
+    Each call supplies the bounds of the ``moving`` variables (default: all);
+    the others are fixed here.  A variable gets one shifted column, or a
+    positive/negative pair if its lower bound here is None.
     """
 
-    __slots__ = ("free", "col_of", "ncols", "rows")
+    __slots__ = ("source", "free", "ncols", "dense", "neg", "totals", "dens",
+                 "scales", "touch", "upper_row", "plan")
 
-    def __init__(self, rows, lowers):
-        self.free = [lo is None for lo in lowers]
-        col_of = []  # per variable: ("shift", col) or ("split", pos, neg)
-        ncols = 0
-        for free in self.free:
-            if free:
-                col_of.append(("split", ncols, ncols + 1))
-                ncols += 2
-            else:
-                col_of.append(("shift", ncols))
-                ncols += 1
-        self.col_of = col_of
-        self.ncols = ncols
-        self.rows = []  # (dense, rhs, denominator, shifts)
-        for coeffs, rhs in rows:
-            den = rhs.denominator
-            for _, c in coeffs:
-                den = lcm(den, c.denominator)
+    def __init__(self, rows, lowers, uppers=None, moving=None):
+        n = len(lowers)
+        moving = list(range(n) if moving is None else moving)
+        pos = {i: j for j, i in enumerate(moving)}
+        rows = [row if len(row) == 3 else integer_row(*row, n) for row in rows]
+        self.source = (rows, lowers, uppers, moving)
+        self.free = [lowers[i] is None for i in moving]
+        col_of = list(accumulate((1 if lo is not None else 2 for lo in lowers),
+                                 initial=0))
+        ncols = self.ncols = col_of.pop()
+
+        # x <= up: a moving variable's row gets its upper bound at each call.
+        self.upper_row = [0] * len(moving)
+        rows = list(rows)
+        for i in range(n):
+            if i in pos:
+                self.upper_row[pos[i]] = len(rows)
+                rows.append((((i, 1),), 0, 1))
+            elif uppers[i] is not None:
+                rows.append(integer_row(((i, 1),), uppers[i], n))
+
+        # A fixed rational lower bound raises the denominator of the rows it
+        # shifts; a moving shift is kept as (row, coefficient) for each call.
+        self.dense, self.neg, self.totals = [], [], []
+        self.dens, self.scales = [], []
+        self.touch = [[] for _ in moving]
+        for r, (coeffs, rhs, den) in enumerate(rows):
+            fixed = [(i, k, lowers[i]) for i, k in coeffs
+                     if k and i not in pos and lowers[i] is not None]
+            node_den = lcm(den, *(den // gcd(k, den) * lo.denominator
+                                  for _, k, lo in fixed))
+            scale = node_den // den
             dense = [0] * ncols
-            shifts = []
-            for i, c in coeffs:
-                if not c:
-                    continue
-                k = c.numerator * (den // c.denominator)
-                spec = col_of[i]
-                dense[spec[1]] += k
-                if spec[0] == "shift":
-                    shifts.append((i, k, c.denominator))
-                else:
-                    dense[spec[2]] -= k
-            total = rhs.numerator * (den // rhs.denominator)
-            self.rows.append((dense, total, den, tuple(shifts)))
+            for i, k in coeffs:
+                dense[col_of[i]] += k * scale
+                if lowers[i] is None:
+                    dense[col_of[i] + 1] -= k * scale
+                elif k and i in pos:
+                    self.touch[pos[i]].append((r, k * scale))
+            total = rhs * scale
+            for _, k, lo in fixed:
+                total -= k * scale * lo.numerator // lo.denominator
+            self.dense.append(dense)
+            self.neg.append([-x for x in dense])
+            self.totals.append(total)
+            self.dens.append(node_den)
+            self.scales.append(scale)
+
+        # How a vertex maps back, per variable: (column, 0, fixed lower),
+        # (column, 1, moving position) or (column, 2, negative column).
+        self.plan = [
+            (c, 2, c + 1) if lo is None else (c, 1, pos[i]) if i in pos
+            else (c, 0, lo.numerator if lo.denominator == 1 else lo)
+            for i, (c, lo) in enumerate(zip(col_of, lowers))
+        ]
+
+    def set_rhs(self, r, rhs):
+        """Give model row ``r`` a new right-hand side over its own denominator."""
+        rows = self.source[0]
+        coeffs, old, den = rows[r]
+        rows[r] = coeffs, rhs, den
+        self.totals[r] += self.scales[r] * (rhs - old)
+
+    def totals_at(self, lowers, uppers):
+        """Right-hand sides at these moving bounds; None unless all are ints."""
+        totals = self.totals[:]
+        for j, lo in enumerate(lowers):
+            up = uppers[j]
+            if up is None or up.denominator != 1 or lo and lo.denominator != 1:
+                return None
+            for r, k in self.touch[j] if lo else ():
+                totals[r] -= k * lo.numerator
+            totals[self.upper_row[j]] += up.numerator
+        return totals
+
+    def fixed_at(self, lowers, uppers):
+        """These rows compiled again with every bound fixed, moving ones here."""
+        rows, all_lowers, all_uppers, moving = self.source
+        all_lowers = list(all_lowers)
+        all_uppers = list(all_uppers or [None] * len(all_lowers))
+        for j, i in enumerate(moving):
+            all_lowers[i], all_uppers[i] = lowers[j], uppers[j]
+        return CompiledRows(rows, all_lowers, all_uppers, moving=())
 
 
-def solve_lp_feasibility(rows, lowers, uppers):
+def solve_lp_feasibility(rows, lowers, uppers, stats=None):
     """Find any exact point satisfying all rows and bounds.
 
-    rows: a :class:`CompiledRows`, or an iterable of (coeffs, rhs) with
-    coeffs (index, Fraction) pairs, which is compiled on the spot.
-    lowers/uppers: per-variable bounds, each entry a Fraction or None.
-    Returns (feasible, point, pivots); point is a list of Fractions.
+    rows: a :class:`CompiledRows`, with lowers/uppers the bounds of its
+    moving variables; or an iterable of rows as :class:`CompiledRows` takes
+    them, with lowers/uppers the bounds of every variable.  A bound is None
+    (unbounded), an int or a Fraction; a moving bound that is not an integer
+    costs a compile.  ``stats``, a :class:`~pwlmip.milp.model.SolveStats`,
+    counts the call, its pivots, an infeasible verdict and the tableau size.
+    Returns (feasible, point, pivots); point holds an int per integral value
+    and a Fraction otherwise.
     """
     if not isinstance(rows, CompiledRows):
-        rows = CompiledRows(rows, lowers)
+        rows = CompiledRows(rows, lowers, uppers, moving=())
+        lowers = uppers = ()
     elif [lo is None for lo in lowers] != rows.free:
         raise ValueError("lower bounds do not match the compiled column layout")
-    n = len(lowers)
-    col_of = rows.col_of
+    totals = rows.totals_at(lowers, uppers)
+    if totals is None:
+        rows = rows.fixed_at(lowers, uppers)
+        lowers = uppers = ()
+        totals = rows.totals[:]
+    stats = SolveStats() if stats is None else stats
+    stats.lp_calls += 1
     ncols = rows.ncols
-
-    # Each row as (integer coefficients, integer rhs, denominator).  A shifted
-    # row reads sum(c * col) <= rhs - sum(c * lower); a rational lower bound
-    # can raise the row's denominator.
-    int_rows = []
-    for dense, total, den, shifts in rows.rows:
-        node_den = den
-        for i, _, cden in shifts:
-            lo_den = lowers[i].denominator
-            if lo_den != 1:
-                node_den = lcm(node_den, cden * lo_den)
-        scale = node_den // den
-        if scale != 1:
-            dense = [x * scale for x in dense]
-            total *= scale
-            den = node_den
-        for i, k, _ in shifts:
-            lo = lowers[i]
-            total -= k * scale * lo.numerator // lo.denominator
-        int_rows.append((dense, total, den))
-    for i in range(n):
-        up = uppers[i]
-        if up is None:
-            continue
-        spec = col_of[i]
-        dense = [0] * ncols
-        if spec[0] == "shift":
-            lo = lowers[i]
-            den = lcm(up.denominator, lo.denominator)
-            dense[spec[1]] = den
-            total = (up.numerator * (den // up.denominator)
-                     - den * lo.numerator // lo.denominator)
-        else:
-            den = up.denominator
-            dense[spec[1]] = den
-            dense[spec[2]] = -den
-            total = up.numerator
-        int_rows.append((dense, total, den))
-
-    m = len(int_rows)
-    # Tableau columns: structural | slacks | artificials | rhs | denominator.
-    n_art = sum(1 for _, rhs, _ in int_rows if rhs < 0)
-    pad = [0] * (m + n_art)
-    tableau = []
-    basis = []
-    art_rows = []
-    art_next = ncols + m
-    for k, (dense, rhs, den) in enumerate(int_rows):
-        if rhs < 0:
-            row = [-c for c in dense] + pad + [-rhs, den]
-            row[ncols + k] = -den
-            row[art_next] = den
-            basis.append(art_next)
-            art_rows.append(row)
-            art_next += 1
-        else:
-            row = dense + pad + [rhs, den]
-            row[ncols + k] = den
-            basis.append(ncols + k)
-        tableau.append(row)
-
+    m = len(totals)
+    art_rows = [k for k in range(m) if totals[k] < 0]
     if not art_rows:
         # The all-zeros point (all structural columns at 0) is feasible.
-        point = _point_from_columns(col_of, lowers, {}, n)
-        return True, point, 0
+        return True, _point(rows.plan, lowers, [0] * ncols), 0
 
-    # Phase-1 objective: minimize the artificial sum.  Price out the basic
-    # artificials so the objective row starts consistent with the basis.
-    obj_den = lcm(*(row[-1] for row in art_rows))
-    scaled = ([x * (obj_den // row[-1]) for x in row[:-1]] for row in art_rows)
-    obj = [-sum(col) for col in zip(*scaled)]
-    obj.append(obj_den)
+    # Tableau columns: structural | slacks | artificials | rhs | denominator.
+    # An artificial row enters negated.  The phase-1 objective (minimize the
+    # artificial sum, priced out against the basic artificials) is the sum
+    # of the artificial rows' structural parts and right-hand sides over
+    # their common denominator, with that denominator in their slack columns.
+    dense, neg, dens = rows.dense, rows.neg, rows.dens
+    n_art = len(art_rows)
+    width = ncols + m + n_art
+    pad = [0] * (m + n_art + 2)
+    tableau = []
+    basis = []
+    art = ncols + m
     for k in range(m):
-        if basis[k] >= ncols + m:
-            obj[basis[k]] = 0
+        total, den = totals[k], dens[k]
+        if total < 0:
+            row = neg[k] + pad
+            row[ncols + k] = -den
+            row[art] = den
+            row[width] = -total
+            basis.append(art)
+            art += 1
+        else:
+            row = dense[k] + pad
+            row[ncols + k] = den
+            row[width] = total
+            basis.append(ncols + k)
+        row[width + 1] = den
+        tableau.append(row)
+    obj_den = lcm(*(dens[k] for k in art_rows))
+    scaled = [dense[k] if dens[k] == obj_den
+              else [x * (obj_den // dens[k]) for x in dense[k]] for k in art_rows]
+    obj = list(map(sum, zip(*scaled))) + pad
+    for k in art_rows:
+        obj[ncols + k] = obj_den
+    obj[width] = sum(totals[k] * (obj_den // dens[k]) for k in art_rows)
+    obj[width + 1] = obj_den
     tableau.append(obj)
 
-    width = ncols + m + n_art
+    stats.note_tableau(m, width)
     pivots = _kernel.phase1(tableau, basis, m, width)
-
+    stats.pivots += pivots
     if tableau[m][width]:
+        stats.infeasible_lps += 1
         return False, None, pivots
 
-    values = {}
+    values = [0] * ncols
     for k in range(m):
         if basis[k] < ncols:
-            row = tableau[k]
-            values[basis[k]] = Fraction(row[width], row[width + 1])
-    point = _point_from_columns(col_of, lowers, values, n)
-    return True, point, pivots
+            num, den = tableau[k][width], tableau[k][width + 1]
+            q, rem = divmod(num, den)
+            values[basis[k]] = Fraction(num, den) if rem else q
+    return True, _point(rows.plan, lowers, values), pivots
 
 
-def _point_from_columns(col_of, lowers, values, n):
+def _point(plan, lowers, values):
     point = []
-    for i in range(n):
-        spec = col_of[i]
-        if spec[0] == "shift":
-            point.append(values.get(spec[1], ZERO) + lowers[i])
-        else:
-            point.append(values.get(spec[1], ZERO) - values.get(spec[2], ZERO))
+    for col, kind, arg in plan:
+        x = values[col]
+        if kind == 2:
+            x -= values[arg]
+        elif kind == 1:
+            x += lowers[arg]
+        elif arg:
+            x += arg
+        point.append(x)
     return point

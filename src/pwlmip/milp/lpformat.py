@@ -1,10 +1,12 @@
 """CPLEX-style LP text format: exact export and a round-tripping parser.
 
-Numbers are written as exact integers or exact decimals, never floats.  Row
-coefficients are integers after denominator clearing.  A rational bound whose
-denominator is not of the form 2^a*5^b has no finite decimal; such a bound is
-exported as an extra (cleared, integer) row plus the weaker floor/ceil bound
-in the Bounds section, which preserves the feasible set exactly.
+Numbers are written as exact integers or exact decimals, never floats.  Rows
+are written as the model stores them, integers with their denominator
+dropped, which scales each row by a positive factor and keeps its solution
+set.  A rational bound whose denominator is not of the form 2^a*5^b has no
+finite decimal; such a bound is exported as an extra integer row plus the
+weaker floor/ceil bound in the Bounds section, which preserves the feasible
+set exactly.
 
 The parser accepts what the writer emits plus the usual relaxations (>=, =,
 implicit coefficients, 'Generals', multi-token bound lines).  When a Bounds
@@ -18,7 +20,7 @@ import re
 from fractions import Fraction
 
 from ..emip import VarKind
-from ..rationals import ZERO, clear_denominators
+from ..rationals import ZERO
 from .model import MilpModel, MilpVariable
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
@@ -30,8 +32,7 @@ _INF_RE = re.compile(r"[+-]?inf(inity)?\Z", re.IGNORECASE)
 
 
 def _decimal_exact(q: Fraction):
-    """Finite decimal string for q, or None if none exists."""
-    q = Fraction(q)
+    """Finite decimal string for q (an int or Fraction), or None if none exists."""
     den = q.denominator
     if den == 1:
         return str(q.numerator)
@@ -66,13 +67,11 @@ def export_lp(model: MilpModel, objective=None, sense="min") -> str:
         lower, upper = v.lower, v.upper
         if lower is not None and _decimal_exact(lower) is None:
             # exact value via a row, weaker integral bound in Bounds
-            coeffs, rhs = clear_denominators([(i, Fraction(-1))], -lower)
-            extra_rows.append((tuple(coeffs), Fraction(rhs)))
-            lower = Fraction(lower.__floor__())
+            extra_rows.append((((i, -lower.denominator),), -lower.numerator, 1))
+            lower = lower.__floor__()
         if upper is not None and _decimal_exact(upper) is None:
-            coeffs, rhs = clear_denominators([(i, Fraction(1))], upper)
-            extra_rows.append((tuple(coeffs), Fraction(rhs)))
-            upper = Fraction(upper.__ceil__())
+            extra_rows.append((((i, upper.denominator),), upper.numerator, 1))
+            upper = upper.__ceil__()
         if lower is None and upper is None:
             bounds_lines.append(" %s free" % v.name)
         elif lower is None:
@@ -116,16 +115,15 @@ def export_lp(model: MilpModel, objective=None, sense="min") -> str:
         lines.append(" obj:")
     lines.append("Subject To")
     count = 0
-    for coeffs, rhs in tuple(model.rows) + tuple(extra_rows):
-        int_coeffs, int_rhs = clear_denominators(coeffs, rhs)
-        body = render_terms(int_coeffs)
+    for coeffs, rhs, _ in model.rows + tuple(extra_rows):
+        body = render_terms(coeffs)
         if not body:
             # A row with no variables is a tautology or a contradiction; keep
             # it honest by anchoring on the first variable with coefficient 0.
             if not names:
                 raise ValueError("cannot export a variable-free row")
             body = "0 %s" % names[0]
-        lines.append(" c%d: %s <= %s" % (count, body, int_rhs))
+        lines.append(" c%d: %s <= %s" % (count, body, rhs))
         count += 1
     if bounds_lines:
         lines.append("Bounds")

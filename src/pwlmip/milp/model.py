@@ -1,9 +1,17 @@
-"""Plain mixed-integer linear models: variables, <=-rows, solve results."""
+"""Plain mixed-integer linear models: variables, <=-rows, solve results.
+
+A row is integers: ``(coeffs, rhs, den)`` stands for ``sum(c/den * x_i) <=
+rhs/den``, coeffs (index, int) pairs sorted by index and den > 0.  Lowered
+rows are scaled to integers, so their den is 1.  The solver reads rows as
+they are; Fractions appear only at the edges: variable bounds, the
+assignment a solve returns, and the messages of ``check_assignment``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from ..emip import VarKind
 from ..rationals import ZERO
@@ -16,7 +24,24 @@ __all__ = [
     "ResourceExhausted",
     "SolverInternalError",
     "VarKind",
+    "integer_row",
 ]
+
+
+def integer_row(coeffs, rhs, n_vars):
+    """The rational row ``sum(c * x_i) <= rhs`` over the lcm of its denominators."""
+    coeffs = sorted((int(i), _exact(c)) for i, c in coeffs)
+    for i, _ in coeffs:
+        if not (0 <= i < n_vars):
+            raise ValueError("row references unknown variable index %d" % i)
+    rhs = _exact(rhs)
+    den = lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
+    return (tuple((i, c.numerator * den // c.denominator) for i, c in coeffs),
+            rhs.numerator * den // rhs.denominator, den)
+
+
+def _exact(value):
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 class ResourceExhausted(Exception):
@@ -50,9 +75,9 @@ class MilpVariable:
 class MilpModel:
     """Variables plus rows ``sum(a_i * x_i) <= rhs``.
 
-    Rows are (coeffs, rhs) with coeffs a tuple of (variable index, value)
-    pairs sorted by index.  Rows produced by the lowering step are integer
-    after denominator clearing; the solver itself accepts any rationals.
+    ``rows`` may mix rational rows ``(coeffs, rhs)``, with coeffs (variable
+    index, value) pairs, which :func:`integer_row` converts, and integer
+    rows, which are taken as they are.
     """
 
     variables: tuple
@@ -60,36 +85,14 @@ class MilpModel:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        rows = []
         names = set()
         for v in self.variables:
             if v.name in names:
                 raise ValueError("duplicate variable name %r" % v.name)
             names.add(v.name)
         n = len(self.variables)
-        for coeffs, rhs in self.rows:
-            rows.append(self.normalize_row(coeffs, rhs, n))
-        object.__setattr__(self, "rows", tuple(rows))
-
-    @staticmethod
-    def normalize_row(coeffs, rhs, n_vars):
-        """A row in model form: index-sorted (int, Fraction) pairs, Fraction rhs."""
-        coeffs = tuple(sorted((int(i), Fraction(c)) for i, c in coeffs))
-        for i, _ in coeffs:
-            if not (0 <= i < n_vars):
-                raise ValueError("row references unknown variable index %d" % i)
-        return coeffs, Fraction(rhs)
-
-    def with_rows(self, rows):
-        """This model plus ``rows``, which must already be in model form.
-
-        Neither the existing rows nor the variables are checked or copied
-        again, so a caller that adds a row per solve pays only for that row.
-        """
-        model = object.__new__(MilpModel)
-        object.__setattr__(model, "variables", self.variables)
-        object.__setattr__(model, "rows", self.rows + tuple(rows))
-        return model
+        object.__setattr__(self, "rows", tuple(
+            row if len(row) == 3 else integer_row(*row, n) for row in self.rows))
 
     @property
     def n_vars(self) -> int:
@@ -101,7 +104,7 @@ class MilpModel:
         ]
 
     def check_assignment(self, assignment):
-        """Exact violation list for a full assignment (index -> Fraction)."""
+        """Exact violation list for a full assignment (index -> int or Fraction)."""
         problems = []
         for i, v in enumerate(self.variables):
             x = assignment[i]
@@ -109,12 +112,13 @@ class MilpModel:
                 problems.append("%s=%s below lower bound %s" % (v.name, x, v.lower))
             if v.upper is not None and x > v.upper:
                 problems.append("%s=%s above upper bound %s" % (v.name, x, v.upper))
-            if v.kind is VarKind.INTEGER and Fraction(x).denominator != 1:
+            if v.kind is VarKind.INTEGER and x.denominator != 1:
                 problems.append("%s=%s not integral" % (v.name, x))
-        for k, (coeffs, rhs) in enumerate(self.rows):
-            total = sum((c * assignment[i] for i, c in coeffs), start=ZERO)
+        for k, (coeffs, rhs, den) in enumerate(self.rows):
+            total = sum(c * assignment[i] for i, c in coeffs)
             if total > rhs:
-                problems.append("row %d: %s > %s" % (k, total, rhs))
+                problems.append("row %d: %s > %s"
+                                % (k, Fraction(total, den), Fraction(rhs, den)))
         return problems
 
 
@@ -125,6 +129,12 @@ class SolveStats:
     pivots: int = 0
     probes: int = 0  # threshold feasibility solves run by ``maximize``
     infeasible_lps: int = 0  # LP relaxations that proved their box empty
+    max_depth: int = 0  # branchings from the root to the deepest node solved
+    max_tableau: tuple = (0, 0)  # (nrows, ncols) of the largest kernel call
+
+    def note_tableau(self, nrows, ncols):
+        self.max_tableau = max(self.max_tableau, (nrows, ncols),
+                               key=lambda s: (s[0] * s[1], s[0]))
 
     def absorb(self, other: "SolveStats"):
         self.nodes += other.nodes
@@ -132,6 +142,8 @@ class SolveStats:
         self.pivots += other.pivots
         self.probes += other.probes
         self.infeasible_lps += other.infeasible_lps
+        self.max_depth = max(self.max_depth, other.max_depth)
+        self.note_tableau(*other.max_tableau)
 
 
 @dataclass

@@ -1,16 +1,16 @@
-"""Exact rational scalars: parsing, formatting, and denominator clearing.
+"""Exact rational scalars: parsing and formatting.
 
 Every number in this package is an exact rational, and the public scalar type
-is :class:`fractions.Fraction`.  The solver's simplex tableau holds no
-Fractions: it keeps each row as Python ints over a positive row denominator
-(see :mod:`pwlmip.milp.lp` and :mod:`pwlmip._kernel`), and Fractions come back
-only for the vertex it reports.  :func:`clear_denominators` is how the
-lowering step makes its rows integer in the first place.
+is :class:`fractions.Fraction`.  The MILP layer holds no Fractions between
+the lowering step and the pivot kernel: rows are Python ints over a positive
+row denominator (see :mod:`pwlmip.milp.model`), integer variables' bounds
+are ints during a search, and a vertex value is an int unless it is
+fractional.  Fractions are made at the edges: the bounds of a model, the
+assignment a solve returns, and the reports.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -49,22 +49,3 @@ def format_rational(q: Fraction) -> str:
     """Format exactly; int-valued rationals print without a denominator."""
     q = Fraction(q)
     return str(q)
-
-
-def lcm_of_denominators(values) -> int:
-    """LCM of the denominators of an iterable of rationals (>= 1)."""
-    out = 1
-    for v in values:
-        out = math.lcm(out, Fraction(v).denominator)
-    return out
-
-
-def clear_denominators(coeffs, rhs):
-    """Scale a row ``sum(c*x) <= rhs`` by the LCM of all denominators.
-
-    Returns (int_coeffs, int_rhs).  ``coeffs`` is a list of (index, Fraction)
-    pairs; the scaled row has the same solution set.
-    """
-    scale = lcm_of_denominators([c for _, c in coeffs] + [rhs])
-    out = [(i, int(c * scale)) for i, c in coeffs]
-    return out, int(Fraction(rhs) * scale)

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .emip import EmipModel, VarKind, is_normalized, validate
-from .milp.model import MilpModel, MilpVariable
+from .milp.model import MilpModel, MilpVariable, integer_row
 from .pwl import PwlFunction
-from .rationals import ZERO, clear_denominators
+from .rationals import ZERO
 
 
 class NotNormalizedError(ValueError):
@@ -122,12 +122,12 @@ def lower(model: EmipModel):
             )
             aux_vars.append(aux)
             # z_l >= x - rho_l, written as a <=-row (z_l >= 0 is its bound)
-            rows.append((((idx, Fraction(1)), (aux, Fraction(-1))), Fraction(rho)))
+            rows.append((((idx, 1), (aux, -1)), rho))
         link = [(idx, sign * fn.slopes[0])] if fn.slopes[0] else []
         for aux, lo, hi in zip(aux_vars, fn.slopes, fn.slopes[1:]):
             link.append((aux, sign * (hi - lo)))
         link.append((bound_var, Fraction(-sign)))
-        rows.append((tuple(link), ZERO))
+        rows.append((link, ZERO))
         return LoweredTerm(idx, bound_var, tuple(aux_vars), fn)
 
     for j, cons in enumerate(model.constraints):
@@ -147,14 +147,12 @@ def lower(model: EmipModel):
                     term = blocks[key] = lower_term(j, idx, fn, sign)
                 bump(term.bound_var, Fraction(sign))
                 term_map.append(((j, side_name, idx), term))
-        rows.append(
-            (tuple(sorted((i, c) for i, c in budget.items() if c != 0)), cons.b)
-        )
+        rows.append(([(i, c) for i, c in budget.items() if c != 0], cons.b))
 
-    cleared = [clear_denominators(coeffs, rhs) for coeffs, rhs in rows]
-    milp = MilpModel(
-        tuple(variables), tuple((tuple(c), Fraction(r)) for c, r in cleared)
-    )
+    # Each row scaled to integers, so every denominator is 1.
+    n = len(variables)
+    milp = MilpModel(tuple(variables), tuple(
+        integer_row(coeffs, rhs, n)[:2] + (1,) for coeffs, rhs in rows))
     lmap = LoweringMap(
         n_original=len(model.variables),
         original_names=tuple(v.name for v in model.variables),

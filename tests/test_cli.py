@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pwlmip import approx, pipeline
 from pwlmip.cli import build_parser, main
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
 from pwlmip.milp import parse_lp
@@ -148,6 +149,35 @@ def test_mmc_approx_fixture(capsys):
     # grid parameters for epsilon=1/4 over a two-element universe
     assert deco["epsilon"] == "1/4" and (deco["Z"], deco["Y"]) == (32, 4128)
     assert len(deco["vectors"]) >= 4  # every input set contributes
+
+
+def test_infeasible_mmc_approx_reports_its_search(capsys, tmp_path,
+                                                  monkeypatch):
+    # no single set leaves a total miss within 1/2 of the 7 demanded, and
+    # proving it takes one branching
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "format": "cover-v1", "m": 3,
+        "sets": [{"1": 4, "2": 2}, {"0": 4, "1": 1}, {"0": 4, "1": 3}],
+        "weights": [1, 1, 1], "requirements": [2, 1, 4], "budget": 1,
+    }))
+    searches = []
+    real = approx.maximize_emip
+
+    def spy(model, **kwargs):
+        searches.append((model, kwargs))
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(approx, "maximize_emip", spy)
+    code, report, _ = run_json(capsys, "mmc-approx", str(path),
+                               "--epsilon", "1/2")
+    assert code == 0 and report["status"] == "infeasible"
+    ((model, kwargs),) = searches
+    direct = pipeline.maximize_emip(model, **kwargs)
+    assert not direct.feasible and direct.stats.nodes > 1
+    stats = report["stats"]
+    assert (stats["nodes"], stats["lp_calls"], stats["pivots"]) == (
+        direct.stats.nodes, direct.stats.lp_calls, direct.stats.pivots)
 
 
 def test_json_reports_are_byte_identical(capsys):
@@ -398,7 +428,8 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     code, report, _ = run_json(capsys, "solve-emip", fx("knapsackish.json"))
     assert code == 0
     assert report["stats"] == {"nodes": 5, "lp_calls": 5, "pivots": 14,
-                               "probes": 5, "infeasible_lps": 1}
+                               "probes": 5, "infeasible_lps": 1,
+                               "max_depth": 0, "max_tableau": [6, 11]}
 
     # a feasibility solve runs no probe; 7 of its 13 LPs prune a node
     code, report, _ = run_json(capsys, "solve-emip",
@@ -407,17 +438,21 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert report["stats"]["probes"] == 0
     assert report["stats"]["infeasible_lps"] == 7
     assert report["stats"]["lp_calls"] == 13
+    # it branches six levels deep; every tableau is 4 rows by 7 columns
+    assert report["stats"]["max_depth"] == 6
+    assert report["stats"]["max_tableau"] == [4, 7]
 
     # bribery sums the counters of every gain it tries
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
                                "--minimize-cost")
     assert code == 0
     assert report["stats"] == {"nodes": 11, "lp_calls": 11, "pivots": 37,
-                               "probes": 11, "infeasible_lps": 7}
+                               "probes": 11, "infeasible_lps": 7,
+                               "max_depth": 0, "max_tableau": [8, 14]}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
     assert ("nodes: 5  lp calls: 5  pivots: 14  probes: 5  "
-            "infeasible lps: 1\n") in out
+            "infeasible lps: 1  max depth: 0  max tableau: 6x11\n") in out
 
 
 # ---------------------------------------------------------------------------

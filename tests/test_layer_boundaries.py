@@ -1,0 +1,109 @@
+"""The layer boundaries an outside tracer wraps, and what each returns.
+
+A tracer can record per-layer spans and counters without touching the
+program: it replaces each boundary function under every name a ``pwlmip``
+module holds it by, and reads counters off the arguments and results.  That
+only works while the layers call each other through those module names and
+the results keep their shapes.  These tests wrap the boundaries the same
+way, run one solve through every layer, and pin both, so that a refactor
+cannot silently leave a per-layer counter at zero.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from pwlmip import _kernel, reduction
+from pwlmip.emip import EmipModel, normalize
+from pwlmip.milp import branch_bound, lp
+from pwlmip.pipeline import maximize_emip
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+BOUNDARIES = (
+    (_kernel, "phase1"),
+    (lp, "solve_lp_feasibility"),
+    (branch_bound, "solve_feasibility"),
+    (branch_bound, "maximize"),
+    (reduction, "lower"),
+)
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """Wrap every boundary under every module name that refers to it."""
+    calls = {attr: [] for _, attr in BOUNDARIES}
+    for module, attr in BOUNDARIES:
+        fn = getattr(module, attr)
+
+        def wrapper(*args, _fn=fn, _log=calls[attr], **kwargs):
+            result = _fn(*args, **kwargs)
+            _log.append((args, result))
+            return result
+
+        for name, loaded in list(sys.modules.items()):
+            if name.split(".")[0] != "pwlmip":
+                continue
+            for key, value in list(vars(loaded).items()):
+                if value is fn:
+                    monkeypatch.setattr(loaded, key, wrapper)
+    return calls
+
+
+def _knapsack():
+    with open(os.path.join(FIXTURES, "knapsackish.json")) as fh:
+        return EmipModel.from_json(json.load(fh))
+
+
+def test_one_solve_passes_every_boundary(traced):
+    result = maximize_emip(_knapsack())
+    assert result.feasible
+    for attr, calls in traced.items():
+        assert calls, "%s was not reached through its module name" % attr
+    stats = result.stats
+    assert len(traced["maximize"]) == 1 and len(traced["lower"]) == 1
+    assert len(traced["solve_feasibility"]) == stats.probes
+    assert len(traced["solve_lp_feasibility"]) == stats.lp_calls
+    assert sum(r for _, r in traced["phase1"]) == stats.pivots
+
+
+def test_kernel_returns_its_pivot_count(traced):
+    maximize_emip(_knapsack())
+    for args, result in traced["phase1"]:
+        tableau, basis, nrows, ncols = args
+        assert type(result) is int and result >= 0
+        assert len(tableau) == nrows + 1 and len(basis) == nrows
+        assert all(len(row) == ncols + 2 for row in tableau)
+
+
+def test_lp_returns_its_verdict_first(traced):
+    maximize_emip(_knapsack())
+    verdicts = set()
+    for _, result in traced["solve_lp_feasibility"]:
+        assert isinstance(result, tuple)
+        verdicts.add(result[0])
+    assert verdicts == {True, False}
+
+
+def test_searches_return_verdict_and_nodes(traced):
+    result = maximize_emip(_knapsack())
+    searches = traced["solve_feasibility"] + traced["maximize"]
+    for _, found in searches:
+        assert isinstance(found.feasible, bool)
+        assert type(found.stats.nodes) is int and found.stats.nodes >= 1
+    (_, best), = traced["maximize"]
+    assert best.stats.nodes == result.stats.nodes
+    assert sum(found.stats.nodes for _, found in traced["solve_feasibility"]) \
+        == best.stats.nodes
+
+
+def test_lower_returns_model_and_map(traced):
+    model = normalize(_knapsack())
+    lowered, lmap = reduction.lower(model)
+    ((_, result),) = traced["lower"]
+    assert isinstance(result, tuple) and len(result) == 2
+    assert result[0] is lowered and result[1] is lmap
+    assert len(lowered.rows) > 0 and len(lowered.variables) > len(model.variables)
+    assert lmap.n_original == len(model.variables)

@@ -77,7 +77,7 @@ def test_round_trip_random_lowered_models():
         plain = all(
             _decimalish(v.lower) and _decimalish(v.upper)
             for v in lowered.variables
-        ) and all(any(c != 0 for _, c in coeffs) for coeffs, _ in lowered.rows)
+        ) and all(any(c != 0 for _, c in coeffs) for coeffs, _, _ in lowered.rows)
         if plain:
             assert parsed == lowered
             continue
@@ -128,7 +128,7 @@ def test_rational_bound_becomes_row_plus_relaxed_bound():
     parsed, _, _ = parse_lp(text)
     # the parsed model is different syntax but the same feasible set
     assert parsed.variables[0].upper == 3
-    assert (((0, F(3)),), F(7)) in parsed.rows
+    assert (((0, 3),), 7, 1) in parsed.rows
     # x = 7/3 is feasible in both, x = 5/2 in neither
     assert parsed.check_assignment({0: F(7, 3)}) == []
     assert parsed.check_assignment({0: F(5, 2)}) != []
@@ -186,9 +186,9 @@ End
     names = [v.name for v in model.variables]
     assert names == ["x", "y"]
     # >= flips; = splits into two rows
-    assert (((0, F(-1)), (1, F(-2))), F(-3)) in model.rows
-    assert (((0, F(1)),), F(1)) in model.rows
-    assert (((0, F(-1)),), F(-1)) in model.rows
+    assert (((0, -1), (1, -2)), -3, 1) in model.rows
+    assert (((0, 1),), 1, 1) in model.rows
+    assert (((0, -1),), -1, 1) in model.rows
     assert model.variables[0].kind is VarKind.INTEGER
     assert model.variables[1].lower is None
 

@@ -14,6 +14,7 @@ from pwlmip.milp import branch_bound
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
 from pwlmip.milp.model import MilpModel, MilpVariable
+from pwlmip.pipeline import maximize_emip, objective_bracket, solve_emip
 from pwlmip.reduction import lower
 from reference_kernel import phase1 as reference_phase1
 
@@ -518,3 +519,193 @@ def test_check_assignment_reports_violations():
     assert any("integral" in p or "integer" in p
                for p in model.check_assignment({0: F(1, 2)}))
     assert model.check_assignment({0: F(-1)}) != []
+
+
+# ---------------------------------------------------------------------------
+# integer rows end to end
+# ---------------------------------------------------------------------------
+
+
+def test_rational_integer_bounds_round_inward():
+    # x integer in [1/2, 7/2] is x in {1, 2, 3}; y continuous in [0, 5/2].
+    # The extra rows cut the box where only the rounded bounds tell a
+    # relaxation without integers from one with them.
+    base = [([(0, 2), (1, -3)], 1), ([(0, -1), (1, 2)], F(1, 2))]
+    verdicts = set()
+    for extra in ([], [([(0, -5)], -16)], [([(0, 4)], 5)], [([(0, 2)], 1)]):
+        rows = base + extra
+        model = _mk([("x", VarKind.INTEGER, F(1, 2), F(7, 2)),
+                     ("y", VarKind.CONTINUOUS, F(0), F(5, 2))], rows)
+
+        def holds(x, y, rows=rows):
+            return all(sum(F(c) * (x, y)[i] for i, c in coeffs) <= rhs
+                       for coeffs, rhs in rows)
+
+        # y on a 1/12 grid meets every x-slice of these rows that is nonempty
+        points = [(x, F(k, 12)) for x in range(-1, 6) for k in range(31)
+                  if F(1, 2) <= x <= F(7, 2) and holds(x, F(k, 12))]
+        result = milp.solve_feasibility(model)
+        assert result.feasible == bool(points)
+        verdicts.add(result.feasible)
+        if not points:
+            assert not milp.maximize(model, {0: F(1)}, -9, 9).feasible
+            continue
+        assert holds(*result.assignment.values())
+        assert result.assignment[0] in {x for x, _ in points}
+        for c in (F(1), F(-1), F(2, 3)):
+            best = max(math.floor(c * x) for x, _ in points)
+            got = milp.maximize(model, {0: c}, best - 3, best + 3)
+            assert got.best == best
+            assert c * got.assignment[0] >= best
+            assert holds(*got.assignment.values())
+    assert verdicts == {True, False}
+
+
+def test_empty_rounded_integer_box_is_infeasible_without_an_lp():
+    # no integer lies in [1/3, 2/3]
+    model = _mk([("x", VarKind.INTEGER, F(1, 3), F(2, 3)),
+                 ("y", VarKind.INTEGER, F(0), F(4))], [([(0, 1), (1, 1)], 5)])
+    result = milp.solve_feasibility(model)
+    assert not result.feasible
+    assert (result.stats.nodes, result.stats.lp_calls) == (1, 0)
+    assert not milp.maximize(model, {1: F(1)}, 0, 4).feasible
+
+
+def test_assignments_stay_fractions():
+    model = _mk([("x", VarKind.INTEGER, F(0), F(4)),
+                 ("y", VarKind.CONTINUOUS, F(0), None)],
+                [([(0, 3), (1, 2)], 7)])
+    answers = [milp.solve_feasibility(model).assignment,
+               milp.maximize(model, {0: F(1)}, 0, 4).assignment]
+    emip = random_grid_model(random.Random(0xB57), with_objective=True)
+    answers += [solve_emip(emip).assignment, maximize_emip(emip).assignment]
+    assert all(a is not None for a in answers)
+    assert all(type(v) is Fraction for a in answers for v in a.values())
+
+
+def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
+    """One compile per ``maximize``; every probe's tableaux are direct builds.
+
+    Rows, objective coefficients and continuous bounds are rational, so the
+    threshold row and the folded shifts carry denominators.
+    """
+    compiles = []
+    built = []
+    probes = []
+
+    class Counted(CompiledRows):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            compiles.append(1)
+            super().__init__(*args, **kwargs)
+
+    real_phase1 = _kernel.phase1
+    real_lp = branch_bound.solve_lp_feasibility
+    real_solve = branch_bound.solve_feasibility
+
+    def record(tableau, basis, nrows, ncols):
+        built.append(([list(row) for row in tableau], list(basis), nrows, ncols))
+        return real_phase1(tableau, basis, nrows, ncols)
+
+    def lp(rows, lo, up, stats=None):
+        built.clear()
+        result = real_lp(rows, lo, up, stats)
+        probes[-1][1].append((list(lo), list(up), list(built)))
+        return result
+
+    def solve(sub, node_limit=None):
+        coeffs, rhs, den = sub.rows[-1]
+        probes.append((-F(rhs, den), []))
+        return real_solve(sub, node_limit)
+
+    monkeypatch.setattr(branch_bound, "CompiledRows", Counted)
+    monkeypatch.setattr(_kernel, "phase1", record)
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    monkeypatch.setattr(branch_bound, "solve_feasibility", solve)
+    rng = random.Random(0xB58)
+    compared = 0
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        kinds = [VarKind.INTEGER if i < 2 or rng.random() < 0.5
+                 else VarKind.CONTINUOUS for i in range(n)]
+        bounds = [(F(rng.randint(-2, 0)), F(rng.randint(1, 4)))
+                  if k is VarKind.INTEGER else
+                  (random_fraction(rng, -2, 1), random_fraction(rng, 1, 4))
+                  for k in kinds]
+        rows = [
+            (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
+                   if rng.random() < 0.8),
+             random_fraction(rng, -2, 6))
+            for _ in range(rng.randint(1, 4))
+        ]
+        model = MilpModel(
+            tuple(MilpVariable("x%d" % i, k, lo, up)
+                  for i, (k, (lo, up)) in enumerate(zip(kinds, bounds))),
+            rows,
+        )
+        objective = {i: random_fraction(rng, -2, 2) for i in range(n)
+                     if rng.random() < 0.7}
+        compiles.clear()
+        probes.clear()
+        milp.maximize(model, objective, -12, 12)
+        assert len(compiles) == 1
+        int_idx = model.integer_indices()
+        for t, nodes in probes:
+            threshold = (tuple((i, -c) for i, c in objective.items()), -t)
+            for lo, up, tableaux in nodes:
+                lowers = [F(b[0]) for b in bounds]
+                uppers = [F(b[1]) for b in bounds]
+                for j, i in enumerate(int_idx):
+                    lowers[i], uppers[i] = F(lo[j]), F(up[j])
+                expected = _per_node_tableau(rows + [threshold], lowers, uppers)
+                assert tableaux == ([] if expected is None else [expected])
+                compared += expected is not None
+    assert compared > 100
+
+
+def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):
+    shapes = []
+    pivots = []
+    real_phase1 = _kernel.phase1
+
+    def record(tableau, basis, nrows, ncols):
+        assert len(tableau) == nrows + 1
+        assert all(len(row) == ncols + 2 for row in tableau)
+        shapes.append((nrows, ncols))
+        pivots.append(real_phase1(tableau, basis, nrows, ncols))
+        return pivots[-1]
+
+    monkeypatch.setattr(_kernel, "phase1", record)
+    rng = random.Random(0xB59)
+    kinds = set()
+    for _ in range(30):
+        model = random_grid_model(rng, with_objective=True)
+        norm = normalize(model)
+        lowered, _ = lower(norm)
+        coeffs = dict(norm.objective.coeffs)
+        shapes.clear()
+        pivots.clear()
+        stats = milp.maximize(lowered, coeffs, *objective_bracket(norm, coeffs)).stats
+        assert stats.pivots == sum(pivots)
+        assert stats.max_tableau == max(shapes, key=lambda s: (s[0] * s[1], s[0]),
+                                        default=(0, 0))
+        kinds.add((len(set(shapes)) > 1, stats.max_depth > 0))
+    assert (True, True) in kinds  # shapes vary and the search branches
+
+
+def test_stats_pin_depth_and_tableau_on_a_branching_search():
+    # 2x + 2y = 7 over integers: every LP is 4 rows by 7 columns; proving
+    # it empty goes 6 branchings deep
+    model = _mk(
+        [("x", VarKind.INTEGER, F(0), F(3)), ("y", VarKind.INTEGER, F(0), F(3))],
+        [([(0, 2), (1, 2)], 7), ([(0, -2), (1, -2)], -7)],
+    )
+    stats = milp.solve_feasibility(model).stats
+    assert (stats.nodes, stats.max_depth, stats.max_tableau) == (13, 6, (4, 7))
+    total = milp.SolveStats()
+    total.absorb(stats)
+    total.absorb(milp.SolveStats(max_depth=2, max_tableau=(5, 5)))
+    assert (total.nodes, total.max_depth, total.max_tableau) == (13, 6, (4, 7))
+    total.absorb(milp.SolveStats(max_depth=9, max_tableau=(3, 10)))
+    assert (total.max_depth, total.max_tableau) == (9, (3, 10))

@@ -48,10 +48,10 @@ def test_lowering_structure_of_one_convex_term():
     assert (lowered.variables[1].lower, lowered.variables[1].upper) == (0, None)
     assert (lowered.variables[2].lower, lowered.variables[2].upper) == (0, None)
     # z >= x - 2, link x + 2z <= w, budget w <= 9; z >= 0 is a bound, not a row
-    assert [set(dict(coeffs)) for coeffs, _ in lowered.rows] == [
+    assert [set(dict(coeffs)) for coeffs, _, _ in lowered.rows] == [
         {0, 2}, {0, 1, 2}, {1},
     ]
-    assert [rhs for _, rhs in lowered.rows] == [2, 0, 9]
+    assert [rhs for _, rhs, _ in lowered.rows] == [2, 0, 9]
     link = dict(lowered.rows[1][0])
     assert link == {0: 1, 2: 2, 1: -1}
     # only the original variable is integer
@@ -85,9 +85,9 @@ def test_rows_have_integer_coefficients():
         (EmipConstraint(lhs={0: fn}, rhs={}, b=F(7, 6)),),
     )
     lowered, _ = lower(model)
-    for coeffs, rhs in lowered.rows:
-        assert rhs.denominator == 1
-        assert all(c.denominator == 1 for _, c in coeffs)
+    for coeffs, rhs, den in lowered.rows:
+        assert den == 1 and type(rhs) is int
+        assert all(type(c) is int for _, c in coeffs)
 
 
 def test_witness_embed_satisfies_every_row():
@@ -180,7 +180,7 @@ def test_lowered_rows_carry_no_zero_coefficient():
     models += [normalize(random_grid_model(rng)) for _ in range(60)]
     for model in models:
         lowered, _ = lower(model)
-        for coeffs, _ in lowered.rows:
+        for coeffs, _, _ in lowered.rows:
             assert all(c != 0 for _, c in coeffs), coeffs
 
 
