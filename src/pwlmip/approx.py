@@ -111,10 +111,6 @@ class EmissionRecord:
     jump_before: Fraction | None
     jump_after: Fraction | None
 
-    @property
-    def pre_sum(self) -> Fraction:
-        return self.beta * sum(self.pre_shape, ZERO)
-
 
 def _round_down(value: Fraction, grid: Fraction) -> Fraction:
     return (value / grid).__floor__() * grid

@@ -1,7 +1,7 @@
 """Command-line frontend: load instances, dispatch solvers, report results.
 
 Reports are deterministic: the JSON report for an invocation depends only
-on the input files, flags, and seed — wall time goes to stderr in human
+on the input files and flags — wall time goes to stderr in human
 mode and never into the JSON.  The argparse tree is built once per process,
 on the first ``main`` call, and reused by every later call; each parse
 still gets a fresh namespace.  Exit codes: 0 for any completed solve
@@ -12,6 +12,7 @@ budget runs out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -76,25 +77,17 @@ def _load_election(path, kind):
     return election
 
 
-def _stats(stats):
-    return {"nodes": stats.nodes, "lp_calls": stats.lp_calls,
-            "pivots": stats.pivots, "probes": stats.probes,
-            "infeasible_lps": stats.infeasible_lps,
-            "max_depth": stats.max_depth,
-            "max_tableau": list(stats.max_tableau)}
-
-
 def _cover_report(command, sol):
     if not sol.feasible:
         return {"command": command, "status": "infeasible",
-                "stats": _stats(sol.stats)}
+                "stats": dataclasses.asdict(sol.stats)}
     return {
         "command": command,
         "status": "feasible",
         "chosen": list(sol.chosen),
         "cost": sol.cost,
         "coverage": list(sol.coverage),
-        "stats": _stats(sol.stats),
+        "stats": dataclasses.asdict(sol.stats),
     }
 
 
@@ -103,7 +96,7 @@ def _manipulation_report(command, result, variant):
         "command": command,
         "status": "feasible" if result.feasible else "infeasible",
         "variant": variant,
-        "stats": _stats(result.stats),
+        "stats": dataclasses.asdict(result.stats),
     }
     if result.feasible:
         out["action"] = list(result.action)
@@ -140,7 +133,7 @@ def _run_solve_emip(args):
     out = {
         "command": "solve-emip",
         "status": "feasible" if result.feasible else "infeasible",
-        "stats": _stats(result.stats),
+        "stats": dataclasses.asdict(result.stats),
     }
     if result.feasible:
         out["assignment"] = {
@@ -176,7 +169,7 @@ def _run_mmc_approx(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     out = {"command": "mmc-approx", "epsilon": str(epsilon),
-           "stats": _stats(stats)}
+           "stats": dataclasses.asdict(stats)}
     if sol is None:
         out["status"] = "infeasible"
     else:
@@ -309,10 +302,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="print a JSON report to stdout")
-    common.add_argument("--node-limit", type=_positive_int, default=None, metavar="N",
+
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--node-limit", type=_positive_int, default=None, metavar="N",
                         help="search node budget (default %d)" % DEFAULT_NODE_LIMIT)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for commands that generate instances")
 
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("--minimize-cost", action="store_true",
@@ -330,16 +323,17 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-emip", parents=[common],
+    p = sub.add_parser("solve-emip", parents=[common, budget],
                        help="solve a piecewise-linear model from JSON")
     p.add_argument("file")
 
     for name, text in (("wsm", "weighted set multicover"),
                        ("umm", "uniform multiset multicover")):
-        p = sub.add_parser(name, parents=[common, solve], help="solve a " + text)
+        p = sub.add_parser(name, parents=[common, budget, solve],
+                           help="solve a " + text)
         p.add_argument("file")
 
-    p = sub.add_parser("mmc-approx", parents=[common],
+    p = sub.add_parser("mmc-approx", parents=[common, budget],
                        help="almost-cover a multiset multicover instance")
     p.add_argument("file")
     p.add_argument("--epsilon", required=True, metavar="P/Q",
@@ -350,11 +344,11 @@ def build_parser():
     for name, text in (("ccdv", "control by deleting voters"),
                        ("ccav", "control by adding voters"),
                        ("bribery", "bribery to approve only p")):
-        p = sub.add_parser(name, parents=[common, solve, winner],
+        p = sub.add_parser(name, parents=[common, budget, solve, winner],
                            help="approval " + text)
         p.add_argument("file")
 
-    p = sub.add_parser("scoring-ccdv", parents=[common, solve, winner],
+    p = sub.add_parser("scoring-ccdv", parents=[common, budget, solve, winner],
                        help="scoring-rule control by deleting voters")
     p.add_argument("file")
     p.add_argument("--max-candidates", type=int, default=5, metavar="M",
@@ -381,6 +375,8 @@ def build_parser():
     og = osub.add_parser("gen", parents=[common])
     og.add_argument("kind", choices=["partition-wmm", "subsetsum-mmc"])
     og.add_argument("--count", type=_positive_int, default=10)
+    og.add_argument("--seed", type=int, default=0,
+                    help="seed for the generated instances")
     return parser
 
 

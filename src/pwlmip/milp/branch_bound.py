@@ -42,6 +42,23 @@ def resolve_node_limit(node_limit=None) -> int:
     return value
 
 
+def within_budget(limit, stats, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` on the nodes ``stats`` has left of ``limit``.
+
+    The solve's stats are absorbed into ``stats``; :class:`ResourceExhausted`
+    is raised with the nodes of every solve so far once ``limit`` is reached.
+    """
+    left = limit - stats.nodes
+    if left <= 0:
+        raise ResourceExhausted(stats.nodes, limit)
+    try:
+        result = solve(*args, node_limit=left, **kwargs)
+    except ResourceExhausted as exc:
+        raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
+    stats.absorb(result.stats)
+    return result
+
+
 def _compile(model: MilpModel):
     """What every node of a search shares: (rows, lowers, uppers, int_idx).
 
@@ -162,17 +179,10 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeR
     search = _compile(_Probe(model, (threshold, 0, den), None))
 
     def solve_at(t):
-        left = limit - stats.nodes
-        if left <= 0:
-            raise ResourceExhausted(stats.nodes, limit)
         if search[0] is not None:
             search[0].set_rhs(probe_row, -t * den)
         sub = _Probe(model, (threshold, -t * den, den), search)
-        try:
-            result = solve_feasibility(sub, left)
-        except ResourceExhausted as exc:
-            raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
-        stats.absorb(result.stats)
+        result = within_budget(limit, stats, solve_feasibility, sub)
         stats.probes += 1
         return result
 

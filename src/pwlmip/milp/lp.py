@@ -11,12 +11,13 @@ variables.
 Tableau rows are Python ints over a positive per-row denominator, the layout
 :func:`pwlmip._kernel.phase1` pivots on, and model rows arrive in that form
 (see :mod:`pwlmip.milp.model`).  A branch-and-bound search moves only the
-bounds of its integer variables, and keeps them ints.  So a search compiles
-its rows once (:class:`CompiledRows`): the shifts and upper-bound rows of
-the variables whose bounds never move are folded in there, and a call only
-shifts right-hand sides by integer amounts.  The tableau is entry for entry
-the one a direct build from Fraction rows and bounds would give.  A vertex
-value is an int when its row divides evenly and a Fraction otherwise.
+bounds of its integer variables, and keeps them finite ints.  So a search
+compiles its rows once (:class:`CompiledRows`): the shifts and upper-bound
+rows of the variables whose bounds never move are folded in there, and a
+call only shifts right-hand sides by integer amounts.  The tableau is entry
+for entry the one a direct build from Fraction rows and bounds would give.
+A vertex value is an int when its row divides evenly and a Fraction
+otherwise.
 """
 
 from __future__ import annotations
@@ -33,28 +34,31 @@ class CompiledRows:
     """Rows (integer or rational, as :class:`MilpModel` takes them) and the
     upper bounds after them, in variable order, as integer tableau rows.
 
-    Each call supplies the bounds of the ``moving`` variables (default: all);
-    the others are fixed here.  A variable gets one shifted column, or a
-    positive/negative pair if its lower bound here is None.
+    Every call supplies finite int bounds for the ``moving`` variables
+    (default: none); each gets one shifted column, and one without finite
+    bounds here is rejected.  The other variables' bounds (None, int or
+    Fraction) are fixed here: such a variable gets one shifted column, or a
+    positive/negative pair if its lower bound is None.
     """
 
-    __slots__ = ("source", "free", "ncols", "dense", "neg", "totals", "dens",
-                 "scales", "touch", "upper_row", "plan")
+    __slots__ = ("ncols", "dense", "neg", "totals", "dens", "rhs", "scales",
+                 "touch", "upper_row", "plan")
 
-    def __init__(self, rows, lowers, uppers=None, moving=None):
+    def __init__(self, rows, lowers, uppers=None, moving=()):
         n = len(lowers)
-        moving = list(range(n) if moving is None else moving)
+        uppers = uppers or [None] * n
         pos = {i: j for j, i in enumerate(moving)}
+        for i in moving:
+            if lowers[i] is None or uppers[i] is None:
+                raise ValueError("moving variable %d needs finite bounds" % i)
         rows = [row if len(row) == 3 else integer_row(*row, n) for row in rows]
-        self.source = (rows, lowers, uppers, moving)
-        self.free = [lowers[i] is None for i in moving]
+        self.rhs = [rhs for _, rhs, _ in rows]
         col_of = list(accumulate((1 if lo is not None else 2 for lo in lowers),
                                  initial=0))
         ncols = self.ncols = col_of.pop()
 
         # x <= up: a moving variable's row gets its upper bound at each call.
         self.upper_row = [0] * len(moving)
-        rows = list(rows)
         for i in range(n):
             if i in pos:
                 self.upper_row[pos[i]] = len(rows)
@@ -99,55 +103,34 @@ class CompiledRows:
 
     def set_rhs(self, r, rhs):
         """Give model row ``r`` a new right-hand side over its own denominator."""
-        rows = self.source[0]
-        coeffs, old, den = rows[r]
-        rows[r] = coeffs, rhs, den
-        self.totals[r] += self.scales[r] * (rhs - old)
+        self.totals[r] += self.scales[r] * (rhs - self.rhs[r])
+        self.rhs[r] = rhs
 
     def totals_at(self, lowers, uppers):
-        """Right-hand sides at these moving bounds; None unless all are ints."""
+        """Right-hand sides at these int bounds of the moving variables."""
         totals = self.totals[:]
         for j, lo in enumerate(lowers):
-            up = uppers[j]
-            if up is None or up.denominator != 1 or lo and lo.denominator != 1:
-                return None
             for r, k in self.touch[j] if lo else ():
-                totals[r] -= k * lo.numerator
-            totals[self.upper_row[j]] += up.numerator
+                totals[r] -= k * lo
+            totals[self.upper_row[j]] += uppers[j]
         return totals
-
-    def fixed_at(self, lowers, uppers):
-        """These rows compiled again with every bound fixed, moving ones here."""
-        rows, all_lowers, all_uppers, moving = self.source
-        all_lowers = list(all_lowers)
-        all_uppers = list(all_uppers or [None] * len(all_lowers))
-        for j, i in enumerate(moving):
-            all_lowers[i], all_uppers[i] = lowers[j], uppers[j]
-        return CompiledRows(rows, all_lowers, all_uppers, moving=())
 
 
 def solve_lp_feasibility(rows, lowers, uppers, stats=None):
     """Find any exact point satisfying all rows and bounds.
 
-    rows: a :class:`CompiledRows`, with lowers/uppers the bounds of its
-    moving variables; or an iterable of rows as :class:`CompiledRows` takes
-    them, with lowers/uppers the bounds of every variable.  A bound is None
-    (unbounded), an int or a Fraction; a moving bound that is not an integer
-    costs a compile.  ``stats``, a :class:`~pwlmip.milp.model.SolveStats`,
-    counts the call, its pivots, an infeasible verdict and the tableau size.
-    Returns (feasible, point, pivots); point holds an int per integral value
-    and a Fraction otherwise.
+    rows: a :class:`CompiledRows`, with lowers/uppers the finite int bounds
+    of its moving variables; or an iterable of rows as :class:`CompiledRows`
+    takes them, with lowers/uppers the bounds of every variable, each None
+    (unbounded), an int or a Fraction.  ``stats``, a
+    :class:`~pwlmip.milp.model.SolveStats`, counts the call, its pivots, an
+    infeasible verdict and the tableau size.  Returns (feasible, point,
+    pivots); point holds an int per integral value and a Fraction otherwise.
     """
     if not isinstance(rows, CompiledRows):
-        rows = CompiledRows(rows, lowers, uppers, moving=())
+        rows = CompiledRows(rows, lowers, uppers)
         lowers = uppers = ()
-    elif [lo is None for lo in lowers] != rows.free:
-        raise ValueError("lower bounds do not match the compiled column layout")
     totals = rows.totals_at(lowers, uppers)
-    if totals is None:
-        rows = rows.fixed_at(lowers, uppers)
-        lowers = uppers = ()
-        totals = rows.totals[:]
     stats = SolveStats() if stats is None else stats
     stats.lp_calls += 1
     ncols = rows.ncols

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
-from .milp.branch_bound import resolve_node_limit
-from .milp.model import ResourceExhausted, SolveStats, SolverInternalError
+from .milp.branch_bound import resolve_node_limit, within_budget
+from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
 
@@ -336,14 +336,8 @@ def _solve_approval(election, action, variant, unique_winner, minimize_cost,
             max(scores[c] - scores[p] - gain + bump, 0) for c in rivals
         ]
         instance = CoverInstance(len(need), sets, need, election.budget, prices)
-        left = limit - stats.nodes
-        if left <= 0:
-            raise ResourceExhausted(stats.nodes, limit)
-        try:
-            sol = solve(instance, minimize_cost=minimize_cost, node_limit=left)
-        except ResourceExhausted as exc:
-            raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
-        stats.absorb(sol.stats)
+        sol = within_budget(limit, stats, solve, instance,
+                            minimize_cost=minimize_cost)
         if not sol.feasible:
             continue
         if best is None or sol.cost < best.cost:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from pwlmip import approx, pipeline
 from pwlmip.cli import build_parser, main
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
 from pwlmip.milp import parse_lp
+from pwlmip.oracle import gen_hard_instances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -515,6 +517,24 @@ def test_node_limit_must_be_positive(capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be positive" in captured.err
+
+
+def test_flags_only_on_the_commands_that_read_them(capsys, tmp_path):
+    for argv in (["wsm", fx("wsm3.json"), "--seed", "1"],
+                 ["export-lp", fx("knapsackish.json"), "-o",
+                  str(tmp_path / "x.lp"), "--node-limit", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.lp").exists()
+    code, report, _ = run_json(capsys, "oracle", "gen", "subsetsum-mmc",
+                               "--count", "3", "--seed", "5")
+    assert code == 0
+    pairs = gen_hard_instances("subsetsum-mmc", 3, random.Random(5))
+    assert report["instances"] == [
+        {"instance": inst.to_json(), "feasible": label} for inst, label in pairs
+    ]
 
 
 def test_unknown_command(capsys):

@@ -456,8 +456,9 @@ def _per_node_tableau(rows, lowers, uppers):
 def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
     """One compiled row set serves every node of a search entry for entry.
 
-    Rows and root bounds are rational; nodes move integer-style bounds the
-    way branching does (an integer floor as upper, floor + 1 as lower).
+    Rows and the fixed variables' bounds are rational or None; the moving
+    variables get int bounds at each node, moved the way branching moves
+    them (an integer floor as upper, floor + 1 as lower).
     """
     built = []
     real_phase1 = _kernel.phase1
@@ -468,48 +469,55 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
 
     monkeypatch.setattr(_kernel, "phase1", record)
     rng = random.Random(0xB55)
-    compared = rational_lowers = 0
-    for _ in range(60):
+    compared = rational_lowers = moved = 0
+    for _ in range(80):
         n = rng.randint(1, 5)
-        lowers = [None if rng.random() < 0.2 else random_fraction(rng, -3, 2)
-                  for _ in range(n)]
-        uppers = [None if lo is None or rng.random() < 0.3
-                  else lo + random_fraction(rng, 0, 5) for lo in lowers]
+        moving = [i for i in range(n) if rng.random() < 0.4]
+        lowers = [rng.randint(-3, 1) if i in moving
+                  else None if rng.random() < 0.2
+                  else random_fraction(rng, -3, 2) for i in range(n)]
+        uppers = [lo + rng.randint(0, 5) if i in moving
+                  else None if lo is None or rng.random() < 0.3
+                  else lo + random_fraction(rng, 0, 5)
+                  for i, lo in enumerate(lowers)]
         rows = [
             (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
                    if rng.random() < 0.8),
              random_fraction(rng, -5, 5))
             for _ in range(rng.randint(1, 5))
         ]
-        compiled = CompiledRows(rows, lowers)
+        compiled = CompiledRows(rows, lowers, uppers, moving)
+        rational = any(lowers[i] is not None and lowers[i].denominator != 1
+                       for i in range(n) if i not in moving)
         for node in range(6):
             lo, up = list(lowers), list(uppers)
             if node:
-                for i in range(n):
-                    if lo[i] is None or up[i] is None or rng.random() < 0.5:
+                for i in moving:
+                    if lo[i] == up[i] or rng.random() < 0.5:
                         continue
-                    cut = math.floor(rng.uniform(float(lo[i]), float(up[i])))
+                    cut = rng.randint(lo[i], up[i] - 1)
                     if rng.random() < 0.5:
-                        up[i] = min(up[i], F(cut))
+                        up[i] = cut
                     else:
-                        lo[i] = max(lo[i], F(cut + 1))
-            rational_lowers += any(x is not None and x.denominator != 1
-                                   for x in lo)
+                        lo[i] = cut + 1
             expected = _per_node_tableau(rows, lo, up)
             built.clear()
-            result = solve_lp_feasibility(compiled, lo, up)
+            result = solve_lp_feasibility(compiled, [lo[i] for i in moving],
+                                          [up[i] for i in moving])
             assert built == ([] if expected is None else [expected])
             assert result == solve_lp_feasibility(rows, lo, up)
             compared += expected is not None
-    assert compared > 150 and rational_lowers > 100
+            rational_lowers += rational and expected is not None
+            moved += expected is not None and any(lo[i] for i in moving)
+    assert compared > 150 and rational_lowers > 100 and moved > 100
 
 
-def test_compiled_rows_reject_another_column_layout():
+def test_compiled_rows_reject_an_unbounded_moving_variable():
     rows = [(((0, F(1)), (1, F(1))), F(3))]
-    compiled = CompiledRows(rows, [F(0), None])
-    assert solve_lp_feasibility(compiled, [F(1), None], [None, None])[0]
-    with pytest.raises(ValueError, match="layout"):
-        solve_lp_feasibility(compiled, [F(0), F(0)], [None, None])
+    assert CompiledRows(rows, [0, None], [2, None], moving=[0]).ncols == 3
+    for lowers, uppers in (([None, 0], [2, None]), ([0, None], [None, 4])):
+        with pytest.raises(ValueError, match="finite bounds"):
+            CompiledRows(rows, lowers, uppers, moving=[0])
 
 
 def test_check_assignment_reports_violations():
