@@ -51,26 +51,16 @@ def _load_json(path):
         ) from exc
 
 
-def _load_cover(path):
+def _load(path, from_json):
+    obj = _load_json(path)
     try:
-        return CoverInstance.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("%s: %s" % (path, exc)) from exc
-
-
-def _load_emip(path):
-    try:
-        return EmipModel.from_json(_load_json(path))
+        return from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("%s: %s" % (path, exc)) from exc
 
 
 def _load_election(path, kind):
-    obj = _load_json(path)
-    try:
-        election = load_election(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("%s: %s" % (path, exc)) from exc
+    election = _load(path, load_election)
     want = OrdinalElection if kind == "ordinal" else ApprovalElection
     if not isinstance(election, want):
         raise InputError("%s: expected a %s election" % (path, kind))
@@ -122,7 +112,7 @@ def _approval_variant(election, command):
 
 
 def _run_solve_emip(args):
-    model = _load_emip(args.file)
+    model = _load(args.file, EmipModel.from_json)
     try:
         if model.objective is not None:
             result = maximize_emip(model, node_limit=args.node_limit)
@@ -149,7 +139,7 @@ _COVER_SOLVERS = {"wsm": solve_wsm, "umm": solve_umm}
 
 
 def _run_cover(args):
-    instance = _load_cover(args.file)
+    instance = _load(args.file, CoverInstance.from_json)
     try:
         sol = _COVER_SOLVERS[args.command](
             instance, minimize_cost=args.minimize_cost,
@@ -160,7 +150,7 @@ def _run_cover(args):
 
 
 def _run_mmc_approx(args):
-    instance = _load_cover(args.file)
+    instance = _load(args.file, CoverInstance.from_json)
     try:
         epsilon = parse_rational(args.epsilon)
         stats = SolveStats()
@@ -223,7 +213,7 @@ def _run_scoring_ccdv(args):
 
 
 def _run_export_lp(args):
-    model = _load_emip(args.file)
+    model = _load(args.file, EmipModel.from_json)
     try:
         lowered, _ = lower(normalize(model))
         text = export_lp(lowered)
@@ -244,46 +234,38 @@ def _run_export_lp(args):
 
 
 def _run_oracle(args):
-    if args.oracle_command == "cover":
-        instance = _load_cover(args.file)
-        try:
-            answer = brute_cover(instance, OracleBudget(args.max_items))
-        except CapExceeded as exc:
-            raise InputError(str(exc)) from exc
-        out = {"command": "oracle cover",
-               "status": "feasible" if answer.feasible else "infeasible"}
-        if answer.feasible:
-            out["cost"] = answer.best_cost
-            out["witness"] = list(answer.witness)
-        return out
-    if args.oracle_command == "manipulate":
-        kind = "ordinal" if args.problem == "scoring-ccdv" else "approval"
-        election = _load_election(args.file, kind)
-        try:
+    if args.oracle_command == "gen":
+        rng = random.Random(args.seed)
+        pairs = gen_hard_instances(args.kind, args.count, rng)
+        return {
+            "command": "oracle gen",
+            "status": "generated",
+            "kind": args.kind,
+            "instances": [
+                {"instance": inst.to_json(), "feasible": label}
+                for inst, label in pairs
+            ],
+        }
+    caps = OracleBudget(args.max_items)
+    try:
+        if args.oracle_command == "cover":
+            out = {"command": "oracle cover"}
+            instance = _load(args.file, CoverInstance.from_json)
+            answer = brute_cover(instance, caps)
+        else:
+            out = {"command": "oracle manipulate", "problem": args.problem}
+            kind = "ordinal" if args.problem == "scoring-ccdv" else "approval"
+            election = _load_election(args.file, kind)
             answer = brute_manipulate(args.problem, election,
-                                      election.preferred,
-                                      OracleBudget(args.max_items),
+                                      election.preferred, caps,
                                       unique_winner=args.unique_winner)
-        except CapExceeded as exc:
-            raise InputError(str(exc)) from exc
-        out = {"command": "oracle manipulate", "problem": args.problem,
-               "status": "feasible" if answer.feasible else "infeasible"}
-        if answer.feasible:
-            out["cost"] = answer.best_cost
-            out["witness"] = list(answer.witness)
-        return out
-    # generate
-    rng = random.Random(args.seed)
-    pairs = gen_hard_instances(args.kind, args.count, rng)
-    return {
-        "command": "oracle gen",
-        "status": "generated",
-        "kind": args.kind,
-        "instances": [
-            {"instance": inst.to_json(), "feasible": label}
-            for inst, label in pairs
-        ],
-    }
+    except CapExceeded as exc:
+        raise InputError(str(exc)) from exc
+    out["status"] = "feasible" if answer.feasible else "infeasible"
+    if answer.feasible:
+        out["cost"] = answer.best_cost
+        out["witness"] = list(answer.witness)
+    return out
 
 
 def _positive_int(text):
@@ -327,7 +309,7 @@ def build_parser():
                        help="solve a piecewise-linear model from JSON")
     p.add_argument("file")
 
-    for name, text in (("wsm", "weighted set multicover"),
+    for name, text in (("wsm", "weighted multiset multicover"),
                        ("umm", "uniform multiset multicover")):
         p = sub.add_parser(name, parents=[common, budget, solve],
                            help="solve a " + text)

@@ -1,22 +1,25 @@
-"""Multiset multicover instances and the type-family covering solvers.
+"""Multiset multicover instances and the two exact covering solvers.
 
 An instance asks for a subfamily of multisets that covers every element x_l
-at least r_l times within a budget.  Two polynomially-solvable shapes reduce
-to small piecewise-linear models over one integer variable per *type family*
-(sets sharing a support):
+at least r_l times within a budget.  Two shapes reduce to small
+piecewise-linear models over one integer variable per group of sets:
 
-* weighted set multicover (WSM): all multiplicities are one, sets carry
-  weights, the budget caps total weight.  Taking z sets from a family covers
-  each supported element z times and costs the sum of the z cheapest
-  members, a convex function of z.
+* weighted multiset multicover (WSM): sets carry weights, the budget caps
+  total weight.  Sets are grouped by their exact multiset, so taking z sets
+  from a group covers each element z times its multiplicity and costs the
+  sum of the z cheapest members, a convex function of z.  The model has
+  one variable per distinct multiset: at most 2^m - 1 for the set variant
+  (all multiplicities one), and bounded in m whenever the multiplicities
+  are, but as many as the sets themselves when they are not.
 
 * uniform multiset multicover (UMM): each set covers its support uniformly
   with some multiplicity t, all weights are one, the budget caps the number
-  of sets.  Taking z sets from a family yields the sum of the z largest t
-  values per supported element, a concave function of z.
+  of sets.  Sets are grouped into *type families* by support; taking z sets
+  from a family yields the sum of the z largest t values per supported
+  element, a concave function of z.
 
 Both solvers hand the model to the lowering pipeline and then realize the
-family counts as concrete set choices, re-checking the cover exactly.
+group counts as concrete set choices, re-checking the cover exactly.
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ class CoverInstance:
         return None
 
     @property
-    def is_set_variant(self) -> bool:
-        return all(mult == 1 for s in self.sets for _, mult in s)
-
-    @property
     def is_uniform_variant(self) -> bool:
         return all(self.uniform_multiplicity(k) is not None for k in range(self.n_sets))
 
@@ -167,42 +166,45 @@ class CoverSolution:
 
 
 def solve_wsm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> CoverSolution:
-    """Weighted set multicover through one integer variable per family."""
-    if not instance.is_set_variant:
-        raise ValueError("weighted set multicover needs all multiplicities equal to 1")
-    families = type_families(instance)
+    """Weighted multiset multicover: one integer variable per distinct multiset.
+
+    Empty sets cover nothing and are dropped.  The model grows with the
+    number of distinct multisets, which m bounds only when the
+    multiplicities are bounded.
+    """
+    groups = {}
+    for k, s in enumerate(instance.sets):
+        if s:
+            groups.setdefault(s, []).append(k)
+    shapes = sorted(groups)
     members_sorted = [
-        tuple(sorted(fam.members, key=lambda k: (instance.weights[k], k)))
-        for fam in families
+        tuple(sorted(groups[s], key=lambda k: (instance.weights[k], k)))
+        for s in shapes
     ]
     costs = [
-        PwlFunction.from_sorted_weights([instance.weights[k] for k in fam.members])
-        for fam in families
+        PwlFunction.from_sorted_weights([instance.weights[k] for k in groups[s]])
+        for s in shapes
     ]
 
     variables = tuple(
-        Variable("z%d" % i, VarKind.INTEGER, 0, len(fam.members))
-        for i, fam in enumerate(families)
+        Variable("z%d" % i, VarKind.INTEGER, 0, len(groups[s]))
+        for i, s in enumerate(shapes)
     )
-    constraints = []
-    for elem in range(instance.m):
-        r = instance.requirements[elem]
-        if r == 0:
-            continue
-        covering = {
-            i: -1 for i, fam in enumerate(families) if elem in fam.support
-        }
-        constraints.append(EmipConstraint(lhs=covering, rhs={}, b=-r))
-    budget_terms = {i: costs[i] for i in range(len(families))}
+    covering = [{} for _ in range(instance.m)]
+    for i, s in enumerate(shapes):
+        for elem, mult in s:
+            covering[elem][i] = -mult
+    constraints = [
+        EmipConstraint(lhs=covering[elem], rhs={}, b=-r)
+        for elem, r in enumerate(instance.requirements) if r
+    ]
+    budget_terms = {i: costs[i] for i in range(len(shapes))}
     constraints.append(EmipConstraint(lhs=budget_terms, rhs={}, b=instance.budget))
     model = EmipModel(variables, tuple(constraints))
 
-    if minimize_cost:
-        counts, _, stats = minimize_budget(model, len(constraints) - 1, node_limit)
-    else:
-        result = solve_emip(model, node_limit)
-        counts, stats = result.assignment, result.stats
-    return _realized_solution(instance, members_sorted, counts, stats)
+    result = (minimize_budget(model, len(constraints) - 1, node_limit)
+              if minimize_cost else solve_emip(model, node_limit))
+    return _realized_solution(instance, members_sorted, result.assignment, result.stats)
 
 
 def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> CoverSolution:

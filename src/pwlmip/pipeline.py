@@ -22,7 +22,7 @@ class EmipSolveResult:
     feasible: bool
     assignment: dict | None          # original variable index -> Fraction
     stats: SolveStats = field(default_factory=SolveStats)
-    best: int | None = None          # threshold optimum when an objective ran
+    best: int | None = None          # the exact optimum, when one was searched
 
 
 def solve_emip(model: EmipModel, node_limit=None) -> EmipSolveResult:
@@ -86,7 +86,7 @@ def objective_bracket(model: EmipModel, coeffs):
     return math.floor(lo), math.ceil(hi)
 
 
-def minimize_budget(model: EmipModel, constraint: int, node_limit=None):
+def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> EmipSolveResult:
     """Minimize the left-hand side of a budget-style constraint.
 
     The constraint's left side must consist of convex terms over variables
@@ -94,9 +94,8 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None):
     each non-linear term is represented by its bounding variable w (pushed
     down to the exact function value at any optimum) and each linear term by
     the variable itself, so the total is a linear expression and threshold
-    search applies.  Returns ``(assignment, best, stats)`` with the
-    assignment in the original model's indices and ``best`` the exact
-    minimum, or ``(None, None, stats)`` when the model is infeasible.
+    search applies.  A feasible result's assignment is in the original
+    model's indices and its ``best`` is the exact minimum.
     """
     normalized = normalize(model)
     lowered, lmap = lower(normalized)
@@ -111,6 +110,6 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None):
     budget = normalized.constraints[constraint].b
     result = milp.maximize(lowered, coeffs, -budget, 0, node_limit)
     if not result.feasible:
-        return None, None, result.stats
+        return EmipSolveResult(False, None, result.stats)
     lifted = witness_lift(normalized, lmap, result.assignment)
-    return lifted, -result.best, result.stats
+    return EmipSolveResult(True, lifted, result.stats, best=-result.best)

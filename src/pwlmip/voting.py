@@ -5,24 +5,25 @@ a :class:`ManipulationResult` whose action, replayed on the election, makes
 p a winner; that replay is re-checked exactly before any feasible result is
 returned.
 
-All approval problems share one reduction to a covering instance.  Element
-0 stands for the gain in p's score, element 1 + j for rival j.  Each voter
-who may act becomes a set covering, with the voter's weight, the rivals the
-action lowers relative to p:
+All approval problems share one reduction to a covering instance whose
+elements are the rivals.  Each voter who may act becomes a multiset
+holding, for each rival, how far the action raises p's lead over that
+rival, times the voter's weight:
 
-* deleting a voter who does not approve p lowers the rivals they approve;
-* adding a spare voter who approves p lowers, relative to p, the rivals
-  they do not approve;
-* bribing any voter to approve only p lowers the rivals they approve, and
-  covers element 0 too when they did not approve p.
+* deleting a voter who does not approve p raises it over the rivals they
+  approve;
+* adding a spare voter who approves p raises it over the rivals they do
+  not approve;
+* bribing a voter to approve only p raises it by [p not approved] +
+  [rival approved], so by one or two.
 
-For a guessed gain ℓ, element 0 requires ℓ and each rival the amount by
-which it would still lead p + ℓ (plus one for a unique winner).  Deletion
-and addition solve once at ℓ = 0, where element 0 requires nothing and
-emits no row; bribery tries ℓ = 0..n in turn, all solves sharing one node
-budget.  Priced voters (unit weights) give weighted set multicover with
-the prices as set weights; weighted voters (unit prices) give uniform
-multiset multicover, where the budget caps the number of voters.
+Rival c requires the lead p lacks, s_c - s_p (plus one for a unique
+winner), so a cover is exactly an action that makes p win.  p's own score
+gain needs no element and no guess: it is already counted in every
+rival's multiplicity.  Priced voters (unit weights) give weighted
+multiset multicover with the prices as set weights; weighted voters
+(unit prices) give uniform multiset multicover, where the budget caps the
+number of voters.
 
 Scoring-rule deletion keeps one integer variable per preference order with
 a convex price function (delete cheapest first) and linear winner rows.
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
-from .milp.branch_bound import resolve_node_limit, within_budget
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
@@ -292,9 +292,10 @@ def _solve_approval(election, action, variant, unique_winner, minimize_cost,
                     node_limit):
     """The approval reduction for ``action`` in ("delete", "add", "bribe").
 
-    ``variant`` "priced" solves weighted set multicover with the prices as
-    set weights; "weighted" solves uniform multiset multicover with the
-    voter weights as multiplicities.  The other attribute must be one.
+    ``variant`` "priced" solves weighted multiset multicover with the
+    prices as set weights; "weighted" solves uniform multiset multicover
+    with the voter weights as multiplicities.  The other attribute must be
+    one.
     """
     p = election.preferred
     ballots = election.pool if action == "add" else election.voters
@@ -315,39 +316,23 @@ def _solve_approval(election, action, variant, unique_winner, minimize_cost,
     sets = []
     for i in acting:
         v = ballots[i]
-        lowered = {
-            1 + j: v.weight for j, c in enumerate(rivals)
-            if (c in v.approved) != (action == "add")
-        }
-        if action == "bribe" and p not in v.approved:
-            lowered[0] = v.weight
-        sets.append(lowered)
+        gain = action == "bribe" and p not in v.approved
+        sets.append({
+            j: v.weight * (gain + ((c in v.approved) != (action == "add")))
+            for j, c in enumerate(rivals)
+        })
     prices = [ballots[i].price for i in acting] if variant == "priced" else None
     solve = solve_wsm if variant == "priced" else solve_umm
 
     scores = approval_score(election)
     bump = 1 if unique_winner else 0
-    gains = range(len(ballots) + 1) if action == "bribe" else (0,)
-    limit = resolve_node_limit(node_limit)
-    stats = SolveStats()
-    best = None
-    for gain in gains:
-        need = [gain] + [
-            max(scores[c] - scores[p] - gain + bump, 0) for c in rivals
-        ]
-        instance = CoverInstance(len(need), sets, need, election.budget, prices)
-        sol = within_budget(limit, stats, solve, instance,
-                            minimize_cost=minimize_cost)
-        if not sol.feasible:
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if not minimize_cost:
-            break
-    if best is None:
-        return ManipulationResult(False, kind=action, stats=stats)
+    need = [max(scores[c] - scores[p] + bump, 0) for c in rivals]
+    instance = CoverInstance(len(rivals), sets, need, election.budget, prices)
+    sol = solve(instance, minimize_cost=minimize_cost, node_limit=node_limit)
+    if not sol.feasible:
+        return ManipulationResult(False, kind=action, stats=sol.stats)
 
-    chosen = tuple(sorted(acting[k] for k in best.chosen))
+    chosen = tuple(sorted(acting[k] for k in sol.chosen))
     picked = set(chosen)
     if action == "delete":
         after = [v for i, v in enumerate(ballots) if i not in picked]
@@ -364,7 +349,7 @@ def _solve_approval(election, action, variant, unique_winner, minimize_cost,
     _verify(replay, p, unique_winner)
     new_votes = tuple(frozenset({p}) for _ in chosen) if action == "bribe" else ()
     return ManipulationResult(
-        True, chosen, best.cost, action, new_votes=new_votes, stats=stats
+        True, chosen, sol.cost, action, new_votes=new_votes, stats=sol.stats
     )
 
 
@@ -462,27 +447,22 @@ def solve_scoring_ccdv(election, unique_winner=False, minimize_cost=False,
     constraints.append(EmipConstraint(lhs=price_fns, rhs={}, b=election.budget))
     model = EmipModel(variables, tuple(constraints))
 
-    if minimize_cost:
-        counts, cost, stats = minimize_budget(
-            model, len(constraints) - 1, node_limit
-        )
-    else:
-        result = solve_emip(model, node_limit)
-        counts, cost, stats = result.assignment, None, result.stats
-    if counts is None:
-        return ManipulationResult(False, kind="delete", stats=stats)
+    result = (minimize_budget(model, len(constraints) - 1, node_limit)
+              if minimize_cost else solve_emip(model, node_limit))
+    if not result.feasible:
+        return ManipulationResult(False, kind="delete", stats=result.stats)
 
     action = []
     for j in range(len(ranked)):
-        take = int(counts[j])
+        take = int(result.assignment[j])
         action.extend(by_price[j][:take])
     action = tuple(sorted(action))
     total = sum(election.voters[i].price for i in action)
-    if cost is not None and total != cost:
+    if result.best is not None and total != result.best:
         raise SolverInternalError("deletion prices disagree with the optimum")
     if total > election.budget:
         raise SolverInternalError("deletions exceed the budget")
 
     replay = election.scores(deleted=action)
     _verify(replay, p, unique_winner)
-    return ManipulationResult(True, action, total, "delete", stats=stats)
+    return ManipulationResult(True, action, total, "delete", stats=result.stats)

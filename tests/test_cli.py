@@ -99,8 +99,8 @@ def test_ccdv_fixture(capsys):
 def test_bribery_fixture(capsys):
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"))
     assert code == 0
-    assert report["action"] == [1, 2] and report["cost"] == 3
-    assert report["new_votes"] == [["p"], ["p"]]
+    assert report["action"] == [1] and report["cost"] == 1
+    assert report["new_votes"] == [["p"]]
 
 
 def test_ccav_round_trip(capsys, tmp_path):
@@ -335,28 +335,6 @@ def test_node_limit_flag_exhaustion(capsys, tmp_path):
     assert "status: infeasible" in out
 
 
-def test_bribery_node_limit_counts_every_gain(capsys, tmp_path):
-    # each of the three gain guesses needs one node, so a limit of one
-    # runs out before the second guess instead of reporting infeasible
-    path = tmp_path / "bribe.json"
-    path.write_text(json.dumps({
-        "format": "election-v1",
-        "candidates": ["p", "a", "b", "c"],
-        "voters": [{"approved": ["a", "c"], "price": 6},
-                   {"approved": ["a", "p"], "price": 4}],
-        "budget": 1,
-    }))
-    code, report, _ = run_json(capsys, "bribery", str(path),
-                               "--minimize-cost", "--node-limit", "1")
-    assert code == 3
-    assert report["status"] == "resource-exhausted"
-    assert report["nodes"] == 1 and report["limit"] == 1
-    code, report, _ = run_json(capsys, "bribery", str(path),
-                               "--minimize-cost", "--node-limit", "3")
-    assert code == 0 and report["status"] == "infeasible"
-    assert report["stats"]["nodes"] == 3
-
-
 # ---------------------------------------------------------------------------
 # oracle subcommand (development tool)
 # ---------------------------------------------------------------------------
@@ -444,13 +422,13 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert report["stats"]["max_depth"] == 6
     assert report["stats"]["max_tableau"] == [4, 7]
 
-    # bribery sums the counters of every gain it tries
+    # bribery is one covering search: three probes, one node each
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
                                "--minimize-cost")
     assert code == 0
-    assert report["stats"] == {"nodes": 11, "lp_calls": 11, "pivots": 37,
-                               "probes": 11, "infeasible_lps": 7,
-                               "max_depth": 0, "max_tableau": [8, 14]}
+    assert report["stats"] == {"nodes": 3, "lp_calls": 3, "pivots": 8,
+                               "probes": 3, "infeasible_lps": 1,
+                               "max_depth": 0, "max_tableau": [7, 12]}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
     assert ("nodes: 5  lp calls: 5  pivots: 14  probes: 5  "

@@ -12,7 +12,7 @@ from pwlmip.covering import (
     type_families,
 )
 from pwlmip.milp import ResourceExhausted
-from pwlmip.oracle import OracleBudget, brute_cover
+from pwlmip.oracle import OracleBudget, brute_cover, gen_hard_instances
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +51,7 @@ def test_variant_predicates_and_uniform_multiplicity():
     assert inst.uniform_multiplicity(1) == 3
     assert inst.uniform_multiplicity(2) is None
     assert inst.uniform_multiplicity(3) == 0
-    assert not inst.is_set_variant
     assert not inst.is_uniform_variant
-    assert CoverInstance(2, [{0: 1}, {1: 1}], [0, 0], 1).is_set_variant
     assert CoverInstance(2, [{0: 4, 1: 4}, {1: 2}], [0, 0], 1).is_uniform_variant
 
 
@@ -133,10 +131,26 @@ def test_wsm_duplicate_sets_use_the_cheap_copy():
     assert sol.chosen == (1,) and sol.cost == 2
 
 
-def test_wsm_rejects_multisets():
-    inst = CoverInstance(1, [{0: 2}], [1], 1)
-    with pytest.raises(ValueError, match="multiplicities"):
-        solve_wsm(inst)
+def test_wsm_matches_oracle_on_multisets():
+    rng = random.Random(0xC63)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 8)
+        sets = [{e: rng.randint(0, 3) for e in range(m)} for _ in range(n)]
+        weights = [rng.randint(0, 6) for _ in range(n)]
+        requirements = [rng.randint(0, 5) for _ in range(m)]
+        budget = rng.randint(0, max(1, sum(weights) // 2))
+        inst = CoverInstance(m, sets, requirements, budget, weights)
+        sol = solve_wsm(inst, minimize_cost=True)
+        answer = brute_cover(inst)
+        assert sol.feasible == answer.feasible
+        if sol.feasible:
+            assert sol.cost == answer.best_cost
+
+    # PARTITION as one-element weighted multiset multicover
+    for inst, label in gen_hard_instances("partition-wmm", 20,
+                                          random.Random(0xC64)):
+        assert solve_wsm(inst, minimize_cost=True).feasible == label
 
 
 def test_wsm_empty_universe():

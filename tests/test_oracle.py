@@ -60,7 +60,6 @@ def test_subset_sums():
 def test_partition_labels():
     even = gen_partition_wmm([1, 1, 2])  # 1 + 1 = 2 splits the total
     assert even.m == 1 and even.budget == 2 and even.requirements == (2,)
-    assert not even.is_set_variant  # general multiset: oracle territory
     assert brute_cover(even).feasible
 
     odd = gen_partition_wmm([1, 1, 1])

@@ -150,11 +150,12 @@ def test_ccav_priced_worked_example():
 
 def test_bribery_priced_worked_example():
     e = _priced_ccdv_election(budget=3)
-    # the first feasible score gain is accepted when not minimizing
+    # without minimizing, the first cover found is accepted; here it is
+    # already the cheapest, since one bribe ties p with c1
     res = solve_bribery_priced(e)
     assert res.feasible and res.kind == "bribe"
-    assert res.action == (1, 2) and res.cost == 3
-    assert res.new_votes == (frozenset({"p"}), frozenset({"p"}))
+    assert res.action == (1,) and res.cost == 1
+    assert res.new_votes == (frozenset({"p"}),)
 
     # paying voter 1 to approve only p already flips the outcome
     res = solve_bribery_priced(e, minimize_cost=True)
@@ -162,31 +163,26 @@ def test_bribery_priced_worked_example():
     assert res.new_votes == (frozenset({"p"}),)
 
 
-def test_bribery_node_limit_bounds_all_gains(monkeypatch):
-    # gains 0, 1, 2 are each infeasible after one node: 3 nodes in total
-    e = ApprovalElection(
-        ("p", "a", "b", "c"),
-        (Voter({"a", "c"}, price=6), Voter({"a", "p"}, price=4)),
-        1,
-    )
-    per_gain = []
+def test_bribery_node_limit_bounds_its_single_search(monkeypatch):
+    # one covering solve of three threshold probes, one node each
+    e = _priced_ccdv_election(budget=3)
+    calls = []
     solve_wsm = voting.solve_wsm
 
     def counted(*args, **kwargs):
-        sol = solve_wsm(*args, **kwargs)
-        per_gain.append(sol.stats.nodes)
-        return sol
+        calls.append(kwargs["node_limit"])
+        return solve_wsm(*args, **kwargs)
 
     monkeypatch.setattr(voting, "solve_wsm", counted)
     res = solve_bribery_priced(e, minimize_cost=True)
-    assert not res.feasible and res.stats.nodes == sum(per_gain) == 3
-    limit = 2
-    assert max(per_gain) <= limit < sum(per_gain)
+    assert res.feasible and res.stats.nodes == 3
+    assert calls == [None]
     with pytest.raises(ResourceExhausted) as info:
-        solve_bribery_priced(e, minimize_cost=True, node_limit=limit)
-    assert info.value.nodes == 2 and info.value.limit == limit
+        solve_bribery_priced(e, minimize_cost=True, node_limit=2)
+    assert info.value.nodes == 2 and info.value.limit == 2
     res = solve_bribery_priced(e, minimize_cost=True, node_limit=3)
-    assert not res.feasible and res.stats.nodes == 3
+    assert res.feasible and res.stats.nodes == 3
+    assert calls == [None, 2, 3]
 
 
 def test_priced_solvers_reject_weights():
@@ -359,12 +355,17 @@ def _scores_after(problem, election, acted):
     return scores
 
 
-def _assert_agrees(res, truth, problem, election, unique_winner=False):
-    """Same verdict and optimum as the oracle; the action replays on its own."""
+def _assert_agrees(res, truth, problem, election, unique_winner=False,
+                   minimal=True):
+    """Same verdict as the oracle, and its optimum when ``minimal``; the
+    action replays on its own."""
     assert res.feasible == truth.feasible
     if not truth.feasible:
         return
-    assert res.cost == truth.best_cost
+    if minimal:
+        assert res.cost == truth.best_cost
+    else:
+        assert truth.best_cost <= res.cost <= election.budget
     group = election.pool if problem == "ccav" else election.voters
     action = list(res.action)
     assert action == sorted(set(action))
@@ -398,6 +399,16 @@ def test_bribery_priced_matches_oracle():
         e = random_approval(rng, variant="priced")
         res = solve_bribery_priced(e, minimize_cost=True)
         _assert_agrees(res, brute_manipulate("bribery", e, "p"), "bribery", e)
+
+
+def test_bribery_feasibility_only_matches_oracle():
+    rng = random.Random(0x579)
+    for _ in range(60):
+        e = random_approval(rng, variant="priced")
+        for unique in (False, True):
+            res = solve_bribery_priced(e, unique_winner=unique)
+            truth = brute_manipulate("bribery", e, "p", unique_winner=unique)
+            _assert_agrees(res, truth, "bribery", e, unique, minimal=False)
 
 
 def test_ccdv_weighted_matches_oracle():
