@@ -335,6 +335,21 @@ def test_node_limit_flag_exhaustion(capsys, tmp_path):
     assert "status: infeasible" in out
 
 
+def test_bribery_node_limit_counts_every_gain(capsys):
+    # the rivals' gains share one search of three one-node threshold
+    # probes, so a limit of two runs out instead of reporting a verdict
+    code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
+                               "--minimize-cost", "--node-limit", "2")
+    assert code == 3
+    assert report["status"] == "resource-exhausted"
+    assert report["nodes"] == 2 and report["limit"] == 2
+    code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
+                               "--minimize-cost", "--node-limit", "3")
+    assert code == 0 and report["status"] == "feasible"
+    assert report["action"] == [1] and report["cost"] == 1
+    assert report["stats"]["nodes"] == 3
+
+
 # ---------------------------------------------------------------------------
 # oracle subcommand (development tool)
 # ---------------------------------------------------------------------------

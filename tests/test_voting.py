@@ -163,8 +163,9 @@ def test_bribery_priced_worked_example():
     assert res.new_votes == (frozenset({"p"}),)
 
 
-def test_bribery_node_limit_bounds_its_single_search(monkeypatch):
-    # one covering solve of three threshold probes, one node each
+def test_bribery_node_limit_bounds_all_gains(monkeypatch):
+    # every rival's gain is covered by one search of three threshold
+    # probes, one node each, so the limit bounds all of them together
     e = _priced_ccdv_election(budget=3)
     calls = []
     solve_wsm = voting.solve_wsm
