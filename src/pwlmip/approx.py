@@ -267,7 +267,6 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
             lhs={miss_base + i: 1 for i in range(instance.m)}, rhs={}, b=miss_cap
         )
     )
-    gain_fns = {}
     for i in range(instance.m):
         if requirements[i] == 0:
             continue
@@ -275,9 +274,7 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
         for j in range(n_groups):
             covered = [v.realized()[i] for v in members[j]]
             if any(covered):
-                fn = PwlFunction.from_sorted_multiplicities(covered)
-                gains[j] = fn
-                gain_fns[(i, j)] = fn
+                gains[j] = PwlFunction.from_sorted_multiplicities(covered)
         gains[miss_base + i] = 1
         constraints.append(EmipConstraint(lhs={}, rhs=gains, b=-requirements[i]))
 

@@ -5,8 +5,9 @@ on the input files and flags — wall time goes to stderr in human
 mode and never into the JSON.  The argparse tree is built once per process,
 on the first ``main`` call, and reused by every later call; each parse
 still gets a fresh namespace.  Exit codes: 0 for any completed solve
-(feasible or infeasible alike), 2 for input errors, 3 when the node
-budget runs out.
+(feasible or infeasible alike), 2 for input errors (a bad invocation or
+file, or a ``ValueError`` from a solver that refuses its input), 3 when
+the node budget runs out.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import time
 from . import __version__
 from .approx import almost_cover, decomposition_json
 from .covering import CoverInstance, solve_umm, solve_wsm
-from .emip import EmipModel, InvalidModelError, normalize
+from .emip import EmipModel, normalize
 from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, SolveStats, export_lp
+from .milp.model import integer_row
 from .oracle import (CapExceeded, OracleBudget, brute_cover, brute_manipulate,
                      gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
@@ -118,7 +120,7 @@ def _run_solve_emip(args):
             result = maximize_emip(model, node_limit=args.node_limit)
         else:
             result = solve_emip(model, node_limit=args.node_limit)
-    except (InvalidModelError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError("%s: %s" % (args.file, exc)) from exc
     out = {
         "command": "solve-emip",
@@ -140,24 +142,16 @@ _COVER_SOLVERS = {"wsm": solve_wsm, "umm": solve_umm}
 
 def _run_cover(args):
     instance = _load(args.file, CoverInstance.from_json)
-    try:
-        sol = _COVER_SOLVERS[args.command](
-            instance, minimize_cost=args.minimize_cost,
-            node_limit=args.node_limit)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    sol = _COVER_SOLVERS[args.command](
+        instance, minimize_cost=args.minimize_cost, node_limit=args.node_limit)
     return _cover_report(args.command, sol)
 
 
 def _run_mmc_approx(args):
     instance = _load(args.file, CoverInstance.from_json)
-    try:
-        epsilon = parse_rational(args.epsilon)
-        stats = SolveStats()
-        sol = almost_cover(instance, epsilon, node_limit=args.node_limit,
-                           stats=stats)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    epsilon = parse_rational(args.epsilon)
+    stats = SolveStats()
+    sol = almost_cover(instance, epsilon, node_limit=args.node_limit, stats=stats)
     out = {"command": "mmc-approx", "epsilon": str(epsilon),
            "stats": dataclasses.asdict(stats)}
     if sol is None:
@@ -190,35 +184,31 @@ def _run_approval(args):
     election = _load_election(args.file, "approval")
     variant = _approval_variant(election, args.command)
     solver = _VOTING_SOLVERS[(args.command, variant)]
-    try:
-        result = solver(election, unique_winner=args.unique_winner,
-                        minimize_cost=args.minimize_cost,
-                        node_limit=args.node_limit)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = solver(election, unique_winner=args.unique_winner,
+                    minimize_cost=args.minimize_cost, node_limit=args.node_limit)
     return _manipulation_report(args.command, result, variant)
 
 
 def _run_scoring_ccdv(args):
     election = _load_election(args.file, "ordinal")
-    try:
-        result = solve_scoring_ccdv(
-            election, unique_winner=args.unique_winner,
-            minimize_cost=args.minimize_cost, node_limit=args.node_limit,
-            max_candidates=args.max_candidates,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = solve_scoring_ccdv(
+        election, unique_winner=args.unique_winner,
+        minimize_cost=args.minimize_cost, node_limit=args.node_limit,
+        max_candidates=args.max_candidates,
+    )
     return _manipulation_report("scoring-ccdv", result, "priced")
 
 
 def _run_export_lp(args):
-    model = _load(args.file, EmipModel.from_json)
-    try:
-        lowered, _ = lower(normalize(model))
-        text = export_lp(lowered)
-    except (InvalidModelError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    normalized = normalize(_load(args.file, EmipModel.from_json))
+    lowered, _ = lower(normalized)
+    objective, sense = None, "min"
+    if normalized.objective is not None:
+        # Integer coefficients, as rows are written; original variables keep
+        # their indices in the lowered model.
+        objective, _, _ = integer_row(normalized.objective.coeffs, 0, lowered.n_vars)
+        sense = normalized.objective.sense
+    text = export_lp(lowered, objective, sense)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -333,7 +323,7 @@ def build_parser():
     p = sub.add_parser("scoring-ccdv", parents=[common, budget, solve, winner],
                        help="scoring-rule control by deleting voters")
     p.add_argument("file")
-    p.add_argument("--max-candidates", type=int, default=5, metavar="M",
+    p.add_argument("--max-candidates", type=_positive_int, default=5, metavar="M",
                    help="refuse elections with more candidates than this")
 
     p = sub.add_parser("export-lp", parents=[common],
@@ -404,20 +394,17 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report = _RUNNERS[args.command](args)
-    except InputError as exc:
-        report = {"command": args.command, "status": "error",
-                  "error": str(exc)}
+    except (InputError, ValueError, ResourceExhausted) as exc:
+        if isinstance(exc, ResourceExhausted):
+            code, report = 3, {"status": "resource-exhausted",
+                               "nodes": exc.nodes, "limit": exc.limit}
+        else:
+            code, report = 2, {"status": "error", "error": str(exc)}
+        report["command"] = args.command
         if args.json:
             print(json.dumps(report, sort_keys=True, indent=2))
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ResourceExhausted as exc:
-        report = {"command": args.command, "status": "resource-exhausted",
-                  "nodes": exc.nodes, "limit": exc.limit}
-        if args.json:
-            print(json.dumps(report, sort_keys=True, indent=2))
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        return code
     _emit(report, args.json, time.monotonic() - started)
     return 0
 

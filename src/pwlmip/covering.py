@@ -30,6 +30,7 @@ from .emip import EmipConstraint, EmipModel, Objective, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import maximize_emip, minimize_budget, solve_emip
 from .pwl import PwlFunction
+from .rationals import parse_integer
 
 FORMAT_NAME = "cover-v1"
 
@@ -45,13 +46,13 @@ class CoverInstance:
     budget: int
 
     def __init__(self, m, sets, requirements, budget, weights=None):
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", parse_integer(m))
         clean_sets = []
         for k, s in enumerate(sets):
             items = sorted(s.items()) if isinstance(s, dict) else sorted(s)
             entries = []
             for elem, mult in items:
-                elem, mult = int(elem), int(mult)
+                elem, mult = parse_integer(elem), parse_integer(mult)
                 if not (0 <= elem < self.m):
                     raise ValueError("set %d covers unknown element %d" % (k, elem))
                 if mult < 0:
@@ -62,19 +63,19 @@ class CoverInstance:
         object.__setattr__(self, "sets", tuple(clean_sets))
         if weights is None:
             weights = (1,) * len(clean_sets)
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(parse_integer(w) for w in weights)
         if len(weights) != len(clean_sets):
             raise ValueError("need one weight per set")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", weights)
-        requirements = tuple(int(r) for r in requirements)
+        requirements = tuple(parse_integer(r) for r in requirements)
         if len(requirements) != self.m:
             raise ValueError("need one requirement per element")
         if any(r < 0 for r in requirements):
             raise ValueError("requirements must be nonnegative")
         object.__setattr__(self, "requirements", requirements)
-        object.__setattr__(self, "budget", int(budget))
+        object.__setattr__(self, "budget", parse_integer(budget))
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
 
@@ -129,7 +130,7 @@ class CoverInstance:
             )
         sets = []
         for s in obj.get("sets", ()):
-            sets.append({int(e): int(t) for e, t in s.items()})
+            sets.append({parse_integer(e): t for e, t in s.items()})
         return cls(
             m=obj["m"],
             sets=sets,

@@ -2,7 +2,6 @@
 
 from .branch_bound import (
     DEFAULT_NODE_LIMIT,
-    MaximizeResult,
     maximize,
     resolve_node_limit,
     solve_feasibility,
@@ -21,7 +20,6 @@ from .model import (
 __all__ = [
     "DEFAULT_NODE_LIMIT",
     "LpParseError",
-    "MaximizeResult",
     "MilpModel",
     "MilpVariable",
     "ResourceExhausted",

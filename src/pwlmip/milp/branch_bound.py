@@ -16,7 +16,6 @@ solves.  The node limit counts the nodes of all of them together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lp import CompiledRows, solve_lp_feasibility
@@ -40,23 +39,6 @@ def resolve_node_limit(node_limit=None) -> int:
     if value <= 0:
         raise ValueError("node limit must be positive, got %d" % value)
     return value
-
-
-def within_budget(limit, stats, solve, *args, **kwargs):
-    """``solve(*args, **kwargs)`` on the nodes ``stats`` has left of ``limit``.
-
-    The solve's stats are absorbed into ``stats``; :class:`ResourceExhausted`
-    is raised with the nodes of every solve so far once ``limit`` is reached.
-    """
-    left = limit - stats.nodes
-    if left <= 0:
-        raise ResourceExhausted(stats.nodes, limit)
-    try:
-        result = solve(*args, node_limit=left, **kwargs)
-    except ResourceExhausted as exc:
-        raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
-    stats.absorb(result.stats)
-    return result
 
 
 def _compile(model: MilpModel):
@@ -145,15 +127,7 @@ def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
     return SolveResult(False, None, stats)
 
 
-@dataclass
-class MaximizeResult:
-    feasible: bool
-    best: int | None
-    assignment: dict | None
-    stats: SolveStats = field(default_factory=SolveStats)
-
-
-def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeResult:
+def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> SolveResult:
     """Largest integer T in [t_lo, t_hi] with {model, sum(c*x) >= T} feasible.
 
     ``coeffs`` maps variable index to an exact coefficient.  The bracket must
@@ -179,16 +153,23 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeR
     search = _compile(_Probe(model, (threshold, 0, den), None))
 
     def solve_at(t):
+        left = limit - stats.nodes
+        if left <= 0:
+            raise ResourceExhausted(stats.nodes, limit)
         if search[0] is not None:
             search[0].set_rhs(probe_row, -t * den)
         sub = _Probe(model, (threshold, -t * den, den), search)
-        result = within_budget(limit, stats, solve_feasibility, sub)
+        try:
+            result = solve_feasibility(sub, node_limit=left)
+        except ResourceExhausted as exc:
+            raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
+        stats.absorb(result.stats)
         stats.probes += 1
         return result
 
     base = solve_at(lo)
     if not base.feasible:
-        return MaximizeResult(False, None, None, stats)
+        return SolveResult(False, None, stats)
     best_assignment = base.assignment
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -198,4 +179,4 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> MaximizeR
             best_assignment = step.assignment
         else:
             hi = mid - 1
-    return MaximizeResult(True, lo, best_assignment, stats)
+    return SolveResult(True, best_assignment, stats, best=lo)

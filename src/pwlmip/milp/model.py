@@ -1,4 +1,4 @@
-"""Plain mixed-integer linear models: variables, <=-rows, solve results.
+"""Plain mixed-integer linear models: variables, <=-rows, the solve result.
 
 A row is integers: ``(coeffs, rhs, den)`` stands for ``sum(c/den * x_i) <=
 rhs/den``, coeffs (index, int) pairs sorted by index and den > 0.  Lowered
@@ -148,9 +148,13 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
+    """A solve's verdict, witness and stats; ``best`` is the exact optimum of
+    an optimization and None for a feasibility solve."""
+
     feasible: bool
     assignment: dict | None
     stats: SolveStats = field(default_factory=SolveStats)
+    best: int | None = None
 
     @property
     def status(self) -> str:

@@ -8,35 +8,32 @@ and election layers as well as the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import milp
 from .emip import EmipModel, normalize
-from .milp.model import SolveStats
+from .milp.model import SolveResult
 from .reduction import lower, witness_lift
 from .rationals import ZERO
 
 
-@dataclass
-class EmipSolveResult:
-    feasible: bool
-    assignment: dict | None          # original variable index -> Fraction
-    stats: SolveStats = field(default_factory=SolveStats)
-    best: int | None = None          # the exact optimum, when one was searched
+def _lift(normalized, lmap, result, sign=1) -> SolveResult:
+    """A solve of the lowered model in ``normalized``'s variable indices,
+    its ``best`` multiplied by ``sign``."""
+    if not result.feasible:
+        return result
+    best = None if result.best is None else sign * result.best
+    return SolveResult(True, witness_lift(normalized, lmap, result.assignment),
+                       result.stats, best)
 
 
-def solve_emip(model: EmipModel, node_limit=None) -> EmipSolveResult:
+def solve_emip(model: EmipModel, node_limit=None) -> SolveResult:
     """Feasibility for an extended model; the witness is exact and verified."""
     normalized = normalize(model)
     lowered, lmap = lower(normalized)
-    result = milp.solve_feasibility(lowered, node_limit)
-    if not result.feasible:
-        return EmipSolveResult(False, None, result.stats)
-    lifted = witness_lift(normalized, lmap, result.assignment)
-    return EmipSolveResult(True, lifted, result.stats)
+    return _lift(normalized, lmap, milp.solve_feasibility(lowered, node_limit))
 
 
-def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> EmipSolveResult:
+def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> SolveResult:
     """Threshold search on the model's linear objective.
 
     Finds the largest integer T with {model, objective >= T} feasible (for a
@@ -60,11 +57,7 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> Em
         t_hi = hi if t_hi is None else t_hi
 
     result = milp.maximize(lowered, coeffs, t_lo, t_hi, node_limit)
-    if not result.feasible:
-        return EmipSolveResult(False, None, result.stats)
-    lifted = witness_lift(normalized, lmap, result.assignment)
-    best = result.best if sense == "max" else -result.best
-    return EmipSolveResult(True, lifted, result.stats, best=best)
+    return _lift(normalized, lmap, result, 1 if sense == "max" else -1)
 
 
 def objective_bracket(model: EmipModel, coeffs):
@@ -86,7 +79,7 @@ def objective_bracket(model: EmipModel, coeffs):
     return math.floor(lo), math.ceil(hi)
 
 
-def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> EmipSolveResult:
+def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> SolveResult:
     """Minimize the left-hand side of a budget-style constraint.
 
     The constraint's left side must consist of convex terms over variables
@@ -109,7 +102,4 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> EmipS
             coeffs[term.bound_var] = coeffs.get(term.bound_var, ZERO) - 1
     budget = normalized.constraints[constraint].b
     result = milp.maximize(lowered, coeffs, -budget, 0, node_limit)
-    if not result.feasible:
-        return EmipSolveResult(False, None, result.stats)
-    lifted = witness_lift(normalized, lmap, result.assignment)
-    return EmipSolveResult(True, lifted, result.stats, best=-result.best)
+    return _lift(normalized, lmap, result, -1)

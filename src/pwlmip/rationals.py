@@ -45,6 +45,23 @@ def parse_rational(value) -> Fraction:
     raise ValueError("cannot parse rational from %r" % (value,))
 
 
+def parse_integer(value) -> int:
+    """Parse an integer the way :func:`parse_rational` parses a rational.
+
+    Bools and non-integral values are refused, not truncated.  An int is
+    returned as it is, without building a Fraction.
+    """
+    if type(value) is int:
+        return value
+    try:
+        q = parse_rational(value)
+    except ValueError:
+        q = None
+    if q is None or q.denominator != 1:
+        raise ValueError("expected an integer, got %r" % (value,))
+    return q.numerator
+
+
 def format_rational(q: Fraction) -> str:
     """Format exactly; int-valued rationals print without a denominator."""
     q = Fraction(q)

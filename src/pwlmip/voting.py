@@ -38,12 +38,13 @@ from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
+from .rationals import parse_integer
 
 FORMAT_NAME = "election-v1"
 
 
 def _check_count(value, what):
-    value = int(value)
+    value = parse_integer(value)
     if value < 0:
         raise ValueError("%s must be nonnegative" % what)
     return value
@@ -181,7 +182,7 @@ class OrdinalElection:
                     "every ranking must be a permutation of the candidates"
                 )
         object.__setattr__(self, "voters", tuple(voters))
-        vec = tuple(int(a) for a in scoring_vector)
+        vec = tuple(parse_integer(a) for a in scoring_vector)
         if len(vec) != len(candidates):
             raise ValueError("scoring vector must have one entry per candidate")
         if any(a < b for a, b in zip(vec, vec[1:])):

@@ -10,6 +10,7 @@ import pytest
 
 from pwlmip import approx, pipeline
 from pwlmip.cli import build_parser, main
+from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
 from pwlmip.milp import parse_lp
 from pwlmip.oracle import gen_hard_instances
@@ -209,10 +210,10 @@ def test_export_lp_round_trip(capsys, tmp_path):
     # z >= x - rho, the link row and the budget row; z >= 0 is a bound
     assert report["variables"] == 4 and report["rows"] == 3
     text = target.read_text()
-    model, objective, _ = parse_lp(text)
+    model, objective, sense = parse_lp(text)
     assert [v.name for v in model.variables] == ["x", "y", "w_c0_x",
                                                  "z_c0_x_1"]
-    assert objective is None
+    assert objective == {0: 1, 1: 1} and sense == "max"
 
     other = tmp_path / "again.lp"
     code, _, _ = run_json(capsys, "export-lp", fx("knapsackish.json"),
@@ -297,6 +298,69 @@ def test_bad_epsilon(capsys):
     code, _, err = run(capsys, "mmc-approx", fx("uniformish.json"),
                        "--epsilon", "nope")
     assert code == 2
+
+
+def _write_json(tmp_path, name, blob):
+    path = tmp_path / name
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def test_non_integral_counts_are_input_errors(capsys, tmp_path):
+    with open(fx("wsm3.json")) as fh:
+        cover = json.load(fh)
+    with open(fx("ccdv.json")) as fh:
+        election = json.load(fh)
+    cover["budget"] = 1.9
+    election["voters"][1]["price"] = 0.5
+    for command, blob in (("wsm", cover), ("ccdv", election)):
+        path = _write_json(tmp_path, command + ".json", blob)
+        code, report, err = run_json(capsys, command, path)
+        assert code == 2 and report["status"] == "error"
+        assert "expected an integer" in report["error"] and "error:" in err
+
+
+def _non_uniform_cover(tmp_path):
+    instance = CoverInstance(2, [{0: 1, 1: 2}], [1, 1], 1)
+    return _write_json(tmp_path, "non-uniform.json", instance.to_json())
+
+
+def _concave_left_term(tmp_path):
+    with open(fx("knapsackish.json")) as fh:
+        blob = json.load(fh)
+    blob["constraints"][0]["lhs"]["x"].update(shape="concave",
+                                              slopes=["3", "1"])
+    return _write_json(tmp_path, "concave.json", blob)
+
+
+_SOLVER_ERRORS = [
+    ("umm", _non_uniform_cover, (), "per-set uniform multiplicities"),
+    ("mmc-approx", lambda _: fx("wsm3.json"), ("--epsilon", "1/2"),
+     "needs unit weights"),
+    ("scoring-ccdv", lambda _: fx("borda.json"), ("--max-candidates", "2"),
+     "exceed the cap of 2"),
+    ("export-lp", _concave_left_term, ("-o", "{tmp}/out.lp"),
+     "must be convex or linear"),
+    ("solve-emip", _concave_left_term, (), "must be convex or linear"),
+]
+
+
+@pytest.mark.parametrize("command, make_file, extra, message", _SOLVER_ERRORS,
+                         ids=[case[0] for case in _SOLVER_ERRORS])
+def test_solver_value_errors_are_input_errors(capsys, tmp_path, command,
+                                              make_file, extra, message):
+    # the file loads; the solver refuses it
+    argv = [command, make_file(tmp_path)]
+    argv += [arg.format(tmp=tmp_path) for arg in extra]
+    code, report, err = run_json(capsys, *argv)
+    assert code == 2
+    assert sorted(report) == ["command", "error", "status"]
+    assert report["command"] == command and report["status"] == "error"
+    assert message in report["error"]
+    assert err.startswith("error: ") and message in err
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+    assert not (tmp_path / "out.lp").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +558,13 @@ def test_help_and_usage_errors_repeat_exactly(capsys):
     assert outputs[:5] == outputs[5:]
     assert [o[1] for o in outputs[:5]] == [0, 0, 0, 2, 2]
 
+
+
+def test_max_candidates_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scoring-ccdv", fx("borda.json"), "--max-candidates", "0"])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -44,6 +44,19 @@ def test_instance_validation():
         CoverInstance(2, [{0: 1}], [0, 0], -1)
 
 
+def test_instance_refuses_non_integral_counts():
+    blob = CoverInstance(2, [{0: 1, 1: 1}], [1, 1], 1).to_json()
+    for key, bad in (("budget", 1.9), ("budget", "3/2"), ("budget", True),
+                     ("m", 2.5), ("requirements", [1, 0.5]),
+                     ("weights", [False]), ("sets", [{"0": 1, "1.5": 1}]),
+                     ("sets", [{"0": "1/2"}])):
+        with pytest.raises(ValueError, match="expected an integer"):
+            CoverInstance.from_json(dict(blob, **{key: bad}))
+    # integral values in other spellings are still read exactly
+    inst = CoverInstance.from_json(dict(blob, budget="4/2", m=2.0))
+    assert inst.budget == 2 and type(inst.budget) is int and inst.m == 2
+
+
 def test_variant_predicates_and_uniform_multiplicity():
     inst = CoverInstance(2, [{0: 1, 1: 1}, {0: 3, 1: 3}, {0: 2, 1: 1}, {}],
                          [0, 0], 1)

@@ -6,9 +6,13 @@ module holds it by, and reads counters off the arguments and results.  That
 only works while the layers call each other through those module names and
 the results keep their shapes.  These tests wrap the boundaries the same
 way, run one solve through every layer, and pin both, so that a refactor
-cannot silently leave a per-layer counter at zero.
+cannot silently leave a per-layer counter at zero.  The last test checks
+that every boundary the benchmark's tracer (``perfbench/tracing.py``) names
+still exists.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import sys
@@ -21,6 +25,11 @@ from pwlmip.milp import branch_bound, lp
 from pwlmip.pipeline import maximize_emip
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "tracing.py")
+# Boundaries the benchmark's tracer names that no longer exist; each reads
+# zero in every traced run until the tracer follows the program.
+STALE_TRACER_BOUNDARIES = {"pwlmip.emip.normalize_with_map"}
 
 BOUNDARIES = (
     (_kernel, "phase1"),
@@ -107,3 +116,17 @@ def test_lower_returns_model_and_map(traced):
     assert result[0] is lowered and result[1] is lmap
     assert len(lowered.rows) > 0 and len(lowered.variables) > len(model.variables)
     assert lmap.n_original == len(model.variables)
+
+
+def test_benchmark_tracer_boundaries_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = set()
+    for module_name, attr, _, _ in tracing.BOUNDARIES:
+        fn = getattr(importlib.import_module(module_name), attr, None)
+        if fn is None:
+            missing.add("%s.%s" % (module_name, attr))
+        else:
+            assert callable(fn), "%s.%s" % (module_name, attr)
+    assert missing <= STALE_TRACER_BOUNDARIES, sorted(missing)

@@ -65,6 +65,22 @@ def test_validation_errors():
         ApprovalElection(("p",), (), -1)
 
 
+def test_elections_refuse_non_integral_counts():
+    approval = _priced_ccdv_election().to_json()
+    voters = approval["voters"]
+    for blob in (dict(approval, budget=1.9), dict(approval, budget=True),
+                 dict(approval, voters=[dict(voters[0], price=0.5)] + voters[1:]),
+                 dict(approval, voters=[dict(voters[0], weight="3/2")] + voters[1:])):
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_election(blob)
+    ordinal = OrdinalElection(("p", "a"), (OrdinalVoter(("a", "p")),),
+                              (1, 0), 1).to_json()
+    for blob in (dict(ordinal, scoring_vector=[1.5, 0]),
+                 dict(ordinal, scoring_vector=[True, 0])):
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_election(blob)
+
+
 def test_scores_and_flags():
     e = ApprovalElection(
         ("p", "a"),
