@@ -13,10 +13,19 @@ in the manner of Bareiss 1968 and Edmonds 1967): the pivot row is divided by
 its pivot entry by moving that entry into the denominator, and every other
 row with a nonzero entry in the entering column is combined with it by
 cross-multiplication, touching only the pivot row's nonzero columns once the
-row is rescaled.  A rewritten row whose denominator is not 1 is divided by
-the gcd of its entries and denominator, which keeps the integers no larger
-than the lowest terms of the rational values.  Rows with a zero in the
-entering column are left untouched.
+row is rescaled.  Rows with a zero in the entering column are left
+untouched.
+
+Rows are reduced lazily.  A rewritten row is divided by the gcd of its
+entries and denominator only once that denominator exceeds ``REDUCE_ABOVE``,
+and the pivot row only once its pivot entry does.  Until then a row need not
+be in lowest terms, but it stands for the same rational values, and pivot
+selection (below) reads rows only through signs and cross-multiplied
+comparisons, which a positive factor common to a row leaves unchanged.  So
+the pivots are the ones eager reduction would take.  In lowest terms the
+entries stay small and a full-row gcd almost never finds a factor, so
+deferring it saves that pass over the row; the threshold, one CPython digit,
+bounds how far past lowest terms a row's integers grow before it is reduced.
 
 Pivot selection is Bland's rule on the rational values: the entering column
 is the lowest index with a negative objective entry; the leaving row
@@ -28,6 +37,9 @@ the pivot sequence is the one a rational tableau would take.
 """
 
 from math import gcd
+
+# A row is reduced to lowest terms once its denominator exceeds this.
+REDUCE_ABOVE = 1 << 30
 
 
 def phase1(tableau, basis, nrows, ncols):
@@ -69,7 +81,7 @@ def phase1(tableau, basis, nrows, ncols):
         prow = tableau[leave]
         p = prow[enter]
         prow[den] = p
-        if p != 1:
+        if p > REDUCE_ABOVE:
             g = gcd(*prow)
             if g > 1:
                 prow = tableau[leave] = [x // g for x in prow]
@@ -90,7 +102,7 @@ def phase1(tableau, basis, nrows, ncols):
                     row = tableau[i] = [x * s for x in row]
                 for j, x in nonzero:
                     row[j] -= t * x
-                if row[den] != 1:
+                if row[den] > REDUCE_ABOVE:
                     g = gcd(*row)
                     if g > 1:
                         tableau[i] = [x // g for x in row]

@@ -16,7 +16,8 @@ compiles its rows once (:class:`CompiledRows`): the shifts and upper-bound
 rows of the variables whose bounds never move are folded in there, and a
 call only shifts right-hand sides by integer amounts.  The tableau is entry
 for entry the one a direct build from Fraction rows and bounds would give.
-A vertex value is an int when its row divides evenly and a Fraction
+The kernel may leave a row out of lowest terms, so a vertex value is read
+off with ``divmod``; it is an int when it is integral and a Fraction
 otherwise.
 """
 
@@ -204,5 +205,7 @@ def _point(plan, lowers, values):
             x += lowers[arg]
         elif arg:
             x += arg
+            if x.denominator == 1:  # x plus a Fraction lower bound may be integral
+                x = x.numerator
         point.append(x)
     return point

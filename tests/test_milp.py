@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from generators import grid_best, grid_feasible, random_fraction, random_grid_model
-from pwlmip import _kernel, milp
+from pwlmip import _kernel, covering, milp
 from pwlmip._kernel import phase1 as integer_phase1
 from pwlmip.emip import VarKind, normalize
 from pwlmip.milp import branch_bound
@@ -262,6 +264,42 @@ def _assert_agrees_with_reference(tableau, basis, nrows, ncols):
     return pivots, -expected[nrows][ncols]
 
 
+def _checked_phase1(tableau, basis, nrows, ncols):
+    return _assert_agrees_with_reference(tableau, basis, nrows, ncols)[0]
+
+
+class KernelCall(NamedTuple):
+    """One ``_kernel.phase1`` call: its arguments as they came in, the pivot
+    count, and the tableau object itself, which the kernel left pivoted."""
+
+    tableau: list
+    basis: list
+    nrows: int
+    ncols: int
+    pivots: int
+    final: list
+
+    def given(self):
+        return self.tableau, self.basis, self.nrows, self.ncols
+
+
+def _record_kernel(monkeypatch, pivot=integer_phase1):
+    """Route every ``_kernel.phase1`` call through ``pivot`` and record it.
+
+    Returns the list each call is appended to as a :class:`KernelCall`.
+    """
+    calls = []
+
+    def record(tableau, basis, nrows, ncols):
+        given = [list(row) for row in tableau], list(basis), nrows, ncols
+        pivots = pivot(tableau, basis, nrows, ncols)
+        calls.append(KernelCall(*given, pivots, tableau))
+        return pivots
+
+    monkeypatch.setattr(_kernel, "phase1", record)
+    return calls
+
+
 def _random_phase1_tableau(rng, integer, degenerate):
     """Phase-1 tableau of random rows ``A x <= b``.
 
@@ -337,30 +375,115 @@ def test_integer_kernel_matches_reference_on_random_tableaus():
     assert total > 300
 
 
+def _scaled(rows, factors):
+    """Each integer row times its factor, numerators and denominator together."""
+    return [[x * k for x in row] for row, k in zip(rows, factors)]
+
+
+def _count_row_reductions(monkeypatch):
+    """Count the kernel's full-row gcds by the row they reduce.
+
+    A reduced pivot row holds its pivot entry in the entering column; a
+    rewritten row holds a zero there.  The entering column is read from the
+    kernel's frame.
+    """
+    counts = {"pivot": 0, "rewritten": 0}
+
+    def spy(*args):
+        if len(args) > 2:
+            enter = sys._getframe(1).f_locals["enter"]
+            counts["rewritten" if args[enter] == 0 else "pivot"] += 1
+        return math.gcd(*args)
+
+    monkeypatch.setattr(_kernel, "gcd", spy)
+    return counts
+
+
+def test_integer_kernel_reduces_rows_past_the_threshold(monkeypatch):
+    """Rows scaled by up to 4 * ``REDUCE_ABOVE`` carry denominators and
+    pivot entries past it, so both reductions run; the pivots still match."""
+    counts = _count_row_reductions(monkeypatch)
+    rng = random.Random(0xB5A)
+    top = 4 * _kernel.REDUCE_ABOVE
+    for case in range(200):
+        tableau, basis, nrows, ncols = _random_phase1_tableau(
+            rng, integer=case % 3 == 0, degenerate=case % 2 == 0
+        )
+        factors = [rng.randint(top >> 17, top) for _ in tableau]
+        _assert_agrees_with_reference(
+            _scaled(_integer_rows(tableau), factors), basis, nrows, ncols
+        )
+    assert counts["pivot"] > 20 and counts["rewritten"] > 100
+
+
+def test_integer_kernel_pivots_are_invariant_under_row_scaling():
+    """Scaling any row by a positive integer, numerators and denominator
+    together, changes no pivot, basis or rational value: the kernel may
+    leave rows out of lowest terms because it never compares raw entries
+    of two rows without cross-multiplying."""
+    rng = random.Random(0xB5B)
+    scaled_cases = 0
+    for case in range(300):
+        tableau, basis, nrows, ncols = _random_phase1_tableau(
+            rng, integer=case % 3 == 0, degenerate=case % 2 == 0
+        )
+        plain = _integer_rows(tableau)
+        factors = [rng.choice((1, 1, 2, 3, 7, 12, rng.randint(2, 1 << 45)))
+                   for _ in plain]
+        scaled = _scaled(plain, factors)
+        plain_basis, scaled_basis = list(basis), list(basis)
+        pivots = integer_phase1(plain, plain_basis, nrows, ncols)
+        assert integer_phase1(scaled, scaled_basis, nrows, ncols) == pivots
+        assert scaled_basis == plain_basis
+        assert _fraction_rows(scaled, ncols) == _fraction_rows(plain, ncols)
+        scaled_cases += pivots > 0 and any(k > 1 for k in factors)
+    assert scaled_cases > 100
+
+
+def _ladder_cover(rng, m, n, kind):
+    """A cover on the benchmark ladder's recipe: nonempty random supports,
+    requirements 2..3n/m; UMM multiplicities 1-6 and budget n/2, WSM
+    weights 1-9 and budget half the total weight."""
+    sets = []
+    for _ in range(n):
+        t = rng.randint(1, 6) if kind == "umm" else 1
+        mask = rng.randrange(1, 1 << m)
+        sets.append({e: t for e in range(m) if mask >> e & 1})
+    requirements = [rng.randint(2, max(2, 3 * n // m)) for _ in range(m)]
+    if kind == "umm":
+        return covering.CoverInstance(m, sets, requirements, n // 2)
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    return covering.CoverInstance(m, sets, requirements, sum(weights) // 2,
+                                  weights)
+
+
+def test_kernel_entries_stay_within_64_bits_on_covers(monkeypatch):
+    """Lazy reduction lets rows grow past lowest terms, but not far: on
+    minimum-cost covers with m = 5..6 no final tableau entry needs more
+    than 64 bits."""
+    calls = _record_kernel(monkeypatch)
+    rng = random.Random(0xB5C)
+    for m, n in ((5, 20), (6, 22)):
+        for kind in ("umm", "wsm", "umm", "wsm"):
+            instance = _ladder_cover(rng, m, n, kind)
+            getattr(covering, "solve_" + kind)(instance, minimize_cost=True)
+    assert sum(call.pivots for call in calls) > 1000
+    bits = max(abs(x).bit_length()
+               for call in calls for row in call.final for x in row)
+    assert bits <= 64
+
+
 def test_integer_kernel_matches_reference_on_lowered_models(monkeypatch):
-    pivots = []
-
-    def checked(tableau, basis, nrows, ncols):
-        count, _ = _assert_agrees_with_reference(tableau, basis, nrows, ncols)
-        pivots.append(count)
-        return count
-
-    monkeypatch.setattr(_kernel, "phase1", checked)
+    calls = _record_kernel(monkeypatch, _checked_phase1)
     rng = random.Random(0xB53)
     for _ in range(12):
         lowered, _ = lower(normalize(random_grid_model(rng)))
         milp.solve_feasibility(lowered)
-    assert sum(pivots) > 0
+    assert sum(call.pivots for call in calls) > 0
 
 
 def test_lp_rational_rows_and_bounds(monkeypatch):
-    built = []
-
-    def checked(tableau, basis, nrows, ncols):
-        built.append((_fraction_rows(tableau, ncols), list(basis)))
-        return _assert_agrees_with_reference(tableau, basis, nrows, ncols)[0]
-
-    monkeypatch.setattr(_kernel, "phase1", checked)
+    built = _record_kernel(monkeypatch, _checked_phase1)
     rng = random.Random(0xB54)
     verdicts = set()
     compared = 0
@@ -381,7 +504,9 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
         verdicts.add(ok)
         if orthant and built:
             dense = [([c for _, c in coeffs], rhs) for coeffs, rhs in rows]
-            assert built[0] == _phase1_tableau(dense, n)[:2]
+            first = built[0]
+            assert ((_fraction_rows(first.tableau, first.ncols), first.basis)
+                    == _phase1_tableau(dense, n)[:2])
             compared += 1
         if ok:
             for coeffs, rhs in rows:
@@ -391,6 +516,56 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
                 assert up is None or x <= up
     assert verdicts == {True, False}
     assert compared > 10
+
+
+def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
+    """A vertex value is an int when it is integral and a Fraction
+    otherwise, whether or not its row is in lowest terms and whatever
+    bound it was shifted by."""
+    calls = _record_kernel(monkeypatch)
+    # -a*x <= -b over x >= lower: x enters on the pivot entry a
+    cases = [  # a, b, lower, vertex value, basic row's (rhs, denominator)
+        (3, 6, 0, 2, (6, 3)),
+        (1, 5, 0, 5, (5, 1)),
+        (2, 3, 0, F(3, 2), (3, 2)),
+        (4, 6, 0, F(3, 2), (6, 4)),
+        (2, 4, F(1, 2), 2, (6, 4)),
+        (2, 5, F(1, 2), F(5, 2), (8, 4)),
+        (4, 6, -1, F(3, 2), (10, 4)),
+    ]
+    for a, b, lo, value, row in cases:
+        calls.clear()
+        ok, point, _ = solve_lp_feasibility([(((0, F(-a)),), F(-b))], [lo],
+                                            [None])
+        assert ok and point == [value]
+        assert type(point[0]) is (int if value.denominator == 1 else Fraction)
+        assert tuple(calls[-1].final[0][-2:]) == row
+
+    # x's basic row keeps a common factor 4 and reads 20 over 4
+    calls.clear()
+    rows = [(((0, F(-1)), (1, F(3))), F(-5)), (((0, F(-4)), (1, F(2))), F(-1))]
+    ok, point, _ = solve_lp_feasibility(rows, [0, 0], [None, None])
+    assert ok and point == [5, 0] and all(type(x) is int for x in point)
+    assert [4, -12, -4, 0, 4, 0, 20, 4] in calls[-1].final
+
+    # free variables, read as the difference of two columns, and rational
+    # lower bounds
+    rng = random.Random(0xB5D)
+    kinds = set()
+    for case in range(150):
+        n = rng.randint(1, 3)
+        lowers = [None if rng.random() < 0.4 else random_fraction(rng, -3, 2)
+                  for _ in range(n)]
+        rows = [
+            (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)),
+             random_fraction(rng, -5, 5))
+            for _ in range(rng.randint(1, 4))
+        ]
+        ok, point, _ = solve_lp_feasibility(rows, lowers, [None] * n)
+        for x in point if ok else ():
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+            kinds.add(type(x))
+    assert kinds == {int, Fraction}
 
 
 def _per_node_tableau(rows, lowers, uppers):
@@ -460,14 +635,7 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
     variables get int bounds at each node, moved the way branching moves
     them (an integer floor as upper, floor + 1 as lower).
     """
-    built = []
-    real_phase1 = _kernel.phase1
-
-    def record(tableau, basis, nrows, ncols):
-        built.append(([list(row) for row in tableau], list(basis), nrows, ncols))
-        return real_phase1(tableau, basis, nrows, ncols)
-
-    monkeypatch.setattr(_kernel, "phase1", record)
+    built = _record_kernel(monkeypatch)
     rng = random.Random(0xB55)
     compared = rational_lowers = moved = 0
     for _ in range(80):
@@ -504,7 +672,8 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
             built.clear()
             result = solve_lp_feasibility(compiled, [lo[i] for i in moving],
                                           [up[i] for i in moving])
-            assert built == ([] if expected is None else [expected])
+            assert ([call.given() for call in built]
+                    == ([] if expected is None else [expected]))
             assert result == solve_lp_feasibility(rows, lo, up)
             compared += expected is not None
             rational_lowers += rational and expected is not None
@@ -598,7 +767,6 @@ def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
     threshold row and the folded shifts carry denominators.
     """
     compiles = []
-    built = []
     probes = []
 
     class Counted(CompiledRows):
@@ -608,18 +776,15 @@ def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
             compiles.append(1)
             super().__init__(*args, **kwargs)
 
-    real_phase1 = _kernel.phase1
     real_lp = branch_bound.solve_lp_feasibility
     real_solve = branch_bound.solve_feasibility
-
-    def record(tableau, basis, nrows, ncols):
-        built.append(([list(row) for row in tableau], list(basis), nrows, ncols))
-        return real_phase1(tableau, basis, nrows, ncols)
+    built = _record_kernel(monkeypatch)
 
     def lp(rows, lo, up, stats=None):
         built.clear()
         result = real_lp(rows, lo, up, stats)
-        probes[-1][1].append((list(lo), list(up), list(built)))
+        probes[-1][1].append((list(lo), list(up),
+                              [call.given() for call in built]))
         return result
 
     def solve(sub, node_limit=None):
@@ -628,7 +793,6 @@ def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
         return real_solve(sub, node_limit)
 
     monkeypatch.setattr(branch_bound, "CompiledRows", Counted)
-    monkeypatch.setattr(_kernel, "phase1", record)
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
     monkeypatch.setattr(branch_bound, "solve_feasibility", solve)
     rng = random.Random(0xB58)
@@ -673,18 +837,7 @@ def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
 
 
 def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):
-    shapes = []
-    pivots = []
-    real_phase1 = _kernel.phase1
-
-    def record(tableau, basis, nrows, ncols):
-        assert len(tableau) == nrows + 1
-        assert all(len(row) == ncols + 2 for row in tableau)
-        shapes.append((nrows, ncols))
-        pivots.append(real_phase1(tableau, basis, nrows, ncols))
-        return pivots[-1]
-
-    monkeypatch.setattr(_kernel, "phase1", record)
+    calls = _record_kernel(monkeypatch)
     rng = random.Random(0xB59)
     kinds = set()
     for _ in range(30):
@@ -692,10 +845,13 @@ def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):
         norm = normalize(model)
         lowered, _ = lower(norm)
         coeffs = dict(norm.objective.coeffs)
-        shapes.clear()
-        pivots.clear()
+        calls.clear()
         stats = milp.maximize(lowered, coeffs, *objective_bracket(norm, coeffs)).stats
-        assert stats.pivots == sum(pivots)
+        for tableau, _, nrows, ncols, _, _ in calls:
+            assert len(tableau) == nrows + 1
+            assert all(len(row) == ncols + 2 for row in tableau)
+        shapes = [(call.nrows, call.ncols) for call in calls]
+        assert stats.pivots == sum(call.pivots for call in calls)
         assert stats.max_tableau == max(shapes, key=lambda s: (s[0] * s[1], s[0]),
                                         default=(0, 0))
         kinds.add((len(set(shapes)) > 1, stats.max_depth > 0))
