@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pwl import PwlFunction, Shape
-from .rationals import ZERO, format_rational, parse_rational
+from .rationals import ZERO, parse_rational
 
 FORMAT_NAME = "emip-v1"
 
@@ -128,8 +128,8 @@ class EmipModel:
             {
                 "name": v.name,
                 "kind": v.kind.value,
-                "lower": format_rational(v.lower),
-                "upper": None if v.upper is None else format_rational(v.upper),
+                "lower": str(v.lower),
+                "upper": None if v.upper is None else str(v.upper),
             }
             for v in self.variables
         ]
@@ -145,7 +145,7 @@ class EmipModel:
                         self.variables[i].name: _term_to_json(fn)
                         for i, fn in cons.rhs
                     },
-                    "b": format_rational(cons.b),
+                    "b": str(cons.b),
                 }
             )
         obj = None
@@ -153,7 +153,7 @@ class EmipModel:
             obj = {
                 "sense": self.objective.sense,
                 "coeffs": {
-                    self.variables[i].name: format_rational(c)
+                    self.variables[i].name: str(c)
                     for i, c in self.objective.coeffs
                 },
             }
@@ -220,7 +220,7 @@ class EmipModel:
 
 def _term_to_json(fn: PwlFunction):
     if fn.is_linear and fn.value_at_zero == 0:
-        return format_rational(fn.slopes[0])
+        return str(fn.slopes[0])
     return fn.to_json()
 
 

@@ -1,4 +1,4 @@
-"""Exact mixed-integer linear solving: models, search, and LP-format I/O."""
+"""Exact mixed-integer linear solving: models, search, and LP-format export."""
 
 from .branch_bound import (
     DEFAULT_NODE_LIMIT,
@@ -6,7 +6,7 @@ from .branch_bound import (
     resolve_node_limit,
     solve_feasibility,
 )
-from .lpformat import LpParseError, export_lp, parse_lp
+from .lpformat import export_lp
 from .model import (
     MilpModel,
     MilpVariable,
@@ -19,7 +19,6 @@ from .model import (
 
 __all__ = [
     "DEFAULT_NODE_LIMIT",
-    "LpParseError",
     "MilpModel",
     "MilpVariable",
     "ResourceExhausted",
@@ -29,7 +28,6 @@ __all__ = [
     "VarKind",
     "export_lp",
     "maximize",
-    "parse_lp",
     "resolve_node_limit",
     "solve_feasibility",
 ]

@@ -32,8 +32,8 @@ from .model import SolveStats, integer_row
 
 
 class CompiledRows:
-    """Rows (integer or rational, as :class:`MilpModel` takes them) and the
-    upper bounds after them, in variable order, as integer tableau rows.
+    """Integer rows ``(coeffs, rhs, den)`` and the upper bounds after them,
+    in variable order, as integer tableau rows.
 
     Every call supplies finite int bounds for the ``moving`` variables
     (default: none); each gets one shifted column, and one without finite
@@ -52,7 +52,7 @@ class CompiledRows:
         for i in moving:
             if lowers[i] is None or uppers[i] is None:
                 raise ValueError("moving variable %d needs finite bounds" % i)
-        rows = [row if len(row) == 3 else integer_row(*row, n) for row in rows]
+        rows = list(rows)
         self.rhs = [rhs for _, rhs, _ in rows]
         col_of = list(accumulate((1 if lo is not None else 2 for lo in lowers),
                                  initial=0))

@@ -73,12 +73,8 @@ class MilpVariable:
 
 @dataclass(frozen=True)
 class MilpModel:
-    """Variables plus rows ``sum(a_i * x_i) <= rhs``.
-
-    ``rows`` may mix rational rows ``(coeffs, rhs)``, with coeffs (variable
-    index, value) pairs, which :func:`integer_row` converts, and integer
-    rows, which are taken as they are.
-    """
+    """Variables plus integer rows ``(coeffs, rhs, den)``, taken as they
+    are; :func:`integer_row` makes one from a rational row."""
 
     variables: tuple
     rows: tuple
@@ -90,9 +86,7 @@ class MilpModel:
             if v.name in names:
                 raise ValueError("duplicate variable name %r" % v.name)
             names.add(v.name)
-        n = len(self.variables)
-        object.__setattr__(self, "rows", tuple(
-            row if len(row) == 3 else integer_row(*row, n) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(self.rows))
 
     @property
     def n_vars(self) -> int:

@@ -1,9 +1,9 @@
 """Exhaustive reference solvers for cross-checking the optimizers.
 
 Everything here is deliberately primitive: subsets are enumerated one bit
-flip at a time (a Gray-code walk, so coverage vectors update incrementally),
-and manipulation questions are answered by trying every subset of actionable
-voters.  None of the solver machinery is imported — these answers come from
+flip at a time (a Gray-code walk, so coverage and scores update
+incrementally), and manipulation questions are answered by trying every
+subset of actionable voters.  None of the solver machinery is imported — these answers come from
 a different code path on purpose.
 
 The enumeration cost is exponential, so every entry point takes a cap and
@@ -58,28 +58,23 @@ def _gray_subsets(n):
             yield current, bit, True
 
 
-def brute_cover(instance, caps: OracleBudget | None = None) -> OracleAnswer:
-    """Cheapest sub-family meeting every coverage requirement, by enumeration.
+def _cheapest(prices, changes, tally, budget, accept):
+    """Cheapest subset of items whose tally ``accept`` takes, by a Gray walk.
 
+    Taking item i adds ``changes[i]`` ((key, amount) pairs) to ``tally``.
     Ties are broken toward the lexicographically smallest sorted index tuple,
     so the answer is deterministic.
     """
-    caps = caps or OracleBudget()
-    n = instance.n_sets
-    caps.check(n)
-    need = list(instance.requirements)
-    coverage = [0] * instance.m
+    tally = dict(tally)
     cost = 0
     best = None
-    for subset, flipped, now_in in _gray_subsets(n):
+    for subset, flipped, now_in in _gray_subsets(len(prices)):
         if flipped is not None:
             sign = 1 if now_in else -1
-            cost += sign * instance.weights[flipped]
-            for elem, mult in instance.sets[flipped]:
-                coverage[elem] += sign * mult
-        if cost > instance.budget:
-            continue
-        if any(c < r for c, r in zip(coverage, need)):
+            cost += sign * prices[flipped]
+            for key, amount in changes[flipped]:
+                tally[key] += sign * amount
+        if cost > budget or not accept(tally):
             continue
         key = (cost, tuple(sorted(subset)))
         if best is None or key < best:
@@ -89,17 +84,19 @@ def brute_cover(instance, caps: OracleBudget | None = None) -> OracleAnswer:
     return OracleAnswer(True, best[0], best[1])
 
 
+def brute_cover(instance, caps: OracleBudget | None = None) -> OracleAnswer:
+    """Cheapest sub-family meeting every coverage requirement, by enumeration."""
+    caps = caps or OracleBudget()
+    caps.check(instance.n_sets)
+    need = list(enumerate(instance.requirements))
+    return _cheapest(
+        instance.weights, instance.sets, dict.fromkeys(range(instance.m), 0),
+        instance.budget, lambda coverage: all(coverage[e] >= r for e, r in need))
+
+
 # ---------------------------------------------------------------------------
 # election manipulation by enumeration
 # ---------------------------------------------------------------------------
-
-
-def _approval_scores(ballots, candidates, weights):
-    scores = {c: 0 for c in candidates}
-    for approved, w in zip(ballots, weights):
-        for c in approved:
-            scores[c] += w
-    return scores
 
 
 def _wins(scores, p, unique_winner):
@@ -122,127 +119,40 @@ def brute_manipulate(problem, election, preferred, caps=None, unique_winner=Fals
     * any of those with voter weights — prices must then be one each.
     * ``"scoring-ccdv"`` — delete ordinal voters under a scoring rule.
 
+    Bribed voters end up approving exactly {p}.  Any feasible bribery can be
+    rewritten (at equal cost, never hurting p) so each bribed ballot becomes
+    {p}: p gains at least as much and every rival keeps at most its score.
+    Enumerating that restricted space is therefore exact for the yes/no
+    question and for the minimum cost.
+
     Returns the cheapest feasible action set (deterministic tie-break), or
     ``feasible=False``.
     """
+    if problem not in ("ccdv", "ccav", "bribery", "scoring-ccdv"):
+        raise ValueError("unknown manipulation problem %r" % (problem,))
     caps = caps or OracleBudget()
-    if problem == "ccdv":
-        return _brute_ccdv(election, preferred, caps, unique_winner)
-    if problem == "ccav":
-        return _brute_ccav(election, preferred, caps, unique_winner)
-    if problem == "bribery":
-        return _brute_bribery(election, preferred, caps, unique_winner)
     if problem == "scoring-ccdv":
-        return _brute_scoring_ccdv(election, preferred, caps, unique_winner)
-    raise ValueError("unknown manipulation problem %r" % (problem,))
+        def points(v):
+            return list(zip(v.ranking, election.scoring_vector))
+    else:
+        def points(v):
+            return [(c, v.weight) for c in v.approved]
 
-
-def _brute_ccdv(election, p, caps, unique_winner):
-    voters = election.voters
-    n = len(voters)
-    caps.check(n)
-    best = None
-    for subset, _, _ in _gray_subsets(n):
-        cost = sum(voters[i].price for i in subset)
-        if cost > election.budget:
-            continue
-        kept = [voters[i] for i in range(n) if i not in subset]
-        scores = _approval_scores(
-            [v.approved for v in kept],
-            election.candidates,
-            [v.weight for v in kept],
-        )
-        if _wins(scores, p, unique_winner):
-            key = (cost, tuple(sorted(subset)))
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return OracleAnswer(False)
-    return OracleAnswer(True, best[0], best[1])
-
-
-def _brute_ccav(election, p, caps, unique_winner):
-    pool = election.pool
-    n = len(pool)
-    caps.check(n)
-    base = _approval_scores(
-        [v.approved for v in election.voters],
-        election.candidates,
-        [v.weight for v in election.voters],
-    )
-    best = None
-    for subset, _, _ in _gray_subsets(n):
-        cost = sum(pool[i].price for i in subset)
-        if cost > election.budget:
-            continue
-        scores = dict(base)
-        for i in subset:
-            for c in pool[i].approved:
-                scores[c] += pool[i].weight
-        if _wins(scores, p, unique_winner):
-            key = (cost, tuple(sorted(subset)))
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return OracleAnswer(False)
-    return OracleAnswer(True, best[0], best[1])
-
-
-def _brute_bribery(election, p, caps, unique_winner):
-    """Bribed voters end up approving exactly {p}.
-
-    Any feasible bribery can be rewritten (at equal cost, never hurting p)
-    so each bribed ballot becomes {p}: p gains at least as much and every
-    rival keeps at most its score.  Enumerating that restricted space is
-    therefore exact for the yes/no question and for the minimum cost.
-    """
-    voters = election.voters
-    n = len(voters)
-    caps.check(n)
-    best = None
-    for subset, _, _ in _gray_subsets(n):
-        cost = sum(voters[i].price for i in subset)
-        if cost > election.budget:
-            continue
-        ballots = [
-            frozenset({p}) if i in subset else voters[i].approved
-            for i in range(n)
-        ]
-        scores = _approval_scores(
-            ballots, election.candidates, [v.weight for v in voters]
-        )
-        if _wins(scores, p, unique_winner):
-            key = (cost, tuple(sorted(subset)))
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return OracleAnswer(False)
-    return OracleAnswer(True, best[0], best[1])
-
-
-def _brute_scoring_ccdv(election, p, caps, unique_winner):
-    voters = election.voters
-    n = len(voters)
-    caps.check(n)
-    alpha = election.scoring_vector
-    best = None
-    for subset, _, _ in _gray_subsets(n):
-        cost = sum(voters[i].price for i in subset)
-        if cost > election.budget:
-            continue
-        scores = {c: 0 for c in election.candidates}
-        for i in range(n):
-            if i in subset:
-                continue
-            for pos, c in enumerate(voters[i].ranking):
-                scores[c] += alpha[pos]
-        if _wins(scores, p, unique_winner):
-            key = (cost, tuple(sorted(subset)))
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return OracleAnswer(False)
-    return OracleAnswer(True, best[0], best[1])
+    # Adding a pool voter adds its points; deleting or bribing a registered
+    # voter takes its points away, and a bribed ballot then gives p its weight.
+    items = election.pool if problem == "ccav" else election.voters
+    caps.check(len(items))
+    sign = 1 if problem == "ccav" else -1
+    changes = [[(c, sign * w) for c, w in points(v)] for v in items]
+    if problem == "bribery":
+        for v, change in zip(items, changes):
+            change.append((preferred, v.weight))
+    scores = dict.fromkeys(election.candidates, 0)
+    for v in election.voters:
+        for c, w in points(v):
+            scores[c] += w
+    return _cheapest([v.price for v in items], changes, scores, election.budget,
+                     lambda tally: _wins(tally, preferred, unique_winner))
 
 
 # ---------------------------------------------------------------------------

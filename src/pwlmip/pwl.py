@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import ZERO, format_rational, parse_rational
+from .rationals import ZERO, parse_rational
 
 
 class Shape(enum.Enum):
@@ -179,9 +179,9 @@ class PwlFunction:
     def to_json(self):
         return {
             "shape": self.shape.value,
-            "value_at_zero": format_rational(self.value_at_zero),
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "slopes": [format_rational(s) for s in self.slopes],
+            "value_at_zero": str(self.value_at_zero),
+            "breakpoints": [str(b) for b in self.breakpoints],
+            "slopes": [str(s) for s in self.slopes],
         }
 
     @classmethod

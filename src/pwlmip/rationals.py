@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing and formatting.
+"""Exact rational scalars: parsing.
 
 Every number in this package is an exact rational, and the public scalar type
 is :class:`fractions.Fraction`.  The MILP layer holds no Fractions between
@@ -6,7 +6,8 @@ the lowering step and the pivot kernel: rows are Python ints over a positive
 row denominator (see :mod:`pwlmip.milp.model`), integer variables' bounds
 are ints during a search, and a vertex value is an int unless it is
 fractional.  Fractions are made at the edges: the bounds of a model, the
-assignment a solve returns, and the reports.
+assignment a solve returns, and the reports, which print them with ``str``
+(an integral Fraction prints without a denominator).
 """
 
 from __future__ import annotations
@@ -60,9 +61,3 @@ def parse_integer(value) -> int:
     if q is None or q.denominator != 1:
         raise ValueError("expected an integer, got %r" % (value,))
     return q.numerator
-
-
-def format_rational(q: Fraction) -> str:
-    """Format exactly; int-valued rationals print without a denominator."""
-    q = Fraction(q)
-    return str(q)

@@ -161,22 +161,6 @@ def lower(model: EmipModel):
     return milp, lmap
 
 
-def witness_embed(model: EmipModel, lmap: LoweringMap, assignment):
-    """Extend a source-model assignment to the lowered variables.
-
-    Sets w = f(x), u = g(x), and every auxiliary to max(0, x - rho); the
-    result satisfies the lowered model whenever the source point satisfies
-    the source model.
-    """
-    full = {i: Fraction(assignment[i]) for i in range(lmap.n_original)}
-    for (j, side, idx), term in lmap.terms:
-        x = full[idx]
-        full[term.bound_var] = term.fn.eval(x)
-        for aux, rho in zip(term.aux_vars, term.fn.breakpoints):
-            full[aux] = max(ZERO, x - rho)
-    return full
-
-
 def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
     """Restrict a lowered-model point to the source variables and verify.
 

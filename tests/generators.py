@@ -3,7 +3,9 @@
 Everything here is used both by the per-module tests and by the acceptance
 suite.  The checkers deliberately avoid the code paths they are checking:
 ``reference_eval`` walks pieces instead of using the closed form, and
-``grid_feasible`` enumerates integer points instead of solving anything.
+``grid_feasible`` enumerates integer points instead of solving anything,
+and ``witness_embed`` builds a lowered point from the witness formulas of
+``pwlmip.reduction`` instead of solving the lowered model.
 """
 
 from fractions import Fraction
@@ -203,6 +205,22 @@ def grid_best(model):
         else:
             best = min(best, value)
     return best
+
+
+def witness_embed(model, lmap, assignment):
+    """Extend a source-model assignment to the lowered variables.
+
+    Sets w = f(x), u = g(x), and every auxiliary to max(0, x - rho); the
+    result satisfies the lowered model whenever the source point satisfies
+    the source model.
+    """
+    full = {i: Fraction(assignment[i]) for i in range(lmap.n_original)}
+    for (j, side, idx), term in lmap.terms:
+        x = full[idx]
+        full[term.bound_var] = term.fn.eval(x)
+        for aux, rho in zip(term.aux_vars, term.fn.breakpoints):
+            full[aux] = max(ZERO, x - rho)
+    return full
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
+from lp_reader import read_lp
 from pwlmip import approx, pipeline
 from pwlmip.cli import build_parser, main
 from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
-from pwlmip.milp import parse_lp
 from pwlmip.oracle import gen_hard_instances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -210,10 +210,9 @@ def test_export_lp_round_trip(capsys, tmp_path):
     # z >= x - rho, the link row and the budget row; z >= 0 is a bound
     assert report["variables"] == 4 and report["rows"] == 3
     text = target.read_text()
-    model, objective, sense = parse_lp(text)
-    assert [v.name for v in model.variables] == ["x", "y", "w_c0_x",
-                                                 "z_c0_x_1"]
-    assert objective == {0: 1, 1: 1} and sense == "max"
+    lp = read_lp(text)
+    assert lp.names == ["x", "y", "w_c0_x", "z_c0_x_1"]
+    assert lp.objective == {0: 1, 1: 1} and lp.sense == "max"
 
     other = tmp_path / "again.lp"
     code, _, _ = run_json(capsys, "export-lp", fx("knapsackish.json"),

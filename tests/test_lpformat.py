@@ -1,25 +1,39 @@
-"""LP text format: exact export, parsing, and round-trip identity."""
+"""LP text format: exact export, read back by an independent reader."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from generators import random_grid_model
+from lp_reader import read_lp, satisfies
 from pwlmip.emip import VarKind, normalize
-from pwlmip.milp import LpParseError, export_lp, parse_lp
-from pwlmip.milp.model import MilpModel, MilpVariable
+from pwlmip.milp import export_lp
+from pwlmip.milp.model import MilpModel, MilpVariable, integer_row
 from pwlmip.reduction import lower
 
 F = Fraction
 
 
 def _mk(variables, rows):
+    variables = tuple(MilpVariable(*v) for v in variables)
+    return MilpModel(variables, tuple(
+        integer_row(((i, F(c)) for i, c in coeffs), F(rhs), len(variables))
+        for coeffs, rhs in rows))
+
+
+def _rebuild(lp):
+    """The model the reader's plain data names, rows as :class:`MilpModel`
+    takes them."""
     return MilpModel(
-        tuple(MilpVariable(*v) for v in variables),
-        tuple((tuple((i, F(c)) for i, c in coeffs), F(rhs))
-              for coeffs, rhs in rows),
-    )
+        tuple(MilpVariable(name, VarKind.INTEGER if general else
+                           VarKind.CONTINUOUS, lo, up)
+              for name, lo, up, general in zip(lp.names, lp.lower, lp.upper,
+                                                lp.integer)),
+        tuple(integer_row(coeffs, rhs, len(lp.names))
+              for coeffs, rhs in lp.rows))
 
 
 def test_export_basic_shape():
@@ -45,10 +59,10 @@ def test_round_trip_identity():
          ("z", VarKind.CONTINUOUS, F(0), None)],
         [([(0, 2), (1, -3)], 7), ([(2, 1)], 0), ([(0, -1), (2, 5)], -2)],
     )
-    parsed, objective, sense = parse_lp(export_lp(model))
-    assert parsed == model
-    assert objective is None
-    assert sense == "min"
+    lp = read_lp(export_lp(model))
+    assert _rebuild(lp) == model
+    assert lp.objective == {}
+    assert lp.sense == "min"
 
 
 def _decimalish(q):
@@ -67,24 +81,23 @@ def test_round_trip_random_lowered_models():
 
     Rational bounds without a finite decimal are exported as extra rows, so
     structural identity only holds when every bound is decimal-exact and no
-    row is variable-free; otherwise the parsed model must still accept and
+    row is variable-free; otherwise what was read must still accept and
     reject exactly the same points.
     """
     rng = random.Random(0x1F1)
     for _ in range(40):
         lowered, _ = lower(normalize(random_grid_model(rng)))
-        parsed, _, _ = parse_lp(export_lp(lowered))
+        lp = read_lp(export_lp(lowered))
         plain = all(
             _decimalish(v.lower) and _decimalish(v.upper)
             for v in lowered.variables
         ) and all(any(c != 0 for _, c in coeffs) for coeffs, _, _ in lowered.rows)
         if plain:
-            assert parsed == lowered
+            assert _rebuild(lp) == lowered
             continue
-        assert [v.name for v in parsed.variables] == \
-            [v.name for v in lowered.variables]
-        assert [v.kind for v in parsed.variables] == \
-            [v.kind for v in lowered.variables]
+        assert lp.names == [v.name for v in lowered.variables]
+        assert lp.integer == [v.kind is VarKind.INTEGER
+                              for v in lowered.variables]
         for _ in range(25):
             point = {}
             for i, v in enumerate(lowered.variables):
@@ -93,7 +106,7 @@ def test_round_trip_random_lowered_models():
                 span = hi - lo
                 point[i] = lo + span * F(rng.randint(0, 6), 6)
             assert (lowered.check_assignment(point) == []) == \
-                (parsed.check_assignment(point) == [])
+                satisfies(lp, point)
 
 
 def test_export_is_a_fixpoint():
@@ -101,8 +114,7 @@ def test_export_is_a_fixpoint():
     for _ in range(20):
         lowered, _ = lower(normalize(random_grid_model(rng)))
         text = export_lp(lowered)
-        parsed, _, _ = parse_lp(text)
-        assert export_lp(parsed) == text
+        assert export_lp(_rebuild(read_lp(text))) == text
 
 
 def test_objective_export_and_sense():
@@ -110,10 +122,10 @@ def test_objective_export_and_sense():
     text = export_lp(model, objective={0: F(3)}, sense="max")
     assert "Maximize" in text
     assert " obj: 3 x" in text
-    parsed, objective, sense = parse_lp(text)
-    assert parsed == model
-    assert objective == {0: F(3)}
-    assert sense == "max"
+    lp = read_lp(text)
+    assert _rebuild(lp) == model
+    assert lp.objective == {0: F(3)}
+    assert lp.sense == "max"
     with pytest.raises(ValueError, match="decimal"):
         export_lp(model, objective={0: F(1, 3)})
 
@@ -125,22 +137,29 @@ def test_rational_bound_becomes_row_plus_relaxed_bound():
     text = export_lp(model)
     assert " c1: 3 x <= 7" in text
     assert " 0 <= x <= 3" in text
-    parsed, _, _ = parse_lp(text)
-    # the parsed model is different syntax but the same feasible set
-    assert parsed.variables[0].upper == 3
-    assert (((0, 3),), 7, 1) in parsed.rows
+    lp = read_lp(text)
+    # what was read is different syntax but the same feasible set
+    assert lp.upper[0] == 3
+    assert (((0, 3),), 7) in lp.rows
     # x = 7/3 is feasible in both, x = 5/2 in neither
-    assert parsed.check_assignment({0: F(7, 3)}) == []
-    assert parsed.check_assignment({0: F(5, 2)}) != []
+    assert satisfies(lp, {0: F(7, 3)})
+    assert not satisfies(lp, {0: F(5, 2)})
     assert model.check_assignment({0: F(5, 2)}) != []
+    # a lower bound -4/3 becomes the row -3y <= 4 and the floor -2
+    model = _mk([("y", VarKind.CONTINUOUS, F(-4, 3), F(2))], [([(0, 1)], 9)])
+    text = export_lp(model)
+    assert " c1: - 3 y <= 4" in text
+    assert " -2 <= y <= 2" in text
+    lp = read_lp(text)
+    assert satisfies(lp, {0: F(-4, 3)})
+    assert not satisfies(lp, {0: F(-3, 2)})
 
 
 def test_decimal_bounds_round_trip_exactly():
     model = _mk([("x", VarKind.CONTINUOUS, F(-1, 2), F(9, 4))], [([(0, 1)], 9)])
     text = export_lp(model)
     assert " -0.5 <= x <= 2.25" in text
-    parsed, _, _ = parse_lp(text)
-    assert parsed == model
+    assert _rebuild(read_lp(text)) == model
 
 
 def test_fractional_row_coefficients_are_cleared():
@@ -157,9 +176,9 @@ def test_variable_free_and_constant_rows():
     text = export_lp(model)
     assert " x free" in text
     assert " c0: 0 x <= 5" in text  # variable-free row stays a row
-    parsed, _, _ = parse_lp(text)
-    assert parsed.variables[0].lower is None
-    assert parsed.variables[0].upper is None
+    lp = read_lp(text)
+    assert lp.lower[0] is None
+    assert lp.upper[0] is None
 
 
 def test_bad_variable_name_rejected():
@@ -168,39 +187,11 @@ def test_bad_variable_name_rejected():
         export_lp(model)
 
 
-def test_parser_relaxations():
-    text = """
-Minimize
- obj:
-Subject To
- r1: x + 2 y >= 3
- r2: x = 1
-Bounds
- x <= 4
- y free
-General
- x
-End
-"""
-    model, objective, sense = parse_lp(text)
-    names = [v.name for v in model.variables]
-    assert names == ["x", "y"]
-    # >= flips; = splits into two rows
-    assert (((0, -1), (1, -2)), -3, 1) in model.rows
-    assert (((0, 1),), 1, 1) in model.rows
-    assert (((0, -1),), -1, 1) in model.rows
-    assert model.variables[0].kind is VarKind.INTEGER
-    assert model.variables[1].lower is None
-
-
-def test_parse_errors():
-    with pytest.raises(LpParseError, match="before any section"):
-        parse_lp("x + y <= 3\n")
-    with pytest.raises(LpParseError, match="relation"):
-        parse_lp("Subject To\n r: x + y\nEnd\n")
-    with pytest.raises(LpParseError, match="single number"):
-        parse_lp("Subject To\n r: x <= 1 2\nEnd\n")
-    with pytest.raises(LpParseError, match="bound line"):
-        parse_lp("Bounds\n x <= <= 3\nEnd\n")
-    with pytest.raises(LpParseError, match="tokenize"):
-        parse_lp("Subject To\n r: x ~ 3\nEnd\n")
+def test_reader_imports_nothing_from_pwlmip():
+    """The reader shares no code with the exporter it checks."""
+    tree = ast.parse((Path(__file__).parent / "lp_reader.py").read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and not any(m.split(".")[0] == "pwlmip" for m in modules)

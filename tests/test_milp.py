@@ -15,7 +15,7 @@ from pwlmip.emip import VarKind, normalize
 from pwlmip.milp import branch_bound
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
-from pwlmip.milp.model import MilpModel, MilpVariable
+from pwlmip.milp.model import MilpModel, MilpVariable, integer_row
 from pwlmip.pipeline import maximize_emip, objective_bracket, solve_emip
 from pwlmip.reduction import lower
 from reference_kernel import phase1 as reference_phase1
@@ -24,11 +24,14 @@ F = Fraction
 
 
 def _mk(variables, rows):
-    return MilpModel(
-        tuple(MilpVariable(*v) for v in variables),
-        tuple((tuple((i, F(c)) for i, c in coeffs), F(rhs))
-              for coeffs, rhs in rows),
-    )
+    return MilpModel(tuple(MilpVariable(*v) for v in variables),
+                     _int_rows(((tuple((i, F(c)) for i, c in coeffs), F(rhs))
+                                for coeffs, rhs in rows), len(variables)))
+
+
+def _int_rows(rows, n):
+    """Rational rows ``(coeffs, rhs)`` over ``n`` variables as integer rows."""
+    return tuple(integer_row(coeffs, rhs, n) for coeffs, rhs in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +41,10 @@ def _mk(variables, rows):
 
 def test_lp_feasibility_basic():
     rows = [(((0, F(1)),), F(2)), (((0, F(-1)),), F(-1))]  # 1 <= x <= 2
-    ok, point, pivots = solve_lp_feasibility(rows, [F(0)], [F(10)])
+    ok, point, pivots = solve_lp_feasibility(_int_rows(rows, 1), [F(0)], [F(10)])
     assert ok and 1 <= point[0] <= 2
     ok, point, _ = solve_lp_feasibility(
-        [(((0, F(-1)),), F(-11))], [F(0)], [F(10)]
+        _int_rows([(((0, F(-1)),), F(-11))], 1), [F(0)], [F(10)]
     )
     assert not ok
 
@@ -49,16 +52,16 @@ def test_lp_feasibility_basic():
 def test_lp_handles_free_variables():
     # x free, x <= -3 and -x <= -(-5) i.e. x >= -5
     rows = [(((0, F(1)),), F(-3)), (((0, F(-1)),), F(5))]
-    ok, point, _ = solve_lp_feasibility(rows, [None], [None])
+    ok, point, _ = solve_lp_feasibility(_int_rows(rows, 1), [None], [None])
     assert ok and -5 <= point[0] <= -3
 
 
 def test_lp_negative_rhs_exercises_artificials():
     # x + y >= 4 written as -x - y <= -4, within [0, 3] each
-    rows = [(((0, F(-1)), (1, F(-1))), F(-4))]
+    rows = _int_rows([(((0, F(-1)), (1, F(-1))), F(-4))], 2)
     ok, point, _ = solve_lp_feasibility(rows, [F(0), F(0)], [F(3), F(3)])
     assert ok and point[0] + point[1] >= 4
-    rows = [(((0, F(-1)), (1, F(-1))), F(-7))]
+    rows = _int_rows([(((0, F(-1)), (1, F(-1))), F(-7))], 2)
     ok, _, _ = solve_lp_feasibility(rows, [F(0), F(0)], [F(3), F(3)])
     assert not ok
 
@@ -66,7 +69,7 @@ def test_lp_negative_rhs_exercises_artificials():
 def test_lp_exact_rational_vertex():
     # 3x = 1 has the exact solution 1/3
     rows = [(((0, F(3)),), F(1)), (((0, F(-3)),), F(-1))]
-    ok, point, _ = solve_lp_feasibility(rows, [F(0)], [F(1)])
+    ok, point, _ = solve_lp_feasibility(_int_rows(rows, 1), [F(0)], [F(1)])
     assert ok and point[0] == F(1, 3)
 
 
@@ -500,7 +503,7 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
             for _ in range(rng.randint(1, 4))
         ]
         built.clear()
-        ok, point, _ = solve_lp_feasibility(rows, lowers, uppers)
+        ok, point, _ = solve_lp_feasibility(_int_rows(rows, n), lowers, uppers)
         verdicts.add(ok)
         if orthant and built:
             dense = [([c for _, c in coeffs], rhs) for coeffs, rhs in rows]
@@ -535,15 +538,16 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
     ]
     for a, b, lo, value, row in cases:
         calls.clear()
-        ok, point, _ = solve_lp_feasibility([(((0, F(-a)),), F(-b))], [lo],
-                                            [None])
+        ok, point, _ = solve_lp_feasibility(
+            _int_rows([(((0, F(-a)),), F(-b))], 1), [lo], [None])
         assert ok and point == [value]
         assert type(point[0]) is (int if value.denominator == 1 else Fraction)
         assert tuple(calls[-1].final[0][-2:]) == row
 
     # x's basic row keeps a common factor 4 and reads 20 over 4
     calls.clear()
-    rows = [(((0, F(-1)), (1, F(3))), F(-5)), (((0, F(-4)), (1, F(2))), F(-1))]
+    rows = _int_rows([(((0, F(-1)), (1, F(3))), F(-5)),
+                      (((0, F(-4)), (1, F(2))), F(-1))], 2)
     ok, point, _ = solve_lp_feasibility(rows, [0, 0], [None, None])
     assert ok and point == [5, 0] and all(type(x) is int for x in point)
     assert [4, -12, -4, 0, 4, 0, 20, 4] in calls[-1].final
@@ -561,7 +565,8 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
              random_fraction(rng, -5, 5))
             for _ in range(rng.randint(1, 4))
         ]
-        ok, point, _ = solve_lp_feasibility(rows, lowers, [None] * n)
+        ok, point, _ = solve_lp_feasibility(_int_rows(rows, n), lowers,
+                                            [None] * n)
         for x in point if ok else ():
             assert type(x) is (int if x.denominator == 1 else Fraction)
             kinds.add(type(x))
@@ -654,7 +659,7 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
              random_fraction(rng, -5, 5))
             for _ in range(rng.randint(1, 5))
         ]
-        compiled = CompiledRows(rows, lowers, uppers, moving)
+        compiled = CompiledRows(_int_rows(rows, n), lowers, uppers, moving)
         rational = any(lowers[i] is not None and lowers[i].denominator != 1
                        for i in range(n) if i not in moving)
         for node in range(6):
@@ -674,7 +679,7 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
                                           [up[i] for i in moving])
             assert ([call.given() for call in built]
                     == ([] if expected is None else [expected]))
-            assert result == solve_lp_feasibility(rows, lo, up)
+            assert result == solve_lp_feasibility(_int_rows(rows, n), lo, up)
             compared += expected is not None
             rational_lowers += rational and expected is not None
             moved += expected is not None and any(lo[i] for i in moving)
@@ -682,7 +687,7 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
 
 
 def test_compiled_rows_reject_an_unbounded_moving_variable():
-    rows = [(((0, F(1)), (1, F(1))), F(3))]
+    rows = _int_rows([(((0, F(1)), (1, F(1))), F(3))], 2)
     assert CompiledRows(rows, [0, None], [2, None], moving=[0]).ncols == 3
     for lowers, uppers in (([None, 0], [2, None]), ([0, None], [None, 4])):
         with pytest.raises(ValueError, match="finite bounds"):
@@ -814,7 +819,7 @@ def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
         model = MilpModel(
             tuple(MilpVariable("x%d" % i, k, lo, up)
                   for i, (k, (lo, up)) in enumerate(zip(kinds, bounds))),
-            rows,
+            _int_rows(rows, n),
         )
         objective = {i: random_fraction(rng, -2, 2) for i in range(n)
                      if rng.random() < 0.7}

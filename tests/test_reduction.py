@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import grid_feasible, iter_grid, random_grid_model
+from generators import grid_feasible, iter_grid, random_grid_model, witness_embed
 from pwlmip import milp, pipeline
 from pwlmip.covering import CoverInstance, solve_umm, type_families
 from pwlmip.emip import (
@@ -22,7 +22,6 @@ from pwlmip.reduction import (
     NotNormalizedError,
     WitnessError,
     lower,
-    witness_embed,
     witness_lift,
 )
 
@@ -215,7 +214,7 @@ def test_dropped_rows_and_bounds_are_redundant_in_the_lp():
             src = norm.variables[term.var]
             full_uppers[term.bound_var] = term.fn.range_on(src.lower, src.upper)[1]
             for aux, rho in zip(term.aux_vars, term.fn.breakpoints):
-                extra_rows.append((((aux, F(-1)),), F(0)))
+                extra_rows.append((((aux, -1),), 0, 1))
                 full_uppers[aux] = max(F(0), src.upper - rho)
         full_rows = lowered.rows + tuple(extra_rows)
         for _ in range(6):
