@@ -1,4 +1,12 @@
-"""Phase-1 simplex pivot kernel over an integer tableau.
+"""Simplex pivot kernel over an integer tableau, for both phases.
+
+:func:`phase1` pivots a tableau to the optimum of its objective row; it
+keeps the name it had when it ran phase 1 only.  The LP layer calls it on
+the phase-1 objective (the artificial sum) and, when it asks for an optimal
+vertex, again on a phase-2 objective priced out against the feasible basis,
+with the artificial columns sliced off.  :func:`pivot` is one pivot step:
+the loop takes it, and so does the LP layer to price out an objective and
+to move an artificial left basic at zero out of the basis.
 
 The tableau is a list of ``nrows + 1`` rows of Python ints.  Rows
 0..nrows-1 are constraint rows and row nrows is the priced-out objective row.
@@ -43,9 +51,13 @@ REDUCE_ABOVE = 1 << 30
 
 
 def phase1(tableau, basis, nrows, ncols):
-    """Pivot to a phase-1 optimum in place; returns the pivot count."""
+    """Pivot to an optimum in place; returns the pivot count.
+
+    It also returns, without pivoting, when the entering column has no
+    positive entry: the objective is then unbounded below, and row ``nrows``
+    still holds that negative entry.  A phase-1 objective never is.
+    """
     pivots = 0
-    den = ncols + 1
     while True:
         obj = tableau[nrows]
         enter = -1
@@ -72,39 +84,43 @@ def phase1(tableau, basis, nrows, ncols):
                 best_a = a
                 leave = i
         if leave < 0:
-            raise ArithmeticError(
-                "phase-1 objective unbounded below: malformed tableau"
-            )
-
-        # Divide the pivot row by its pivot entry: the entry becomes the
-        # row's denominator, so the entering column reads 1.
-        prow = tableau[leave]
-        p = prow[enter]
-        prow[den] = p
-        if p > REDUCE_ABOVE:
-            g = gcd(*prow)
-            if g > 1:
-                prow = tableau[leave] = [x // g for x in prow]
-                p //= g
-        nonzero = [(j, x) for j, x in enumerate(prow) if x]
-        nonzero.pop()  # the denominator, always last and positive
-        for i in range(nrows + 1):
-            if i == leave:
-                continue
-            row = tableau[i]
-            f = row[enter]
-            if f:
-                # row/d - (f/d) * prow/p == (row*s - t*prow) / (d*s)
-                g = gcd(f, p)
-                s = p // g
-                t = f // g
-                if s != 1:
-                    row = tableau[i] = [x * s for x in row]
-                for j, x in nonzero:
-                    row[j] -= t * x
-                if row[den] > REDUCE_ABOVE:
-                    g = gcd(*row)
-                    if g > 1:
-                        tableau[i] = [x // g for x in row]
-        basis[leave] = enter
+            return pivots
+        pivot(tableau, basis, nrows, ncols, leave, enter)
         pivots += 1
+
+
+def pivot(tableau, basis, nrows, ncols, leave, enter):
+    """Make column ``enter`` basic in row ``leave``, whose entry there must
+    be positive, and eliminate it from every other row, objective included."""
+    den = ncols + 1
+    # Divide the pivot row by its pivot entry: the entry becomes the row's
+    # denominator, so the entering column reads 1.
+    prow = tableau[leave]
+    p = prow[enter]
+    prow[den] = p
+    if p > REDUCE_ABOVE:
+        g = gcd(*prow)
+        if g > 1:
+            prow = tableau[leave] = [x // g for x in prow]
+            p //= g
+    nonzero = [(j, x) for j, x in enumerate(prow) if x]
+    nonzero.pop()  # the denominator, always last and positive
+    for i in range(nrows + 1):
+        if i == leave:
+            continue
+        row = tableau[i]
+        f = row[enter]
+        if f:
+            # row/d - (f/d) * prow/p == (row*s - t*prow) / (d*s)
+            g = gcd(f, p)
+            s = p // g
+            t = f // g
+            if s != 1:
+                row = tableau[i] = [x * s for x in row]
+            for j, x in nonzero:
+                row[j] -= t * x
+            if row[den] > REDUCE_ABOVE:
+                g = gcd(*row)
+                if g > 1:
+                    tableau[i] = [x // g for x in row]
+    basis[leave] = enter

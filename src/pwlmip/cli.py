@@ -65,7 +65,7 @@ def _load_election(path, kind):
     election = _load(path, load_election)
     want = OrdinalElection if kind == "ordinal" else ApprovalElection
     if not isinstance(election, want):
-        raise InputError("%s: expected a %s election" % (path, kind))
+        raise InputError("%s: expected an %s election" % (path, kind))
     return election
 
 

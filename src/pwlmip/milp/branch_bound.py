@@ -1,16 +1,25 @@
-"""Branch-and-bound feasibility search and threshold-based optimization.
+"""Branch-and-bound search: feasibility, and optimization in one tree.
 
-Feasibility: depth-first branch and bound on the LP relaxation.  At each node
-the exact LP either proves the box empty or returns a vertex; a fractional
-integer variable (the most fractional one, ties to the lowest index) splits
-the box into ``x <= floor(v)`` (explored first) and ``x >= floor(v)+1``.
-Integer variables need finite bounds, so the tree is finite; Bland's rule
-makes every answer deterministic.
+Depth-first branch and bound on the LP relaxation.  At each node the exact
+LP either proves the box empty or returns a vertex; a fractional integer
+variable (the most fractional one, ties to the lowest index) splits the box
+into ``x <= floor(v)`` (explored first) and ``x >= floor(v)+1``.  Integer
+variables need finite bounds, so the tree is finite; Bland's rule makes
+every answer deterministic.  A feasibility search stops at the first
+integral vertex.
 
-Optimization: ``maximize`` binary-searches the largest integer T for which
-the model stays feasible with the extra row ``objective >= T``, as in the
-threshold trick that turns one optimization into about log(range) feasibility
-solves.  The node limit counts the nodes of all of them together.
+Optimization (:func:`maximize`) runs the same search once, with the extra
+row ``objective >= T``: T starts at t_lo and is raised past each incumbent.
+Every node LP maximizes the objective in a phase 2 after its phase 1, so an
+integral vertex is the best point of its box.  It becomes the incumbent,
+worth the integer part of its objective capped at t_hi, and the threshold
+moves to that value + 1, so a later node LP proves its box empty unless the
+box can beat the incumbent; a node whose parent's LP optimum cannot is
+dropped without one.  The search stops at t_hi or when no node is
+left.  An objective unbounded on one node LP is unbounded on every feasible
+one, since a direction along which an LP stays feasible for ever moves no
+bounded variable, so no integer one: any integer point then reaches t_hi,
+and the search asks for feasibility at t_hi instead.
 """
 
 from __future__ import annotations
@@ -41,12 +50,13 @@ def resolve_node_limit(node_limit=None) -> int:
     return value
 
 
-def _compile(model: MilpModel):
+def _compile(model: MilpModel, extra=()):
     """What every node of a search shares: (rows, lowers, uppers, int_idx).
 
-    The integer variables' bounds are rounded inward to ints, which is the
-    identity on integral bounds; every other bound is fixed for the search
-    and folded into the compiled rows, which are None if the box is empty.
+    The rows are the model's, then ``extra``.  The integer variables'
+    bounds are rounded inward to ints, which is the identity on integral
+    bounds; every other bound is fixed for the search and folded into the
+    compiled rows, which are None if the box is empty.
     """
     int_idx = model.integer_indices()
     lowers = [v.lower for v in model.variables]
@@ -60,7 +70,8 @@ def _compile(model: MilpModel):
         lowers[i], uppers[i] = math.ceil(lowers[i]), math.floor(uppers[i])
     empty = any(l is not None and u is not None and l > u
                 for l, u in zip(lowers, uppers))
-    rows = None if empty else CompiledRows(model.rows, lowers, uppers, int_idx)
+    rows = None if empty else CompiledRows(model.rows + extra, lowers, uppers,
+                                           int_idx)
     # Node bounds are lists, not tuples: CPython keeps freed tuples on
     # per-length free lists until a full garbage collection, so a deep search
     # that unwinds would leave them holding memory for the rest of the process.
@@ -68,36 +79,47 @@ def _compile(model: MilpModel):
             int_idx)
 
 
-class _Probe(MilpModel):
-    """A probe of :func:`maximize`: the model, its threshold row, and the
-    search compiled once for every probe, the threshold rhs set for this one."""
+def solve_feasibility(model: MilpModel, node_limit=None,
+                      objective=None) -> SolveResult:
+    """Exact feasibility: a witness assignment or a proof of emptiness.
 
-    __slots__ = ("search",)
-
-    def __init__(self, model, row, search):
-        object.__setattr__(self, "variables", model.variables)
-        object.__setattr__(self, "rows", model.rows + (row,))
-        object.__setattr__(self, "search", search)
-
-
-def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
-    """Exact feasibility: a witness assignment or a proof of emptiness."""
+    ``objective`` is None, or ``(coeffs, den, lo, hi)`` from
+    :func:`maximize`: the integer row ``sum(k * x) <= -T * den`` that says
+    the objective is at least T, and the bracket of T.  The search then
+    returns its last incumbent, with ``best`` its value.
+    """
     limit = resolve_node_limit(node_limit)
-    search = model.search if isinstance(model, _Probe) else _compile(model)
-    rows, lowers, uppers, int_idx = search
+    # A feasibility search has no threshold row: T = hi = 0 prunes nothing.
+    coeffs, den, t, hi = objective or ((), 1, 0, 0)
+    extra = () if objective is None else ((coeffs, -t * den, den),)
+    rows, lowers, uppers, int_idx = _compile(model, extra)
+    threshold = len(model.rows)  # the threshold row's index
+    phase2 = None if objective is None else threshold
     stats = SolveStats()
-    stack = [(lowers, uppers, 0)]
+    incumbent = None
+    # Each node carries the best value its box can reach: its parent's LP
+    # optimum, rounded down.
+    stack = [(lowers, uppers, 0, hi)]
     while stack:
+        lo, up, depth, cap = stack.pop()
+        if cap < t:
+            continue
         if stats.nodes >= limit:
             raise ResourceExhausted(stats.nodes, limit)
         stats.nodes += 1
-        lo, up, depth = stack.pop()
         stats.max_depth = max(stats.max_depth, depth)
         if rows is None:  # the rounded root box is empty
             continue
-        feasible, point, _ = solve_lp_feasibility(rows, lo, up, stats)
+        feasible, point, _ = solve_lp_feasibility(rows, lo, up, stats,
+                                                  objective=phase2)
         if not feasible:
             continue
+        if point is None:  # unbounded objective: solve this box again at hi
+            t, phase2 = hi, None
+            rows.set_rhs(threshold, -t * den)
+            stack.append((lo, up, depth, hi))
+            continue
+        value = -sum(k * point[i] for i, k in coeffs)
 
         # Branch on the most fractional value p/q (ties to the lowest index):
         # its distance to an integer is min(r, q - r)/q with r = p mod q.
@@ -110,21 +132,34 @@ def solve_feasibility(model: MilpModel, node_limit=None) -> SolveResult:
                 branch, best, best_q = j, score, q
         if branch < 0:
             problems = model.check_assignment(point)
+            if value < t * den:
+                problems.append("objective %s below threshold %d"
+                                % (Fraction(value, den), t))
             if problems:
                 raise SolverInternalError(
                     "feasible answer failed exact re-check: %s" % "; ".join(problems)
                 )
             assignment = {i: Fraction(x) for i, x in enumerate(point)}
-            return SolveResult(True, assignment, stats)
+            if objective is None:
+                return SolveResult(True, assignment, stats)
+            incumbent = SolveResult(True, assignment, stats,
+                                    min(value // den, hi))
+            if incumbent.best == hi:
+                break
+            t = incumbent.best + 1
+            rows.set_rhs(threshold, -t * den)
+            continue
 
         # x <= floor(v) is explored first, then x >= floor(v) + 1; with int
         # bounds around v, neither box is empty.
         floor = point[int_idx[branch]].numerator // best_q
         left_up, right_lo = up[:], lo[:]
         left_up[branch], right_lo[branch] = floor, floor + 1
-        stack.append((right_lo, up, depth + 1))
-        stack.append((lo, left_up, depth + 1))
-    return SolveResult(False, None, stats)
+        if phase2 is not None:
+            cap = min(value // den, hi)
+        stack.append((right_lo, up, depth + 1, cap))
+        stack.append((lo, left_up, depth + 1, cap))
+    return incumbent or SolveResult(False, None, stats)
 
 
 def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> SolveResult:
@@ -132,9 +167,8 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> SolveResu
 
     ``coeffs`` maps variable index to an exact coefficient.  The bracket must
     contain the optimum for the answer to be the true maximum; if the model is
-    infeasible even at ceil(t_lo) the result reports infeasible.  The node
-    limit bounds the whole call: the ~log2(range) inner solves share it, and
-    :class:`ResourceExhausted` reports the nodes of all of them.
+    infeasible even at ceil(t_lo) the result reports infeasible.  One search
+    tree answers it, so the node limit bounds the whole call.
     """
     if isinstance(coeffs, dict):
         coeffs = coeffs.items()
@@ -145,38 +179,6 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> SolveResu
     hi = math.floor(Fraction(t_hi))
     if lo > hi:
         raise ValueError("empty threshold bracket [%s, %s]" % (t_lo, t_hi))
-
-    limit = resolve_node_limit(node_limit)
-    stats = SolveStats()
-    # One compile serves every probe: only the threshold row's rhs moves.
-    probe_row = len(model.rows)
-    search = _compile(_Probe(model, (threshold, 0, den), None))
-
-    def solve_at(t):
-        left = limit - stats.nodes
-        if left <= 0:
-            raise ResourceExhausted(stats.nodes, limit)
-        if search[0] is not None:
-            search[0].set_rhs(probe_row, -t * den)
-        sub = _Probe(model, (threshold, -t * den, den), search)
-        try:
-            result = solve_feasibility(sub, node_limit=left)
-        except ResourceExhausted as exc:
-            raise ResourceExhausted(stats.nodes + exc.nodes, limit) from None
-        stats.absorb(result.stats)
-        stats.probes += 1
-        return result
-
-    base = solve_at(lo)
-    if not base.feasible:
-        return SolveResult(False, None, stats)
-    best_assignment = base.assignment
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        step = solve_at(mid)
-        if step.feasible:
-            lo = mid
-            best_assignment = step.assignment
-        else:
-            hi = mid - 1
-    return SolveResult(True, best_assignment, stats, best=lo)
+    result = solve_feasibility(model, node_limit, (threshold, den, lo, hi))
+    result.stats.probes = 1
+    return result

@@ -1,12 +1,15 @@
-"""Exact rational LP feasibility via phase-1 simplex on an integer tableau.
+"""Exact rational LP by two-phase simplex on an integer tableau.
 
 The caller hands over <=-rows and per-variable bounds; this module shifts or
 splits variables to the nonnegative orthant, adds slacks and artificials, and
 runs the Bland-rule pivot kernel.  It is the one place in the stack that
 handles variables that may go below zero or are unbounded below: the layers
 above pass every bound through as it is.  Feasibility holds iff the phase-1
-optimum is zero, in which case the found vertex is mapped back to original
-variables.
+optimum is zero.  A caller that names an objective row gets a phase 2 on the
+same kernel: any artificial left basic at zero is pivoted out, the
+artificial columns are dropped, and the objective, priced out against the
+phase-1 basis, is minimized from there.  The vertex found is mapped back to
+original variables.
 
 Tableau rows are Python ints over a positive per-row denominator, the layout
 :func:`pwlmip._kernel.phase1` pivots on, and model rows arrive in that form
@@ -117,16 +120,19 @@ class CompiledRows:
         return totals
 
 
-def solve_lp_feasibility(rows, lowers, uppers, stats=None):
-    """Find any exact point satisfying all rows and bounds.
+def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None):
+    """Find an exact vertex satisfying all rows and bounds, or prove none.
 
     rows: a :class:`CompiledRows`, with lowers/uppers the finite int bounds
     of its moving variables; or an iterable of rows as :class:`CompiledRows`
     takes them, with lowers/uppers the bounds of every variable, each None
-    (unbounded), an int or a Fraction.  ``stats``, a
+    (unbounded), an int or a Fraction.  ``objective``, the index of a
+    compiled row, asks for a vertex that minimizes that row's left side: a
+    phase 2 from the phase-1 vertex.  ``stats``, a
     :class:`~pwlmip.milp.model.SolveStats`, counts the call, its pivots, an
-    infeasible verdict and the tableau size.  Returns (feasible, point,
-    pivots); point holds an int per integral value and a Fraction otherwise.
+    infeasible verdict and the tableau sizes.  Returns (feasible, point,
+    pivots); point holds an int per integral value and a Fraction otherwise,
+    and it is None if the objective is unbounded below.
     """
     if not isinstance(rows, CompiledRows):
         rows = CompiledRows(rows, lowers, uppers)
@@ -137,7 +143,7 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None):
     ncols = rows.ncols
     m = len(totals)
     art_rows = [k for k in range(m) if totals[k] < 0]
-    if not art_rows:
+    if not art_rows and objective is None:
         # The all-zeros point (all structural columns at 0) is feasible.
         return True, _point(rows.plan, lowers, [0] * ncols), 0
 
@@ -147,12 +153,12 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None):
     # of the artificial rows' structural parts and right-hand sides over
     # their common denominator, with that denominator in their slack columns.
     dense, neg, dens = rows.dense, rows.neg, rows.dens
-    n_art = len(art_rows)
-    width = ncols + m + n_art
-    pad = [0] * (m + n_art + 2)
+    real = ncols + m
+    width = real + len(art_rows)
+    pad = [0] * (width - ncols + 2)
     tableau = []
     basis = []
-    art = ncols + m
+    art = real
     for k in range(m):
         total, den = totals[k], dens[k]
         if total < 0:
@@ -169,22 +175,44 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None):
             basis.append(ncols + k)
         row[width + 1] = den
         tableau.append(row)
-    obj_den = lcm(*(dens[k] for k in art_rows))
-    scaled = [dense[k] if dens[k] == obj_den
-              else [x * (obj_den // dens[k]) for x in dense[k]] for k in art_rows]
-    obj = list(map(sum, zip(*scaled))) + pad
-    for k in art_rows:
-        obj[ncols + k] = obj_den
-    obj[width] = sum(totals[k] * (obj_den // dens[k]) for k in art_rows)
-    obj[width + 1] = obj_den
-    tableau.append(obj)
 
-    stats.note_tableau(m, width)
-    pivots = _kernel.phase1(tableau, basis, m, width)
-    stats.pivots += pivots
-    if tableau[m][width]:
-        stats.infeasible_lps += 1
-        return False, None, pivots
+    pivots = 0
+    if art_rows:
+        obj_den = lcm(*(dens[k] for k in art_rows))
+        scaled = [dense[k] if dens[k] == obj_den
+                  else [x * (obj_den // dens[k]) for x in dense[k]]
+                  for k in art_rows]
+        obj = list(map(sum, zip(*scaled))) + pad
+        for k in art_rows:
+            obj[ncols + k] = obj_den
+        obj[width] = sum(totals[k] * (obj_den // dens[k]) for k in art_rows)
+        obj[width + 1] = obj_den
+        tableau.append(obj)
+
+        stats.note_tableau(m, width)
+        pivots = _kernel.phase1(tableau, basis, m, width)
+        stats.pivots += pivots
+        if tableau[m][width]:
+            stats.infeasible_lps += 1
+            return False, None, pivots
+        if objective is not None:
+            _leave_artificials(tableau, basis, m, real)
+            width = real
+
+    if objective is not None:
+        # Phase 2 over the feasible basis: the objective row priced out by
+        # pivoting each basic column on its own row, which leaves every
+        # constraint row as it is.
+        tableau.append(dense[objective] + [0] * (m + 1) + [1])
+        for k in range(m):
+            if basis[k] < ncols and tableau[m][basis[k]]:
+                _kernel.pivot(tableau, basis, m, width, k, basis[k])
+        stats.note_tableau(m, width)
+        more = _kernel.phase1(tableau, basis, m, width)
+        stats.pivots += more
+        pivots += more
+        if min(tableau[m][:width]) < 0:
+            return True, None, pivots
 
     values = [0] * ncols
     for k in range(m):
@@ -193,6 +221,28 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None):
             q, rem = divmod(num, den)
             values[basis[k]] = Fraction(num, den) if rem else q
     return True, _point(rows.plan, lowers, values), pivots
+
+
+def _leave_artificials(tableau, basis, nrows, real):
+    """Drop the artificial columns and the phase-1 objective row of a
+    feasible phase-1 tableau.
+
+    An artificial still basic sits at zero.  It leaves by a degenerate pivot
+    on the first nonzero entry of its row among the ``real`` columns, the
+    row negated first if that entry is negative.  There always is one: the
+    slack columns alone make an invertible block, so no row of the tableau
+    is zero on them.
+    """
+    width = len(tableau[0]) - 2
+    for k in range(nrows):
+        if basis[k] >= real:
+            row = tableau[k]
+            enter = next(j for j in range(real) if row[j])
+            if row[enter] < 0:
+                tableau[k] = [-x for x in row[:-1]] + row[-1:]
+            _kernel.pivot(tableau, basis, nrows, width, k, enter)
+    tableau.pop()
+    tableau[:] = [row[:real] + row[width:] for row in tableau]
 
 
 def _point(plan, lowers, values):

@@ -121,7 +121,7 @@ class SolveStats:
     nodes: int = 0
     lp_calls: int = 0
     pivots: int = 0
-    probes: int = 0  # threshold feasibility solves run by ``maximize``
+    probes: int = 0  # search trees run by ``maximize``, one per call
     infeasible_lps: int = 0  # LP relaxations that proved their box empty
     max_depth: int = 0  # branchings from the root to the deepest node solved
     max_tableau: tuple = (0, 0)  # (nrows, ncols) of the largest kernel call

@@ -34,7 +34,7 @@ def solve_emip(model: EmipModel, node_limit=None) -> SolveResult:
 
 
 def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> SolveResult:
-    """Threshold search on the model's linear objective.
+    """Best integer threshold of the model's linear objective.
 
     Finds the largest integer T with {model, objective >= T} feasible (for a
     "min" objective: the smallest T with objective <= T, via negation).  The
@@ -86,9 +86,10 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> Solve
     with lower bound 0; its right side must be empty.  In the lowered model
     each non-linear term is represented by its bounding variable w (pushed
     down to the exact function value at any optimum) and each linear term by
-    the variable itself, so the total is a linear expression and threshold
-    search applies.  A feasible result's assignment is in the original
-    model's indices and its ``best`` is the exact minimum.
+    the variable itself, so the total is a linear expression that
+    :func:`~pwlmip.milp.maximize` optimizes.  A feasible result's assignment
+    is in the original model's indices and its ``best`` is the exact
+    minimum.
     """
     normalized = normalize(model)
     lowered, lmap = lower(normalized)

@@ -240,7 +240,7 @@ def _check_format(obj, kind):
         )
     got = obj.get("kind", "approval")
     if got != kind:
-        raise ValueError("expected a %s election, got kind=%r" % (kind, got))
+        raise ValueError("expected an %s election, got kind=%r" % (kind, got))
 
 
 def load_election(obj):

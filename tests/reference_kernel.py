@@ -9,7 +9,9 @@ Entries are Fractions.  ``basis[i]`` is the column currently basic in row i.
 
 Pivot selection is Bland's rule: the entering column is the lowest index with
 a negative objective entry; the leaving row minimizes rhs/a over positive
-pivot candidates, ties broken by the lowest basic variable index.
+pivot candidates, ties broken by the lowest basic variable index.  An
+entering column without a positive entry ends the loop: the objective is
+unbounded below.
 """
 
 
@@ -39,9 +41,7 @@ def phase1(tableau, basis, nrows, ncols):
                     best = ratio
                     leave = i
         if leave < 0:
-            raise ArithmeticError(
-                "phase-1 objective unbounded below: malformed tableau"
-            )
+            return pivots
 
         prow = tableau[leave]
         p = prow[enter]

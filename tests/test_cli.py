@@ -14,6 +14,7 @@ from pwlmip.cli import build_parser, main
 from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
 from pwlmip.oracle import gen_hard_instances
+from pwlmip.voting import ApprovalElection, Voter
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -232,6 +233,15 @@ def test_missing_file(capsys):
     assert "error:" in err and "no/such/file.json" in err
 
 
+def test_ordinal_file_given_to_an_approval_command(capsys):
+    code, out, err = run(capsys, "ccdv", fx("borda.json"))
+    assert code == 2 and out == ""
+    assert err == "error: %s: expected an approval election\n" % fx("borda.json")
+    code, report, _ = run_json(capsys, "bribery", fx("borda.json"))
+    assert code == 2 and report["status"] == "error"
+    assert report["error"].endswith(": expected an approval election")
+
+
 def test_missing_file_json_report(capsys):
     code, report, err = run_json(capsys, "wsm", "no/such/file.json")
     assert code == 2
@@ -398,18 +408,29 @@ def test_node_limit_flag_exhaustion(capsys, tmp_path):
     assert "status: infeasible" in out
 
 
-def test_bribery_node_limit_counts_every_gain(capsys):
-    # the rivals' gains share one search of three one-node threshold
-    # probes, so a limit of two runs out instead of reporting a verdict
+def test_bribery_node_limit_counts_every_gain(capsys, tmp_path):
+    # the rivals' gains share one search tree; on the fixture it is a
+    # single node, so a limit of one reports the verdict
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
+                               "--minimize-cost", "--node-limit", "1")
+    assert code == 0 and report["status"] == "feasible"
+    assert report["action"] == [1] and report["cost"] == 1
+    assert report["stats"]["nodes"] == 1
+
+    # a tree of three nodes runs out at two
+    path = tmp_path / "branching.json"
+    path.write_text(json.dumps(ApprovalElection(
+        ("p", "c1"), (Voter({"c1"}, price=1), Voter({"c1", "p"}, price=5),
+                      Voter({"c1", "p"}, price=4)), 6).to_json()))
+    code, report, _ = run_json(capsys, "bribery", str(path),
                                "--minimize-cost", "--node-limit", "2")
     assert code == 3
     assert report["status"] == "resource-exhausted"
     assert report["nodes"] == 2 and report["limit"] == 2
-    code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
+    code, report, _ = run_json(capsys, "bribery", str(path),
                                "--minimize-cost", "--node-limit", "3")
     assert code == 0 and report["status"] == "feasible"
-    assert report["action"] == [1] and report["cost"] == 1
+    assert report["action"] == [0] and report["cost"] == 1
     assert report["stats"]["nodes"] == 3
 
 
@@ -481,13 +502,14 @@ def test_oracle_gen_count_must_be_positive(capsys):
 
 
 def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
-    # knapsackish maximizes by five threshold probes without branching;
-    # one of them is infeasible at the root
+    # knapsackish maximizes in one search tree: the root LP's optimum is
+    # fractional, its left child's is integral at 8, and the right child,
+    # whose parent's optimum rounds down to 8 as well, is dropped unsolved
     code, report, _ = run_json(capsys, "solve-emip", fx("knapsackish.json"))
     assert code == 0
-    assert report["stats"] == {"nodes": 5, "lp_calls": 5, "pivots": 14,
-                               "probes": 5, "infeasible_lps": 1,
-                               "max_depth": 0, "max_tableau": [6, 11]}
+    assert report["stats"] == {"nodes": 2, "lp_calls": 2, "pivots": 8,
+                               "probes": 1, "infeasible_lps": 0,
+                               "max_depth": 1, "max_tableau": [6, 10]}
 
     # a feasibility solve runs no probe; 7 of its 13 LPs prune a node
     code, report, _ = run_json(capsys, "solve-emip",
@@ -500,17 +522,17 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert report["stats"]["max_depth"] == 6
     assert report["stats"]["max_tableau"] == [4, 7]
 
-    # bribery is one covering search: three probes, one node each
+    # bribery is one covering search, settled at its root
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
                                "--minimize-cost")
     assert code == 0
-    assert report["stats"] == {"nodes": 3, "lp_calls": 3, "pivots": 8,
-                               "probes": 3, "infeasible_lps": 1,
+    assert report["stats"] == {"nodes": 1, "lp_calls": 1, "pivots": 3,
+                               "probes": 1, "infeasible_lps": 0,
                                "max_depth": 0, "max_tableau": [7, 12]}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
-    assert ("nodes: 5  lp calls: 5  pivots: 14  probes: 5  "
-            "infeasible lps: 1  max depth: 0  max tableau: 6x11\n") in out
+    assert ("nodes: 2  lp calls: 2  pivots: 8  probes: 1  "
+            "infeasible lps: 0  max depth: 1  max tableau: 6x10\n") in out
 
 
 # ---------------------------------------------------------------------------

@@ -239,14 +239,21 @@ def test_umm_matches_oracle_batch():
 
 
 def test_node_limit_propagates():
+    # A minimization is one search tree, and the limit reaches it: the
+    # tree's own node count completes it, one node less runs out.  Covers
+    # with multiplicities, so that trees branch.
     rng = random.Random(0xC63)
-    tripped = False
+    tripped = 0
     for _ in range(40):
-        inst = random_set_variant(rng, max_sets=10, max_m=3, max_weight=6)
-        try:
-            solve_wsm(inst, minimize_cost=True, node_limit=1)
-        except ResourceExhausted as exc:
-            assert exc.limit == 1
-            tripped = True
-            break
-    assert tripped
+        inst = random_uniform(rng, max_sets=10, max_m=3)
+        full = solve_wsm(inst, minimize_cost=True)
+        nodes = full.stats.nodes
+        if nodes < 2:
+            continue
+        with pytest.raises(ResourceExhausted) as exc:
+            solve_wsm(inst, minimize_cost=True, node_limit=nodes - 1)
+        assert exc.value.nodes == exc.value.limit == nodes - 1
+        again = solve_wsm(inst, minimize_cost=True, node_limit=nodes)
+        assert (again.cost, again.stats) == (full.cost, full.stats)
+        tripped += 1
+    assert tripped >= 10

@@ -8,7 +8,7 @@ the results keep their shapes.  These tests wrap the boundaries the same
 way, run one solve through every layer, and pin both, so that a refactor
 cannot silently leave a per-layer counter at zero.  The last test checks
 that every boundary the benchmark's tracer (``perfbench/tracing.py``) names
-still exists.
+still exists, and that its counters agree with a solve's own stats.
 """
 
 import importlib
@@ -19,7 +19,8 @@ import sys
 
 import pytest
 
-from pwlmip import _kernel, reduction
+from pwlmip import _kernel, covering, reduction
+from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipModel, normalize
 from pwlmip.milp import branch_bound, lp
 from pwlmip.pipeline import maximize_emip
@@ -89,6 +90,7 @@ def test_kernel_returns_its_pivot_count(traced):
 
 def test_lp_returns_its_verdict_first(traced):
     maximize_emip(_knapsack())
+    maximize_emip(_knapsack(), t_lo=9)  # one past the optimum: no point
     verdicts = set()
     for _, result in traced["solve_lp_feasibility"]:
         assert isinstance(result, tuple)
@@ -118,10 +120,15 @@ def test_lower_returns_model_and_map(traced):
     assert lmap.n_original == len(model.variables)
 
 
-def test_benchmark_tracer_boundaries_resolve():
+def _benchmark_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_boundaries_resolve():
+    tracing = _benchmark_tracing()
     missing = set()
     for module_name, attr, _, _ in tracing.BOUNDARIES:
         fn = getattr(importlib.import_module(module_name), attr, None)
@@ -130,3 +137,28 @@ def test_benchmark_tracer_boundaries_resolve():
         else:
             assert callable(fn), "%s.%s" % (module_name, attr)
     assert missing <= STALE_TRACER_BOUNDARIES, sorted(missing)
+
+
+def test_benchmark_tracer_counts_match_solve_stats():
+    """The benchmark's tracer unpacks every kernel call as four positional
+    arguments and reads counters off the results; through it, a branching
+    ``maximize_emip`` and a branching minimum-cost cover count what their
+    ``SolveStats`` count."""
+    tracer = _benchmark_tracing().Tracer()
+    multiset = CoverInstance(3, [{0: 4, 1: 4}, {1: 5}, {0: 3, 2: 2},
+                                 {2: 5}, {0: 2, 1: 1, 2: 1}],
+                             [7, 6, 5], 5)
+    solves = (lambda: maximize_emip(_knapsack()),
+              lambda: covering.solve_wsm(multiset, minimize_cost=True))
+    for solve in solves:
+        with tracer.tracing():
+            result = solve()
+        stats = result.stats
+        counts = tracer.counts
+        assert result.feasible and stats.max_depth > 0
+        assert counts["milp.branch_bound.nodes"] == stats.nodes
+        assert counts["milp.lp.calls"] == stats.lp_calls
+        assert counts["kernel.pivots"] == stats.pivots
+        assert counts["milp.maximize.probes"] == counts["milp.maximize.calls"] == 1
+        # every feasible node LP ends with a phase-2 kernel call
+        assert counts["kernel.calls"] >= stats.lp_calls - stats.infeasible_lps

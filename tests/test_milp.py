@@ -1,5 +1,7 @@
 """Exact LP feasibility, branch and bound, and threshold optimization."""
 
+import collections
+import itertools
 import math
 import random
 import sys
@@ -199,32 +201,192 @@ def test_maximize_against_grid_enumeration():
         checked += 1
 
 
-def test_maximize_node_limit_bounds_all_probes(monkeypatch):
+def test_maximize_node_limit_bounds_the_one_tree(monkeypatch):
     model = _mk(
         [("x", VarKind.INTEGER, F(0), F(6)), ("y", VarKind.INTEGER, F(0), F(6))],
         [([(0, 2), (1, 2)], 9), ([(0, 3), (1, -1)], 4)],
     )
-    probe_nodes = []
+    trees = []
     real_solve = branch_bound.solve_feasibility
 
-    def counted(sub, node_limit=None):
-        result = real_solve(sub, node_limit)
-        probe_nodes.append(result.stats.nodes)
-        return result
+    def counted(*args, **kwargs):
+        trees.append(1)
+        return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(branch_bound, "solve_feasibility", counted)
     full = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12)
     assert full.feasible and full.best == 4
-    total = sum(probe_nodes)
-    assert full.stats.nodes == total
-    assert len(probe_nodes) > 2 and max(probe_nodes) < total
-    # every probe fits a budget of max(probe_nodes), their sum does not
-    with pytest.raises(milp.ResourceExhausted) as exc:
-        milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12,
-                      node_limit=max(probe_nodes))
-    assert exc.value.nodes == exc.value.limit == max(probe_nodes)
-    again = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=total)
+    assert len(trees) == 1 and full.stats.probes == 1
+    nodes = full.stats.nodes
+    assert nodes > 1 and full.stats.max_depth > 0
+    # a budget of exactly the tree completes it; one node less runs out
+    again = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=nodes)
     assert again.best == 4 and again.stats == full.stats
+    with pytest.raises(milp.ResourceExhausted) as exc:
+        milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=nodes - 1)
+    assert exc.value.nodes == exc.value.limit == nodes - 1
+
+
+def _random_milp(rng, unbounded=False):
+    """A small MILP with a rational objective, and its optimum by enumeration.
+
+    One to three integer variables in boxes of width at most 3, up to two
+    continuous ones with rational bounds, and rows with rational
+    coefficients.  With ``unbounded``, a last continuous variable z >= 0
+    without an upper bound enters the objective with a positive coefficient
+    and some rows with a negative one: those rows then hold for a large
+    enough z, and every node LP that is feasible is unbounded.
+
+    Returns (model, objective, optimum, ties): optimum is the exact maximum,
+    None if there is no point, or ``math.inf``; ties is the number of
+    integer parts that attain a finite maximum.
+    """
+    n_int, n_cont = rng.randint(1, 3), rng.randint(0, 2)
+    boxes = []
+    for _ in range(n_int):
+        lo = rng.randint(-2, 1)
+        boxes.append((F(lo), F(lo + rng.randint(0, 3))))
+    for _ in range(n_cont):
+        lo = random_fraction(rng, -2, 1)
+        boxes.append((lo, lo + random_fraction(rng, 0, 3)))
+    n = n_int + n_cont
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {i: random_fraction(rng, -3, 3) for i in range(n)
+                  if rng.random() < 0.7}
+        rows.append((coeffs, random_fraction(rng, -2, 6)))
+    if rng.random() < 0.3:  # ties: equal small integer coefficients
+        objective = {i: F(1) for i in range(n) if rng.random() < 0.8}
+    else:
+        objective = {i: random_fraction(rng, -2, 2, 3) for i in range(n)
+                     if rng.random() < 0.8}
+    kept = rows
+    if unbounded:
+        z = n
+        boxes.append((F(0), None))
+        objective[z] = random_fraction(rng, 1, 2, 3)
+        kept = []
+        for coeffs, rhs in rows:
+            if rng.random() < 0.5:
+                coeffs[z] = -random_fraction(rng, 1, 2)
+            else:
+                kept.append((coeffs, rhs))
+    model = MilpModel(
+        tuple(MilpVariable("x%d" % i, VarKind.INTEGER if i < n_int
+                           else VarKind.CONTINUOUS, lo, up)
+              for i, (lo, up) in enumerate(boxes)),
+        _int_rows(((tuple(c.items()), rhs) for c, rhs in rows), len(boxes)),
+    )
+
+    # For each integer part, the best vertex of the continuous box cut by
+    # the rows: every point solving k of the constraints as equalities.
+    cont = range(n_int, n)
+    optimum, ties = None, 0
+    for xs in itertools.product(*(range(int(lo), int(up) + 1)
+                                  for lo, up in boxes[:n_int])):
+        cons = [([c.get(j, 0) for j in cont],
+                 rhs - sum(c.get(i, 0) * x for i, x in enumerate(xs)))
+                for c, rhs in kept]
+        for k, j in enumerate(cont):
+            unit = [int(k == other) for other in range(n_cont)]
+            cons.append((unit, boxes[j][1]))
+            cons.append(([-u for u in unit], -boxes[j][0]))
+        best = None
+        for tight in itertools.combinations(cons, n_cont):
+            y = _solve_square([a for a, _ in tight], [b for _, b in tight])
+            if y is None or any(sum(a * v for a, v in zip(a_, y)) > b
+                                for a_, b in cons):
+                continue
+            point = list(xs) + y
+            value = sum(c * point[i] for i, c in objective.items() if i < n)
+            best = value if best is None else max(best, value)
+        if best is None:
+            continue
+        if unbounded:
+            optimum = math.inf
+        elif optimum is None or best > optimum:
+            optimum, ties = best, 1
+        elif best == optimum:
+            ties += 1
+    return model, objective, optimum, ties
+
+
+def _solve_square(a, b):
+    """The solution of the k x k system a y = b (k <= 2), or None if singular."""
+    if not a:
+        return []
+    if len(a) == 1:
+        return [b[0] / a[0][0]] if a[0][0] else None
+    (p, q), (r, s) = a
+    det = p * s - q * r
+    if not det:
+        return None
+    return [F(b[0] * s - q * b[1]) / det, F(p * b[1] - r * b[0]) / det]
+
+
+def test_maximize_one_tree_against_enumeration(monkeypatch):
+    """The one-tree ``maximize`` against enumeration on seeded random MILPs:
+    integer and continuous objective variables, rational coefficients and
+    ties, brackets that hold the optimum, end below it or start above it,
+    and objectives unbounded on every feasible node LP."""
+    unbounded_lps = []
+    real_lp = branch_bound.solve_lp_feasibility
+
+    def lp(*args, **kwargs):
+        result = real_lp(*args, **kwargs)
+        unbounded_lps.append(result[0] and result[1] is None)
+        return result
+
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    rng = random.Random(0xB60)
+    seen = collections.Counter()
+    for case in range(240):
+        unbounded = case % 4 == 3
+        model, objective, optimum, ties = _random_milp(rng, unbounded)
+        if optimum is None:
+            mode = "empty"
+            lo = rng.randint(-6, 0)
+            hi = lo + rng.randint(0, 6)
+        elif optimum == math.inf:
+            mode = "unbounded"
+            lo = rng.randint(-6, 0)
+            hi = lo + rng.randint(0, 8)
+        else:
+            mode = rng.choice(("inside", "hi below", "lo above"))
+            top = math.floor(optimum)
+            if mode == "inside":
+                lo, hi = top - rng.randint(0, 3), top + rng.randint(0, 3)
+            elif mode == "hi below":
+                hi = top - rng.randint(1, 3)
+                lo = hi - rng.randint(0, 2)
+            else:
+                lo = top + rng.randint(1, 2)
+                hi = lo + rng.randint(0, 2)
+        del unbounded_lps[:]
+        result = milp.maximize(model, objective, lo, hi)
+        if optimum is None or optimum < lo:
+            assert not result.feasible and result.best is None
+        else:
+            assert result.feasible
+            assert result.best == min(hi, math.floor(optimum)
+                                      if optimum != math.inf else hi)
+            witness = result.assignment
+            assert model.check_assignment(witness) == []
+            assert sum(c * witness[i] for i, c in objective.items()) \
+                >= result.best
+        seen[mode, result.feasible] += 1
+        seen["empty with z"] += unbounded and optimum is None
+        seen["ties"] += ties > 1
+        seen["branched"] += result.stats.max_depth > 0
+        seen["continuous objective"] += any(
+            model.variables[i].kind is VarKind.CONTINUOUS and c
+            for i, c in objective.items())
+        seen["unbounded lp"] += any(unbounded_lps)
+    for key in (("inside", True), ("hi below", True), ("lo above", False),
+                ("empty", False), ("unbounded", True), "empty with z"):
+        assert seen[key] >= 5, key
+    assert seen["ties"] >= 10 and seen["branched"] >= 20
+    assert seen["continuous objective"] >= 50 and seen["unbounded lp"] >= 10
 
 
 def test_maximize_rejects_unknown_objective_variable():
@@ -273,7 +435,8 @@ def _checked_phase1(tableau, basis, nrows, ncols):
 
 class KernelCall(NamedTuple):
     """One ``_kernel.phase1`` call: its arguments as they came in, the pivot
-    count, and the tableau object itself, which the kernel left pivoted."""
+    count, and the tableau as the kernel left it (a copy: after phase 1 the
+    LP goes on pivoting the same rows)."""
 
     tableau: list
     basis: list
@@ -296,7 +459,7 @@ def _record_kernel(monkeypatch, pivot=integer_phase1):
     def record(tableau, basis, nrows, ncols):
         given = [list(row) for row in tableau], list(basis), nrows, ncols
         pivots = pivot(tableau, basis, nrows, ncols)
-        calls.append(KernelCall(*given, pivots, tableau))
+        calls.append(KernelCall(*given, pivots, [list(row) for row in tableau]))
         return pivots
 
     monkeypatch.setattr(_kernel, "phase1", record)
@@ -483,6 +646,85 @@ def test_integer_kernel_matches_reference_on_lowered_models(monkeypatch):
         lowered, _ = lower(normalize(random_grid_model(rng)))
         milp.solve_feasibility(lowered)
     assert sum(call.pivots for call in calls) > 0
+
+
+def _phase2_calls(monkeypatch, calls):
+    """Collect the phase-2 calls among the :class:`KernelCall` s that
+    ``calls`` records: the last kernel call of a node LP that has an
+    objective and a feasible verdict."""
+    phase2 = []
+    real_lp = branch_bound.solve_lp_feasibility
+
+    def lp(*args, objective=None, **kwargs):
+        result = real_lp(*args, objective=objective, **kwargs)
+        if objective is not None and result[0]:
+            phase2.append(calls[-1])
+        return result
+
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    return phase2
+
+
+def test_phase2_kernel_calls_match_reference(monkeypatch):
+    """Every phase-2 kernel call pivots as the Fraction reference does, and
+    starts from a feasible basis of unit columns with the objective priced
+    out, on lowered models and on MILPs with continuous variables and
+    unbounded objectives."""
+    calls = _record_kernel(monkeypatch, _checked_phase1)
+    phase2 = _phase2_calls(monkeypatch, calls)
+    rng = random.Random(0xB5E)
+    for _ in range(80):
+        norm = normalize(random_grid_model(rng, with_objective=True))
+        lowered, _ = lower(norm)
+        coeffs = dict(norm.objective.coeffs)
+        milp.maximize(lowered, coeffs, *objective_bracket(norm, coeffs))
+    for case in range(150):
+        model, objective, _, _ = _random_milp(rng, unbounded=case % 3 == 0)
+        milp.maximize(model, objective, -6, 6)
+    unbounded = 0
+    for tableau, basis, nrows, ncols, _, final in phase2:
+        obj = tableau[nrows]
+        assert sorted(set(basis)) == sorted(basis) and max(basis) < ncols
+        for k, b in enumerate(basis):
+            assert obj[b] == 0
+            assert tableau[k][ncols] >= 0
+            assert [row[b] for row in tableau[:nrows]] == [
+                row[ncols + 1] if i == k else 0
+                for i, row in enumerate(tableau[:nrows])]
+        unbounded += min(final[nrows][:ncols]) < 0
+    assert len(phase2) > 150 and unbounded > 20
+    assert sum(call.pivots for call in phase2) > 200
+
+
+def test_phase2_drives_a_basic_artificial_out(monkeypatch):
+    """x + y = 2, written twice as two rows each, leaves an artificial
+    basic at zero after phase 1; its row's first nonzero real entry is
+    negative, so the row is negated and pivoted on it.  Phase 2 then sees
+    no artificial column."""
+    bases = []
+
+    def checked(tableau, basis, nrows, ncols):
+        pivots = _checked_phase1(tableau, basis, nrows, ncols)
+        bases.append(list(basis))
+        return pivots
+
+    calls = _record_kernel(monkeypatch, checked)
+    rows = _int_rows([(((0, F(1)), (1, F(1))), F(2)),
+                      (((0, F(-1)), (1, F(-1))), F(-2)),
+                      (((0, F(-1)), (1, F(-1))), F(-2)),
+                      (((0, F(-1)),), F(0))], 2)
+    compiled = CompiledRows(rows, [F(0), F(0)], [F(3), F(3)])
+    ok, point, pivots = solve_lp_feasibility(compiled, (), (), objective=3)
+    assert ok and point == [2, 0]
+    first, second = calls
+    real = compiled.ncols + first.nrows  # structural and slack columns
+    assert first.ncols > real
+    left = [k for k, b in enumerate(bases[0]) if b >= real]
+    assert left and all(first.final[k][first.ncols] == 0 for k in left)
+    assert all(next(x for x in first.final[k][:real] if x) < 0 for k in left)
+    assert (second.nrows, second.ncols) == (first.nrows, real)
+    assert max(second.basis) < real
+    assert pivots == first.pivots + second.pivots
 
 
 def test_lp_rational_rows_and_bounds(monkeypatch):
@@ -765,14 +1007,16 @@ def test_assignments_stay_fractions():
     assert all(type(v) is Fraction for a in answers for v in a.values())
 
 
-def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
-    """One compile per ``maximize``; every probe's tableaux are direct builds.
+def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
+    """One compile per ``maximize``; every node's phase-1 tableau is a
+    direct build, with the threshold row at the value the tree holds when
+    the node is solved.
 
     Rows, objective coefficients and continuous bounds are rational, so the
     threshold row and the folded shifts carry denominators.
     """
     compiles = []
-    probes = []
+    nodes = []
 
     class Counted(CompiledRows):
         __slots__ = ()
@@ -782,27 +1026,22 @@ def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
             super().__init__(*args, **kwargs)
 
     real_lp = branch_bound.solve_lp_feasibility
-    real_solve = branch_bound.solve_feasibility
     built = _record_kernel(monkeypatch)
 
-    def lp(rows, lo, up, stats=None):
+    def lp(rows, lo, up, stats=None, objective=None):
         built.clear()
-        result = real_lp(rows, lo, up, stats)
-        probes[-1][1].append((list(lo), list(up),
-                              [call.given() for call in built]))
+        threshold_rhs = rows.rhs[-1]
+        result = real_lp(rows, lo, up, stats, objective=objective)
+        phase2 = objective is not None and result[0]
+        nodes.append((threshold_rhs, list(lo), list(up),
+                      [call.given() for call in built[:len(built) - phase2]]))
         return result
-
-    def solve(sub, node_limit=None):
-        coeffs, rhs, den = sub.rows[-1]
-        probes.append((-F(rhs, den), []))
-        return real_solve(sub, node_limit)
 
     monkeypatch.setattr(branch_bound, "CompiledRows", Counted)
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
-    monkeypatch.setattr(branch_bound, "solve_feasibility", solve)
     rng = random.Random(0xB58)
-    compared = 0
-    for _ in range(25):
+    compared = thresholds = 0
+    for _ in range(60):
         n = rng.randint(2, 4)
         kinds = [VarKind.INTEGER if i < 2 or rng.random() < 0.5
                  else VarKind.CONTINUOUS for i in range(n)]
@@ -823,22 +1062,24 @@ def test_maximize_compiles_once_and_builds_every_probe_tableau(monkeypatch):
         )
         objective = {i: random_fraction(rng, -2, 2) for i in range(n)
                      if rng.random() < 0.7}
+        _, _, den = integer_row(((i, -c) for i, c in objective.items()), 0, n)
         compiles.clear()
-        probes.clear()
+        nodes.clear()
         milp.maximize(model, objective, -12, 12)
         assert len(compiles) == 1
+        thresholds += len({rhs for rhs, _, _, _ in nodes}) > 1
         int_idx = model.integer_indices()
-        for t, nodes in probes:
-            threshold = (tuple((i, -c) for i, c in objective.items()), -t)
-            for lo, up, tableaux in nodes:
-                lowers = [F(b[0]) for b in bounds]
-                uppers = [F(b[1]) for b in bounds]
-                for j, i in enumerate(int_idx):
-                    lowers[i], uppers[i] = F(lo[j]), F(up[j])
-                expected = _per_node_tableau(rows + [threshold], lowers, uppers)
-                assert tableaux == ([] if expected is None else [expected])
-                compared += expected is not None
-    assert compared > 100
+        for rhs, lo, up, tableaux in nodes:
+            threshold = (tuple((i, -c) for i, c in objective.items()),
+                         F(rhs, den))
+            lowers = [F(b[0]) for b in bounds]
+            uppers = [F(b[1]) for b in bounds]
+            for j, i in enumerate(int_idx):
+                lowers[i], uppers[i] = F(lo[j]), F(up[j])
+            expected = _per_node_tableau(rows + [threshold], lowers, uppers)
+            assert tableaux == ([] if expected is None else [expected])
+            compared += expected is not None
+    assert compared > 80 and thresholds > 5
 
 
 def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):

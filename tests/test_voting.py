@@ -122,7 +122,7 @@ def test_json_round_trips():
 
     with pytest.raises(ValueError, match="unsupported election format"):
         ApprovalElection.from_json({"format": "nope"})
-    with pytest.raises(ValueError, match="expected a ordinal election"):
+    with pytest.raises(ValueError, match="expected an ordinal election"):
         OrdinalElection.from_json(e.to_json())
     with pytest.raises(ValueError, match="JSON object"):
         load_election([1, 2])
@@ -180,8 +180,8 @@ def test_bribery_priced_worked_example():
 
 
 def test_bribery_node_limit_bounds_all_gains(monkeypatch):
-    # every rival's gain is covered by one search of three threshold
-    # probes, one node each, so the limit bounds all of them together
+    # every rival's gain is covered by one search tree, here a single node,
+    # and the limit reaches that tree unchanged
     e = _priced_ccdv_election(budget=3)
     calls = []
     solve_wsm = voting.solve_wsm
@@ -192,14 +192,24 @@ def test_bribery_node_limit_bounds_all_gains(monkeypatch):
 
     monkeypatch.setattr(voting, "solve_wsm", counted)
     res = solve_bribery_priced(e, minimize_cost=True)
-    assert res.feasible and res.stats.nodes == 3
+    assert res.feasible and res.stats.nodes == 1
     assert calls == [None]
+    res = solve_bribery_priced(e, minimize_cost=True, node_limit=1)
+    assert res.feasible and res.stats.nodes == 1
+    assert calls == [None, 1]
+
+    # a tree of three nodes runs out at two
+    e = ApprovalElection(("p", "c1"), (Voter({"c1"}, price=1),
+                                       Voter({"c1", "p"}, price=5),
+                                       Voter({"c1", "p"}, price=4)), 6)
+    res = solve_bribery_priced(e, minimize_cost=True)
+    assert res.action == (0,) and res.cost == 1 and res.stats.nodes == 3
     with pytest.raises(ResourceExhausted) as info:
         solve_bribery_priced(e, minimize_cost=True, node_limit=2)
     assert info.value.nodes == 2 and info.value.limit == 2
     res = solve_bribery_priced(e, minimize_cost=True, node_limit=3)
     assert res.feasible and res.stats.nodes == 3
-    assert calls == [None, 2, 3]
+    assert calls == [None, 1, None, 2, 3]
 
 
 def test_priced_solvers_reject_weights():
