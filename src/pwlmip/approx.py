@@ -26,7 +26,7 @@ from .emip import EmipConstraint, EmipModel, Objective, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import maximize_emip
 from .pwl import PwlFunction
-from .rationals import ONE, ZERO, parse_rational
+from .rationals import parse_rational
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,9 @@ class ApproxParams:
     Z caps how far a shape entry may exceed the entry before a jump, and Y
     is the multiplicity ratio that triggers a jump.  They are chosen so
     that m/Z and Z·m³/(Y−Z) are each at most ε/4, which is what makes the
-    final miss bound come out below ε·Σr.
+    final miss bound come out below ε·Σr.  ``epsilon`` is held as a
+    Fraction even when it is integral, so that every division by it stays
+    exact: with an int ε, ``ε / 4`` would be a float.
     """
 
     epsilon: Fraction
@@ -45,15 +47,15 @@ class ApproxParams:
     Y: int = field(init=False)
 
     def __post_init__(self):
-        epsilon = parse_rational(self.epsilon)
+        epsilon = Fraction(parse_rational(self.epsilon))
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "m", int(self.m))
         if self.m < 1:
             raise ValueError("universe size must be at least 1")
-        z = math.ceil(Fraction(4 * self.m) / epsilon)
-        y = z + math.ceil(Fraction(4 * z * self.m**3) / epsilon)
+        z = math.ceil(4 * self.m / epsilon)
+        y = z + math.ceil(4 * z * self.m**3 / epsilon)
         object.__setattr__(self, "Z", z)
         object.__setattr__(self, "Y", y)
         assert Fraction(self.m, self.Z) <= epsilon / 4
@@ -139,7 +141,7 @@ def decompose_trace(s, params: ApproxParams, origin: int = 0):
     m = params.m
     mult = _as_multiplicity_vector(s, m)
     order = tuple(sorted(range(m), key=lambda e: (mult[e], e)))
-    vals = [Fraction(mult[e]) for e in order]
+    vals = [Fraction(mult[e]) for e in order]  # Fractions: shapes divide by them
     original = list(vals)
 
     vectors = []
@@ -150,8 +152,8 @@ def decompose_trace(s, params: ApproxParams, origin: int = 0):
 
     while start < m:
         beta = vals[start]
-        pre = [ZERO] * m
-        pre[order[start]] = ONE
+        pre = [0] * m
+        pre[order[start]] = 1
         i = start + 1
         jumped = False
         while i < m:
@@ -165,9 +167,10 @@ def decompose_trace(s, params: ApproxParams, origin: int = 0):
                 jumped = True
                 break
 
-        shape = tuple(_round_down(v, params.half_eps) for v in pre)
-        bound = Fraction(params.Y) ** m
-        assert all(ZERO <= v <= bound for v in shape)
+        grid = params.half_eps
+        shape = tuple(_round_down(v, grid) for v in pre)
+        bound = params.Y ** m
+        assert all(0 <= v <= bound for v in shape)
         vector = EmittedVector(beta, shape, origin)
         vectors.append(vector)
 
@@ -205,7 +208,7 @@ class AlmostCoverSolution:
     chosen: tuple            # EmittedVector, the selected pieces
     coverage: tuple          # per-element coverage achieved by `chosen`
     misses: tuple            # per-element max(0, r_i - coverage_i), exact
-    miss_total: Fraction
+    miss_total: int
     miss_bound: Fraction     # ε · Σ r_i
     origins: tuple           # distinct source-set indices, sorted
     stats: SolveStats = field(default_factory=SolveStats)
@@ -267,12 +270,13 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
             lhs={miss_base + i: 1 for i in range(instance.m)}, rhs={}, b=miss_cap
         )
     )
+    realized = [[v.realized() for v in group] for group in members]
     for i in range(instance.m):
         if requirements[i] == 0:
             continue
         gains = {}
         for j in range(n_groups):
-            covered = [v.realized()[i] for v in members[j]]
+            covered = [r[i] for r in realized[j]]
             if any(covered):
                 gains[j] = PwlFunction.from_sorted_multiplicities(covered)
         gains[miss_base + i] = 1
@@ -312,10 +316,8 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
                 "chosen vectors of set %d exceed the set itself" % origin
             )
 
-    misses = tuple(
-        Fraction(max(0, r - c)) for r, c in zip(requirements, coverage)
-    )
-    miss_total = sum(misses, ZERO)
+    misses = tuple(max(0, r - c) for r, c in zip(requirements, coverage))
+    miss_total = sum(misses)
     if len(chosen) > budget:
         raise SolverInternalError("more vectors chosen than the budget allows")
     if miss_total > miss_cap:

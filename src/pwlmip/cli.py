@@ -7,7 +7,9 @@ on the first ``main`` call, and reused by every later call; each parse
 still gets a fresh namespace.  Exit codes: 0 for any completed solve
 (feasible or infeasible alike), 2 for input errors (a bad invocation or
 file, or a ``ValueError`` from a solver that refuses its input), 3 when
-the node budget runs out.
+the node budget runs out, and 1 when stdout is a pipe whose reader has gone
+(``pwlmip ... --json | head``): the rest of the report is dropped without a
+traceback, as the Python docs advise for SIGPIPE.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -392,6 +395,7 @@ def _emit(report, as_json, elapsed):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    code = 0
     try:
         report = _RUNNERS[args.command](args)
     except (InputError, ValueError, ResourceExhausted) as exc:
@@ -401,12 +405,18 @@ def main(argv=None) -> int:
         else:
             code, report = 2, {"status": "error", "error": str(exc)}
         report["command"] = args.command
-        if args.json:
-            print(json.dumps(report, sort_keys=True, indent=2))
         print("error: %s" % exc, file=sys.stderr)
-        return code
-    _emit(report, args.json, time.monotonic() - started)
-    return 0
+    try:
+        if not code:
+            _emit(report, args.json, time.monotonic() - started)
+        elif args.json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,10 @@ where every left-hand f is convex or linear and every right-hand g is concave
 or linear.  ``normalize`` brings a model into the canonical form the lowering
 step expects: every transformation has f(0) = 0 and no breakpoints below 0,
 and constants are folded into b.
+
+Every bound, coefficient and right-hand side is stored in the form
+:func:`pwlmip.rationals.exact` gives: an int when it is integral, a Fraction
+otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pwl import PwlFunction, Shape
-from .rationals import ZERO, parse_rational
+from .rationals import exact, parse_rational
 
 FORMAT_NAME = "emip-v1"
 
@@ -32,15 +36,15 @@ class VarKind(enum.Enum):
 class Variable:
     name: str
     kind: VarKind = VarKind.INTEGER
-    lower: Fraction = ZERO
-    upper: Fraction | None = None
+    lower: int | Fraction = 0
+    upper: int | Fraction | None = None
 
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise ValueError("variable needs a nonempty string name")
-        object.__setattr__(self, "lower", Fraction(self.lower))
+        object.__setattr__(self, "lower", exact(self.lower))
         if self.upper is not None:
-            object.__setattr__(self, "upper", Fraction(self.upper))
+            object.__setattr__(self, "upper", exact(self.upper))
 
 
 def _as_terms(terms):
@@ -56,7 +60,7 @@ def _as_terms(terms):
             raise ValueError("variable %d appears twice on one side" % idx)
         seen.add(idx)
         if not isinstance(fn, PwlFunction):
-            fn = PwlFunction.linear(Fraction(fn))
+            fn = PwlFunction.linear(fn)
         out.append((idx, fn))
     return tuple(out)
 
@@ -67,31 +71,31 @@ class EmipConstraint:
 
     lhs: tuple
     rhs: tuple
-    b: Fraction = ZERO
+    b: int | Fraction = 0
 
     def __post_init__(self):
         object.__setattr__(self, "lhs", _as_terms(self.lhs))
         object.__setattr__(self, "rhs", _as_terms(self.rhs))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "b", exact(self.b))
 
     def holds(self, assignment) -> bool:
         """Exact check of the constraint at a full assignment (index -> value)."""
-        lhs = sum((fn.eval(assignment[i]) for i, fn in self.lhs), start=ZERO)
-        rhs = sum((fn.eval(assignment[i]) for i, fn in self.rhs), start=ZERO)
+        lhs = sum(fn.eval(assignment[i]) for i, fn in self.lhs)
+        rhs = sum(fn.eval(assignment[i]) for i, fn in self.rhs)
         return lhs <= rhs + self.b
 
 
 @dataclass(frozen=True)
 class Objective:
     sense: str  # "max" or "min"
-    coeffs: tuple  # sorted (index, Fraction) pairs
+    coeffs: tuple  # sorted (index, coefficient) pairs
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise ValueError("objective sense must be 'max' or 'min'")
         items = self.coeffs.items() if isinstance(self.coeffs, dict) else self.coeffs
         object.__setattr__(
-            self, "coeffs", tuple(sorted((i, Fraction(c)) for i, c in items))
+            self, "coeffs", tuple(sorted((i, exact(c)) for i, c in items))
         )
 
 
@@ -185,36 +189,32 @@ class EmipModel:
         if len(index) != len(variables):
             raise ValueError("duplicate variable names")
 
-        def parse_side(side_obj):
+        def parse_terms(mapping, where, parse=parse_rational):
             terms = {}
-            for name, spec in (side_obj or {}).items():
+            for name, spec in (mapping or {}).items():
                 if name not in index:
-                    raise ValueError("constraint references unknown variable %r" % name)
-                if isinstance(spec, dict):
-                    terms[index[name]] = PwlFunction.from_json(spec)
-                else:
-                    terms[index[name]] = PwlFunction.linear(parse_rational(spec))
+                    raise ValueError("%s references unknown variable %r" % (where, name))
+                terms[index[name]] = parse(spec)
             return terms
+
+        def parse_fn(spec):
+            if isinstance(spec, dict):
+                return PwlFunction.from_json(spec)
+            return PwlFunction.linear(parse_rational(spec))
 
         constraints = []
         for c in obj.get("constraints", ()):
             constraints.append(
                 EmipConstraint(
-                    lhs=parse_side(c.get("lhs")),
-                    rhs=parse_side(c.get("rhs")),
+                    lhs=parse_terms(c.get("lhs"), "constraint", parse_fn),
+                    rhs=parse_terms(c.get("rhs"), "constraint", parse_fn),
                     b=parse_rational(c.get("b", 0)),
                 )
             )
         objective = None
         if obj.get("objective") is not None:
             o = obj["objective"]
-            objective = Objective(
-                sense=o["sense"],
-                coeffs={
-                    index[name]: parse_rational(c)
-                    for name, c in (o.get("coeffs") or {}).items()
-                },
-            )
+            objective = Objective(o["sense"], parse_terms(o.get("coeffs"), "objective"))
         return cls(tuple(variables), tuple(constraints), objective)
 
 
@@ -309,7 +309,7 @@ def normalize(model: EmipModel) -> EmipModel:
                 fn = fn.drop_negative_breakpoints()
                 if fn.value_at_zero:
                     b += sign * fn.value_at_zero
-                    fn = fn.with_value_at_zero(ZERO)
+                    fn = fn.with_value_at_zero(0)
                 if not (fn.is_linear and fn.slopes[0] == 0):
                     bucket[idx] = fn
         constraints.append(EmipConstraint(lhs=new_lhs, rhs=new_rhs, b=b))

@@ -172,11 +172,8 @@ def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> SolveResu
     """
     if isinstance(coeffs, dict):
         coeffs = coeffs.items()
-    threshold, _, den = integer_row(
-        ((i, -Fraction(c)) for i, c in coeffs), 0, model.n_vars
-    )
-    lo = math.ceil(Fraction(t_lo))
-    hi = math.floor(Fraction(t_hi))
+    threshold, _, den = integer_row(((i, -c) for i, c in coeffs), 0, model.n_vars)
+    lo, hi = math.ceil(t_lo), math.floor(t_hi)
     if lo > hi:
         raise ValueError("empty threshold bracket [%s, %s]" % (t_lo, t_hi))
     result = solve_feasibility(model, node_limit, (threshold, den, lo, hi))

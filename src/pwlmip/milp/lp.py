@@ -31,6 +31,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .. import _kernel
+from ..rationals import exact
 from .model import SolveStats, integer_row
 
 
@@ -101,7 +102,7 @@ class CompiledRows:
         # (column, 1, moving position) or (column, 2, negative column).
         self.plan = [
             (c, 2, c + 1) if lo is None else (c, 1, pos[i]) if i in pos
-            else (c, 0, lo.numerator if lo.denominator == 1 else lo)
+            else (c, 0, lo)
             for i, (c, lo) in enumerate(zip(col_of, lowers))
         ]
 
@@ -254,8 +255,6 @@ def _point(plan, lowers, values):
         elif kind == 1:
             x += lowers[arg]
         elif arg:
-            x += arg
-            if x.denominator == 1:  # x plus a Fraction lower bound may be integral
-                x = x.numerator
+            x = exact(x + arg)  # plus a Fraction lower bound, x may be integral
         point.append(x)
     return point

@@ -19,15 +19,15 @@ their own.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from ..emip import VarKind
+from ..rationals import exact
 from .model import MilpModel
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
 
-def _decimal_exact(q: Fraction):
+def _decimal_exact(q):
     """Finite decimal string for q (an int or Fraction), or None if none exists."""
     den = q.denominator
     if den == 1:
@@ -96,7 +96,7 @@ def export_lp(model: MilpModel, objective=None, sense="min") -> str:
     lines.append("Maximize" if sense == "max" else "Minimize")
     if objective:
         obj_coeffs = sorted(
-            (int(i), Fraction(c)) for i, c in (
+            (int(i), exact(c)) for i, c in (
                 objective.items() if isinstance(objective, dict) else objective
             )
         )

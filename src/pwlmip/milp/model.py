@@ -3,8 +3,9 @@
 A row is integers: ``(coeffs, rhs, den)`` stands for ``sum(c/den * x_i) <=
 rhs/den``, coeffs (index, int) pairs sorted by index and den > 0.  Lowered
 rows are scaled to integers, so their den is 1.  The solver reads rows as
-they are; Fractions appear only at the edges: variable bounds, the
-assignment a solve returns, and the messages of ``check_assignment``.
+they are.  Variable bounds follow :func:`pwlmip.rationals.exact`, an int
+when integral; Fractions appear only for bounds that are not, in the
+assignment a solve returns, and in the messages of ``check_assignment``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from ..emip import VarKind
-from ..rationals import ZERO
+from ..rationals import exact
 
 __all__ = [
     "MilpVariable",
@@ -29,19 +30,18 @@ __all__ = [
 
 
 def integer_row(coeffs, rhs, n_vars):
-    """The rational row ``sum(c * x_i) <= rhs`` over the lcm of its denominators."""
-    coeffs = sorted((int(i), _exact(c)) for i, c in coeffs)
+    """The rational row ``sum(c * x_i) <= rhs`` over the lcm of its
+    denominators; a row of ints is taken as it is, over 1."""
+    coeffs = sorted((int(i), exact(c)) for i, c in coeffs)
     for i, _ in coeffs:
         if not (0 <= i < n_vars):
             raise ValueError("row references unknown variable index %d" % i)
-    rhs = _exact(rhs)
+    rhs = exact(rhs)
+    if type(rhs) is int and all(type(c) is int for _, c in coeffs):
+        return tuple(coeffs), rhs, 1
     den = lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
     return (tuple((i, c.numerator * den // c.denominator) for i, c in coeffs),
             rhs.numerator * den // rhs.denominator, den)
-
-
-def _exact(value):
-    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 class ResourceExhausted(Exception):
@@ -61,14 +61,14 @@ class SolverInternalError(AssertionError):
 class MilpVariable:
     name: str
     kind: VarKind = VarKind.CONTINUOUS
-    lower: Fraction | None = ZERO
-    upper: Fraction | None = None
+    lower: int | Fraction | None = 0
+    upper: int | Fraction | None = None
 
     def __post_init__(self):
         if self.lower is not None:
-            object.__setattr__(self, "lower", Fraction(self.lower))
+            object.__setattr__(self, "lower", exact(self.lower))
         if self.upper is not None:
-            object.__setattr__(self, "upper", Fraction(self.upper))
+            object.__setattr__(self, "upper", exact(self.upper))
 
 
 @dataclass(frozen=True)

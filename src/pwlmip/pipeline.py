@@ -13,7 +13,6 @@ from . import milp
 from .emip import EmipModel, normalize
 from .milp.model import SolveResult
 from .reduction import lower, witness_lift
-from .rationals import ZERO
 
 
 def _lift(normalized, lmap, result, sign=1) -> SolveResult:
@@ -62,8 +61,7 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> So
 
 def objective_bracket(model: EmipModel, coeffs):
     """A sound threshold bracket from variable bounds (must be finite)."""
-    lo = ZERO
-    hi = ZERO
+    lo = hi = 0
     for i, c in coeffs.items():
         if c == 0:
             continue
@@ -97,10 +95,10 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> Solve
     coeffs = {}
     for idx, fn in normalized.constraints[constraint].lhs:
         if fn.is_linear:
-            coeffs[idx] = coeffs.get(idx, ZERO) - fn.slopes[0]
+            coeffs[idx] = coeffs.get(idx, 0) - fn.slopes[0]
         else:
             term = term_index[(constraint, "lhs", idx)]
-            coeffs[term.bound_var] = coeffs.get(term.bound_var, ZERO) - 1
+            coeffs[term.bound_var] = coeffs.get(term.bound_var, 0) - 1
     budget = normalized.constraints[constraint].b
     result = milp.maximize(lowered, coeffs, -budget, 0, node_limit)
     return _lift(normalized, lmap, result, -1)

@@ -15,6 +15,11 @@ with a re-anchoring term ``-max(0, -rho_k)*(slopes[k]-slopes[k-1])`` so that
 f(0) equals ``value_at_zero`` even when breakpoints are negative; for the
 nonnegative-breakpoint functions produced by normalization the two forms are
 identical.
+
+Values follow :func:`pwlmip.rationals.exact`: ``value_at_zero``, every
+breakpoint and every slope is an int when it is integral and a Fraction
+otherwise, and so is what :meth:`PwlFunction.eval` returns.  A function
+built from ints equals and hashes like one built from equal Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import ZERO, parse_rational
+from .rationals import exact, parse_rational
 
 
 class Shape(enum.Enum):
@@ -31,23 +36,19 @@ class Shape(enum.Enum):
     CONCAVE = "concave"
 
 
-def _as_fraction_tuple(values):
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class PwlFunction:
     """An exact piecewise-linear function in canonical (merged) form."""
 
     shape: Shape
-    value_at_zero: Fraction
+    value_at_zero: int | Fraction
     breakpoints: tuple
     slopes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "value_at_zero", Fraction(self.value_at_zero))
-        bps = _as_fraction_tuple(self.breakpoints)
-        slopes = _as_fraction_tuple(self.slopes)
+        object.__setattr__(self, "value_at_zero", exact(self.value_at_zero))
+        bps = tuple(map(exact, self.breakpoints))
+        slopes = tuple(map(exact, self.slopes))
         if len(slopes) != len(bps) + 1:
             raise ValueError(
                 "need exactly one slope per piece: %d breakpoints require %d "
@@ -68,9 +69,9 @@ class PwlFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def linear(cls, slope, value_at_zero=ZERO, shape=Shape.CONVEX):
+    def linear(cls, slope, value_at_zero=0, shape=Shape.CONVEX):
         """A one-piece (linear) function; linear counts as convex and concave."""
-        return cls(shape, Fraction(value_at_zero), (), (Fraction(slope),))
+        return cls(shape, value_at_zero, (), (slope,))
 
     @classmethod
     def from_sorted_weights(cls, weights):
@@ -79,13 +80,10 @@ class PwlFunction:
         f(k) = sum of the k smallest weights; f(0) = 0.  The empty collection
         gives the constant zero function.
         """
-        ws = sorted(Fraction(w) for w in weights)
+        ws = sorted(map(exact, weights))
         if ws and ws[0] < 0:
             raise ValueError("weights must be nonnegative")
-        if not ws:
-            return cls(Shape.CONVEX, ZERO, (), (ZERO,))
-        bps = tuple(Fraction(i) for i in range(1, len(ws)))
-        return cls(Shape.CONVEX, ZERO, bps, tuple(ws))
+        return cls(Shape.CONVEX, 0, range(1, len(ws)), ws or (0,))
 
     @classmethod
     def from_sorted_multiplicities(cls, multiplicities):
@@ -93,13 +91,10 @@ class PwlFunction:
 
         f(k) = sum of the k largest multiplicities; f(0) = 0.
         """
-        ts = sorted((Fraction(t) for t in multiplicities), reverse=True)
+        ts = sorted(map(exact, multiplicities), reverse=True)
         if ts and ts[-1] < 0:
             raise ValueError("multiplicities must be nonnegative")
-        if not ts:
-            return cls(Shape.CONCAVE, ZERO, (), (ZERO,))
-        bps = tuple(Fraction(i) for i in range(1, len(ts)))
-        return cls(Shape.CONCAVE, ZERO, bps, tuple(ts))
+        return cls(Shape.CONCAVE, 0, range(1, len(ts)), ts or (0,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -113,7 +108,6 @@ class PwlFunction:
 
     def piece_index(self, x) -> int:
         """Index of the piece containing x (pieces are left-open, right-closed)."""
-        x = Fraction(x)
         k = 0
         for bp in self.breakpoints:
             if bp < x:
@@ -122,8 +116,8 @@ class PwlFunction:
                 break
         return k
 
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
+    def eval(self, x):
+        x = exact(x)
         total = self.value_at_zero + x * self.slopes[0]
         for bp, lo, hi in zip(self.breakpoints, self.slopes, self.slopes[1:]):
             step = hi - lo
@@ -131,7 +125,7 @@ class PwlFunction:
                 total += (x - bp) * step
             if bp < 0:
                 total -= (-bp) * step
-        return total
+        return exact(total)
 
     def range_on(self, lower, upper):
         """Exact (min, max) of the function over [lower, upper].
@@ -141,13 +135,13 @@ class PwlFunction:
         function on a box lie at endpoints or breakpoints, so both values
         come from finitely many evaluations.
         """
-        lower = Fraction(lower)
+        lower = exact(lower)
         xs = [lower]
         for bp in self.breakpoints:
             if bp > lower and (upper is None or bp < upper):
                 xs.append(bp)
         if upper is not None:
-            upper = Fraction(upper)
+            upper = exact(upper)
             if upper < lower:
                 raise ValueError("empty interval")
             xs.append(upper)
@@ -157,7 +151,7 @@ class PwlFunction:
         return lo, hi
 
     def with_value_at_zero(self, value) -> "PwlFunction":
-        return PwlFunction(self.shape, Fraction(value), self.breakpoints, self.slopes)
+        return PwlFunction(self.shape, value, self.breakpoints, self.slopes)
 
     def drop_negative_breakpoints(self) -> "PwlFunction":
         """Merge pieces lying entirely left of 0 into the zeroth piece.
@@ -202,12 +196,5 @@ class PwlFunction:
 
 def _merge_equal_slopes(bps, slopes):
     """Drop breakpoints between pieces of equal slope (canonical form)."""
-    if not bps:
-        return bps, slopes
-    out_b, out_s = [], [slopes[0]]
-    for bp, s in zip(bps, slopes[1:]):
-        if s == out_s[-1]:
-            continue
-        out_b.append(bp)
-        out_s.append(s)
-    return tuple(out_b), tuple(out_s)
+    keep = [k for k in range(len(bps)) if slopes[k + 1] != slopes[k]]
+    return tuple(bps[k] for k in keep), (slopes[0], *(slopes[k + 1] for k in keep))

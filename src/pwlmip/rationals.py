@@ -1,63 +1,66 @@
-"""Exact rational scalars: parsing.
+"""Exact rational scalars: one contract and the parser.
 
-Every number in this package is an exact rational, and the public scalar type
-is :class:`fractions.Fraction`.  The MILP layer holds no Fractions between
-the lowering step and the pivot kernel: rows are Python ints over a positive
-row denominator (see :mod:`pwlmip.milp.model`), integer variables' bounds
-are ints during a search, and a vertex value is an int unless it is
-fractional.  Fractions are made at the edges: the bounds of a model, the
-assignment a solve returns, and the reports, which print them with ``str``
-(an integral Fraction prints without a denominator).
+Every number in this package is an exact rational: an ``int`` when it is
+integral and a :class:`fractions.Fraction` otherwise, the form :func:`exact`
+gives.  Ints and integral Fractions compare, hash and print alike, so the
+contract moves no answer and no report byte.  Fractions are kept on purpose
+in two places: the assignment a solve returns, and a divisor such as ε in
+:mod:`pwlmip.approx`, where ``int / int`` would make a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def exact(value):
+    """``value``, which Fraction must accept, as an int if integral."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
-def parse_rational(value) -> Fraction:
-    """Parse a rational from JSON-ish input.
+def parse_rational(value):
+    """Parse a rational from JSON-ish input into :func:`exact`'s form.
 
-    Accepts ints, "p/q" strings, and decimal strings ("-3", "2.5").  Floats
-    are rejected unless they are integral, because a float literal in an
-    input file almost always means an unintended rounding step.
+    Accepts ints, Fractions, "p/q" strings, and decimal strings ("-3",
+    "2.5").  Floats are rejected unless they are integral, because a float
+    literal in an input file almost always means an unintended rounding
+    step; bools are rejected too.
     """
     if isinstance(value, bool):
         raise ValueError("expected a rational, got a bool")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
         if value.is_integer():
-            return Fraction(int(value))
+            return int(value)
         raise ValueError(
             "refusing float %r: write rationals as strings like \"1/3\" or \"0.5\""
             % value
         )
     if isinstance(value, str):
+        text = value.strip()
+        if text.isdecimal() or text[:1] in ("-", "+") and text[1:].isdecimal():
+            return int(text)  # the common case, without Fraction's parser
         try:
-            return Fraction(value.strip())
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("cannot parse rational from %r" % value) from exc
+    if isinstance(value, (int, Fraction)):
+        return exact(value)
     raise ValueError("cannot parse rational from %r" % (value,))
 
 
 def parse_integer(value) -> int:
     """Parse an integer the way :func:`parse_rational` parses a rational.
 
-    Bools and non-integral values are refused, not truncated.  An int is
-    returned as it is, without building a Fraction.
+    Bools and non-integral values are refused, not truncated.
     """
-    if type(value) is int:
-        return value
     try:
         q = parse_rational(value)
     except ValueError:
         q = None
-    if q is None or q.denominator != 1:
+    if type(q) is not int:
         raise ValueError("expected an integer, got %r" % (value,))
-    return q.numerator
+    return q

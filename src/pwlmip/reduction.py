@@ -18,7 +18,9 @@ Because the convex slope steps are positive, any feasible w dominates f(x)
 under g(x); plugging in the witness values w = f(x), u = g(x),
 z_l = max(0, x - rho_l) embeds every feasible point of the source model.
 Integer variables pass through untouched, so the integer dimension is
-unchanged, and rows are scaled to integer coefficients.
+unchanged, and rows are scaled to integer coefficients.  A model with
+integral data is all ints already (:mod:`pwlmip.rationals`), so its rows
+need no scaling and no Fraction is made on the way.
 
 The rows are kept lean, which keeps the LP relaxation exactly as tight:
 
@@ -40,12 +42,11 @@ The rows are kept lean, which keeps the LP relaxation exactly as tight:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .emip import EmipModel, VarKind, is_normalized, validate
 from .milp.model import MilpModel, MilpVariable, integer_row
 from .pwl import PwlFunction
-from .rationals import ZERO
+from .rationals import exact
 
 
 class NotNormalizedError(ValueError):
@@ -116,7 +117,7 @@ def lower(model: EmipModel):
                 MilpVariable(
                     "%s_c%d_%s_%d" % (aux_prefix, j, src.name, l),
                     VarKind.CONTINUOUS,
-                    ZERO,
+                    0,
                     None,
                 )
             )
@@ -126,15 +127,15 @@ def lower(model: EmipModel):
         link = [(idx, sign * fn.slopes[0])] if fn.slopes[0] else []
         for aux, lo, hi in zip(aux_vars, fn.slopes, fn.slopes[1:]):
             link.append((aux, sign * (hi - lo)))
-        link.append((bound_var, Fraction(-sign)))
-        rows.append((link, ZERO))
+        link.append((bound_var, -sign))
+        rows.append((link, 0))
         return LoweredTerm(idx, bound_var, tuple(aux_vars), fn)
 
     for j, cons in enumerate(model.constraints):
         budget = {}
 
         def bump(idx, delta, budget=budget):
-            budget[idx] = budget.get(idx, ZERO) + delta
+            budget[idx] = budget.get(idx, 0) + delta
 
         for side_name, side, sign in (("lhs", cons.lhs, 1), ("rhs", cons.rhs, -1)):
             for idx, fn in side:
@@ -145,7 +146,7 @@ def lower(model: EmipModel):
                 term = blocks.get(key)
                 if term is None:
                     term = blocks[key] = lower_term(j, idx, fn, sign)
-                bump(term.bound_var, Fraction(sign))
+                bump(term.bound_var, sign)
                 term_map.append(((j, side_name, idx), term))
         rows.append(([(i, c) for i, c in budget.items() if c != 0], cons.b))
 
@@ -165,9 +166,10 @@ def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
     """Restrict a lowered-model point to the source variables and verify.
 
     Raises WitnessError if the restriction violates any source constraint;
-    a correct lowering never triggers this.
+    a correct lowering never triggers this.  The check reads integral
+    values as ints; the point returned holds the caller's own values.
     """
-    point = {i: Fraction(assignment[i]) for i in range(lmap.n_original)}
+    point = {i: exact(assignment[i]) for i in range(lmap.n_original)}
     for j, cons in enumerate(model.constraints):
         if not cons.holds(point):
             raise WitnessError(
@@ -179,4 +181,4 @@ def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
             raise WitnessError("lifted point violates bounds of %r" % v.name)
         if v.kind is VarKind.INTEGER and x.denominator != 1:
             raise WitnessError("lifted point not integral on %r" % v.name)
-    return point
+    return {i: assignment[i] for i in point}

@@ -226,3 +226,17 @@ def test_almost_cover_on_subset_sum_family():
     assert sol.miss_total < sol.miss_bound
     # multiplicities 2, 3, 6 are far below Y, so rounding loses nothing
     assert sol.miss_total == 0 and sol.miss_bound == 6
+
+
+def test_integral_epsilon_keeps_every_value_exact():
+    """ε = 1 parses to an int; the grid must still divide exactly."""
+    instance = CoverInstance(2, [{0: 2, 1: 2}, {0: 3, 1: 3}, {0: 1}, {1: 1}],
+                             [4, 3], 2)
+    params = ApproxParams(1, instance.m)
+    assert type(params.epsilon) is Fraction and params.half_eps == Fraction(1, 2)
+    sol = almost_cover(instance, 1)
+    assert sol is not None
+    values = [sol.miss_total, sol.miss_bound, *sol.misses, *sol.coverage]
+    for vector in sol.chosen:
+        values += [vector.beta, *vector.shape, *vector.realized()]
+    assert values and not [v for v in values if isinstance(v, float)]

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -329,6 +330,17 @@ def test_non_integral_counts_are_input_errors(capsys, tmp_path):
         assert "expected an integer" in report["error"] and "error:" in err
 
 
+
+def test_objective_with_an_unknown_variable(capsys, tmp_path):
+    with open(fx("knapsackish.json")) as fh:
+        blob = json.load(fh)
+    blob["objective"]["coeffs"]["y_typo"] = "1"
+    path = _write_json(tmp_path, "b.json", blob)
+    code, out, err = run(capsys, "solve-emip", path)
+    assert code == 2 and out == ""
+    assert err == ("error: %s: objective references unknown variable 'y_typo'\n"
+                   % path)
+
 def _non_uniform_cover(tmp_path):
     instance = CoverInstance(2, [{0: 1, 1: 2}], [1, 1], 1)
     return _write_json(tmp_path, "non-uniform.json", instance.to_json())
@@ -626,3 +638,78 @@ def test_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enthrone"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# a closed stdout pipe, exact scalars on the division paths
+# ---------------------------------------------------------------------------
+
+
+def test_closed_stdout_pipe_exits_without_a_traceback():
+    """``pwlmip ... --json | head``: the reader is gone before any write."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "pwlmip.cli", "mmc-approx",
+             fx("uniformish.json"), "--epsilon", "1", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == ""
+
+
+def _leaves(report):
+    if isinstance(report, dict):
+        report = list(report.values())
+    if isinstance(report, list):
+        for item in report:
+            yield from _leaves(item)
+    else:
+        yield report
+
+
+@pytest.mark.parametrize("epsilon", ["1", "2"])
+def test_integral_epsilon_makes_no_floats(capsys, epsilon):
+    code, report, _ = run_json(capsys, "mmc-approx", fx("uniformish.json"),
+                               "--epsilon", epsilon, "--dump-decomposition")
+    assert code == 0 and report["status"] == "feasible"
+    assert report["epsilon"] == report["decomposition"]["epsilon"] == epsilon
+    leaves = list(_leaves(report))
+    assert not [x for x in leaves if isinstance(x, float)]
+    assert not [x for x in leaves if isinstance(x, str) and "." in x]
+
+
+def test_fraction_constructions_stay_few(capsys, tmp_path):
+    """Integral data stays int from the loaders to the kernel, so a few
+    in-process solves build few Fractions.  Counted deterministically:
+    every call of ``Fraction.__new__`` under ``sys.setprofile``.  111 are
+    made today; when every model value was a Fraction, 968 were."""
+    calls = [
+        ["wsm", fx("wsm3.json")],
+        ["wsm", fx("wsm3.json"), "--minimize-cost"],
+        ["umm", fx("uniformish.json")],
+        ["umm", fx("uniformish.json"), "--minimize-cost"],
+        ["mmc-approx", fx("uniformish.json"), "--epsilon", "1/4"],
+        ["solve-emip", fx("knapsackish.json")],
+        ["export-lp", fx("knapsackish.json"), "-o", str(tmp_path / "k.lp")],
+    ]
+    build_parser()  # built outside the count
+    made = 0
+    new = Fraction.__new__.__code__
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code is new:
+            made += 1
+
+    sys.setprofile(count)
+    try:
+        codes = [main(argv + ["--json"]) for argv in calls]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(calls)
+    assert 0 < made <= 111

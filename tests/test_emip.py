@@ -319,3 +319,84 @@ def test_from_json_errors():
     }
     with pytest.raises(ValueError, match="unknown variable"):
         EmipModel.from_json(base)
+
+
+# ---------------------------------------------------------------------------
+# the scalar contract: ints when integral, Fractions otherwise
+# ---------------------------------------------------------------------------
+
+
+def _contract_blob(**overrides):
+    blob = {
+        "format": "emip-v1",
+        "variables": [
+            {"name": "x", "kind": "integer", "lower": "0", "upper": 6},
+            {"name": "y", "kind": "continuous", "lower": "-2", "upper": "8/2"},
+        ],
+        "constraints": [{
+            "lhs": {"x": {"shape": "convex", "value_at_zero": "1",
+                          "breakpoints": ["2"], "slopes": [1, "3"]},
+                    "y": "2"},
+            "rhs": {},
+            "b": "9",
+        }],
+        "objective": {"sense": "max", "coeffs": {"x": "1", "y": 2}},
+    }
+    blob.update(overrides)
+    return blob
+
+
+def _model_scalars(model):
+    out = []
+    for v in model.variables:
+        out += [v.lower] + ([] if v.upper is None else [v.upper])
+    for cons in model.constraints:
+        out.append(cons.b)
+        for _, fn in cons.lhs + cons.rhs:
+            out += [fn.value_at_zero, *fn.breakpoints, *fn.slopes]
+    out += [c for _, c in model.objective.coeffs]
+    return out
+
+
+def test_integral_json_model_holds_only_ints():
+    model = EmipModel.from_json(_contract_blob())
+    for m in (model, normalize(model)):
+        assert all(type(v) is int for v in _model_scalars(m))
+    built = EmipModel(
+        (_var("x", F(0), F(6)),),
+        (EmipConstraint(lhs={0: F(2)}, rhs={}, b=F(4)),),
+        Objective("min", {0: F(3)}),
+    )
+    assert all(type(v) is int for v in _model_scalars(built))
+
+
+def test_non_integral_json_values_stay_fractions():
+    blob = _contract_blob()
+    blob["variables"][1]["upper"] = "7/2"
+    blob["constraints"][0]["b"] = "9.5"
+    blob["objective"]["coeffs"]["y"] = "1/3"
+    model = EmipModel.from_json(blob)
+    assert model.variables[1].upper == F(7, 2)
+    assert model.constraints[0].b == F(19, 2)
+    assert dict(model.objective.coeffs)[1] == F(1, 3)
+    assert sum(type(v) is F for v in _model_scalars(model)) == 3
+
+
+def test_bools_are_refused_in_models():
+    for path, value in ((("variables", 0, "upper"), True),
+                        (("constraints", 0, "b"), False),
+                        (("objective", "coeffs", "x"), True)):
+        blob = _contract_blob()
+        target = blob
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match="bool"):
+            EmipModel.from_json(blob)
+
+
+def test_objective_with_an_unknown_variable_is_refused():
+    blob = _contract_blob()
+    blob["objective"]["coeffs"]["z"] = "1"
+    with pytest.raises(ValueError, match="objective references unknown variable 'z'"):
+        EmipModel.from_json(blob)

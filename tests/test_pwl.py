@@ -185,3 +185,51 @@ def test_eval_matches_piece_walk_bulk():
         fn = random_pwl(rng, max_pieces=4)
         x = Fraction(rng.randint(-40, 40), rng.randint(1, 5))
         assert fn.eval(x) == reference_eval(fn, x)
+
+
+# ---------------------------------------------------------------------------
+# the scalar contract: ints when integral, Fractions otherwise
+# ---------------------------------------------------------------------------
+
+
+def _scalars(fn):
+    return (fn.value_at_zero, *fn.breakpoints, *fn.slopes)
+
+
+def test_integral_json_values_are_ints():
+    fn = PwlFunction.from_json({"shape": "convex", "value_at_zero": "2",
+                                "breakpoints": [1, "3"],
+                                "slopes": ["-1", "4/2", 5.0]})
+    assert all(type(v) is int for v in _scalars(fn))
+    assert type(fn.eval(4)) is int and type(fn.eval(F(8, 2))) is int
+    assert all(type(v) is int for v in fn.range_on(0, 6))
+    for built in (PwlFunction.linear(F(3), F(2)),
+                  PwlFunction.from_sorted_weights([F(2), 1, "3"]),
+                  PwlFunction.from_sorted_multiplicities([F(4, 2), 1]),
+                  fn.with_value_at_zero(F(0)).drop_negative_breakpoints()):
+        assert all(type(v) is int for v in _scalars(built))
+
+
+def test_non_integral_values_stay_fractions():
+    fn = PwlFunction.from_json({"shape": "concave", "value_at_zero": "1/2",
+                                "breakpoints": ["0.5"], "slopes": [1, "1/3"]})
+    assert fn.value_at_zero == F(1, 2) and type(fn.value_at_zero) is F
+    assert fn.breakpoints == (F(1, 2),) and type(fn.breakpoints[0]) is F
+    assert [type(s) for s in fn.slopes] == [int, F]
+    assert type(fn.eval(1)) is F and type(fn.eval(F(7, 2))) is int
+
+
+def test_bools_are_refused():
+    for key, value in (("value_at_zero", True), ("breakpoints", [False]),
+                       ("slopes", [True])):
+        blob = {"shape": "convex", "slopes": [0]}
+        blob[key] = value
+        with pytest.raises(ValueError, match="bool"):
+            PwlFunction.from_json(blob)
+
+
+def test_int_and_fraction_functions_are_equal():
+    ints = PwlFunction(Shape.CONCAVE, 0, (1, 2), (3, 2, 1))
+    fractions = PwlFunction(Shape.CONCAVE, F(0), (F(1), F(2)), (F(3), F(2), F(1)))
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert all(type(v) is int for v in _scalars(fractions))

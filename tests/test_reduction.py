@@ -279,3 +279,54 @@ def test_umm_family_yield_lowers_to_one_shared_block(monkeypatch):
     # one u plus one y per breakpoint for each block, nothing per use
     aux = sum(1 + len(term.aux_vars) for term in _blocks(lmap))
     assert len(lowered.variables) == len(model.variables) + aux
+
+
+# ---------------------------------------------------------------------------
+# the scalar contract: ints when integral, Fractions otherwise
+# ---------------------------------------------------------------------------
+
+
+def test_integral_model_lowers_to_int_bounds_and_rows():
+    fn = PwlFunction.from_json({"shape": "convex", "breakpoints": ["2"],
+                                "slopes": ["1", "3"]})
+    model = EmipModel(
+        (Variable("x", VarKind.INTEGER, "0", F(6)),
+         Variable("y", VarKind.CONTINUOUS, F(-2), "4")),
+        (EmipConstraint(lhs={0: fn, 1: F(2)}, rhs={}, b=F(18, 2)),),
+    )
+    lowered, _ = lower(normalize(model))
+    bounds = [b for v in lowered.variables for b in (v.lower, v.upper)
+              if b is not None]
+    assert bounds and all(type(b) is int for b in bounds)
+    for coeffs, rhs, den in lowered.rows:
+        assert den == 1 and type(rhs) is int
+        assert all(type(c) is int for _, c in coeffs)
+
+
+def test_non_integral_bounds_stay_fractions_in_the_lowering():
+    half = PwlFunction(Shape.CONVEX, 0, (F(1, 2),), (1, 3))
+    model = EmipModel(
+        (Variable("x", VarKind.CONTINUOUS, 0, F(5, 2)),),
+        (EmipConstraint(lhs={0: half}, rhs={}, b=9),),
+    )
+    lowered, _ = lower(model)
+    assert lowered.variables[0].upper == F(5, 2)
+    assert type(lowered.variables[0].upper) is F
+    # z >= x - 1/2 is scaled to the integer row 2x - 2z <= 1
+    assert lowered.rows[0] == (((0, 2), (2, -2)), 1, 1)
+
+
+def test_int_and_fraction_functions_share_one_lowered_block():
+    ints = PwlFunction(Shape.CONCAVE, 0, (1, 2), (3, 2, 1))
+    fractions = PwlFunction(Shape.CONCAVE, F(0), (F(1), F(2)),
+                            (F(3), F(2), F(1)))
+    model = EmipModel(
+        (Variable("z", VarKind.INTEGER, 0, 3),),
+        (EmipConstraint(lhs={}, rhs={0: ints}, b=-4),
+         EmipConstraint(lhs={}, rhs={0: fractions}, b=-5)),
+    )
+    lowered, lmap = lower(model)
+    (_, first), (_, second) = lmap.terms
+    assert first is second
+    assert [v.name for v in lowered.variables] == ["z", "u_c0_z", "y_c0_z_1",
+                                                   "y_c0_z_2"]
