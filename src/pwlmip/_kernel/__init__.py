@@ -4,9 +4,12 @@
 keeps the name it had when it ran phase 1 only.  The LP layer calls it on
 the phase-1 objective (the artificial sum) and, when it asks for an optimal
 vertex, again on a phase-2 objective priced out against the feasible basis,
-with the artificial columns sliced off.  :func:`pivot` is one pivot step:
-the loop takes it, and so does the LP layer to price out an objective and
-to move an artificial left basic at zero out of the basis.
+with the artificial columns sliced off.  Every later node LP of a search
+calls it once, on the search's last optimal tableau with the right-hand
+sides moved to the node: the dual phase below re-optimizes it.
+:func:`pivot` is one pivot step: the loop takes it, and so does the LP
+layer to price out an objective and to move an artificial left basic at
+zero out of the basis.
 
 The tableau is a list of ``nrows + 1`` rows of Python ints.  Rows
 0..nrows-1 are constraint rows and row nrows is the priced-out objective row.
@@ -42,6 +45,21 @@ cross-multiplication (the row denominator cancels from the ratio), ties
 broken by the lowest basic variable index.  Bland's rule guarantees
 termination, and because every choice depends only on the rational values,
 the pivot sequence is the one a rational tableau would take.
+
+A dual phase runs first, while some right-hand side is negative.  That is
+never so on a tableau built from the all-slack basis, whose rows all start
+at rhs >= 0; it is so on an optimal tableau whose right-hand sides the LP
+layer has moved to another node's bounds (a warm start).  Its precondition
+is a dual-feasible objective row: no negative entry among the columns.
+Dual Bland's rule picks the pivot: the row with a negative right-hand side
+and the lowest basic index leaves, and the entering column minimizes
+``obj[j] / -row[j]`` over the row's negative entries, compared by
+cross-multiplication, ties to the lowest j.  The leaving row is negated
+(its denominator kept), so its pivot entry is positive, and pivoted on like
+any other.  The objective row stays dual feasible, and once no right-hand
+side is negative the tableau is optimal.  A leaving row with no negative
+entry proves the LP infeasible: the kernel returns with that row's
+right-hand side still negative, and the row is a Farkas ray.
 """
 
 from math import gcd
@@ -51,13 +69,41 @@ REDUCE_ABOVE = 1 << 30
 
 
 def phase1(tableau, basis, nrows, ncols):
-    """Pivot to an optimum in place; returns the pivot count.
+    """Pivot to an optimum in place; returns the pivot count, dual pivots
+    included.
 
-    It also returns, without pivoting, when the entering column has no
-    positive entry: the objective is then unbounded below, and row ``nrows``
-    still holds that negative entry.  A phase-1 objective never is.
+    It returns early in two cases.  A dual pivot row without a negative
+    entry leaves its right-hand side negative: the LP is infeasible.  An
+    entering column without a positive entry: the objective is then
+    unbounded below, and row ``nrows`` still holds that negative entry.  A
+    phase-1 objective never is.
     """
     pivots = 0
+    while True:
+        leave = -1
+        for i in range(nrows):
+            if tableau[i][ncols] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            break
+        row = tableau[leave]
+        obj = tableau[nrows]
+        enter = -1
+        best_c = best_a = 0
+        for j in range(ncols):
+            a = row[j]
+            if a < 0:
+                # obj[j] / -a < best_c / -best_a, times -a * -best_a > 0
+                c = obj[j]
+                if enter < 0 or c * best_a > best_c * a:
+                    enter, best_c, best_a = j, c, a
+        if enter < 0:
+            return pivots
+        row = tableau[leave] = [-x for x in row]
+        row[-1] = -row[-1]
+        pivot(tableau, basis, nrows, ncols, leave, enter)
+        pivots += 1
+
     while True:
         obj = tableau[nrows]
         enter = -1

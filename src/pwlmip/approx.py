@@ -78,9 +78,14 @@ class EmittedVector:
     beta: Fraction
     shape: tuple
     origin: int
+    _realized: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_realized", tuple(
+            math.floor(self.beta * s) for s in self.shape))
 
     def realized(self):
-        return tuple(math.floor(self.beta * s) for s in self.shape)
+        return self._realized
 
     def to_json(self):
         return {
@@ -242,7 +247,8 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
     shapes = sorted(groups)
     members = []
     for shape in shapes:
-        ordered = sorted(groups[shape], key=lambda pv: (-pv[1].beta, pv[0]))
+        # by beta descending; the stable sort keeps ties in position order
+        ordered = sorted(groups[shape], key=lambda pv: pv[1].beta, reverse=True)
         members.append([v for _, v in ordered])
 
     n_groups = len(shapes)

@@ -8,18 +8,25 @@ variables need finite bounds, so the tree is finite; Bland's rule makes
 every answer deterministic.  A feasibility search stops at the first
 integral vertex.
 
+A search keeps exactly one live tableau
+(:class:`~pwlmip.milp.lp.LiveTableau`): the last one its LPs solved,
+whichever node that was.  Every node LP after
+the first warm-starts from it by dual simplex and leaves its own final
+tableau in its place.  A deferred child keeps only its bounds, so no
+tableau is ever copied, and memory stays that of one LP.
+
 Optimization (:func:`maximize`) runs the same search once, with the extra
 row ``objective >= T``: T starts at t_lo and is raised past each incumbent.
-Every node LP maximizes the objective in a phase 2 after its phase 1, so an
-integral vertex is the best point of its box.  It becomes the incumbent,
-worth the integer part of its objective capped at t_hi, and the threshold
-moves to that value + 1, so a later node LP proves its box empty unless the
-box can beat the incumbent; a node whose parent's LP optimum cannot is
-dropped without one.  The search stops at t_hi or when no node is
-left.  An objective unbounded on one node LP is unbounded on every feasible
-one, since a direction along which an LP stays feasible for ever moves no
-bounded variable, so no integer one: any integer point then reaches t_hi,
-and the search asks for feasibility at t_hi instead.
+Every node LP maximizes the objective (a cold one in a phase 2 after its
+phase 1), so an integral vertex is the best point of its box.  It becomes
+the incumbent, worth the integer part of its objective capped at t_hi, and
+the threshold moves to that value + 1, so a later node LP proves its box
+empty unless the box can beat the incumbent; a node whose parent's LP
+optimum cannot is dropped without one.  The search stops at t_hi or when
+no node is left.  An objective unbounded on one node LP is unbounded on
+every feasible one, since a direction along which an LP stays feasible for
+ever moves no bounded variable, so no integer one: any integer point then
+reaches t_hi, and the search asks for feasibility at t_hi instead.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lp import CompiledRows, solve_lp_feasibility
+from .lp import CompiledRows, LiveTableau, solve_lp_feasibility
 from .model import (
     MilpModel,
     ResourceExhausted,
@@ -96,6 +103,7 @@ def solve_feasibility(model: MilpModel, node_limit=None,
     threshold = len(model.rows)  # the threshold row's index
     phase2 = None if objective is None else threshold
     stats = SolveStats()
+    live = LiveTableau()
     incumbent = None
     # Each node carries the best value its box can reach: its parent's LP
     # optimum, rounded down.
@@ -111,7 +119,7 @@ def solve_feasibility(model: MilpModel, node_limit=None,
         if rows is None:  # the rounded root box is empty
             continue
         feasible, point, _ = solve_lp_feasibility(rows, lo, up, stats,
-                                                  objective=phase2)
+                                                  objective=phase2, live=live)
         if not feasible:
             continue
         if point is None:  # unbounded objective: solve this box again at hi

@@ -11,6 +11,18 @@ artificial columns are dropped, and the objective, priced out against the
 phase-1 basis, is minimized from there.  The vertex found is mapped back to
 original variables.
 
+That is the cold path, from the all-slack basis.  The nodes of a search
+share one constraint matrix, and only right-hand sides differ between them
+(the moving variables' bounds and the threshold row), so an optimal tableau
+of one node is dual feasible for every other: with an all-zero objective
+row in a feasibility search, and also when its dual simplex ended
+infeasible.  A search therefore keeps one :class:`LiveTableau`.  Its next
+node moves the stored right-hand sides to its own (see :func:`_move_rhs`)
+and hands the tableau to the kernel, whose dual phase re-optimizes it; a
+right-hand side left negative is the verdict "infeasible".  A call starts
+cold only while the search holds no tableau: at its first LP, and after a
+cold LP that ended unbounded or infeasible, neither of which leaves one.
+
 Tableau rows are Python ints over a positive per-row denominator, the layout
 :func:`pwlmip._kernel.phase1` pivots on, and model rows arrive in that form
 (see :mod:`pwlmip.milp.model`).  A branch-and-bound search moves only the
@@ -121,7 +133,25 @@ class CompiledRows:
         return totals
 
 
-def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None):
+class LiveTableau:
+    """The one tableau a search keeps across its node LPs.
+
+    ``tableau`` is None until a cold LP of the search ends optimal (feasible
+    with no objective).  From then on it is the final tableau of the
+    search's latest LP, over the structural and slack columns, with
+    ``basis``, and ``totals`` the right-hand sides it was solved at.  Its
+    objective row has no negative entry: it is the priced-out phase-2
+    objective, or all zeros in a feasibility search.
+    """
+
+    __slots__ = ("tableau", "basis", "totals")
+
+    def __init__(self):
+        self.tableau = self.basis = self.totals = None
+
+
+def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
+                         live=None):
     """Find an exact vertex satisfying all rows and bounds, or prove none.
 
     rows: a :class:`CompiledRows`, with lowers/uppers the finite int bounds
@@ -131,7 +161,12 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None):
     compiled row, asks for a vertex that minimizes that row's left side: a
     phase 2 from the phase-1 vertex.  ``stats``, a
     :class:`~pwlmip.milp.model.SolveStats`, counts the call, its pivots, an
-    infeasible verdict and the tableau sizes.  Returns (feasible, point,
+    infeasible verdict and the tableau sizes.  ``live``, a
+    :class:`LiveTableau` that every call of one search passes with the same
+    compiled rows and objective, warm-starts the call: a tableau it holds is
+    moved to this call's right-hand sides and re-optimized by dual simplex,
+    and a call that starts cold leaves its final tableau there once it ends
+    optimal.  Without it the call starts cold.  Returns (feasible, point,
     pivots); point holds an int per integral value and a Fraction otherwise,
     and it is None if the objective is unbounded below.
     """
@@ -148,13 +183,27 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None):
         # The all-zeros point (all structural columns at 0) is feasible.
         return True, _point(rows.plan, lowers, [0] * ncols), 0
 
+    real = ncols + m
+    live = LiveTableau() if live is None else live
+    if live.tableau is not None:
+        tableau, basis = live.tableau, live.basis
+        _move_rhs(tableau, real, ncols, rows.dens, live.totals, totals)
+        live.totals = totals
+        stats.note_tableau(m, real)
+        pivots = _kernel.phase1(tableau, basis, m, real)
+        stats.pivots += pivots
+        if any(tableau[k][real] < 0 for k in range(m)):
+            stats.infeasible_lps += 1
+            return False, None, pivots
+        return True, _point(rows.plan, lowers,
+                            _vertex(tableau, basis, ncols, real)), pivots
+
     # Tableau columns: structural | slacks | artificials | rhs | denominator.
     # An artificial row enters negated.  The phase-1 objective (minimize the
     # artificial sum, priced out against the basic artificials) is the sum
     # of the artificial rows' structural parts and right-hand sides over
     # their common denominator, with that denominator in their slack columns.
     dense, neg, dens = rows.dense, rows.neg, rows.dens
-    real = ncols + m
     width = real + len(art_rows)
     pad = [0] * (width - ncols + 2)
     tableau = []
@@ -196,32 +245,76 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None):
         if tableau[m][width]:
             stats.infeasible_lps += 1
             return False, None, pivots
-        if objective is not None:
-            _leave_artificials(tableau, basis, m, real)
-            width = real
+        _leave_artificials(tableau, basis, m, real)
 
-    if objective is not None:
+    if objective is None:
+        tableau.append([0] * (real + 1) + [1])
+    else:
         # Phase 2 over the feasible basis: the objective row priced out by
         # pivoting each basic column on its own row, which leaves every
         # constraint row as it is.
         tableau.append(dense[objective] + [0] * (m + 1) + [1])
         for k in range(m):
             if basis[k] < ncols and tableau[m][basis[k]]:
-                _kernel.pivot(tableau, basis, m, width, k, basis[k])
-        stats.note_tableau(m, width)
-        more = _kernel.phase1(tableau, basis, m, width)
+                _kernel.pivot(tableau, basis, m, real, k, basis[k])
+        stats.note_tableau(m, real)
+        more = _kernel.phase1(tableau, basis, m, real)
         stats.pivots += more
         pivots += more
-        if min(tableau[m][:width]) < 0:
+        if min(tableau[m][:real]) < 0:
             return True, None, pivots
 
+    live.tableau, live.basis, live.totals = tableau, basis, totals
+    return True, _point(rows.plan, lowers,
+                        _vertex(tableau, basis, ncols, real)), pivots
+
+
+def _move_rhs(tableau, width, ncols, dens, old, new):
+    """Move a tableau solved at right-hand sides ``old`` to ``new``, in place.
+
+    A row's total moving by delta moves its rational right-hand side by
+    delta / dens[r].  That is a substitution of the row's slack, so every
+    tableau row, objective included, gains delta / dens[r] times its entry
+    in the slack column ``ncols + r``; the columns stay as they are.  A row
+    is scaled only when its own denominator does not take that term, and
+    then reduced under the kernel's ``REDUCE_ABOVE`` rule, so that entries
+    do not grow over a long search.  That is rare: a row that no gcd has
+    reduced is an integer combination of the compiled rows, whose slack
+    entries are their denominators, so its slack-r entry is a multiple of
+    dens[r].
+    """
+    for r, (was, now) in enumerate(zip(old, new)):
+        delta = now - was
+        if not delta:
+            continue
+        col, d = ncols + r, dens[r]
+        for i, row in enumerate(tableau):
+            t = row[col]
+            if not t:
+                continue
+            num = delta * t
+            g = gcd(num, d)
+            if g == d:
+                row[width] += num // d
+                continue
+            s = d // g
+            row = tableau[i] = [x * s for x in row]
+            row[width] += num // g
+            if row[-1] > _kernel.REDUCE_ABOVE:
+                g = gcd(*row)
+                if g > 1:
+                    tableau[i] = [x // g for x in row]
+
+
+def _vertex(tableau, basis, ncols, width):
+    """The structural columns' values at the tableau's basic solution."""
     values = [0] * ncols
-    for k in range(m):
-        if basis[k] < ncols:
+    for k, b in enumerate(basis):
+        if b < ncols:
             num, den = tableau[k][width], tableau[k][width + 1]
             q, rem = divmod(num, den)
-            values[basis[k]] = Fraction(num, den) if rem else q
-    return True, _point(rows.plan, lowers, values), pivots
+            values[b] = Fraction(num, den) if rem else q
+    return values
 
 
 def _leave_artificials(tableau, basis, nrows, real):

@@ -12,12 +12,52 @@ a negative objective entry; the leaving row minimizes rhs/a over positive
 pivot candidates, ties broken by the lowest basic variable index.  An
 entering column without a positive entry ends the loop: the objective is
 unbounded below.
+
+Before that, while some right-hand side is negative, a dual simplex pivots
+on a tableau whose objective row has no negative entry.  Dual Bland's rule:
+of the rows with a negative right-hand side, the one whose basic variable
+has the lowest index leaves; the entering column minimizes obj[j] / -a over
+the negative entries a of that row, ties broken by the lowest column.  A
+leaving row without a negative entry ends the loop with its right-hand side
+still negative: the LP is infeasible.
 """
+
+
+def _eliminate(tableau, nrows, ncols, leave, enter):
+    prow = tableau[leave]
+    p = prow[enter]
+    if p != 1:
+        for j in range(ncols + 1):
+            if prow[j]:
+                prow[j] = prow[j] / p
+    for i in range(nrows + 1):
+        if i == leave:
+            continue
+        row = tableau[i]
+        f = row[enter]
+        if f:
+            for j in range(ncols + 1):
+                if prow[j]:
+                    row[j] = row[j] - f * prow[j]
 
 
 def phase1(tableau, basis, nrows, ncols):
     pivots = 0
     obj = tableau[nrows]
+    while True:
+        infeasible = [i for i in range(nrows) if tableau[i][ncols] < 0]
+        if not infeasible:
+            break
+        leave = min(infeasible, key=lambda i: basis[i])
+        row = tableau[leave]
+        candidates = [j for j in range(ncols) if row[j] < 0]
+        if not candidates:
+            return pivots
+        enter = min(candidates, key=lambda j: (obj[j] / -row[j], j))
+        _eliminate(tableau, nrows, ncols, leave, enter)
+        basis[leave] = enter
+        pivots += 1
+
     while True:
         enter = -1
         for j in range(ncols):
@@ -43,20 +83,6 @@ def phase1(tableau, basis, nrows, ncols):
         if leave < 0:
             return pivots
 
-        prow = tableau[leave]
-        p = prow[enter]
-        if p != 1:
-            for j in range(ncols + 1):
-                if prow[j]:
-                    prow[j] = prow[j] / p
-        for i in range(nrows + 1):
-            if i == leave:
-                continue
-            row = tableau[i]
-            f = row[enter]
-            if f:
-                for j in range(ncols + 1):
-                    if prow[j]:
-                        row[j] = row[j] - f * prow[j]
+        _eliminate(tableau, nrows, ncols, leave, enter)
         basis[leave] = enter
         pivots += 1

@@ -15,6 +15,7 @@ from pwlmip import _kernel, covering, milp
 from pwlmip._kernel import phase1 as integer_phase1
 from pwlmip.emip import VarKind, normalize
 from pwlmip.milp import branch_bound
+from pwlmip.milp import lp as lp_module
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
 from pwlmip.milp.model import MilpModel, MilpVariable, integer_row
@@ -623,17 +624,37 @@ def _ladder_cover(rng, m, n, kind):
                                   weights)
 
 
+def _rational_knapsack(rng, n):
+    """Maximize a rational objective (fifths) over n integer variables in
+    small boxes, under two rational knapsack rows (sevenths, elevenths)."""
+    variables = tuple(MilpVariable("x%d" % i, VarKind.INTEGER, 0,
+                                   rng.randint(2, 6)) for i in range(n))
+    rows = []
+    for den in (7, 11):
+        coeffs = [(i, F(rng.randint(1, 20), den)) for i in range(n)]
+        rows.append(integer_row(coeffs, 2 * sum(c for _, c in coeffs), n))
+    objective = {i: F(rng.randint(1, 20), 5) for i in range(n)}
+    return MilpModel(variables, tuple(rows)), objective
+
+
 def test_kernel_entries_stay_within_64_bits_on_covers(monkeypatch):
-    """Lazy reduction lets rows grow past lowest terms, but not far: on
-    minimum-cost covers with m = 5..6 no final tableau entry needs more
-    than 64 bits."""
+    """Lazy reduction lets rows grow past lowest terms, and a search moves
+    one live tableau through all its nodes, but entries do not grow far: on
+    minimum-cost covers with m = 5..7 and on knapsacks with rational rows
+    and a rational objective no final tableau entry needs more than 64
+    bits."""
     calls = _record_kernel(monkeypatch)
     rng = random.Random(0xB5C)
-    for m, n in ((5, 20), (6, 22)):
+    for m, n in ((5, 20), (6, 22), (7, 30)):
         for kind in ("umm", "wsm", "umm", "wsm"):
             instance = _ladder_cover(rng, m, n, kind)
             getattr(covering, "solve_" + kind)(instance, minimize_cost=True)
+    rational = len(calls)
+    for n in (6, 8, 10, 12):
+        model, objective = _rational_knapsack(rng, n)
+        milp.maximize(model, objective, 0, 6 * sum(objective.values()))
     assert sum(call.pivots for call in calls) > 1000
+    assert sum(call.pivots for call in calls[rational:]) > 100
     bits = max(abs(x).bit_length()
                for call in calls for row in call.final for x in row)
     assert bits <= 64
@@ -651,14 +672,16 @@ def test_integer_kernel_matches_reference_on_lowered_models(monkeypatch):
 def _phase2_calls(monkeypatch, calls):
     """Collect the phase-2 calls among the :class:`KernelCall` s that
     ``calls`` records: the last kernel call of a node LP that has an
-    objective and a feasible verdict."""
+    objective and a feasible verdict, each with whether the LP started warm
+    from the search's live tableau."""
     phase2 = []
     real_lp = branch_bound.solve_lp_feasibility
 
-    def lp(*args, objective=None, **kwargs):
-        result = real_lp(*args, objective=objective, **kwargs)
+    def lp(*args, objective=None, live=None, **kwargs):
+        warm = live is not None and live.tableau is not None
+        result = real_lp(*args, objective=objective, live=live, **kwargs)
         if objective is not None and result[0]:
-            phase2.append(calls[-1])
+            phase2.append((calls[-1], warm))
         return result
 
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
@@ -667,9 +690,10 @@ def _phase2_calls(monkeypatch, calls):
 
 def test_phase2_kernel_calls_match_reference(monkeypatch):
     """Every phase-2 kernel call pivots as the Fraction reference does, and
-    starts from a feasible basis of unit columns with the objective priced
-    out, on lowered models and on MILPs with continuous variables and
-    unbounded objectives."""
+    starts from a basis of unit columns with the objective priced out, on
+    lowered models and on MILPs with continuous variables and unbounded
+    objectives.  A cold call starts from a feasible basis; a warm one, whose
+    right-hand sides may be negative, from a dual-feasible objective row."""
     calls = _record_kernel(monkeypatch, _checked_phase1)
     phase2 = _phase2_calls(monkeypatch, calls)
     rng = random.Random(0xB5E)
@@ -681,19 +705,22 @@ def test_phase2_kernel_calls_match_reference(monkeypatch):
     for case in range(150):
         model, objective, _, _ = _random_milp(rng, unbounded=case % 3 == 0)
         milp.maximize(model, objective, -6, 6)
-    unbounded = 0
-    for tableau, basis, nrows, ncols, _, final in phase2:
+    unbounded = warm_calls = 0
+    for (tableau, basis, nrows, ncols, _, final), warm in phase2:
         obj = tableau[nrows]
         assert sorted(set(basis)) == sorted(basis) and max(basis) < ncols
         for k, b in enumerate(basis):
             assert obj[b] == 0
-            assert tableau[k][ncols] >= 0
+            assert warm or tableau[k][ncols] >= 0
             assert [row[b] for row in tableau[:nrows]] == [
                 row[ncols + 1] if i == k else 0
                 for i, row in enumerate(tableau[:nrows])]
+        if warm:
+            assert min(obj[:ncols]) >= 0
+            warm_calls += 1
         unbounded += min(final[nrows][:ncols]) < 0
-    assert len(phase2) > 150 and unbounded > 20
-    assert sum(call.pivots for call in phase2) > 200
+    assert len(phase2) > 150 and unbounded > 20 and warm_calls > 20
+    assert sum(call.pivots for call, _ in phase2) > 200
 
 
 def test_phase2_drives_a_basic_artificial_out(monkeypatch):
@@ -1007,10 +1034,43 @@ def test_assignments_stay_fractions():
     assert all(type(v) is Fraction for a in answers for v in a.values())
 
 
+def _rational_milp(rng):
+    """Two to four variables, the first two integer, the others integer or
+    continuous with rational bounds; one to four rows and an objective,
+    all with rational coefficients.
+
+    Returns (model, objective, rows, bounds): the rows as rational
+    ``(coeffs, rhs)`` and each variable's ``(lower, upper)``.
+    """
+    n = rng.randint(2, 4)
+    kinds = [VarKind.INTEGER if i < 2 or rng.random() < 0.5
+             else VarKind.CONTINUOUS for i in range(n)]
+    bounds = [(F(rng.randint(-2, 0)), F(rng.randint(1, 4)))
+              if k is VarKind.INTEGER else
+              (random_fraction(rng, -2, 1), random_fraction(rng, 1, 4))
+              for k in kinds]
+    rows = [
+        (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
+               if rng.random() < 0.8),
+         random_fraction(rng, -2, 6))
+        for _ in range(rng.randint(1, 4))
+    ]
+    model = MilpModel(
+        tuple(MilpVariable("x%d" % i, k, lo, up)
+              for i, (k, (lo, up)) in enumerate(zip(kinds, bounds))),
+        _int_rows(rows, n),
+    )
+    objective = {i: random_fraction(rng, -2, 2) for i in range(n)
+                 if rng.random() < 0.7}
+    return model, objective, rows, bounds
+
+
 def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
-    """One compile per ``maximize``; every node's phase-1 tableau is a
+    """One compile per ``maximize``; every cold node's phase-1 tableau is a
     direct build, with the threshold row at the value the tree holds when
-    the node is solved.
+    the node is solved.  (A warm node re-optimizes the search's live
+    tableau instead; ``test_warm_nodes_agree_with_cold_solves`` checks
+    those.)
 
     Rows, objective coefficients and continuous bounds are rational, so the
     threshold row and the folded shifts carry denominators.
@@ -1028,12 +1088,13 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
     real_lp = branch_bound.solve_lp_feasibility
     built = _record_kernel(monkeypatch)
 
-    def lp(rows, lo, up, stats=None, objective=None):
+    def lp(rows, lo, up, stats=None, objective=None, **kwargs):
         built.clear()
         threshold_rhs = rows.rhs[-1]
-        result = real_lp(rows, lo, up, stats, objective=objective)
+        warm = kwargs["live"].tableau is not None
+        result = real_lp(rows, lo, up, stats, objective=objective, **kwargs)
         phase2 = objective is not None and result[0]
-        nodes.append((threshold_rhs, list(lo), list(up),
+        nodes.append((threshold_rhs, list(lo), list(up), warm,
                       [call.given() for call in built[:len(built) - phase2]]))
         return result
 
@@ -1041,35 +1102,19 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
     rng = random.Random(0xB58)
     compared = thresholds = 0
-    for _ in range(60):
-        n = rng.randint(2, 4)
-        kinds = [VarKind.INTEGER if i < 2 or rng.random() < 0.5
-                 else VarKind.CONTINUOUS for i in range(n)]
-        bounds = [(F(rng.randint(-2, 0)), F(rng.randint(1, 4)))
-                  if k is VarKind.INTEGER else
-                  (random_fraction(rng, -2, 1), random_fraction(rng, 1, 4))
-                  for k in kinds]
-        rows = [
-            (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
-                   if rng.random() < 0.8),
-             random_fraction(rng, -2, 6))
-            for _ in range(rng.randint(1, 4))
-        ]
-        model = MilpModel(
-            tuple(MilpVariable("x%d" % i, k, lo, up)
-                  for i, (k, (lo, up)) in enumerate(zip(kinds, bounds))),
-            _int_rows(rows, n),
-        )
-        objective = {i: random_fraction(rng, -2, 2) for i in range(n)
-                     if rng.random() < 0.7}
+    for _ in range(150):
+        model, objective, rows, bounds = _rational_milp(rng)
+        n = model.n_vars
         _, _, den = integer_row(((i, -c) for i, c in objective.items()), 0, n)
         compiles.clear()
         nodes.clear()
         milp.maximize(model, objective, -12, 12)
         assert len(compiles) == 1
-        thresholds += len({rhs for rhs, _, _, _ in nodes}) > 1
+        thresholds += len({rhs for rhs, _, _, _, _ in nodes}) > 1
         int_idx = model.integer_indices()
-        for rhs, lo, up, tableaux in nodes:
+        for rhs, lo, up, warm, tableaux in nodes:
+            if warm:
+                continue
             threshold = (tuple((i, -c) for i, c in objective.items()),
                          F(rhs, den))
             lowers = [F(b[0]) for b in bounds]
@@ -1080,6 +1125,154 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
             assert tableaux == ([] if expected is None else [expected])
             compared += expected is not None
     assert compared > 80 and thresholds > 5
+
+
+# ---------------------------------------------------------------------------
+# warm starts: one live tableau per search
+# ---------------------------------------------------------------------------
+
+
+def _lowest_terms(tableau):
+    """Each row divided by the gcd of its entries: the same rationals."""
+    for i, row in enumerate(tableau):
+        g = math.gcd(*row)
+        tableau[i] = [x // g for x in row]
+
+
+@pytest.mark.parametrize("lowest_terms", [False, True])
+def test_warm_nodes_agree_with_cold_solves(monkeypatch, lowest_terms):
+    """Every warm-started node LP gives the verdict and the LP optimum that a
+    cold solve of the same box at the same threshold gives, on MILPs with
+    rational rows, a rational objective and continuous bounds.
+
+    The threshold row moves between warm nodes when an incumbent raises it.
+    With ``lowest_terms`` the live tableau is put in lowest terms before each
+    warm node, a form lazy reduction may leave it in, in which a slack column
+    need not be a multiple of its row's denominator.
+    """
+    real_lp = branch_bound.solve_lp_feasibility
+    seen = collections.Counter()
+    last_threshold = [None]
+
+    def lp(rows, lo, up, stats=None, objective=None, live=None):
+        threshold = rows.rhs[-1]
+        moved, last_threshold[0] = threshold != last_threshold[0], threshold
+        warm = live.tableau is not None
+        if warm and lowest_terms:
+            _lowest_terms(live.tableau)
+        result = real_lp(rows, lo, up, stats, objective=objective, live=live)
+        if not warm:
+            return result
+        cold = real_lp(rows, lo, up, objective=objective)
+        assert result[0] == cold[0]
+        seen["warm", result[0]] += 1
+        seen["threshold moved"] += moved
+        if result[0] and objective is not None:
+            assert result[1] is not None and cold[1] is not None
+            assert value(result[1]) == value(cold[1])
+            seen["optimum compared"] += 1
+        return result
+
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    rng = random.Random(0xB61)
+    for case in range(150):
+        model, objective, _, _ = _rational_milp(rng)
+        last_threshold[0] = None
+
+        def value(point, objective=objective):
+            return sum(c * point[i] for i, c in objective.items())
+
+        if case % 3:
+            milp.maximize(model, objective, -12, 12)
+        else:
+            milp.solve_feasibility(model)
+    assert seen["warm", True] > 100 and seen["warm", False] > 50
+    assert seen["optimum compared"] > 50 and seen["threshold moved"] > 10
+
+
+def test_moving_right_hand_sides_is_exact_in_any_row_form(monkeypatch):
+    """Moving a tableau from totals ``old`` to ``new`` adds, to every row,
+    (new - old) / dens[r] times its entry in slack column r, exactly: also
+    where a row's denominator does not take that term, so the row is
+    rescaled, and then reduced once past ``REDUCE_ABOVE`` (lowered here;
+    rows carry common factors for it to find)."""
+    monkeypatch.setattr(_kernel, "REDUCE_ABOVE", 16)
+    rng = random.Random(0xB63)
+    rescaled = reduced = 0
+    for _ in range(300):
+        ncols, m = rng.randint(1, 3), rng.randint(1, 4)
+        width = ncols + m
+        tableau = _scaled([[rng.randint(-9, 9) for _ in range(width + 1)]
+                           + [rng.randint(1, 12)] for _ in range(m + 1)],
+                          [rng.choice((1, 2, 6)) for _ in range(m + 1)])
+        dens = [rng.randint(1, 12) for _ in range(m)]
+        old = [rng.randint(-20, 20) for _ in range(m)]
+        new = [x + rng.choice((0, rng.randint(-5, 5))) for x in old]
+        expected = _fraction_rows(tableau, width)
+        for row in expected:
+            row[width] += sum(F(b - a, d) * row[ncols + r]
+                              for r, (a, b, d) in enumerate(zip(old, new, dens)))
+        before = [row[-1] for row in tableau]
+        lp_module._move_rhs(tableau, width, ncols, dens, old, new)
+        assert _fraction_rows(tableau, width) == expected
+        for row, den in zip(tableau, before):
+            if row[-1] != den:
+                rescaled += 1
+                reduced += row[-1] % den != 0  # only a reduction does that
+    assert rescaled > 100 and reduced > 10
+
+
+def test_search_restarts_cold_after_an_unbounded_phase_2(monkeypatch):
+    """A node LP whose phase 2 is unbounded leaves no live tableau: the
+    search's next LP, the feasibility solve at t_hi, starts cold, and the
+    nodes after it re-use that LP's tableau with an all-zero objective row.
+    The answers still match enumeration."""
+    real_lp = branch_bound.solve_lp_feasibility
+    trace = []
+
+    def lp(rows, lo, up, stats=None, objective=None, live=None):
+        warm = live.tableau is not None
+        if warm and objective is None:
+            assert not any(live.tableau[-1][:-1])
+        result = real_lp(rows, lo, up, stats, objective=objective, live=live)
+        trace.append((warm, objective is None,
+                      result[0] and result[1] is None))
+        return result
+
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    rng = random.Random(0xB62)
+    restarts = warm_after = 0
+    for _ in range(200):
+        model, objective, optimum, _ = _random_milp(rng, unbounded=True)
+        lo = rng.randint(-6, 0)
+        hi = lo + rng.randint(0, 8)
+        trace.clear()
+        result = milp.maximize(model, objective, lo, hi)
+        if optimum is None:
+            assert not result.feasible
+            continue
+        assert result.best == hi
+        assert model.check_assignment(result.assignment) == []
+        for k, (warm, _, unbounded) in enumerate(trace):
+            assert not (warm and unbounded)
+            if unbounded:
+                restarts += 1
+                after = trace[k + 1:]
+                assert after and not after[0][0] and after[0][1]
+                assert all(feasibility for _, feasibility, _ in after)
+                warm_after += any(warm for warm, _, _ in after)
+    assert restarts > 20 and warm_after > 5
+
+
+def test_warm_starts_keep_the_heavy_ladder_rung_cheap():
+    """The heaviest rung of the benchmark ladder's recipe, (m, n) = (9, 160)
+    UMM with rng seed 1000 m + n, minimized: its optimum 8 takes 415
+    pivots; 26,572 when every node LP started from the all-slack basis."""
+    instance = _ladder_cover(random.Random(9160), 9, 160, "umm")
+    solution = covering.solve_umm(instance, minimize_cost=True,
+                                  node_limit=20000)
+    assert solution.cost == 8
+    assert solution.stats.pivots < 2000
 
 
 def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):
