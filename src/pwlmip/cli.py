@@ -15,7 +15,6 @@ traceback, as the Python docs advise for SIGPIPE.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -72,17 +71,23 @@ def _load_election(path, kind):
     return election
 
 
+def _stats_json(stats):
+    """A report's ``stats``: a plain copy of the counters, which JSON writes
+    as ``dataclasses.asdict`` would, without its deep copy."""
+    return dict(vars(stats))
+
+
 def _cover_report(command, sol):
     if not sol.feasible:
         return {"command": command, "status": "infeasible",
-                "stats": dataclasses.asdict(sol.stats)}
+                "stats": _stats_json(sol.stats)}
     return {
         "command": command,
         "status": "feasible",
         "chosen": list(sol.chosen),
         "cost": sol.cost,
         "coverage": list(sol.coverage),
-        "stats": dataclasses.asdict(sol.stats),
+        "stats": _stats_json(sol.stats),
     }
 
 
@@ -91,7 +96,7 @@ def _manipulation_report(command, result, variant):
         "command": command,
         "status": "feasible" if result.feasible else "infeasible",
         "variant": variant,
-        "stats": dataclasses.asdict(result.stats),
+        "stats": _stats_json(result.stats),
     }
     if result.feasible:
         out["action"] = list(result.action)
@@ -128,7 +133,7 @@ def _run_solve_emip(args):
     out = {
         "command": "solve-emip",
         "status": "feasible" if result.feasible else "infeasible",
-        "stats": dataclasses.asdict(result.stats),
+        "stats": _stats_json(result.stats),
     }
     if result.feasible:
         out["assignment"] = {
@@ -156,7 +161,7 @@ def _run_mmc_approx(args):
     stats = SolveStats()
     sol = almost_cover(instance, epsilon, node_limit=args.node_limit, stats=stats)
     out = {"command": "mmc-approx", "epsilon": str(epsilon),
-           "stats": dataclasses.asdict(stats)}
+           "stats": _stats_json(stats)}
     if sol is None:
         out["status"] = "infeasible"
     else:
@@ -386,9 +391,11 @@ def _emit(report, as_json, elapsed):
     if "stats" in report:
         s = report["stats"]
         print("nodes: %d  lp calls: %d  pivots: %d  probes: %d  "
-              "infeasible lps: %d  max depth: %d  max tableau: %dx%d"
+              "infeasible lps: %d  rounding lps: %d  max depth: %d  "
+              "max tableau: %dx%d"
               % (s["nodes"], s["lp_calls"], s["pivots"], s["probes"],
-                 s["infeasible_lps"], s["max_depth"], *s["max_tableau"]))
+                 s["infeasible_lps"], s["rounding_lps"], s["max_depth"],
+                 *s["max_tableau"]))
     print("wall time: %.3fs" % elapsed, file=sys.stderr)
 
 

@@ -27,6 +27,17 @@ no node is left.  An objective unbounded on one node LP is unbounded on
 every feasible one, since a direction along which an LP stays feasible for
 ever moves no bounded variable, so no integer one: any integer point then
 reaches t_hi, and the search asks for feasibility at t_hi instead.
+
+An optimization also looks for an incumbent before its first branch, by
+simple rounding (Achterberg, *Constraint Integer Programming*, 2007,
+ch. 9).  At its first fractional vertex it fixes every integer variable at
+the ceiling of its value, or, if that box is empty, at the floor, and one
+LP through the live tableau fills in the continuous variables at their
+best.  A point found is re-checked and moves the threshold exactly as an
+integral vertex does; the node's children, which carry its LP optimum, are
+then solved only if that still beats the incumbent.  These at most two LPs
+per search solve no node: ``SolveStats.rounding_lps`` counts them, as do
+the LP counters, and the node limit does not.
 """
 
 from __future__ import annotations
@@ -96,7 +107,8 @@ def solve_feasibility(model: MilpModel, node_limit=None,
     returns its last incumbent, with ``best`` its value.
     """
     limit = resolve_node_limit(node_limit)
-    # A feasibility search has no threshold row: T = hi = 0 prunes nothing.
+    # A feasibility search has no threshold row: T = hi = 0 prunes nothing,
+    # and its first integral vertex, worth 0, reaches hi.
     coeffs, den, t, hi = objective or ((), 1, 0, 0)
     extra = () if objective is None else ((coeffs, -t * den, den),)
     rows, lowers, uppers, int_idx = _compile(model, extra)
@@ -104,7 +116,28 @@ def solve_feasibility(model: MilpModel, node_limit=None,
     phase2 = None if objective is None else threshold
     stats = SolveStats()
     live = LiveTableau()
-    incumbent = None
+    incumbent = best = None
+    rounded = False
+
+    def improve(point, value):
+        """Re-check an integral point exactly, make it the incumbent and
+        move the threshold past it; True once the incumbent reaches hi."""
+        nonlocal incumbent, best, t
+        problems = model.check_assignment(point)
+        if value < t * den:
+            problems.append("objective %s below threshold %d"
+                            % (Fraction(value, den), t))
+        if problems:
+            raise SolverInternalError(
+                "feasible answer failed exact re-check: %s" % "; ".join(problems)
+            )
+        incumbent, best = point, min(value // den, hi)
+        if best == hi:
+            return True
+        t = best + 1
+        rows.set_rhs(threshold, -t * den)
+        return False
+
     # Each node carries the best value its box can reach: its parent's LP
     # optimum, rounded down.
     stack = [(lowers, uppers, 0, hi)]
@@ -131,43 +164,62 @@ def solve_feasibility(model: MilpModel, node_limit=None,
 
         # Branch on the most fractional value p/q (ties to the lowest index):
         # its distance to an integer is min(r, q - r)/q with r = p mod q.
-        branch, best, best_q = -1, 0, 1
+        branch, best_score, best_q = -1, 0, 1
         for j, i in enumerate(int_idx):
             q = point[i].denominator
             r = point[i].numerator % q
             score = min(r, q - r)
-            if score * best_q > best * q:
-                branch, best, best_q = j, score, q
+            if score * best_q > best_score * q:
+                branch, best_score, best_q = j, score, q
         if branch < 0:
-            problems = model.check_assignment(point)
-            if value < t * den:
-                problems.append("objective %s below threshold %d"
-                                % (Fraction(value, den), t))
-            if problems:
-                raise SolverInternalError(
-                    "feasible answer failed exact re-check: %s" % "; ".join(problems)
-                )
-            assignment = {i: Fraction(x) for i, x in enumerate(point)}
-            if objective is None:
-                return SolveResult(True, assignment, stats)
-            incumbent = SolveResult(True, assignment, stats,
-                                    min(value // den, hi))
-            if incumbent.best == hi:
+            if improve(point, value):
                 break
-            t = incumbent.best + 1
-            rows.set_rhs(threshold, -t * den)
             continue
+
+        if phase2 is not None:
+            cap = min(value // den, hi)
+            # A rounded incumbent may already beat cap: the children below
+            # are then dropped unsolved.
+            if not rounded:
+                rounded = True
+                found = _round(rows, point, int_idx, stats, phase2, live)
+                if found is not None and improve(
+                        found, -sum(k * found[i] for i, k in coeffs)):
+                    break
 
         # x <= floor(v) is explored first, then x >= floor(v) + 1; with int
         # bounds around v, neither box is empty.
         floor = point[int_idx[branch]].numerator // best_q
         left_up, right_lo = up[:], lo[:]
         left_up[branch], right_lo[branch] = floor, floor + 1
-        if phase2 is not None:
-            cap = min(value // den, hi)
         stack.append((right_lo, up, depth + 1, cap))
         stack.append((lo, left_up, depth + 1, cap))
-    return incumbent or SolveResult(False, None, stats)
+    if incumbent is None:
+        return SolveResult(False, None, stats)
+    assignment = {i: Fraction(x) for i, x in enumerate(incumbent)}
+    return SolveResult(True, assignment, stats,
+                       None if objective is None else best)
+
+
+def _round(rows, point, int_idx, stats, objective, live):
+    """Simple rounding of a fractional vertex: the best point of the box
+    with every integer variable fixed at the ceiling of its value, else at
+    its floor (integral values stay), or None if both boxes are empty.
+
+    Each box is one LP through the search's live tableau, counted in
+    ``stats.rounding_lps`` as well as in the LP counters; it fills in the
+    continuous variables at their best.
+    """
+    values = [(point[i].numerator, point[i].denominator) for i in int_idx]
+    for ceil in (1, 0):  # ceil(p/q) = (p + q - 1) // q, floor(p/q) = p // q
+        fixed = [(p + ceil * (q - 1)) // q for p, q in values]
+        stats.rounding_lps += 1
+        feasible, found, _ = solve_lp_feasibility(rows, fixed, fixed, stats,
+                                                  objective=objective,
+                                                  live=live)
+        if feasible:
+            return found
+    return None
 
 
 def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> SolveResult:

@@ -125,6 +125,7 @@ class SolveStats:
     infeasible_lps: int = 0  # LP relaxations that proved their box empty
     max_depth: int = 0  # branchings from the root to the deepest node solved
     max_tableau: tuple = (0, 0)  # (nrows, ncols) of the largest kernel call
+    rounding_lps: int = 0  # LPs that rounded a fractional vertex, not nodes
 
     def note_tableau(self, nrows, ncols):
         self.max_tableau = max(self.max_tableau, (nrows, ncols),
@@ -136,6 +137,7 @@ class SolveStats:
         self.pivots += other.pivots
         self.probes += other.probes
         self.infeasible_lps += other.infeasible_lps
+        self.rounding_lps += other.rounding_lps
         self.max_depth = max(self.max_depth, other.max_depth)
         self.note_tableau(*other.max_tableau)
 

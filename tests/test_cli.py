@@ -1,5 +1,6 @@
 """End-to-end command line runs against the shipped example files."""
 
+import dataclasses
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lp_reader import read_lp
-from pwlmip import approx, pipeline
+from pwlmip import approx, cli, pipeline
 from pwlmip.cli import build_parser, main
 from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
@@ -57,8 +58,8 @@ def test_umm_fixture(capsys):
                                "--minimize-cost")
     assert code == 0
     assert report["cost"] == 2
-    assert report["chosen"] == [1, 2]
-    assert report["coverage"] == [4, 3]
+    assert report["chosen"] == [0, 1]
+    assert report["coverage"] == [5, 5]
 
 
 def test_solve_emip_fixture(capsys):
@@ -106,7 +107,7 @@ def test_bribery_fixture(capsys):
     assert report["new_votes"] == [["p"]]
 
 
-def test_ccav_round_trip(capsys, tmp_path):
+def _ccav_path(tmp_path):
     blob = {
         "format": "election-v1",
         "kind": "approval",
@@ -120,7 +121,12 @@ def test_ccav_round_trip(capsys, tmp_path):
     }
     path = tmp_path / "ccav.json"
     path.write_text(json.dumps(blob))
-    code, report, _ = run_json(capsys, "ccav", str(path), "--minimize-cost")
+    return str(path)
+
+
+def test_ccav_round_trip(capsys, tmp_path):
+    code, report, _ = run_json(capsys, "ccav", _ccav_path(tmp_path),
+                               "--minimize-cost")
     assert code == 0
     assert report["kind"] == "add"
     assert report["action"] == [1, 2] and report["cost"] == 4
@@ -193,6 +199,28 @@ def test_json_reports_are_byte_identical(capsys):
         assert code == 0 and err == ""
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_reports_copy_stats_as_asdict_would(capsys, monkeypatch, tmp_path):
+    """Reports copy ``stats`` field by field: one ``--json`` report of each
+    solving command is byte-identical to the one ``dataclasses.asdict``
+    gives."""
+    invocations = (
+        ("solve-emip", fx("knapsackish.json")),
+        ("wsm", fx("wsm3.json"), "--minimize-cost"),
+        ("umm", fx("uniformish.json"), "--minimize-cost"),
+        ("mmc-approx", fx("uniformish.json"), "--epsilon", "1/4"),
+        ("ccdv", fx("ccdv.json"), "--minimize-cost"),
+        ("ccav", _ccav_path(tmp_path), "--minimize-cost"),
+        ("bribery", fx("ccdv.json"), "--minimize-cost"),
+        ("scoring-ccdv", fx("borda.json"), "--minimize-cost"),
+    )
+    plain = [run(capsys, *argv, "--json") for argv in invocations]
+    monkeypatch.setattr(cli, "_stats_json", dataclasses.asdict)
+    deep = [run(capsys, *argv, "--json") for argv in invocations]
+    assert plain == deep
+    for code, out, _ in plain:
+        assert code == 0 and '"rounding_lps": ' in out
 
 
 def test_human_mode_keeps_wall_time_off_stdout(capsys):
@@ -429,11 +457,12 @@ def test_bribery_node_limit_counts_every_gain(capsys, tmp_path):
     assert report["action"] == [1] and report["cost"] == 1
     assert report["stats"]["nodes"] == 1
 
-    # a tree of three nodes runs out at two
+    # a tree of three nodes runs out at two: rounding the root already
+    # gives the optimum, and its two children prove it
     path = tmp_path / "branching.json"
     path.write_text(json.dumps(ApprovalElection(
-        ("p", "c1"), (Voter({"c1"}, price=1), Voter({"c1", "p"}, price=5),
-                      Voter({"c1", "p"}, price=4)), 6).to_json()))
+        ("p", "c1"), (Voter({"c1"}, price=5), Voter({"c1"}, price=5),
+                      Voter({"p"}, price=6)), 5).to_json()))
     code, report, _ = run_json(capsys, "bribery", str(path),
                                "--minimize-cost", "--node-limit", "2")
     assert code == 3
@@ -442,7 +471,7 @@ def test_bribery_node_limit_counts_every_gain(capsys, tmp_path):
     code, report, _ = run_json(capsys, "bribery", str(path),
                                "--minimize-cost", "--node-limit", "3")
     assert code == 0 and report["status"] == "feasible"
-    assert report["action"] == [0] and report["cost"] == 1
+    assert report["action"] == [0] and report["cost"] == 5
     assert report["stats"]["nodes"] == 3
 
 
@@ -515,13 +544,15 @@ def test_oracle_gen_count_must_be_positive(capsys):
 
 def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     # knapsackish maximizes in one search tree: the root LP's optimum is
-    # fractional, its left child's is integral at 8, and the right child,
-    # whose parent's optimum rounds down to 8 as well, is dropped unsolved
+    # fractional; rounding it up gives an empty box, rounding it down the
+    # incumbent 8, and the root, whose optimum rounds down to 8 as well, is
+    # not branched
     code, report, _ = run_json(capsys, "solve-emip", fx("knapsackish.json"))
     assert code == 0
-    assert report["stats"] == {"nodes": 2, "lp_calls": 2, "pivots": 5,
-                               "probes": 1, "infeasible_lps": 0,
-                               "max_depth": 1, "max_tableau": [6, 10]}
+    assert report["stats"] == {"nodes": 1, "lp_calls": 3, "pivots": 7,
+                               "probes": 1, "infeasible_lps": 1,
+                               "max_depth": 0, "max_tableau": [6, 10],
+                               "rounding_lps": 2}
 
     # a feasibility solve runs no probe; 7 of its 13 LPs prune a node
     code, report, _ = run_json(capsys, "solve-emip",
@@ -540,11 +571,13 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert code == 0
     assert report["stats"] == {"nodes": 1, "lp_calls": 1, "pivots": 3,
                                "probes": 1, "infeasible_lps": 0,
-                               "max_depth": 0, "max_tableau": [7, 12]}
+                               "max_depth": 0, "max_tableau": [7, 12],
+                               "rounding_lps": 0}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
-    assert ("nodes: 2  lp calls: 2  pivots: 5  probes: 1  "
-            "infeasible lps: 0  max depth: 1  max tableau: 6x10\n") in out
+    assert ("nodes: 1  lp calls: 3  pivots: 7  probes: 1  "
+            "infeasible lps: 1  rounding lps: 2  max depth: 0  "
+            "max tableau: 6x10\n") in out
 
 
 # ---------------------------------------------------------------------------

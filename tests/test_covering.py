@@ -195,10 +195,10 @@ def test_umm_worked_example_minimum_count():
     sol = solve_umm(inst, minimize_cost=True)
     assert sol.feasible
     assert sol.cost == 2
-    # two optima exist ({0,1} and {1,2}); the family construction picks the
-    # highest-multiplicity member of each used family, deterministically
-    assert sol.chosen == (1, 2)
-    assert sol.coverage == (4, 3)
+    # two optima exist ({0,1} and {1,2}); the root LP's vertex, rounded up,
+    # is {0,1}, and no later incumbent replaces a first one at the optimum
+    assert sol.chosen == (0, 1)
+    assert sol.coverage == (5, 5)
     answer = brute_cover(inst)
     assert answer.feasible and answer.best_cost == 2
 
@@ -239,21 +239,22 @@ def test_umm_matches_oracle_batch():
 
 
 def test_node_limit_propagates():
-    # A minimization is one search tree, and the limit reaches it: the
+    # A cover solve is one search tree, and the limit reaches it: the
     # tree's own node count completes it, one node less runs out.  Covers
-    # with multiplicities, so that trees branch.
+    # with multiplicities, so that trees branch; feasibility searches, since
+    # rounding settles most small minimizations at their root.
     rng = random.Random(0xC63)
     tripped = 0
-    for _ in range(40):
+    for _ in range(80):
         inst = random_uniform(rng, max_sets=10, max_m=3)
-        full = solve_wsm(inst, minimize_cost=True)
+        full = solve_wsm(inst)
         nodes = full.stats.nodes
         if nodes < 2:
             continue
         with pytest.raises(ResourceExhausted) as exc:
-            solve_wsm(inst, minimize_cost=True, node_limit=nodes - 1)
+            solve_wsm(inst, node_limit=nodes - 1)
         assert exc.value.nodes == exc.value.limit == nodes - 1
-        again = solve_wsm(inst, minimize_cost=True, node_limit=nodes)
+        again = solve_wsm(inst, node_limit=nodes)
         assert (again.cost, again.stats) == (full.cost, full.stats)
         tripped += 1
     assert tripped >= 10

@@ -67,6 +67,23 @@ def _knapsack():
         return EmipModel.from_json(json.load(fh))
 
 
+def _branching_knapsack():
+    """x + 4y <= 10 and 4x <= y + 10 over integers in [0, 6], maximizing
+    x + y: the root vertex rounded up or down leaves the rows, so the search
+    tree branches."""
+    ints = [{"name": v, "kind": "integer", "lower": "0", "upper": "6"}
+            for v in ("x", "y")]
+    return EmipModel.from_json({
+        "format": "emip-v1",
+        "variables": ints,
+        "constraints": [
+            {"lhs": {"x": "1", "y": "4"}, "rhs": {}, "b": "10"},
+            {"lhs": {"x": "4"}, "rhs": {"y": "1"}, "b": "10"},
+        ],
+        "objective": {"sense": "max", "coeffs": {"x": "1", "y": "1"}},
+    })
+
+
 def test_one_solve_passes_every_boundary(traced):
     result = maximize_emip(_knapsack())
     assert result.feasible
@@ -145,10 +162,10 @@ def test_benchmark_tracer_counts_match_solve_stats():
     ``maximize_emip`` and a branching minimum-cost cover count what their
     ``SolveStats`` count."""
     tracer = _benchmark_tracing().Tracer()
-    multiset = CoverInstance(3, [{0: 4, 1: 4}, {1: 5}, {0: 3, 2: 2},
-                                 {2: 5}, {0: 2, 1: 1, 2: 1}],
-                             [7, 6, 5], 5)
-    solves = (lambda: maximize_emip(_knapsack()),
+    multiset = CoverInstance(3, [{0: 2, 1: 4, 2: 5}, {1: 4, 2: 5},
+                                 {0: 5, 1: 1, 2: 3}, {1: 4}, {0: 2, 1: 4}],
+                             [5, 8, 8], 3)
+    solves = (lambda: maximize_emip(_branching_knapsack()),
               lambda: covering.solve_wsm(multiset, minimize_cost=True))
     for solve in solves:
         with tracer.tracing():
@@ -162,3 +179,17 @@ def test_benchmark_tracer_counts_match_solve_stats():
         assert counts["milp.maximize.probes"] == counts["milp.maximize.calls"] == 1
         # every feasible node LP ends with a phase-2 kernel call
         assert counts["kernel.calls"] >= stats.lp_calls - stats.infeasible_lps
+
+
+def test_benchmark_tracer_counts_rounding_lps():
+    """A rounding LP is an LP: through the benchmark's tracer, a solve that
+    rounds (knapsackish: the ceiling box is empty, the floor box holds the
+    optimum) counts its rounding LPs among its LP calls and their pivots
+    among the kernel's."""
+    tracer = _benchmark_tracing().Tracer()
+    with tracer.tracing():
+        result = maximize_emip(_knapsack())
+    stats = result.stats
+    assert result.feasible and stats.rounding_lps == 2
+    assert tracer.counts["milp.lp.calls"] == stats.lp_calls == stats.nodes + 2
+    assert tracer.counts["kernel.pivots"] == stats.pivots

@@ -2,7 +2,9 @@
 
 import collections
 import itertools
+import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from generators import grid_best, grid_feasible, random_fraction, random_grid_model
 from pwlmip import _kernel, covering, milp
 from pwlmip._kernel import phase1 as integer_phase1
-from pwlmip.emip import VarKind, normalize
+from pwlmip.emip import EmipModel, VarKind, normalize
 from pwlmip.milp import branch_bound
 from pwlmip.milp import lp as lp_module
 from pwlmip.milp.branch_bound import resolve_node_limit
@@ -203,9 +205,10 @@ def test_maximize_against_grid_enumeration():
 
 
 def test_maximize_node_limit_bounds_the_one_tree(monkeypatch):
+    # the root vertex rounded either way leaves the rows, so the tree branches
     model = _mk(
         [("x", VarKind.INTEGER, F(0), F(6)), ("y", VarKind.INTEGER, F(0), F(6))],
-        [([(0, 2), (1, 2)], 9), ([(0, 3), (1, -1)], 4)],
+        [([(0, 1), (1, 4)], 10), ([(0, 4), (1, -1)], 10)],
     )
     trees = []
     real_solve = branch_bound.solve_feasibility
@@ -220,6 +223,7 @@ def test_maximize_node_limit_bounds_the_one_tree(monkeypatch):
     assert len(trees) == 1 and full.stats.probes == 1
     nodes = full.stats.nodes
     assert nodes > 1 and full.stats.max_depth > 0
+    assert full.stats.rounding_lps == 2
     # a budget of exactly the tree completes it; one node less runs out
     again = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=nodes)
     assert again.best == 4 and again.stats == full.stats
@@ -341,7 +345,7 @@ def test_maximize_one_tree_against_enumeration(monkeypatch):
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
     rng = random.Random(0xB60)
     seen = collections.Counter()
-    for case in range(240):
+    for case in range(500):
         unbounded = case % 4 == 3
         model, objective, optimum, ties = _random_milp(rng, unbounded)
         if optimum is None:
@@ -1175,7 +1179,7 @@ def test_warm_nodes_agree_with_cold_solves(monkeypatch, lowest_terms):
 
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
     rng = random.Random(0xB61)
-    for case in range(150):
+    for case in range(250):
         model, objective, _, _ = _rational_milp(rng)
         last_threshold[0] = None
 
@@ -1312,3 +1316,104 @@ def test_stats_pin_depth_and_tableau_on_a_branching_search():
     assert (total.nodes, total.max_depth, total.max_tableau) == (13, 6, (4, 7))
     total.absorb(milp.SolveStats(max_depth=9, max_tableau=(3, 10)))
     assert (total.max_depth, total.max_tableau) == (9, (3, 10))
+
+
+# ---------------------------------------------------------------------------
+# simple rounding: one incumbent before the first branch
+# ---------------------------------------------------------------------------
+
+
+def _knapsackish():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "knapsackish.json")
+    with open(path) as fh:
+        return EmipModel.from_json(json.load(fh))
+
+
+def _record_lps(monkeypatch, corrupt=None):
+    """Log (lowers, uppers, feasible, point) of every LP a search solves;
+    ``corrupt`` may rewrite the point of each rounding LP (lowers ==
+    uppers) before the search sees it."""
+    calls = []
+    real_lp = branch_bound.solve_lp_feasibility
+
+    def lp(rows, lo, up, stats=None, **kwargs):
+        feasible, point, pivots = real_lp(rows, lo, up, stats, **kwargs)
+        if corrupt is not None and lo == up and feasible:
+            point = corrupt(list(point))
+        calls.append((list(lo), list(up), feasible, point))
+        return feasible, point, pivots
+
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    return calls
+
+
+def test_rounding_tries_the_ceiling_then_the_floor_once(monkeypatch):
+    """On knapsackish the root vertex is fractional: every integer variable
+    at its ceiling gives an empty box, at its floor the optimum 8.  The
+    root's own LP bound rounds down to 8 too, so the root is not branched,
+    and no other rounding LP runs."""
+    calls = _record_lps(monkeypatch)
+    result = maximize_emip(_knapsackish())
+    assert result.best == 8
+    stats = result.stats
+    assert (stats.nodes, stats.lp_calls, stats.rounding_lps,
+            stats.infeasible_lps, stats.max_depth) == (1, 3, 2, 1, 0)
+    (root_lo, root_up, _, root), (ceil_lo, ceil_up, ceil_ok, _), \
+        (floor_lo, floor_up, floor_ok, rounded) = calls
+    assert root_lo != root_up
+    ints = root[:2]  # x and y, the integer variables, come first
+    assert any(type(x) is F for x in ints)
+    assert ceil_lo == ceil_up == [math.ceil(x) for x in ints] and not ceil_ok
+    assert floor_lo == floor_up == [math.floor(x) for x in ints] and floor_ok
+    assert rounded[:2] == [2, 6]
+    assert result.assignment[0] == 2 and result.assignment[1] == 6
+    total = milp.SolveStats(rounding_lps=1)
+    total.absorb(stats)
+    assert total.rounding_lps == 3
+
+
+def test_rounding_runs_at_most_twice_per_search(monkeypatch):
+    """Rounding LPs are the LPs of a search that solve no node: at most two
+    per optimization, none in a feasibility search, and never counted as
+    nodes, so the node limit still bounds the nodes alone."""
+    calls = _record_lps(monkeypatch)
+    rng = random.Random(0xB64)
+    rounded = collections.Counter()
+    for _ in range(150):
+        model, objective, _, _ = _rational_milp(rng)
+        del calls[:]
+        stats = milp.maximize(model, objective, -12, 12).stats
+        assert stats.rounding_lps <= 2
+        assert stats.lp_calls == len(calls) == stats.nodes + stats.rounding_lps
+        assert sum(lo == up for lo, up, _, _ in calls) >= stats.rounding_lps
+        rounded[stats.rounding_lps] += 1
+        assert milp.solve_feasibility(model).stats.rounding_lps == 0
+    assert rounded[1] > 10 and rounded[2] > 10
+
+
+def test_a_corrupted_rounding_point_fails_the_exact_recheck(monkeypatch):
+    """A rounded point is re-checked like any incumbent: one the LP layer
+    got wrong raises instead of becoming the answer."""
+
+    def corrupt(point):
+        point[1] += 1  # y = 7, above its upper bound 6
+        return point
+
+    _record_lps(monkeypatch, corrupt)
+    with pytest.raises(milp.SolverInternalError, match="failed exact re-check"):
+        maximize_emip(_knapsackish())
+
+
+def test_rounding_keeps_the_heavy_ladder_trees_small():
+    """Two heavy covers on the benchmark ladder's recipe (rng seed
+    1000 m + n, minimum count): the rounded root is an early incumbent, so
+    (8, 160) UMM takes 115 nodes and (12, 300) UMM 122, against 850 and
+    2,883 when the first incumbent came from an integral vertex."""
+    for m, n, cost, most in ((8, 160, 9, 150), (12, 300, 10, 200)):
+        instance = _ladder_cover(random.Random(1000 * m + n), m, n, "umm")
+        solution = covering.solve_umm(instance, minimize_cost=True,
+                                      node_limit=20000)
+        assert solution.cost == cost
+        assert solution.stats.nodes <= most
+

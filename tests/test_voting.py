@@ -198,12 +198,13 @@ def test_bribery_node_limit_bounds_all_gains(monkeypatch):
     assert res.feasible and res.stats.nodes == 1
     assert calls == [None, 1]
 
-    # a tree of three nodes runs out at two
-    e = ApprovalElection(("p", "c1"), (Voter({"c1"}, price=1),
-                                       Voter({"c1", "p"}, price=5),
-                                       Voter({"c1", "p"}, price=4)), 6)
+    # a tree of three nodes runs out at two: rounding the root already
+    # gives the optimum, and its two children prove it
+    e = ApprovalElection(("p", "c1"), (Voter({"c1"}, price=5),
+                                       Voter({"c1"}, price=5),
+                                       Voter({"p"}, price=6)), 5)
     res = solve_bribery_priced(e, minimize_cost=True)
-    assert res.action == (0,) and res.cost == 1 and res.stats.nodes == 3
+    assert res.action == (0,) and res.cost == 5 and res.stats.nodes == 3
     with pytest.raises(ResourceExhausted) as info:
         solve_bribery_priced(e, minimize_cost=True, node_limit=2)
     assert info.value.nodes == 2 and info.value.limit == 2
