@@ -25,7 +25,7 @@ import time
 from . import __version__
 from .approx import almost_cover, decomposition_json
 from .covering import CoverInstance, solve_umm, solve_wsm
-from .emip import EmipModel, normalize
+from .emip import EmipModel
 from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, SolveStats, export_lp
 from .milp.model import integer_row
 from .oracle import (CapExceeded, OracleBudget, brute_cover, brute_manipulate,
@@ -208,14 +208,14 @@ def _run_scoring_ccdv(args):
 
 
 def _run_export_lp(args):
-    normalized = normalize(_load(args.file, EmipModel.from_json))
-    lowered, _ = lower(normalized)
+    model = _load(args.file, EmipModel.from_json)
+    lowered, _ = lower(model)
     objective, sense = None, "min"
-    if normalized.objective is not None:
+    if model.objective is not None:
         # Integer coefficients, as rows are written; original variables keep
         # their indices in the lowered model.
-        objective, _, _ = integer_row(normalized.objective.coeffs, 0, lowered.n_vars)
-        sense = normalized.objective.sense
+        objective, _, _ = integer_row(model.objective.coeffs, 0, lowered.n_vars)
+        sense = model.objective.sense
     text = export_lp(lowered, objective, sense)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -6,9 +6,10 @@ constraints of the form
     sum_i f_i(x_i)  <=  sum_i g_i(x_i) + b
 
 where every left-hand f is convex or linear and every right-hand g is concave
-or linear.  ``normalize`` brings a model into the canonical form the lowering
-step expects: every transformation has f(0) = 0 and no breakpoints below 0,
-and constants are folded into b.
+or linear.  ``normalize`` brings a model into canonical form: every
+transformation has f(0) = 0 and no breakpoints below 0, and constants are
+folded into b.  :func:`pwlmip.reduction.lower` applies it to the model it is
+given, so callers pass their models as written.
 
 Every bound, coefficient and right-hand side is stored in the form
 :func:`pwlmip.rationals.exact` gives: an int when it is integral, a Fraction
@@ -314,14 +315,3 @@ def normalize(model: EmipModel) -> EmipModel:
                     bucket[idx] = fn
         constraints.append(EmipConstraint(lhs=new_lhs, rhs=new_rhs, b=b))
     return EmipModel(model.variables, tuple(constraints), model.objective)
-
-
-def is_normalized(model: EmipModel) -> bool:
-    for cons in model.constraints:
-        for side in (cons.lhs, cons.rhs):
-            for _, fn in side:
-                if fn.value_at_zero != 0:
-                    return False
-                if fn.breakpoints and fn.breakpoints[0] < 0:
-                    return False
-    return True

@@ -1,8 +1,10 @@
 """End-to-end solving of piecewise-linear models.
 
-Chains normalize -> lower -> branch and bound -> witness lift, keeping the
-plumbing (witness verification) in one place for the covering, approximation,
-and election layers as well as the CLI.
+Chains lower (which normalizes) -> branch and bound -> witness lift, keeping
+the plumbing in one place for the covering, approximation, and election
+layers as well as the CLI.  Every answer is re-checked against the caller's
+own model.  Both optimizers maximize a linear form over the lowered model
+through one threshold search, set up by :func:`_maximize`.
 """
 
 from __future__ import annotations
@@ -10,26 +12,48 @@ from __future__ import annotations
 import math
 
 from . import milp
-from .emip import EmipModel, normalize
+from .emip import EmipModel
 from .milp.model import SolveResult
 from .reduction import lower, witness_lift
 
 
-def _lift(normalized, lmap, result, sign=1) -> SolveResult:
-    """A solve of the lowered model in ``normalized``'s variable indices,
-    its ``best`` multiplied by ``sign``."""
+def _lift(model, lmap, result, sign=1, offset=0) -> SolveResult:
+    """A solve of ``model``'s lowering in ``model``'s variable indices, its
+    ``best`` mapped to ``sign * best + offset``."""
     if not result.feasible:
         return result
-    best = None if result.best is None else sign * result.best
-    return SolveResult(True, witness_lift(normalized, lmap, result.assignment),
+    best = None if result.best is None else sign * result.best + offset
+    return SolveResult(True, witness_lift(model, lmap, result.assignment),
                        result.stats, best)
 
 
 def solve_emip(model: EmipModel, node_limit=None) -> SolveResult:
     """Feasibility for an extended model; the witness is exact and verified."""
-    normalized = normalize(model)
-    lowered, lmap = lower(normalized)
-    return _lift(normalized, lmap, milp.solve_feasibility(lowered, node_limit))
+    lowered, lmap = lower(model)
+    return _lift(model, lmap, milp.solve_feasibility(lowered, node_limit))
+
+
+def _maximize(model, lowered, lmap, coeffs, t_lo, t_hi, node_limit, sign,
+              offset=0) -> SolveResult:
+    """The largest integer T in [t_lo, t_hi] with sum(c * column) >= T over
+    ``lowered``, lifted to ``model`` with ``best`` = sign * T + offset.
+
+    An end left None is derived by :func:`objective_bracket`.  A derived
+    t_hi bounds the form over every point, so one below t_lo means that no
+    point reaches t_lo: the result is infeasible.
+    """
+    if t_lo is None or t_hi is None:
+        lo, hi = objective_bracket(lowered, coeffs)
+        derived_hi = t_hi is None
+        t_lo = lo if t_lo is None else t_lo
+        t_hi = hi if t_hi is None else t_hi
+        if t_lo is None or t_hi is None:
+            raise ValueError("an infinite variable bound leaves the threshold "
+                             "bracket open; give its end")
+        if derived_hi and math.ceil(t_lo) > t_hi:
+            return SolveResult(False, None)
+    result = milp.maximize(lowered, coeffs, t_lo, t_hi, node_limit)
+    return _lift(model, lmap, result, sign, offset)
 
 
 def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> SolveResult:
@@ -37,68 +61,47 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> So
 
     Finds the largest integer T with {model, objective >= T} feasible (for a
     "min" objective: the smallest T with objective <= T, via negation).  The
-    bracket [t_lo, t_hi] must contain the optimum; when omitted it is derived
-    from the variable bounds, which therefore must be finite on every
-    objective variable.
+    bracket [t_lo, t_hi] must contain the optimum; an end left out is
+    derived from the variable bounds, which must then be finite on that side.
     """
     if model.objective is None:
         raise ValueError("model has no objective")
-    normalized = normalize(model)
-    lowered, lmap = lower(normalized)
-    sense = normalized.objective.sense
-    coeffs = dict(normalized.objective.coeffs)
-    if sense == "min":
-        coeffs = {i: -c for i, c in coeffs.items()}
-
-    if t_lo is None or t_hi is None:
-        lo, hi = objective_bracket(normalized, coeffs)
-        t_lo = lo if t_lo is None else t_lo
-        t_hi = hi if t_hi is None else t_hi
-
-    result = milp.maximize(lowered, coeffs, t_lo, t_hi, node_limit)
-    return _lift(normalized, lmap, result, 1 if sense == "max" else -1)
+    sign = 1 if model.objective.sense == "max" else -1
+    coeffs = {i: sign * c for i, c in model.objective.coeffs}
+    lowered, lmap = lower(model)
+    return _maximize(model, lowered, lmap, coeffs, t_lo, t_hi, node_limit, sign)
 
 
-def objective_bracket(model: EmipModel, coeffs):
-    """A sound threshold bracket from variable bounds (must be finite)."""
+def objective_bracket(model, coeffs):
+    """Integer ends (lo, hi) of sum(c * x_i) over ``model``'s variable bounds,
+    None for an infinite end.  Lowered models are read as well as source
+    models: any variable with ``lower`` and ``upper`` (None: unbounded)."""
     lo = hi = 0
     for i, c in coeffs.items():
         if c == 0:
             continue
         v = model.variables[i]
-        if v.upper is None:
-            raise ValueError(
-                "objective variable %r needs a finite upper bound to derive a "
-                "threshold bracket" % v.name
-            )
-        ends = (c * v.lower, c * v.upper)
-        lo += min(ends)
-        hi += max(ends)
-    return math.floor(lo), math.ceil(hi)
+        low, high = (v.lower, v.upper) if c > 0 else (v.upper, v.lower)
+        lo = None if lo is None or low is None else lo + c * low
+        hi = None if hi is None or high is None else hi + c * high
+    return (None if lo is None else math.floor(lo),
+            None if hi is None else math.ceil(hi))
 
 
 def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> SolveResult:
-    """Minimize the left-hand side of a budget-style constraint.
+    """Minimize the left-hand side of a budget-style constraint, as written.
 
-    The constraint's left side must consist of convex terms over variables
-    with lower bound 0; its right side must be empty.  In the lowered model
-    each non-linear term is represented by its bounding variable w (pushed
-    down to the exact function value at any optimum) and each linear term by
-    the variable itself, so the total is a linear expression that
-    :func:`~pwlmip.milp.maximize` optimizes.  A feasible result's assignment
-    is in the original model's indices and its ``best`` is the exact
-    minimum.
+    The constraint's right side must be empty.  Its lowered form reads each
+    non-linear term through its bounding variable w (pushed down to the
+    exact function value at any optimum); the constants that normalization
+    moved into b are added back.  ``best`` is the exact minimum when it and
+    those constants are integers (the search steps by integers; otherwise it
+    is high by less than 1).  No point within the budget: infeasible.
     """
-    normalized = normalize(model)
-    lowered, lmap = lower(normalized)
-    term_index = lmap.term_index()
-    coeffs = {}
-    for idx, fn in normalized.constraints[constraint].lhs:
-        if fn.is_linear:
-            coeffs[idx] = coeffs.get(idx, 0) - fn.slopes[0]
-        else:
-            term = term_index[(constraint, "lhs", idx)]
-            coeffs[term.bound_var] = coeffs.get(term.bound_var, 0) - 1
-    budget = normalized.constraints[constraint].b
-    result = milp.maximize(lowered, coeffs, -budget, 0, node_limit)
-    return _lift(normalized, lmap, result, -1)
+    cons = model.constraints[constraint]
+    if cons.rhs:
+        raise ValueError("constraint %d has a right-hand side" % constraint)
+    lowered, lmap = lower(model)
+    coeffs, b = lmap.forms[constraint]
+    return _maximize(model, lowered, lmap, {i: -c for i, c in coeffs}, -b, None,
+                     node_limit, -1, cons.b - b)

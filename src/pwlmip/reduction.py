@@ -1,9 +1,13 @@
 """Lowering piecewise-linear constraints to plain mixed-integer linear rows.
 
-Each constraint ``sum f_i(x_i) <= sum g_i(x_i) + b`` of a normalized model is
-replaced by ``sum w_i <= sum u_i + b`` plus, per transformed variable,
-auxiliary continuous variables and rows that pin w above the convex side and
-u below the concave side:
+:func:`lower` takes a model as written.  It normalizes it first
+(:func:`pwlmip.emip.normalize`, which also validates it), so every
+transformation has f(0) = 0 and its constant sits in b.  Each constraint
+``sum f_i(x_i) <= sum g_i(x_i) + b`` of the normalized model is then
+replaced by its *lowered form* ``sum w_i <= sum u_i + b``, with linear terms
+kept on x itself, plus, per transformed variable, auxiliary continuous
+variables and rows that pin w above the convex side and u below the concave
+side:
 
   convex f on x, breakpoints rho_1..rho_L, slopes d_0..d_L:
       z_l >= 0 (a bound),  z_l >= x - rho_l          (l = 1..L)
@@ -43,14 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .emip import EmipModel, VarKind, is_normalized, validate
+from .emip import EmipModel, VarKind, normalize
 from .milp.model import MilpModel, MilpVariable, integer_row
 from .pwl import PwlFunction
 from .rationals import exact
-
-
-class NotNormalizedError(ValueError):
-    """Lowering requires a normalized model (f(0)=0, no negative breakpoints)."""
 
 
 class WitnessError(ValueError):
@@ -69,33 +69,31 @@ class LoweredTerm:
 
 @dataclass(frozen=True)
 class LoweringMap:
-    """Where every source variable and transformation landed."""
+    """Where every source variable, transformation and constraint landed."""
 
     n_original: int
-    original_names: tuple
     # ((constraint_index, side, var_index), LoweredTerm) pairs, one per use;
     # uses of the same (variable, function, side) share one LoweredTerm.
     terms: tuple
-
-    def term_index(self):
-        return {key: term for key, term in self.terms}
+    # One (coeffs, b) per source constraint: its lowered form, the unscaled
+    # row sum(c * column) <= b over lowered columns, with b the normalized
+    # right-hand side.
+    forms: tuple
 
 
 def lower(model: EmipModel):
-    """Lower a normalized model; returns (MilpModel, LoweringMap)."""
-    problems = validate(model)
-    if problems:
-        raise ValueError("; ".join(problems))
-    if not is_normalized(model):
-        raise NotNormalizedError(
-            "model must be normalized before lowering (call normalize first)"
-        )
+    """Normalize and lower a model; returns (MilpModel, LoweringMap).
 
+    Raises :class:`pwlmip.emip.InvalidModelError` (a ValueError) on a model
+    that fails validation.
+    """
+    model = normalize(model)
     variables = [
         MilpVariable(v.name, v.kind, v.lower, v.upper) for v in model.variables
     ]
     rows = []
     term_map = []
+    forms = []
     blocks = {}  # (var index, function, sign) -> shared LoweredTerm
 
     def lower_term(j, idx, fn, sign):
@@ -148,22 +146,22 @@ def lower(model: EmipModel):
                     term = blocks[key] = lower_term(j, idx, fn, sign)
                 bump(term.bound_var, sign)
                 term_map.append(((j, side_name, idx), term))
-        rows.append(([(i, c) for i, c in budget.items() if c != 0], cons.b))
+        # tuple() of a list: from a generator it grows the tuple by
+        # reallocation, which measurably raised peak RSS over long runs
+        form = (tuple([(i, c) for i, c in budget.items() if c != 0]), cons.b)
+        forms.append(form)
+        rows.append(form)
 
     # Each row scaled to integers, so every denominator is 1.
     n = len(variables)
     milp = MilpModel(tuple(variables), tuple(
         integer_row(coeffs, rhs, n)[:2] + (1,) for coeffs, rhs in rows))
-    lmap = LoweringMap(
-        n_original=len(model.variables),
-        original_names=tuple(v.name for v in model.variables),
-        terms=tuple(term_map),
-    )
-    return milp, lmap
+    return milp, LoweringMap(len(model.variables), tuple(term_map), tuple(forms))
 
 
 def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
-    """Restrict a lowered-model point to the source variables and verify.
+    """Restrict a lowered-model point to the source variables and verify it
+    against ``model``, the model as it was passed to :func:`lower`.
 
     Raises WitnessError if the restriction violates any source constraint;
     a correct lowering never triggers this.  The check reads integral

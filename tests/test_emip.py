@@ -13,7 +13,6 @@ from pwlmip.emip import (
     Objective,
     Variable,
     VarKind,
-    is_normalized,
     normalize,
     validate,
 )
@@ -27,6 +26,14 @@ F = Fraction
 
 def _var(name, lower=0, upper=6, kind=VarKind.INTEGER):
     return Variable(name, kind, lower, upper)
+
+
+def is_normalized(model):
+    """The postcondition of ``normalize``: f(0) = 0 and no breakpoint below 0."""
+    return all(fn.value_at_zero == 0
+               and not (fn.breakpoints and fn.breakpoints[0] < 0)
+               for cons in model.constraints
+               for _, fn in cons.lhs + cons.rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ import pytest
 from generators import grid_best, grid_feasible, random_fraction, random_grid_model
 from pwlmip import _kernel, covering, milp
 from pwlmip._kernel import phase1 as integer_phase1
-from pwlmip.emip import EmipModel, VarKind, normalize
+from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind, normalize
 from pwlmip.milp import branch_bound
 from pwlmip.milp import lp as lp_module
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
 from pwlmip.milp.model import MilpModel, MilpVariable, integer_row
-from pwlmip.pipeline import maximize_emip, objective_bracket, solve_emip
+from pwlmip.pipeline import maximize_emip, minimize_budget, objective_bracket, solve_emip
+from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import lower
 from reference_kernel import phase1 as reference_phase1
 
@@ -230,6 +231,42 @@ def test_maximize_node_limit_bounds_the_one_tree(monkeypatch):
     with pytest.raises(milp.ResourceExhausted) as exc:
         milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=nodes - 1)
     assert exc.value.nodes == exc.value.limit == nodes - 1
+
+
+def _budget_model(fn, upper, budget):
+    """f(x) <= budget over an integer x in [0, upper]."""
+    return EmipModel((Variable("x", VarKind.INTEGER, 0, upper),),
+                     (EmipConstraint(lhs={0: fn}, rhs={}, b=budget),))
+
+
+def test_minimize_budget_adds_back_the_value_at_zero():
+    # normalization moves f(0) = 5 into b; the minimum of f itself is 5
+    fn = PwlFunction(Shape.CONVEX, 5, (1,), (1, 2))
+    result = minimize_budget(_budget_model(fn, 3, 20), 0)
+    assert result.feasible and result.best == 5
+    assert result.assignment == {0: 0}
+
+
+def test_minimize_budget_below_every_value_is_infeasible():
+    fn = PwlFunction(Shape.CONVEX, 5, (1,), (1, 2))
+    result = minimize_budget(_budget_model(fn, 3, 4), 0)
+    assert not result.feasible and result.best is None
+
+
+def test_minimize_budget_finds_a_minimum_below_zero():
+    fn = PwlFunction(Shape.CONVEX, 0, (2,), (-2, 1))
+    result = minimize_budget(_budget_model(fn, 5, 10), 0)
+    assert result.feasible and result.best == -4
+    assert result.assignment == {0: 2}
+
+
+def test_minimize_budget_rejects_a_right_hand_side():
+    model = EmipModel(
+        (Variable("x", VarKind.INTEGER, 0, 3), Variable("y", VarKind.INTEGER, 0, 3)),
+        (EmipConstraint(lhs={0: 1}, rhs={1: 1}, b=2),),
+    )
+    with pytest.raises(ValueError, match="right-hand side"):
+        minimize_budget(model, 0)
 
 
 def _random_milp(rng, unbounded=False):

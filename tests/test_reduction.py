@@ -19,7 +19,6 @@ from pwlmip.milp.lp import solve_lp_feasibility
 from pwlmip.oracle import brute_cover
 from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import (
-    NotNormalizedError,
     WitnessError,
     lower,
     witness_lift,
@@ -60,15 +59,30 @@ def test_lowering_structure_of_one_convex_term():
     assert term.bound_var == 1 and term.aux_vars == (2,)
 
 
-def test_lowering_requires_normal_form():
-    fn = PwlFunction(Shape.CONVEX, 5, (2,), (1, 3))  # f(0) = 5
+def test_lowering_normalizes_the_model_as_written():
+    fn = PwlFunction(Shape.CONVEX, 5, (2,), (1, 3))  # f(0) = 5 moves into b
     model = EmipModel(
-        (Variable("x", VarKind.INTEGER, 0, 6),),
-        (EmipConstraint(lhs={0: fn}, rhs={}, b=9),),
+        (Variable("x", VarKind.INTEGER, 0, 6), Variable("y", VarKind.INTEGER, 0, 6)),
+        (EmipConstraint(lhs={0: fn, 1: 2}, rhs={}, b=9),),
     )
-    with pytest.raises(NotNormalizedError):
-        lower(model)
-    lower(normalize(model))  # fine after normalization
+    lowered, lmap = lower(model)
+    ((coeffs, b),) = lmap.forms
+    w = lmap.terms[0][1].bound_var
+    assert dict(coeffs) == {w: 1, 1: 2} and b == 4  # w + 2y <= 9 - 5
+    assert lowered.rows[-1] == (tuple(sorted(coeffs)), 4, 1)
+
+    rng = random.Random(0xD40)
+    rewritten = solved = 0
+    for _ in range(60):
+        model = random_grid_model(rng)
+        rewritten += normalize(model) != model
+        lowered, lmap = lower(model)
+        assert (lowered, lmap) == lower(normalize(model))
+        result = milp.solve_feasibility(lowered)
+        if result.feasible:
+            witness_lift(model, lmap, result.assignment)  # raises on any lie
+            solved += 1
+    assert rewritten > 30 and solved > 10
 
 
 def test_lowering_rejects_invalid_models():
