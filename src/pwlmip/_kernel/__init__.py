@@ -8,8 +8,9 @@ with the artificial columns sliced off.  Every later node LP of a search
 calls it once, on the search's last optimal tableau with the right-hand
 sides moved to the node: the dual phase below re-optimizes it.
 :func:`pivot` is one pivot step: the loop takes it, and so does the LP
-layer to price out an objective and to move an artificial left basic at
-zero out of the basis.
+layer to price out an objective.  :func:`pivot_in` is a pivot that also
+un-complements the entering column (below); the LP layer takes it to move
+an artificial left basic at zero out of the basis.
 
 The tableau is a list of ``nrows + 1`` rows of Python ints.  Rows
 0..nrows-1 are constraint rows and row nrows is the priced-out objective row.
@@ -38,28 +39,60 @@ entries stay small and a full-row gcd almost never finds a factor, so
 deferring it saves that pass over the row; the threshold, one CPython digit,
 bounds how far past lowest terms a row's integers grow before it is reduced.
 
-Pivot selection is Bland's rule on the rational values: the entering column
-is the lowest index with a negative objective entry; the leaving row
-minimizes rhs/a over positive pivot candidates, compared by
-cross-multiplication (the row denominator cancels from the ratio), ties
-broken by the lowest basic variable index.  Bland's rule guarantees
-termination, and because every choice depends only on the rational values,
-the pivot sequence is the one a rational tableau would take.
+Bounded columns (Chvátal, *Linear Programming*, 1983, ch. 8).  A column j
+may carry an upper bound ``bounds[j]`` = U (every column has lower bound 0):
+the LP layer gives one to each integer variable of a search, instead of a
+row ``x <= U``.  A nonbasic column sits at 0 or at U.  One at U is stored
+*complemented* (``flipped[j]``): the tableau holds the column of
+``U - x``, which is at 0, so every nonbasic column still reads 0 and a
+row's right-hand side is still its basic variable's value.  A basic column
+is never complemented.  A basic variable is feasible between 0 and U: its
+row may violate the upper side, ``rhs > U * den``.
 
-A dual phase runs first, while some right-hand side is negative.  That is
-never so on a tableau built from the all-slack basis, whose rows all start
-at rhs >= 0; it is so on an optimal tableau whose right-hand sides the LP
-layer has moved to another node's bounds (a warm start).  Its precondition
-is a dual-feasible objective row: no negative entry among the columns.
-Dual Bland's rule picks the pivot: the row with a negative right-hand side
-and the lowest basic index leaves, and the entering column minimizes
-``obj[j] / -row[j]`` over the row's negative entries, compared by
-cross-multiplication, ties to the lowest j.  The leaving row is negated
-(its denominator kept), so its pivot entry is positive, and pivoted on like
-any other.  The objective row stays dual feasible, and once no right-hand
-side is negative the tableau is optimal.  A leaving row with no negative
-entry proves the LP infeasible: the kernel returns with that row's
-right-hand side still negative, and the row is a Farkas ray.
+Pivot selection is Bland's rule on the rational values, over *ranks*.  Each
+column has two ranks, ``ranks = (low, high)``: ``low[j]`` when it is taken
+at its lower side and ``high[j]`` at its upper side.  They are the column
+indices of the tableau that would hold each upper bound as its own row
+``x_j + s_j = U``: ``low[j]`` is x_j's index there and ``high[j]`` the
+slack s_j's, and the choices below are exactly the ones Bland's rule takes
+on that tableau, pivot for pivot.  A nonbasic column ranks ``high[j]`` when
+complemented (it is s_j that would be nonbasic) and ``low[j]`` otherwise.
+Without ``bounds`` no column is bounded and every column's rank is its
+index.
+
+A primal pivot: the entering column is the nonbasic column of lowest rank
+with a negative objective entry.  The leaving candidates are the rows whose
+basic variable the entering column drives to a bound (to 0 on a positive
+entry, ranked ``low``; to U on a negative entry, ranked ``high``) and the
+entering column's own bound (ranked ``high``, or ``low`` when it is already
+complemented).  The one with the smallest ratio leaves, compared by
+cross-multiplication (a row's denominator cancels from its ratio), ties to
+the lowest rank.  The entering column's own bound is a *bound flip*: the
+column is complemented or un-complemented in every row, with no basis
+change, and counts as one pivot, as it would be one on the bound's row.  A
+variable that leaves at U has its row complemented first, so that it leaves
+at 0 as ``U - x``; an entering column that was complemented has its row
+un-complemented after the pivot.  Bland's rule guarantees termination, and
+because every choice depends only on the rational values, the pivot
+sequence is the one a rational tableau would take.
+
+A dual phase runs first, while some basic variable is outside its bounds.
+That is never so on a tableau built from the all-slack basis, whose rows all
+start at rhs >= 0 with an unbounded slack basic; it is so on an optimal tableau whose right-hand
+sides the LP layer has moved to another node's bounds (a warm start).  Its
+precondition is a dual-feasible objective row: no negative entry among the
+columns.  Dual Bland's rule picks the pivot: of the violated bounds (a
+negative right-hand side ranked ``low``, a right-hand side above U ranked
+``high``) the one of lowest rank leaves, and the entering column minimizes
+``obj[j] / -a_j`` over the negative entries a_j of the leaving row, read as
+``x - U`` for an upper violation, compared by cross-multiplication, ties to
+the lowest rank.  The leaving row is negated (its denominator kept), or its
+basic column complemented, so its pivot entry is positive, and pivoted on
+like any other.  The objective row stays dual feasible, and once no bound
+is violated the tableau is optimal.  A leaving row with no candidate proves
+the LP infeasible: the kernel returns with that row's bound still violated,
+and the row is a Farkas ray, whether its right-hand side is negative or
+above its basic variable's upper bound.
 """
 
 from math import gcd
@@ -68,71 +101,174 @@ from math import gcd
 REDUCE_ABOVE = 1 << 30
 
 
-def phase1(tableau, basis, nrows, ncols):
+def phase1(tableau, basis, nrows, ncols, *, bounds=None, flipped=None,
+           ranks=None):
     """Pivot to an optimum in place; returns the pivot count, dual pivots
-    included.
+    and bound flips included.
 
-    It returns early in two cases.  A dual pivot row without a negative
-    entry leaves its right-hand side negative: the LP is infeasible.  An
-    entering column without a positive entry: the objective is then
+    ``bounds`` (U or None per column), ``flipped`` (the complemented
+    columns, updated in place) and ``ranks`` (``(low, high)``) come
+    together, or not at all.
+
+    It returns early in two cases.  A dual pivot row without a candidate
+    leaves its bound violated: the LP is infeasible.  An entering column
+    that neither a row nor a bound of its own stops: the objective is then
     unbounded below, and row ``nrows`` still holds that negative entry.  A
     phase-1 objective never is.
     """
+    if bounds is None:
+        bounds, flipped = [None] * ncols, [False] * ncols
+        ranks = range(ncols), ()
+    low, high = ranks
+    den = ncols + 1
     pivots = 0
     while True:
         leave = -1
         for i in range(nrows):
-            if tableau[i][ncols] < 0 and (leave < 0 or basis[i] < basis[leave]):
-                leave = i
+            row = tableau[i]
+            rhs = row[ncols]
+            b = basis[i]
+            if rhs < 0:
+                r = low[b]
+            else:
+                u = bounds[b]
+                if u is None or rhs <= u * row[den]:
+                    continue
+                r = high[b]
+            if leave < 0 or r < best_r:
+                leave, best_r = i, r
         if leave < 0:
             break
         row = tableau[leave]
         obj = tableau[nrows]
+        b = basis[leave]
+        above = row[ncols] >= 0  # the upper bound is violated, read x - U
         enter = -1
         best_c = best_a = 0
         for j in range(ncols):
-            a = row[j]
-            if a < 0:
+            a = -row[j] if above else row[j]
+            if a < 0 and j != b:
                 # obj[j] / -a < best_c / -best_a, times -a * -best_a > 0
                 c = obj[j]
-                if enter < 0 or c * best_a > best_c * a:
-                    enter, best_c, best_a = j, c, a
+                if enter >= 0:
+                    lhs, cmp = c * best_a, best_c * a
+                    if lhs < cmp or lhs == cmp and (
+                            _rank(j, flipped, low, high)
+                            > _rank(enter, flipped, low, high)):
+                        continue
+                enter, best_c, best_a = j, c, a
         if enter < 0:
             return pivots
-        row = tableau[leave] = [-x for x in row]
-        row[-1] = -row[-1]
-        pivot(tableau, basis, nrows, ncols, leave, enter)
+        if above:
+            row[b] = -row[b]
+            row[ncols] -= bounds[b] * row[den]
+            flipped[b] = True
+        else:
+            row = tableau[leave] = [-x for x in row]
+            row[-1] = -row[-1]
+        pivot_in(tableau, basis, nrows, ncols, leave, enter, bounds, flipped)
         pivots += 1
 
     while True:
         obj = tableau[nrows]
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = lowest_rank((j for j in range(ncols) if obj[j] < 0),
+                            flipped, low, high)
         if enter < 0:
             return pivots
 
         leave = -1
-        best_rhs = best_a = 0
+        best_rhs = best_a = best_r = 0
         for i in range(nrows):
             row = tableau[i]
             a = row[enter]
             if a > 0:
                 rhs = row[ncols]
-                if leave >= 0:
-                    lhs = rhs * best_a
-                    cmp = best_rhs * a
-                    if lhs > cmp or (lhs == cmp and basis[i] > basis[leave]):
-                        continue
-                best_rhs = rhs
-                best_a = a
-                leave = i
+                r = low[basis[i]]
+            elif a < 0:
+                u = bounds[basis[i]]
+                if u is None:
+                    continue
+                a = -a
+                rhs = u * row[den] - row[ncols]
+                r = high[basis[i]]
+            else:
+                continue
+            if leave >= 0:
+                lhs = rhs * best_a
+                cmp = best_rhs * a
+                if lhs > cmp or (lhs == cmp and r > best_r):
+                    continue
+            best_rhs = rhs
+            best_a = a
+            best_r = r
+            leave = i
+        u = bounds[enter]
+        if u is not None:
+            r = low[enter] if flipped[enter] else high[enter]
+            if leave < 0 or u * best_a < best_rhs or (
+                    u * best_a == best_rhs and r < best_r):
+                _flip(tableau, ncols, enter, u)
+                flipped[enter] = not flipped[enter]
+                pivots += 1
+                continue
         if leave < 0:
             return pivots
-        pivot(tableau, basis, nrows, ncols, leave, enter)
+        b = basis[leave]
+        if tableau[leave][enter] < 0:  # b leaves at its upper bound
+            _complement(tableau, leave, b, bounds[b], ncols)
+            flipped[b] = True
+        pivot_in(tableau, basis, nrows, ncols, leave, enter, bounds, flipped)
         pivots += 1
+
+
+def _rank(j, flipped, low, high):
+    return high[j] if flipped[j] else low[j]
+
+
+def lowest_rank(columns, flipped, low, high):
+    """The column of lowest rank among ``columns``, given in increasing
+    order, or -1 if there is none.
+
+    A column at its lower side ranks below every column after it: ``low``
+    increases with the index, and only structural columns have a ``high``,
+    above every structural ``low``.  So the scan stops at the first one.
+    """
+    best = -1
+    for j in columns:
+        if not flipped[j]:
+            return j if best < 0 or low[j] < best_r else best
+        if best < 0 or high[j] < best_r:
+            best, best_r = j, high[j]
+    return best
+
+
+def pivot_in(tableau, basis, nrows, ncols, leave, enter, bounds, flipped):
+    """Pivot ``enter`` into row ``leave``, un-complemented if it was."""
+    pivot(tableau, basis, nrows, ncols, leave, enter)
+    if flipped[enter]:
+        _complement(tableau, leave, enter, bounds[enter], ncols)
+        flipped[enter] = False
+
+
+def _flip(tableau, ncols, j, u):
+    """Move nonbasic column j to its other bound: substitute ``U - x`` for
+    it in every row, objective included."""
+    for row in tableau:
+        a = row[j]
+        if a:
+            row[j] = -a
+            row[ncols] -= a * u
+
+
+def _complement(tableau, i, j, u, ncols):
+    """Substitute ``U - x`` for column j, basic in row i: the row, negated,
+    keeps j's unit entry, and its right-hand side becomes ``U - rhs``."""
+    row = tableau[i]
+    d = row[ncols + 1]
+    new = tableau[i] = [-x for x in row]
+    new[j] = row[j]
+    new[ncols] = u * d - row[ncols]
+    new[ncols + 1] = d
 
 
 def pivot(tableau, basis, nrows, ncols, leave, enter):

@@ -11,29 +11,40 @@ artificial columns are dropped, and the objective, priced out against the
 phase-1 basis, is minimized from there.  The vertex found is mapped back to
 original variables.
 
+A search's integer (moving) variables keep their upper bounds out of the
+tableau: each shifted column x' = x - lo carries the bound U = up - lo as a
+column bound of the kernel, which stores a column at U complemented, as
+``U - x'`` (``flipped``), and ranks every column at either bound as the
+tableau with one ``x <= up`` row per bound would index it, so that its
+pivots are that tableau's, one for one (see :mod:`pwlmip._kernel`).  A
+vertex reads U for a complemented column.  Fixed finite upper bounds, of
+the variables whose bounds never move, stay rows.
+
 That is the cold path, from the all-slack basis.  The nodes of a search
-share one constraint matrix, and only right-hand sides differ between them
-(the moving variables' bounds and the threshold row), so an optimal tableau
-of one node is dual feasible for every other: with an all-zero objective
-row in a feasibility search, and also when its dual simplex ended
-infeasible.  A search therefore keeps one :class:`LiveTableau`.  Its next
-node moves the stored right-hand sides to its own (see :func:`_move_rhs`)
-and hands the tableau to the kernel, whose dual phase re-optimizes it; a
-right-hand side left negative is the verdict "infeasible".  A call starts
-cold only while the search holds no tableau: at its first LP, and after a
-cold LP that ended unbounded or infeasible, neither of which leaves one.
+share one constraint matrix, and only right-hand sides and column bounds
+differ between them (the moving variables' bounds and the threshold row),
+so an optimal tableau of one node is dual feasible for every other: with an
+all-zero objective row in a feasibility search, and also when its dual
+simplex ended infeasible.  A search therefore keeps one
+:class:`LiveTableau`.  Its next node moves the stored right-hand sides and
+bounds to its own (see :func:`_move_rhs` and :func:`_move_bounds`) and
+hands the tableau to the kernel, whose dual phase re-optimizes it; a basic
+variable left below 0 or above its bound is the verdict "infeasible", and
+its row is the Farkas ray.  A call starts cold only while the search holds
+no tableau: at its first LP, and after a cold LP that ended unbounded or
+infeasible, neither of which leaves one.
 
 Tableau rows are Python ints over a positive per-row denominator, the layout
 :func:`pwlmip._kernel.phase1` pivots on, and model rows arrive in that form
 (see :mod:`pwlmip.milp.model`).  A branch-and-bound search moves only the
 bounds of its integer variables, and keeps them finite ints.  So a search
-compiles its rows once (:class:`CompiledRows`): the shifts and upper-bound
-rows of the variables whose bounds never move are folded in there, and a
-call only shifts right-hand sides by integer amounts.  The tableau is entry
-for entry the one a direct build from Fraction rows and bounds would give.
-The kernel may leave a row out of lowest terms, so a vertex value is read
-off with ``divmod``; it is an int when it is integral and a Fraction
-otherwise.
+compiles its rows and the kernel's ranks once (:class:`CompiledRows`): the
+shifts and upper-bound rows of the variables whose bounds never move are
+folded in there, and a call only shifts right-hand sides and column bounds
+by integer amounts.  The tableau is entry for entry the one a direct build
+from Fraction rows and bounds would give.  The kernel may leave a row out
+of lowest terms, so a vertex value is read off with ``divmod``; it is an
+int when it is integral and a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -48,18 +59,25 @@ from .model import SolveStats, integer_row
 
 
 class CompiledRows:
-    """Integer rows ``(coeffs, rhs, den)`` and the upper bounds after them,
-    in variable order, as integer tableau rows.
+    """Integer rows ``(coeffs, rhs, den)`` and the fixed upper bounds after
+    them, in variable order, as integer tableau rows.
 
     Every call supplies finite int bounds for the ``moving`` variables
-    (default: none); each gets one shifted column, and one without finite
-    bounds here is rejected.  The other variables' bounds (None, int or
-    Fraction) are fixed here: such a variable gets one shifted column, or a
-    positive/negative pair if its lower bound is None.
+    (default: none); each gets one shifted column whose upper bound
+    ``up - lo`` is a column bound of the kernel, not a row, and one without
+    finite bounds here is rejected.  The other variables' bounds (None, int
+    or Fraction) are fixed here: such a variable gets one shifted column and
+    a row for a finite upper bound, or a positive/negative pair if its lower
+    bound is None.
+
+    ``ranks`` are the kernel's Bland ranks of every column, artificials
+    included, computed once for all the calls: the indices each column, and
+    each moving column's bound slack, would have in a tableau that held
+    every upper bound as a row (see :mod:`pwlmip._kernel`).
     """
 
-    __slots__ = ("ncols", "dense", "neg", "totals", "dens", "rhs", "scales",
-                 "touch", "upper_row", "plan")
+    __slots__ = ("ncols", "dense", "totals", "dens", "rhs", "scales",
+                 "touch", "cols", "ranks", "plan")
 
     def __init__(self, rows, lowers, uppers=None, moving=()):
         n = len(lowers)
@@ -73,20 +91,30 @@ class CompiledRows:
         col_of = list(accumulate((1 if lo is not None else 2 for lo in lowers),
                                  initial=0))
         ncols = self.ncols = col_of.pop()
+        self.cols = [col_of[i] for i in moving]
 
-        # x <= up: a moving variable's row gets its upper bound at each call.
-        self.upper_row = [0] * len(moving)
+        # x <= up is a row for a fixed upper bound and a column bound for a
+        # moving one; ``index`` counts the rows a tableau with both would have.
+        index = len(rows)
+        slack_rank = list(range(ncols, ncols + index))
+        high = [None] * ncols
         for i in range(n):
             if i in pos:
-                self.upper_row[pos[i]] = len(rows)
-                rows.append((((i, 1),), 0, 1))
+                high[col_of[i]] = ncols + index
             elif uppers[i] is not None:
+                slack_rank.append(ncols + index)
                 rows.append(integer_row(((i, 1),), uppers[i], n))
+            else:
+                continue
+            index += 1
+        m = len(rows)
+        low = list(range(ncols)) + slack_rank + list(
+            range(ncols + index, ncols + index + m))  # the artificials
+        self.ranks = low, high
 
         # A fixed rational lower bound raises the denominator of the rows it
         # shifts; a moving shift is kept as (row, coefficient) for each call.
-        self.dense, self.neg, self.totals = [], [], []
-        self.dens, self.scales = [], []
+        self.dense, self.totals, self.dens, self.scales = [], [], [], []
         self.touch = [[] for _ in moving]
         for r, (coeffs, rhs, den) in enumerate(rows):
             fixed = [(i, k, lowers[i]) for i, k in coeffs
@@ -105,7 +133,6 @@ class CompiledRows:
             for _, k, lo in fixed:
                 total -= k * scale * lo.numerator // lo.denominator
             self.dense.append(dense)
-            self.neg.append([-x for x in dense])
             self.totals.append(total)
             self.dens.append(node_den)
             self.scales.append(scale)
@@ -123,13 +150,12 @@ class CompiledRows:
         self.totals[r] += self.scales[r] * (rhs - self.rhs[r])
         self.rhs[r] = rhs
 
-    def totals_at(self, lowers, uppers):
-        """Right-hand sides at these int bounds of the moving variables."""
+    def totals_at(self, lowers):
+        """Right-hand sides at these int lower bounds of the moving variables."""
         totals = self.totals[:]
         for j, lo in enumerate(lowers):
             for r, k in self.touch[j] if lo else ():
                 totals[r] -= k * lo
-            totals[self.upper_row[j]] += uppers[j]
         return totals
 
 
@@ -139,15 +165,17 @@ class LiveTableau:
     ``tableau`` is None until a cold LP of the search ends optimal (feasible
     with no objective).  From then on it is the final tableau of the
     search's latest LP, over the structural and slack columns, with
-    ``basis``, and ``totals`` the right-hand sides it was solved at.  Its
+    ``basis``, ``totals`` the right-hand sides it was solved at, ``bounds``
+    its column bounds and ``flipped`` its complemented columns.  Its
     objective row has no negative entry: it is the priced-out phase-2
     objective, or all zeros in a feasibility search.
     """
 
-    __slots__ = ("tableau", "basis", "totals")
+    __slots__ = ("tableau", "basis", "totals", "bounds", "flipped")
 
     def __init__(self):
         self.tableau = self.basis = self.totals = None
+        self.bounds = self.flipped = None
 
 
 def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
@@ -164,47 +192,55 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     infeasible verdict and the tableau sizes.  ``live``, a
     :class:`LiveTableau` that every call of one search passes with the same
     compiled rows and objective, warm-starts the call: a tableau it holds is
-    moved to this call's right-hand sides and re-optimized by dual simplex,
-    and a call that starts cold leaves its final tableau there once it ends
-    optimal.  Without it the call starts cold.  Returns (feasible, point,
-    pivots); point holds an int per integral value and a Fraction otherwise,
-    and it is None if the objective is unbounded below.
+    moved to this call's right-hand sides and bounds and re-optimized by
+    dual simplex, and a call that starts cold leaves its final tableau there
+    once it ends optimal.  Without it the call starts cold.  Returns
+    (feasible, point, pivots); point holds an int per integral value and a
+    Fraction otherwise, and it is None if the objective is unbounded below.
     """
     if not isinstance(rows, CompiledRows):
         rows = CompiledRows(rows, lowers, uppers)
         lowers = uppers = ()
-    totals = rows.totals_at(lowers, uppers)
+    totals = rows.totals_at(lowers)
     stats = SolveStats() if stats is None else stats
     stats.lp_calls += 1
     ncols = rows.ncols
     m = len(totals)
     art_rows = [k for k in range(m) if totals[k] < 0]
     if not art_rows and objective is None:
-        # The all-zeros point (all structural columns at 0) is feasible.
+        # The all-zeros point (every column at its lower bound) is feasible.
         return True, _point(rows.plan, lowers, [0] * ncols), 0
 
     real = ncols + m
     live = LiveTableau() if live is None else live
     if live.tableau is not None:
         tableau, basis = live.tableau, live.basis
+        bounds, flipped = live.bounds, live.flipped
         _move_rhs(tableau, real, ncols, rows.dens, live.totals, totals)
+        _move_bounds(tableau, real, bounds, flipped, rows.cols, lowers, uppers)
         live.totals = totals
         stats.note_tableau(m, real)
-        pivots = _kernel.phase1(tableau, basis, m, real)
+        pivots = _kernel.phase1(tableau, basis, m, real, bounds=bounds,
+                                flipped=flipped, ranks=rows.ranks)
         stats.pivots += pivots
-        if any(tableau[k][real] < 0 for k in range(m)):
+        if _violated(tableau, basis, real, bounds):
             stats.infeasible_lps += 1
             return False, None, pivots
         return True, _point(rows.plan, lowers,
-                            _vertex(tableau, basis, ncols, real)), pivots
+                            _vertex(tableau, basis, ncols, real, bounds,
+                                    flipped)), pivots
 
     # Tableau columns: structural | slacks | artificials | rhs | denominator.
     # An artificial row enters negated.  The phase-1 objective (minimize the
     # artificial sum, priced out against the basic artificials) is the sum
     # of the artificial rows' structural parts and right-hand sides over
     # their common denominator, with that denominator in their slack columns.
-    dense, neg, dens = rows.dense, rows.neg, rows.dens
+    dense, dens = rows.dense, rows.dens
     width = real + len(art_rows)
+    bounds = [None] * width
+    for c, lo, up in zip(rows.cols, lowers, uppers):
+        bounds[c] = up - lo
+    flipped = [False] * width
     pad = [0] * (width - ncols + 2)
     tableau = []
     basis = []
@@ -212,7 +248,7 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     for k in range(m):
         total, den = totals[k], dens[k]
         if total < 0:
-            row = neg[k] + pad
+            row = [-x for x in dense[k]] + pad
             row[ncols + k] = -den
             row[art] = den
             row[width] = -total
@@ -240,33 +276,44 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
         tableau.append(obj)
 
         stats.note_tableau(m, width)
-        pivots = _kernel.phase1(tableau, basis, m, width)
+        pivots = _kernel.phase1(tableau, basis, m, width, bounds=bounds,
+                                flipped=flipped, ranks=rows.ranks)
         stats.pivots += pivots
         if tableau[m][width]:
             stats.infeasible_lps += 1
             return False, None, pivots
-        _leave_artificials(tableau, basis, m, real)
+        _leave_artificials(tableau, basis, m, real, bounds, flipped,
+                           rows.ranks)
+        del bounds[real:], flipped[real:]
 
     if objective is None:
         tableau.append([0] * (real + 1) + [1])
     else:
-        # Phase 2 over the feasible basis: the objective row priced out by
-        # pivoting each basic column on its own row, which leaves every
-        # constraint row as it is.
-        tableau.append(dense[objective] + [0] * (m + 1) + [1])
+        # Phase 2 over the feasible basis: the objective row, complemented
+        # where its columns are, priced out by pivoting each basic column on
+        # its own row, which leaves every constraint row as it is.
+        obj = dense[objective] + [0] * (m + 1) + [1]
+        for c in rows.cols:
+            if flipped[c] and obj[c]:
+                obj[real] -= obj[c] * bounds[c]
+                obj[c] = -obj[c]
+        tableau.append(obj)
         for k in range(m):
             if basis[k] < ncols and tableau[m][basis[k]]:
                 _kernel.pivot(tableau, basis, m, real, k, basis[k])
         stats.note_tableau(m, real)
-        more = _kernel.phase1(tableau, basis, m, real)
+        more = _kernel.phase1(tableau, basis, m, real, bounds=bounds,
+                              flipped=flipped, ranks=rows.ranks)
         stats.pivots += more
         pivots += more
         if min(tableau[m][:real]) < 0:
             return True, None, pivots
 
     live.tableau, live.basis, live.totals = tableau, basis, totals
+    live.bounds, live.flipped = bounds, flipped
     return True, _point(rows.plan, lowers,
-                        _vertex(tableau, basis, ncols, real)), pivots
+                        _vertex(tableau, basis, ncols, real, bounds,
+                                flipped)), pivots
 
 
 def _move_rhs(tableau, width, ncols, dens, old, new):
@@ -306,9 +353,39 @@ def _move_rhs(tableau, width, ncols, dens, old, new):
                     tableau[i] = [x // g for x in row]
 
 
-def _vertex(tableau, basis, ncols, width):
+def _move_bounds(tableau, width, bounds, flipped, cols, lowers, uppers):
+    """Give the moving columns ``cols`` the bounds ``up - lo``, in place.
+
+    Only a complemented column's bound shows in the right-hand sides: it
+    reads ``U - x``, so U moving by delta moves every row, objective
+    included, by delta times its entry in that column.
+    """
+    for c, lo, up in zip(cols, lowers, uppers):
+        delta = up - lo - bounds[c]
+        if delta:
+            bounds[c] += delta
+            if flipped[c]:
+                for row in tableau:
+                    t = row[c]
+                    if t:
+                        row[width] += t * delta
+
+
+def _violated(tableau, basis, width, bounds):
+    """Whether some basic variable is below 0 or above its bound."""
+    for row, b in zip(tableau, basis):
+        rhs = row[width]
+        if rhs < 0:
+            return True
+        u = bounds[b]
+        if u is not None and rhs > u * row[width + 1]:
+            return True
+    return False
+
+
+def _vertex(tableau, basis, ncols, width, bounds, flipped):
     """The structural columns' values at the tableau's basic solution."""
-    values = [0] * ncols
+    values = [bounds[j] if flipped[j] else 0 for j in range(ncols)]
     for k, b in enumerate(basis):
         if b < ncols:
             num, den = tableau[k][width], tableau[k][width + 1]
@@ -317,24 +394,27 @@ def _vertex(tableau, basis, ncols, width):
     return values
 
 
-def _leave_artificials(tableau, basis, nrows, real):
+def _leave_artificials(tableau, basis, nrows, real, bounds, flipped, ranks):
     """Drop the artificial columns and the phase-1 objective row of a
     feasible phase-1 tableau.
 
     An artificial still basic sits at zero.  It leaves by a degenerate pivot
-    on the first nonzero entry of its row among the ``real`` columns, the
-    row negated first if that entry is negative.  There always is one: the
-    slack columns alone make an invertible block, so no row of the tableau
-    is zero on them.
+    on the nonzero entry of its row of lowest rank among the ``real``
+    columns, the row negated first if that entry is negative, and
+    un-complemented after if the entering column was complemented.  There
+    always is one: the slack columns alone make an invertible block, so no
+    row of the tableau is zero on them.
     """
     width = len(tableau[0]) - 2
     for k in range(nrows):
         if basis[k] >= real:
             row = tableau[k]
-            enter = next(j for j in range(real) if row[j])
+            enter = _kernel.lowest_rank((j for j in range(real) if row[j]),
+                                        flipped, *ranks)
             if row[enter] < 0:
                 tableau[k] = [-x for x in row[:-1]] + row[-1:]
-            _kernel.pivot(tableau, basis, nrows, width, k, enter)
+            _kernel.pivot_in(tableau, basis, nrows, width, k, enter, bounds,
+                             flipped)
     tableau.pop()
     tableau[:] = [row[:real] + row[width:] for row in tableau]
 

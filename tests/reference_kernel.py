@@ -1,8 +1,9 @@
-"""Reference phase-1 simplex pivot loop over Fractions.
+"""Reference simplex pivot loops over Fractions.
 
 The solver's kernel, ``pwlmip._kernel.phase1``, pivots on integer rows over
-per-row denominators; this is the plain rational loop it must agree with,
-pivot for pivot.  The tableau is a list of ``nrows + 1`` lists of length
+per-row denominators; these are the plain rational loops it must agree with,
+pivot for pivot: :func:`phase1` on a tableau that holds every bound as a
+row, and :func:`bounded_phase1` on one whose columns may carry upper bounds.  The tableau is a list of ``nrows + 1`` lists of length
 ``ncols + 1``: rows 0..nrows-1 are constraint rows, row nrows is the
 priced-out objective row, and column ncols holds the right-hand side.
 Entries are Fractions.  ``basis[i]`` is the column currently basic in row i.
@@ -86,3 +87,99 @@ def phase1(tableau, basis, nrows, ncols):
         _eliminate(tableau, nrows, ncols, leave, enter)
         basis[leave] = enter
         pivots += 1
+
+
+def _complement(row, j, u, ncols):
+    """Row whose basic column j now reads ``u - x``: negated, but j's unit."""
+    new = [-x for x in row]
+    new[j] = row[j]
+    new[ncols] = u - row[ncols]
+    return new
+
+
+def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
+                   events=None):
+    """The same rules over columns with upper bounds, as the kernel states
+    them: ``bounds[j]`` is U or None, a column in ``flipped`` is stored as
+    ``U - x``, and Bland's rule reads ranks, ``(low, high)``, instead of
+    indices.  ``events``, a list, gets "flip" for each bound flip and
+    "upper" for each variable that leaves at its upper bound."""
+    low, high = ranks
+    obj = tableau[nrows]
+    pivots = 0
+
+    def rank(j):
+        return high[j] if flipped[j] else low[j]
+
+    def enter_at(leave, enter):
+        _eliminate(tableau, nrows, ncols, leave, enter)
+        basis[leave] = enter
+        if flipped[enter]:
+            tableau[leave] = _complement(tableau[leave], enter, bounds[enter],
+                                         ncols)
+            flipped[enter] = False
+
+    def leave_at_upper(leave):
+        b = basis[leave]
+        tableau[leave] = _complement(tableau[leave], b, bounds[b], ncols)
+        flipped[b] = True
+        if events is not None:
+            events.append("upper")
+
+    while True:
+        violated = [(low[basis[i]], i) for i in range(nrows)
+                    if tableau[i][ncols] < 0]
+        violated += [(high[basis[i]], i) for i in range(nrows)
+                     if bounds[basis[i]] is not None
+                     and tableau[i][ncols] > bounds[basis[i]]]
+        if not violated:
+            break
+        r, leave = min(violated)
+        above = r != low[basis[leave]]
+        row = tableau[leave]
+        read = [-x for x in row] if above else row
+        candidates = [j for j in range(ncols)
+                      if read[j] < 0 and j != basis[leave]]
+        if not candidates:
+            return pivots
+        enter = min(candidates, key=lambda j: (obj[j] / -read[j], rank(j)))
+        if above:
+            leave_at_upper(leave)
+        enter_at(leave, enter)
+        pivots += 1
+
+    while True:
+        entering = [j for j in range(ncols) if obj[j] < 0]
+        if not entering:
+            return pivots
+        enter = min(entering, key=rank)
+        # (ratio, rank, row or None for the column's own bound)
+        candidates = []
+        for i in range(nrows):
+            a = tableau[i][enter]
+            u = bounds[basis[i]]
+            if a > 0:
+                candidates.append((tableau[i][ncols] / a, low[basis[i]], i))
+            elif a < 0 and u is not None:
+                candidates.append(((u - tableau[i][ncols]) / -a,
+                                   high[basis[i]], i))
+        if bounds[enter] is not None:
+            own = low[enter] if flipped[enter] else high[enter]
+            candidates.append((bounds[enter], own, None))
+        if not candidates:
+            return pivots
+        _, _, leave = min(candidates, key=lambda c: c[:2])
+        pivots += 1
+        if leave is None:
+            u = bounds[enter]
+            for row in tableau:
+                a = row[enter]
+                row[enter] = -a
+                row[ncols] -= a * u
+            flipped[enter] = not flipped[enter]
+            if events is not None:
+                events.append("flip")
+            continue
+        if tableau[leave][enter] < 0:
+            leave_at_upper(leave)
+        enter_at(leave, enter)

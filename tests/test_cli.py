@@ -551,7 +551,7 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert code == 0
     assert report["stats"] == {"nodes": 1, "lp_calls": 3, "pivots": 7,
                                "probes": 1, "infeasible_lps": 1,
-                               "max_depth": 0, "max_tableau": [6, 10],
+                               "max_depth": 0, "max_tableau": [4, 8],
                                "rounding_lps": 2}
 
     # a feasibility solve runs no probe; 7 of its 13 LPs prune a node
@@ -561,9 +561,9 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert report["stats"]["probes"] == 0
     assert report["stats"]["infeasible_lps"] == 7
     assert report["stats"]["lp_calls"] == 13
-    # it branches six levels deep; every tableau is 4 rows by 7 columns
+    # it branches six levels deep; every tableau is 2 rows by 5 columns
     assert report["stats"]["max_depth"] == 6
-    assert report["stats"]["max_tableau"] == [4, 7]
+    assert report["stats"]["max_tableau"] == [2, 5]
 
     # bribery is one covering search, settled at its root
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
@@ -571,13 +571,13 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert code == 0
     assert report["stats"] == {"nodes": 1, "lp_calls": 1, "pivots": 3,
                                "probes": 1, "infeasible_lps": 0,
-                               "max_depth": 0, "max_tableau": [7, 12],
+                               "max_depth": 0, "max_tableau": [6, 11],
                                "rounding_lps": 0}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
     assert ("nodes: 1  lp calls: 3  pivots: 7  probes: 1  "
             "infeasible lps: 1  rounding lps: 2  max depth: 0  "
-            "max tableau: 6x10\n") in out
+            "max tableau: 4x8\n") in out
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from pwlmip.milp.model import MilpModel, MilpVariable, integer_row
 from pwlmip.pipeline import maximize_emip, minimize_budget, objective_bracket, solve_emip
 from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import lower
+from reference_kernel import bounded_phase1
 from reference_kernel import phase1 as reference_phase1
 
 F = Fraction
@@ -455,24 +456,34 @@ def _fraction_rows(tableau, ncols):
     return [[F(x, row[ncols + 1]) for x in row[:ncols + 1]] for row in tableau]
 
 
-def _assert_agrees_with_reference(tableau, basis, nrows, ncols):
-    """Pivot an integer tableau in place and its Fractions by the reference.
+def _assert_agrees_with_reference(tableau, basis, nrows, ncols, **bounded):
+    """Pivot an integer tableau in place and its Fractions by the reference,
+    its bounded rule when the call carries bounds, flags and ranks.
 
     Returns the pivot count and the phase-1 optimum.
     """
     expected = _fraction_rows(tableau, ncols)
     expected_basis = list(basis)
-    expected_pivots = reference_phase1(expected, expected_basis, nrows, ncols)
-    pivots = integer_phase1(tableau, basis, nrows, ncols)
+    if bounded:
+        expected_flipped = list(bounded["flipped"])
+        expected_pivots = bounded_phase1(
+            expected, expected_basis, nrows, ncols, bounded["bounds"],
+            expected_flipped, bounded["ranks"])
+    else:
+        expected_pivots = reference_phase1(expected, expected_basis, nrows,
+                                           ncols)
+    pivots = integer_phase1(tableau, basis, nrows, ncols, **bounded)
     assert pivots == expected_pivots
     assert basis == expected_basis
+    assert not bounded or bounded["flipped"] == expected_flipped
     # every entry, so also every vertex value and the phase-1 optimum
     assert _fraction_rows(tableau, ncols) == expected
     return pivots, -expected[nrows][ncols]
 
 
-def _checked_phase1(tableau, basis, nrows, ncols):
-    return _assert_agrees_with_reference(tableau, basis, nrows, ncols)[0]
+def _checked_phase1(tableau, basis, nrows, ncols, **bounded):
+    return _assert_agrees_with_reference(tableau, basis, nrows, ncols,
+                                         **bounded)[0]
 
 
 class KernelCall(NamedTuple):
@@ -495,12 +506,17 @@ def _record_kernel(monkeypatch, pivot=integer_phase1):
     """Route every ``_kernel.phase1`` call through ``pivot`` and record it.
 
     Returns the list each call is appended to as a :class:`KernelCall`.
+    The keyword arguments (column bounds, flags and ranks) are forwarded
+    when some column carries a bound; without one they say what the
+    kernel's defaults say.
     """
     calls = []
 
-    def record(tableau, basis, nrows, ncols):
+    def record(tableau, basis, nrows, ncols, **bounded):
+        if all(u is None for u in bounded.get("bounds", ())):
+            bounded = {}
         given = [list(row) for row in tableau], list(basis), nrows, ncols
-        pivots = pivot(tableau, basis, nrows, ncols)
+        pivots = pivot(tableau, basis, nrows, ncols, **bounded)
         calls.append(KernelCall(*given, pivots, [list(row) for row in tableau]))
         return pivots
 
@@ -646,6 +662,83 @@ def test_integer_kernel_pivots_are_invariant_under_row_scaling():
         assert _fraction_rows(scaled, ncols) == _fraction_rows(plain, ncols)
         scaled_cases += pivots > 0 and any(k > 1 for k in factors)
     assert scaled_cases > 100
+
+
+def _basic_values(tableau, basis, nrows, ncols, n):
+    """The first ``n`` columns' values at a Fraction tableau's basis."""
+    values = [F(0)] * n
+    for i in range(nrows):
+        if basis[i] < n:
+            values[basis[i]] = tableau[i][ncols]
+    return values
+
+
+def test_bounded_kernel_takes_the_explicit_row_pivots():
+    """A cold phase 1 over integer variables with binding upper bounds takes
+    as many pivots, and ends at the same vertex, with each bound a column
+    bound as with each bound a row ``x <= up`` under the plain Fraction rule.
+
+    The bounded tableau leaves the bound rows out; its ranks, as compiled
+    rows give them, are the indices the explicit tableau gives each column
+    and each bound's slack.
+    The kernel agrees with the bounded Fraction rule pivot for pivot, and
+    that rule reports the bound flips and the variables that leave at their
+    upper bound on the way.
+    """
+    rng = random.Random(0xB65)
+    events = collections.Counter()
+    compared = 0
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        lowers = [rng.randint(-2, 1) for _ in range(n)]
+        uppers = [lo + rng.randint(0, 4) for lo in lowers]
+        rows = [
+            (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
+                   if rng.random() < 0.8),
+             random_fraction(rng, -5, 5))
+            for _ in range(rng.randint(1, 4))
+        ]
+        # most boxes get a row that needs some variables near their top
+        if rng.random() < 0.8:
+            weights = [rng.randint(1, 3) for _ in range(n)]
+            top = sum(w * up for w, up in zip(weights, uppers))
+            rows.append((tuple((i, F(-w)) for i, w in enumerate(weights)),
+                         F(-top + rng.randint(0, 3))))
+        explicit = _per_node_tableau(rows, lowers, uppers)
+        if explicit is None:
+            continue
+        bounded = _per_node_tableau(rows, lowers, uppers, range(n))
+        tableau, basis, nrows, ncols = explicit
+        rational = _fraction_rows(tableau, ncols)
+        pivots = reference_phase1(rational, basis, nrows, ncols)
+        vertex = _basic_values(rational, basis, nrows, ncols, n)
+
+        # The explicit tableau's rows are the bounded one's, then the bounds.
+        tableau, basis, nrows, width = bounded
+        real = n + nrows
+        ranks = (list(range(real)) + list(range(real + n, width + n)),
+                 [real + j for j in range(n)])
+        low, high = CompiledRows(_int_rows(rows, n), lowers, uppers,
+                                 range(n)).ranks
+        assert (low[:width], high) == ranks
+        bounds = [up - lo for lo, up in zip(lowers, uppers)]
+        bounds += [None] * (width - n)
+        flipped = [False] * width
+        rational = _fraction_rows(tableau, width)
+        reference_flipped, reference_basis, seen = list(flipped), list(basis), []
+        assert bounded_phase1(rational, reference_basis, nrows, width, bounds,
+                              reference_flipped, ranks, seen) == pivots
+        assert integer_phase1(tableau, basis, nrows, width, bounds=bounds,
+                              flipped=flipped, ranks=ranks) == pivots
+        assert (basis, flipped) == (reference_basis, reference_flipped)
+        assert _fraction_rows(tableau, width) == rational
+        values = _basic_values(rational, basis, nrows, width, n)
+        assert [bounds[j] if flipped[j] else x
+                for j, x in enumerate(values)] == vertex
+        events.update(seen)
+        compared += 1
+    assert compared > 90
+    assert events["flip"] > 100 and events["upper"] > 30
 
 
 def _ladder_cover(rng, m, n, kind):
@@ -883,12 +976,13 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
     assert kinds == {int, Fraction}
 
 
-def _per_node_tableau(rows, lowers, uppers):
+def _per_node_tableau(rows, lowers, uppers, moving=()):
     """The phase-1 tableau built straight from Fraction rows and bounds.
 
     The direct construction that compiled rows replace: shift or split every
     column, scale each row (bound rows included) by the lcm of its
     denominators, then add slacks, artificials and the priced-out objective.
+    The ``moving`` variables' upper bounds are column bounds, not rows.
     Returns (tableau, basis, nrows, ncols), or None when the all-slack basis
     is already feasible and no kernel call is needed.
     """
@@ -897,7 +991,7 @@ def _per_node_tableau(rows, lowers, uppers):
         col_of.append((ncols,) if lo is not None else (ncols, ncols + 1))
         ncols += len(col_of[-1])
     bound_rows = [(((i, F(1)),), up) for i, up in enumerate(uppers)
-                  if up is not None]
+                  if up is not None and i not in moving]
     int_rows = []
     for coeffs, rhs in list(rows) + bound_rows:
         den = rhs.denominator
@@ -983,7 +1077,7 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
                         up[i] = cut
                     else:
                         lo[i] = cut + 1
-            expected = _per_node_tableau(rows, lo, up)
+            expected = _per_node_tableau(rows, lo, up, moving)
             built.clear()
             result = solve_lp_feasibility(compiled, [lo[i] for i in moving],
                                           [up[i] for i in moving])
@@ -1162,7 +1256,8 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
             uppers = [F(b[1]) for b in bounds]
             for j, i in enumerate(int_idx):
                 lowers[i], uppers[i] = F(lo[j]), F(up[j])
-            expected = _per_node_tableau(rows + [threshold], lowers, uppers)
+            expected = _per_node_tableau(rows + [threshold], lowers, uppers,
+                                         int_idx)
             assert tableaux == ([] if expected is None else [expected])
             compared += expected is not None
     assert compared > 80 and thresholds > 5
@@ -1339,18 +1434,18 @@ def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):
 
 
 def test_stats_pin_depth_and_tableau_on_a_branching_search():
-    # 2x + 2y = 7 over integers: every LP is 4 rows by 7 columns; proving
-    # it empty goes 6 branchings deep
+    # 2x + 2y = 7 over integers: every LP is 2 rows by 5 columns (the
+    # bounds are column bounds); proving it empty goes 6 branchings deep
     model = _mk(
         [("x", VarKind.INTEGER, F(0), F(3)), ("y", VarKind.INTEGER, F(0), F(3))],
         [([(0, 2), (1, 2)], 7), ([(0, -2), (1, -2)], -7)],
     )
     stats = milp.solve_feasibility(model).stats
-    assert (stats.nodes, stats.max_depth, stats.max_tableau) == (13, 6, (4, 7))
+    assert (stats.nodes, stats.max_depth, stats.max_tableau) == (13, 6, (2, 5))
     total = milp.SolveStats()
     total.absorb(stats)
-    total.absorb(milp.SolveStats(max_depth=2, max_tableau=(5, 5)))
-    assert (total.nodes, total.max_depth, total.max_tableau) == (13, 6, (4, 7))
+    total.absorb(milp.SolveStats(max_depth=2, max_tableau=(3, 3)))
+    assert (total.nodes, total.max_depth, total.max_tableau) == (13, 6, (2, 5))
     total.absorb(milp.SolveStats(max_depth=9, max_tableau=(3, 10)))
     assert (total.max_depth, total.max_tableau) == (9, (3, 10))
 
@@ -1453,4 +1548,18 @@ def test_rounding_keeps_the_heavy_ladder_trees_small():
                                       node_limit=20000)
         assert solution.cost == cost
         assert solution.stats.nodes <= most
+
+
+def test_column_bounds_keep_the_heavy_trees_and_shrink_their_tableaus():
+    """The same two heavy covers take the nodes and pivots they took when
+    every integer bound was a tableau row, but with the bounds as column
+    bounds their largest tableaus keep only model rows: 74 of 193 at
+    (8, 160) and 28 of 316 at (12, 300)."""
+    for m, n, nodes, pivots, rows in ((8, 160, 115, 1049, 80),
+                                      (12, 300, 122, 875, 30)):
+        instance = _ladder_cover(random.Random(1000 * m + n), m, n, "umm")
+        stats = covering.solve_umm(instance, minimize_cost=True,
+                                   node_limit=20000).stats
+        assert (stats.nodes, stats.pivots) == (nodes, pivots)
+        assert stats.max_tableau[0] <= rows
 
