@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .emip import EmipConstraint, EmipModel, Objective, Variable, VarKind
+from .covering import Types
+from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
-from .pipeline import maximize_emip
+from .pipeline import minimize_budget
 from .pwl import PwlFunction
 from .rationals import parse_rational
 
@@ -241,25 +242,14 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
     for idx in range(instance.n_sets):
         vectors.extend(decompose(instance.sets[idx], params, origin=idx))
 
-    groups = {}
-    for pos, vector in enumerate(vectors):
-        groups.setdefault(vector.shape, []).append((pos, vector))
-    shapes = sorted(groups)
-    members = []
-    for shape in shapes:
-        # by beta descending; the stable sort keeps ties in position order
-        ordered = sorted(groups[shape], key=lambda pv: pv[1].beta, reverse=True)
-        members.append([v for _, v in ordered])
-
-    n_groups = len(shapes)
+    # by beta descending, ties in position order
+    types = Types.of([v.shape for v in vectors], lambda pos: -vectors[pos].beta)
+    n_groups = len(types.keys)
     requirements = instance.requirements
     total_req = sum(requirements)
     miss_cap = params.epsilon * total_req
 
-    variables = [
-        Variable("v%d" % j, VarKind.INTEGER, 0, len(members[j]))
-        for j in range(n_groups)
-    ]
+    variables = types.counts("v")
     miss_base = n_groups
     variables += [
         Variable("miss%d" % i, VarKind.CONTINUOUS, 0, requirements[i])
@@ -271,12 +261,14 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
         constraints.append(
             EmipConstraint(lhs={j: 1 for j in range(n_groups)}, rhs={}, b=budget)
         )
+    miss_row = len(constraints)
     constraints.append(
         EmipConstraint(
             lhs={miss_base + i: 1 for i in range(instance.m)}, rhs={}, b=miss_cap
         )
     )
-    realized = [[v.realized() for v in group] for group in members]
+    realized = [[vectors[pos].realized() for pos in members]
+                for members in types.members]
     for i in range(instance.m):
         if requirements[i] == 0:
             continue
@@ -288,24 +280,14 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
         gains[miss_base + i] = 1
         constraints.append(EmipConstraint(lhs={}, rhs=gains, b=-requirements[i]))
 
-    model = EmipModel(
-        tuple(variables),
-        tuple(constraints),
-        objective=Objective("min", {miss_base + i: 1 for i in range(instance.m)}),
-    )
-    result = maximize_emip(
-        model, t_lo=-math.floor(miss_cap), t_hi=0, node_limit=node_limit
-    )
+    model = EmipModel(tuple(variables), tuple(constraints))
+    result = minimize_budget(model, miss_row, node_limit)
     if stats is not None:
         stats.absorb(result.stats)
     if not result.feasible:
         return None
 
-    chosen = []
-    for j in range(n_groups):
-        take = int(result.assignment[j])
-        chosen.extend(members[j][:take])
-
+    chosen = [vectors[pos] for pos in types.take(result.assignment)]
     coverage = [0] * instance.m
     per_origin = {}
     for vector in chosen:

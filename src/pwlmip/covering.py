@@ -1,34 +1,38 @@
-"""Multiset multicover instances and the two exact covering solvers.
+"""Multiset multicover instances, the two exact covering solvers, and the
+count-per-type reduction they share with :mod:`pwlmip.approx` and
+:mod:`pwlmip.voting`.
 
 An instance asks for a subfamily of multisets that covers every element x_l
-at least r_l times within a budget.  Two shapes reduce to small
-piecewise-linear models over one integer variable per group of sets:
+at least r_l times within a budget.  Interchangeable items form a *type*
+(:class:`Types`), and the model has one integer count per type: taking z
+items of a type takes its z best members, so the type's cost or yield is
+the prefix sum of its members' values, a convex or concave function of z.
 
 * weighted multiset multicover (WSM): sets carry weights, the budget caps
-  total weight.  Sets are grouped by their exact multiset, so taking z sets
-  from a group covers each element z times its multiplicity and costs the
-  sum of the z cheapest members, a convex function of z.  The model has
-  one variable per distinct multiset: at most 2^m - 1 for the set variant
-  (all multiplicities one), and bounded in m whenever the multiplicities
-  are, but as many as the sets themselves when they are not.
+  total weight.  A type is one exact multiset, its members cheapest first:
+  z of them cover each element z times its multiplicity and cost the sum
+  of the z smallest weights, a convex function.  There are at most 2^m - 1
+  types in the set variant (all multiplicities one), and m bounds their
+  number whenever the multiplicities are bounded, but there are as many as
+  the sets themselves when they are not.
 
 * uniform multiset multicover (UMM): each set covers its support uniformly
   with some multiplicity t, all weights are one, the budget caps the number
-  of sets.  Sets are grouped into *type families* by support; taking z sets
-  from a family yields the sum of the z largest t values per supported
-  element, a concave function of z.
+  of sets.  A type is one support, its members largest t first: z of them
+  yield the sum of the z largest t values per supported element, a
+  concave function.
 
-Both solvers hand the model to the lowering pipeline and then realize the
-group counts as concrete set choices, re-checking the cover exactly.
+Both solvers check feasibility or minimize the budget row, then take each
+type's first members and re-check the cover exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .emip import EmipConstraint, EmipModel, Objective, Variable, VarKind
+from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
-from .pipeline import maximize_emip, minimize_budget, solve_emip
+from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
 from .rationals import parse_integer
 
@@ -141,20 +145,39 @@ class CoverInstance:
 
 
 @dataclass(frozen=True)
-class TypeFamily:
-    support: tuple   # sorted element indices
-    members: tuple   # set indices, instance order
+class Types:
+    """Items grouped into types, one integer count per type.
 
+    ``keys`` are the distinct type keys, sorted; ``members[j]`` holds type
+    j's item indices, best first.  Taking z items of a type means taking
+    its first z members, so a type is priced by one function of z: the
+    prefix sums of its members' weights or yields, convex or concave.
+    """
 
-def type_families(instance: CoverInstance):
-    """Group sets by support; empty supports are dropped (they cover nothing)."""
-    groups = {}
-    for k in range(instance.n_sets):
-        sup = instance.support(k)
-        if not sup:
-            continue
-        groups.setdefault(sup, []).append(k)
-    return [TypeFamily(sup, tuple(groups[sup])) for sup in sorted(groups)]
+    keys: tuple
+    members: tuple
+
+    @classmethod
+    def of(cls, keys, rank):
+        """Item k is of type keys[k] (None: of no type); ``rank`` is the
+        sort key of an item index, ties kept in index order."""
+        groups = {}
+        for k, key in enumerate(keys):
+            if key is not None:
+                groups.setdefault(key, []).append(k)
+        ordered = sorted(groups)
+        return cls(tuple(ordered),
+                   tuple([tuple(sorted(groups[key], key=rank)) for key in ordered]))
+
+    def counts(self, prefix):
+        """One integer variable per type, from 0 to its member count."""
+        return [Variable("%s%d" % (prefix, j), VarKind.INTEGER, 0, len(members))
+                for j, members in enumerate(self.members)]
+
+    def take(self, counts):
+        """The first counts[j] members of each type j, type by type."""
+        return [k for j, members in enumerate(self.members)
+                for k in members[:counts[j]]]
 
 
 @dataclass
@@ -173,39 +196,22 @@ def solve_wsm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
     number of distinct multisets, which m bounds only when the
     multiplicities are bounded.
     """
-    groups = {}
-    for k, s in enumerate(instance.sets):
-        if s:
-            groups.setdefault(s, []).append(k)
-    shapes = sorted(groups)
-    members_sorted = [
-        tuple(sorted(groups[s], key=lambda k: (instance.weights[k], k)))
-        for s in shapes
-    ]
-    costs = [
-        PwlFunction.from_sorted_weights([instance.weights[k] for k in groups[s]])
-        for s in shapes
-    ]
-
-    variables = tuple(
-        Variable("z%d" % i, VarKind.INTEGER, 0, len(groups[s]))
-        for i, s in enumerate(shapes)
-    )
+    weights = instance.weights
+    types = Types.of([s or None for s in instance.sets], weights.__getitem__)
     covering = [{} for _ in range(instance.m)]
-    for i, s in enumerate(shapes):
+    for j, s in enumerate(types.keys):
         for elem, mult in s:
-            covering[elem][i] = -mult
+            covering[elem][j] = -mult
     constraints = [
         EmipConstraint(lhs=covering[elem], rhs={}, b=-r)
         for elem, r in enumerate(instance.requirements) if r
     ]
-    budget_terms = {i: costs[i] for i in range(len(shapes))}
-    constraints.append(EmipConstraint(lhs=budget_terms, rhs={}, b=instance.budget))
-    model = EmipModel(variables, tuple(constraints))
-
-    result = (minimize_budget(model, len(constraints) - 1, node_limit)
-              if minimize_cost else solve_emip(model, node_limit))
-    return _realized_solution(instance, members_sorted, result.assignment, result.stats)
+    costs = {
+        j: PwlFunction.from_sorted_weights([weights[k] for k in members])
+        for j, members in enumerate(types.members)
+    }
+    constraints.append(EmipConstraint(lhs=costs, rhs={}, b=instance.budget))
+    return _solve(instance, types, constraints, minimize_cost, node_limit)
 
 
 def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> CoverSolution:
@@ -214,58 +220,38 @@ def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
         raise ValueError("uniform multiset multicover needs per-set uniform multiplicities")
     if any(w != 1 for w in instance.weights):
         raise ValueError("uniform multiset multicover needs unit weights")
-    families = type_families(instance)
-    members_sorted = [
-        tuple(
-            sorted(
-                fam.members,
-                key=lambda k: (-instance.uniform_multiplicity(k), k),
-            )
-        )
-        for fam in families
-    ]
+    n = instance.n_sets
+    mults = [instance.uniform_multiplicity(k) for k in range(n)]
+    types = Types.of([instance.support(k) or None for k in range(n)],
+                     lambda k: -mults[k])
     yields = [
-        PwlFunction.from_sorted_multiplicities(
-            [instance.uniform_multiplicity(k) for k in fam.members]
-        )
-        for fam in families
+        PwlFunction.from_sorted_multiplicities([mults[k] for k in members])
+        for members in types.members
     ]
-
-    variables = tuple(
-        Variable("z%d" % i, VarKind.INTEGER, 0, len(fam.members))
-        for i, fam in enumerate(families)
-    )
     constraints = []
-    for elem in range(instance.m):
-        r = instance.requirements[elem]
-        if r == 0:
-            continue
-        gain = {i: yields[i] for i, fam in enumerate(families) if elem in fam.support}
-        constraints.append(EmipConstraint(lhs={}, rhs=gain, b=-r))
-    count_terms = {i: 1 for i in range(len(families))}
-    constraints.append(EmipConstraint(lhs=count_terms, rhs={}, b=instance.budget))
-    objective = Objective("min", count_terms) if minimize_cost else None
-    model = EmipModel(variables, tuple(constraints), objective=objective)
-
-    if minimize_cost:
-        result = maximize_emip(model, node_limit=node_limit)
-    else:
-        result = solve_emip(model, node_limit)
-    return _realized_solution(instance, members_sorted, result.assignment, result.stats)
+    for elem, r in enumerate(instance.requirements):
+        if r:
+            gain = {j: yields[j] for j, support in enumerate(types.keys)
+                    if elem in support}
+            constraints.append(EmipConstraint(lhs={}, rhs=gain, b=-r))
+    count = {j: 1 for j in range(len(types.keys))}
+    constraints.append(EmipConstraint(lhs=count, rhs={}, b=instance.budget))
+    return _solve(instance, types, constraints, minimize_cost, node_limit)
 
 
-def _realized_solution(instance, members_sorted, counts, stats):
-    """Take the first z members of each family's ranked list; re-check."""
-    if counts is None:
-        return CoverSolution(False, stats=stats)
-    chosen = tuple(sorted(
-        k for i, members in enumerate(members_sorted)
-        for k in members[:int(counts[i])]
-    ))
+def _solve(instance, types, constraints, minimize_cost, node_limit):
+    """Solve for one count per type, the budget row last (minimized on
+    request), then take each type's first members and re-check the cover."""
+    model = EmipModel(tuple(types.counts("z")), tuple(constraints))
+    result = (minimize_budget(model, len(constraints) - 1, node_limit)
+              if minimize_cost else solve_emip(model, node_limit))
+    if not result.feasible:
+        return CoverSolution(False, stats=result.stats)
+    chosen = tuple(sorted(types.take(result.assignment)))
     coverage = instance.coverage_of(chosen)
     cost = sum(instance.weights[k] for k in chosen)
     if any(c < r for c, r in zip(coverage, instance.requirements)):
         raise SolverInternalError("realized cover misses a requirement")
     if cost > instance.budget:
         raise SolverInternalError("realized cover exceeds the budget")
-    return CoverSolution(True, chosen, cost, coverage, stats)
+    return CoverSolution(True, chosen, cost, coverage, result.stats)

@@ -196,8 +196,7 @@ def solve_feasibility(model: MilpModel, node_limit=None,
         stack.append((lo, left_up, depth + 1, cap))
     if incumbent is None:
         return SolveResult(False, None, stats)
-    assignment = {i: Fraction(x) for i, x in enumerate(incumbent)}
-    return SolveResult(True, assignment, stats,
+    return SolveResult(True, dict(enumerate(incumbent)), stats,
                        None if objective is None else best)
 
 

@@ -3,9 +3,9 @@
 A row is integers: ``(coeffs, rhs, den)`` stands for ``sum(c/den * x_i) <=
 rhs/den``, coeffs (index, int) pairs sorted by index and den > 0.  Lowered
 rows are scaled to integers, so their den is 1.  The solver reads rows as
-they are.  Variable bounds follow :func:`pwlmip.rationals.exact`, an int
-when integral; Fractions appear only for bounds that are not, in the
-assignment a solve returns, and in the messages of ``check_assignment``.
+they are.  Variable bounds and the assignment a solve returns follow
+:func:`pwlmip.rationals.exact`, an int when integral; Fractions appear only
+for values that are not, and in the messages of ``check_assignment``.
 """
 
 from __future__ import annotations

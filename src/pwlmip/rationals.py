@@ -2,9 +2,9 @@
 
 Every number in this package is an exact rational: an ``int`` when it is
 integral and a :class:`fractions.Fraction` otherwise, the form :func:`exact`
-gives.  Ints and integral Fractions compare, hash and print alike, so the
-contract moves no answer and no report byte.  Fractions are kept on purpose
-in two places: the assignment a solve returns, and a divisor such as ε in
+gives, the assignment a solve returns included.  Ints and integral
+Fractions compare, hash and print alike, so the contract moves no answer and
+no report byte.  A Fraction is kept on purpose for a divisor such as ε in
 :mod:`pwlmip.approx`, where ``int / int`` would make a float.
 """
 

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from .emip import EmipModel, VarKind, normalize
 from .milp.model import MilpModel, MilpVariable, integer_row
 from .pwl import PwlFunction
-from .rationals import exact
 
 
 class WitnessError(ValueError):
@@ -164,10 +163,10 @@ def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
     against ``model``, the model as it was passed to :func:`lower`.
 
     Raises WitnessError if the restriction violates any source constraint;
-    a correct lowering never triggers this.  The check reads integral
-    values as ints; the point returned holds the caller's own values.
+    a correct lowering never triggers this.  The values are exact, an int
+    when integral (:mod:`pwlmip.rationals`), and are returned as they are.
     """
-    point = {i: exact(assignment[i]) for i in range(lmap.n_original)}
+    point = {i: assignment[i] for i in range(lmap.n_original)}
     for j, cons in enumerate(model.constraints):
         if not cons.holds(point):
             raise WitnessError(
@@ -179,4 +178,4 @@ def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
             raise WitnessError("lifted point violates bounds of %r" % v.name)
         if v.kind is VarKind.INTEGER and x.denominator != 1:
             raise WitnessError("lifted point not integral on %r" % v.name)
-    return {i: assignment[i] for i in point}
+    return point

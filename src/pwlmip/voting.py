@@ -25,16 +25,18 @@ multiset multicover with the prices as set weights; weighted voters
 (unit prices) give uniform multiset multicover, where the budget caps the
 number of voters.
 
-Scoring-rule deletion keeps one integer variable per preference order with
-a convex price function (delete cheapest first) and linear winner rows.
+Scoring-rule deletion uses the same count-per-type reduction
+(:class:`pwlmip.covering.Types`): a type is one preference order, its count
+how many of its voters to delete, cheapest first, priced by a convex
+function, and the winner rows are linear in the counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .covering import CoverInstance, solve_umm, solve_wsm
-from .emip import EmipConstraint, EmipModel, Variable, VarKind
+from .covering import CoverInstance, Types, solve_umm, solve_wsm
+from .emip import EmipConstraint, EmipModel
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
@@ -411,54 +413,32 @@ def solve_scoring_ccdv(election, unique_winner=False, minimize_cost=False,
     alpha = election.scoring_vector
     bump = 1 if unique_winner else 0
 
-    orders = {}
-    for i, v in enumerate(election.voters):
-        orders.setdefault(v.ranking, []).append(i)
-    ranked = sorted(orders)
-    by_price = [
-        sorted(orders[sigma], key=lambda i: (election.voters[i].price, i))
-        for sigma in ranked
-    ]
-
-    variables = tuple(
-        Variable("d%d" % j, VarKind.INTEGER, 0, len(orders[sigma]))
-        for j, sigma in enumerate(ranked)
-    )
-    points = []
-    for sigma in ranked:
-        pos = {c: k for k, c in enumerate(sigma)}
-        points.append({c: alpha[pos[c]] for c in election.candidates})
-
+    voters = election.voters
+    types = Types.of([v.ranking for v in voters], lambda i: voters[i].price)
     constraints = []
     for c in election.candidates[1:]:
         coeffs = {}
         base = -bump
-        for j, sigma in enumerate(ranked):
-            margin = points[j][p] - points[j][c]
+        for j, sigma in enumerate(types.keys):
+            margin = alpha[sigma.index(p)] - alpha[sigma.index(c)]
             if margin:
                 coeffs[j] = margin
-                base += len(orders[sigma]) * margin
+                base += len(types.members[j]) * margin
         constraints.append(EmipConstraint(lhs=coeffs, rhs={}, b=base))
-    price_fns = {
-        j: PwlFunction.from_sorted_weights(
-            [election.voters[i].price for i in by_price[j]]
-        )
-        for j in range(len(ranked))
+    prices = {
+        j: PwlFunction.from_sorted_weights([voters[i].price for i in members])
+        for j, members in enumerate(types.members)
     }
-    constraints.append(EmipConstraint(lhs=price_fns, rhs={}, b=election.budget))
-    model = EmipModel(variables, tuple(constraints))
+    constraints.append(EmipConstraint(lhs=prices, rhs={}, b=election.budget))
+    model = EmipModel(tuple(types.counts("d")), tuple(constraints))
 
     result = (minimize_budget(model, len(constraints) - 1, node_limit)
               if minimize_cost else solve_emip(model, node_limit))
     if not result.feasible:
         return ManipulationResult(False, kind="delete", stats=result.stats)
 
-    action = []
-    for j in range(len(ranked)):
-        take = int(result.assignment[j])
-        action.extend(by_price[j][:take])
-    action = tuple(sorted(action))
-    total = sum(election.voters[i].price for i in action)
+    action = tuple(sorted(types.take(result.assignment)))
+    total = sum(voters[i].price for i in action)
     if result.best is not None and total != result.best:
         raise SolverInternalError("deletion prices disagree with the optimum")
     if total > election.budget:

@@ -173,18 +173,18 @@ def test_infeasible_mmc_approx_reports_its_search(capsys, tmp_path,
         "weights": [1, 1, 1], "requirements": [2, 1, 4], "budget": 1,
     }))
     searches = []
-    real = approx.maximize_emip
+    real = approx.minimize_budget
 
-    def spy(model, **kwargs):
-        searches.append((model, kwargs))
-        return real(model, **kwargs)
+    def spy(*args):
+        searches.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(approx, "maximize_emip", spy)
+    monkeypatch.setattr(approx, "minimize_budget", spy)
     code, report, _ = run_json(capsys, "mmc-approx", str(path),
                                "--epsilon", "1/2")
     assert code == 0 and report["status"] == "infeasible"
-    ((model, kwargs),) = searches
-    direct = pipeline.maximize_emip(model, **kwargs)
+    (args,) = searches
+    direct = pipeline.minimize_budget(*args)
     assert not direct.feasible and direct.stats.nodes > 1
     stats = report["stats"]
     assert (stats["nodes"], stats["lp_calls"], stats["pivots"]) == (
@@ -718,9 +718,10 @@ def test_integral_epsilon_makes_no_floats(capsys, epsilon):
 def test_fraction_constructions_stay_few(capsys, tmp_path):
     """Integral data stays int from the loaders to the kernel, so a few
     in-process solves build few Fractions.  Counted deterministically:
-    every call of ``Fraction.__new__`` under ``sys.setprofile``.  96 are
-    made today, 111 before each emitted vector kept its realized multiset;
-    when every model value was a Fraction, 968 were."""
+    every call of ``Fraction.__new__`` under ``sys.setprofile``.  76 are
+    made today, 96 while a solve returned every value as a Fraction, 111
+    before each emitted vector kept its realized multiset; when every model
+    value was a Fraction, 968 were."""
     calls = [
         ["wsm", fx("wsm3.json")],
         ["wsm", fx("wsm3.json"), "--minimize-cost"],

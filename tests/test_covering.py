@@ -4,15 +4,23 @@ import random
 
 import pytest
 
-from generators import random_set_variant, random_uniform
+from generators import (
+    random_exact_cover_mmc,
+    random_ordinal,
+    random_set_variant,
+    random_uniform,
+)
+from pwlmip import pipeline
+from pwlmip.approx import ApproxParams, almost_cover, decompose
 from pwlmip.covering import (
     CoverInstance,
+    Types,
     solve_umm,
     solve_wsm,
-    type_families,
 )
 from pwlmip.milp import ResourceExhausted
 from pwlmip.oracle import OracleBudget, brute_cover, gen_hard_instances
+from pwlmip.voting import solve_scoring_ccdv
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +97,117 @@ def test_type_families_group_by_support():
     inst = CoverInstance(
         2, [{0: 1}, {0: 1, 1: 1}, {0: 1}, {}, {1: 1}], [0, 0], 1
     )
-    fams = type_families(inst)
-    assert [(f.support, f.members) for f in fams] == [
+    types = Types.of([inst.support(k) or None for k in range(inst.n_sets)],
+                     lambda k: 0)
+    assert list(zip(types.keys, types.members)) == [
         ((0,), (0, 2)), ((0, 1), (1,)), ((1,), (4,)),
     ]  # the empty set is dropped
+
+
+def test_types_rank_members_and_take_in_type_order():
+    types = Types.of(["b", None, "a", "b", "b", "a"],
+                     [0, 9, 4, 1, 1, 2].__getitem__)
+    assert types.keys == ("a", "b")
+    assert types.members == ((5, 2), (0, 3, 4))  # ties 3 and 4 by index
+    assert [(v.name, v.lower, v.upper) for v in types.counts("z")] == [
+        ("z0", 0, 2), ("z1", 0, 3)]
+    # type by type, each type's members best first, not sorted
+    assert types.take({0: 2, 1: 1, 2: 7}) == [5, 2, 0]
+
+
+def _solved_types(monkeypatch, solve):
+    """The one Types a solve grouped its items by, and the model it built."""
+    made, models = [], []
+    of = Types.of.__func__
+
+    def spy(cls, keys, rank):
+        made.append(of(cls, keys, rank))
+        return made[-1]
+
+    def capture(model):
+        models.append(model)
+        return real_lower(model)
+
+    real_lower = pipeline.lower
+    with monkeypatch.context() as patch:
+        patch.setattr(Types, "of", classmethod(spy))
+        patch.setattr(pipeline, "lower", capture)
+        solve()
+    (types,), (model,) = made, models
+    return types, model
+
+
+def _assert_prefix_sums(types, model, prefix, rank, terms, value):
+    """Type j's count is ``prefix``j, its members are sorted by ``rank``
+    with ties in index order, and every function ``terms`` gives it (one
+    per row) is at z the sum of ``value`` over its first z members.
+
+    Returns how many functions of several pieces were checked, and how
+    many rank ties were met."""
+    checked = ties = 0
+    for j, members in enumerate(types.members):
+        var = model.variables[j]
+        assert (var.name, var.lower, var.upper) == (
+            "%s%d" % (prefix, j), 0, len(members))
+        assert list(members) == sorted(members, key=lambda k: (rank(k), k))
+        ties += sum(rank(a) == rank(b) for a, b in zip(members, members[1:]))
+        for row, fn in terms(j):
+            for z in range(len(members) + 1):
+                assert fn.eval(z) == sum(value(row, k) for k in members[:z])
+            checked += fn.pieces > 1
+    return checked, ties
+
+
+def test_each_type_prices_the_prefix_sums_of_its_members(monkeypatch):
+    """WSM weights, UMM multiplicities per element, scoring-deletion prices
+    and almost-cover realized coverage: a type's function at count z is the
+    sum over its first z members, which are ranked best first."""
+    rng = random.Random(0xC64)
+    totals = dict.fromkeys(("wsm", "umm", "scoring", "approx"), (0, 0))
+
+    def tally(kind, *args):
+        checked, ties = _assert_prefix_sums(*args)
+        totals[kind] = (totals[kind][0] + checked, totals[kind][1] + ties)
+
+    for n in range(12):
+        inst = random_set_variant(rng, max_sets=10, max_m=3, max_weight=4)
+        types, model = _solved_types(monkeypatch, lambda: solve_wsm(
+            inst, minimize_cost=n % 2))
+        budget = model.constraints[-1]
+        tally("wsm", types, model, "z", inst.weights.__getitem__,
+              lambda j: [(None, dict(budget.lhs)[j])],
+              lambda row, k: inst.weights[k])
+
+        inst = random_uniform(rng, max_sets=10, max_m=3, max_t=3)
+        types, model = _solved_types(monkeypatch, lambda: solve_umm(
+            inst, minimize_cost=n % 2))
+        elems = [e for e, r in enumerate(inst.requirements) if r]
+        rows = [dict(c.rhs) for c in model.constraints[:-1]]
+        tally("umm", types, model, "z", lambda k: -inst.uniform_multiplicity(k),
+              lambda j: [(e, row[j]) for e, row in zip(elems, rows) if j in row],
+              lambda e, k: dict(inst.sets[k]).get(e, 0))
+
+        election = random_ordinal(rng, max_voters=9, max_price=3)
+        prices = [v.price for v in election.voters]
+        types, model = _solved_types(monkeypatch, lambda: solve_scoring_ccdv(
+            election, minimize_cost=n % 2))
+        budget = model.constraints[-1]
+        tally("scoring", types, model, "d", prices.__getitem__,
+              lambda j: [(None, dict(budget.lhs)[j])],
+              lambda row, k: prices[k])
+
+        inst, _ = random_exact_cover_mmc(rng, max_sets=8, max_m=3, max_mult=4)
+        params = ApproxParams(1, inst.m)
+        vectors = [v for k, s in enumerate(inst.sets)
+                   for v in decompose(s, params, origin=k)]
+        types, model = _solved_types(monkeypatch, lambda: almost_cover(inst, 1))
+        elems = [e for e, r in enumerate(inst.requirements) if r]
+        rows = [dict(c.rhs) for c in model.constraints[2:]]
+        tally("approx", types, model, "v", lambda k: -vectors[k].beta,
+              lambda j: [(e, row[j]) for e, row in zip(elems, rows) if j in row],
+              lambda e, k: vectors[k].realized()[e])
+    # every kind met functions of several pieces and rank ties
+    assert all(checked and ties for checked, ties in totals.values()), totals
 
 
 # ---------------------------------------------------------------------------

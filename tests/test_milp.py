@@ -1157,16 +1157,21 @@ def test_empty_rounded_integer_box_is_infeasible_without_an_lp():
     assert not milp.maximize(model, {1: F(1)}, 0, 4).feasible
 
 
-def test_assignments_stay_fractions():
+def test_assignments_are_exact():
+    """A solve returns every value in the one scalar form: an int when it
+    is integral, a Fraction when it is not."""
     model = _mk([("x", VarKind.INTEGER, F(0), F(4)),
                  ("y", VarKind.CONTINUOUS, F(0), None)],
                 [([(0, 3), (1, 2)], 7)])
     answers = [milp.solve_feasibility(model).assignment,
-               milp.maximize(model, {0: F(1)}, 0, 4).assignment]
+               milp.maximize(model, {0: F(1)}, 0, 4).assignment,
+               milp.maximize(model, {0: 2, 1: 2}, 0, 10).assignment]
+    assert answers[2] == {0: 0, 1: F(7, 2)}  # y = 7/2 stays a Fraction
     emip = random_grid_model(random.Random(0xB57), with_objective=True)
     answers += [solve_emip(emip).assignment, maximize_emip(emip).assignment]
     assert all(a is not None for a in answers)
-    assert all(type(v) is Fraction for a in answers for v in a.values())
+    assert all(type(v) is (int if v.denominator == 1 else Fraction)
+               for a in answers for v in a.values())
 
 
 def _rational_milp(rng):

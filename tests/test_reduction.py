@@ -7,7 +7,7 @@ import pytest
 
 from generators import grid_feasible, iter_grid, random_grid_model, witness_embed
 from pwlmip import milp, pipeline
-from pwlmip.covering import CoverInstance, solve_umm, type_families
+from pwlmip.covering import CoverInstance, Types, solve_umm
 from pwlmip.emip import (
     EmipConstraint,
     EmipModel,
@@ -274,18 +274,19 @@ def test_umm_family_yield_lowers_to_one_shared_block(monkeypatch):
     assert solution.feasible and solution.cost == brute_cover(inst).best_cost
 
     ((model, (lowered, lmap)),) = captured
-    families = type_families(inst)
+    types = Types.of([inst.support(k) or None for k in range(inst.n_sets)],
+                     lambda k: 0)
     uses = {}
     for (j, side, idx), term in lmap.terms:
         assert side == "rhs"
         uses.setdefault(idx, []).append((j, term))
     shared = 0
-    for i, fam in enumerate(families):
+    for i, (support, members) in enumerate(zip(types.keys, types.members)):
         blocks = {id(term) for _, term in uses.get(i, ())}
-        if len(fam.members) == 1:
+        if len(members) == 1:
             assert not blocks  # one member: a linear yield, no auxiliaries
             continue
-        supported = [e for e in fam.support if inst.requirements[e] > 0]
+        supported = [e for e in support if inst.requirements[e] > 0]
         assert len(uses[i]) == len(supported) > 1
         assert len(blocks) == 1
         shared += 1
