@@ -27,7 +27,7 @@ from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget
 from .pwl import PwlFunction
-from .rationals import parse_rational
+from .rationals import exact, parse_rational
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class EmittedVector:
     (see :meth:`realized`), so contributions stay integral.
     """
 
-    beta: Fraction
+    beta: int
     shape: tuple
     origin: int
     _realized: tuple = field(init=False, repr=False, compare=False)
@@ -111,17 +111,13 @@ class EmissionRecord:
 
     order: tuple
     start: int
-    beta: Fraction
+    beta: int
     pre_shape: tuple
     shape: tuple
     jump_pos: int | None
-    prev_value: Fraction | None
-    jump_before: Fraction | None
-    jump_after: Fraction | None
-
-
-def _round_down(value: Fraction, grid: Fraction) -> Fraction:
-    return (value / grid).__floor__() * grid
+    prev_value: int | None
+    jump_before: int | None
+    jump_after: int | None
 
 
 def _as_multiplicity_vector(s, m):
@@ -147,8 +143,9 @@ def decompose_trace(s, params: ApproxParams, origin: int = 0):
     m = params.m
     mult = _as_multiplicity_vector(s, m)
     order = tuple(sorted(range(m), key=lambda e: (mult[e], e)))
-    vals = [Fraction(mult[e]) for e in order]  # Fractions: shapes divide by them
+    vals = [mult[e] for e in order]
     original = list(vals)
+    grid = params.half_eps
 
     vectors = []
     trace = []
@@ -164,19 +161,17 @@ def decompose_trace(s, params: ApproxParams, origin: int = 0):
         jumped = False
         while i < m:
             if vals[i] < params.Y * vals[i - 1]:
-                pre[order[i]] = vals[i] / beta
+                pre[order[i]] = Fraction(vals[i], beta)
                 i += 1
             else:
-                cap = params.Z * vals[i - 1] / beta
+                cap = Fraction(params.Z * vals[i - 1], beta)
                 for j in range(i, m):
                     pre[order[j]] = cap
                 jumped = True
                 break
 
-        grid = params.half_eps
-        shape = tuple(_round_down(v, grid) for v in pre)
-        bound = params.Y ** m
-        assert all(0 <= v <= bound for v in shape)
+        shape = tuple(exact(math.floor(v / grid) * grid) for v in pre)
+        assert 0 <= min(shape) and max(shape) <= params.Y ** m
         vector = EmittedVector(beta, shape, origin)
         vectors.append(vector)
 
@@ -211,32 +206,29 @@ def decompose_trace(s, params: ApproxParams, origin: int = 0):
 
 @dataclass
 class AlmostCoverSolution:
-    chosen: tuple            # EmittedVector, the selected pieces
-    coverage: tuple          # per-element coverage achieved by `chosen`
-    misses: tuple            # per-element max(0, r_i - coverage_i), exact
-    miss_total: int
-    miss_bound: Fraction     # ε · Σ r_i
-    origins: tuple           # distinct source-set indices, sorted
+    feasible: bool
+    chosen: tuple = ()       # EmittedVector, the selected pieces
+    coverage: tuple = ()     # per-element coverage achieved by `chosen`
+    misses: tuple = ()       # per-element max(0, r_i - coverage_i), exact
+    miss_total: int | None = None
+    miss_bound: Fraction | None = None  # ε · Σ r_i
+    origins: tuple = ()      # distinct source-set indices, sorted
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
-    """Cover all requirements up to a total shortfall of ε·Σr, if possible.
+def almost_cover(instance, epsilon, node_limit=None) -> AlmostCoverSolution:
+    """Cover all requirements up to a total shortfall of ε·Σr, if possible,
+    with at most the instance's budget of vectors (unit weights: its set
+    count allowance).
 
-    ``k`` bounds how many vectors may be used (defaulting to the
-    instance's budget, which for unit weights is its set count allowance).
-    Returns None when even the relaxed program is infeasible; otherwise
-    the total miss is the exact minimum the decomposed program admits —
-    in particular strictly below ε·Σr whenever k sets can cover exactly.
-    ``stats``, a :class:`SolveStats`, absorbs the search's counters either
-    way, which is how a caller sees the work of an infeasible answer.
+    Infeasible when even the relaxed program is; otherwise the total miss
+    is the exact minimum the decomposed program admits — in particular
+    strictly below ε·Σr whenever the budget's worth of sets covers exactly.
+    ``stats`` counts the search either way.
     """
     if any(w != 1 for w in instance.weights):
         raise ValueError("almost_cover needs unit weights")
     params = ApproxParams(parse_rational(epsilon), instance.m)
-    budget = instance.budget if k is None else int(k)
-    if budget < 0:
-        raise ValueError("set budget must be nonnegative")
 
     vectors = []
     for idx in range(instance.n_sets):
@@ -258,9 +250,8 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
 
     constraints = []
     if n_groups:
-        constraints.append(
-            EmipConstraint(lhs={j: 1 for j in range(n_groups)}, rhs={}, b=budget)
-        )
+        constraints.append(EmipConstraint(
+            lhs={j: 1 for j in range(n_groups)}, rhs={}, b=instance.budget))
     miss_row = len(constraints)
     constraints.append(
         EmipConstraint(
@@ -282,43 +273,30 @@ def almost_cover(instance, epsilon, k=None, node_limit=None, stats=None):
 
     model = EmipModel(tuple(variables), tuple(constraints))
     result = minimize_budget(model, miss_row, node_limit)
-    if stats is not None:
-        stats.absorb(result.stats)
     if not result.feasible:
-        return None
+        return AlmostCoverSolution(False, stats=result.stats)
 
     chosen = [vectors[pos] for pos in types.take(result.assignment)]
-    coverage = [0] * instance.m
     per_origin = {}
     for vector in chosen:
-        realized = vector.realized()
-        for e, c in enumerate(realized):
-            coverage[e] += c
         acc = per_origin.setdefault(vector.origin, [0] * instance.m)
-        for e, c in enumerate(realized):
+        for e, c in enumerate(vector.realized()):
             acc[e] += c
+    coverage = [sum(acc[e] for acc in per_origin.values()) for e in range(instance.m)]
     for origin, acc in per_origin.items():
         full = _as_multiplicity_vector(instance.sets[origin], instance.m)
         if any(a > f for a, f in zip(acc, full)):
-            raise SolverInternalError(
-                "chosen vectors of set %d exceed the set itself" % origin
-            )
+            raise SolverInternalError("chosen vectors of set %d exceed the set itself"
+                                      % origin)
 
     misses = tuple(max(0, r - c) for r, c in zip(requirements, coverage))
     miss_total = sum(misses)
-    if len(chosen) > budget:
+    if len(chosen) > instance.budget:
         raise SolverInternalError("more vectors chosen than the budget allows")
     if miss_total > miss_cap:
         raise SolverInternalError("realized misses exceed the programmed cap")
-    return AlmostCoverSolution(
-        chosen=tuple(chosen),
-        coverage=tuple(coverage),
-        misses=misses,
-        miss_total=miss_total,
-        miss_bound=miss_cap,
-        origins=tuple(sorted(per_origin)),
-        stats=result.stats,
-    )
+    return AlmostCoverSolution(True, tuple(chosen), tuple(coverage), misses, miss_total,
+                               miss_cap, tuple(sorted(per_origin)), result.stats)
 
 
 def decomposition_json(instance, epsilon):

@@ -26,15 +26,15 @@ from . import __version__
 from .approx import almost_cover, decomposition_json
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipModel
-from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, SolveStats, export_lp
+from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, export_lp
 from .milp.model import integer_row
 from .oracle import (CapExceeded, OracleBudget, brute_cover, brute_manipulate,
                      gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
 from .rationals import parse_rational
 from .reduction import lower
-from .voting import (ApprovalElection, OrdinalElection, load_election,
-                     solve_bribery_priced, solve_ccav_priced,
+from .voting import (DEFAULT_CANDIDATE_CAP, ApprovalElection, OrdinalElection,
+                     load_election, solve_bribery_priced, solve_ccav_priced,
                      solve_ccav_weighted, solve_ccdv_priced,
                      solve_ccdv_weighted, solve_scoring_ccdv)
 
@@ -77,34 +77,32 @@ def _stats_json(stats):
     return dict(vars(stats))
 
 
-def _cover_report(command, sol):
-    if not sol.feasible:
-        return {"command": command, "status": "infeasible",
-                "stats": _stats_json(sol.stats)}
-    return {
-        "command": command,
-        "status": "feasible",
-        "chosen": list(sol.chosen),
-        "cost": sol.cost,
-        "coverage": list(sol.coverage),
-        "stats": _stats_json(sol.stats),
-    }
-
-
-def _manipulation_report(command, result, variant):
-    out = {
-        "command": command,
-        "status": "feasible" if result.feasible else "infeasible",
-        "variant": variant,
-        "stats": _stats_json(result.stats),
-    }
+def _report(command, result, fields_if_feasible, **always):
+    """A solve's report: its verdict and stats, the ``always`` entries, and
+    when the result is feasible each entry of ``fields_if_feasible(result)``
+    that is not None."""
+    out = {"command": command,
+           "status": "feasible" if result.feasible else "infeasible",
+           "stats": _stats_json(result.stats), **always}
     if result.feasible:
-        out["action"] = list(result.action)
-        out["kind"] = result.kind
-        out["cost"] = result.cost
-        if result.new_votes:
-            out["new_votes"] = [sorted(ballot) for ballot in result.new_votes]
+        out.update((key, value) for key, value in fields_if_feasible(result).items()
+                   if value is not None)
     return out
+
+
+def _almost_cover_fields(sol):
+    return {"chosen": [v.to_json() for v in sol.chosen],
+            "coverage": list(sol.coverage),
+            "misses": [str(x) for x in sol.misses],
+            "miss_total": str(sol.miss_total),
+            "miss_bound": str(sol.miss_bound),
+            "origins": list(sol.origins)}
+
+
+def _manipulation_fields(result):
+    return {"action": list(result.action), "kind": result.kind,
+            "cost": result.cost,
+            "new_votes": [sorted(ballot) for ballot in result.new_votes] or None}
 
 
 def _approval_variant(election, command):
@@ -130,19 +128,10 @@ def _run_solve_emip(args):
             result = solve_emip(model, node_limit=args.node_limit)
     except ValueError as exc:
         raise InputError("%s: %s" % (args.file, exc)) from exc
-    out = {
-        "command": "solve-emip",
-        "status": "feasible" if result.feasible else "infeasible",
-        "stats": _stats_json(result.stats),
-    }
-    if result.feasible:
-        out["assignment"] = {
-            model.variables[i].name: str(v)
-            for i, v in sorted(result.assignment.items())
-        }
-        if result.best is not None:
-            out["best"] = result.best
-    return out
+    return _report("solve-emip", result, lambda r: {
+        "assignment": {model.variables[i].name: str(v)
+                       for i, v in sorted(r.assignment.items())},
+        "best": r.best})
 
 
 _COVER_SOLVERS = {"wsm": solve_wsm, "umm": solve_umm}
@@ -152,28 +141,15 @@ def _run_cover(args):
     instance = _load(args.file, CoverInstance.from_json)
     sol = _COVER_SOLVERS[args.command](
         instance, minimize_cost=args.minimize_cost, node_limit=args.node_limit)
-    return _cover_report(args.command, sol)
+    return _report(args.command, sol, lambda s: {
+        "chosen": list(s.chosen), "cost": s.cost, "coverage": list(s.coverage)})
 
 
 def _run_mmc_approx(args):
     instance = _load(args.file, CoverInstance.from_json)
     epsilon = parse_rational(args.epsilon)
-    stats = SolveStats()
-    sol = almost_cover(instance, epsilon, node_limit=args.node_limit, stats=stats)
-    out = {"command": "mmc-approx", "epsilon": str(epsilon),
-           "stats": _stats_json(stats)}
-    if sol is None:
-        out["status"] = "infeasible"
-    else:
-        out.update(
-            status="feasible",
-            chosen=[v.to_json() for v in sol.chosen],
-            coverage=list(sol.coverage),
-            misses=[str(x) for x in sol.misses],
-            miss_total=str(sol.miss_total),
-            miss_bound=str(sol.miss_bound),
-            origins=list(sol.origins),
-        )
+    sol = almost_cover(instance, epsilon, node_limit=args.node_limit)
+    out = _report("mmc-approx", sol, _almost_cover_fields, epsilon=str(epsilon))
     if args.dump_decomposition:
         out["decomposition"] = decomposition_json(instance, epsilon)
     return out
@@ -194,7 +170,7 @@ def _run_approval(args):
     solver = _VOTING_SOLVERS[(args.command, variant)]
     result = solver(election, unique_winner=args.unique_winner,
                     minimize_cost=args.minimize_cost, node_limit=args.node_limit)
-    return _manipulation_report(args.command, result, variant)
+    return _report(args.command, result, _manipulation_fields, variant=variant)
 
 
 def _run_scoring_ccdv(args):
@@ -204,7 +180,7 @@ def _run_scoring_ccdv(args):
         minimize_cost=args.minimize_cost, node_limit=args.node_limit,
         max_candidates=args.max_candidates,
     )
-    return _manipulation_report("scoring-ccdv", result, "priced")
+    return _report("scoring-ccdv", result, _manipulation_fields, variant="priced")
 
 
 def _run_export_lp(args):
@@ -331,7 +307,8 @@ def build_parser():
     p = sub.add_parser("scoring-ccdv", parents=[common, budget, solve, winner],
                        help="scoring-rule control by deleting voters")
     p.add_argument("file")
-    p.add_argument("--max-candidates", type=_positive_int, default=5, metavar="M",
+    p.add_argument("--max-candidates", type=_positive_int,
+                   default=DEFAULT_CANDIDATE_CAP, metavar="M",
                    help="refuse elections with more candidates than this")
 
     p = sub.add_parser("export-lp", parents=[common],

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .emip import EmipConstraint, EmipModel, Variable, VarKind
+from .emip import EmipConstraint, EmipModel, Variable, VarKind, json_entries
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
@@ -132,12 +132,10 @@ class CoverInstance:
                 "unsupported cover format %r (expected %r)"
                 % (obj.get("format"), FORMAT_NAME)
             )
-        sets = []
-        for s in obj.get("sets", ()):
-            sets.append({parse_integer(e): t for e, t in s.items()})
         return cls(
             m=obj["m"],
-            sets=sets,
+            sets=[{parse_integer(e): t for e, t in s.items()}
+                  for s in json_entries(obj, "sets", "set")],
             requirements=obj["requirements"],
             budget=obj["budget"],
             weights=obj.get("weights"),

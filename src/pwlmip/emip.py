@@ -177,7 +177,7 @@ class EmipModel:
         if fmt != FORMAT_NAME:
             raise ValueError("unsupported model format %r (expected %r)" % (fmt, FORMAT_NAME))
         variables = []
-        for v in obj.get("variables", ()):
+        for v in json_entries(obj, "variables", "variable"):
             variables.append(
                 Variable(
                     name=v["name"],
@@ -192,7 +192,7 @@ class EmipModel:
 
         def parse_terms(mapping, where, parse=parse_rational):
             terms = {}
-            for name, spec in (mapping or {}).items():
+            for name, spec in mapping.items():
                 if name not in index:
                     raise ValueError("%s references unknown variable %r" % (where, name))
                 terms[index[name]] = parse(spec)
@@ -204,19 +204,41 @@ class EmipModel:
             return PwlFunction.linear(parse_rational(spec))
 
         constraints = []
-        for c in obj.get("constraints", ()):
+        for k, c in enumerate(json_entries(obj, "constraints", "constraint")):
             constraints.append(
                 EmipConstraint(
-                    lhs=parse_terms(c.get("lhs"), "constraint", parse_fn),
-                    rhs=parse_terms(c.get("rhs"), "constraint", parse_fn),
+                    lhs=parse_terms(_json_object(c.get("lhs"), "constraint %d lhs" % k),
+                                    "constraint", parse_fn),
+                    rhs=parse_terms(_json_object(c.get("rhs"), "constraint %d rhs" % k),
+                                    "constraint", parse_fn),
                     b=parse_rational(c.get("b", 0)),
                 )
             )
         objective = None
         if obj.get("objective") is not None:
-            o = obj["objective"]
-            objective = Objective(o["sense"], parse_terms(o.get("coeffs"), "objective"))
+            o = _json_object(obj["objective"], "objective")
+            coeffs = _json_object(o.get("coeffs"), "objective coeffs")
+            objective = Objective(o["sense"], parse_terms(coeffs, "objective"))
         return cls(tuple(variables), tuple(constraints), objective)
+
+
+def _json_object(value, where):
+    """``value``, a JSON object, null read as empty; else an input error
+    that names ``where``."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError("%s must be a JSON object" % where)
+    return value
+
+
+def json_entries(obj, key, entry):
+    """The JSON objects listed under ``key``, read as :func:`_json_object`
+    reads each one; absent or null is an empty list."""
+    items = () if obj.get(key) is None else obj[key]
+    if not isinstance(items, (list, tuple)):
+        raise ValueError("%s must be a JSON array" % key)
+    return [_json_object(item, "%s %d" % (entry, k)) for k, item in enumerate(items)]
 
 
 def _term_to_json(fn: PwlFunction):

@@ -131,27 +131,17 @@ class SolveStats:
         self.max_tableau = max(self.max_tableau, (nrows, ncols),
                                key=lambda s: (s[0] * s[1], s[0]))
 
-    def absorb(self, other: "SolveStats"):
-        self.nodes += other.nodes
-        self.lp_calls += other.lp_calls
-        self.pivots += other.pivots
-        self.probes += other.probes
-        self.infeasible_lps += other.infeasible_lps
-        self.rounding_lps += other.rounding_lps
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.note_tableau(*other.max_tableau)
-
 
 @dataclass
 class SolveResult:
-    """A solve's verdict, witness and stats; ``best`` is the exact optimum of
-    an optimization and None for a feasibility solve."""
+    """A solve's verdict, witness and stats.  ``best`` is an optimization's
+    best integer threshold, None for a feasibility solve.  The search steps
+    by integers, so ``best`` is the exact optimum when that is an integer,
+    as in every covering and election model, and otherwise errs by less
+    than 1 toward the worse side: minimizing x/2 over an integer x in
+    [1, 3] gives 1, not 1/2."""
 
     feasible: bool
     assignment: dict | None
     stats: SolveStats = field(default_factory=SolveStats)
     best: int | None = None
-
-    @property
-    def status(self) -> str:
-        return "feasible" if self.feasible else "infeasible"

@@ -287,6 +287,38 @@ def test_malformed_json_reports_position(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
+_COVER = {"format": "cover-v1", "m": 2, "requirements": [1, 1], "budget": 1}
+_MODEL = {"format": "emip-v1", "variables": [{"name": "x", "upper": "3"}]}
+
+
+@pytest.mark.parametrize("commands, blob, entry", [
+    (["wsm"], dict(_COVER, sets=[[0, 1]]), "set 0"),
+    (["wsm"], dict(_COVER, sets={"0": 1}), "sets"),
+    (["solve-emip", "export-lp"], dict(_MODEL, constraints=["x <= 2"]),
+     "constraint 0"),
+    (["solve-emip", "export-lp"],
+     dict(_MODEL, constraints=[{"lhs": ["x"], "b": "2"}]), "constraint 0 lhs"),
+    (["solve-emip", "export-lp"],
+     dict(_MODEL, constraints=[{}, {"rhs": [1]}]), "constraint 1 rhs"),
+    (["solve-emip", "export-lp"],
+     dict(_MODEL, objective={"sense": "max", "coeffs": ["x"]}),
+     "objective coeffs"),
+])
+def test_malformed_entries_are_input_errors(capsys, tmp_path, commands, blob,
+                                            entry):
+    """An entry of the wrong JSON type is an input error (exit 2) whose
+    report names the file and the entry, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    for command in commands:
+        extra = ["-o", str(tmp_path / "bad.lp")] if command == "export-lp" else []
+        code, report, err = run_json(capsys, command, str(path), *extra)
+        assert code == 2 and report["status"] == "error"
+        assert report["error"] == "%s: %s must be a JSON %s" % (
+            path, entry, "array" if entry == "sets" else "object"), report
+        assert err == "error: %s\n" % report["error"]
+
+
 def test_wrong_format_for_command(capsys):
     code, _, err = run(capsys, "ccdv", fx("wsm3.json"))
     assert code == 2 and "unsupported election format" in err
@@ -718,8 +750,9 @@ def test_integral_epsilon_makes_no_floats(capsys, epsilon):
 def test_fraction_constructions_stay_few(capsys, tmp_path):
     """Integral data stays int from the loaders to the kernel, so a few
     in-process solves build few Fractions.  Counted deterministically:
-    every call of ``Fraction.__new__`` under ``sys.setprofile``.  76 are
-    made today, 96 while a solve returned every value as a Fraction, 111
+    every call of ``Fraction.__new__`` under ``sys.setprofile``.  54 are
+    made today, 76 while the decomposition kept every multiplicity as a
+    Fraction, 96 while a solve returned every value as a Fraction, 111
     before each emitted vector kept its realized multiset; when every model
     value was a Fraction, 968 were."""
     calls = [

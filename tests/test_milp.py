@@ -106,7 +106,6 @@ def test_parity_infeasibility_detected():
     )
     result = milp.solve_feasibility(model)
     assert not result.feasible
-    assert result.status == "infeasible"
     assert result.stats.nodes > 1  # really had to branch
 
 
@@ -1447,12 +1446,6 @@ def test_stats_pin_depth_and_tableau_on_a_branching_search():
     )
     stats = milp.solve_feasibility(model).stats
     assert (stats.nodes, stats.max_depth, stats.max_tableau) == (13, 6, (2, 5))
-    total = milp.SolveStats()
-    total.absorb(stats)
-    total.absorb(milp.SolveStats(max_depth=2, max_tableau=(3, 3)))
-    assert (total.nodes, total.max_depth, total.max_tableau) == (13, 6, (2, 5))
-    total.absorb(milp.SolveStats(max_depth=9, max_tableau=(3, 10)))
-    assert (total.max_depth, total.max_tableau) == (9, (3, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -1505,9 +1498,7 @@ def test_rounding_tries_the_ceiling_then_the_floor_once(monkeypatch):
     assert floor_lo == floor_up == [math.floor(x) for x in ints] and floor_ok
     assert rounded[:2] == [2, 6]
     assert result.assignment[0] == 2 and result.assignment[1] == 6
-    total = milp.SolveStats(rounding_lps=1)
-    total.absorb(stats)
-    assert total.rounding_lps == 3
+    assert stats.rounding_lps == 2
 
 
 def test_rounding_runs_at_most_twice_per_search(monkeypatch):
