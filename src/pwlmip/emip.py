@@ -195,7 +195,10 @@ class EmipModel:
             for name, spec in mapping.items():
                 if name not in index:
                     raise ValueError("%s references unknown variable %r" % (where, name))
-                terms[index[name]] = parse(spec)
+                try:
+                    terms[index[name]] = parse(spec)
+                except ValueError as exc:
+                    raise ValueError("%s: %s" % (where, exc)) from exc
             return terms
 
         def parse_fn(spec):
@@ -205,15 +208,12 @@ class EmipModel:
 
         constraints = []
         for k, c in enumerate(json_entries(obj, "constraints", "constraint")):
-            constraints.append(
-                EmipConstraint(
-                    lhs=parse_terms(_json_object(c.get("lhs"), "constraint %d lhs" % k),
-                                    "constraint", parse_fn),
-                    rhs=parse_terms(_json_object(c.get("rhs"), "constraint %d rhs" % k),
-                                    "constraint", parse_fn),
-                    b=parse_rational(c.get("b", 0)),
-                )
-            )
+            sides = {}
+            for side in ("lhs", "rhs"):
+                where = "constraint %d %s" % (k, side)
+                sides[side] = parse_terms(_json_object(c.get(side), where), where,
+                                          parse_fn)
+            constraints.append(EmipConstraint(b=parse_rational(c.get("b", 0)), **sides))
         objective = None
         if obj.get("objective") is not None:
             o = _json_object(obj["objective"], "objective")
@@ -318,7 +318,9 @@ def normalize(model: EmipModel) -> EmipModel:
     Only constraints change; the variables and the objective are the input's
     own, so a solution of the result is a solution of the input.  A term is
     rebuilt only when it has breakpoints below 0 or f(0) != 0; otherwise the
-    result holds the input's own function object.
+    result holds the input's own function object.  A constraint whose terms
+    all stay, none rebuilt and none dropped, keeps its b and is returned as
+    it is: the input's own constraint object.
     """
     _require_valid(model)
     constraints = []
@@ -326,14 +328,20 @@ def normalize(model: EmipModel) -> EmipModel:
         b = cons.b
         new_lhs = {}
         new_rhs = {}
+        changed = False
         for side, sign, bucket in ((cons.lhs, -1, new_lhs), (cons.rhs, +1, new_rhs)):
             for idx, fn in side:
                 # Without breakpoints below 0, f(0) is value_at_zero exactly.
-                fn = fn.drop_negative_breakpoints()
-                if fn.value_at_zero:
-                    b += sign * fn.value_at_zero
-                    fn = fn.with_value_at_zero(0)
-                if not (fn.is_linear and fn.slopes[0] == 0):
-                    bucket[idx] = fn
-        constraints.append(EmipConstraint(lhs=new_lhs, rhs=new_rhs, b=b))
+                new = fn.drop_negative_breakpoints()
+                if new.value_at_zero:
+                    b += sign * new.value_at_zero
+                    new = new.with_value_at_zero(0)
+                if new.is_linear and new.slopes[0] == 0:
+                    changed = True
+                    continue
+                changed = changed or new is not fn
+                bucket[idx] = new
+        if changed:
+            cons = EmipConstraint(lhs=new_lhs, rhs=new_rhs, b=b)
+        constraints.append(cons)
     return EmipModel(model.variables, tuple(constraints), model.objective)

@@ -54,15 +54,18 @@ class PwlFunction:
                 "need exactly one slope per piece: %d breakpoints require %d "
                 "slopes, got %d" % (len(bps), len(bps) + 1, len(slopes))
             )
-        if any(a >= b for a, b in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly ascending: %s" % (bps,))
-        bps, slopes = _merge_equal_slopes(bps, slopes)
-        if self.shape is Shape.CONVEX:
-            if any(a > b for a, b in zip(slopes, slopes[1:])):
-                raise ValueError("convex function needs nondecreasing slopes")
-        else:
-            if any(a < b for a, b in zip(slopes, slopes[1:])):
-                raise ValueError("concave function needs nonincreasing slopes")
+        if bps:  # one piece has nothing to order, merge or shape-check
+            if any(a >= b for a, b in zip(bps, bps[1:])):
+                raise ValueError(
+                    "breakpoints must be strictly ascending: %s" % (bps,)
+                )
+            bps, slopes = _merge_equal_slopes(bps, slopes)
+            if self.shape is Shape.CONVEX:
+                if any(a > b for a, b in zip(slopes, slopes[1:])):
+                    raise ValueError("convex function needs nondecreasing slopes")
+            else:
+                if any(a < b for a, b in zip(slopes, slopes[1:])):
+                    raise ValueError("concave function needs nonincreasing slopes")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "slopes", slopes)
 
@@ -189,9 +192,20 @@ class PwlFunction:
         return cls(
             shape,
             parse_rational(obj.get("value_at_zero", 0)),
-            tuple(parse_rational(b) for b in obj.get("breakpoints", ())),
-            tuple(parse_rational(s) for s in obj.get("slopes", ())),
+            _json_rationals(obj, "breakpoints"),
+            _json_rationals(obj, "slopes"),
         )
+
+
+def _json_rationals(obj, key):
+    """The rationals listed under ``key``; absent or null is empty, and
+    anything but a JSON array is an input error that names ``key``."""
+    values = obj.get(key)
+    if values is None:
+        return ()
+    if not isinstance(values, (list, tuple)):
+        raise ValueError("%s must be a JSON array" % key)
+    return tuple(map(parse_rational, values))
 
 
 def _merge_equal_slopes(bps, slopes):

@@ -30,6 +30,8 @@ def parse_rational(value):
     literal in an input file almost always means an unintended rounding
     step; bools are rejected too.
     """
+    if type(value) is int:  # the common case; a bool is not of type int
+        return value
     if isinstance(value, bool):
         raise ValueError("expected a rational, got a bool")
     if isinstance(value, float):
@@ -57,6 +59,8 @@ def parse_integer(value) -> int:
 
     Bools and non-integral values are refused, not truncated.
     """
+    if type(value) is int:
+        return value
     try:
         q = parse_rational(value)
     except ValueError:

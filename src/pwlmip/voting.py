@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .covering import CoverInstance, Types, solve_umm, solve_wsm
-from .emip import EmipConstraint, EmipModel
+from .emip import EmipConstraint, EmipModel, json_entries
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
@@ -49,6 +49,14 @@ def _check_count(value, what):
     value = parse_integer(value)
     if value < 0:
         raise ValueError("%s must be nonnegative" % what)
+    return value
+
+
+def _json_names(value, where):
+    """``value``, a JSON array of strings; else an input error that names
+    ``where``."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise ValueError("%s must be a JSON array of strings" % where)
     return value
 
 
@@ -131,21 +139,21 @@ class ApprovalElection:
     def from_json(cls, obj):
         _check_format(obj, "approval")
 
-        def dec(entries):
+        def dec(key, entry):
             return tuple(
                 Voter(
-                    e["approved"],
+                    _json_names(e.get("approved"), "%s %d approved" % (entry, k)),
                     e.get("weight", 1),
                     e.get("price", 1),
                 )
-                for e in entries
+                for k, e in enumerate(json_entries(obj, key, entry))
             )
 
         return cls(
-            candidates=obj["candidates"],
-            voters=dec(obj.get("voters", ())),
+            candidates=_json_names(obj.get("candidates"), "candidates"),
+            voters=dec("voters", "voter"),
             budget=obj["budget"],
-            pool=dec(obj.get("pool", ())),
+            pool=dec("pool", "pool voter"),
         )
 
 
@@ -222,10 +230,11 @@ class OrdinalElection:
     def from_json(cls, obj):
         _check_format(obj, "ordinal")
         return cls(
-            candidates=obj["candidates"],
+            candidates=_json_names(obj.get("candidates"), "candidates"),
             voters=tuple(
-                OrdinalVoter(e["ranking"], e.get("price", 1))
-                for e in obj.get("voters", ())
+                OrdinalVoter(_json_names(e.get("ranking"), "voter %d ranking" % k),
+                             e.get("price", 1))
+                for k, e in enumerate(json_entries(obj, "voters", "voter"))
             ),
             scoring_vector=obj["scoring_vector"],
             budget=obj["budget"],

@@ -319,6 +319,54 @@ def test_malformed_entries_are_input_errors(capsys, tmp_path, commands, blob,
         assert err == "error: %s\n" % report["error"]
 
 
+with open(fx("ccdv.json")) as _fh:
+    _APPROVAL = json.load(_fh)
+with open(fx("borda.json")) as _fh:
+    _ORDINAL = json.load(_fh)
+_PWL_TERM = {"shape": "convex", "breakpoints": [1], "slopes": [1, 2]}
+
+
+def _voters(blob, first):
+    return dict(blob, voters=[first] + blob["voters"][1:])
+
+
+@pytest.mark.parametrize("command, blob, message", [
+    ("ccdv", _voters(_APPROVAL, dict(_APPROVAL["voters"][0], approved="pc1")),
+     "voter 0 approved must be a JSON array of strings"),
+    ("ccdv", _voters(_APPROVAL, dict(_APPROVAL["voters"][0], approved={})),
+     "voter 0 approved must be a JSON array of strings"),
+    ("ccdv", _voters(_APPROVAL, dict(_APPROVAL["voters"][0], approved=[1])),
+     "voter 0 approved must be a JSON array of strings"),
+    ("ccdv", _voters(_APPROVAL, {"price": 1}),
+     "voter 0 approved must be a JSON array of strings"),
+    ("ccdv", _voters(_APPROVAL, ["c1"]), "voter 0 must be a JSON object"),
+    ("ccav", dict(_APPROVAL, pool=[{"approved": "p"}]),
+     "pool voter 0 approved must be a JSON array of strings"),
+    ("ccdv", dict(_APPROVAL, candidates="pc1"),
+     "candidates must be a JSON array of strings"),
+    ("scoring-ccdv", _voters(_ORDINAL, dict(_ORDINAL["voters"][0],
+                                            ranking="".join(_ORDINAL["candidates"]))),
+     "voter 0 ranking must be a JSON array of strings"),
+    ("scoring-ccdv", _voters(_ORDINAL, "pabc"), "voter 0 must be a JSON object"),
+    ("solve-emip", dict(_MODEL, constraints=[
+        {"lhs": {"x": dict(_PWL_TERM, breakpoints=3)}, "b": "2"}]),
+     "constraint 0 lhs: breakpoints must be a JSON array"),
+    ("solve-emip", dict(_MODEL, constraints=[{}, {
+        "rhs": {"x": dict(_PWL_TERM, shape="concave", slopes="2")}}]),
+     "constraint 1 rhs: slopes must be a JSON array"),
+])
+def test_malformed_fields_name_their_entry(capsys, tmp_path, command, blob,
+                                           message):
+    """A field of the wrong JSON type is an input error (exit 2) whose
+    report names the entry and the field; a string is never read as a
+    list of its characters."""
+    path = _write_json(tmp_path, "bad.json", blob)
+    code, report, err = run_json(capsys, command, path)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == "%s: %s" % (path, message)
+    assert err == "error: %s\n" % report["error"]
+
+
 def test_wrong_format_for_command(capsys):
     code, _, err = run(capsys, "ccdv", fx("wsm3.json"))
     assert code == 2 and "unsupported election format" in err

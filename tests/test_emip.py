@@ -175,6 +175,47 @@ def test_normalize_rebuilds_only_terms_with_nonzero_value_at_zero():
     assert cons.b == 2
 
 
+def test_normalize_returns_canonical_constraints_as_they_are():
+    canonical = PwlFunction(Shape.CONVEX, 0, (1, 3), (1, 2, 4))
+    kept = EmipConstraint(lhs={0: canonical, 1: 3}, rhs={2: 1}, b=5)
+    shifted = EmipConstraint(lhs={0: PwlFunction(Shape.CONVEX, 2, (1,), (0, 1))},
+                             rhs={}, b=5)
+    negative = EmipConstraint(
+        lhs={}, rhs={1: PwlFunction(Shape.CONCAVE, 0, (-1, 2), (3, 2, 1))}, b=1)
+    zero = EmipConstraint(lhs={0: 0, 1: 2}, rhs={}, b=4)
+    also_kept = EmipConstraint(lhs={}, rhs={}, b=-1)
+    model = EmipModel((_var("x"), _var("y"), _var("z")),
+                      (kept, shifted, negative, zero, also_kept))
+    out = normalize(model).constraints
+    assert out[0] is kept and out[4] is also_kept
+    assert all(new is not old for new, old in zip(out[1:4], model.constraints[1:4]))
+    # f(0) = 2 folds into b and the function is rebuilt at f(0) = 0
+    (_, fn), = out[1].lhs
+    assert fn == PwlFunction(Shape.CONVEX, 0, (1,), (0, 1)) and out[1].b == 3
+    # the breakpoint at -1 goes; g(0) = 0 already, so b stays
+    (_, fn), = out[2].rhs
+    assert fn == PwlFunction(Shape.CONCAVE, 0, (2,), (2, 1)) and out[2].b == 1
+    # a zero coefficient is dropped, the other term kept as it was
+    assert out[3].lhs == ((1, zero.lhs[1][1]),) and out[3].b == 4
+    assert out[3].lhs[0][1] is zero.lhs[1][1]
+    # a canonical model comes back with every constraint its own
+    once = normalize(model)
+    assert all(new is old for new, old in
+               zip(normalize(once).constraints, once.constraints))
+
+
+def test_normalize_validates_before_keeping_anything():
+    concave_left = EmipConstraint(
+        lhs={0: PwlFunction(Shape.CONCAVE, 0, (1,), (2, 1))}, rhs={})
+    for model in (
+        EmipModel((_var("x"),), (concave_left,)),
+        EmipModel((_var("x"),), (EmipConstraint(lhs={3: 1}, rhs={}),)),
+        EmipModel((_var("x", lower=4, upper=2),), (EmipConstraint(lhs={}, rhs={}),)),
+    ):
+        with pytest.raises(InvalidModelError):
+            normalize(model)
+
+
 def test_normalize_drops_negative_breakpoints():
     fn = PwlFunction(Shape.CONVEX, 7, (-1, 1), (-2, 0, 5))
     model = EmipModel(

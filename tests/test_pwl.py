@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from generators import chord_ok, random_pwl, reference_eval
 from pwlmip.pwl import PwlFunction, Shape
+from pwlmip.rationals import parse_integer, parse_rational
 
 F = Fraction
 
@@ -226,6 +227,50 @@ def test_bools_are_refused():
         blob[key] = value
         with pytest.raises(ValueError, match="bool"):
             PwlFunction.from_json(blob)
+
+
+def test_parsers_take_ints_and_refuse_bools():
+    for value in (0, 7, -3, 10**30):
+        assert parse_rational(value) == parse_integer(value) == value
+        assert type(parse_rational(value)) is int is type(parse_integer(value))
+    for parse in (parse_rational, parse_integer):
+        for value in (True, False):
+            with pytest.raises(ValueError, match="bool|expected an integer"):
+                parse(value)
+
+
+def test_one_piece_functions_match_the_merged_path():
+    """A one-piece function skips the ordering, merge and shape checks; it
+    equals, hashes and evaluates like the same piece reached by merging two
+    pieces of equal slope, which runs every check."""
+    for shape in Shape:
+        for slope, at_zero in ((3, 0), (F(3, 1), F(2)), (F(-1, 2), 5)):
+            merged = PwlFunction(shape, at_zero, (4,), (slope, slope))
+            for built in (PwlFunction(shape, at_zero, (), (slope,)),
+                          PwlFunction.linear(slope, at_zero, shape),
+                          PwlFunction.from_json(merged.to_json())):
+                assert built == merged and hash(built) == hash(merged)
+                assert built.breakpoints == () and built.is_linear
+                assert [type(v) for v in _scalars(built)] == \
+                    [type(v) for v in _scalars(merged)]
+                for x in (0, 4, F(-7, 3), 11):
+                    assert built.eval(x) == merged.eval(x)
+                    assert type(built.eval(x)) is type(merged.eval(x))
+    with pytest.raises(ValueError, match="one slope per piece"):
+        PwlFunction(Shape.CONVEX, 0, (), (1, 2))
+    with pytest.raises(ValueError, match="one slope per piece"):
+        PwlFunction(Shape.CONVEX, 0, (), ())
+
+
+def test_from_json_names_a_field_that_is_not_an_array():
+    for key, value in (("breakpoints", 3), ("slopes", "1"), ("slopes", {"0": 1})):
+        blob = {"shape": "convex", "breakpoints": [], "slopes": [1]}
+        blob[key] = value
+        with pytest.raises(ValueError, match="^%s must be a JSON array$" % key):
+            PwlFunction.from_json(blob)
+    fn = PwlFunction.from_json({"shape": "concave", "breakpoints": None,
+                                "slopes": [2]})
+    assert fn == PwlFunction.linear(2, 0, Shape.CONCAVE)
 
 
 def test_int_and_fraction_functions_are_equal():
