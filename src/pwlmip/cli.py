@@ -9,7 +9,9 @@ still gets a fresh namespace.  Exit codes: 0 for any completed solve
 file, or a ``ValueError`` from a solver that refuses its input), 3 when
 the node budget runs out, and 1 when stdout is a pipe whose reader has gone
 (``pwlmip ... --json | head``): the rest of the report is dropped without a
-traceback, as the Python docs advise for SIGPIPE.
+traceback, as the Python docs advise for SIGPIPE.  An answer that fails its
+exact re-check is a bug, never exit 2: ``SolverInternalError`` leaves
+``main`` with its traceback.
 """
 
 from __future__ import annotations

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .emip import EmipConstraint, EmipModel, Variable, VarKind, json_entries
+from .emip import EmipConstraint, EmipModel, Variable, VarKind, json_array, json_entries
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
-from .rationals import parse_integer
+from .rationals import parse_count, parse_field, parse_integer
 
 FORMAT_NAME = "cover-v1"
 
@@ -50,7 +50,7 @@ class CoverInstance:
     budget: int
 
     def __init__(self, m, sets, requirements, budget, weights=None):
-        object.__setattr__(self, "m", parse_integer(m))
+        object.__setattr__(self, "m", parse_count(m, "m"))
         clean_sets = []
         for k, s in enumerate(sets):
             items = sorted(s.items()) if isinstance(s, dict) else sorted(s)
@@ -67,21 +67,15 @@ class CoverInstance:
         object.__setattr__(self, "sets", tuple(clean_sets))
         if weights is None:
             weights = (1,) * len(clean_sets)
-        weights = tuple(parse_integer(w) for w in weights)
+        weights = tuple(parse_count(w, "weights") for w in weights)
         if len(weights) != len(clean_sets):
             raise ValueError("need one weight per set")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", weights)
-        requirements = tuple(parse_integer(r) for r in requirements)
+        requirements = tuple(parse_count(r, "requirements") for r in requirements)
         if len(requirements) != self.m:
             raise ValueError("need one requirement per element")
-        if any(r < 0 for r in requirements):
-            raise ValueError("requirements must be nonnegative")
         object.__setattr__(self, "requirements", requirements)
-        object.__setattr__(self, "budget", parse_integer(budget))
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        object.__setattr__(self, "budget", parse_count(budget, "budget"))
 
     @property
     def n_sets(self) -> int:
@@ -133,12 +127,13 @@ class CoverInstance:
                 % (obj.get("format"), FORMAT_NAME)
             )
         return cls(
-            m=obj["m"],
-            sets=[{parse_integer(e): t for e, t in s.items()}
-                  for s in json_entries(obj, "sets", "set")],
-            requirements=obj["requirements"],
-            budget=obj["budget"],
-            weights=obj.get("weights"),
+            m=obj.get("m"),
+            sets=[{parse_field("set %d" % k, parse_integer, e):
+                   parse_field("set %d" % k, parse_integer, t) for e, t in s.items()}
+                  for k, s in enumerate(json_entries(obj, "sets", "set"))],
+            requirements=json_array(obj, "requirements"),
+            budget=obj.get("budget"),
+            weights=None if obj.get("weights") is None else json_array(obj, "weights"),
         )
 
 

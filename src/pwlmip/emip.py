@@ -1,7 +1,8 @@
 """Mixed-integer programs extended with piecewise-linear transformations.
 
-A model holds variables (integer or continuous, with rational bounds) and
-constraints of the form
+A model holds variables (integer or continuous, with rational bounds; the
+one :class:`Variable` type of :mod:`pwlmip.milp.model`) and constraints of
+the form
 
     sum_i f_i(x_i)  <=  sum_i g_i(x_i) + b
 
@@ -18,34 +19,14 @@ otherwise.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .milp.model import Variable, VarKind
 from .pwl import PwlFunction, Shape
-from .rationals import exact, parse_rational
+from .rationals import exact, parse_field, parse_rational
 
 FORMAT_NAME = "emip-v1"
-
-
-class VarKind(enum.Enum):
-    INTEGER = "integer"
-    CONTINUOUS = "continuous"
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: VarKind = VarKind.INTEGER
-    lower: int | Fraction = 0
-    upper: int | Fraction | None = None
-
-    def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError("variable needs a nonempty string name")
-        object.__setattr__(self, "lower", exact(self.lower))
-        if self.upper is not None:
-            object.__setattr__(self, "upper", exact(self.upper))
 
 
 def _as_terms(terms):
@@ -177,15 +158,16 @@ class EmipModel:
         if fmt != FORMAT_NAME:
             raise ValueError("unsupported model format %r (expected %r)" % (fmt, FORMAT_NAME))
         variables = []
-        for v in json_entries(obj, "variables", "variable"):
-            variables.append(
-                Variable(
-                    name=v["name"],
-                    kind=VarKind(v.get("kind", "integer")),
-                    lower=parse_rational(v.get("lower", 0)),
-                    upper=None if v.get("upper") is None else parse_rational(v["upper"]),
-                )
-            )
+        for k, v in enumerate(json_entries(obj, "variables", "variable")):
+            where = "variable %d " % k
+            if not isinstance(v.get("name"), str) or not v["name"]:
+                raise ValueError(where + "name must be a nonempty string")
+            variables.append(Variable(
+                v["name"],
+                parse_field(where + "kind", VarKind, v.get("kind", "integer")),
+                parse_field(where + "lower", parse_rational, v.get("lower", 0)),
+                None if v.get("upper") is None
+                else parse_field(where + "upper", parse_rational, v["upper"])))
         index = {v.name: i for i, v in enumerate(variables)}
         if len(index) != len(variables):
             raise ValueError("duplicate variable names")
@@ -195,10 +177,7 @@ class EmipModel:
             for name, spec in mapping.items():
                 if name not in index:
                     raise ValueError("%s references unknown variable %r" % (where, name))
-                try:
-                    terms[index[name]] = parse(spec)
-                except ValueError as exc:
-                    raise ValueError("%s: %s" % (where, exc)) from exc
+                terms[index[name]] = parse_field(where, parse, spec)
             return terms
 
         def parse_fn(spec):
@@ -213,12 +192,13 @@ class EmipModel:
                 where = "constraint %d %s" % (k, side)
                 sides[side] = parse_terms(_json_object(c.get(side), where), where,
                                           parse_fn)
-            constraints.append(EmipConstraint(b=parse_rational(c.get("b", 0)), **sides))
+            b = parse_field("constraint %d b" % k, parse_rational, c.get("b", 0))
+            constraints.append(EmipConstraint(b=b, **sides))
         objective = None
         if obj.get("objective") is not None:
             o = _json_object(obj["objective"], "objective")
             coeffs = _json_object(o.get("coeffs"), "objective coeffs")
-            objective = Objective(o["sense"], parse_terms(coeffs, "objective"))
+            objective = Objective(o.get("sense"), parse_terms(coeffs, "objective"))
         return cls(tuple(variables), tuple(constraints), objective)
 
 
@@ -232,13 +212,20 @@ def _json_object(value, where):
     return value
 
 
-def json_entries(obj, key, entry):
-    """The JSON objects listed under ``key``, read as :func:`_json_object`
-    reads each one; absent or null is an empty list."""
+def json_array(obj, key):
+    """The JSON array under ``key``, absent or null read as empty; else an
+    input error that names ``key``."""
     items = () if obj.get(key) is None else obj[key]
     if not isinstance(items, (list, tuple)):
         raise ValueError("%s must be a JSON array" % key)
-    return [_json_object(item, "%s %d" % (entry, k)) for k, item in enumerate(items)]
+    return items
+
+
+def json_entries(obj, key, entry):
+    """The JSON objects of :func:`json_array`, each read as
+    :func:`_json_object` reads it."""
+    return [_json_object(item, "%s %d" % (entry, k))
+            for k, item in enumerate(json_array(obj, key))]
 
 
 def _term_to_json(fn: PwlFunction):
@@ -258,7 +245,9 @@ def validate(model: EmipModel):
         if v.name in names:
             problems.append("variable %d: duplicate name %r" % (i, v.name))
         names.add(v.name)
-        if v.upper is not None and v.upper < v.lower:
+        if v.lower is None:
+            problems.append("variable %r: no lower bound" % v.name)
+        elif v.upper is not None and v.upper < v.lower:
             problems.append(
                 "variable %r: empty bound range [%s, %s]"
                 % (v.name, v.lower, v.upper)
@@ -266,7 +255,7 @@ def validate(model: EmipModel):
     n = len(model.variables)
     transformed = model.nonlinear_var_indices()
     for idx in sorted(transformed):
-        if 0 <= idx < n and model.variables[idx].lower < 0:
+        if 0 <= idx < n and (model.variables[idx].lower or 0) < 0:
             problems.append(
                 "variable %r: transformed variables need a nonnegative lower "
                 "bound (canonical form)" % model.variables[idx].name
@@ -303,12 +292,6 @@ class InvalidModelError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def _require_valid(model: EmipModel):
-    problems = validate(model)
-    if problems:
-        raise InvalidModelError(problems)
-
-
 # -- normalization -----------------------------------------------------------
 
 
@@ -322,7 +305,9 @@ def normalize(model: EmipModel) -> EmipModel:
     all stay, none rebuilt and none dropped, keeps its b and is returned as
     it is: the input's own constraint object.
     """
-    _require_valid(model)
+    problems = validate(model)
+    if problems:
+        raise InvalidModelError(problems)
     constraints = []
     for cons in model.constraints:
         b = cons.b

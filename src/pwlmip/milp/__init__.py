@@ -9,23 +9,23 @@ from .branch_bound import (
 from .lpformat import export_lp
 from .model import (
     MilpModel,
-    MilpVariable,
     ResourceExhausted,
     SolveResult,
     SolveStats,
     SolverInternalError,
+    Variable,
     VarKind,
 )
 
 __all__ = [
     "DEFAULT_NODE_LIMIT",
     "MilpModel",
-    "MilpVariable",
     "ResourceExhausted",
     "SolveResult",
     "SolveStats",
     "SolverInternalError",
     "VarKind",
+    "Variable",
     "export_lp",
     "maximize",
     "resolve_node_limit",

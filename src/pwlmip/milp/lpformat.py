@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import re
 
-from ..emip import VarKind
 from ..rationals import exact
-from .model import MilpModel
+from .model import MilpModel, VarKind
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 

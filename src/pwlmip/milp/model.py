@@ -1,5 +1,9 @@
 """Plain mixed-integer linear models: variables, <=-rows, the solve result.
 
+:class:`Variable` is the package's one variable type, which
+:mod:`pwlmip.emip` re-exports; :func:`check_bounds` its one exact check.
+This layer imports nothing from the layers above it.
+
 A row is integers: ``(coeffs, rhs, den)`` stands for ``sum(c/den * x_i) <=
 rhs/den``, coeffs (index, int) pairs sorted by index and den > 0.  Lowered
 rows are scaled to integers, so their den is 1.  The solver reads rows as
@@ -10,23 +14,62 @@ for values that are not, and in the messages of ``check_assignment``.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from ..emip import VarKind
 from ..rationals import exact
 
 __all__ = [
-    "MilpVariable",
+    "Variable",
     "MilpModel",
     "SolveStats",
     "SolveResult",
     "ResourceExhausted",
     "SolverInternalError",
     "VarKind",
+    "check_bounds",
     "integer_row",
 ]
+
+
+class VarKind(enum.Enum):
+    INTEGER = "integer"
+    CONTINUOUS = "continuous"
+
+
+@dataclass(frozen=True)
+class Variable:
+    """A named column with exact bounds, None for an infinite one."""
+
+    name: str
+    kind: VarKind = VarKind.INTEGER
+    lower: int | Fraction | None = 0
+    upper: int | Fraction | None = None
+
+    def __post_init__(self):
+        if not self.name or not isinstance(self.name, str):
+            raise ValueError("variable needs a nonempty string name")
+        if self.lower is not None:
+            object.__setattr__(self, "lower", exact(self.lower))
+        if self.upper is not None:
+            object.__setattr__(self, "upper", exact(self.upper))
+
+
+def check_bounds(variables, assignment):
+    """Exact violation list of ``assignment[i]`` (an int or Fraction)
+    against the bounds and kind of ``variables[i]``."""
+    problems = []
+    for i, v in enumerate(variables):
+        x = assignment[i]
+        if v.lower is not None and x < v.lower:
+            problems.append("%s=%s below lower bound %s" % (v.name, x, v.lower))
+        if v.upper is not None and x > v.upper:
+            problems.append("%s=%s above upper bound %s" % (v.name, x, v.upper))
+        if v.kind is VarKind.INTEGER and x.denominator != 1:
+            problems.append("%s=%s not integral" % (v.name, x))
+    return problems
 
 
 def integer_row(coeffs, rhs, n_vars):
@@ -58,20 +101,6 @@ class SolverInternalError(AssertionError):
 
 
 @dataclass(frozen=True)
-class MilpVariable:
-    name: str
-    kind: VarKind = VarKind.CONTINUOUS
-    lower: int | Fraction | None = 0
-    upper: int | Fraction | None = None
-
-    def __post_init__(self):
-        if self.lower is not None:
-            object.__setattr__(self, "lower", exact(self.lower))
-        if self.upper is not None:
-            object.__setattr__(self, "upper", exact(self.upper))
-
-
-@dataclass(frozen=True)
 class MilpModel:
     """Variables plus integer rows ``(coeffs, rhs, den)``, taken as they
     are; :func:`integer_row` makes one from a rational row."""
@@ -99,15 +128,7 @@ class MilpModel:
 
     def check_assignment(self, assignment):
         """Exact violation list for a full assignment (index -> int or Fraction)."""
-        problems = []
-        for i, v in enumerate(self.variables):
-            x = assignment[i]
-            if v.lower is not None and x < v.lower:
-                problems.append("%s=%s below lower bound %s" % (v.name, x, v.lower))
-            if v.upper is not None and x > v.upper:
-                problems.append("%s=%s above upper bound %s" % (v.name, x, v.upper))
-            if v.kind is VarKind.INTEGER and x.denominator != 1:
-                problems.append("%s=%s not integral" % (v.name, x))
+        problems = check_bounds(self.variables, assignment)
         for k, (coeffs, rhs, den) in enumerate(self.rows):
             total = sum(c * assignment[i] for i, c in coeffs)
             if total > rhs:

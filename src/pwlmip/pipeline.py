@@ -73,9 +73,8 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> So
 
 
 def objective_bracket(model, coeffs):
-    """Integer ends (lo, hi) of sum(c * x_i) over ``model``'s variable bounds,
-    None for an infinite end.  Lowered models are read as well as source
-    models: any variable with ``lower`` and ``upper`` (None: unbounded)."""
+    """Integer ends (lo, hi) of sum(c * x_i) over the bounds of ``model``'s
+    variables (None: unbounded), None for an infinite end."""
     lo = hi = 0
     for i, c in coeffs.items():
         if c == 0:

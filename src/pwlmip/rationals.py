@@ -68,3 +68,20 @@ def parse_integer(value) -> int:
     if type(q) is not int:
         raise ValueError("expected an integer, got %r" % (value,))
     return q
+
+
+def parse_field(where, parse, value):
+    """``parse(value)``; its input error names ``where`` (``voter 1 price: ...``)."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from exc
+
+
+def parse_count(value, what) -> int:
+    """``value`` as a nonnegative int; an input error names ``what``."""
+    if type(value) is not int:
+        value = parse_field(what, parse_integer, value)
+    if value < 0:
+        raise ValueError("%s must be nonnegative" % what)
+    return value

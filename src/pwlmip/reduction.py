@@ -21,10 +21,12 @@ Because the convex slope steps are positive, any feasible w dominates f(x)
 (z_l can always retreat to max(0, x - rho_l)), and symmetrically u is forced
 under g(x); plugging in the witness values w = f(x), u = g(x),
 z_l = max(0, x - rho_l) embeds every feasible point of the source model.
-Integer variables pass through untouched, so the integer dimension is
-unchanged, and rows are scaled to integer coefficients.  A model with
-integral data is all ints already (:mod:`pwlmip.rationals`), so its rows
-need no scaling and no Fraction is made on the way.
+The source variables pass through as they are, the model's own
+:class:`~pwlmip.milp.model.Variable` objects first and in order, so the
+integer dimension is unchanged; only the auxiliaries are new.  Rows are
+scaled to integer coefficients.  A model with integral data is all ints
+already (:mod:`pwlmip.rationals`), so its rows need no scaling and no
+Fraction is made on the way.
 
 The rows are kept lean, which keeps the LP relaxation exactly as tight:
 
@@ -47,13 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .emip import EmipModel, VarKind, normalize
-from .milp.model import MilpModel, MilpVariable, integer_row
+from .emip import EmipModel, normalize
+from .milp.model import (MilpModel, SolverInternalError, Variable, VarKind,
+                         check_bounds, integer_row)
 from .pwl import PwlFunction
-
-
-class WitnessError(ValueError):
-    """A lifted assignment failed the exact source-model re-check."""
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,7 @@ def lower(model: EmipModel):
     that fails validation.
     """
     model = normalize(model)
-    variables = [
-        MilpVariable(v.name, v.kind, v.lower, v.upper) for v in model.variables
-    ]
+    variables = list(model.variables)
     rows = []
     term_map = []
     forms = []
@@ -101,23 +98,14 @@ def lower(model: EmipModel):
         fmin, _ = fn.range_on(src.lower, src.upper)
         prefix = "w" if sign > 0 else "u"
         bound_var = len(variables)
-        variables.append(
-            MilpVariable(
-                "%s_c%d_%s" % (prefix, j, src.name), VarKind.CONTINUOUS, fmin, None
-            )
-        )
+        variables.append(Variable("%s_c%d_%s" % (prefix, j, src.name),
+                                  VarKind.CONTINUOUS, fmin))
         aux_vars = []
         aux_prefix = "z" if sign > 0 else "y"
         for l, rho in enumerate(fn.breakpoints, start=1):
             aux = len(variables)
-            variables.append(
-                MilpVariable(
-                    "%s_c%d_%s_%d" % (aux_prefix, j, src.name, l),
-                    VarKind.CONTINUOUS,
-                    0,
-                    None,
-                )
-            )
+            variables.append(Variable("%s_c%d_%s_%d" % (aux_prefix, j, src.name, l),
+                                      VarKind.CONTINUOUS))
             aux_vars.append(aux)
             # z_l >= x - rho_l, written as a <=-row (z_l >= 0 is its bound)
             rows.append((((idx, 1), (aux, -1)), rho))
@@ -162,20 +150,18 @@ def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
     """Restrict a lowered-model point to the source variables and verify it
     against ``model``, the model as it was passed to :func:`lower`.
 
-    Raises WitnessError if the restriction violates any source constraint;
-    a correct lowering never triggers this.  The values are exact, an int
-    when integral (:mod:`pwlmip.rationals`), and are returned as they are.
+    Raises :class:`~pwlmip.milp.model.SolverInternalError` if the
+    restriction violates a bound, an integrality or a source constraint: a
+    solver fault, which a correct lowering never triggers.  The values are
+    exact, an int when integral (:mod:`pwlmip.rationals`), and are returned
+    as they are.
     """
     point = {i: assignment[i] for i in range(lmap.n_original)}
-    for j, cons in enumerate(model.constraints):
-        if not cons.holds(point):
-            raise WitnessError(
-                "lifted point violates source constraint %d" % j
-            )
-    for i, v in enumerate(model.variables):
-        x = point[i]
-        if x < v.lower or (v.upper is not None and x > v.upper):
-            raise WitnessError("lifted point violates bounds of %r" % v.name)
-        if v.kind is VarKind.INTEGER and x.denominator != 1:
-            raise WitnessError("lifted point not integral on %r" % v.name)
+    problems = check_bounds(model.variables, point)
+    problems += ["source constraint %d violated" % j
+                 for j, cons in enumerate(model.constraints)
+                 if not cons.holds(point)]
+    if problems:
+        raise SolverInternalError("lifted point failed exact re-check: %s"
+                                  % "; ".join(problems))
     return point

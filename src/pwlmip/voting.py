@@ -36,20 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .covering import CoverInstance, Types, solve_umm, solve_wsm
-from .emip import EmipConstraint, EmipModel, json_entries
+from .emip import EmipConstraint, EmipModel, json_array, json_entries
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
-from .rationals import parse_integer
+from .rationals import parse_count, parse_field, parse_integer
 
 FORMAT_NAME = "election-v1"
-
-
-def _check_count(value, what):
-    value = parse_integer(value)
-    if value < 0:
-        raise ValueError("%s must be nonnegative" % what)
-    return value
 
 
 def _json_names(value, where):
@@ -70,8 +63,8 @@ class Voter:
 
     def __init__(self, approved, weight=1, price=1):
         object.__setattr__(self, "approved", frozenset(approved))
-        object.__setattr__(self, "weight", _check_count(weight, "weight"))
-        object.__setattr__(self, "price", _check_count(price, "price"))
+        object.__setattr__(self, "weight", parse_count(weight, "weight"))
+        object.__setattr__(self, "price", parse_count(price, "price"))
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ class ApprovalElection:
                     )
         object.__setattr__(self, "voters", tuple(voters))
         object.__setattr__(self, "pool", tuple(pool))
-        object.__setattr__(self, "budget", _check_count(budget, "budget"))
+        object.__setattr__(self, "budget", parse_count(budget, "budget"))
 
     @property
     def preferred(self):
@@ -141,18 +134,15 @@ class ApprovalElection:
 
         def dec(key, entry):
             return tuple(
-                Voter(
-                    _json_names(e.get("approved"), "%s %d approved" % (entry, k)),
-                    e.get("weight", 1),
-                    e.get("price", 1),
-                )
-                for k, e in enumerate(json_entries(obj, key, entry))
-            )
+                Voter(_json_names(e.get("approved"), "%s %d approved" % (entry, k)),
+                      parse_count(e.get("weight", 1), "%s %d weight" % (entry, k)),
+                      parse_count(e.get("price", 1), "%s %d price" % (entry, k)))
+                for k, e in enumerate(json_entries(obj, key, entry)))
 
         return cls(
             candidates=_json_names(obj.get("candidates"), "candidates"),
             voters=dec("voters", "voter"),
-            budget=obj["budget"],
+            budget=obj.get("budget"),
             pool=dec("pool", "pool voter"),
         )
 
@@ -166,7 +156,7 @@ class OrdinalVoter:
 
     def __init__(self, ranking, price=1):
         object.__setattr__(self, "ranking", tuple(ranking))
-        object.__setattr__(self, "price", _check_count(price, "price"))
+        object.__setattr__(self, "price", parse_count(price, "price"))
 
 
 @dataclass(frozen=True)
@@ -192,13 +182,14 @@ class OrdinalElection:
                     "every ranking must be a permutation of the candidates"
                 )
         object.__setattr__(self, "voters", tuple(voters))
-        vec = tuple(parse_integer(a) for a in scoring_vector)
+        vec = tuple(parse_field("scoring_vector", parse_integer, a)
+                    for a in scoring_vector)
         if len(vec) != len(candidates):
             raise ValueError("scoring vector must have one entry per candidate")
         if any(a < b for a, b in zip(vec, vec[1:])):
             raise ValueError("scoring vector must be nonincreasing")
         object.__setattr__(self, "scoring_vector", vec)
-        object.__setattr__(self, "budget", _check_count(budget, "budget"))
+        object.__setattr__(self, "budget", parse_count(budget, "budget"))
 
     @property
     def preferred(self):
@@ -233,11 +224,11 @@ class OrdinalElection:
             candidates=_json_names(obj.get("candidates"), "candidates"),
             voters=tuple(
                 OrdinalVoter(_json_names(e.get("ranking"), "voter %d ranking" % k),
-                             e.get("price", 1))
+                             parse_count(e.get("price", 1), "voter %d price" % k))
                 for k, e in enumerate(json_entries(obj, "voters", "voter"))
             ),
-            scoring_vector=obj["scoring_vector"],
-            budget=obj["budget"],
+            scoring_vector=json_array(obj, "scoring_vector"),
+            budget=obj.get("budget"),
         )
 
 

@@ -15,6 +15,7 @@ from pwlmip import approx, cli, pipeline
 from pwlmip.cli import build_parser, main
 from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
+from pwlmip.milp import SolverInternalError
 from pwlmip.oracle import gen_hard_instances
 from pwlmip.voting import ApprovalElection, Voter
 
@@ -323,11 +324,22 @@ with open(fx("ccdv.json")) as _fh:
     _APPROVAL = json.load(_fh)
 with open(fx("borda.json")) as _fh:
     _ORDINAL = json.load(_fh)
+with open(fx("knapsackish.json")) as _fh:
+    _KNAPSACK = json.load(_fh)
+with open(fx("wsm3.json")) as _fh:
+    _WSM3 = json.load(_fh)
 _PWL_TERM = {"shape": "convex", "breakpoints": [1], "slopes": [1, 2]}
 
 
 def _voters(blob, first):
     return dict(blob, voters=[first] + blob["voters"][1:])
+
+
+def _voter(blob, k, **fields):
+    """``blob`` with ``fields`` set on voter k."""
+    voters = list(blob["voters"])
+    voters[k] = dict(voters[k], **fields)
+    return dict(blob, voters=voters)
 
 
 @pytest.mark.parametrize("command, blob, message", [
@@ -354,6 +366,31 @@ def _voters(blob, first):
     ("solve-emip", dict(_MODEL, constraints=[{}, {
         "rhs": {"x": dict(_PWL_TERM, shape="concave", slopes="2")}}]),
      "constraint 1 rhs: slopes must be a JSON array"),
+    ("ccdv", _voter(_APPROVAL, 1, price=0.5),
+     "voter 1 price: expected an integer, got 0.5"),
+    ("ccdv", _voter(_APPROVAL, 2, weight=-1), "voter 2 weight must be nonnegative"),
+    ("ccav", dict(_APPROVAL, pool=[{"approved": ["p"]},
+                                   {"approved": [], "weight": "x"}]),
+     "pool voter 1 weight: expected an integer, got 'x'"),
+    ("scoring-ccdv", _voter(_ORDINAL, 1, price="1/2"),
+     "voter 1 price: expected an integer, got '1/2'"),
+    ("solve-emip", dict(_KNAPSACK, constraints=[
+        dict(_KNAPSACK["constraints"][0], b="x")]),
+     "constraint 0 b: cannot parse rational from 'x'"),
+    ("solve-emip", dict(_KNAPSACK, variables=[
+        dict(_KNAPSACK["variables"][0], lower="1/0")] + _KNAPSACK["variables"][1:]),
+     "variable 0 lower: cannot parse rational from '1/0'"),
+    ("solve-emip", dict(_KNAPSACK, variables=_KNAPSACK["variables"][:1] + [
+        dict(_KNAPSACK["variables"][1], kind="real")]),
+     "variable 1 kind: 'real' is not a valid VarKind"),
+    ("wsm", dict(_WSM3, weights=[1, "1/2", 2]),
+     "weights: expected an integer, got '1/2'"),
+    ("wsm", dict(_WSM3, requirements=5),
+     "requirements must be a JSON array"),
+    ("wsm", {k: v for k, v in _WSM3.items() if k != "budget"},
+     "budget: expected an integer, got None"),
+    ("scoring-ccdv", dict(_ORDINAL, scoring_vector=3),
+     "scoring_vector must be a JSON array"),
 ])
 def test_malformed_fields_name_their_entry(capsys, tmp_path, command, blob,
                                            message):
@@ -490,6 +527,15 @@ def test_solver_value_errors_are_input_errors(capsys, tmp_path, command,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err
     assert not (tmp_path / "out.lp").exists()
+
+
+def test_failed_exact_recheck_is_a_bug_not_an_input_error(capsys, monkeypatch):
+    """A lifted answer that fails the source model's re-check is a solver
+    fault: it leaves ``main`` as SolverInternalError, never as exit 2."""
+    monkeypatch.setattr(EmipConstraint, "holds", lambda self, assignment: False)
+    with pytest.raises(SolverInternalError, match="source constraint 0"):
+        main(["solve-emip", fx("knapsackish.json"), "--json"])
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ def test_validate_transformed_variable_needs_nonnegative_lower():
     assert validate(model) == []
 
 
+def test_validate_rejects_a_missing_lower_bound():
+    model = EmipModel((Variable("x", lower=None, upper=3),),
+                      (EmipConstraint(lhs={0: 1}, rhs={}, b=2),))
+    assert validate(model) == ["variable 'x': no lower bound"]
+    with pytest.raises(InvalidModelError, match="no lower bound"):
+        normalize(model)
+
+
 def test_validate_misc_problems():
     model = EmipModel(
         (_var("x"), _var("x")),

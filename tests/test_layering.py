@@ -1,0 +1,49 @@
+"""The MILP layer and the pivot kernel import nothing from the layers above.
+
+The paper's method lowers a piecewise-linear model to a plain MILP and
+solves that, so ``pwlmip.milp`` and ``pwlmip._kernel`` sit below the model,
+function, lowering and pipeline modules.  The imports are read from the
+source with ``ast``, so a lazy import inside a function counts too.
+"""
+
+import ast
+import os
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "pwlmip")
+LOWER_LAYERS = ("milp", "_kernel")
+ABOVE = ("pwlmip.emip", "pwlmip.pwl", "pwlmip.reduction", "pwlmip.pipeline")
+
+
+def _imported(source, package):
+    """Absolute names a module of ``package`` imports: each module, and each
+    name taken from it, which may be a submodule."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parent = ".".join(parts[:len(parts) - node.level + 1])
+                base = parent + "." + base if base else parent
+            yield base
+            yield from (base + "." + alias.name for alias in node.names)
+
+
+def test_lower_layers_import_nothing_above():
+    # the reader resolves the relative form these modules use
+    assert "pwlmip.emip" in set(_imported("from ..emip import VarKind\n",
+                                          "pwlmip.milp"))
+    bad = []
+    for layer in LOWER_LAYERS:
+        folder = os.path.join(PACKAGE, layer)
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                source = fh.read()
+            bad += ["%s/%s imports %s" % (layer, name, imported)
+                    for imported in _imported(source, "pwlmip." + layer)
+                    if any(imported == a or imported.startswith(a + ".")
+                           for a in ABOVE)]
+    assert bad == []

@@ -11,14 +11,14 @@ from generators import random_grid_model
 from lp_reader import read_lp, satisfies
 from pwlmip.emip import VarKind, normalize
 from pwlmip.milp import export_lp
-from pwlmip.milp.model import MilpModel, MilpVariable, integer_row
+from pwlmip.milp.model import MilpModel, Variable, integer_row
 from pwlmip.reduction import lower
 
 F = Fraction
 
 
 def _mk(variables, rows):
-    variables = tuple(MilpVariable(*v) for v in variables)
+    variables = tuple(Variable(*v) for v in variables)
     return MilpModel(variables, tuple(
         integer_row(((i, F(c)) for i, c in coeffs), F(rhs), len(variables))
         for coeffs, rhs in rows))
@@ -28,8 +28,8 @@ def _rebuild(lp):
     """The model the reader's plain data names, rows as :class:`MilpModel`
     takes them."""
     return MilpModel(
-        tuple(MilpVariable(name, VarKind.INTEGER if general else
-                           VarKind.CONTINUOUS, lo, up)
+        tuple(Variable(name, VarKind.INTEGER if general else
+                       VarKind.CONTINUOUS, lo, up)
               for name, lo, up, general in zip(lp.names, lp.lower, lp.upper,
                                                 lp.integer)),
         tuple(integer_row(coeffs, rhs, len(lp.names))

@@ -20,7 +20,7 @@ from pwlmip.milp import branch_bound
 from pwlmip.milp import lp as lp_module
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
-from pwlmip.milp.model import MilpModel, MilpVariable, integer_row
+from pwlmip.milp.model import MilpModel, integer_row
 from pwlmip.pipeline import maximize_emip, minimize_budget, objective_bracket, solve_emip
 from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import lower
@@ -31,7 +31,7 @@ F = Fraction
 
 
 def _mk(variables, rows):
-    return MilpModel(tuple(MilpVariable(*v) for v in variables),
+    return MilpModel(tuple(Variable(*v) for v in variables),
                      _int_rows(((tuple((i, F(c)) for i, c in coeffs), F(rhs))
                                 for coeffs, rhs in rows), len(variables)))
 
@@ -314,8 +314,8 @@ def _random_milp(rng, unbounded=False):
             else:
                 kept.append((coeffs, rhs))
     model = MilpModel(
-        tuple(MilpVariable("x%d" % i, VarKind.INTEGER if i < n_int
-                           else VarKind.CONTINUOUS, lo, up)
+        tuple(Variable("x%d" % i, VarKind.INTEGER if i < n_int
+                       else VarKind.CONTINUOUS, lo, up)
               for i, (lo, up) in enumerate(boxes)),
         _int_rows(((tuple(c.items()), rhs) for c, rhs in rows), len(boxes)),
     )
@@ -760,8 +760,8 @@ def _ladder_cover(rng, m, n, kind):
 def _rational_knapsack(rng, n):
     """Maximize a rational objective (fifths) over n integer variables in
     small boxes, under two rational knapsack rows (sevenths, elevenths)."""
-    variables = tuple(MilpVariable("x%d" % i, VarKind.INTEGER, 0,
-                                   rng.randint(2, 6)) for i in range(n))
+    variables = tuple(Variable("x%d" % i, VarKind.INTEGER, 0,
+                               rng.randint(2, 6)) for i in range(n))
     rows = []
     for den in (7, 11):
         coeffs = [(i, F(rng.randint(1, 20), den)) for i in range(n)]
@@ -1195,7 +1195,7 @@ def _rational_milp(rng):
         for _ in range(rng.randint(1, 4))
     ]
     model = MilpModel(
-        tuple(MilpVariable("x%d" % i, k, lo, up)
+        tuple(Variable("x%d" % i, k, lo, up)
               for i, (k, (lo, up)) in enumerate(zip(kinds, bounds))),
         _int_rows(rows, n),
     )

@@ -16,13 +16,10 @@ from pwlmip.emip import (
     normalize,
 )
 from pwlmip.milp.lp import solve_lp_feasibility
+from pwlmip.milp.model import SolverInternalError
 from pwlmip.oracle import brute_cover
 from pwlmip.pwl import PwlFunction, Shape
-from pwlmip.reduction import (
-    WitnessError,
-    lower,
-    witness_lift,
-)
+from pwlmip.reduction import lower, witness_lift
 
 F = Fraction
 
@@ -122,11 +119,11 @@ def test_witness_lift_verifies_exactly():
     point = witness_lift(model, lmap, result.assignment)
     assert model.constraints[0].holds(point)
     # a corrupted assignment is rejected, not passed through
-    with pytest.raises(WitnessError, match="constraint"):
+    with pytest.raises(SolverInternalError, match="constraint"):
         witness_lift(model, lmap, {0: F(6), 1: F(0), 2: F(0)})
-    with pytest.raises(WitnessError, match="bounds"):
+    with pytest.raises(SolverInternalError, match="below lower bound"):
         witness_lift(model, lmap, {0: F(-1)})
-    with pytest.raises(WitnessError, match="integral"):
+    with pytest.raises(SolverInternalError, match="not integral"):
         witness_lift(model, lmap, {0: F(1, 2)})
 
 
@@ -143,6 +140,16 @@ def test_concave_side_lowering_keeps_gains_honest():
     x = result.assignment[0]
     assert g.eval(x) >= 3  # g(x) truly reaches the requirement
     assert grid_feasible(model)[0] is True
+
+
+def test_lowering_passes_the_source_variables_through():
+    rng = random.Random(0xD40)
+    for _ in range(10):
+        model = random_grid_model(rng)
+        lowered, _ = lower(model)
+        n = len(model.variables)
+        assert all(a is b for a, b in zip(lowered.variables[:n], model.variables,
+                                          strict=True))
 
 
 def test_integer_dimension_unchanged():
