@@ -5,13 +5,15 @@ on the input files and flags — wall time goes to stderr in human
 mode and never into the JSON.  The argparse tree is built once per process,
 on the first ``main`` call, and reused by every later call; each parse
 still gets a fresh namespace.  Exit codes: 0 for any completed solve
-(feasible or infeasible alike), 2 for input errors (a bad invocation or
-file, or a ``ValueError`` from a solver that refuses its input), 3 when
-the node budget runs out, and 1 when stdout is a pipe whose reader has gone
+(feasible or infeasible alike), 2 for a refused input, 3 when the node
+budget runs out, and 1 when stdout is a pipe whose reader has gone
 (``pwlmip ... --json | head``): the rest of the report is dropped without a
-traceback, as the Python docs advise for SIGPIPE.  An answer that fails its
-exact re-check is a bug, never exit 2: ``SolverInternalError`` leaves
-``main`` with its traceback.
+traceback, as the Python docs advise for SIGPIPE.  Every refusal, by a
+loader or a solver, is a ``ValueError`` and reads ``error: FILE: reason``:
+``main`` alone puts the input file in front.  An ``OSError`` names its own
+file, the input or the ``-o`` output.  An answer that fails its exact
+re-check is a bug, never exit 2: ``SolverInternalError`` leaves ``main``
+with its traceback.
 """
 
 from __future__ import annotations
@@ -30,47 +32,26 @@ from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipModel
 from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, export_lp
 from .milp.model import integer_row
-from .oracle import (CapExceeded, OracleBudget, brute_cover, brute_manipulate,
+from .oracle import (OracleBudget, brute_cover, brute_manipulate,
                      gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
 from .rationals import parse_rational
 from .reduction import lower
 from .voting import (DEFAULT_CANDIDATE_CAP, ApprovalElection, OrdinalElection,
-                     load_election, solve_bribery_priced, solve_ccav_priced,
+                     solve_bribery_priced, solve_ccav_priced,
                      solve_ccav_weighted, solve_ccdv_priced,
                      solve_ccdv_weighted, solve_scoring_ccdv)
 
 
-class InputError(Exception):
-    """A problem with the invocation or an input file (exit code 2)."""
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError("%s: %s" % (path, exc.strerror or exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
-        ) from exc
-
-
 def _load(path, from_json):
-    obj = _load_json(path)
-    try:
-        return from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("%s: %s" % (path, exc)) from exc
-
-
-def _load_election(path, kind):
-    election = _load(path, load_election)
-    want = OrdinalElection if kind == "ordinal" else ApprovalElection
-    if not isinstance(election, want):
-        raise InputError("%s: expected an %s election" % (path, kind))
-    return election
+    """``from_json`` of the JSON in ``path``; a syntax error names its place."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError("line %d column %d: %s"
+                             % (exc.lineno, exc.colno, exc.msg)) from exc
+    return from_json(obj)
 
 
 def _stats_json(stats):
@@ -112,24 +93,21 @@ def _approval_variant(election, command):
     weighted = election.is_weighted
     priced = election.is_priced
     if weighted and priced:
-        raise InputError(
+        raise ValueError(
             "election mixes non-unit weights and non-unit prices; "
             "use weights with unit prices or prices with unit weights"
         )
     if weighted and command == "bribery":
-        raise InputError("bribery supports priced voters only, not weights")
+        raise ValueError("bribery supports priced voters only, not weights")
     return "weighted" if weighted else "priced"
 
 
 def _run_solve_emip(args):
     model = _load(args.file, EmipModel.from_json)
-    try:
-        if model.objective is not None:
-            result = maximize_emip(model, node_limit=args.node_limit)
-        else:
-            result = solve_emip(model, node_limit=args.node_limit)
-    except ValueError as exc:
-        raise InputError("%s: %s" % (args.file, exc)) from exc
+    if model.objective is not None:
+        result = maximize_emip(model, node_limit=args.node_limit)
+    else:
+        result = solve_emip(model, node_limit=args.node_limit)
     return _report("solve-emip", result, lambda r: {
         "assignment": {model.variables[i].name: str(v)
                        for i, v in sorted(r.assignment.items())},
@@ -167,7 +145,7 @@ _VOTING_SOLVERS = {
 
 
 def _run_approval(args):
-    election = _load_election(args.file, "approval")
+    election = _load(args.file, ApprovalElection.from_json)
     variant = _approval_variant(election, args.command)
     solver = _VOTING_SOLVERS[(args.command, variant)]
     result = solver(election, unique_winner=args.unique_winner,
@@ -176,7 +154,7 @@ def _run_approval(args):
 
 
 def _run_scoring_ccdv(args):
-    election = _load_election(args.file, "ordinal")
+    election = _load(args.file, OrdinalElection.from_json)
     result = solve_scoring_ccdv(
         election, unique_winner=args.unique_winner,
         minimize_cost=args.minimize_cost, node_limit=args.node_limit,
@@ -195,11 +173,8 @@ def _run_export_lp(args):
         objective, _, _ = integer_row(model.objective.coeffs, 0, lowered.n_vars)
         sense = model.objective.sense
     text = export_lp(lowered, objective, sense)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError("%s: %s" % (args.output, exc.strerror or exc)) from exc
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return {
         "command": "export-lp",
         "status": "exported",
@@ -223,20 +198,17 @@ def _run_oracle(args):
             ],
         }
     caps = OracleBudget(args.max_items)
-    try:
-        if args.oracle_command == "cover":
-            out = {"command": "oracle cover"}
-            instance = _load(args.file, CoverInstance.from_json)
-            answer = brute_cover(instance, caps)
-        else:
-            out = {"command": "oracle manipulate", "problem": args.problem}
-            kind = "ordinal" if args.problem == "scoring-ccdv" else "approval"
-            election = _load_election(args.file, kind)
-            answer = brute_manipulate(args.problem, election,
-                                      election.preferred, caps,
-                                      unique_winner=args.unique_winner)
-    except CapExceeded as exc:
-        raise InputError(str(exc)) from exc
+    if args.oracle_command == "cover":
+        out = {"command": "oracle cover"}
+        answer = brute_cover(_load(args.file, CoverInstance.from_json), caps)
+    else:
+        out = {"command": "oracle manipulate", "problem": args.problem}
+        election = _load(args.file, OrdinalElection.from_json
+                         if args.problem == "scoring-ccdv"
+                         else ApprovalElection.from_json)
+        answer = brute_manipulate(args.problem, election,
+                                  election.preferred, caps,
+                                  unique_winner=args.unique_winner)
     out["status"] = "feasible" if answer.feasible else "infeasible"
     if answer.feasible:
         out["cost"] = answer.best_cost
@@ -384,14 +356,23 @@ def main(argv=None) -> int:
     code = 0
     try:
         report = _RUNNERS[args.command](args)
-    except (InputError, ValueError, ResourceExhausted) as exc:
-        if isinstance(exc, ResourceExhausted):
-            code, report = 3, {"status": "resource-exhausted",
-                               "nodes": exc.nodes, "limit": exc.limit}
-        else:
-            code, report = 2, {"status": "error", "error": str(exc)}
-        report["command"] = args.command
+    except ResourceExhausted as exc:
+        code, report = 3, {"status": "resource-exhausted",
+                           "nodes": exc.nodes, "limit": exc.limit,
+                           "command": args.command}
         print("error: %s" % exc, file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        # an OSError names its own file, the input or the -o output; every
+        # other refusal is the input file's
+        if not isinstance(exc, OSError):
+            error = "%s: %s" % (args.file, exc)
+        elif exc.filename:
+            error = "%s: %s" % (exc.filename, exc.strerror)
+        else:
+            error = str(exc)
+        code, report = 2, {"status": "error", "error": error,
+                           "command": args.command}
+        print("error: %s" % error, file=sys.stderr)
     try:
         if not code:
             _emit(report, args.json, time.monotonic() - started)

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .emip import EmipConstraint, EmipModel, Variable, VarKind, json_array, json_entries
+from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
-from .rationals import parse_count, parse_field, parse_integer
+from .rationals import (json_array, json_entries, json_format, parse_count,
+                        parse_field, parse_integer)
 
 FORMAT_NAME = "cover-v1"
 
@@ -119,13 +120,7 @@ class CoverInstance:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError("cover instance must be a JSON object")
-        if obj.get("format") != FORMAT_NAME:
-            raise ValueError(
-                "unsupported cover format %r (expected %r)"
-                % (obj.get("format"), FORMAT_NAME)
-            )
+        json_format(obj, FORMAT_NAME, "cover")
         return cls(
             m=obj.get("m"),
             sets=[{parse_field("set %d" % k, parse_integer, e):
@@ -171,6 +166,16 @@ class Types:
         """The first counts[j] members of each type j, type by type."""
         return [k for j, members in enumerate(self.members)
                 for k in members[:counts[j]]]
+
+    def solve(self, prefix, constraints, minimize_cost, node_limit):
+        """Solve for one count per type (named ``prefix`` and its index)
+        under ``constraints``, the budget row last and minimized on request.
+        Returns the result and the items taken, sorted (none if infeasible)."""
+        model = EmipModel(tuple(self.counts(prefix)), tuple(constraints))
+        result = (minimize_budget(model, len(constraints) - 1, node_limit)
+                  if minimize_cost else solve_emip(model, node_limit))
+        taken = tuple(sorted(self.take(result.assignment))) if result.feasible else ()
+        return result, taken
 
 
 @dataclass
@@ -233,14 +238,11 @@ def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
 
 
 def _solve(instance, types, constraints, minimize_cost, node_limit):
-    """Solve for one count per type, the budget row last (minimized on
-    request), then take each type's first members and re-check the cover."""
-    model = EmipModel(tuple(types.counts("z")), tuple(constraints))
-    result = (minimize_budget(model, len(constraints) - 1, node_limit)
-              if minimize_cost else solve_emip(model, node_limit))
+    """Solve for one count per type (:meth:`Types.solve`) and re-check the
+    cover its items make."""
+    result, chosen = types.solve("z", constraints, minimize_cost, node_limit)
     if not result.feasible:
         return CoverSolution(False, stats=result.stats)
-    chosen = tuple(sorted(types.take(result.assignment)))
     coverage = instance.coverage_of(chosen)
     cost = sum(instance.weights[k] for k in chosen)
     if any(c < r for c, r in zip(coverage, instance.requirements)):

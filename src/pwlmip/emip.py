@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .milp.model import Variable, VarKind
 from .pwl import PwlFunction, Shape
-from .rationals import exact, parse_field, parse_rational
+from .rationals import (exact, json_entries, json_format, json_object, parse_field,
+                        parse_rational)
 
 FORMAT_NAME = "emip-v1"
 
@@ -152,11 +153,7 @@ class EmipModel:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError("model must be a JSON object")
-        fmt = obj.get("format")
-        if fmt != FORMAT_NAME:
-            raise ValueError("unsupported model format %r (expected %r)" % (fmt, FORMAT_NAME))
+        json_format(obj, FORMAT_NAME, "model")
         variables = []
         for k, v in enumerate(json_entries(obj, "variables", "variable")):
             where = "variable %d " % k
@@ -190,42 +187,16 @@ class EmipModel:
             sides = {}
             for side in ("lhs", "rhs"):
                 where = "constraint %d %s" % (k, side)
-                sides[side] = parse_terms(_json_object(c.get(side), where), where,
+                sides[side] = parse_terms(json_object(c.get(side), where), where,
                                           parse_fn)
             b = parse_field("constraint %d b" % k, parse_rational, c.get("b", 0))
             constraints.append(EmipConstraint(b=b, **sides))
         objective = None
         if obj.get("objective") is not None:
-            o = _json_object(obj["objective"], "objective")
-            coeffs = _json_object(o.get("coeffs"), "objective coeffs")
+            o = json_object(obj["objective"], "objective")
+            coeffs = json_object(o.get("coeffs"), "objective coeffs")
             objective = Objective(o.get("sense"), parse_terms(coeffs, "objective"))
         return cls(tuple(variables), tuple(constraints), objective)
-
-
-def _json_object(value, where):
-    """``value``, a JSON object, null read as empty; else an input error
-    that names ``where``."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError("%s must be a JSON object" % where)
-    return value
-
-
-def json_array(obj, key):
-    """The JSON array under ``key``, absent or null read as empty; else an
-    input error that names ``key``."""
-    items = () if obj.get(key) is None else obj[key]
-    if not isinstance(items, (list, tuple)):
-        raise ValueError("%s must be a JSON array" % key)
-    return items
-
-
-def json_entries(obj, key, entry):
-    """The JSON objects of :func:`json_array`, each read as
-    :func:`_json_object` reads it."""
-    return [_json_object(item, "%s %d" % (entry, k))
-            for k, item in enumerate(json_array(obj, key))]
 
 
 def _term_to_json(fn: PwlFunction):

@@ -29,7 +29,7 @@ class OracleBudget:
             )
 
 
-class CapExceeded(Exception):
+class CapExceeded(ValueError):
     """The requested exhaustive search is larger than the budget allows."""
 
 

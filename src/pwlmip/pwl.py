@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import exact, parse_rational
+from .rationals import exact, json_array, parse_rational
 
 
 class Shape(enum.Enum):
@@ -192,20 +192,9 @@ class PwlFunction:
         return cls(
             shape,
             parse_rational(obj.get("value_at_zero", 0)),
-            _json_rationals(obj, "breakpoints"),
-            _json_rationals(obj, "slopes"),
+            tuple(map(parse_rational, json_array(obj, "breakpoints"))),
+            tuple(map(parse_rational, json_array(obj, "slopes"))),
         )
-
-
-def _json_rationals(obj, key):
-    """The rationals listed under ``key``; absent or null is empty, and
-    anything but a JSON array is an input error that names ``key``."""
-    values = obj.get(key)
-    if values is None:
-        return ()
-    if not isinstance(values, (list, tuple)):
-        raise ValueError("%s must be a JSON array" % key)
-    return tuple(map(parse_rational, values))
 
 
 def _merge_equal_slopes(bps, slopes):

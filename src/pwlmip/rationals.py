@@ -1,4 +1,4 @@
-"""Exact rational scalars: one contract and the parser.
+"""Exact rational scalars: one contract, the parsers, and the JSON readers.
 
 Every number in this package is an exact rational: an ``int`` when it is
 integral and a :class:`fractions.Fraction` otherwise, the form :func:`exact`
@@ -6,6 +6,11 @@ gives, the assignment a solve returns included.  Ints and integral
 Fractions compare, hash and print alike, so the contract moves no answer and
 no report byte.  A Fraction is kept on purpose for a divisor such as ε in
 :mod:`pwlmip.approx`, where ``int / int`` would make a float.
+
+The JSON readers every instance format shares live here too, below every
+model: :func:`json_format` checks a file's object and ``format`` tag, and
+:func:`json_object`, :func:`json_array` and :func:`json_entries` read its
+containers.  Each input error names the field it reads.
 """
 
 from __future__ import annotations
@@ -85,3 +90,39 @@ def parse_count(value, what) -> int:
     if value < 0:
         raise ValueError("%s must be nonnegative" % what)
     return value
+
+
+def json_format(obj, name, noun):
+    """Refuse ``obj`` unless it is a JSON object tagged ``"format": name``;
+    the input error names ``noun`` (``cover must be a JSON object``)."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object" % noun)
+    if obj.get("format") != name:
+        raise ValueError("unsupported %s format %r (expected %r)"
+                         % (noun, obj.get("format"), name))
+
+
+def json_object(value, where):
+    """``value``, a JSON object, null read as empty; else an input error
+    that names ``where``."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError("%s must be a JSON object" % where)
+    return value
+
+
+def json_array(obj, key):
+    """The JSON array under ``key``, absent or null read as empty; else an
+    input error that names ``key``."""
+    items = () if obj.get(key) is None else obj[key]
+    if not isinstance(items, (list, tuple)):
+        raise ValueError("%s must be a JSON array" % key)
+    return items
+
+
+def json_entries(obj, key, entry):
+    """The JSON objects of :func:`json_array`, each read as
+    :func:`json_object` reads it and named ``entry k``."""
+    return [json_object(item, "%s %d" % (entry, k))
+            for k, item in enumerate(json_array(obj, key))]

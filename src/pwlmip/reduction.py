@@ -23,10 +23,12 @@ under g(x); plugging in the witness values w = f(x), u = g(x),
 z_l = max(0, x - rho_l) embeds every feasible point of the source model.
 The source variables pass through as they are, the model's own
 :class:`~pwlmip.milp.model.Variable` objects first and in order, so the
-integer dimension is unchanged; only the auxiliaries are new.  Rows are
-scaled to integer coefficients.  A model with integral data is all ints
-already (:mod:`pwlmip.rationals`), so its rows need no scaling and no
-Fraction is made on the way.
+integer dimension is unchanged; only the auxiliaries are new.  They are
+named ``w_c<j>_<x>`` and ``z_c<j>_<x>_<l>`` (``u`` and ``y`` on the concave
+side) after the row j that first uses them, with ``_`` appended while a
+variable has the name.  Rows are scaled to integer coefficients.  A model
+with integral data is all ints already (:mod:`pwlmip.rationals`), so its
+rows need no scaling and no Fraction is made on the way.
 
 The rows are kept lean, which keeps the LP relaxation exactly as tight:
 
@@ -91,6 +93,14 @@ def lower(model: EmipModel):
     term_map = []
     forms = []
     blocks = {}  # (var index, function, sign) -> shared LoweredTerm
+    names = {v.name for v in variables}
+
+    def fresh(name):
+        """``name``, or it with ``_`` appended until no variable has it."""
+        while name in names:
+            name += "_"
+        names.add(name)
+        return name
 
     def lower_term(j, idx, fn, sign):
         """Auxiliaries and rows for sign * fn(x_idx), first met in row j."""
@@ -98,14 +108,14 @@ def lower(model: EmipModel):
         fmin, _ = fn.range_on(src.lower, src.upper)
         prefix = "w" if sign > 0 else "u"
         bound_var = len(variables)
-        variables.append(Variable("%s_c%d_%s" % (prefix, j, src.name),
+        variables.append(Variable(fresh("%s_c%d_%s" % (prefix, j, src.name)),
                                   VarKind.CONTINUOUS, fmin))
         aux_vars = []
         aux_prefix = "z" if sign > 0 else "y"
         for l, rho in enumerate(fn.breakpoints, start=1):
             aux = len(variables)
-            variables.append(Variable("%s_c%d_%s_%d" % (aux_prefix, j, src.name, l),
-                                      VarKind.CONTINUOUS))
+            name = fresh("%s_c%d_%s_%d" % (aux_prefix, j, src.name, l))
+            variables.append(Variable(name, VarKind.CONTINUOUS))
             aux_vars.append(aux)
             # z_l >= x - rho_l, written as a <=-row (z_l >= 0 is its bound)
             rows.append((((idx, 1), (aux, -1)), rho))

@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .covering import CoverInstance, Types, solve_umm, solve_wsm
-from .emip import EmipConstraint, EmipModel, json_array, json_entries
+from .emip import EmipConstraint
 from .milp.model import SolveStats, SolverInternalError
-from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
-from .rationals import parse_count, parse_field, parse_integer
+from .rationals import (json_array, json_entries, json_format, parse_count,
+                        parse_field, parse_integer)
 
 FORMAT_NAME = "election-v1"
 
@@ -233,16 +233,10 @@ class OrdinalElection:
 
 
 def _check_format(obj, kind):
-    if not isinstance(obj, dict):
-        raise ValueError("election must be a JSON object")
-    if obj.get("format") != FORMAT_NAME:
-        raise ValueError(
-            "unsupported election format %r (expected %r)"
-            % (obj.get("format"), FORMAT_NAME)
-        )
-    got = obj.get("kind", "approval")
-    if got != kind:
-        raise ValueError("expected an %s election, got kind=%r" % (kind, got))
+    """Refuse ``obj`` unless it is an election object of ``kind``."""
+    json_format(obj, FORMAT_NAME, "election")
+    if obj.get("kind", "approval") != kind:
+        raise ValueError("expected an %s election" % kind)
 
 
 def load_election(obj):
@@ -430,14 +424,10 @@ def solve_scoring_ccdv(election, unique_winner=False, minimize_cost=False,
         for j, members in enumerate(types.members)
     }
     constraints.append(EmipConstraint(lhs=prices, rhs={}, b=election.budget))
-    model = EmipModel(tuple(types.counts("d")), tuple(constraints))
-
-    result = (minimize_budget(model, len(constraints) - 1, node_limit)
-              if minimize_cost else solve_emip(model, node_limit))
+    result, action = types.solve("d", constraints, minimize_cost, node_limit)
     if not result.feasible:
         return ManipulationResult(False, kind="delete", stats=result.stats)
 
-    action = tuple(sorted(types.take(result.assignment)))
     total = sum(voters[i].price for i in action)
     if result.best is not None and total != result.best:
         raise SolverInternalError("deletion prices disagree with the optimum")

@@ -252,6 +252,26 @@ def test_export_lp_round_trip(capsys, tmp_path):
     assert other.read_text() == text
 
 
+def test_auxiliaries_never_take_a_source_variable_name(capsys, tmp_path):
+    """A source variable named like an auxiliary keeps its name; the
+    auxiliary gets ``_`` appended instead of clashing with it."""
+    blob = {"format": "emip-v1",
+            "variables": [{"name": "x", "upper": "3"},
+                          {"name": "w_c0_x", "upper": "3"}],
+            "constraints": [{"lhs": {"x": _PWL_TERM, "w_c0_x": "1"}, "b": "4"}],
+            "objective": {"sense": "max", "coeffs": {"x": "1", "w_c0_x": "1"}}}
+    path = _write_json(tmp_path, "clash.json", blob)
+    code, report, _ = run_json(capsys, "solve-emip", path)
+    assert code == 0 and report["status"] == "feasible"
+    assert report["best"] == 4
+    assert sorted(report["assignment"]) == ["w_c0_x", "x"]
+    target = tmp_path / "clash.lp"
+    code, report, _ = run_json(capsys, "export-lp", path, "-o", str(target))
+    assert code == 0 and report["status"] == "exported"
+    assert read_lp(target.read_text()).names == ["x", "w_c0_x", "w_c0_x_",
+                                                 "z_c0_x_1"]
+
+
 # ---------------------------------------------------------------------------
 # input errors (exit code 2)
 # ---------------------------------------------------------------------------
@@ -278,6 +298,15 @@ def test_missing_file_json_report(capsys):
     assert report["status"] == "error"
     assert "no/such/file.json" in report["error"]
     assert "error:" in err
+
+
+def test_unwritable_output_names_the_output_file(capsys, tmp_path):
+    target = str(tmp_path / "no" / "such" / "model.lp")
+    code, report, err = run_json(capsys, "export-lp", fx("knapsackish.json"),
+                                 "-o", target)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == "%s: No such file or directory" % target
+    assert err == "error: %s\n" % report["error"]
 
 
 def test_malformed_json_reports_position(capsys, tmp_path):
@@ -391,6 +420,10 @@ def _voter(blob, k, **fields):
      "budget: expected an integer, got None"),
     ("scoring-ccdv", dict(_ORDINAL, scoring_vector=3),
      "scoring_vector must be a JSON array"),
+    ("solve-emip", dict(_KNAPSACK, variables=[
+        dict(_KNAPSACK["variables"][0], upper="abc")] + _KNAPSACK["variables"][1:]),
+     "variable 0 upper: cannot parse rational from 'abc'"),
+    ("wsm", dict(_WSM3, m=1.5), "m: expected an integer, got 1.5"),
 ])
 def test_malformed_fields_name_their_entry(capsys, tmp_path, command, blob,
                                            message):
@@ -410,40 +443,6 @@ def test_wrong_format_for_command(capsys):
 
     code, _, err = run(capsys, "wsm", fx("ccdv.json"))
     assert code == 2 and "format" in err
-
-
-def test_mixed_weights_and_prices_rejected(capsys, tmp_path):
-    blob = {
-        "format": "election-v1",
-        "kind": "approval",
-        "candidates": ["p", "a"],
-        "voters": [{"approved": ["a"], "weight": 2, "price": 3}],
-        "budget": 1,
-    }
-    path = tmp_path / "mixed.json"
-    path.write_text(json.dumps(blob))
-    code, _, err = run(capsys, "ccdv", str(path))
-    assert code == 2 and "mixes non-unit weights and non-unit prices" in err
-
-
-def test_weighted_bribery_rejected(capsys, tmp_path):
-    blob = {
-        "format": "election-v1",
-        "kind": "approval",
-        "candidates": ["p", "a"],
-        "voters": [{"approved": ["a"], "weight": 2}],
-        "budget": 1,
-    }
-    path = tmp_path / "weighted.json"
-    path.write_text(json.dumps(blob))
-    code, _, err = run(capsys, "bribery", str(path))
-    assert code == 2 and "priced voters only" in err
-
-
-def test_candidate_cap_flag(capsys):
-    code, _, err = run(capsys, "scoring-ccdv", fx("borda.json"),
-                       "--max-candidates", "2")
-    assert code == 2 and "exceed the cap" in err
 
 
 def test_bad_epsilon(capsys):
@@ -499,15 +498,30 @@ def _concave_left_term(tmp_path):
     return _write_json(tmp_path, "concave.json", blob)
 
 
+def _election(tmp_path, **voter):
+    return _write_json(tmp_path, "election.json", {
+        "format": "election-v1", "kind": "approval", "candidates": ["p", "a"],
+        "voters": [dict(voter, approved=["a"])], "budget": 1})
+
+
 _SOLVER_ERRORS = [
-    ("umm", _non_uniform_cover, (), "per-set uniform multiplicities"),
+    ("umm", _non_uniform_cover, (),
+     "uniform multiset multicover needs per-set uniform multiplicities"),
     ("mmc-approx", lambda _: fx("wsm3.json"), ("--epsilon", "1/2"),
-     "needs unit weights"),
+     "almost_cover needs unit weights"),
     ("scoring-ccdv", lambda _: fx("borda.json"), ("--max-candidates", "2"),
-     "exceed the cap of 2"),
+     "3 candidates exceed the cap of 2 for the scoring reduction"),
     ("export-lp", _concave_left_term, ("-o", "{tmp}/out.lp"),
-     "must be convex or linear"),
-    ("solve-emip", _concave_left_term, (), "must be convex or linear"),
+     "constraint 0: left-hand transformation on 'x' must be convex or linear"),
+    ("solve-emip", _concave_left_term, (),
+     "constraint 0: left-hand transformation on 'x' must be convex or linear"),
+    ("ccdv", lambda tmp: _election(tmp, weight=2, price=3), (),
+     "election mixes non-unit weights and non-unit prices; "
+     "use weights with unit prices or prices with unit weights"),
+    ("bribery", lambda tmp: _election(tmp, weight=2), (),
+     "bribery supports priced voters only, not weights"),
+    ("oracle", lambda _: fx("wsm3.json"), ("--max-items", "2"),
+     "exhaustive search over 3 items exceeds the cap of 2"),
 ]
 
 
@@ -515,17 +529,18 @@ _SOLVER_ERRORS = [
                          ids=[case[0] for case in _SOLVER_ERRORS])
 def test_solver_value_errors_are_input_errors(capsys, tmp_path, command,
                                               make_file, extra, message):
-    # the file loads; the solver refuses it
-    argv = [command, make_file(tmp_path)]
+    """The file loads and the solver refuses it: exit 2, and the refusal
+    reads ``FILE: reason`` like a loader's, in the report and on stderr."""
+    path = make_file(tmp_path)
+    argv = [command, "cover", path] if command == "oracle" else [command, path]
     argv += [arg.format(tmp=tmp_path) for arg in extra]
     code, report, err = run_json(capsys, *argv)
     assert code == 2
-    assert sorted(report) == ["command", "error", "status"]
-    assert report["command"] == command and report["status"] == "error"
-    assert message in report["error"]
-    assert err.startswith("error: ") and message in err
+    assert report == {"command": command, "status": "error",
+                      "error": "%s: %s" % (path, message)}
+    assert err == "error: %s\n" % report["error"]
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and message in err
+    assert code == 2 and out == "" and err == "error: %s\n" % report["error"]
     assert not (tmp_path / "out.lp").exists()
 
 

@@ -89,7 +89,7 @@ def test_json_round_trip():
     assert CoverInstance.from_json(inst.to_json()) == inst
     with pytest.raises(ValueError, match="format"):
         CoverInstance.from_json({"m": 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cover must be a JSON object$"):
         CoverInstance.from_json(17)
 
 

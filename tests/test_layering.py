@@ -47,3 +47,11 @@ def test_lower_layers_import_nothing_above():
                     if any(imported == a or imported.startswith(a + ".")
                            for a in ABOVE)]
     assert bad == []
+
+
+def test_rationals_imports_nothing_from_the_package():
+    # the parsers and the shared JSON readers sit below every model
+    with open(os.path.join(PACKAGE, "rationals.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    assert [name for name in _imported(source, "pwlmip")
+            if name == "pwlmip" or name.startswith("pwlmip.")] == []
