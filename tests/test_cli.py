@@ -766,6 +766,18 @@ def test_help_and_usage_errors_repeat_exactly(capsys):
     assert [o[1] for o in outputs[:5]] == [0, 0, 0, 2, 2]
 
 
+def test_candidate_cap_flag(capsys):
+    """``--max-candidates`` moves the cap: 2 refuses the 3-candidate
+    election with the file named, 3 lets it solve."""
+    code, _, err = run(capsys, "scoring-ccdv", fx("borda.json"),
+                       "--max-candidates", "2")
+    assert code == 2
+    assert err == ("error: %s: 3 candidates exceed the cap of 2 for the "
+                   "scoring reduction\n" % fx("borda.json"))
+    code, report, _ = run_json(capsys, "scoring-ccdv", fx("borda.json"),
+                               "--max-candidates", "3")
+    assert code == 0 and report["status"] == "feasible"
+
 
 def test_max_candidates_must_be_positive(capsys):
     with pytest.raises(SystemExit) as exc:
