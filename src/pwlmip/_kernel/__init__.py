@@ -57,8 +57,7 @@ indices of the tableau that would hold each upper bound as its own row
 slack s_j's, and the choices below are exactly the ones Bland's rule takes
 on that tableau, pivot for pivot.  A nonbasic column ranks ``high[j]`` when
 complemented (it is s_j that would be nonbasic) and ``low[j]`` otherwise.
-Without ``bounds`` no column is bounded and every column's rank is its
-index.
+Every call passes bounds, flags and ranks; an unbounded column has None.
 
 A primal pivot: the entering column is the nonbasic column of lowest rank
 with a negative objective entry.  The leaving candidates are the rows whose
@@ -83,7 +82,8 @@ sides the LP layer has moved to another node's bounds (a warm start).  Its
 precondition is a dual-feasible objective row: no negative entry among the
 columns.  Dual Bland's rule picks the pivot: of the violated bounds (a
 negative right-hand side ranked ``low``, a right-hand side above U ranked
-``high``) the one of lowest rank leaves, and the entering column minimizes
+``high``) the one of lowest rank leaves (:func:`violated_row`), and the
+entering column minimizes
 ``obj[j] / -a_j`` over the negative entries a_j of the leaving row, read as
 ``x - U`` for an upper violation, compared by cross-multiplication, ties to
 the lowest rank.  The leaving row is negated (its denominator kept), or its
@@ -92,7 +92,9 @@ like any other.  The objective row stays dual feasible, and once no bound
 is violated the tableau is optimal.  A leaving row with no candidate proves
 the LP infeasible: the kernel returns with that row's bound still violated,
 and the row is a Farkas ray, whether its right-hand side is negative or
-above its basic variable's upper bound.
+above its basic variable's upper bound.  :func:`violated_row` finds it on
+the returned tableau: its entries off the basic column are all ``>= 0``
+below 0 and all ``<= 0`` above U, and every nonbasic column reads >= 0.
 """
 
 from math import gcd
@@ -101,44 +103,24 @@ from math import gcd
 REDUCE_ABOVE = 1 << 30
 
 
-def phase1(tableau, basis, nrows, ncols, *, bounds=None, flipped=None,
-           ranks=None):
+def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
     """Pivot to an optimum in place; returns the pivot count, dual pivots
-    and bound flips included.
-
-    ``bounds`` (U or None per column), ``flipped`` (the complemented
-    columns, updated in place) and ``ranks`` (``(low, high)``) come
-    together, or not at all.
+    and bound flips included.  ``bounds`` holds U or None per column,
+    ``flipped`` the complemented columns (updated in place), and ``ranks``
+    is ``(low, high)``.
 
     It returns early in two cases.  A dual pivot row without a candidate
-    leaves its bound violated: the LP is infeasible.  An entering column
-    that neither a row nor a bound of its own stops: the objective is then
-    unbounded below, and row ``nrows`` still holds that negative entry.  A
-    phase-1 objective never is.
+    leaves its bound violated: the LP is infeasible, and
+    :func:`violated_row` returns that row.  An entering column that neither
+    a row nor a bound of its own stops: the objective is then unbounded
+    below, and row ``nrows`` still holds that negative entry.  A phase-1
+    objective never is.
     """
-    if bounds is None:
-        bounds, flipped = [None] * ncols, [False] * ncols
-        ranks = range(ncols), ()
     low, high = ranks
     den = ncols + 1
     pivots = 0
-    while True:
-        leave = -1
-        for i in range(nrows):
-            row = tableau[i]
-            rhs = row[ncols]
-            b = basis[i]
-            if rhs < 0:
-                r = low[b]
-            else:
-                u = bounds[b]
-                if u is None or rhs <= u * row[den]:
-                    continue
-                r = high[b]
-            if leave < 0 or r < best_r:
-                leave, best_r = i, r
-        if leave < 0:
-            break
+    while (leave := violated_row(tableau, basis, nrows, ncols, bounds,
+                                 ranks)) >= 0:
         row = tableau[leave]
         obj = tableau[nrows]
         b = basis[leave]
@@ -219,6 +201,27 @@ def phase1(tableau, basis, nrows, ncols, *, bounds=None, flipped=None,
             flipped[b] = True
         pivot_in(tableau, basis, nrows, ncols, leave, enter, bounds, flipped)
         pivots += 1
+
+
+def violated_row(tableau, basis, nrows, ncols, bounds, ranks):
+    """The row of lowest rank whose basic variable is below 0 (ranked
+    ``low``) or above its bound (ranked ``high``), or -1 if there is none."""
+    low, high = ranks
+    leave = -1
+    for i in range(nrows):
+        row = tableau[i]
+        rhs = row[ncols]
+        b = basis[i]
+        if rhs < 0:
+            r = low[b]
+        else:
+            u = bounds[b]
+            if u is None or rhs <= u * row[ncols + 1]:
+                continue
+            r = high[b]
+        if leave < 0 or r < best_r:
+            leave, best_r = i, r
+    return leave
 
 
 def _rank(j, flipped, low, high):

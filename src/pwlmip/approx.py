@@ -228,7 +228,7 @@ def almost_cover(instance, epsilon, node_limit=None) -> AlmostCoverSolution:
     """
     if any(w != 1 for w in instance.weights):
         raise ValueError("almost_cover needs unit weights")
-    params = ApproxParams(parse_rational(epsilon), instance.m)
+    params = ApproxParams(epsilon, instance.m)
 
     vectors = []
     for idx in range(instance.n_sets):
@@ -301,7 +301,7 @@ def almost_cover(instance, epsilon, node_limit=None) -> AlmostCoverSolution:
 
 def decomposition_json(instance, epsilon):
     """All emitted vectors of an instance, JSON-ready (debugging aid)."""
-    params = ApproxParams(parse_rational(epsilon), instance.m)
+    params = ApproxParams(epsilon, instance.m)
     out = []
     for idx in range(instance.n_sets):
         for vector in decompose(instance.sets[idx], params, origin=idx):

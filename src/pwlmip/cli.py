@@ -35,7 +35,7 @@ from .milp.model import integer_row
 from .oracle import (OracleBudget, brute_cover, brute_manipulate,
                      gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
-from .rationals import parse_rational
+from .rationals import parse_integer, parse_rational
 from .reduction import lower
 from .voting import (DEFAULT_CANDIDATE_CAP, ApprovalElection, OrdinalElection,
                      solve_bribery_priced, solve_ccav_priced,
@@ -127,11 +127,11 @@ def _run_cover(args):
 
 def _run_mmc_approx(args):
     instance = _load(args.file, CoverInstance.from_json)
-    epsilon = parse_rational(args.epsilon)
-    sol = almost_cover(instance, epsilon, node_limit=args.node_limit)
-    out = _report("mmc-approx", sol, _almost_cover_fields, epsilon=str(epsilon))
+    sol = almost_cover(instance, args.epsilon, node_limit=args.node_limit)
+    out = _report("mmc-approx", sol, _almost_cover_fields,
+                  epsilon=str(args.epsilon))
     if args.dump_decomposition:
-        out["decomposition"] = decomposition_json(instance, epsilon)
+        out["decomposition"] = decomposition_json(instance, args.epsilon)
     return out
 
 
@@ -185,24 +185,20 @@ def _run_export_lp(args):
 
 
 def _run_oracle(args):
+    out = {"command": _command(args)}
     if args.oracle_command == "gen":
         rng = random.Random(args.seed)
         pairs = gen_hard_instances(args.kind, args.count, rng)
-        return {
-            "command": "oracle gen",
-            "status": "generated",
-            "kind": args.kind,
-            "instances": [
-                {"instance": inst.to_json(), "feasible": label}
-                for inst, label in pairs
-            ],
-        }
+        out.update(status="generated", kind=args.kind, instances=[
+            {"instance": inst.to_json(), "feasible": label}
+            for inst, label in pairs
+        ])
+        return out
     caps = OracleBudget(args.max_items)
     if args.oracle_command == "cover":
-        out = {"command": "oracle cover"}
         answer = brute_cover(_load(args.file, CoverInstance.from_json), caps)
     else:
-        out = {"command": "oracle manipulate", "problem": args.problem}
+        out["problem"] = args.problem
         election = _load(args.file, OrdinalElection.from_json
                          if args.problem == "scoring-ccdv"
                          else ApprovalElection.from_json)
@@ -216,14 +212,25 @@ def _run_oracle(args):
     return out
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive, got %d" % value)
-    return value
+def _command(args):
+    """The command every report of an invocation names (``oracle cover``)."""
+    if args.command == "oracle":
+        return "oracle " + args.oracle_command
+    return args.command
+
+
+def _positive(parse):
+    """An argparse type: ``parse`` of a flag's text, which must be positive;
+    a refusal is a usage error that names the flag."""
+    def positive(text):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value <= 0:
+            raise argparse.ArgumentTypeError("must be positive, got %s" % text)
+        return value
+    return positive
 
 
 @functools.cache
@@ -234,7 +241,8 @@ def build_parser():
                         help="print a JSON report to stdout")
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--node-limit", type=_positive_int, default=None, metavar="N",
+    budget.add_argument("--node-limit", type=_positive(parse_integer),
+                        default=None, metavar="N",
                         help="search node budget (default %d)" % DEFAULT_NODE_LIMIT)
 
     solve = argparse.ArgumentParser(add_help=False)
@@ -266,7 +274,8 @@ def build_parser():
     p = sub.add_parser("mmc-approx", parents=[common, budget],
                        help="almost-cover a multiset multicover instance")
     p.add_argument("file")
-    p.add_argument("--epsilon", required=True, metavar="P/Q",
+    p.add_argument("--epsilon", type=_positive(parse_rational), required=True,
+                   metavar="P/Q",
                    help="allowed total miss fraction, an exact rational")
     p.add_argument("--dump-decomposition", action="store_true",
                    help="include every emitted vector in the report")
@@ -281,7 +290,7 @@ def build_parser():
     p = sub.add_parser("scoring-ccdv", parents=[common, budget, solve, winner],
                        help="scoring-rule control by deleting voters")
     p.add_argument("file")
-    p.add_argument("--max-candidates", type=_positive_int,
+    p.add_argument("--max-candidates", type=_positive(parse_integer),
                    default=DEFAULT_CANDIDATE_CAP, metavar="M",
                    help="refuse elections with more candidates than this")
 
@@ -295,17 +304,17 @@ def build_parser():
     osub = p.add_subparsers(dest="oracle_command", required=True)
     oc = osub.add_parser("cover", parents=[common])
     oc.add_argument("file")
-    oc.add_argument("--max-items", type=_positive_int,
+    oc.add_argument("--max-items", type=_positive(parse_integer),
                     default=OracleBudget.max_items)
     om = osub.add_parser("manipulate", parents=[common, winner])
     om.add_argument("problem",
                     choices=["ccdv", "ccav", "bribery", "scoring-ccdv"])
     om.add_argument("file")
-    om.add_argument("--max-items", type=_positive_int,
+    om.add_argument("--max-items", type=_positive(parse_integer),
                     default=OracleBudget.max_items)
     og = osub.add_parser("gen", parents=[common])
     og.add_argument("kind", choices=["partition-wmm", "subsetsum-mmc"])
-    og.add_argument("--count", type=_positive_int, default=10)
+    og.add_argument("--count", type=_positive(parse_integer), default=10)
     og.add_argument("--seed", type=int, default=0,
                     help="seed for the generated instances")
     return parser
@@ -352,6 +361,7 @@ def _emit(report, as_json, elapsed):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = _command(args)
     started = time.monotonic()
     code = 0
     try:
@@ -359,7 +369,7 @@ def main(argv=None) -> int:
     except ResourceExhausted as exc:
         code, report = 3, {"status": "resource-exhausted",
                            "nodes": exc.nodes, "limit": exc.limit,
-                           "command": args.command}
+                           "command": command}
         print("error: %s" % exc, file=sys.stderr)
     except (OSError, ValueError) as exc:
         # an OSError names its own file, the input or the -o output; every
@@ -371,7 +381,7 @@ def main(argv=None) -> int:
         else:
             error = str(exc)
         code, report = 2, {"status": "error", "error": error,
-                           "command": args.command}
+                           "command": command}
         print("error: %s" % error, file=sys.stderr)
     try:
         if not code:

@@ -151,8 +151,8 @@ def solve_feasibility(model: MilpModel, node_limit=None,
         stats.max_depth = max(stats.max_depth, depth)
         if rows is None:  # the rounded root box is empty
             continue
-        feasible, point, _ = solve_lp_feasibility(rows, lo, up, stats,
-                                                  objective=phase2, live=live)
+        feasible, point = solve_lp_feasibility(rows, lo, up, stats,
+                                               objective=phase2, live=live)
         if not feasible:
             continue
         if point is None:  # unbounded objective: solve this box again at hi
@@ -213,9 +213,8 @@ def _round(rows, point, int_idx, stats, objective, live):
     for ceil in (1, 0):  # ceil(p/q) = (p + q - 1) // q, floor(p/q) = p // q
         fixed = [(p + ceil * (q - 1)) // q for p, q in values]
         stats.rounding_lps += 1
-        feasible, found, _ = solve_lp_feasibility(rows, fixed, fixed, stats,
-                                                  objective=objective,
-                                                  live=live)
+        feasible, found = solve_lp_feasibility(rows, fixed, fixed, stats,
+                                               objective=objective, live=live)
         if feasible:
             return found
     return None

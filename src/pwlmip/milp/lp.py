@@ -30,9 +30,10 @@ simplex ended infeasible.  A search therefore keeps one
 bounds to its own (see :func:`_move_rhs` and :func:`_move_bounds`) and
 hands the tableau to the kernel, whose dual phase re-optimizes it; a basic
 variable left below 0 or above its bound is the verdict "infeasible", and
-its row is the Farkas ray.  A call starts cold only while the search holds
-no tableau: at its first LP, and after a cold LP that ended unbounded or
-infeasible, neither of which leaves one.
+its row, which :func:`pwlmip._kernel.violated_row` finds, is the Farkas
+ray.  A call starts cold only while the search holds no tableau: at its
+first LP, and after a cold LP that ended unbounded or infeasible, neither
+of which leaves one.
 
 Tableau rows are Python ints over a positive per-row denominator, the layout
 :func:`pwlmip._kernel.phase1` pivots on, and model rows arrive in that form
@@ -195,8 +196,9 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     moved to this call's right-hand sides and bounds and re-optimized by
     dual simplex, and a call that starts cold leaves its final tableau there
     once it ends optimal.  Without it the call starts cold.  Returns
-    (feasible, point, pivots); point holds an int per integral value and a
-    Fraction otherwise, and it is None if the objective is unbounded below.
+    (feasible, point); point holds an int per integral value and a Fraction
+    otherwise, and it is None if the LP is infeasible or its objective is
+    unbounded below.
     """
     if not isinstance(rows, CompiledRows):
         rows = CompiledRows(rows, lowers, uppers)
@@ -204,12 +206,12 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     totals = rows.totals_at(lowers)
     stats = SolveStats() if stats is None else stats
     stats.lp_calls += 1
-    ncols = rows.ncols
+    ncols, ranks = rows.ncols, rows.ranks
     m = len(totals)
     art_rows = [k for k in range(m) if totals[k] < 0]
     if not art_rows and objective is None:
         # The all-zeros point (every column at its lower bound) is feasible.
-        return True, _point(rows.plan, lowers, [0] * ncols), 0
+        return True, _point(rows.plan, lowers, [0] * ncols)
 
     real = ncols + m
     live = LiveTableau() if live is None else live
@@ -219,16 +221,13 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
         _move_rhs(tableau, real, ncols, rows.dens, live.totals, totals)
         _move_bounds(tableau, real, bounds, flipped, rows.cols, lowers, uppers)
         live.totals = totals
-        stats.note_tableau(m, real)
-        pivots = _kernel.phase1(tableau, basis, m, real, bounds=bounds,
-                                flipped=flipped, ranks=rows.ranks)
-        stats.pivots += pivots
-        if _violated(tableau, basis, real, bounds):
+        _optimize(tableau, basis, m, real, bounds, flipped, ranks, stats)
+        if _kernel.violated_row(tableau, basis, m, real, bounds, ranks) >= 0:
             stats.infeasible_lps += 1
-            return False, None, pivots
+            return False, None
         return True, _point(rows.plan, lowers,
                             _vertex(tableau, basis, ncols, real, bounds,
-                                    flipped)), pivots
+                                    flipped))
 
     # Tableau columns: structural | slacks | artificials | rhs | denominator.
     # An artificial row enters negated.  The phase-1 objective (minimize the
@@ -262,7 +261,6 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
         row[width + 1] = den
         tableau.append(row)
 
-    pivots = 0
     if art_rows:
         obj_den = lcm(*(dens[k] for k in art_rows))
         scaled = [dense[k] if dens[k] == obj_den
@@ -274,46 +272,43 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
         obj[width] = sum(totals[k] * (obj_den // dens[k]) for k in art_rows)
         obj[width + 1] = obj_den
         tableau.append(obj)
-
-        stats.note_tableau(m, width)
-        pivots = _kernel.phase1(tableau, basis, m, width, bounds=bounds,
-                                flipped=flipped, ranks=rows.ranks)
-        stats.pivots += pivots
+        _optimize(tableau, basis, m, width, bounds, flipped, ranks, stats)
         if tableau[m][width]:
             stats.infeasible_lps += 1
-            return False, None, pivots
-        _leave_artificials(tableau, basis, m, real, bounds, flipped,
-                           rows.ranks)
+            return False, None
+        _leave_artificials(tableau, basis, m, real, bounds, flipped, ranks)
         del bounds[real:], flipped[real:]
 
-    if objective is None:
-        tableau.append([0] * (real + 1) + [1])
-    else:
-        # Phase 2 over the feasible basis: the objective row, complemented
-        # where its columns are, priced out by pivoting each basic column on
-        # its own row, which leaves every constraint row as it is.
-        obj = dense[objective] + [0] * (m + 1) + [1]
-        for c in rows.cols:
-            if flipped[c] and obj[c]:
-                obj[real] -= obj[c] * bounds[c]
-                obj[c] = -obj[c]
-        tableau.append(obj)
-        for k in range(m):
-            if basis[k] < ncols and tableau[m][basis[k]]:
-                _kernel.pivot(tableau, basis, m, real, k, basis[k])
-        stats.note_tableau(m, real)
-        more = _kernel.phase1(tableau, basis, m, real, bounds=bounds,
-                              flipped=flipped, ranks=rows.ranks)
-        stats.pivots += more
-        pivots += more
+    # The objective row over the feasible basis (all zeros in a feasibility
+    # search), complemented where its columns are, priced out by pivoting
+    # each basic column on its own row, which leaves every constraint row as
+    # it is.  Only a real objective is then minimized, by phase 2.
+    head = [0] * ncols if objective is None else dense[objective]
+    obj = head + [0] * (m + 1) + [1]
+    for c in rows.cols:
+        if flipped[c] and obj[c]:
+            obj[real] -= obj[c] * bounds[c]
+            obj[c] = -obj[c]
+    tableau.append(obj)
+    for k in range(m):
+        if basis[k] < ncols and tableau[m][basis[k]]:
+            _kernel.pivot(tableau, basis, m, real, k, basis[k])
+    if objective is not None:
+        _optimize(tableau, basis, m, real, bounds, flipped, ranks, stats)
         if min(tableau[m][:real]) < 0:
-            return True, None, pivots
+            return True, None
 
     live.tableau, live.basis, live.totals = tableau, basis, totals
     live.bounds, live.flipped = bounds, flipped
     return True, _point(rows.plan, lowers,
-                        _vertex(tableau, basis, ncols, real, bounds,
-                                flipped)), pivots
+                        _vertex(tableau, basis, ncols, real, bounds, flipped))
+
+
+def _optimize(tableau, basis, nrows, width, bounds, flipped, ranks, stats):
+    """One kernel call, with its tableau size and pivots noted in ``stats``."""
+    stats.note_tableau(nrows, width)
+    stats.pivots += _kernel.phase1(tableau, basis, nrows, width,
+                                   bounds=bounds, flipped=flipped, ranks=ranks)
 
 
 def _move_rhs(tableau, width, ncols, dens, old, new):
@@ -369,18 +364,6 @@ def _move_bounds(tableau, width, bounds, flipped, cols, lowers, uppers):
                     t = row[c]
                     if t:
                         row[width] += t * delta
-
-
-def _violated(tableau, basis, width, bounds):
-    """Whether some basic variable is below 0 or above its bound."""
-    for row, b in zip(tableau, basis):
-        rhs = row[width]
-        if rhs < 0:
-            return True
-        u = bounds[b]
-        if u is not None and rhs > u * row[width + 1]:
-            return True
-    return False
 
 
 def _vertex(tableau, basis, ncols, width, bounds, flipped):

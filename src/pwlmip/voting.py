@@ -240,12 +240,10 @@ def _check_format(obj, kind):
 
 
 def load_election(obj):
-    """Deserialize either election kind from its JSON object."""
-    if not isinstance(obj, dict):
-        raise ValueError("election must be a JSON object")
-    if obj.get("kind", "approval") == "ordinal":
-        return OrdinalElection.from_json(obj)
-    return ApprovalElection.from_json(obj)
+    """Deserialize either election kind from its JSON object; the kind's
+    ``from_json`` refuses anything else."""
+    ordinal = isinstance(obj, dict) and obj.get("kind") == "ordinal"
+    return (OrdinalElection if ordinal else ApprovalElection).from_json(obj)
 
 
 @dataclass

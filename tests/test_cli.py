@@ -446,12 +446,18 @@ def test_wrong_format_for_command(capsys):
 
 
 def test_bad_epsilon(capsys):
-    code, _, err = run(capsys, "mmc-approx", fx("uniformish.json"),
-                       "--epsilon", "0")
-    assert code == 2 and "positive" in err
-    code, _, err = run(capsys, "mmc-approx", fx("uniformish.json"),
-                       "--epsilon", "nope")
-    assert code == 2
+    """A bad ``--epsilon`` is a usage error that names the flag, not the
+    input file, as a bad ``--node-limit`` is."""
+    for bad, message in (("0", "must be positive"),
+                         ("nope", "cannot parse rational")):
+        with pytest.raises(SystemExit) as exc:
+            main(["mmc-approx", fx("uniformish.json"), "--epsilon", bad,
+                  "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--epsilon" in captured.err and message in captured.err
+        assert "uniformish.json" not in captured.err
 
 
 def _write_json(tmp_path, name, blob):
@@ -536,7 +542,8 @@ def test_solver_value_errors_are_input_errors(capsys, tmp_path, command,
     argv += [arg.format(tmp=tmp_path) for arg in extra]
     code, report, err = run_json(capsys, *argv)
     assert code == 2
-    assert report == {"command": command, "status": "error",
+    expected = "oracle cover" if command == "oracle" else command
+    assert report == {"command": expected, "status": "error",
                       "error": "%s: %s" % (path, message)}
     assert err == "error: %s\n" % report["error"]
     code, out, err = run(capsys, *argv)

@@ -20,7 +20,7 @@ from pwlmip.milp import branch_bound
 from pwlmip.milp import lp as lp_module
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
-from pwlmip.milp.model import MilpModel, integer_row
+from pwlmip.milp.model import MilpModel, SolveStats, integer_row
 from pwlmip.pipeline import maximize_emip, minimize_budget, objective_bracket, solve_emip
 from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import lower
@@ -48,9 +48,9 @@ def _int_rows(rows, n):
 
 def test_lp_feasibility_basic():
     rows = [(((0, F(1)),), F(2)), (((0, F(-1)),), F(-1))]  # 1 <= x <= 2
-    ok, point, pivots = solve_lp_feasibility(_int_rows(rows, 1), [F(0)], [F(10)])
+    ok, point = solve_lp_feasibility(_int_rows(rows, 1), [F(0)], [F(10)])
     assert ok and 1 <= point[0] <= 2
-    ok, point, _ = solve_lp_feasibility(
+    ok, point = solve_lp_feasibility(
         _int_rows([(((0, F(-1)),), F(-11))], 1), [F(0)], [F(10)]
     )
     assert not ok
@@ -59,24 +59,24 @@ def test_lp_feasibility_basic():
 def test_lp_handles_free_variables():
     # x free, x <= -3 and -x <= -(-5) i.e. x >= -5
     rows = [(((0, F(1)),), F(-3)), (((0, F(-1)),), F(5))]
-    ok, point, _ = solve_lp_feasibility(_int_rows(rows, 1), [None], [None])
+    ok, point = solve_lp_feasibility(_int_rows(rows, 1), [None], [None])
     assert ok and -5 <= point[0] <= -3
 
 
 def test_lp_negative_rhs_exercises_artificials():
     # x + y >= 4 written as -x - y <= -4, within [0, 3] each
     rows = _int_rows([(((0, F(-1)), (1, F(-1))), F(-4))], 2)
-    ok, point, _ = solve_lp_feasibility(rows, [F(0), F(0)], [F(3), F(3)])
+    ok, point = solve_lp_feasibility(rows, [F(0), F(0)], [F(3), F(3)])
     assert ok and point[0] + point[1] >= 4
     rows = _int_rows([(((0, F(-1)), (1, F(-1))), F(-7))], 2)
-    ok, _, _ = solve_lp_feasibility(rows, [F(0), F(0)], [F(3), F(3)])
+    ok, _ = solve_lp_feasibility(rows, [F(0), F(0)], [F(3), F(3)])
     assert not ok
 
 
 def test_lp_exact_rational_vertex():
     # 3x = 1 has the exact solution 1/3
     rows = [(((0, F(3)),), F(1)), (((0, F(-3)),), F(-1))]
-    ok, point, _ = solve_lp_feasibility(_int_rows(rows, 1), [F(0)], [F(1)])
+    ok, point = solve_lp_feasibility(_int_rows(rows, 1), [F(0)], [F(1)])
     assert ok and point[0] == F(1, 3)
 
 
@@ -455,6 +455,14 @@ def _fraction_rows(tableau, ncols):
     return [[F(x, row[ncols + 1]) for x in row[:ncols + 1]] for row in tableau]
 
 
+def _phase1(tableau, basis, nrows, ncols, **bounded):
+    """``_kernel.phase1``, with every column unbounded and ranked by its
+    index when the call carries no bounds, flags and ranks."""
+    return integer_phase1(tableau, basis, nrows, ncols, **bounded or {
+        "bounds": [None] * ncols, "flipped": [False] * ncols,
+        "ranks": (range(ncols), ())})
+
+
 def _assert_agrees_with_reference(tableau, basis, nrows, ncols, **bounded):
     """Pivot an integer tableau in place and its Fractions by the reference,
     its bounded rule when the call carries bounds, flags and ranks.
@@ -471,7 +479,7 @@ def _assert_agrees_with_reference(tableau, basis, nrows, ncols, **bounded):
     else:
         expected_pivots = reference_phase1(expected, expected_basis, nrows,
                                            ncols)
-    pivots = integer_phase1(tableau, basis, nrows, ncols, **bounded)
+    pivots = _phase1(tableau, basis, nrows, ncols, **bounded)
     assert pivots == expected_pivots
     assert basis == expected_basis
     assert not bounded or bounded["flipped"] == expected_flipped
@@ -501,13 +509,14 @@ class KernelCall(NamedTuple):
         return self.tableau, self.basis, self.nrows, self.ncols
 
 
-def _record_kernel(monkeypatch, pivot=integer_phase1):
+def _record_kernel(monkeypatch, pivot=_phase1):
     """Route every ``_kernel.phase1`` call through ``pivot`` and record it.
 
     Returns the list each call is appended to as a :class:`KernelCall`.
     The keyword arguments (column bounds, flags and ranks) are forwarded
-    when some column carries a bound; without one they say what the
-    kernel's defaults say.
+    when some column carries a bound; without one they are dropped, as they
+    then say what :func:`_phase1` supplies: no bound, and each column ranked
+    by its index.
     """
     calls = []
 
@@ -655,8 +664,8 @@ def test_integer_kernel_pivots_are_invariant_under_row_scaling():
                    for _ in plain]
         scaled = _scaled(plain, factors)
         plain_basis, scaled_basis = list(basis), list(basis)
-        pivots = integer_phase1(plain, plain_basis, nrows, ncols)
-        assert integer_phase1(scaled, scaled_basis, nrows, ncols) == pivots
+        pivots = _phase1(plain, plain_basis, nrows, ncols)
+        assert _phase1(scaled, scaled_basis, nrows, ncols) == pivots
         assert scaled_basis == plain_basis
         assert _fraction_rows(scaled, ncols) == _fraction_rows(plain, ncols)
         scaled_cases += pivots > 0 and any(k > 1 for k in factors)
@@ -874,7 +883,8 @@ def test_phase2_drives_a_basic_artificial_out(monkeypatch):
                       (((0, F(-1)), (1, F(-1))), F(-2)),
                       (((0, F(-1)),), F(0))], 2)
     compiled = CompiledRows(rows, [F(0), F(0)], [F(3), F(3)])
-    ok, point, pivots = solve_lp_feasibility(compiled, (), (), objective=3)
+    stats = SolveStats()
+    ok, point = solve_lp_feasibility(compiled, (), (), stats, objective=3)
     assert ok and point == [2, 0]
     first, second = calls
     real = compiled.ncols + first.nrows  # structural and slack columns
@@ -884,7 +894,7 @@ def test_phase2_drives_a_basic_artificial_out(monkeypatch):
     assert all(next(x for x in first.final[k][:real] if x) < 0 for k in left)
     assert (second.nrows, second.ncols) == (first.nrows, real)
     assert max(second.basis) < real
-    assert pivots == first.pivots + second.pivots
+    assert stats.pivots == first.pivots + second.pivots
 
 
 def test_lp_rational_rows_and_bounds(monkeypatch):
@@ -905,7 +915,7 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
             for _ in range(rng.randint(1, 4))
         ]
         built.clear()
-        ok, point, _ = solve_lp_feasibility(_int_rows(rows, n), lowers, uppers)
+        ok, point = solve_lp_feasibility(_int_rows(rows, n), lowers, uppers)
         verdicts.add(ok)
         if orthant and built:
             dense = [([c for _, c in coeffs], rhs) for coeffs, rhs in rows]
@@ -940,7 +950,7 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
     ]
     for a, b, lo, value, row in cases:
         calls.clear()
-        ok, point, _ = solve_lp_feasibility(
+        ok, point = solve_lp_feasibility(
             _int_rows([(((0, F(-a)),), F(-b))], 1), [lo], [None])
         assert ok and point == [value]
         assert type(point[0]) is (int if value.denominator == 1 else Fraction)
@@ -950,7 +960,7 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
     calls.clear()
     rows = _int_rows([(((0, F(-1)), (1, F(3))), F(-5)),
                       (((0, F(-4)), (1, F(2))), F(-1))], 2)
-    ok, point, _ = solve_lp_feasibility(rows, [0, 0], [None, None])
+    ok, point = solve_lp_feasibility(rows, [0, 0], [None, None])
     assert ok and point == [5, 0] and all(type(x) is int for x in point)
     assert [4, -12, -4, 0, 4, 0, 20, 4] in calls[-1].final
 
@@ -967,8 +977,8 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
              random_fraction(rng, -5, 5))
             for _ in range(rng.randint(1, 4))
         ]
-        ok, point, _ = solve_lp_feasibility(_int_rows(rows, n), lowers,
-                                            [None] * n)
+        ok, point = solve_lp_feasibility(_int_rows(rows, n), lowers,
+                                         [None] * n)
         for x in point if ok else ():
             assert type(x) is (int if x.denominator == 1 else Fraction)
             kinds.add(type(x))
@@ -1330,6 +1340,47 @@ def test_warm_nodes_agree_with_cold_solves(monkeypatch, lowest_terms):
     assert seen["optimum compared"] > 50 and seen["threshold moved"] > 10
 
 
+def test_warm_infeasible_verdicts_come_with_a_farkas_row(monkeypatch):
+    """After every warm node LP that ends infeasible, ``violated_row`` finds
+    a row of the live tableau that proves the box empty: its basic value is
+    below 0 with no negative entry off the basic column, or above its bound
+    with no positive one.  Every nonbasic column reads at least 0, so no
+    point moves that basic value back inside its bounds.  The seeds reach
+    rows of both kinds."""
+    real_lp = branch_bound.solve_lp_feasibility
+    seen = collections.Counter()
+
+    def lp(rows, lo, up, stats=None, objective=None, live=None):
+        warm = live.tableau is not None
+        result = real_lp(rows, lo, up, stats, objective=objective, live=live)
+        if warm and not result[0]:
+            tableau, basis, bounds = live.tableau, live.basis, live.bounds
+            nrows, width = len(basis), len(tableau[0]) - 2
+            k = _kernel.violated_row(tableau, basis, nrows, width, bounds,
+                                     rows.ranks)
+            assert k >= 0
+            row, b = tableau[k], basis[k]
+            others = [row[j] for j in range(width) if j != b]
+            if row[width] < 0:
+                assert all(a >= 0 for a in others)
+                seen["below 0"] += 1
+            else:
+                assert row[width] > bounds[b] * row[width + 1]
+                assert all(a <= 0 for a in others)
+                seen["above the bound"] += 1
+        return result
+
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    rng = random.Random(0xB66)
+    for case in range(150):
+        model, objective, _, _ = _rational_milp(rng)
+        if case % 3:
+            milp.maximize(model, objective, -12, 12)
+        else:
+            milp.solve_feasibility(model)
+    assert seen["below 0"] > 20 and seen["above the bound"] > 10
+
+
 def test_moving_right_hand_sides_is_exact_in_any_row_form(monkeypatch):
     """Moving a tableau from totals ``old`` to ``new`` adds, to every row,
     (new - old) / dens[r] times its entry in slack column r, exactly: also
@@ -1468,11 +1519,11 @@ def _record_lps(monkeypatch, corrupt=None):
     real_lp = branch_bound.solve_lp_feasibility
 
     def lp(rows, lo, up, stats=None, **kwargs):
-        feasible, point, pivots = real_lp(rows, lo, up, stats, **kwargs)
+        feasible, point = real_lp(rows, lo, up, stats, **kwargs)
         if corrupt is not None and lo == up and feasible:
             point = corrupt(list(point))
         calls.append((list(lo), list(up), feasible, point))
-        return feasible, point, pivots
+        return feasible, point
 
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
     return calls

@@ -249,8 +249,8 @@ def test_dropped_rows_and_bounds_are_redundant_in_the_lp():
                 up = lo if rng.random() < 0.5 else rng.randint(lo, int(v.upper))
                 lowers[i] = F(lo)
                 uppers[i] = sub_uppers[i] = F(up)
-            lean, _, _ = solve_lp_feasibility(lowered.rows, lowers, uppers)
-            full, _, _ = solve_lp_feasibility(full_rows, lowers, sub_uppers)
+            lean, _ = solve_lp_feasibility(lowered.rows, lowers, uppers)
+            full, _ = solve_lp_feasibility(full_rows, lowers, sub_uppers)
             assert lean == full
             verdicts.add(lean)
             boxes += 1
