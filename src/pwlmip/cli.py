@@ -8,7 +8,8 @@ still gets a fresh namespace.  Exit codes: 0 for any completed solve
 (feasible or infeasible alike), 2 for a refused input, 3 when the node
 budget runs out, and 1 when stdout is a pipe whose reader has gone
 (``pwlmip ... --json | head``): the rest of the report is dropped without a
-traceback, as the Python docs advise for SIGPIPE.  Every refusal, by a
+traceback, as the Python docs advise for SIGPIPE.  A human report ends with
+one line of every ``SolveStats`` counter, in field order.  Every refusal, by a
 loader or a solver, is a ``ValueError`` and reads ``error: FILE: reason``:
 ``main`` alone puts the input file in front.  An ``OSError`` names its own
 file, the input or the ``-o`` output.  An answer that fails its exact
@@ -23,6 +24,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 import time
 
@@ -31,7 +33,6 @@ from .approx import almost_cover, decomposition_json
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipModel
 from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, export_lp
-from .milp.model import integer_row
 from .oracle import (OracleBudget, brute_cover, brute_manipulate,
                      gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
@@ -168,10 +169,8 @@ def _run_export_lp(args):
     lowered, _ = lower(model)
     objective, sense = None, "min"
     if model.objective is not None:
-        # Integer coefficients, as rows are written; original variables keep
-        # their indices in the lowered model.
-        objective, _, _ = integer_row(model.objective.coeffs, 0, lowered.n_vars)
-        sense = model.objective.sense
+        # original variables keep their indices in the lowered model
+        objective, sense = model.objective.coeffs, model.objective.sense
     text = export_lp(lowered, objective, sense)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -233,6 +232,17 @@ def _positive(parse):
     return positive
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that takes ``-p/q`` for a value, as it does ``-3``
+    and ``-0.5``, so ``--epsilon -1/2`` reaches the flag's type check.  Its
+    subparsers are of its class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built on first use and shared afterwards."""
@@ -253,7 +263,7 @@ def build_parser():
     winner.add_argument("--unique-winner", action="store_true",
                         help="require strict victory instead of a tie")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pwlmip",
         description="Solvers for piecewise-linear mixed integer programs "
                     "and their covering and election applications.",
@@ -349,13 +359,11 @@ def _emit(report, as_json, elapsed):
         print("assignment:",
               " ".join("%s=%s" % kv for kv in report["assignment"].items()))
     if "stats" in report:
-        s = report["stats"]
-        print("nodes: %d  lp calls: %d  pivots: %d  probes: %d  "
-              "infeasible lps: %d  rounding lps: %d  max depth: %d  "
-              "max tableau: %dx%d"
-              % (s["nodes"], s["lp_calls"], s["pivots"], s["probes"],
-                 s["infeasible_lps"], s["rounding_lps"], s["max_depth"],
-                 *s["max_tableau"]))
+        # every counter in SolveStats field order; a tableau shape reads RxC
+        print("  ".join(
+            "%s: %s" % (key.replace("_", " "), "x".join(map(str, value))
+                        if isinstance(value, tuple) else value)
+            for key, value in report["stats"].items()))
     print("wall time: %.3fs" % elapsed, file=sys.stderr)
 
 

@@ -232,22 +232,18 @@ def validate(model: EmipModel):
                 "bound (canonical form)" % model.variables[idx].name
             )
     for j, cons in enumerate(model.constraints):
-        for idx, fn in cons.lhs:
-            if not (0 <= idx < n):
-                problems.append("constraint %d: unknown variable index %d" % (j, idx))
-            elif not fn.is_linear and fn.shape is not Shape.CONVEX:
-                problems.append(
-                    "constraint %d: left-hand transformation on %r must be "
-                    "convex or linear" % (j, model.variables[idx].name)
-                )
-        for idx, fn in cons.rhs:
-            if not (0 <= idx < n):
-                problems.append("constraint %d: unknown variable index %d" % (j, idx))
-            elif not fn.is_linear and fn.shape is not Shape.CONCAVE:
-                problems.append(
-                    "constraint %d: right-hand transformation on %r must be "
-                    "concave or linear" % (j, model.variables[idx].name)
-                )
+        for side, terms, shape in (("left", cons.lhs, Shape.CONVEX),
+                                   ("right", cons.rhs, Shape.CONCAVE)):
+            for idx, fn in terms:
+                if not (0 <= idx < n):
+                    problems.append("constraint %d: unknown variable index %d"
+                                    % (j, idx))
+                elif not fn.is_linear and fn.shape is not shape:
+                    problems.append(
+                        "constraint %d: %s-hand transformation on %r must be "
+                        "%s or linear"
+                        % (j, side, model.variables[idx].name, shape.value)
+                    )
     if model.objective is not None:
         for idx, _ in model.objective.coeffs:
             if not (0 <= idx < n):

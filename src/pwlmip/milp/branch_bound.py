@@ -16,7 +16,8 @@ tableau in its place.  A deferred child keeps only its bounds, so no
 tableau is ever copied, and memory stays that of one LP.
 
 Optimization (:func:`maximize`) runs the same search once, with the extra
-row ``objective >= T``: T starts at t_lo and is raised past each incumbent.
+row ``objective >= T``: T starts at t_lo (an end the caller leaves out is
+worked out from the variables' bounds) and is raised past each incumbent.
 Every node LP maximizes the objective (a cold one in a phase 2 after its
 phase 1), so an integral vertex is the best point of its box.  It becomes
 the incumbent, worth the integer part of its objective capped at t_hi, and
@@ -220,18 +221,49 @@ def _round(rows, point, int_idx, stats, objective, live):
     return None
 
 
-def maximize(model: MilpModel, coeffs, t_lo, t_hi, node_limit=None) -> SolveResult:
+def _objective_end(model: MilpModel, coeffs, top):
+    """The integer end of sum(c * x_i) over the variables' bounds: the
+    ceiling of its largest value if ``top``, else the floor of its least.
+    A zero coefficient is skipped; an infinite bound is refused by name."""
+    total = 0
+    for i, c in coeffs:
+        if c == 0:
+            continue
+        v = model.variables[i]
+        upper = (c > 0) == top
+        bound = v.upper if upper else v.lower
+        if bound is None:
+            raise ValueError("objective variable %r has no %s bound; the "
+                             "threshold bracket is open"
+                             % (v.name, "upper" if upper else "lower"))
+        total += c * bound
+    return math.ceil(total) if top else math.floor(total)
+
+
+def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
+             node_limit=None) -> SolveResult:
     """Largest integer T in [t_lo, t_hi] with {model, sum(c*x) >= T} feasible.
 
     ``coeffs`` maps variable index to an exact coefficient.  The bracket must
     contain the optimum for the answer to be the true maximum; if the model is
-    infeasible even at ceil(t_lo) the result reports infeasible.  One search
-    tree answers it, so the node limit bounds the whole call.
+    infeasible even at ceil(t_lo) the result reports infeasible.  An end left
+    None is worked out from the variables' bounds, which must be finite on
+    that side for every variable with a nonzero coefficient.  A worked-out
+    t_hi bounds the form over every point, so one below ceil(t_lo) answers
+    infeasible with no node solved; a given bracket with no integer in it is
+    refused.  One search tree answers it, so the node limit bounds the whole
+    call.
     """
-    if isinstance(coeffs, dict):
-        coeffs = coeffs.items()
+    coeffs = tuple(coeffs.items() if isinstance(coeffs, dict) else coeffs)
     threshold, _, den = integer_row(((i, -c) for i, c in coeffs), 0, model.n_vars)
-    lo, hi = math.ceil(t_lo), math.floor(t_hi)
+    if t_lo is None:
+        t_lo = _objective_end(model, coeffs, top=False)
+    lo = math.ceil(t_lo)
+    if t_hi is None:
+        t_hi = _objective_end(model, coeffs, top=True)
+        if lo > t_hi:
+            return SolveResult(False, None)
+    hi = math.floor(t_hi)
     if lo > hi:
         raise ValueError("empty threshold bracket [%s, %s]" % (t_lo, t_hi))
     result = solve_feasibility(model, node_limit, (threshold, den, lo, hi))

@@ -3,10 +3,12 @@
 Numbers are written as exact integers or exact decimals, never floats.  Rows
 are written as the model stores them, integers with their denominator
 dropped, which scales each row by a positive factor and keeps its solution
-set.  A rational bound whose denominator is not of the form 2^a*5^b has no
-finite decimal; such a bound is exported as an extra integer row plus the
-weaker floor/ceil bound in the Bounds section, which preserves the feasible
-set exactly.
+set.  The objective is scaled to integers the same way, by
+:func:`~pwlmip.milp.model.integer_row`, which keeps its optimal points.  A
+rational bound whose denominator is not of the form 2^a*5^b has no finite
+decimal; such a bound is exported as an extra integer row plus the weaker
+floor/ceil bound in the Bounds section, which preserves the feasible set
+exactly.
 
 The output is one canonical dialect: a header comment, the sense, an
 ``obj:`` line, ``cK: ... <= rhs`` rows, Bounds lines of the forms
@@ -20,8 +22,7 @@ from __future__ import annotations
 
 import re
 
-from ..rationals import exact
-from .model import MilpModel, VarKind
+from .model import MilpModel, VarKind, integer_row
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
@@ -50,7 +51,9 @@ def _decimal_exact(q):
 
 
 def export_lp(model: MilpModel, objective=None, sense="min") -> str:
-    """Serialize to LP text.  ``objective`` maps variable index to coefficient."""
+    """Serialize to LP text.  ``objective`` maps variable index to an exact
+    coefficient (a dict or pairs); it is written over the lcm of its
+    denominators."""
     for v in model.variables:
         if not _NAME_RE.match(v.name):
             raise ValueError("variable name %r is not LP-safe" % v.name)
@@ -94,17 +97,9 @@ def export_lp(model: MilpModel, objective=None, sense="min") -> str:
     lines = ["\\ pwlmip model"]
     lines.append("Maximize" if sense == "max" else "Minimize")
     if objective:
-        obj_coeffs = sorted(
-            (int(i), exact(c)) for i, c in (
-                objective.items() if isinstance(objective, dict) else objective
-            )
-        )
-        for _, c in obj_coeffs:
-            if _decimal_exact(c) is None:
-                raise ValueError(
-                    "objective coefficient %s has no finite decimal; scale the "
-                    "objective to integers first" % c
-                )
+        if isinstance(objective, dict):
+            objective = objective.items()
+        obj_coeffs, _, _ = integer_row(objective, 0, model.n_vars)
         lines.append(" obj: " + (render_terms(obj_coeffs) or "0 " + names[0]))
     else:
         lines.append(" obj:")

@@ -139,14 +139,17 @@ class MilpModel:
 
 @dataclass
 class SolveStats:
+    """A solve's counters.  The CLI's human report prints them in this
+    field order, so a new counter needs no edit there."""
+
     nodes: int = 0
     lp_calls: int = 0
     pivots: int = 0
     probes: int = 0  # search trees run by ``maximize``, one per call
     infeasible_lps: int = 0  # LP relaxations that proved their box empty
+    rounding_lps: int = 0  # LPs that rounded a fractional vertex, not nodes
     max_depth: int = 0  # branchings from the root to the deepest node solved
     max_tableau: tuple = (0, 0)  # (nrows, ncols) of the largest kernel call
-    rounding_lps: int = 0  # LPs that rounded a fractional vertex, not nodes
 
     def note_tableau(self, nrows, ncols):
         self.max_tableau = max(self.max_tableau, (nrows, ncols),

@@ -447,17 +447,34 @@ def test_wrong_format_for_command(capsys):
 
 def test_bad_epsilon(capsys):
     """A bad ``--epsilon`` is a usage error that names the flag, not the
-    input file, as a bad ``--node-limit`` is."""
-    for bad, message in (("0", "must be positive"),
-                         ("nope", "cannot parse rational")):
+    input file, as a bad ``--node-limit`` is.  ``-p/q`` is read as the
+    flag's value, as ``-3`` is, in both spellings."""
+    for flag, message in (
+            (["--epsilon", "0"], "must be positive, got 0"),
+            (["--epsilon", "nope"], "cannot parse rational"),
+            (["--epsilon", "-1/2"], "must be positive, got -1/2"),
+            (["--epsilon=-1/2"], "must be positive, got -1/2")):
         with pytest.raises(SystemExit) as exc:
-            main(["mmc-approx", fx("uniformish.json"), "--epsilon", bad,
-                  "--json"])
+            main(["mmc-approx", fx("uniformish.json"), *flag, "--json"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--epsilon" in captured.err and message in captured.err
+        assert "argument --epsilon: " + message in captured.err
         assert "uniformish.json" not in captured.err
+
+
+def test_open_bracket_names_its_variable(capsys, tmp_path):
+    """An objective variable with no bound on the side the search needs is
+    refused by name, though a row bounds it."""
+    path = _write_json(tmp_path, "open.json", {
+        "format": "emip-v1",
+        "variables": [{"name": "x", "kind": "continuous", "upper": None}],
+        "constraints": [{"lhs": {"x": "1"}, "rhs": {}, "b": "5/2"}],
+        "objective": {"sense": "max", "coeffs": {"x": "1"}}})
+    code, out, err = run(capsys, "solve-emip", path)
+    assert code == 2 and out == ""
+    assert err == ("error: %s: objective variable 'x' has no upper bound; "
+                   "the threshold bracket is open\n" % path)
 
 
 def _write_json(tmp_path, name, blob):

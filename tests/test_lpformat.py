@@ -126,8 +126,10 @@ def test_objective_export_and_sense():
     assert _rebuild(lp) == model
     assert lp.objective == {0: F(3)}
     assert lp.sense == "max"
-    with pytest.raises(ValueError, match="decimal"):
-        export_lp(model, objective={0: F(1, 3)})
+    # a rational objective is scaled to integers, as rows are
+    text = export_lp(model, objective={0: F(1, 3)})
+    assert " obj: 1 x" in text
+    assert read_lp(text).objective == {0: F(1)}
 
 
 def test_rational_bound_becomes_row_plus_relaxed_bound():

@@ -15,13 +15,14 @@ import pytest
 from generators import grid_best, grid_feasible, random_fraction, random_grid_model
 from pwlmip import _kernel, covering, milp
 from pwlmip._kernel import phase1 as integer_phase1
-from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind, normalize
+from pwlmip.emip import (EmipConstraint, EmipModel, Objective, Variable, VarKind,
+                         normalize)
 from pwlmip.milp import branch_bound
 from pwlmip.milp import lp as lp_module
 from pwlmip.milp.branch_bound import resolve_node_limit
 from pwlmip.milp.lp import CompiledRows, solve_lp_feasibility
 from pwlmip.milp.model import MilpModel, SolveStats, integer_row
-from pwlmip.pipeline import maximize_emip, minimize_budget, objective_bracket, solve_emip
+from pwlmip.pipeline import maximize_emip, minimize_budget, solve_emip
 from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import lower
 from reference_kernel import bounded_phase1
@@ -170,6 +171,39 @@ def test_maximize_empty_bracket():
     model = _mk([("x", VarKind.INTEGER, F(0), F(2))], [([(0, 1)], 2)])
     with pytest.raises(ValueError, match="bracket"):
         milp.maximize(model, {0: F(1)}, 3, 2)
+    # a given t_hi below the worked-out t_lo = 0 is refused too
+    with pytest.raises(ValueError, match="empty threshold bracket"):
+        milp.maximize(model, {0: F(1)}, t_hi=-1)
+
+
+def test_maximize_works_out_ends_from_fractional_bounds():
+    # x continuous in [1/3, 5/2]: the bracket is [floor, ceil] of the form's
+    # range, and best is the integer threshold on each side
+    x = Variable("x", VarKind.CONTINUOUS, F(1, 3), F(5, 2))
+    for sense, best in (("max", 2), ("min", 1)):
+        model = EmipModel((x,), (), Objective(sense, {0: 1}))
+        result = maximize_emip(model)
+        assert result.feasible and result.best == best
+
+
+def test_maximize_skips_a_zero_coefficient_on_an_unbounded_variable():
+    model = _mk([("x", VarKind.INTEGER, F(0), F(3)),
+                 ("y", VarKind.CONTINUOUS, None, None)], [([(0, 1)], 3)])
+    result = milp.maximize(model, {0: F(1), 1: F(0)})
+    assert result.feasible and result.best == 3
+    # a nonzero one opens the end it reads, which is refused by name
+    with pytest.raises(ValueError, match="'y' has no upper bound"):
+        milp.maximize(model, {0: F(1), 1: F(1)}, t_lo=0)
+    with pytest.raises(ValueError, match="'y' has no lower bound"):
+        milp.maximize(model, {0: F(1), 1: F(-1)}, t_lo=0)
+
+
+def test_maximize_empty_worked_out_bracket_is_infeasible():
+    # the form reaches at most 2, so no point reaches t_lo = 3: no node
+    model = _mk([("x", VarKind.INTEGER, F(0), F(2))], [([(0, 1)], 2)])
+    result = milp.maximize(model, {0: F(1)}, t_lo=3)
+    assert not result.feasible and result.best is None
+    assert result.stats.nodes == 0 and result.stats.probes == 0
 
 
 def test_maximize_entire_bracket_feasible():
@@ -189,10 +223,7 @@ def test_maximize_against_grid_enumeration():
         coeffs = dict(norm.objective.coeffs)
         if norm.objective.sense == "min":
             coeffs = {i: -c for i, c in coeffs.items()}
-        from pwlmip.pipeline import objective_bracket
-
-        lo, hi = objective_bracket(norm, coeffs)
-        result = milp.maximize(lowered, coeffs, lo, hi)
+        result = milp.maximize(lowered, coeffs)
         if truth is None:
             assert not result.feasible
         else:
@@ -843,7 +874,7 @@ def test_phase2_kernel_calls_match_reference(monkeypatch):
         norm = normalize(random_grid_model(rng, with_objective=True))
         lowered, _ = lower(norm)
         coeffs = dict(norm.objective.coeffs)
-        milp.maximize(lowered, coeffs, *objective_bracket(norm, coeffs))
+        milp.maximize(lowered, coeffs)
     for case in range(150):
         model, objective, _, _ = _random_milp(rng, unbounded=case % 3 == 0)
         milp.maximize(model, objective, -6, 6)
@@ -1476,7 +1507,7 @@ def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):
         lowered, _ = lower(norm)
         coeffs = dict(norm.objective.coeffs)
         calls.clear()
-        stats = milp.maximize(lowered, coeffs, *objective_bracket(norm, coeffs)).stats
+        stats = milp.maximize(lowered, coeffs).stats
         for tableau, _, nrows, ncols, _, _ in calls:
             assert len(tableau) == nrows + 1
             assert all(len(row) == ncols + 2 for row in tableau)
