@@ -19,7 +19,6 @@ subtracted, and the walk restarts at the jump.  All arithmetic is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covering import Types
@@ -28,10 +27,10 @@ from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget
 from .pwl import PwlFunction
 from .rationals import exact, parse_rational
+from .records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class ApproxParams:
+class ApproxParams(Frozen):
     """Grid constants for a target accuracy ε over an m-element universe.
 
     Z caps how far a shape entry may exceed the entry before a jump, and Y
@@ -42,48 +41,47 @@ class ApproxParams:
     exact: with an int ε, ``ε / 4`` would be a float.
     """
 
-    epsilon: Fraction
-    m: int
-    Z: int = field(init=False)
-    Y: int = field(init=False)
+    __slots__ = _fields = ("epsilon", "m", "Z", "Y")
 
-    def __post_init__(self):
-        epsilon = Fraction(parse_rational(self.epsilon))
+    def __init__(self, epsilon: Fraction, m: int):
+        epsilon = Fraction(parse_rational(epsilon))
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "m", int(self.m))
-        if self.m < 1:
+        m = int(m)
+        if m < 1:
             raise ValueError("universe size must be at least 1")
-        z = math.ceil(4 * self.m / epsilon)
-        y = z + math.ceil(4 * z * self.m**3 / epsilon)
+        z = math.ceil(4 * m / epsilon)
+        y = z + math.ceil(4 * z * m**3 / epsilon)
+        assert Fraction(m, z) <= epsilon / 4
+        assert Fraction(z * m**3, y - z) <= epsilon / 4
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "Z", z)
         object.__setattr__(self, "Y", y)
-        assert Fraction(self.m, self.Z) <= epsilon / 4
-        assert Fraction(self.Z * self.m**3, self.Y - self.Z) <= epsilon / 4
 
     @property
     def half_eps(self) -> Fraction:
         return self.epsilon / 2
 
 
-@dataclass(frozen=True)
-class EmittedVector:
+class EmittedVector(Frozen):
     """One β·V piece of a decomposed set.
 
     ``shape`` entries are nonnegative multiples of ε/2; the multiset this
     vector actually contributes is the componentwise floor of β·shape
-    (see :meth:`realized`), so contributions stay integral.
+    (see :meth:`realized`), so contributions stay integral.  That floor is
+    kept in a slot outside the fields, so it is not compared or printed.
     """
 
-    beta: int
-    shape: tuple
-    origin: int
-    _realized: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("beta", "shape", "origin")
+    __slots__ = _fields + ("_realized",)
 
-    def __post_init__(self):
+    def __init__(self, beta: int, shape: tuple, origin: int):
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "_realized", tuple(
-            math.floor(self.beta * s) for s in self.shape))
+            math.floor(beta * s) for s in shape))
 
     def realized(self):
         return self._realized
@@ -97,8 +95,7 @@ class EmittedVector:
         }
 
 
-@dataclass(frozen=True)
-class EmissionRecord:
+class EmissionRecord(Frozen):
     """Trace of one emission, for auditing the decomposition's guarantees.
 
     Positions refer to the ascending multiplicity order ``order`` (shared
@@ -109,15 +106,21 @@ class EmissionRecord:
     next emission's β).
     """
 
-    order: tuple
-    start: int
-    beta: int
-    pre_shape: tuple
-    shape: tuple
-    jump_pos: int | None
-    prev_value: int | None
-    jump_before: int | None
-    jump_after: int | None
+    __slots__ = _fields = ("order", "start", "beta", "pre_shape", "shape",
+                           "jump_pos", "prev_value", "jump_before", "jump_after")
+
+    def __init__(self, order: tuple, start: int, beta: int, pre_shape: tuple,
+                 shape: tuple, jump_pos: int | None, prev_value: int | None,
+                 jump_before: int | None, jump_after: int | None):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "pre_shape", pre_shape)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "jump_pos", jump_pos)
+        object.__setattr__(self, "prev_value", prev_value)
+        object.__setattr__(self, "jump_before", jump_before)
+        object.__setattr__(self, "jump_after", jump_after)
 
 
 def _as_multiplicity_vector(s, m):
@@ -204,16 +207,28 @@ def decompose_trace(s, params: ApproxParams, origin: int = 0):
     return vectors, trace
 
 
-@dataclass
-class AlmostCoverSolution:
-    feasible: bool
-    chosen: tuple = ()       # EmittedVector, the selected pieces
-    coverage: tuple = ()     # per-element coverage achieved by `chosen`
-    misses: tuple = ()       # per-element max(0, r_i - coverage_i), exact
-    miss_total: int | None = None
-    miss_bound: Fraction | None = None  # ε · Σ r_i
-    origins: tuple = ()      # distinct source-set indices, sorted
-    stats: SolveStats = field(default_factory=SolveStats)
+class AlmostCoverSolution(Record):
+    """An almost-cover's verdict.  ``chosen`` holds the selected pieces, each
+    an :class:`EmittedVector`; ``coverage`` the per-element coverage they
+    achieve; ``misses`` the exact per-element max(0, r_i - coverage_i);
+    ``miss_bound`` is ε · Σ r_i; ``origins`` the distinct source-set
+    indices, sorted."""
+
+    __slots__ = _fields = ("feasible", "chosen", "coverage", "misses",
+                           "miss_total", "miss_bound", "origins", "stats")
+
+    def __init__(self, feasible: bool, chosen: tuple = (), coverage: tuple = (),
+                 misses: tuple = (), miss_total: int | None = None,
+                 miss_bound: Fraction | None = None, origins: tuple = (),
+                 stats: SolveStats | None = None):
+        self.feasible = feasible
+        self.chosen = chosen
+        self.coverage = coverage
+        self.misses = misses
+        self.miss_total = miss_total
+        self.miss_bound = miss_bound
+        self.origins = origins
+        self.stats = SolveStats() if stats is None else stats
 
 
 def almost_cover(instance, epsilon, node_limit=None) -> AlmostCoverSolution:

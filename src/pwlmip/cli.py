@@ -33,8 +33,8 @@ from .approx import almost_cover, decomposition_json
 from .covering import CoverInstance, solve_umm, solve_wsm
 from .emip import EmipModel
 from .milp import DEFAULT_NODE_LIMIT, ResourceExhausted, export_lp
-from .oracle import (OracleBudget, brute_cover, brute_manipulate,
-                     gen_hard_instances)
+from .oracle import (DEFAULT_MAX_ITEMS, OracleBudget, brute_cover,
+                     brute_manipulate, gen_hard_instances)
 from .pipeline import maximize_emip, solve_emip
 from .rationals import parse_integer, parse_rational
 from .reduction import lower
@@ -56,9 +56,8 @@ def _load(path, from_json):
 
 
 def _stats_json(stats):
-    """A report's ``stats``: a plain copy of the counters, which JSON writes
-    as ``dataclasses.asdict`` would, without its deep copy."""
-    return dict(vars(stats))
+    """A report's ``stats``: each counter by name, in field order."""
+    return {name: getattr(stats, name) for name in stats._fields}
 
 
 def _report(command, result, fields_if_feasible, **always):
@@ -315,13 +314,13 @@ def build_parser():
     oc = osub.add_parser("cover", parents=[common])
     oc.add_argument("file")
     oc.add_argument("--max-items", type=_positive(parse_integer),
-                    default=OracleBudget.max_items)
+                    default=DEFAULT_MAX_ITEMS)
     om = osub.add_parser("manipulate", parents=[common, winner])
     om.add_argument("problem",
                     choices=["ccdv", "ccav", "bribery", "scoring-ccdv"])
     om.add_argument("file")
     om.add_argument("--max-items", type=_positive(parse_integer),
-                    default=OracleBudget.max_items)
+                    default=DEFAULT_MAX_ITEMS)
     og = osub.add_parser("gen", parents=[common])
     og.add_argument("kind", choices=["partition-wmm", "subsetsum-mmc"])
     og.add_argument("--count", type=_positive(parse_integer), default=10)

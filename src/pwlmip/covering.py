@@ -28,27 +28,26 @@ type's first members and re-check the cover exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
 from .pwl import PwlFunction
 from .rationals import (json_array, json_entries, json_format, parse_count,
                         parse_field, parse_integer)
+from .records import Frozen, Record
 
 FORMAT_NAME = "cover-v1"
 
 
-@dataclass(frozen=True)
-class CoverInstance:
-    """Elements 0..m-1, multisets with weights, coverage requirements, budget."""
+class CoverInstance(Frozen):
+    """Elements 0..m-1, multisets with weights, coverage requirements, budget.
 
-    m: int
-    sets: tuple          # per set: tuple of (element, multiplicity), sorted
-    weights: tuple       # per set: integer weight (defaults to all ones)
-    requirements: tuple  # per element: required coverage
-    budget: int
+    Per set, ``sets`` holds its (element, multiplicity) pairs, sorted, and
+    ``weights`` its integer weight (all ones by default); per element,
+    ``requirements`` holds its required coverage.
+    """
+
+    __slots__ = _fields = ("m", "sets", "weights", "requirements", "budget")
 
     def __init__(self, m, sets, requirements, budget, weights=None):
         object.__setattr__(self, "m", parse_count(m, "m"))
@@ -132,8 +131,7 @@ class CoverInstance:
         )
 
 
-@dataclass(frozen=True)
-class Types:
+class Types(Frozen):
     """Items grouped into types, one integer count per type.
 
     ``keys`` are the distinct type keys, sorted; ``members[j]`` holds type
@@ -142,8 +140,11 @@ class Types:
     prefix sums of its members' weights or yields, convex or concave.
     """
 
-    keys: tuple
-    members: tuple
+    __slots__ = _fields = ("keys", "members")
+
+    def __init__(self, keys: tuple, members: tuple):
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def of(cls, keys, rank):
@@ -178,13 +179,16 @@ class Types:
         return result, taken
 
 
-@dataclass
-class CoverSolution:
-    feasible: bool
-    chosen: tuple = ()
-    cost: int | None = None
-    coverage: tuple = ()
-    stats: SolveStats = field(default_factory=SolveStats)
+class CoverSolution(Record):
+    __slots__ = _fields = ("feasible", "chosen", "cost", "coverage", "stats")
+
+    def __init__(self, feasible: bool, chosen: tuple = (), cost: int | None = None,
+                 coverage: tuple = (), stats: SolveStats | None = None):
+        self.feasible = feasible
+        self.chosen = chosen
+        self.cost = cost
+        self.coverage = coverage
+        self.stats = SolveStats() if stats is None else stats
 
 
 def solve_wsm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> CoverSolution:

@@ -19,13 +19,13 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .milp.model import Variable, VarKind
 from .pwl import PwlFunction, Shape
 from .rationals import (exact, json_entries, json_format, json_object, parse_field,
                         parse_rational)
+from .records import Frozen
 
 FORMAT_NAME = "emip-v1"
 
@@ -48,18 +48,15 @@ def _as_terms(terms):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EmipConstraint:
+class EmipConstraint(Frozen):
     """sum of lhs terms <= sum of rhs terms + b."""
 
-    lhs: tuple
-    rhs: tuple
-    b: int | Fraction = 0
+    __slots__ = _fields = ("lhs", "rhs", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", _as_terms(self.lhs))
-        object.__setattr__(self, "rhs", _as_terms(self.rhs))
-        object.__setattr__(self, "b", exact(self.b))
+    def __init__(self, lhs: tuple, rhs: tuple, b: int | Fraction = 0):
+        object.__setattr__(self, "lhs", _as_terms(lhs))
+        object.__setattr__(self, "rhs", _as_terms(rhs))
+        object.__setattr__(self, "b", exact(b))
 
     def holds(self, assignment) -> bool:
         """Exact check of the constraint at a full assignment (index -> value)."""
@@ -68,29 +65,30 @@ class EmipConstraint:
         return lhs <= rhs + self.b
 
 
-@dataclass(frozen=True)
-class Objective:
-    sense: str  # "max" or "min"
-    coeffs: tuple  # sorted (index, coefficient) pairs
+class Objective(Frozen):
+    """``sense`` is "max" or "min"; ``coeffs`` are sorted (index,
+    coefficient) pairs."""
 
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
+    __slots__ = _fields = ("sense", "coeffs")
+
+    def __init__(self, sense: str, coeffs: tuple):
+        if sense not in ("max", "min"):
             raise ValueError("objective sense must be 'max' or 'min'")
-        items = self.coeffs.items() if isinstance(self.coeffs, dict) else self.coeffs
+        object.__setattr__(self, "sense", sense)
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         object.__setattr__(
             self, "coeffs", tuple(sorted((i, exact(c)) for i, c in items))
         )
 
 
-@dataclass(frozen=True)
-class EmipModel:
-    variables: tuple
-    constraints: tuple
-    objective: Objective | None = None
+class EmipModel(Frozen):
+    __slots__ = _fields = ("variables", "constraints", "objective")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __init__(self, variables: tuple, constraints: tuple,
+                 objective: Objective | None = None):
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "constraints", tuple(constraints))
+        object.__setattr__(self, "objective", objective)
 
     def var_index(self, name: str) -> int:
         for i, v in enumerate(self.variables):

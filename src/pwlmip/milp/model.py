@@ -15,11 +15,11 @@ for values that are not, and in the messages of ``check_assignment``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from ..rationals import exact
+from ..records import Frozen, Record
 
 __all__ = [
     "Variable",
@@ -39,22 +39,20 @@ class VarKind(enum.Enum):
     CONTINUOUS = "continuous"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Frozen):
     """A named column with exact bounds, None for an infinite one."""
 
-    name: str
-    kind: VarKind = VarKind.INTEGER
-    lower: int | Fraction | None = 0
-    upper: int | Fraction | None = None
+    __slots__ = _fields = ("name", "kind", "lower", "upper")
 
-    def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
+    def __init__(self, name: str, kind: VarKind = VarKind.INTEGER,
+                 lower: int | Fraction | None = 0,
+                 upper: int | Fraction | None = None):
+        if not name or not isinstance(name, str):
             raise ValueError("variable needs a nonempty string name")
-        if self.lower is not None:
-            object.__setattr__(self, "lower", exact(self.lower))
-        if self.upper is not None:
-            object.__setattr__(self, "upper", exact(self.upper))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lower", None if lower is None else exact(lower))
+        object.__setattr__(self, "upper", None if upper is None else exact(upper))
 
 
 def check_bounds(variables, assignment):
@@ -100,22 +98,21 @@ class SolverInternalError(AssertionError):
     """A solver produced an answer that failed its own exact re-check."""
 
 
-@dataclass(frozen=True)
-class MilpModel:
+class MilpModel(Frozen):
     """Variables plus integer rows ``(coeffs, rhs, den)``, taken as they
     are; :func:`integer_row` makes one from a rational row."""
 
-    variables: tuple
-    rows: tuple
+    __slots__ = _fields = ("variables", "rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
+    def __init__(self, variables: tuple, rows: tuple):
+        variables = tuple(variables)
         names = set()
-        for v in self.variables:
+        for v in variables:
             if v.name in names:
                 raise ValueError("duplicate variable name %r" % v.name)
             names.add(v.name)
-        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def n_vars(self) -> int:
@@ -137,27 +134,41 @@ class MilpModel:
         return problems
 
 
-@dataclass
-class SolveStats:
+class SolveStats(Record):
     """A solve's counters.  The CLI's human report prints them in this
-    field order, so a new counter needs no edit there."""
+    field order, so a new counter needs no edit there.
 
-    nodes: int = 0
-    lp_calls: int = 0
-    pivots: int = 0
-    probes: int = 0  # search trees run by ``maximize``, one per call
-    infeasible_lps: int = 0  # LP relaxations that proved their box empty
-    rounding_lps: int = 0  # LPs that rounded a fractional vertex, not nodes
-    max_depth: int = 0  # branchings from the root to the deepest node solved
-    max_tableau: tuple = (0, 0)  # (nrows, ncols) of the largest kernel call
+    ``nodes``, ``lp_calls`` and ``pivots`` count search nodes, LP solves
+    and simplex pivots.  ``probes`` counts the search trees run by
+    ``maximize``, one per call.  ``infeasible_lps`` counts the LP
+    relaxations that proved their box empty, and ``rounding_lps`` the LPs
+    that rounded a fractional vertex, which are not nodes.  ``max_depth``
+    is the number of branchings from the root to the deepest node solved,
+    and ``max_tableau`` the (nrows, ncols) of the largest kernel call.
+    """
+
+    __slots__ = _fields = ("nodes", "lp_calls", "pivots", "probes",
+                           "infeasible_lps", "rounding_lps", "max_depth",
+                           "max_tableau")
+
+    def __init__(self, nodes: int = 0, lp_calls: int = 0, pivots: int = 0,
+                 probes: int = 0, infeasible_lps: int = 0, rounding_lps: int = 0,
+                 max_depth: int = 0, max_tableau: tuple = (0, 0)):
+        self.nodes = nodes
+        self.lp_calls = lp_calls
+        self.pivots = pivots
+        self.probes = probes
+        self.infeasible_lps = infeasible_lps
+        self.rounding_lps = rounding_lps
+        self.max_depth = max_depth
+        self.max_tableau = max_tableau
 
     def note_tableau(self, nrows, ncols):
         self.max_tableau = max(self.max_tableau, (nrows, ncols),
                                key=lambda s: (s[0] * s[1], s[0]))
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     """A solve's verdict, witness and stats.  ``best`` is an optimization's
     best integer threshold, None for a feasibility solve.  The search steps
     by integers, so ``best`` is the exact optimum when that is an integer,
@@ -165,7 +176,11 @@ class SolveResult:
     than 1 toward the worse side: minimizing x/2 over an integer x in
     [1, 3] gives 1, not 1/2."""
 
-    feasible: bool
-    assignment: dict | None
-    stats: SolveStats = field(default_factory=SolveStats)
-    best: int | None = None
+    __slots__ = _fields = ("feasible", "assignment", "stats", "best")
+
+    def __init__(self, feasible: bool, assignment: dict | None,
+                 stats: SolveStats | None = None, best: int | None = None):
+        self.feasible = feasible
+        self.assignment = assignment
+        self.stats = SolveStats() if stats is None else stats
+        self.best = best

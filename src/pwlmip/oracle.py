@@ -12,14 +12,18 @@ raises :class:`CapExceeded` instead of silently grinding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Frozen
+
+DEFAULT_MAX_ITEMS = 20
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(Frozen):
     """Caps for the exhaustive search (2**max_items subsets get visited)."""
 
-    max_items: int = 20
+    __slots__ = _fields = ("max_items",)
+
+    def __init__(self, max_items: int = DEFAULT_MAX_ITEMS):
+        object.__setattr__(self, "max_items", max_items)
 
     def check(self, n_items):
         if n_items > self.max_items:
@@ -33,11 +37,14 @@ class CapExceeded(ValueError):
     """The requested exhaustive search is larger than the budget allows."""
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
-    feasible: bool
-    best_cost: int | None = None
-    witness: tuple = ()
+class OracleAnswer(Frozen):
+    __slots__ = _fields = ("feasible", "best_cost", "witness")
+
+    def __init__(self, feasible: bool, best_cost: int | None = None,
+                 witness: tuple = ()):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "best_cost", best_cost)
+        object.__setattr__(self, "witness", witness)
 
 
 def _gray_subsets(n):

@@ -25,10 +25,10 @@ built from ints equals and hashes like one built from equal Fractions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import exact, json_array, parse_rational
+from .records import Frozen
 
 
 class Shape(enum.Enum):
@@ -36,19 +36,16 @@ class Shape(enum.Enum):
     CONCAVE = "concave"
 
 
-@dataclass(frozen=True)
-class PwlFunction:
+class PwlFunction(Frozen):
     """An exact piecewise-linear function in canonical (merged) form."""
 
-    shape: Shape
-    value_at_zero: int | Fraction
-    breakpoints: tuple
-    slopes: tuple
+    __slots__ = _fields = ("shape", "value_at_zero", "breakpoints", "slopes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value_at_zero", exact(self.value_at_zero))
-        bps = tuple(map(exact, self.breakpoints))
-        slopes = tuple(map(exact, self.slopes))
+    def __init__(self, shape: Shape, value_at_zero: int | Fraction,
+                 breakpoints: tuple, slopes: tuple):
+        value_at_zero = exact(value_at_zero)
+        bps = tuple(map(exact, breakpoints))
+        slopes = tuple(map(exact, slopes))
         if len(slopes) != len(bps) + 1:
             raise ValueError(
                 "need exactly one slope per piece: %d breakpoints require %d "
@@ -60,12 +57,14 @@ class PwlFunction:
                     "breakpoints must be strictly ascending: %s" % (bps,)
                 )
             bps, slopes = _merge_equal_slopes(bps, slopes)
-            if self.shape is Shape.CONVEX:
+            if shape is Shape.CONVEX:
                 if any(a > b for a, b in zip(slopes, slopes[1:])):
                     raise ValueError("convex function needs nondecreasing slopes")
             else:
                 if any(a < b for a, b in zip(slopes, slopes[1:])):
                     raise ValueError("concave function needs nonincreasing slopes")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "value_at_zero", value_at_zero)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "slopes", slopes)
 

@@ -49,36 +49,46 @@ The rows are kept lean, which keeps the LP relaxation exactly as tight:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .emip import EmipModel, normalize
 from .milp.model import (MilpModel, SolverInternalError, Variable, VarKind,
                          check_bounds, integer_row)
 from .pwl import PwlFunction
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class LoweredTerm:
-    """Auxiliaries standing in for one transformation f(x_i) or g(x_i)."""
+class LoweredTerm(Frozen):
+    """Auxiliaries standing in for one transformation f(x_i) or g(x_i).
 
-    var: int               # index of x_i (same in source and lowered model)
-    bound_var: int         # index of w (convex side) or u (concave side)
-    aux_vars: tuple        # indices of z_l / y_l, one per breakpoint
-    fn: PwlFunction
+    ``var`` is the index of x_i, the same in the source and the lowered
+    model; ``bound_var`` the index of w (convex side) or u (concave side);
+    ``aux_vars`` the indices of z_l / y_l, one per breakpoint.
+    """
+
+    __slots__ = _fields = ("var", "bound_var", "aux_vars", "fn")
+
+    def __init__(self, var: int, bound_var: int, aux_vars: tuple, fn: PwlFunction):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "bound_var", bound_var)
+        object.__setattr__(self, "aux_vars", aux_vars)
+        object.__setattr__(self, "fn", fn)
 
 
-@dataclass(frozen=True)
-class LoweringMap:
-    """Where every source variable, transformation and constraint landed."""
+class LoweringMap(Frozen):
+    """Where every source variable, transformation and constraint landed.
 
-    n_original: int
-    # ((constraint_index, side, var_index), LoweredTerm) pairs, one per use;
-    # uses of the same (variable, function, side) share one LoweredTerm.
-    terms: tuple
-    # One (coeffs, b) per source constraint: its lowered form, the unscaled
-    # row sum(c * column) <= b over lowered columns, with b the normalized
-    # right-hand side.
-    forms: tuple
+    ``terms`` holds ((constraint_index, side, var_index), LoweredTerm)
+    pairs, one per use; uses of the same (variable, function, side) share
+    one LoweredTerm.  ``forms`` holds one (coeffs, b) per source
+    constraint: its lowered form, the unscaled row sum(c * column) <= b
+    over lowered columns, with b the normalized right-hand side.
+    """
+
+    __slots__ = _fields = ("n_original", "terms", "forms")
+
+    def __init__(self, n_original: int, terms: tuple, forms: tuple):
+        object.__setattr__(self, "n_original", n_original)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "forms", forms)
 
 
 def lower(model: EmipModel):

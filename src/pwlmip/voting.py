@@ -33,14 +33,13 @@ function, and the winner rows are linear in the counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .covering import CoverInstance, Types, solve_umm, solve_wsm
 from .emip import EmipConstraint
 from .milp.model import SolveStats, SolverInternalError
 from .pwl import PwlFunction
 from .rationals import (json_array, json_entries, json_format, parse_count,
                         parse_field, parse_integer)
+from .records import Frozen, Record
 
 FORMAT_NAME = "election-v1"
 
@@ -53,13 +52,10 @@ def _json_names(value, where):
     return value
 
 
-@dataclass(frozen=True)
-class Voter:
+class Voter(Frozen):
     """One approval ballot with a weight and a deletion/addition/bribe price."""
 
-    approved: frozenset
-    weight: int = 1
-    price: int = 1
+    __slots__ = _fields = ("approved", "weight", "price")
 
     def __init__(self, approved, weight=1, price=1):
         object.__setattr__(self, "approved", frozenset(approved))
@@ -67,17 +63,13 @@ class Voter:
         object.__setattr__(self, "price", parse_count(price, "price"))
 
 
-@dataclass(frozen=True)
-class ApprovalElection:
+class ApprovalElection(Frozen):
     """Approval ballots; ``candidates[0]`` is the preferred candidate.
 
     ``pool`` holds the spare voters that control-by-adding may register.
     """
 
-    candidates: tuple
-    voters: tuple
-    budget: int
-    pool: tuple = ()
+    __slots__ = _fields = ("candidates", "voters", "budget", "pool")
 
     def __init__(self, candidates, voters, budget, pool=()):
         candidates = tuple(candidates)
@@ -147,26 +139,20 @@ class ApprovalElection:
         )
 
 
-@dataclass(frozen=True)
-class OrdinalVoter:
+class OrdinalVoter(Frozen):
     """A full ranking, best first, with a deletion price."""
 
-    ranking: tuple
-    price: int = 1
+    __slots__ = _fields = ("ranking", "price")
 
     def __init__(self, ranking, price=1):
         object.__setattr__(self, "ranking", tuple(ranking))
         object.__setattr__(self, "price", parse_count(price, "price"))
 
 
-@dataclass(frozen=True)
-class OrdinalElection:
+class OrdinalElection(Frozen):
     """Ranked ballots scored by a nonincreasing vector, best position first."""
 
-    candidates: tuple
-    voters: tuple
-    scoring_vector: tuple
-    budget: int
+    __slots__ = _fields = ("candidates", "voters", "scoring_vector", "budget")
 
     def __init__(self, candidates, voters, scoring_vector, budget):
         candidates = tuple(candidates)
@@ -246,14 +232,23 @@ def load_election(obj):
     return (OrdinalElection if ordinal else ApprovalElection).from_json(obj)
 
 
-@dataclass
-class ManipulationResult:
-    feasible: bool
-    action: tuple = ()        # voter indices, sorted (pool indices for adding)
-    cost: int | None = None
-    kind: str = ""            # "delete" | "add" | "bribe"
-    new_votes: tuple = ()     # bribery only: the rewritten ballots, by action
-    stats: SolveStats = field(default_factory=SolveStats)
+class ManipulationResult(Record):
+    """A manipulation's verdict.  ``action`` holds voter indices, sorted
+    (pool indices for adding); ``kind`` is "delete", "add" or "bribe";
+    ``new_votes``, for bribery only, the rewritten ballots, by action."""
+
+    __slots__ = _fields = ("feasible", "action", "cost", "kind", "new_votes",
+                           "stats")
+
+    def __init__(self, feasible: bool, action: tuple = (), cost: int | None = None,
+                 kind: str = "", new_votes: tuple = (),
+                 stats: SolveStats | None = None):
+        self.feasible = feasible
+        self.action = action
+        self.cost = cost
+        self.kind = kind
+        self.new_votes = new_votes
+        self.stats = SolveStats() if stats is None else stats
 
 
 def approval_score(election: ApprovalElection):

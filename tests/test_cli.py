@@ -1,6 +1,5 @@
 """End-to-end command line runs against the shipped example files."""
 
-import dataclasses
 import json
 import os
 import random
@@ -15,7 +14,7 @@ from pwlmip import approx, cli, pipeline
 from pwlmip.cli import build_parser, main
 from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
-from pwlmip.milp import SolverInternalError
+from pwlmip.milp import SolveStats, SolverInternalError
 from pwlmip.oracle import gen_hard_instances
 from pwlmip.voting import ApprovalElection, Voter
 
@@ -203,9 +202,13 @@ def test_json_reports_are_byte_identical(capsys):
 
 
 def test_reports_copy_stats_as_asdict_would(capsys, monkeypatch, tmp_path):
-    """Reports copy ``stats`` field by field: one ``--json`` report of each
-    solving command is byte-identical to the one ``dataclasses.asdict``
-    gives."""
+    """Reports copy ``stats`` field by field, as ``dataclasses.asdict``
+    copies a flat record: in one ``--json`` report of each solving command,
+    ``stats`` holds exactly the ``SolveStats`` counters, keyed in field
+    order, each equal to its attribute."""
+    fields = ["nodes", "lp_calls", "pivots", "probes", "infeasible_lps",
+              "rounding_lps", "max_depth", "max_tableau"]
+    assert list(SolveStats._fields) == fields
     invocations = (
         ("solve-emip", fx("knapsackish.json")),
         ("wsm", fx("wsm3.json"), "--minimize-cost"),
@@ -216,12 +219,22 @@ def test_reports_copy_stats_as_asdict_would(capsys, monkeypatch, tmp_path):
         ("bribery", fx("ccdv.json"), "--minimize-cost"),
         ("scoring-ccdv", fx("borda.json"), "--minimize-cost"),
     )
-    plain = [run(capsys, *argv, "--json") for argv in invocations]
-    monkeypatch.setattr(cli, "_stats_json", dataclasses.asdict)
-    deep = [run(capsys, *argv, "--json") for argv in invocations]
-    assert plain == deep
-    for code, out, _ in plain:
-        assert code == 0 and '"rounding_lps": ' in out
+    copies = []
+    copy = cli._stats_json
+
+    def spy(stats):
+        copies.append((stats, copy(stats)))
+        return copies[-1][1]
+
+    monkeypatch.setattr(cli, "_stats_json", spy)
+    for argv in invocations:
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        stats, copied = copies[-1]
+        assert list(copied) == fields
+        assert copied == {name: getattr(stats, name) for name in fields}
+        assert report["stats"] == json.loads(json.dumps(copied))
+    assert len(copies) == len(invocations)
 
 
 def test_human_mode_keeps_wall_time_off_stdout(capsys):

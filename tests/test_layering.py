@@ -2,12 +2,17 @@
 
 The paper's method lowers a piecewise-linear model to a plain MILP and
 solves that, so ``pwlmip.milp`` and ``pwlmip._kernel`` sit below the model,
-function, lowering and pipeline modules.  The imports are read from the
-source with ``ast``, so a lazy import inside a function counts too.
+function, lowering and pipeline modules.  ``pwlmip.rationals`` and
+``pwlmip.records`` sit below every model, and no module imports
+``dataclasses``, whose import and per-class code generation every
+command would pay at its cold start.  The imports are read from the source with ``ast``,
+so a lazy import inside a function counts too.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "pwlmip")
 LOWER_LAYERS = ("milp", "_kernel")
@@ -55,3 +60,42 @@ def test_rationals_imports_nothing_from_the_package():
         source = fh.read()
     assert [name for name in _imported(source, "pwlmip")
             if name == "pwlmip" or name.startswith("pwlmip.")] == []
+
+
+def _package_sources():
+    """(dotted package, file name, source) of every module of the package."""
+    for folder, _, files in sorted(os.walk(PACKAGE)):
+        rel = os.path.relpath(folder, PACKAGE)
+        package = "pwlmip" if rel == os.curdir else "pwlmip." + rel.replace(os.sep, ".")
+        for name in sorted(files):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    yield package, name, fh.read()
+
+
+def test_no_module_imports_dataclasses():
+    # the value types sit on pwlmip.records, which imports only operator
+    sources = list(_package_sources())
+    assert {("pwlmip", "records.py"), ("pwlmip.milp", "model.py"),
+            ("pwlmip._kernel", "__init__.py")} <= {s[:2] for s in sources}
+    bad = ["%s/%s" % (package, name) for package, name, source in sources
+           if any(imported == "dataclasses" or imported.startswith("dataclasses.")
+                  for imported in _imported(source, package))]
+    assert bad == []
+
+
+def test_records_imports_nothing_from_the_package():
+    # every layer, the MILP layer included, builds its value types on it
+    with open(os.path.join(PACKAGE, "records.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    assert [name for name in _imported(source, "pwlmip")
+            if name == "pwlmip" or name.startswith("pwlmip.")] == []
+
+
+def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, pwlmip.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(PACKAGE, os.pardir)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
