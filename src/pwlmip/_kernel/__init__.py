@@ -4,7 +4,9 @@
 keeps the name it had when it ran phase 1 only.  The LP layer calls it on
 the phase-1 objective (the artificial sum) and, when it asks for an optimal
 vertex, again on a phase-2 objective priced out against the feasible basis,
-with the artificial columns sliced off.  Every later node LP of a search
+with the artificial columns sliced off; a cold LP whose objective row is
+dual feasible at the all-slack basis calls it once instead, with no phase
+1.  Every later node LP of a search
 calls it once, on the search's last optimal tableau with the right-hand
 sides moved to the node: the dual phase below re-optimizes it.
 :func:`pivot` is one pivot step: the loop takes it, and so does the LP
@@ -76,12 +78,14 @@ because every choice depends only on the rational values, the pivot
 sequence is the one a rational tableau would take.
 
 A dual phase runs first, while some basic variable is outside its bounds.
-That is never so on a tableau built from the all-slack basis, whose rows all
-start at rhs >= 0 with an unbounded slack basic; it is so on an optimal tableau whose right-hand
-sides the LP layer has moved to another node's bounds (a warm start).  Its
-precondition is a dual-feasible objective row: no negative entry among the
-columns.  Dual Bland's rule picks the pivot: of the violated bounds (a
-negative right-hand side ranked ``low``, a right-hand side above U ranked
+That is never so on a phase-1 tableau, whose rows all start at rhs >= 0
+with an unbounded slack or artificial basic.  It is so on an optimal
+tableau whose right-hand sides the LP layer has moved to another node's
+bounds (a warm start), and on an all-slack tableau whose objective row is
+already dual feasible (the LP layer's dual cold start).  Its precondition
+is a dual-feasible objective row: no negative entry among the columns.
+Dual Bland's rule picks the pivot: of the violated bounds (a negative
+right-hand side ranked ``low``, a right-hand side above U ranked
 ``high``) the one of lowest rank leaves (:func:`violated_row`), and the
 entering column minimizes
 ``obj[j] / -a_j`` over the negative entries a_j of the leaving row, read as

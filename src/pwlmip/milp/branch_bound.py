@@ -1,4 +1,5 @@
-"""Branch-and-bound search: feasibility, and optimization in one tree.
+"""Branch-and-bound search: feasibility, and optimization aimed at the
+root bound.
 
 Depth-first branch and bound on the LP relaxation.  At each node the exact
 LP either proves the box empty or returns a vertex; a fractional integer
@@ -15,19 +16,32 @@ the first warm-starts from it by dual simplex and leaves its own final
 tableau in its place.  A deferred child keeps only its bounds, so no
 tableau is ever copied, and memory stays that of one LP.
 
-Optimization (:func:`maximize`) runs the same search once, with the extra
-row ``objective >= T``: T starts at t_lo (an end the caller leaves out is
-worked out from the variables' bounds) and is raised past each incumbent.
-Every node LP maximizes the objective (a cold one in a phase 2 after its
-phase 1), so an integral vertex is the best point of its box.  It becomes
-the incumbent, worth the integer part of its objective capped at t_hi, and
-the threshold moves to that value + 1, so a later node LP proves its box
-empty unless the box can beat the incumbent; a node whose parent's LP
-optimum cannot is dropped without one.  The search stops at t_hi or when
-no node is left.  An objective unbounded on one node LP is unbounded on
-every feasible one, since a direction along which an LP stays feasible for
-ever moves no bounded variable, so no integer one: any integer point then
-reaches t_hi, and the search asks for feasibility at t_hi instead.
+Optimization (:func:`maximize`) adds the row ``objective >= T`` and
+searches in threshold levels.  Every node LP maximizes the objective, so
+an integral vertex is the best point of its box.  It becomes the
+incumbent, worth the integer part of its objective capped at t_hi, and T
+moves to that value + 1.  Each node carries a cap, the best value its box
+can reach: its parent's LP optimum, rounded down.  One level
+(:meth:`_Tree.search`) runs the depth-first search at T, which only
+incumbents raise.  It defers a node whose cap lies below T unsolved, and a
+node whose LP is infeasible at T with cap T - 1, since its box holds no
+point at T; a deferred node keeps its bounds and cap only.
+
+The driver, :func:`solve_feasibility`, starts T at t_lo.  After rounding
+the first fractional vertex (below) it raises T to that vertex's cap, the
+root bound, so the search looks for a point at the bound rather than
+climbing past each incumbent.  When a level runs dry, T steps down to the
+best deferred cap and those nodes are searched again.  The search stops
+once that cap is at most the incumbent's value or below t_lo, or once an
+incumbent reaches t_hi.  So every answer is a point re-checked exactly at
+T, plus a search exhausted above T.  ``SolveStats.probes`` counts the
+levels, and the node limit bounds all of them together.
+
+An objective unbounded on one node LP is unbounded on every feasible one,
+since a direction along which an LP stays feasible for ever moves no
+bounded variable, so no integer one: any integer point then reaches t_hi,
+and the search asks for feasibility at t_hi instead.  A box empty there is
+empty at every threshold, so that search defers nothing.
 
 An optimization also looks for an incumbent before its first branch, by
 simple rounding (Achterberg, *Constraint Integer Programming*, 2007,
@@ -105,100 +119,161 @@ def solve_feasibility(model: MilpModel, node_limit=None,
     ``objective`` is None, or ``(coeffs, den, lo, hi)`` from
     :func:`maximize`: the integer row ``sum(k * x) <= -T * den`` that says
     the objective is at least T, and the bracket of T.  The search then
-    returns its last incumbent, with ``best`` its value.
+    returns its last incumbent, with ``best`` its value, and counts each
+    threshold level it searched in ``stats.probes``.
     """
     limit = resolve_node_limit(node_limit)
-    # A feasibility search has no threshold row: T = hi = 0 prunes nothing,
-    # and its first integral vertex, worth 0, reaches hi.
-    coeffs, den, t, hi = objective or ((), 1, 0, 0)
-    extra = () if objective is None else ((coeffs, -t * den, den),)
-    rows, lowers, uppers, int_idx = _compile(model, extra)
-    threshold = len(model.rows)  # the threshold row's index
-    phase2 = None if objective is None else threshold
-    stats = SolveStats()
-    live = LiveTableau()
-    incumbent = best = None
-    rounded = False
+    tree = _Tree(model, objective)
+    lo, stack = tree.t, [tree.root]
+    while True:
+        tree.stats.probes += objective is not None
+        deferred = tree.search(stack, limit)
+        # Every point left lies in a deferred box, worth at most its cap.
+        top = max((node[3] for node in deferred), default=lo - 1)
+        if top < lo or tree.best is not None and top <= tree.best:
+            break
+        tree.aim(top)
+        stack = deferred[::-1]  # searched again in the order they were met
+    if tree.incumbent is None:
+        return SolveResult(False, None, tree.stats)
+    return SolveResult(True, dict(enumerate(tree.incumbent)), tree.stats,
+                       None if objective is None else tree.best)
 
-    def improve(point, value):
+
+class _Tree:
+    """One search's state across its threshold levels: the compiled rows,
+    whose threshold row holds the current threshold ``t``, the live
+    tableau, the counters and the incumbent."""
+
+    __slots__ = ("model", "rows", "int_idx", "root", "coeffs", "den", "hi",
+                 "row", "phase2", "stats", "live", "t", "incumbent", "best",
+                 "rounded")
+
+    def __init__(self, model, objective):
+        # A feasibility search has no threshold row: T = hi = 0 prunes
+        # nothing, and its first integral vertex, worth 0, reaches hi.
+        self.coeffs, self.den, self.t, self.hi = objective or ((), 1, 0, 0)
+        extra = () if objective is None else (
+            (self.coeffs, -self.t * self.den, self.den),)
+        self.rows, lowers, uppers, self.int_idx = _compile(model, extra)
+        self.root = (lowers, uppers, 0, self.hi)
+        self.model = model
+        self.row = len(model.rows)  # the threshold row's index
+        self.phase2 = None if objective is None else self.row
+        self.stats = SolveStats()
+        self.live = LiveTableau()
+        self.incumbent = self.best = None
+        self.rounded = False
+
+    def aim(self, t):
+        """Hold the threshold row at ``t``."""
+        self.t = t
+        self.rows.set_rhs(self.row, -t * self.den)
+
+    def improve(self, point):
         """Re-check an integral point exactly, make it the incumbent and
         move the threshold past it; True once the incumbent reaches hi."""
-        nonlocal incumbent, best, t
-        problems = model.check_assignment(point)
-        if value < t * den:
-            problems.append("objective %s below threshold %d"
-                            % (Fraction(value, den), t))
+        problems = self.model.check_assignment(point)
+        value = _floor_value(point, self.coeffs, self.den)
+        if value < self.t:
+            problems.append("objective %s below threshold %d" % (Fraction(
+                -sum(k * point[i] for i, k in self.coeffs), self.den), self.t))
         if problems:
             raise SolverInternalError(
                 "feasible answer failed exact re-check: %s" % "; ".join(problems)
             )
-        incumbent, best = point, min(value // den, hi)
-        if best == hi:
+        self.incumbent, self.best = point, min(value, self.hi)
+        if self.best == self.hi:
             return True
-        t = best + 1
-        rows.set_rhs(threshold, -t * den)
+        self.aim(self.best + 1)
         return False
 
-    # Each node carries the best value its box can reach: its parent's LP
-    # optimum, rounded down.
-    stack = [(lowers, uppers, 0, hi)]
-    while stack:
-        lo, up, depth, cap = stack.pop()
-        if cap < t:
-            continue
-        if stats.nodes >= limit:
-            raise ResourceExhausted(stats.nodes, limit)
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        if rows is None:  # the rounded root box is empty
-            continue
-        feasible, point = solve_lp_feasibility(rows, lo, up, stats,
-                                               objective=phase2, live=live)
-        if not feasible:
-            continue
-        if point is None:  # unbounded objective: solve this box again at hi
-            t, phase2 = hi, None
-            rows.set_rhs(threshold, -t * den)
-            stack.append((lo, up, depth, hi))
-            continue
-        value = -sum(k * point[i] for i, k in coeffs)
+    def search(self, stack, limit):
+        """Depth-first search of the nodes on ``stack`` at threshold t, which
+        each incumbent raises.  Returns the nodes deferred to a lower
+        threshold, each ``(lowers, uppers, depth, cap)``: [] once the
+        incumbent reaches hi."""
+        stats, live, int_idx, hi = self.stats, self.live, self.int_idx, self.hi
+        deferred = []
+        # Each node carries the best value its box can reach: its parent's LP
+        # optimum, rounded down.
+        while stack:
+            node = lo, up, depth, cap = stack.pop()
+            if cap < self.t:
+                deferred.append(node)
+                continue
+            if stats.nodes >= limit:
+                raise ResourceExhausted(stats.nodes, limit)
+            stats.nodes += 1
+            stats.max_depth = max(stats.max_depth, depth)
+            if self.rows is None:  # the rounded root box is empty
+                continue
+            feasible, point = solve_lp_feasibility(
+                self.rows, lo, up, stats, objective=self.phase2, live=live)
+            if not feasible:
+                # no point at t; with no objective, none at any threshold
+                if self.phase2 is not None:
+                    deferred.append((lo, up, depth, self.t - 1))
+                continue
+            if point is None:  # unbounded objective: solve this box again at hi
+                self.phase2 = None
+                self.aim(hi)
+                stack.append((lo, up, depth, hi))
+                continue
 
-        # Branch on the most fractional value p/q (ties to the lowest index):
-        # its distance to an integer is min(r, q - r)/q with r = p mod q.
-        branch, best_score, best_q = -1, 0, 1
-        for j, i in enumerate(int_idx):
-            q = point[i].denominator
-            r = point[i].numerator % q
-            score = min(r, q - r)
-            if score * best_q > best_score * q:
-                branch, best_score, best_q = j, score, q
-        if branch < 0:
-            if improve(point, value):
-                break
-            continue
+            # Branch on the most fractional value p/q (ties to the lowest
+            # index): its distance to an integer is min(r, q - r)/q with
+            # r = p mod q.
+            branch, best_score, best_q = -1, 0, 1
+            for j, i in enumerate(int_idx):
+                q = point[i].denominator
+                r = point[i].numerator % q
+                score = min(r, q - r)
+                if score * best_q > best_score * q:
+                    branch, best_score, best_q = j, score, q
+            if branch < 0:
+                if self.improve(point):
+                    return []
+                continue
 
-        if phase2 is not None:
-            cap = min(value // den, hi)
-            # A rounded incumbent may already beat cap: the children below
-            # are then dropped unsolved.
-            if not rounded:
-                rounded = True
-                found = _round(rows, point, int_idx, stats, phase2, live)
-                if found is not None and improve(
-                        found, -sum(k * found[i] for i, k in coeffs)):
-                    break
+            if self.phase2 is not None:
+                cap = min(_floor_value(point, self.coeffs, self.den), hi)
+                if not self.rounded:
+                    # Round the first fractional vertex, then aim at its
+                    # bound; children the incumbent already beats are then
+                    # deferred unsolved.
+                    self.rounded = True
+                    found = _round(self.rows, point, int_idx, stats,
+                                   self.phase2, live)
+                    if found is not None and self.improve(found):
+                        return []
+                    if cap > self.t:
+                        self.aim(cap)
 
-        # x <= floor(v) is explored first, then x >= floor(v) + 1; with int
-        # bounds around v, neither box is empty.
-        floor = point[int_idx[branch]].numerator // best_q
-        left_up, right_lo = up[:], lo[:]
-        left_up[branch], right_lo[branch] = floor, floor + 1
-        stack.append((right_lo, up, depth + 1, cap))
-        stack.append((lo, left_up, depth + 1, cap))
-    if incumbent is None:
-        return SolveResult(False, None, stats)
-    return SolveResult(True, dict(enumerate(incumbent)), stats,
-                       None if objective is None else best)
+            # x <= floor(v) is explored first, then x >= floor(v) + 1; with
+            # int bounds around v, neither box is empty.
+            floor = point[int_idx[branch]].numerator // best_q
+            left_up, right_lo = up[:], lo[:]
+            left_up[branch], right_lo[branch] = floor, floor + 1
+            stack.append((right_lo, up, depth + 1, cap))
+            stack.append((lo, left_up, depth + 1, cap))
+        return deferred
+
+
+def _floor_value(point, coeffs, den):
+    """floor(-sum(k * point[i]) / den), the objective of the threshold row
+    ``coeffs`` over ``den`` rounded down, in ints over the common
+    denominator of the point's values."""
+    total, scale = 0, 1
+    for i, k in coeffs:
+        x = point[i]
+        q = x.denominator
+        if scale % q:
+            grow = q // math.gcd(scale, q)
+            total *= grow
+            scale *= grow
+        total -= k * x.numerator * (scale // q)
+    return total // (scale * den)
 
 
 def _round(rows, point, int_idx, stats, objective, live):
@@ -251,8 +326,8 @@ def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
     that side for every variable with a nonzero coefficient.  A worked-out
     t_hi bounds the form over every point, so one below ceil(t_lo) answers
     infeasible with no node solved; a given bracket with no integer in it is
-    refused.  One search tree answers it, so the node limit bounds the whole
-    call.
+    refused.  One search answers it, over all its threshold levels, so the
+    node limit bounds the whole call.
     """
     coeffs = tuple(coeffs.items() if isinstance(coeffs, dict) else coeffs)
     threshold, _, den = integer_row(((i, -c) for i, c in coeffs), 0, model.n_vars)
@@ -266,6 +341,4 @@ def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
     hi = math.floor(t_hi)
     if lo > hi:
         raise ValueError("empty threshold bracket [%s, %s]" % (t_lo, t_hi))
-    result = solve_feasibility(model, node_limit, (threshold, den, lo, hi))
-    result.stats.probes = 1
-    return result
+    return solve_feasibility(model, node_limit, (threshold, den, lo, hi))

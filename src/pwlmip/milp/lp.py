@@ -1,4 +1,5 @@
-"""Exact rational LP by two-phase simplex on an integer tableau.
+"""Exact rational LP by simplex on an integer tableau: two-phase, or dual
+from the all-slack basis.
 
 The caller hands over <=-rows and per-variable bounds; this module shifts or
 splits variables to the nonnegative orthant, adds slacks and artificials, and
@@ -10,6 +11,19 @@ same kernel: any artificial left basic at zero is pivoted out, the
 artificial columns are dropped, and the objective, priced out against the
 phase-1 basis, is minimized from there.  The vertex found is mapped back to
 original variables.
+
+A named objective row with no negative entry, and a positive one on every
+moving column, skips phase 1 (the dual cold start; Koberstein, *The dual
+simplex method*, 2005).  The all-slack basis is then dual feasible, so the
+tableau is built with no artificial column, its rows keep their negative
+right-hand sides, and the row goes in as the objective as it is, since no
+column is basic to price out.  The kernel's dual phase takes it to the
+optimum, and an infeasible verdict and its Farkas row are read as on a warm
+start (below).  A minimum-cost cover's objective row is of that kind.  The
+condition on the moving columns keeps the others on the two-phase start: a
+moving column at cost 0 ties every dual ratio on its rows at zero, and
+Bland's rule then breaks those ties by index, an unguided phase 1 on dense
+coverage rows.
 
 A search's integer (moving) variables keep their upper bounds out of the
 tableau: each shifted column x' = x - lo carries the bound U = up - lo as a
@@ -188,7 +202,8 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     takes them, with lowers/uppers the bounds of every variable, each None
     (unbounded), an int or a Fraction.  ``objective``, the index of a
     compiled row, asks for a vertex that minimizes that row's left side: a
-    phase 2 from the phase-1 vertex.  ``stats``, a
+    phase 2 from the phase-1 vertex, or a dual phase from the all-slack
+    basis when the row is dual feasible there.  ``stats``, a
     :class:`~pwlmip.milp.model.SolveStats`, counts the call, its pivots, an
     infeasible verdict and the tableau sizes.  ``live``, a
     :class:`LiveTableau` that every call of one search passes with the same
@@ -229,12 +244,20 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
                             _vertex(tableau, basis, ncols, real, bounds,
                                     flipped))
 
+    # The dual cold start (see the module docstring): no artificial, and
+    # the rows keep their negative right-hand sides.
+    dense, dens = rows.dense, rows.dens
+    head = [0] * ncols if objective is None else dense[objective]
+    dual = (objective is not None and min(head, default=0) >= 0
+            and all(head[c] for c in rows.cols))
+    if dual:
+        art_rows = []
+
     # Tableau columns: structural | slacks | artificials | rhs | denominator.
     # An artificial row enters negated.  The phase-1 objective (minimize the
     # artificial sum, priced out against the basic artificials) is the sum
     # of the artificial rows' structural parts and right-hand sides over
     # their common denominator, with that denominator in their slack columns.
-    dense, dens = rows.dense, rows.dens
     width = real + len(art_rows)
     bounds = [None] * width
     for c, lo, up in zip(rows.cols, lowers, uppers):
@@ -246,7 +269,7 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     art = real
     for k in range(m):
         total, den = totals[k], dens[k]
-        if total < 0:
+        if total < 0 and not dual:
             row = [-x for x in dense[k]] + pad
             row[ncols + k] = -den
             row[art] = den
@@ -282,8 +305,9 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     # The objective row over the feasible basis (all zeros in a feasibility
     # search), complemented where its columns are, priced out by pivoting
     # each basic column on its own row, which leaves every constraint row as
-    # it is.  Only a real objective is then minimized, by phase 2.
-    head = [0] * ncols if objective is None else dense[objective]
+    # it is.  Only a real objective is then minimized, by phase 2.  After a
+    # dual start nothing is complemented or basic, and the row goes in as
+    # it is.
     obj = head + [0] * (m + 1) + [1]
     for c in rows.cols:
         if flipped[c] and obj[c]:
@@ -295,6 +319,10 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
             _kernel.pivot(tableau, basis, m, real, k, basis[k])
     if objective is not None:
         _optimize(tableau, basis, m, real, bounds, flipped, ranks, stats)
+        if dual and _kernel.violated_row(tableau, basis, m, real, bounds,
+                                         ranks) >= 0:
+            stats.infeasible_lps += 1
+            return False, None
         if min(tableau[m][:real]) < 0:
             return True, None
 

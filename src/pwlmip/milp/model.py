@@ -139,12 +139,14 @@ class SolveStats(Record):
     field order, so a new counter needs no edit there.
 
     ``nodes``, ``lp_calls`` and ``pivots`` count search nodes, LP solves
-    and simplex pivots.  ``probes`` counts the search trees run by
-    ``maximize``, one per call.  ``infeasible_lps`` counts the LP
-    relaxations that proved their box empty, and ``rounding_lps`` the LPs
-    that rounded a fractional vertex, which are not nodes.  ``max_depth``
-    is the number of branchings from the root to the deepest node solved,
-    and ``max_tableau`` the (nrows, ncols) of the largest kernel call.
+    and simplex pivots; a node searched again at a lower threshold counts
+    again.  ``probes`` counts the threshold levels ``maximize`` searched:
+    1, plus 1 for each step down, and 0 for a feasibility search.
+    ``infeasible_lps`` counts the LP relaxations that proved their box
+    empty, and ``rounding_lps`` the LPs that rounded a fractional vertex,
+    which are not nodes.  ``max_depth`` is the number of branchings from
+    the root to the deepest node solved, and ``max_tableau`` the
+    (nrows, ncols) of the largest kernel call.
     """
 
     __slots__ = _fields = ("nodes", "lp_calls", "pivots", "probes",

@@ -48,7 +48,8 @@ def test_wsm_fixture(capsys):
     code, report, _ = run_json(capsys, "wsm", fx("wsm3.json"), "--minimize-cost")
     assert code == 0
     assert report["status"] == "feasible"
-    assert report["chosen"] == [0, 2]
+    # sets 0 and 2 cost 3 as well; the root vertex is this optimum
+    assert report["chosen"] == [1]
     assert report["cost"] == 3
     assert report["coverage"] == [1, 1]
 
@@ -635,22 +636,23 @@ def test_bribery_node_limit_counts_every_gain(capsys, tmp_path):
     assert report["action"] == [1] and report["cost"] == 1
     assert report["stats"]["nodes"] == 1
 
-    # a tree of three nodes runs out at two: rounding the root already
-    # gives the optimum, and its two children prove it
+    # a search of five nodes over two threshold levels runs out at four:
+    # rounding the root already gives the optimum, and its two children,
+    # searched at the root bound and again one below it, prove it
     path = tmp_path / "branching.json"
     path.write_text(json.dumps(ApprovalElection(
         ("p", "c1"), (Voter({"c1"}, price=5), Voter({"c1"}, price=5),
                       Voter({"p"}, price=6)), 5).to_json()))
     code, report, _ = run_json(capsys, "bribery", str(path),
-                               "--minimize-cost", "--node-limit", "2")
+                               "--minimize-cost", "--node-limit", "4")
     assert code == 3
     assert report["status"] == "resource-exhausted"
-    assert report["nodes"] == 2 and report["limit"] == 2
+    assert report["nodes"] == 4 and report["limit"] == 4
     code, report, _ = run_json(capsys, "bribery", str(path),
-                               "--minimize-cost", "--node-limit", "3")
+                               "--minimize-cost", "--node-limit", "5")
     assert code == 0 and report["status"] == "feasible"
     assert report["action"] == [0] and report["cost"] == 5
-    assert report["stats"]["nodes"] == 3
+    assert report["stats"]["nodes"] == 5 and report["stats"]["probes"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -216,15 +216,16 @@ def test_each_type_prices_the_prefix_sums_of_its_members(monkeypatch):
 
 
 def test_wsm_worked_example_minimum_cost():
-    # cheapest cover of both elements: sets 0 and 2 at cost 3, not the
-    # single two-element set at cost 3 -- same cost, smaller index tuple
+    # cheapest cover of both elements at cost 3: the single two-element
+    # set, the integral vertex the root LP ends at, and not sets 0 and 2,
+    # which cost 3 as well
     inst = CoverInstance(
         2, [{0: 1}, {0: 1, 1: 1}, {1: 1}], [1, 1], 3, weights=[1, 3, 2]
     )
     sol = solve_wsm(inst, minimize_cost=True)
     assert sol.feasible
     assert sol.cost == 3
-    assert sol.chosen == (0, 2)
+    assert sol.chosen == (1,)
     assert sol.coverage == (1, 1)
     answer = brute_cover(inst)
     assert answer.feasible and answer.best_cost == 3

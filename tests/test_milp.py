@@ -462,6 +462,54 @@ def test_maximize_one_tree_against_enumeration(monkeypatch):
     assert seen["continuous objective"] >= 50 and seen["unbounded lp"] >= 10
 
 
+def test_threshold_steps_down_from_the_root_bound():
+    """The search aims at the root bound, and steps down when that lies
+    above the optimum: the boxes empty at a threshold are deferred, and the
+    threshold falls to the best deferred cap, one probe per level.
+
+    By hand: y <= 2x and y <= 2 - 2x over integers x in [0, 1] and y in
+    [0, 2].  The root LP reaches y = 1 at x = 1/2, rounding x either way
+    leaves the rows, and both children are empty at T = 1; at T = 0 the
+    left one holds the optimum 0.  Then seeded pure-integer models against
+    enumeration: ``best`` is the optimum at every level count, and one node
+    limit bounds all levels together."""
+    model = _mk([("x", VarKind.INTEGER, F(0), F(1)),
+                 ("y", VarKind.INTEGER, F(0), F(2))],
+                [([(0, -2), (1, 1)], 0), ([(0, 2), (1, 1)], 2)])
+    result = milp.maximize(model, {1: F(1)})
+    assert result.best == 0 and result.assignment == {0: 0, 1: 0}
+    stats = result.stats
+    assert (stats.probes, stats.nodes, stats.infeasible_lps,
+            stats.rounding_lps) == (2, 4, 4, 2)
+
+    rng = random.Random(0xB6A)
+    levels = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        uppers = [rng.randint(1, 3) for _ in range(n)]
+        rows = [([(i, rng.randint(-9, 9)) for i in range(n)],
+                 rng.randint(0, 12)) for _ in range(rng.randint(2, 3))]
+        objective = {i: F(rng.randint(1, 5)) for i in range(n)}
+        model = _mk([("x%d" % i, VarKind.INTEGER, F(0), F(u))
+                     for i, u in enumerate(uppers)], rows)
+        optimum = max(
+            sum(c * point[i] for i, c in objective.items())
+            for point in itertools.product(*(range(u + 1) for u in uppers))
+            if all(sum(k * point[i] for i, k in coeffs) <= rhs
+                   for coeffs, rhs in rows))
+        result = milp.maximize(model, objective, 0)
+        assert result.best == optimum
+        assert model.check_assignment(result.assignment) == []
+        stats = result.stats
+        levels[min(stats.probes, 3)] += 1
+        if stats.probes >= 2:
+            with pytest.raises(milp.ResourceExhausted):
+                milp.maximize(model, objective, 0, node_limit=stats.nodes - 1)
+            again = milp.maximize(model, objective, 0, node_limit=stats.nodes)
+            assert again.best == optimum and again.stats == stats
+    assert levels[2] > 20 and levels[3] > 20
+
+
 def test_maximize_rejects_unknown_objective_variable():
     model = _mk([("x", VarKind.INTEGER, F(0), F(2))], [([(0, 1)], 2)])
     with pytest.raises(ValueError, match="unknown variable"):
@@ -864,9 +912,11 @@ def _phase2_calls(monkeypatch, calls):
 def test_phase2_kernel_calls_match_reference(monkeypatch):
     """Every phase-2 kernel call pivots as the Fraction reference does, and
     starts from a basis of unit columns with the objective priced out, on
-    lowered models and on MILPs with continuous variables and unbounded
-    objectives.  A cold call starts from a feasible basis; a warm one, whose
-    right-hand sides may be negative, from a dual-feasible objective row."""
+    lowered models, minimum-cost covers and MILPs with continuous variables
+    and unbounded objectives.  A cold call starts from a feasible basis,
+    unless its objective row is dual feasible: then, as on a warm call, its
+    right-hand sides may be negative, and the call is the dual cold start,
+    with no phase 1 before it."""
     calls = _record_kernel(monkeypatch, _checked_phase1)
     phase2 = _phase2_calls(monkeypatch, calls)
     rng = random.Random(0xB5E)
@@ -878,21 +928,24 @@ def test_phase2_kernel_calls_match_reference(monkeypatch):
     for case in range(150):
         model, objective, _, _ = _random_milp(rng, unbounded=case % 3 == 0)
         milp.maximize(model, objective, -6, 6)
-    unbounded = warm_calls = 0
+    for m, n in ((3, 8), (4, 10), (5, 12)) * 8:
+        covering.solve_umm(_ladder_cover(rng, m, n, "umm"), minimize_cost=True)
+    unbounded = warm_calls = dual_cold = 0
     for (tableau, basis, nrows, ncols, _, final), warm in phase2:
         obj = tableau[nrows]
         assert sorted(set(basis)) == sorted(basis) and max(basis) < ncols
         for k, b in enumerate(basis):
             assert obj[b] == 0
-            assert warm or tableau[k][ncols] >= 0
             assert [row[b] for row in tableau[:nrows]] == [
                 row[ncols + 1] if i == k else 0
                 for i, row in enumerate(tableau[:nrows])]
-        if warm:
+        if warm or any(row[ncols] < 0 for row in tableau[:nrows]):
             assert min(obj[:ncols]) >= 0
-            warm_calls += 1
+            warm_calls += warm
+            dual_cold += not warm
         unbounded += min(final[nrows][:ncols]) < 0
     assert len(phase2) > 150 and unbounded > 20 and warm_calls > 20
+    assert dual_cold > 20
     assert sum(call.pivots for call, _ in phase2) > 200
 
 
@@ -1016,16 +1069,11 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
     assert kinds == {int, Fraction}
 
 
-def _per_node_tableau(rows, lowers, uppers, moving=()):
-    """The phase-1 tableau built straight from Fraction rows and bounds.
-
-    The direct construction that compiled rows replace: shift or split every
-    column, scale each row (bound rows included) by the lcm of its
-    denominators, then add slacks, artificials and the priced-out objective.
-    The ``moving`` variables' upper bounds are column bounds, not rows.
-    Returns (tableau, basis, nrows, ncols), or None when the all-slack basis
-    is already feasible and no kernel call is needed.
-    """
+def _direct_rows(rows, lowers, uppers, moving):
+    """Fraction rows and bounds as integer rows ``(dense, rhs, den)``, with
+    the column count and each variable's columns: every column shifted or
+    split, and each row (bound rows included) scaled by the lcm of its
+    denominators.  The ``moving`` variables' upper bounds make no row."""
     col_of, ncols = [], 0
     for lo in lowers:
         col_of.append((ncols,) if lo is not None else (ncols, ncols + 1))
@@ -1049,6 +1097,18 @@ def _per_node_tableau(rows, lowers, uppers, moving=()):
                 dense[col_of[i][1]] -= int(c * den)
         assert total.denominator == 1
         int_rows.append((dense, int(total), den))
+    return int_rows, ncols, col_of
+
+
+def _per_node_tableau(rows, lowers, uppers, moving=()):
+    """The phase-1 tableau built straight from Fraction rows and bounds.
+
+    The direct construction that compiled rows replace: the rows of
+    :func:`_direct_rows`, then slacks, artificials and the priced-out
+    objective.  Returns (tableau, basis, nrows, ncols), or None when the
+    all-slack basis is already feasible and no kernel call is needed.
+    """
+    int_rows, ncols, _ = _direct_rows(rows, lowers, uppers, moving)
     m = len(int_rows)
     n_art = sum(1 for _, rhs, _ in int_rows if rhs < 0)
     if not n_art:
@@ -1075,6 +1135,27 @@ def _per_node_tableau(rows, lowers, uppers, moving=()):
             obj[b] = 0
     tableau.append(obj)
     return tableau, basis, m, ncols + m + n_art
+
+
+def _dual_start_tableau(rows, lowers, uppers, moving, objective):
+    """The tableau of the dual cold start, built straight from Fraction rows
+    and bounds, or None unless row ``objective`` is dual feasible at the
+    all-slack basis: no negative entry, and a positive one on every moving
+    column.  The rows of :func:`_direct_rows` keep their signs, with slacks
+    and no artificial, and that row itself, over 1, is the objective.
+    Returns (tableau, basis, nrows, ncols)."""
+    int_rows, ncols, col_of = _direct_rows(rows, lowers, uppers, moving)
+    head = int_rows[objective][0]
+    if min(head, default=0) < 0 or not all(head[col_of[i][0]] for i in moving):
+        return None
+    m = len(int_rows)
+    tableau = []
+    for k, (dense, rhs, den) in enumerate(int_rows):
+        row = dense + [0] * m + [rhs, den]
+        row[ncols + k] = den
+        tableau.append(row)
+    tableau.append(head + [0] * (m + 1) + [1])
+    return tableau, list(range(ncols, ncols + m)), m, ncols + m
 
 
 def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
@@ -1245,12 +1326,68 @@ def _rational_milp(rng):
     return model, objective, rows, bounds
 
 
+def test_dual_and_two_phase_cold_starts_agree(monkeypatch):
+    """A cold LP whose objective row is dual feasible at the all-slack basis
+    skips phase 1: one kernel call from the rows as they are.  On seeded
+    priced models (covering-like rows with negative right-hand sides,
+    positive costs on bounded integer columns, a continuous column at cost
+    0 or more) it reaches the verdict and the exact optimum of the
+    two-phase start.  That start is forced by one more column, fixed at 0,
+    with a negative cost: it breaks dual feasibility and changes no
+    value."""
+    calls = _record_kernel(monkeypatch)
+    rng = random.Random(0xB6B)
+    seen = collections.Counter()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        cont = rng.random() < 0.5
+        rows = [(tuple((i, random_fraction(rng, -3, 2)) for i in range(n + cont)
+                       if rng.random() < 0.7), random_fraction(rng, -6, 2))
+                for _ in range(rng.randint(1, 5))]
+        costs = [random_fraction(rng, 1, 4) for _ in range(n)]
+        if cont:
+            costs.append(random_fraction(rng, 0, 2))
+        lowers = [rng.randint(-1, 1) for _ in range(n)]
+        uppers = [lo + rng.randint(0, 4) for lo in lowers]
+        answers = []
+        for forced in (0, 1):  # the last column, fixed at 0, costs -1
+            k = n + cont + forced
+            cost_row = (tuple(enumerate(costs)) + ((k - 1, -1),) * forced,
+                        F(10**6))
+            compiled = CompiledRows(_int_rows(rows + [cost_row], k),
+                                    lowers + [0] * (cont + forced),
+                                    uppers + [None] * cont + [0] * forced,
+                                    range(n))
+            calls.clear()
+            ok, point = solve_lp_feasibility(compiled, lowers, uppers,
+                                             objective=len(rows))
+            value = ok and sum(c * point[i] for i, c in enumerate(costs))
+            answers.append((ok, value))
+            first = calls[0]
+            if not forced:
+                assert len(calls) == 1  # no phase 1
+                negative = any(row[first.ncols] < 0
+                               for row in first.tableau[:first.nrows])
+            elif negative:  # phase 1, on artificial columns
+                assert first.ncols > compiled.ncols + first.nrows
+            if ok:
+                for coeffs, rhs in rows:
+                    assert sum(c * point[i] for i, c in coeffs) <= rhs
+                assert all(lo <= x <= up
+                           for x, lo, up in zip(point, lowers, uppers))
+        assert answers[0] == answers[1]
+        seen[negative, answers[0][0]] += 1
+    assert seen[True, True] > 40 and seen[True, False] > 40
+
+
 def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
-    """One compile per ``maximize``; every cold node's phase-1 tableau is a
+    """One compile per ``maximize``; every cold node's first tableau is a
     direct build, with the threshold row at the value the tree holds when
-    the node is solved.  (A warm node re-optimizes the search's live
-    tableau instead; ``test_warm_nodes_agree_with_cold_solves`` checks
-    those.)
+    the node is solved: the phase-1 tableau, or, under an objective row
+    dual feasible at the all-slack basis, that basis with the row appended
+    as it is, which the node's one kernel call solves.  (A warm node
+    re-optimizes the search's live tableau instead;
+    ``test_warm_nodes_agree_with_cold_solves`` checks those.)
 
     Rows, objective coefficients and continuous bounds are rational, so the
     threshold row and the folded shifts carry denominators.
@@ -1274,25 +1411,29 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
         warm = kwargs["live"].tableau is not None
         result = real_lp(rows, lo, up, stats, objective=objective, **kwargs)
         phase2 = objective is not None and result[0]
-        nodes.append((threshold_rhs, list(lo), list(up), warm,
-                      [call.given() for call in built[:len(built) - phase2]]))
+        nodes.append((threshold_rhs, list(lo), list(up), warm, phase2,
+                      [call.given() for call in built]))
         return result
 
     monkeypatch.setattr(branch_bound, "CompiledRows", Counted)
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
     rng = random.Random(0xB58)
-    compared = thresholds = 0
-    for _ in range(150):
-        model, objective, rows, bounds = _rational_milp(rng)
+    compared = thresholds = dual = 0
+    for case in range(300):
+        if case % 2 == 0:
+            model, objective, rows, bounds = _rational_milp(rng)
+        else:  # the same model at a positive cost on every variable
+            objective = {i: -(abs(objective.get(i, 0)) or 1)
+                         for i in range(model.n_vars)}
         n = model.n_vars
         _, _, den = integer_row(((i, -c) for i, c in objective.items()), 0, n)
         compiles.clear()
         nodes.clear()
         milp.maximize(model, objective, -12, 12)
         assert len(compiles) == 1
-        thresholds += len({rhs for rhs, _, _, _, _ in nodes}) > 1
+        thresholds += len({node[0] for node in nodes}) > 1
         int_idx = model.integer_indices()
-        for rhs, lo, up, warm, tableaux in nodes:
+        for rhs, lo, up, warm, phase2, tableaux in nodes:
             if warm:
                 continue
             threshold = (tuple((i, -c) for i, c in objective.items()),
@@ -1301,11 +1442,18 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
             uppers = [F(b[1]) for b in bounds]
             for j, i in enumerate(int_idx):
                 lowers[i], uppers[i] = F(lo[j]), F(up[j])
-            expected = _per_node_tableau(rows + [threshold], lowers, uppers,
-                                         int_idx)
-            assert tableaux == ([] if expected is None else [expected])
+            direct = rows + [threshold], lowers, uppers, int_idx
+            expected = _dual_start_tableau(*direct, len(rows))
+            if expected is not None:
+                # one kernel call, whatever its verdict
+                assert tableaux == [expected]
+                dual += any(row[-2] < 0 for row in expected[0][:-1])
+                continue
+            expected = _per_node_tableau(*direct)
+            assert tableaux[:len(tableaux) - phase2] == (
+                [] if expected is None else [expected])
             compared += expected is not None
-    assert compared > 80 and thresholds > 5
+    assert compared > 80 and thresholds > 5 and dual > 50
 
 
 # ---------------------------------------------------------------------------
@@ -1629,12 +1777,16 @@ def test_rounding_keeps_the_heavy_ladder_trees_small():
 
 
 def test_column_bounds_keep_the_heavy_trees_and_shrink_their_tableaus():
-    """The same two heavy covers take the nodes and pivots they took when
-    every integer bound was a tableau row, but with the bounds as column
-    bounds their largest tableaus keep only model rows: 74 of 193 at
-    (8, 160) and 28 of 316 at (12, 300)."""
-    for m, n, nodes, pivots, rows in ((8, 160, 115, 1049, 80),
-                                      (12, 300, 122, 875, 30)):
+    """Three heavy covers, searched at the root bound from a dual cold
+    start, pinned at their nodes and pivots: (8, 160) UMM takes 33 and
+    369, (12, 300) 80 and 389 and (10, 200) 201 and 1,628, against 115 and
+    1,049, 122 and 875 and 619 and 9,329 when the threshold only climbed
+    past each incumbent from a two-phase root.  With the integer bounds as
+    column bounds their largest tableaus keep only model rows: 74 of 193 at
+    (8, 160), 28 of 316 at (12, 300) and 32 of 219 at (10, 200)."""
+    for m, n, nodes, pivots, rows in ((8, 160, 33, 369, 80),
+                                      (12, 300, 80, 389, 30),
+                                      (10, 200, 201, 1628, 32)):
         instance = _ladder_cover(random.Random(1000 * m + n), m, n, "umm")
         stats = covering.solve_umm(instance, minimize_cost=True,
                                    node_limit=20000).stats

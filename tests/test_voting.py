@@ -198,19 +198,21 @@ def test_bribery_node_limit_bounds_all_gains(monkeypatch):
     assert res.feasible and res.stats.nodes == 1
     assert calls == [None, 1]
 
-    # a tree of three nodes runs out at two: rounding the root already
-    # gives the optimum, and its two children prove it
+    # a search of five nodes over two threshold levels runs out at four:
+    # rounding the root already gives the optimum 5, and its two children,
+    # empty at the root bound 3 and again at 4, prove it
     e = ApprovalElection(("p", "c1"), (Voter({"c1"}, price=5),
                                        Voter({"c1"}, price=5),
                                        Voter({"p"}, price=6)), 5)
     res = solve_bribery_priced(e, minimize_cost=True)
-    assert res.action == (0,) and res.cost == 5 and res.stats.nodes == 3
+    assert res.action == (0,) and res.cost == 5
+    assert (res.stats.nodes, res.stats.probes) == (5, 2)
     with pytest.raises(ResourceExhausted) as info:
-        solve_bribery_priced(e, minimize_cost=True, node_limit=2)
-    assert info.value.nodes == 2 and info.value.limit == 2
-    res = solve_bribery_priced(e, minimize_cost=True, node_limit=3)
-    assert res.feasible and res.stats.nodes == 3
-    assert calls == [None, 1, None, 2, 3]
+        solve_bribery_priced(e, minimize_cost=True, node_limit=4)
+    assert info.value.nodes == 4 and info.value.limit == 4
+    res = solve_bribery_priced(e, minimize_cost=True, node_limit=5)
+    assert res.feasible and res.stats.nodes == 5
+    assert calls == [None, 1, None, 4, 5]
 
 
 def test_priced_solvers_reject_weights():
