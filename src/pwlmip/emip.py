@@ -163,9 +163,10 @@ class EmipModel(Frozen):
                 parse_field(where + "lower", parse_rational, v.get("lower", 0)),
                 None if v.get("upper") is None
                 else parse_field(where + "upper", parse_rational, v["upper"])))
-        index = {v.name: i for i, v in enumerate(variables)}
-        if len(index) != len(variables):
-            raise ValueError("duplicate variable names")
+        index = {}
+        for i, v in enumerate(variables):
+            if index.setdefault(v.name, i) != i:
+                raise ValueError("variable %d: duplicate name %r" % (i, v.name))
 
         def parse_terms(mapping, where, parse=parse_rational):
             terms = {}

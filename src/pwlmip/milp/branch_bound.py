@@ -154,7 +154,7 @@ class _Tree:
         # nothing, and its first integral vertex, worth 0, reaches hi.
         self.coeffs, self.den, self.t, self.hi = objective or ((), 1, 0, 0)
         extra = () if objective is None else (
-            (self.coeffs, -self.t * self.den, self.den),)
+            (self.coeffs, -self.t * self.den),)
         self.rows, lowers, uppers, self.int_idx = _compile(model, extra)
         self.root = (lowers, uppers, 0, self.hi)
         self.model = model
@@ -330,7 +330,12 @@ def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
     node limit bounds the whole call.
     """
     coeffs = tuple(coeffs.items() if isinstance(coeffs, dict) else coeffs)
-    threshold, _, den = integer_row(((i, -c) for i, c in coeffs), 0, model.n_vars)
+    # The threshold row -sum(c * x) <= -T times den, the lcm of the
+    # coefficients' denominators, as integer_row scales it
+    den = 1
+    for _, c in coeffs:
+        den = math.lcm(den, Fraction(c).denominator)
+    threshold, _ = integer_row(((i, -c) for i, c in coeffs), 0, model.n_vars)
     if t_lo is None:
         t_lo = _objective_end(model, coeffs, top=False)
     lo = math.ceil(t_lo)

@@ -50,16 +50,17 @@ first LP, and after a cold LP that ended unbounded or infeasible, neither
 of which leaves one.
 
 Tableau rows are Python ints over a positive per-row denominator, the layout
-:func:`pwlmip._kernel.phase1` pivots on, and model rows arrive in that form
-(see :mod:`pwlmip.milp.model`).  A branch-and-bound search moves only the
-bounds of its integer variables, and keeps them finite ints.  So a search
-compiles its rows and the kernel's ranks once (:class:`CompiledRows`): the
-shifts and upper-bound rows of the variables whose bounds never move are
-folded in there, and a call only shifts right-hand sides and column bounds
-by integer amounts.  The tableau is entry for entry the one a direct build
-from Fraction rows and bounds would give.  The kernel may leave a row out
-of lowest terms, so a vertex value is read off with ``divmod``; it is an
-int when it is integral and a Fraction otherwise.
+:func:`pwlmip._kernel.phase1` pivots on.  Model rows arrive in ints (see
+:mod:`pwlmip.milp.model`), and every tableau row starts over 1, with slack
+and artificial entries 1.  A branch-and-bound search moves only the bounds
+of its integer variables, and keeps them finite ints.  So a search compiles
+its rows and the kernel's ranks once (:class:`CompiledRows`): the shifts
+and upper-bound rows of the variables whose bounds never move are folded in
+there, and a call only shifts right-hand sides and column bounds by integer
+amounts.  The tableau is entry for entry the one a direct build from
+Fraction rows and bounds would give.  The kernel may leave a row out of
+lowest terms, so a vertex value is read off with ``divmod``; it is an int
+when it is integral and a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .model import SolveStats, integer_row
 
 
 class CompiledRows:
-    """Integer rows ``(coeffs, rhs, den)`` and the fixed upper bounds after
+    """Integer rows ``(coeffs, rhs)`` and the fixed upper bounds after
     them, in variable order, as integer tableau rows.
 
     Every call supplies finite int bounds for the ``moving`` variables
@@ -83,7 +84,8 @@ class CompiledRows:
     finite bounds here is rejected.  The other variables' bounds (None, int
     or Fraction) are fixed here: such a variable gets one shifted column and
     a row for a finite upper bound, or a positive/negative pair if its lower
-    bound is None.
+    bound is None.  A row that a fractional fixed lower bound shifts is
+    scaled to integers by ``scales[r]``, the least positive int that does.
 
     ``ranks`` are the kernel's Bland ranks of every column, artificials
     included, computed once for all the calls: the indices each column, and
@@ -91,8 +93,8 @@ class CompiledRows:
     every upper bound as a row (see :mod:`pwlmip._kernel`).
     """
 
-    __slots__ = ("ncols", "dense", "totals", "dens", "rhs", "scales",
-                 "touch", "cols", "ranks", "plan")
+    __slots__ = ("ncols", "dense", "totals", "rhs", "scales", "touch",
+                 "cols", "ranks", "plan")
 
     def __init__(self, rows, lowers, uppers=None, moving=()):
         n = len(lowers)
@@ -102,7 +104,7 @@ class CompiledRows:
             if lowers[i] is None or uppers[i] is None:
                 raise ValueError("moving variable %d needs finite bounds" % i)
         rows = list(rows)
-        self.rhs = [rhs for _, rhs, _ in rows]
+        self.rhs = [rhs for _, rhs in rows]
         col_of = list(accumulate((1 if lo is not None else 2 for lo in lowers),
                                  initial=0))
         ncols = self.ncols = col_of.pop()
@@ -127,29 +129,32 @@ class CompiledRows:
             range(ncols + index, ncols + index + m))  # the artificials
         self.ranks = low, high
 
-        # A fixed rational lower bound raises the denominator of the rows it
-        # shifts; a moving shift is kept as (row, coefficient) for each call.
-        self.dense, self.totals, self.dens, self.scales = [], [], [], []
+        # A fixed lower bound is folded into the total; a moving shift is
+        # kept as (row, coefficient) for each call.
+        self.dense, self.totals, self.scales = [], [], []
         self.touch = [[] for _ in moving]
-        for r, (coeffs, rhs, den) in enumerate(rows):
-            fixed = [(i, k, lowers[i]) for i, k in coeffs
-                     if k and i not in pos and lowers[i] is not None]
-            node_den = lcm(den, *(den // gcd(k, den) * lo.denominator
-                                  for _, k, lo in fixed))
-            scale = node_den // den
-            dense = [0] * ncols
+        for r, (coeffs, rhs) in enumerate(rows):
+            scale = 1
             for i, k in coeffs:
-                dense[col_of[i]] += k * scale
-                if lowers[i] is None:
-                    dense[col_of[i] + 1] -= k * scale
-                elif k and i in pos:
-                    self.touch[pos[i]].append((r, k * scale))
+                lo = lowers[i]
+                if type(lo) is Fraction:
+                    scale = lcm(scale, lo.denominator // gcd(k, lo.denominator))
+            dense = [0] * ncols
             total = rhs * scale
-            for _, k, lo in fixed:
-                total -= k * scale * lo.numerator // lo.denominator
+            for i, k in coeffs:
+                k *= scale
+                dense[col_of[i]] += k
+                lo = lowers[i]
+                if lo is None:
+                    dense[col_of[i] + 1] -= k
+                elif not k:
+                    continue
+                elif i in pos:
+                    self.touch[pos[i]].append((r, k))
+                else:
+                    total -= k * lo.numerator // lo.denominator
             self.dense.append(dense)
             self.totals.append(total)
-            self.dens.append(node_den)
             self.scales.append(scale)
 
         # How a vertex maps back, per variable: (column, 0, fixed lower),
@@ -161,7 +166,7 @@ class CompiledRows:
         ]
 
     def set_rhs(self, r, rhs):
-        """Give model row ``r`` a new right-hand side over its own denominator."""
+        """Give model row ``r`` the new right-hand side ``rhs``."""
         self.totals[r] += self.scales[r] * (rhs - self.rhs[r])
         self.rhs[r] = rhs
 
@@ -233,7 +238,7 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     if live.tableau is not None:
         tableau, basis = live.tableau, live.basis
         bounds, flipped = live.bounds, live.flipped
-        _move_rhs(tableau, real, ncols, rows.dens, live.totals, totals)
+        _move_rhs(tableau, real, ncols, live.totals, totals)
         _move_bounds(tableau, real, bounds, flipped, rows.cols, lowers, uppers)
         live.totals = totals
         _optimize(tableau, basis, m, real, bounds, flipped, ranks, stats)
@@ -246,54 +251,48 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
 
     # The dual cold start (see the module docstring): no artificial, and
     # the rows keep their negative right-hand sides.
-    dense, dens = rows.dense, rows.dens
+    dense = rows.dense
     head = [0] * ncols if objective is None else dense[objective]
     dual = (objective is not None and min(head, default=0) >= 0
             and all(head[c] for c in rows.cols))
     if dual:
         art_rows = []
 
-    # Tableau columns: structural | slacks | artificials | rhs | denominator.
-    # An artificial row enters negated.  The phase-1 objective (minimize the
-    # artificial sum, priced out against the basic artificials) is the sum
-    # of the artificial rows' structural parts and right-hand sides over
-    # their common denominator, with that denominator in their slack columns.
+    # Tableau columns: structural | slacks | artificials | rhs | denominator,
+    # every row over 1.  An artificial row enters negated.  The phase-1
+    # objective (minimize the artificial sum, priced out against the basic
+    # artificials) is the sum of the artificial rows' structural parts and
+    # right-hand sides, with 1 in their slack columns.
     width = real + len(art_rows)
     bounds = [None] * width
     for c, lo, up in zip(rows.cols, lowers, uppers):
         bounds[c] = up - lo
     flipped = [False] * width
-    pad = [0] * (width - ncols + 2)
+    pad = [0] * (width - ncols + 1) + [1]
     tableau = []
     basis = []
     art = real
     for k in range(m):
-        total, den = totals[k], dens[k]
+        total = totals[k]
         if total < 0 and not dual:
             row = [-x for x in dense[k]] + pad
-            row[ncols + k] = -den
-            row[art] = den
+            row[ncols + k] = -1
+            row[art] = 1
             row[width] = -total
             basis.append(art)
             art += 1
         else:
             row = dense[k] + pad
-            row[ncols + k] = den
+            row[ncols + k] = 1
             row[width] = total
             basis.append(ncols + k)
-        row[width + 1] = den
         tableau.append(row)
 
     if art_rows:
-        obj_den = lcm(*(dens[k] for k in art_rows))
-        scaled = [dense[k] if dens[k] == obj_den
-                  else [x * (obj_den // dens[k]) for x in dense[k]]
-                  for k in art_rows]
-        obj = list(map(sum, zip(*scaled))) + pad
+        obj = list(map(sum, zip(*[dense[k] for k in art_rows]))) + pad
         for k in art_rows:
-            obj[ncols + k] = obj_den
-        obj[width] = sum(totals[k] * (obj_den // dens[k]) for k in art_rows)
-        obj[width + 1] = obj_den
+            obj[ncols + k] = 1
+        obj[width] = sum(totals[k] for k in art_rows)
         tableau.append(obj)
         _optimize(tableau, basis, m, width, bounds, flipped, ranks, stats)
         if tableau[m][width]:
@@ -339,59 +338,43 @@ def _optimize(tableau, basis, nrows, width, bounds, flipped, ranks, stats):
                                    bounds=bounds, flipped=flipped, ranks=ranks)
 
 
-def _move_rhs(tableau, width, ncols, dens, old, new):
-    """Move a tableau solved at right-hand sides ``old`` to ``new``, in place.
+def _shift(tableau, width, col, delta):
+    """Add ``delta`` times each row's entry in column ``col`` to its
+    right-hand side, objective row included, in place.
 
-    A row's total moving by delta moves its rational right-hand side by
-    delta / dens[r].  That is a substitution of the row's slack, so every
-    tableau row, objective included, gains delta / dens[r] times its entry
-    in the slack column ``ncols + r``; the columns stay as they are.  A row
-    is scaled only when its own denominator does not take that term, and
-    then reduced under the kernel's ``REDUCE_ABOVE`` rule, so that entries
-    do not grow over a long search.  That is rare: a row that no gcd has
-    reduced is an integer combination of the compiled rows, whose slack
-    entries are their denominators, so its slack-r entry is a multiple of
-    dens[r].
+    That moves the constant a column stands against by delta: a slack's
+    total, or the bound U of a complemented column ``U - x``.  Every
+    compiled row starts over 1 with slack entry 1, so a tableau row over d
+    has d times its multiplier of compiled row r in slack column r, and its
+    right-hand side stays an int over d.
     """
+    for row in tableau:
+        t = row[col]
+        if t:
+            row[width] += t * delta
+
+
+def _move_rhs(tableau, width, ncols, old, new):
+    """Move a tableau solved at right-hand sides ``old`` to ``new``, in place:
+    row r's total moving by delta is a shift of its slack column
+    ``ncols + r``."""
     for r, (was, now) in enumerate(zip(old, new)):
-        delta = now - was
-        if not delta:
-            continue
-        col, d = ncols + r, dens[r]
-        for i, row in enumerate(tableau):
-            t = row[col]
-            if not t:
-                continue
-            num = delta * t
-            g = gcd(num, d)
-            if g == d:
-                row[width] += num // d
-                continue
-            s = d // g
-            row = tableau[i] = [x * s for x in row]
-            row[width] += num // g
-            if row[-1] > _kernel.REDUCE_ABOVE:
-                g = gcd(*row)
-                if g > 1:
-                    tableau[i] = [x // g for x in row]
+        if now != was:
+            _shift(tableau, width, ncols + r, now - was)
 
 
 def _move_bounds(tableau, width, bounds, flipped, cols, lowers, uppers):
     """Give the moving columns ``cols`` the bounds ``up - lo``, in place.
 
     Only a complemented column's bound shows in the right-hand sides: it
-    reads ``U - x``, so U moving by delta moves every row, objective
-    included, by delta times its entry in that column.
+    reads ``U - x``, so U moving by delta is a shift of that column.
     """
     for c, lo, up in zip(cols, lowers, uppers):
         delta = up - lo - bounds[c]
         if delta:
             bounds[c] += delta
             if flipped[c]:
-                for row in tableau:
-                    t = row[c]
-                    if t:
-                        row[width] += t * delta
+                _shift(tableau, width, c, delta)
 
 
 def _vertex(tableau, basis, ncols, width, bounds, flipped):

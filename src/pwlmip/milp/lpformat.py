@@ -1,10 +1,9 @@
 """CPLEX-style LP text format: exact export.
 
 Numbers are written as exact integers or exact decimals, never floats.  Rows
-are written as the model stores them, integers with their denominator
-dropped, which scales each row by a positive factor and keeps its solution
-set.  The objective is scaled to integers the same way, by
-:func:`~pwlmip.milp.model.integer_row`, which keeps its optimal points.  A
+are written as the model stores them, in integers.  The objective is scaled
+to integers by a positive factor, as :func:`~pwlmip.milp.model.integer_row`
+scales a row, which keeps its optimal points.  A
 rational bound whose denominator is not of the form 2^a*5^b has no finite
 decimal; such a bound is exported as an extra integer row plus the weaker
 floor/ceil bound in the Bounds section, which preserves the feasible set
@@ -65,10 +64,10 @@ def export_lp(model: MilpModel, objective=None, sense="min") -> str:
         lower, upper = v.lower, v.upper
         if lower is not None and _decimal_exact(lower) is None:
             # exact value via a row, weaker integral bound in Bounds
-            extra_rows.append((((i, -lower.denominator),), -lower.numerator, 1))
+            extra_rows.append((((i, -lower.denominator),), -lower.numerator))
             lower = lower.__floor__()
         if upper is not None and _decimal_exact(upper) is None:
-            extra_rows.append((((i, upper.denominator),), upper.numerator, 1))
+            extra_rows.append((((i, upper.denominator),), upper.numerator))
             upper = upper.__ceil__()
         if lower is None and upper is None:
             bounds_lines.append(" %s free" % v.name)
@@ -99,13 +98,13 @@ def export_lp(model: MilpModel, objective=None, sense="min") -> str:
     if objective:
         if isinstance(objective, dict):
             objective = objective.items()
-        obj_coeffs, _, _ = integer_row(objective, 0, model.n_vars)
+        obj_coeffs, _ = integer_row(objective, 0, model.n_vars)
         lines.append(" obj: " + (render_terms(obj_coeffs) or "0 " + names[0]))
     else:
         lines.append(" obj:")
     lines.append("Subject To")
     count = 0
-    for coeffs, rhs, _ in model.rows + tuple(extra_rows):
+    for coeffs, rhs in model.rows + tuple(extra_rows):
         body = render_terms(coeffs)
         if not body:
             # A row with no variables is a tautology or a contradiction; keep

@@ -4,12 +4,13 @@
 :mod:`pwlmip.emip` re-exports; :func:`check_bounds` its one exact check.
 This layer imports nothing from the layers above it.
 
-A row is integers: ``(coeffs, rhs, den)`` stands for ``sum(c/den * x_i) <=
-rhs/den``, coeffs (index, int) pairs sorted by index and den > 0.  Lowered
-rows are scaled to integers, so their den is 1.  The solver reads rows as
-they are.  Variable bounds and the assignment a solve returns follow
+A row is integers: ``(coeffs, rhs)`` stands for ``sum(c * x_i) <= rhs``,
+coeffs (index, int) pairs sorted by index.  :func:`integer_row` scales a
+rational row to that form by a positive factor, which keeps its solution
+set, so a row carries no denominator.  The solver reads rows as they are.
+Variable bounds and the assignment a solve returns follow
 :func:`pwlmip.rationals.exact`, an int when integral; Fractions appear only
-for values that are not, and in the messages of ``check_assignment``.
+for values that are not.
 """
 
 from __future__ import annotations
@@ -71,18 +72,19 @@ def check_bounds(variables, assignment):
 
 
 def integer_row(coeffs, rhs, n_vars):
-    """The rational row ``sum(c * x_i) <= rhs`` over the lcm of its
-    denominators; a row of ints is taken as it is, over 1."""
+    """The rational row ``sum(c * x_i) <= rhs`` times the lcm of its
+    denominators, ``(coeffs, rhs)`` in ints; a row of ints is taken as it
+    is."""
     coeffs = sorted((int(i), exact(c)) for i, c in coeffs)
     for i, _ in coeffs:
         if not (0 <= i < n_vars):
             raise ValueError("row references unknown variable index %d" % i)
     rhs = exact(rhs)
     if type(rhs) is int and all(type(c) is int for _, c in coeffs):
-        return tuple(coeffs), rhs, 1
+        return tuple(coeffs), rhs
     den = lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
     return (tuple((i, c.numerator * den // c.denominator) for i, c in coeffs),
-            rhs.numerator * den // rhs.denominator, den)
+            rhs.numerator * den // rhs.denominator)
 
 
 class ResourceExhausted(Exception):
@@ -99,8 +101,8 @@ class SolverInternalError(AssertionError):
 
 
 class MilpModel(Frozen):
-    """Variables plus integer rows ``(coeffs, rhs, den)``, taken as they
-    are; :func:`integer_row` makes one from a rational row."""
+    """Variables plus integer rows ``(coeffs, rhs)``, taken as they are;
+    :func:`integer_row` makes one from a rational row."""
 
     __slots__ = _fields = ("variables", "rows")
 
@@ -126,11 +128,10 @@ class MilpModel(Frozen):
     def check_assignment(self, assignment):
         """Exact violation list for a full assignment (index -> int or Fraction)."""
         problems = check_bounds(self.variables, assignment)
-        for k, (coeffs, rhs, den) in enumerate(self.rows):
+        for k, (coeffs, rhs) in enumerate(self.rows):
             total = sum(c * assignment[i] for i, c in coeffs)
             if total > rhs:
-                problems.append("row %d: %s > %s"
-                                % (k, Fraction(total, den), Fraction(rhs, den)))
+                problems.append("row %d: %s > %s" % (k, total, rhs))
         return problems
 
 

@@ -159,10 +159,9 @@ def lower(model: EmipModel):
         forms.append(form)
         rows.append(form)
 
-    # Each row scaled to integers, so every denominator is 1.
     n = len(variables)
     milp = MilpModel(tuple(variables), tuple(
-        integer_row(coeffs, rhs, n)[:2] + (1,) for coeffs, rhs in rows))
+        integer_row(coeffs, rhs, n) for coeffs, rhs in rows))
     return milp, LoweringMap(len(model.variables), tuple(term_map), tuple(forms))
 
 

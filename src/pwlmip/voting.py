@@ -63,6 +63,19 @@ class Voter(Frozen):
         object.__setattr__(self, "price", parse_count(price, "price"))
 
 
+def _candidates(names):
+    """``names`` as a tuple, refused if empty or if a name repeats."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("need at least one candidate")
+    seen = set()
+    for i, name in enumerate(names):
+        if name in seen:
+            raise ValueError("candidate %d: duplicate name %r" % (i, name))
+        seen.add(name)
+    return names
+
+
 class ApprovalElection(Frozen):
     """Approval ballots; ``candidates[0]`` is the preferred candidate.
 
@@ -72,11 +85,7 @@ class ApprovalElection(Frozen):
     __slots__ = _fields = ("candidates", "voters", "budget", "pool")
 
     def __init__(self, candidates, voters, budget, pool=()):
-        candidates = tuple(candidates)
-        if not candidates:
-            raise ValueError("need at least one candidate")
-        if len(set(candidates)) != len(candidates):
-            raise ValueError("candidate names must be distinct")
+        candidates = _candidates(candidates)
         object.__setattr__(self, "candidates", candidates)
         known = set(candidates)
         for group in (voters, pool):
@@ -155,11 +164,7 @@ class OrdinalElection(Frozen):
     __slots__ = _fields = ("candidates", "voters", "scoring_vector", "budget")
 
     def __init__(self, candidates, voters, scoring_vector, budget):
-        candidates = tuple(candidates)
-        if not candidates:
-            raise ValueError("need at least one candidate")
-        if len(set(candidates)) != len(candidates):
-            raise ValueError("candidate names must be distinct")
+        candidates = _candidates(candidates)
         object.__setattr__(self, "candidates", candidates)
         expected = sorted(candidates)
         for v in voters:

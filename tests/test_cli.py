@@ -451,6 +451,26 @@ def test_malformed_fields_name_their_entry(capsys, tmp_path, command, blob,
     assert err == "error: %s\n" % report["error"]
 
 
+@pytest.mark.parametrize("command, blob, message", [
+    ("solve-emip", dict(_MODEL, variables=[{"name": "x"}, {"name": "y"},
+                                           {"name": "x"}]),
+     "variable 2: duplicate name 'x'"),
+    ("ccdv", dict(_APPROVAL, candidates=["p", "c1", "c1"]),
+     "candidate 2: duplicate name 'c1'"),
+    ("scoring-ccdv", dict(_ORDINAL, candidates=["p", "p", "a", "b"]),
+     "candidate 1: duplicate name 'p'"),
+])
+def test_duplicate_names_name_the_entry(capsys, tmp_path, command, blob,
+                                        message):
+    """A repeated variable or candidate name is an input error (exit 2)
+    whose report names the repeated entry and its index."""
+    path = _write_json(tmp_path, "dup.json", blob)
+    code, report, err = run_json(capsys, command, path)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == "%s: %s" % (path, message)
+    assert err == "error: %s\n" % report["error"]
+
+
 def test_wrong_format_for_command(capsys):
     code, _, err = run(capsys, "ccdv", fx("wsm3.json"))
     assert code == 2 and "unsupported election format" in err

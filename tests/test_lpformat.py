@@ -91,7 +91,7 @@ def test_round_trip_random_lowered_models():
         plain = all(
             _decimalish(v.lower) and _decimalish(v.upper)
             for v in lowered.variables
-        ) and all(any(c != 0 for _, c in coeffs) for coeffs, _, _ in lowered.rows)
+        ) and all(any(c != 0 for _, c in coeffs) for coeffs, _ in lowered.rows)
         if plain:
             assert _rebuild(lp) == lowered
             continue

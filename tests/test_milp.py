@@ -1002,7 +1002,8 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
         ok, point = solve_lp_feasibility(_int_rows(rows, n), lowers, uppers)
         verdicts.add(ok)
         if orthant and built:
-            dense = [([c for _, c in coeffs], rhs) for coeffs, rhs in rows]
+            dense = [([c for _, c in coeffs], rhs)
+                     for coeffs, rhs in _int_rows(rows, n)]
             first = built[0]
             assert ((_fraction_rows(first.tableau, first.ncols), first.basis)
                     == _phase1_tableau(dense, n)[:2])
@@ -1028,8 +1029,8 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
         (1, 5, 0, 5, (5, 1)),
         (2, 3, 0, F(3, 2), (3, 2)),
         (4, 6, 0, F(3, 2), (6, 4)),
-        (2, 4, F(1, 2), 2, (6, 4)),
-        (2, 5, F(1, 2), F(5, 2), (8, 4)),
+        (2, 4, F(1, 2), 2, (3, 2)),
+        (2, 5, F(1, 2), F(5, 2), (4, 2)),
         (4, 6, -1, F(3, 2), (10, 4)),
     ]
     for a, b, lo, value, row in cases:
@@ -1070,10 +1071,12 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
 
 
 def _direct_rows(rows, lowers, uppers, moving):
-    """Fraction rows and bounds as integer rows ``(dense, rhs, den)``, with
-    the column count and each variable's columns: every column shifted or
-    split, and each row (bound rows included) scaled by the lcm of its
-    denominators.  The ``moving`` variables' upper bounds make no row."""
+    """Fraction rows and bounds as integer rows ``(dense, rhs)``, with the
+    column count and each variable's columns: every column shifted or
+    split, and each row (bound rows included) in ints by
+    :func:`integer_row`, then times the least positive int that makes its
+    shifts by lower bounds integral.  The ``moving`` variables' upper
+    bounds make no row."""
     col_of, ncols = [], 0
     for lo in lowers:
         col_of.append((ncols,) if lo is not None else (ncols, ncols + 1))
@@ -1082,21 +1085,19 @@ def _direct_rows(rows, lowers, uppers, moving):
                   if up is not None and i not in moving]
     int_rows = []
     for coeffs, rhs in list(rows) + bound_rows:
-        den = rhs.denominator
-        for i, c in coeffs:
-            if c:
-                den = math.lcm(den, c.denominator * (
-                    lowers[i].denominator if lowers[i] is not None else 1))
+        coeffs, rhs = integer_row(coeffs, rhs, len(lowers))
+        scale = math.lcm(*(F(c * lowers[i]).denominator for i, c in coeffs
+                           if lowers[i] is not None))
         dense = [0] * ncols
-        total = rhs * den
+        total = rhs * scale
         for i, c in coeffs:
-            dense[col_of[i][0]] += int(c * den)
+            dense[col_of[i][0]] += c * scale
             if lowers[i] is not None:
-                total -= c * den * lowers[i]
+                total -= c * scale * lowers[i]
             else:
-                dense[col_of[i][1]] -= int(c * den)
+                dense[col_of[i][1]] -= c * scale
         assert total.denominator == 1
-        int_rows.append((dense, int(total), den))
+        int_rows.append((dense, int(total)))
     return int_rows, ncols, col_of
 
 
@@ -1104,32 +1105,31 @@ def _per_node_tableau(rows, lowers, uppers, moving=()):
     """The phase-1 tableau built straight from Fraction rows and bounds.
 
     The direct construction that compiled rows replace: the rows of
-    :func:`_direct_rows`, then slacks, artificials and the priced-out
-    objective.  Returns (tableau, basis, nrows, ncols), or None when the
-    all-slack basis is already feasible and no kernel call is needed.
+    :func:`_direct_rows` over 1, then slacks, artificials and the objective,
+    minus the sum of the artificial rows.  Returns (tableau, basis, nrows,
+    ncols), or None when the all-slack basis is already feasible and no
+    kernel call is needed.
     """
     int_rows, ncols, _ = _direct_rows(rows, lowers, uppers, moving)
     m = len(int_rows)
-    n_art = sum(1 for _, rhs, _ in int_rows if rhs < 0)
+    n_art = sum(1 for _, rhs in int_rows if rhs < 0)
     if not n_art:
         return None
     tableau, basis, art = [], [], ncols + m
-    for k, (dense, rhs, den) in enumerate(int_rows):
+    for k, (dense, rhs) in enumerate(int_rows):
         sign = -1 if rhs < 0 else 1
-        row = [sign * c for c in dense] + [0] * (m + n_art) + [sign * rhs, den]
-        row[ncols + k] = sign * den
+        row = [sign * c for c in dense] + [0] * (m + n_art) + [sign * rhs, 1]
+        row[ncols + k] = sign
         if rhs < 0:
-            row[art] = den
+            row[art] = 1
             basis.append(art)
             art += 1
         else:
             basis.append(ncols + k)
         tableau.append(row)
     art_rows = [row for row, b in zip(tableau, basis) if b >= ncols + m]
-    obj_den = math.lcm(*(row[-1] for row in art_rows))
-    obj = [-sum(F(row[j], row[-1]) for row in art_rows) * obj_den
-           for j in range(ncols + m + n_art + 1)]
-    obj = [int(x) for x in obj] + [obj_den]
+    obj = [-sum(row[j] for row in art_rows)
+           for j in range(ncols + m + n_art + 1)] + [1]
     for b in basis:
         if b >= ncols + m:
             obj[b] = 0
@@ -1142,17 +1142,17 @@ def _dual_start_tableau(rows, lowers, uppers, moving, objective):
     and bounds, or None unless row ``objective`` is dual feasible at the
     all-slack basis: no negative entry, and a positive one on every moving
     column.  The rows of :func:`_direct_rows` keep their signs, with slacks
-    and no artificial, and that row itself, over 1, is the objective.
-    Returns (tableau, basis, nrows, ncols)."""
+    and no artificial, every row over 1, and that row itself is the
+    objective.  Returns (tableau, basis, nrows, ncols)."""
     int_rows, ncols, col_of = _direct_rows(rows, lowers, uppers, moving)
     head = int_rows[objective][0]
     if min(head, default=0) < 0 or not all(head[col_of[i][0]] for i in moving):
         return None
     m = len(int_rows)
     tableau = []
-    for k, (dense, rhs, den) in enumerate(int_rows):
-        row = dense + [0] * m + [rhs, den]
-        row[ncols + k] = den
+    for k, (dense, rhs) in enumerate(int_rows):
+        row = dense + [0] * m + [rhs, 1]
+        row[ncols + k] = 1
         tableau.append(row)
     tableau.append(head + [0] * (m + 1) + [1])
     return tableau, list(range(ncols, ncols + m)), m, ncols + m
@@ -1380,6 +1380,64 @@ def test_dual_and_two_phase_cold_starts_agree(monkeypatch):
     assert seen[True, True] > 40 and seen[True, False] > 40
 
 
+def test_row_scale_does_not_change_an_answer():
+    """A row times a positive int has the same solution set, so scaling
+    each integer row of an LP by its own factor keeps the verdict and the
+    exact optimum.  The seeded models have fractional fixed lower bounds,
+    free variables, fractional upper bounds (given as rows, so that they
+    are scaled too) and a threshold row ``-sum(c * x) <= -T`` with
+    fractional costs c, whose left side three calls in four minimize."""
+    rng = random.Random(0xB6C)
+    seen = collections.Counter()
+    for case in range(300):
+        n = rng.randint(1, 4)
+        lowers = [None if rng.random() < 0.25 else random_fraction(rng, -3, 1)
+                  for _ in range(n)]
+        uppers = [None if lo is None or rng.random() < 0.3
+                  else lo + random_fraction(rng, 0, 4) for lo in lowers]
+        rows = [(tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
+                       if rng.random() < 0.8), random_fraction(rng, -5, 5))
+                for _ in range(rng.randint(1, 4))]
+        costs = [(i, random_fraction(rng, -2, 2)) for i in range(n)]
+        threshold = (tuple((i, -c) for i, c in costs), F(-rng.randint(-4, 4)))
+        bound_rows = [(((i, F(1)),), up) for i, up in enumerate(uppers)
+                      if up is not None]
+        int_rows = _int_rows(rows + [threshold] + bound_rows, n)
+        objective = len(rows) if case % 4 else None
+        answers = []
+        for factors in ([1] * len(int_rows),
+                        [rng.randint(2, 9) for _ in int_rows]):
+            compiled = CompiledRows(
+                [(tuple((i, c * s) for i, c in coeffs), rhs * s)
+                 for (coeffs, rhs), s in zip(int_rows, factors)],
+                lowers, [None] * n)
+            ok, point = solve_lp_feasibility(compiled, (), (),
+                                             objective=objective)
+            value = (None if objective is None or point is None
+                     else sum(c * point[i] for i, c in costs))
+            answers.append((ok, point is None, value))
+            if ok and point is not None:
+                for coeffs, rhs in rows + [threshold] + bound_rows:
+                    assert sum(c * point[i] for i, c in coeffs) <= rhs
+        assert answers[0] == answers[1]
+        ok, unbounded, value = answers[0]
+        seen["infeasible" if not ok else "unbounded" if unbounded
+             else "feasibility" if value is None else "optimum"] += 1
+        used = {i for coeffs, _ in rows for i, c in coeffs if c}
+        seen["fractional lower"] += any(
+            lowers[i] is not None and lowers[i].denominator > 1 for i in used)
+        seen["free"] += any(lowers[i] is None for i in used)
+        seen["fractional upper"] += any(up is not None and up.denominator > 1
+                                        for up in uppers)
+        seen["fractional threshold"] += any(c.denominator > 1
+                                            for _, c in costs)
+    assert min(seen[k] for k in ("infeasible", "unbounded", "feasibility",
+                                 "optimum")) > 10
+    assert min(seen[k] for k in ("fractional lower", "free",
+                                 "fractional upper",
+                                 "fractional threshold")) > 100
+
+
 def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
     """One compile per ``maximize``; every cold node's first tableau is a
     direct build, with the threshold row at the value the tree holds when
@@ -1426,7 +1484,7 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
             objective = {i: -(abs(objective.get(i, 0)) or 1)
                          for i in range(model.n_vars)}
         n = model.n_vars
-        _, _, den = integer_row(((i, -c) for i, c in objective.items()), 0, n)
+        den = math.lcm(*(F(c).denominator for c in objective.values()))
         compiles.clear()
         nodes.clear()
         milp.maximize(model, objective, -12, 12)
@@ -1560,36 +1618,97 @@ def test_warm_infeasible_verdicts_come_with_a_farkas_row(monkeypatch):
     assert seen["below 0"] > 20 and seen["above the bound"] > 10
 
 
-def test_moving_right_hand_sides_is_exact_in_any_row_form(monkeypatch):
-    """Moving a tableau from totals ``old`` to ``new`` adds, to every row,
-    (new - old) / dens[r] times its entry in slack column r, exactly: also
-    where a row's denominator does not take that term, so the row is
-    rescaled, and then reduced once past ``REDUCE_ABOVE`` (lowered here;
-    rows carry common factors for it to find)."""
-    monkeypatch.setattr(_kernel, "REDUCE_ABOVE", 16)
+def _replay(steps, dense, head, totals, ups):
+    """The tableau that pivots and bound flips ``steps`` reach from the
+    all-slack start of ``dense`` rows at ``totals``, every row over 1, with
+    objective row ``head`` and structural bounds ``ups``.
+
+    A step is ("pivot", row, column), taken by :func:`_kernel.pivot_in`, or
+    ("flip", column, None), which substitutes ``U - x`` for that nonbasic
+    column.  Returns (tableau, basis, bounds, flipped).
+    """
+    ncols, m = len(head), len(dense)
+    real = ncols + m
+    tableau = []
+    for k in range(m):
+        row = dense[k] + [0] * m + [totals[k], 1]
+        row[ncols + k] = 1
+        tableau.append(row)
+    tableau.append(head + [0] * (m + 1) + [1])
+    basis = list(range(ncols, real))
+    bounds, flipped = list(ups) + [None] * m, [False] * real
+    for kind, a, b in steps:
+        if kind == "pivot":
+            _kernel.pivot_in(tableau, basis, m, real, a, b, bounds, flipped)
+        else:
+            for row in tableau:
+                row[real] -= row[a] * bounds[a]
+                row[a] = -row[a]
+            flipped[a] = not flipped[a]
+    return tableau, basis, bounds, flipped
+
+
+def test_moving_right_hand_sides_is_exact_in_any_row_form():
+    """One column shift moves a tableau's right-hand sides, both to new
+    totals (:func:`_move_rhs`, by the slack columns) and to new bounds of
+    its complemented columns (:func:`_move_bounds`): each row gains delta
+    times its entry in the column.  Either move gives, as Fractions, the
+    tableau that the same pivots and bound flips reach from a start at the
+    new totals and bounds, with every other entry and each denominator as
+    it was, whether the rows are in lowest terms or keep common factors."""
     rng = random.Random(0xB63)
-    rescaled = reduced = 0
-    for _ in range(300):
+    seen = collections.Counter()
+    for case in range(300):
         ncols, m = rng.randint(1, 3), rng.randint(1, 4)
-        width = ncols + m
-        tableau = _scaled([[rng.randint(-9, 9) for _ in range(width + 1)]
-                           + [rng.randint(1, 12)] for _ in range(m + 1)],
-                          [rng.choice((1, 2, 6)) for _ in range(m + 1)])
-        dens = [rng.randint(1, 12) for _ in range(m)]
+        real = ncols + m
+        dense = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(m)]
+        head = [rng.randint(-3, 3) for _ in range(ncols)]
         old = [rng.randint(-20, 20) for _ in range(m)]
         new = [x + rng.choice((0, rng.randint(-5, 5))) for x in old]
-        expected = _fraction_rows(tableau, width)
-        for row in expected:
-            row[width] += sum(F(b - a, d) * row[ncols + r]
-                              for r, (a, b, d) in enumerate(zip(old, new, dens)))
-        before = [row[-1] for row in tableau]
-        lp_module._move_rhs(tableau, width, ncols, dens, old, new)
-        assert _fraction_rows(tableau, width) == expected
-        for row, den in zip(tableau, before):
-            if row[-1] != den:
-                rescaled += 1
-                reduced += row[-1] % den != 0  # only a reduction does that
-    assert rescaled > 100 and reduced > 10
+        ups = [rng.randint(1, 4) for _ in range(ncols)]
+        new_ups = [u + rng.randint(-1, 3) for u in ups]
+
+        # a random walk of pivots and flips from the start at ``old``
+        steps = []
+        for _ in range(rng.randint(1, 6)):
+            tableau, basis, _, _ = _replay(steps, dense, head, old, ups)
+            nonbasic = [j for j in range(real) if j not in basis]
+            pivots = [("pivot", k, j) for k in range(m) for j in nonbasic
+                      if tableau[k][j] > 0]
+            flips = [("flip", j, None) for j in nonbasic if j < ncols]
+            if not pivots + flips:
+                break
+            steps.append(rng.choice(flips if rng.random() < 0.5 and flips
+                                    else pivots or flips))
+        tableau, _, bounds, flipped = _replay(steps, dense, head, old, ups)
+        if case % 2:
+            _lowest_terms(tableau)
+        else:
+            tableau = _scaled(tableau, [rng.choice((1, 2, 6))
+                                        for _ in range(m + 1)])
+        seen["common factor"] += any(math.gcd(*row) > 1 for row in tableau)
+        seen["lowest terms"] += any(math.gcd(*row) == 1 for row in tableau)
+
+        def unmoved(rows):
+            return [row[:real] + row[real + 1:] for row in rows]
+
+        moved = [list(row) for row in tableau]
+        lp_module._move_rhs(moved, real, ncols, old, new)
+        expected = _replay(steps, dense, head, new, ups)[0]
+        assert _fraction_rows(moved, real) == _fraction_rows(expected, real)
+        assert unmoved(moved) == unmoved(tableau)
+        seen["totals"] += moved != tableau
+
+        before = [list(row) for row in moved]
+        lp_module._move_bounds(moved, real, bounds, flipped, range(ncols),
+                               [0] * ncols, new_ups)
+        expected = _replay(steps, dense, head, new, new_ups)[0]
+        assert _fraction_rows(moved, real) == _fraction_rows(expected, real)
+        assert unmoved(moved) == unmoved(before)
+        assert bounds[:ncols] == new_ups
+        seen["bounds"] += moved != before
+    assert seen["totals"] > 150 and seen["bounds"] > 50
+    assert seen["common factor"] > 100 and seen["lowest terms"] > 100
 
 
 def test_search_restarts_cold_after_an_unbounded_phase_2(monkeypatch):

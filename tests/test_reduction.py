@@ -43,10 +43,10 @@ def test_lowering_structure_of_one_convex_term():
     assert (lowered.variables[1].lower, lowered.variables[1].upper) == (0, None)
     assert (lowered.variables[2].lower, lowered.variables[2].upper) == (0, None)
     # z >= x - 2, link x + 2z <= w, budget w <= 9; z >= 0 is a bound, not a row
-    assert [set(dict(coeffs)) for coeffs, _, _ in lowered.rows] == [
+    assert [set(dict(coeffs)) for coeffs, _ in lowered.rows] == [
         {0, 2}, {0, 1, 2}, {1},
     ]
-    assert [rhs for _, rhs, _ in lowered.rows] == [2, 0, 9]
+    assert [rhs for _, rhs in lowered.rows] == [2, 0, 9]
     link = dict(lowered.rows[1][0])
     assert link == {0: 1, 2: 2, 1: -1}
     # only the original variable is integer
@@ -66,7 +66,7 @@ def test_lowering_normalizes_the_model_as_written():
     ((coeffs, b),) = lmap.forms
     w = lmap.terms[0][1].bound_var
     assert dict(coeffs) == {w: 1, 1: 2} and b == 4  # w + 2y <= 9 - 5
-    assert lowered.rows[-1] == (tuple(sorted(coeffs)), 4, 1)
+    assert lowered.rows[-1] == (tuple(sorted(coeffs)), 4)
 
     rng = random.Random(0xD40)
     rewritten = solved = 0
@@ -95,8 +95,8 @@ def test_rows_have_integer_coefficients():
         (EmipConstraint(lhs={0: fn}, rhs={}, b=F(7, 6)),),
     )
     lowered, _ = lower(model)
-    for coeffs, rhs, den in lowered.rows:
-        assert den == 1 and type(rhs) is int
+    for coeffs, rhs in lowered.rows:
+        assert type(rhs) is int
         assert all(type(c) is int for _, c in coeffs)
 
 
@@ -200,7 +200,7 @@ def test_lowered_rows_carry_no_zero_coefficient():
     models += [normalize(random_grid_model(rng)) for _ in range(60)]
     for model in models:
         lowered, _ = lower(model)
-        for coeffs, _, _ in lowered.rows:
+        for coeffs, _ in lowered.rows:
             assert all(c != 0 for _, c in coeffs), coeffs
 
 
@@ -235,7 +235,7 @@ def test_dropped_rows_and_bounds_are_redundant_in_the_lp():
             src = norm.variables[term.var]
             full_uppers[term.bound_var] = term.fn.range_on(src.lower, src.upper)[1]
             for aux, rho in zip(term.aux_vars, term.fn.breakpoints):
-                extra_rows.append((((aux, -1),), 0, 1))
+                extra_rows.append((((aux, -1),), 0))
                 full_uppers[aux] = max(F(0), src.upper - rho)
         full_rows = lowered.rows + tuple(extra_rows)
         for _ in range(6):
@@ -320,8 +320,8 @@ def test_integral_model_lowers_to_int_bounds_and_rows():
     bounds = [b for v in lowered.variables for b in (v.lower, v.upper)
               if b is not None]
     assert bounds and all(type(b) is int for b in bounds)
-    for coeffs, rhs, den in lowered.rows:
-        assert den == 1 and type(rhs) is int
+    for coeffs, rhs in lowered.rows:
+        assert type(rhs) is int
         assert all(type(c) is int for _, c in coeffs)
 
 
@@ -335,7 +335,7 @@ def test_non_integral_bounds_stay_fractions_in_the_lowering():
     assert lowered.variables[0].upper == F(5, 2)
     assert type(lowered.variables[0].upper) is F
     # z >= x - 1/2 is scaled to the integer row 2x - 2z <= 1
-    assert lowered.rows[0] == (((0, 2), (2, -2)), 1, 1)
+    assert lowered.rows[0] == (((0, 2), (2, -2)), 1)
 
 
 def test_int_and_fraction_functions_share_one_lowered_block():

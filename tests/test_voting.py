@@ -49,7 +49,7 @@ def test_validation_errors():
         Voter({"p"}, price=-2)
     with pytest.raises(ValueError, match="at least one candidate"):
         ApprovalElection((), (), 0)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="candidate 1: duplicate name 'p'"):
         ApprovalElection(("p", "p"), (), 0)
     with pytest.raises(ValueError, match="unknown candidate"):
         ApprovalElection(("p",), (Voter({"q"}),), 0)
