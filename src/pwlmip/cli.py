@@ -111,7 +111,8 @@ def _run_solve_emip(args):
     return _report("solve-emip", result, lambda r: {
         "assignment": {model.variables[i].name: str(v)
                        for i, v in sorted(r.assignment.items())},
-        "best": r.best})
+        "best": r.best if r.best is None or r.best.denominator == 1
+        else str(r.best)})
 
 
 _COVER_SOLVERS = {"wsm": solve_wsm, "umm": solve_umm}

@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ..rationals import exact
 from .lp import CompiledRows, LiveTableau, solve_lp_feasibility
 from .model import (
     MilpModel,
@@ -67,6 +68,7 @@ from .model import (
     SolveResult,
     SolveStats,
     SolverInternalError,
+    VarKind,
     integer_row,
 )
 
@@ -297,9 +299,9 @@ def _round(rows, point, int_idx, stats, objective, live):
 
 
 def _objective_end(model: MilpModel, coeffs, top):
-    """The integer end of sum(c * x_i) over the variables' bounds: the
-    ceiling of its largest value if ``top``, else the floor of its least.
-    A zero coefficient is skipped; an infinite bound is refused by name."""
+    """The exact end of sum(c * x_i) over the variables' bounds: its
+    largest value if ``top``, else its least.  A zero coefficient is
+    skipped; an infinite bound is refused by name."""
     total = 0
     for i, c in coeffs:
         if c == 0:
@@ -312,22 +314,26 @@ def _objective_end(model: MilpModel, coeffs, top):
                              "threshold bracket is open"
                              % (v.name, "upper" if upper else "lower"))
         total += c * bound
-    return math.ceil(total) if top else math.floor(total)
+    return total
 
 
 def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
              node_limit=None) -> SolveResult:
-    """Largest integer T in [t_lo, t_hi] with {model, sum(c*x) >= T} feasible.
+    """Largest threshold T in [t_lo, t_hi] with {model, sum(c*x) >= T}
+    feasible, stepped in units of 1/den when every variable with a nonzero
+    coefficient is integer (den the lcm of the coefficients'
+    denominators), so that ``best`` is then the exact maximum, and in
+    units of 1 otherwise.
 
     ``coeffs`` maps variable index to an exact coefficient.  The bracket must
     contain the optimum for the answer to be the true maximum; if the model is
-    infeasible even at ceil(t_lo) the result reports infeasible.  An end left
-    None is worked out from the variables' bounds, which must be finite on
-    that side for every variable with a nonzero coefficient.  A worked-out
-    t_hi bounds the form over every point, so one below ceil(t_lo) answers
-    infeasible with no node solved; a given bracket with no integer in it is
-    refused.  One search answers it, over all its threshold levels, so the
-    node limit bounds the whole call.
+    infeasible even at the first step at or above t_lo the result reports
+    infeasible.  An end left None is worked out from the variables' bounds,
+    which must be finite on that side for every variable with a nonzero
+    coefficient.  A worked-out t_hi bounds the form over every point, so one
+    below the first step answers infeasible with no node solved; a given
+    bracket with no step in it is refused.  One search answers it, over all
+    its threshold levels, so the node limit bounds the whole call.
     """
     coeffs = tuple(coeffs.items() if isinstance(coeffs, dict) else coeffs)
     # The threshold row -sum(c * x) <= -T times den, the lcm of the
@@ -336,14 +342,22 @@ def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
     for _, c in coeffs:
         den = math.lcm(den, Fraction(c).denominator)
     threshold, _ = integer_row(((i, -c) for i, c in coeffs), 0, model.n_vars)
+    # Over integer variables the form takes only multiples of 1/den: the
+    # search then runs on den * T, whose row is -den * sum(c * x) <= -den*T.
+    step = den if all(c == 0 or model.variables[i].kind is VarKind.INTEGER
+                      for i, c in coeffs) else 1
     if t_lo is None:
         t_lo = _objective_end(model, coeffs, top=False)
-    lo = math.ceil(t_lo)
+    lo = math.ceil(t_lo * step)
     if t_hi is None:
         t_hi = _objective_end(model, coeffs, top=True)
-        if lo > t_hi:
+        if lo > math.floor(t_hi * step):
             return SolveResult(False, None)
-    hi = math.floor(t_hi)
+    hi = math.floor(t_hi * step)
     if lo > hi:
         raise ValueError("empty threshold bracket [%s, %s]" % (t_lo, t_hi))
-    return solve_feasibility(model, node_limit, (threshold, den, lo, hi))
+    result = solve_feasibility(model, node_limit,
+                               (threshold, den // step, lo, hi))
+    if step > 1 and result.best is not None:
+        result.best = exact(Fraction(result.best, step))
+    return result

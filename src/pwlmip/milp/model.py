@@ -173,16 +173,18 @@ class SolveStats(Record):
 
 class SolveResult(Record):
     """A solve's verdict, witness and stats.  ``best`` is an optimization's
-    best integer threshold, None for a feasibility solve.  The search steps
-    by integers, so ``best`` is the exact optimum when that is an integer,
-    as in every covering and election model, and otherwise errs by less
-    than 1 toward the worse side: minimizing x/2 over an integer x in
-    [1, 3] gives 1, not 1/2."""
+    best threshold, None for a feasibility solve.  Over integer objective
+    variables the search steps by 1/den of the objective's coefficients, so
+    ``best`` is the exact optimum (minimizing x/2 over an integer x in
+    [1, 3] gives 1/2).  An objective with a continuous variable steps by
+    integers, so ``best`` is exact when the optimum is an integer and
+    otherwise errs by less than 1 toward the worse side."""
 
     __slots__ = _fields = ("feasible", "assignment", "stats", "best")
 
     def __init__(self, feasible: bool, assignment: dict | None,
-                 stats: SolveStats | None = None, best: int | None = None):
+                 stats: SolveStats | None = None,
+                 best: int | Fraction | None = None):
         self.feasible = feasible
         self.assignment = assignment
         self.stats = SolveStats() if stats is None else stats

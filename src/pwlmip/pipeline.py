@@ -32,12 +32,14 @@ def solve_emip(model: EmipModel, node_limit=None) -> SolveResult:
 
 
 def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> SolveResult:
-    """Best integer threshold of the model's linear objective.
+    """Best threshold of the model's linear objective.
 
-    Finds the largest integer T with {model, objective >= T} feasible (for a
-    "min" objective: the smallest T with objective <= T, via negation).  The
-    bracket [t_lo, t_hi] must contain the optimum; :func:`milp.maximize
-    <pwlmip.milp.maximize>` works out an end left out.
+    Finds the largest T with {model, objective >= T} feasible (for a "min"
+    objective: the smallest T with objective <= T, via negation), stepping
+    T by 1/den of the objective's coefficients when every variable in it is
+    integer, so that ``best`` is then the exact optimum, and by 1
+    otherwise.  The bracket [t_lo, t_hi] must contain the optimum;
+    :func:`milp.maximize <pwlmip.milp.maximize>` works out an end left out.
     """
     if model.objective is None:
         raise ValueError("model has no objective")
@@ -51,12 +53,15 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> So
 def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> SolveResult:
     """Minimize the left-hand side of a budget-style constraint, as written.
 
-    The constraint's right side must be empty.  Its lowered form reads each
-    non-linear term through its bounding variable w (pushed down to the
-    exact function value at any optimum); the constants that normalization
-    moved into b are added back.  ``best`` is the exact minimum when it and
-    those constants are integers (the search steps by integers; otherwise it
-    is high by less than 1).  No point within the budget: infeasible.
+    The constraint's right side must be empty.  Its lowered form reads a
+    non-linear term that no other row uses as d_0 on x and d_l - d_{l-1} on
+    each breakpoint column z_l, and a shared one through its bound column
+    w; at any optimum both come to the exact function value.  The
+    constants that normalization moved into b are added back.  A form over
+    integer variables alone is minimized exactly (see :func:`maximize_emip`);
+    one with a breakpoint or bound column steps by integers, so ``best`` is
+    the exact minimum when it and those constants are integers and
+    otherwise high by less than 1.  No point within the budget: infeasible.
     """
     cons = model.constraints[constraint]
     if cons.rhs:

@@ -2,26 +2,31 @@
 
 :func:`lower` takes a model as written.  It normalizes it first
 (:func:`pwlmip.emip.normalize`, which also validates it), so every
-transformation has f(0) = 0 and its constant sits in b.  Each constraint
-``sum f_i(x_i) <= sum g_i(x_i) + b`` of the normalized model is then
-replaced by its *lowered form* ``sum w_i <= sum u_i + b``, with linear terms
-kept on x itself, plus, per transformed variable, auxiliary continuous
-variables and rows that pin w above the convex side and u below the concave
-side:
+transformation has f(0) = 0 and its constant sits in b.  One block of
+auxiliary continuous variables and rows stands for each (variable,
+function, side) of the normalized model:
 
   convex f on x, breakpoints rho_1..rho_L, slopes d_0..d_L:
       z_l >= 0 (a bound),  z_l >= x - rho_l          (l = 1..L)
-      x*d_0 + sum_l z_l*(d_l - d_{l-1}) <= w
+      F = x*d_0 + sum_l z_l*(d_l - d_{l-1})
 
   concave g on x:
       y_l >= 0 (a bound),  y_l >= x - rho_l
-      u <= x*d_0 + sum_l y_l*(d_l - d_{l-1})
+      G = x*d_0 + sum_l y_l*(d_l - d_{l-1})
 
-Because the convex slope steps are positive, any feasible w dominates f(x)
-(z_l can always retreat to max(0, x - rho_l)), and symmetrically u is forced
-under g(x); plugging in the witness values w = f(x), u = g(x),
-z_l = max(0, x - rho_l) embeds every feasible point of the source model.
-The source variables pass through as they are, the model's own
+Each constraint ``sum f_i(x_i) <= sum g_i(x_i) + b`` is then replaced by
+its *lowered form*, with linear terms kept on x itself.  A block that only
+this constraint uses is inlined: the form holds F (or -G) itself, d_0 on x
+and the slope steps on z_l.  A block that several constraints share, such
+as a multiset-cover yield in every element row, gets a bound column w
+(or u) and one link row ``F <= w`` (``u <= G``), and each form holds w
+(or -u).  Because the convex slope steps are positive, F, and any feasible
+w, dominates f(x) (z_l can always retreat to max(0, x - rho_l)), and
+symmetrically G and u are forced under g(x); plugging in the witness
+values z_l = max(0, x - rho_l), w = f(x), u = g(x) embeds every feasible
+point of the source model.  So both forms project onto the source
+variables exactly; the inlined one needs no column and no row for the
+value.  The source variables pass through as they are, the model's own
 :class:`~pwlmip.milp.model.Variable` objects first and in order, so the
 integer dimension is unchanged; only the auxiliaries are new.  They are
 named ``w_c<j>_<x>`` and ``z_c<j>_<x>_<l>`` (``u`` and ``y`` on the concave
@@ -32,7 +37,8 @@ rows need no scaling and no Fraction is made on the way.
 
 The rows are kept lean, which keeps the LP relaxation exactly as tight:
 
-* ``z_l >= 0`` is the auxiliary's lower bound, not a row.
+* ``z_l >= 0`` is the auxiliary's lower bound, not a row.  A w (u) is
+  bounded below by the function's minimum over x's box.
 * w, u, z and y get no upper bound.  Each enters its rows in one direction
   only: its own rows bound z_l and w from below and u from above, and every
   other row it enters is only eased by lowering z_l or w or raising u.  So
@@ -40,10 +46,10 @@ The rows are kept lean, which keeps the LP relaxation exactly as tight:
   w = f(x) and u = g(x), keeps every row satisfied, and these values lie
   within the exact ranges over x's box.  Upper bounds would cut off no
   value of x and only add a tableau row per auxiliary.
-* One block of auxiliaries stands for each (variable, function, side), shared
-  by every constraint that uses it: ``w >= f(x)`` is the same constraint
-  wherever w appears, so one copy serves them all.  A multiset-cover yield
-  appears in every element row but is lowered once.
+* A shared block is lowered once: ``w >= f(x)`` is the same constraint
+  wherever w appears, so one copy serves them all.  Inlining it in every
+  row instead would keep the LP as tight, but it made the heavy
+  multiset-cover trees grow many times over.
 * No row carries an explicit zero coefficient.
 """
 
@@ -60,13 +66,15 @@ class LoweredTerm(Frozen):
     """Auxiliaries standing in for one transformation f(x_i) or g(x_i).
 
     ``var`` is the index of x_i, the same in the source and the lowered
-    model; ``bound_var`` the index of w (convex side) or u (concave side);
-    ``aux_vars`` the indices of z_l / y_l, one per breakpoint.
+    model; ``bound_var`` the index of w (convex side) or u (concave side),
+    None for a block inlined in the one row that uses it; ``aux_vars`` the
+    indices of z_l / y_l, one per breakpoint.
     """
 
     __slots__ = _fields = ("var", "bound_var", "aux_vars", "fn")
 
-    def __init__(self, var: int, bound_var: int, aux_vars: tuple, fn: PwlFunction):
+    def __init__(self, var: int, bound_var: int | None, aux_vars: tuple,
+                 fn: PwlFunction):
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "bound_var", bound_var)
         object.__setattr__(self, "aux_vars", aux_vars)
@@ -80,7 +88,9 @@ class LoweringMap(Frozen):
     pairs, one per use; uses of the same (variable, function, side) share
     one LoweredTerm.  ``forms`` holds one (coeffs, b) per source
     constraint: its lowered form, the unscaled row sum(c * column) <= b
-    over lowered columns, with b the normalized right-hand side.
+    over lowered columns, with b the normalized right-hand side.  It reads
+    an inlined term through x and its z/y columns and a shared one through
+    its w/u column.
     """
 
     __slots__ = _fields = ("n_original", "terms", "forms")
@@ -102,7 +112,9 @@ def lower(model: EmipModel):
     rows = []
     term_map = []
     forms = []
-    blocks = {}  # (var index, function, sign) -> shared LoweredTerm
+    # (var index, function, sign) -> (LoweredTerm, the (column, coefficient)
+    # pairs it adds to a row that uses it)
+    blocks = {}
     names = {v.name for v in variables}
 
     def fresh(name):
@@ -112,14 +124,26 @@ def lower(model: EmipModel):
         names.add(name)
         return name
 
+    # A block that one row uses is inlined there; one that several rows
+    # share keeps its w/u column and link row.
+    users = {}
+    for j, cons in enumerate(model.constraints):
+        for side, sign in ((cons.lhs, 1), (cons.rhs, -1)):
+            for idx, fn in side:
+                if not fn.is_linear:
+                    users.setdefault((idx, fn, sign), set()).add(j)
+
     def lower_term(j, idx, fn, sign):
-        """Auxiliaries and rows for sign * fn(x_idx), first met in row j."""
+        """Auxiliaries and rows for sign * fn(x_idx), first met in row j:
+        the LoweredTerm and what it adds to the rows that use it."""
         src = model.variables[idx]
-        fmin, _ = fn.range_on(src.lower, src.upper)
-        prefix = "w" if sign > 0 else "u"
-        bound_var = len(variables)
-        variables.append(Variable(fresh("%s_c%d_%s" % (prefix, j, src.name)),
-                                  VarKind.CONTINUOUS, fmin))
+        shared = len(users[idx, fn, sign]) > 1
+        if shared:
+            fmin, _ = fn.range_on(src.lower, src.upper)
+            prefix = "w" if sign > 0 else "u"
+            bound_var = len(variables)
+            variables.append(Variable(fresh("%s_c%d_%s" % (prefix, j, src.name)),
+                                      VarKind.CONTINUOUS, fmin))
         aux_vars = []
         aux_prefix = "z" if sign > 0 else "y"
         for l, rho in enumerate(fn.breakpoints, start=1):
@@ -132,27 +156,27 @@ def lower(model: EmipModel):
         link = [(idx, sign * fn.slopes[0])] if fn.slopes[0] else []
         for aux, lo, hi in zip(aux_vars, fn.slopes, fn.slopes[1:]):
             link.append((aux, sign * (hi - lo)))
+        if not shared:
+            return LoweredTerm(idx, None, tuple(aux_vars), fn), link
         link.append((bound_var, -sign))
         rows.append((link, 0))
-        return LoweredTerm(idx, bound_var, tuple(aux_vars), fn)
+        return (LoweredTerm(idx, bound_var, tuple(aux_vars), fn),
+                ((bound_var, sign),))
 
     for j, cons in enumerate(model.constraints):
         budget = {}
-
-        def bump(idx, delta, budget=budget):
-            budget[idx] = budget.get(idx, 0) + delta
-
         for side_name, side, sign in (("lhs", cons.lhs, 1), ("rhs", cons.rhs, -1)):
             for idx, fn in side:
                 if fn.is_linear:
-                    bump(idx, sign * fn.slopes[0])
-                    continue
-                key = (idx, fn, sign)
-                term = blocks.get(key)
-                if term is None:
-                    term = blocks[key] = lower_term(j, idx, fn, sign)
-                bump(term.bound_var, sign)
-                term_map.append(((j, side_name, idx), term))
+                    adds = ((idx, sign * fn.slopes[0]),)
+                else:
+                    key = (idx, fn, sign)
+                    if key not in blocks:
+                        blocks[key] = lower_term(j, idx, fn, sign)
+                    term, adds = blocks[key]
+                    term_map.append(((j, side_name, idx), term))
+                for i, c in adds:
+                    budget[i] = budget.get(i, 0) + c
         # tuple() of a list: from a generator it grows the tuple by
         # reallocation, which measurably raised peak RSS over long runs
         form = (tuple([(i, c) for i, c in budget.items() if c != 0]), cons.b)

@@ -210,14 +210,15 @@ def grid_best(model):
 def witness_embed(model, lmap, assignment):
     """Extend a source-model assignment to the lowered variables.
 
-    Sets w = f(x), u = g(x), and every auxiliary to max(0, x - rho); the
-    result satisfies the lowered model whenever the source point satisfies
+    Sets w = f(x), u = g(x) for a shared block (an inlined one has no
+    such column), and every auxiliary to max(0, x - rho); the result satisfies the lowered model whenever the source point satisfies
     the source model.
     """
     full = {i: Fraction(assignment[i]) for i in range(lmap.n_original)}
     for (j, side, idx), term in lmap.terms:
         x = full[idx]
-        full[term.bound_var] = term.fn.eval(x)
+        if term.bound_var is not None:
+            full[term.bound_var] = term.fn.eval(x)
         for aux, rho in zip(term.aux_vars, term.fn.breakpoints):
             full[aux] = max(ZERO, x - rho)
     return full

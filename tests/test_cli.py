@@ -252,11 +252,12 @@ def test_export_lp_round_trip(capsys, tmp_path):
                                "-o", str(target))
     assert code == 0
     assert report["status"] == "exported"
-    # z >= x - rho, the link row and the budget row; z >= 0 is a bound
-    assert report["variables"] == 4 and report["rows"] == 3
+    # z >= x - rho and the budget row, which reads f(x) through x and z
+    # itself, since no other row uses f; z >= 0 is a bound
+    assert report["variables"] == 3 and report["rows"] == 2
     text = target.read_text()
     lp = read_lp(text)
-    assert lp.names == ["x", "y", "w_c0_x", "z_c0_x_1"]
+    assert lp.names == ["x", "y", "z_c0_x_1"]
     assert lp.objective == {0: 1, 1: 1} and lp.sense == "max"
 
     other = tmp_path / "again.lp"
@@ -268,11 +269,13 @@ def test_export_lp_round_trip(capsys, tmp_path):
 
 def test_auxiliaries_never_take_a_source_variable_name(capsys, tmp_path):
     """A source variable named like an auxiliary keeps its name; the
-    auxiliary gets ``_`` appended instead of clashing with it."""
+    auxiliary gets ``_`` appended instead of clashing with it.  The term is
+    used in two rows, so its block keeps a bound column w."""
     blob = {"format": "emip-v1",
             "variables": [{"name": "x", "upper": "3"},
                           {"name": "w_c0_x", "upper": "3"}],
-            "constraints": [{"lhs": {"x": _PWL_TERM, "w_c0_x": "1"}, "b": "4"}],
+            "constraints": [{"lhs": {"x": _PWL_TERM, "w_c0_x": "1"}, "b": "4"},
+                            {"lhs": {"x": _PWL_TERM}, "b": "5"}],
             "objective": {"sense": "max", "coeffs": {"x": "1", "w_c0_x": "1"}}}
     path = _write_json(tmp_path, "clash.json", blob)
     code, report, _ = run_json(capsys, "solve-emip", path)
@@ -284,6 +287,25 @@ def test_auxiliaries_never_take_a_source_variable_name(capsys, tmp_path):
     assert code == 0 and report["status"] == "exported"
     assert read_lp(target.read_text()).names == ["x", "w_c0_x", "w_c0_x_",
                                                  "z_c0_x_1"]
+
+
+def test_best_is_exact_over_integer_objective_variables(capsys, tmp_path):
+    """Over integer variables the thresholds step by 1/den of the objective,
+    so ``best`` is the exact optimum, a rational string when it is not an
+    integer; an objective with a continuous variable steps by 1."""
+    for kind, lower, best in (("integer", "1", "1/2"),
+                              ("continuous", "1/3", 1)):
+        blob = {"format": "emip-v1",
+                "variables": [{"name": "x", "kind": kind, "lower": lower,
+                               "upper": "3"}],
+                "constraints": [],
+                "objective": {"sense": "min", "coeffs": {"x": "1/2"}}}
+        path = _write_json(tmp_path, kind + ".json", blob)
+        code, report, _ = run_json(capsys, "solve-emip", path)
+        assert code == 0 and report["status"] == "feasible"
+        assert report["best"] == best
+    code, out, _ = run(capsys, "solve-emip", str(tmp_path / "integer.json"))
+    assert code == 0 and "best: 1/2\n" in out
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +771,9 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     # not branched
     code, report, _ = run_json(capsys, "solve-emip", fx("knapsackish.json"))
     assert code == 0
-    assert report["stats"] == {"nodes": 1, "lp_calls": 3, "pivots": 7,
+    assert report["stats"] == {"nodes": 1, "lp_calls": 3, "pivots": 6,
                                "probes": 1, "infeasible_lps": 1,
-                               "max_depth": 0, "max_tableau": [4, 8],
+                               "max_depth": 0, "max_tableau": [3, 6],
                                "rounding_lps": 2}
 
     # a feasibility solve runs no probe; 7 of its 13 LPs prune a node
@@ -769,15 +791,15 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
                                "--minimize-cost")
     assert code == 0
-    assert report["stats"] == {"nodes": 1, "lp_calls": 1, "pivots": 3,
+    assert report["stats"] == {"nodes": 1, "lp_calls": 1, "pivots": 1,
                                "probes": 1, "infeasible_lps": 0,
-                               "max_depth": 0, "max_tableau": [6, 11],
+                               "max_depth": 0, "max_tableau": [5, 8],
                                "rounding_lps": 0}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
-    assert ("nodes: 1  lp calls: 3  pivots: 7  probes: 1  "
+    assert ("nodes: 1  lp calls: 3  pivots: 6  probes: 1  "
             "infeasible lps: 1  rounding lps: 2  max depth: 0  "
-            "max tableau: 4x8\n") in out
+            "max tableau: 3x6\n") in out
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,8 @@ def test_maximize_one_tree_against_enumeration(monkeypatch):
     """The one-tree ``maximize`` against enumeration on seeded random MILPs:
     integer and continuous objective variables, rational coefficients and
     ties, brackets that hold the optimum, end below it or start above it,
-    and objectives unbounded on every feasible node LP."""
+    objectives unbounded on every feasible node LP, and exact fractional
+    optima over integer objective variables."""
     unbounded_lps = []
     real_lp = branch_bound.solve_lp_feasibility
 
@@ -441,8 +442,14 @@ def test_maximize_one_tree_against_enumeration(monkeypatch):
             assert not result.feasible and result.best is None
         else:
             assert result.feasible
-            assert result.best == min(hi, math.floor(optimum)
-                                      if optimum != math.inf else hi)
+            # thresholds step by 1/den over integer objective variables, so
+            # best is then the optimum itself; by 1 otherwise
+            steps = all(model.variables[i].kind is VarKind.INTEGER
+                        for i, c in objective.items() if c)
+            top = optimum if steps or optimum == math.inf else math.floor(
+                optimum)
+            assert result.best == min(hi, top)
+            seen["fractional best"] += result.best.denominator != 1
             witness = result.assignment
             assert model.check_assignment(witness) == []
             assert sum(c * witness[i] for i, c in objective.items()) \
@@ -460,6 +467,7 @@ def test_maximize_one_tree_against_enumeration(monkeypatch):
         assert seen[key] >= 5, key
     assert seen["ties"] >= 10 and seen["branched"] >= 20
     assert seen["continuous objective"] >= 50 and seen["unbounded lp"] >= 10
+    assert seen["fractional best"] >= 5
 
 
 def test_threshold_steps_down_from_the_root_bound():
@@ -861,12 +869,12 @@ def _rational_knapsack(rng, n):
 def test_kernel_entries_stay_within_64_bits_on_covers(monkeypatch):
     """Lazy reduction lets rows grow past lowest terms, and a search moves
     one live tableau through all its nodes, but entries do not grow far: on
-    minimum-cost covers with m = 5..7 and on knapsacks with rational rows
+    minimum-cost covers with m = 5..8 and on knapsacks with rational rows
     and a rational objective no final tableau entry needs more than 64
     bits."""
     calls = _record_kernel(monkeypatch)
     rng = random.Random(0xB5C)
-    for m, n in ((5, 20), (6, 22), (7, 30)):
+    for m, n in ((5, 20), (6, 22), (7, 30), (8, 40)):
         for kind in ("umm", "wsm", "umm", "wsm"):
             instance = _ladder_cover(rng, m, n, kind)
             getattr(covering, "solve_" + kind)(instance, minimize_cost=True)
@@ -1259,8 +1267,9 @@ def test_rational_integer_bounds_round_inward():
             continue
         assert holds(*result.assignment.values())
         assert result.assignment[0] in {x for x, _ in points}
+        # x is integer, so thresholds step by 1/3 for c = 2/3: best is exact
         for c in (F(1), F(-1), F(2, 3)):
-            best = max(math.floor(c * x) for x, _ in points)
+            best = max(c * x for x, _ in points)
             got = milp.maximize(model, {0: c}, best - 3, best + 3)
             assert got.best == best
             assert c * got.assignment[0] >= best
@@ -1897,13 +1906,13 @@ def test_rounding_keeps_the_heavy_ladder_trees_small():
 
 def test_column_bounds_keep_the_heavy_trees_and_shrink_their_tableaus():
     """Three heavy covers, searched at the root bound from a dual cold
-    start, pinned at their nodes and pivots: (8, 160) UMM takes 33 and
-    369, (12, 300) 80 and 389 and (10, 200) 201 and 1,628, against 115 and
+    start, pinned at their nodes and pivots: (8, 160) UMM takes 22 and
+    293, (12, 300) 80 and 389 and (10, 200) 201 and 1,628, against 115 and
     1,049, 122 and 875 and 619 and 9,329 when the threshold only climbed
     past each incumbent from a two-phase root.  With the integer bounds as
-    column bounds their largest tableaus keep only model rows: 74 of 193 at
+    column bounds their largest tableaus keep only model rows: 72 of 193 at
     (8, 160), 28 of 316 at (12, 300) and 32 of 219 at (10, 200)."""
-    for m, n, nodes, pivots, rows in ((8, 160, 33, 369, 80),
+    for m, n, nodes, pivots, rows in ((8, 160, 22, 293, 80),
                                       (12, 300, 80, 389, 30),
                                       (10, 200, 201, 1628, 32)):
         instance = _ladder_cover(random.Random(1000 * m + n), m, n, "umm")

@@ -16,7 +16,7 @@ from pwlmip.emip import (
     normalize,
 )
 from pwlmip.milp.lp import solve_lp_feasibility
-from pwlmip.milp.model import SolverInternalError
+from pwlmip.milp.model import SolverInternalError, integer_row
 from pwlmip.oracle import brute_cover
 from pwlmip.pwl import PwlFunction, Shape
 from pwlmip.reduction import lower, witness_lift
@@ -36,24 +36,38 @@ def _knapsack_model():
 def test_lowering_structure_of_one_convex_term():
     lowered, lmap = lower(_knapsack_model())
     names = [v.name for v in lowered.variables]
-    assert names == ["x", "w_c0_x", "z_c0_x_1"]
-    # w is bounded below by the minimum of f over [0, 6] and z by 0; neither
-    # gets an upper bound, because the rows already push both down to f(x)
-    # and max(0, x - 2)
+    assert names == ["x", "z_c0_x_1"]
+    # z is bounded below by 0 and gets no upper bound, because its rows
+    # already push it down to max(0, x - 2)
     assert (lowered.variables[1].lower, lowered.variables[1].upper) == (0, None)
-    assert (lowered.variables[2].lower, lowered.variables[2].upper) == (0, None)
-    # z >= x - 2, link x + 2z <= w, budget w <= 9; z >= 0 is a bound, not a row
-    assert [set(dict(coeffs)) for coeffs, _ in lowered.rows] == [
-        {0, 2}, {0, 1, 2}, {1},
-    ]
-    assert [rhs for _, rhs in lowered.rows] == [2, 0, 9]
-    link = dict(lowered.rows[1][0])
-    assert link == {0: 1, 2: 2, 1: -1}
+    # z >= x - 2, then the budget row x + 2z <= 9, which reads f(x) through
+    # x and z since no other row uses f; z >= 0 is a bound, not a row
+    assert lowered.rows == ((((0, 1), (1, -1)), 2), (((0, 1), (1, 2)), 9))
     # only the original variable is integer
     assert lowered.integer_indices() == [0]
     ((key, term),) = lmap.terms
     assert key == (0, "lhs", 0)
-    assert term.bound_var == 1 and term.aux_vars == (2,)
+    assert term.bound_var is None and term.aux_vars == (1,)
+
+
+def test_a_block_two_rows_share_keeps_its_bound_column():
+    fn = PwlFunction(Shape.CONVEX, 0, (2,), (1, 3))
+    model = EmipModel(
+        (Variable("x", VarKind.INTEGER, 0, 6),),
+        (EmipConstraint(lhs={0: fn}, rhs={}, b=9),
+         EmipConstraint(lhs={0: fn}, rhs={}, b=7)),
+    )
+    lowered, lmap = lower(model)
+    assert [v.name for v in lowered.variables] == ["x", "w_c0_x", "z_c0_x_1"]
+    # w is bounded below by the minimum of f over [0, 6]
+    assert (lowered.variables[1].lower, lowered.variables[1].upper) == (0, None)
+    # z >= x - 2, link x + 2z <= w, then w <= 9 and w <= 7
+    assert lowered.rows == ((((0, 1), (2, -1)), 2),
+                            (((0, 1), (1, -1), (2, 2)), 0),
+                            (((1, 1),), 9), (((1, 1),), 7))
+    (_, first), (_, second) = lmap.terms
+    assert first is second
+    assert first.bound_var == 1 and first.aux_vars == (2,)
 
 
 def test_lowering_normalizes_the_model_as_written():
@@ -64,8 +78,8 @@ def test_lowering_normalizes_the_model_as_written():
     )
     lowered, lmap = lower(model)
     ((coeffs, b),) = lmap.forms
-    w = lmap.terms[0][1].bound_var
-    assert dict(coeffs) == {w: 1, 1: 2} and b == 4  # w + 2y <= 9 - 5
+    (z,) = lmap.terms[0][1].aux_vars
+    assert dict(coeffs) == {0: 1, z: 2, 1: 2} and b == 4  # f(x) + 2y <= 9 - 5
     assert lowered.rows[-1] == (tuple(sorted(coeffs)), 4)
 
     rng = random.Random(0xD40)
@@ -103,10 +117,12 @@ def test_rows_have_integer_coefficients():
 def test_witness_embed_satisfies_every_row():
     model = _knapsack_model()
     lowered, lmap = lower(model)
+    ((coeffs, _),) = lmap.forms
     for x in range(0, 7):
         point = witness_embed(model, lmap, {0: F(x)})
-        assert point[1] == model.constraints[0].lhs[0][1].eval(x)  # w = f(x)
-        assert point[2] == max(0, x - 2)                           # z = (x-2)+
+        assert point[1] == max(0, x - 2)                            # z = (x-2)+
+        value = sum(c * point[i] for i, c in coeffs)
+        assert value == model.constraints[0].lhs[0][1].eval(x)      # f(x)
         if model.constraints[0].holds({0: F(x)}):
             assert lowered.check_assignment(point) == []
 
@@ -208,7 +224,7 @@ def _blocks(lmap):
     """The distinct auxiliary blocks of a lowering, in order of creation."""
     seen = {}
     for _, term in lmap.terms:
-        seen.setdefault(term.bound_var, term)
+        seen.setdefault(term.aux_vars, term)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -216,9 +232,10 @@ def test_dropped_rows_and_bounds_are_redundant_in_the_lp():
     """Adding back ``-z <= 0`` rows and auxiliary upper bounds changes no LP.
 
     The bounds are the ones an exact-range lowering would give: f's maximum
-    over the variable's box for w (u) and max(0, upper - rho) for z (y).
-    The LP verdict must agree on every integer sub-box of the source
-    variables, which is how branch and bound sees the model.
+    over the variable's box for a shared block's w (u) and
+    max(0, upper - rho) for z (y).  The LP verdict must agree on every
+    integer sub-box of the source variables, which is how branch and bound
+    sees the model.
     """
     rng = random.Random(0xD44)
     verdicts = set()
@@ -233,7 +250,9 @@ def test_dropped_rows_and_bounds_are_redundant_in_the_lp():
         full_uppers = [v.upper for v in lowered.variables]
         for term in blocks:
             src = norm.variables[term.var]
-            full_uppers[term.bound_var] = term.fn.range_on(src.lower, src.upper)[1]
+            if term.bound_var is not None:
+                full_uppers[term.bound_var] = term.fn.range_on(
+                    src.lower, src.upper)[1]
             for aux, rho in zip(term.aux_vars, term.fn.breakpoints):
                 extra_rows.append((((aux, -1),), 0))
                 full_uppers[aux] = max(F(0), src.upper - rho)
@@ -256,6 +275,93 @@ def test_dropped_rows_and_bounds_are_redundant_in_the_lp():
             boxes += 1
     assert verdicts == {True, False}
     assert boxes > 300
+
+
+def test_inlined_blocks_read_as_their_bound_columns_in_the_lp():
+    """Giving each inlined block back its w (u) column changes no LP.
+
+    A block that one row uses is inlined there: the row holds
+    ``sign * d_0`` on x and ``sign * (d_l - d_{l-1})`` on each z_l.  Here
+    each such block gets back a column w with f's minimum over the
+    variable's box as its lower bound and its link row, and each row is
+    written from the source row again, with w in place of those
+    coefficients.  On integer sub-boxes of the source variables the two
+    models must give the same LP verdict, and the same LP minimum of every
+    row's lowered form, the objective :func:`pwlmip.pipeline.minimize_budget`
+    minimizes.
+    """
+    rng = random.Random(0xD45)
+    verdicts = set()
+    inlined = boxes = 0
+    for _ in range(200):
+        norm = normalize(random_grid_model(rng))
+        lowered, lmap = lower(norm)
+        n = len(lowered.variables)
+        lowers = [v.lower for v in lowered.variables]
+        uppers = [v.upper for v in lowered.variables]
+        columns, links = {}, []  # the bound column of each use; link rows
+        for key, term in lmap.terms:
+            if term.bound_var is not None:
+                columns[key] = term.bound_var
+                continue
+            (_, side, idx), fn = key, term.fn
+            sign = 1 if side == "lhs" else -1
+            columns[key] = w = n + len(links)
+            link = {idx: sign * fn.slopes[0], w: -sign}
+            for aux, lo, hi in zip(term.aux_vars, fn.slopes, fn.slopes[1:]):
+                link[aux] = sign * (hi - lo)
+            links.append(link)
+            src = norm.variables[idx]
+            lowers.append(fn.range_on(src.lower, src.upper)[0])
+            uppers.append(None)
+        # each row's form, written from the source row: w (u) per term
+        forms = []
+        for j, cons in enumerate(norm.constraints):
+            form = {}
+            for side_name, side, sign in (("lhs", cons.lhs, 1),
+                                          ("rhs", cons.rhs, -1)):
+                for idx, fn in side:
+                    i, c = (idx, sign * fn.slopes[0]) if fn.is_linear else (
+                        columns[j, side_name, idx], sign)
+                    form[i] = form.get(i, 0) + c
+            forms.append(form)
+        if not links:
+            continue
+        inlined += len(links)
+        width = len(lowers)
+
+        def row(coeffs, rhs):
+            return integer_row(((i, c) for i, c in coeffs if c != 0), rhs,
+                               width)
+
+        lean_forms = [row(coeffs, b) for coeffs, b in lmap.forms]
+        full_forms = [row(form.items(), b)
+                      for form, (_, b) in zip(forms, lmap.forms)]
+        # every row but the lowered forms, then the links and the forms
+        base = tuple(r for r in lowered.rows if r not in lean_forms)
+        full_rows = base + tuple(row(link.items(), 0) for link in links) + tuple(
+            full_forms)
+        for _ in range(6):
+            box_lo, box_up = lowers[:], uppers[:]
+            for i, v in enumerate(norm.variables):
+                lo = rng.randint(int(v.lower), int(v.upper))
+                up = lo if rng.random() < 0.5 else rng.randint(lo, int(v.upper))
+                box_lo[i], box_up[i] = lo, up
+            for j, (coeffs, _) in enumerate(lmap.forms):
+                lean_ok, lean = solve_lp_feasibility(
+                    lowered.rows + (lean_forms[j],), box_lo[:n], box_up[:n],
+                    objective=len(lowered.rows))
+                full_ok, full = solve_lp_feasibility(
+                    full_rows + (full_forms[j],), box_lo, box_up,
+                    objective=len(full_rows))
+                assert lean_ok == full_ok
+                verdicts.add(lean_ok)
+                if lean_ok:
+                    assert (sum(c * lean[i] for i, c in coeffs)
+                            == sum(c * full[i] for i, c in forms[j].items()))
+            boxes += 1
+    assert verdicts == {True, False}
+    assert inlined > 100 and boxes > 500
 
 
 def test_umm_family_yield_lowers_to_one_shared_block(monkeypatch):
@@ -299,6 +405,7 @@ def test_umm_family_yield_lowers_to_one_shared_block(monkeypatch):
         shared += 1
     assert shared == 2
     # one u plus one y per breakpoint for each block, nothing per use
+    assert all(term.bound_var is not None for term in _blocks(lmap))
     aux = sum(1 + len(term.aux_vars) for term in _blocks(lmap))
     assert len(lowered.variables) == len(model.variables) + aux
 
@@ -335,7 +442,7 @@ def test_non_integral_bounds_stay_fractions_in_the_lowering():
     assert lowered.variables[0].upper == F(5, 2)
     assert type(lowered.variables[0].upper) is F
     # z >= x - 1/2 is scaled to the integer row 2x - 2z <= 1
-    assert lowered.rows[0] == (((0, 2), (2, -2)), 1)
+    assert lowered.rows[0] == (((0, 2), (1, -2)), 1)
 
 
 def test_int_and_fraction_functions_share_one_lowered_block():
