@@ -7,10 +7,14 @@ the form
     sum_i f_i(x_i)  <=  sum_i g_i(x_i) + b
 
 where every left-hand f is convex or linear and every right-hand g is concave
-or linear.  ``normalize`` brings a model into canonical form: every
-transformation has f(0) = 0 and no breakpoints below 0, and constants are
-folded into b.  :func:`pwlmip.reduction.lower` applies it to the model it is
-given, so callers pass their models as written.
+or linear.  A term is either a :class:`~pwlmip.pwl.PwlFunction` or, for a
+linear term c * x_i, its coefficient c itself: a constraint stores a number
+as it is and a one-piece function with f(0) = 0 as its slope, so only a
+function with a breakpoint or a nonzero f(0) stays a function.
+``normalize`` brings a model into canonical form: constants are folded into
+b, and every function left has f(0) = 0, no breakpoints below 0 and at
+least one breakpoint.  :func:`pwlmip.reduction.lower` applies it to
+the model it is given, so callers pass their models as written.
 
 Every bound, coefficient and right-hand side is stored in the form
 :func:`pwlmip.rationals.exact` gives: an int when it is integral, a Fraction
@@ -20,6 +24,7 @@ otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .milp.model import Variable, VarKind
 from .pwl import PwlFunction, Shape
@@ -31,25 +36,43 @@ FORMAT_NAME = "emip-v1"
 
 
 def _as_terms(terms):
-    """Normalize a {index: function-or-coefficient} mapping into sorted pairs."""
+    """Normalize a {index: function-or-coefficient} mapping into sorted
+    pairs; a linear term, a number or a one-piece function with f(0) = 0,
+    becomes its coefficient."""
     if isinstance(terms, dict):
         items = terms.items()
     else:
         items = list(terms)
     out = []
     seen = set()
-    for idx, fn in sorted(items):
+    for idx, term in sorted(items, key=itemgetter(0)):
         if idx in seen:
             raise ValueError("variable %d appears twice on one side" % idx)
         seen.add(idx)
-        if not isinstance(fn, PwlFunction):
-            fn = PwlFunction.linear(fn)
-        out.append((idx, fn))
+        if not isinstance(term, PwlFunction):
+            term = exact(term)
+        elif not term.breakpoints and not term.value_at_zero:
+            term = term.slopes[0]
+        out.append((idx, term))
     return tuple(out)
 
 
+def term_value(term, x):
+    """A term at x: the coefficient times x, or the function's value."""
+    if isinstance(term, PwlFunction):
+        return term.eval(x)
+    return term * x
+
+
 class EmipConstraint(Frozen):
-    """sum of lhs terms <= sum of rhs terms + b."""
+    """sum of lhs terms <= sum of rhs terms + b.
+
+    Each side is a tuple of (variable index, term) pairs sorted by index.
+    A term is a coefficient (an int or Fraction) or a
+    :class:`~pwlmip.pwl.PwlFunction` that has a breakpoint or a nonzero
+    f(0): the constructor stores a number as it is and a one-piece function
+    with f(0) = 0 as its slope.
+    """
 
     __slots__ = _fields = ("lhs", "rhs", "b")
 
@@ -60,8 +83,8 @@ class EmipConstraint(Frozen):
 
     def holds(self, assignment) -> bool:
         """Exact check of the constraint at a full assignment (index -> value)."""
-        lhs = sum(fn.eval(assignment[i]) for i, fn in self.lhs)
-        rhs = sum(fn.eval(assignment[i]) for i, fn in self.rhs)
+        lhs = sum(term_value(term, assignment[i]) for i, term in self.lhs)
+        rhs = sum(term_value(term, assignment[i]) for i, term in self.rhs)
         return lhs <= rhs + self.b
 
 
@@ -101,8 +124,8 @@ class EmipModel(Frozen):
         out = set()
         for cons in self.constraints:
             for side in (cons.lhs, cons.rhs):
-                for idx, fn in side:
-                    if not fn.is_linear:
+                for idx, term in side:
+                    if isinstance(term, PwlFunction) and not term.is_linear:
                         out.add(idx)
         return out
 
@@ -123,12 +146,12 @@ class EmipModel(Frozen):
             constraints.append(
                 {
                     "lhs": {
-                        self.variables[i].name: _term_to_json(fn)
-                        for i, fn in cons.lhs
+                        self.variables[i].name: _term_to_json(term)
+                        for i, term in cons.lhs
                     },
                     "rhs": {
-                        self.variables[i].name: _term_to_json(fn)
-                        for i, fn in cons.rhs
+                        self.variables[i].name: _term_to_json(term)
+                        for i, term in cons.rhs
                     },
                     "b": str(cons.b),
                 }
@@ -179,7 +202,7 @@ class EmipModel(Frozen):
         def parse_fn(spec):
             if isinstance(spec, dict):
                 return PwlFunction.from_json(spec)
-            return PwlFunction.linear(parse_rational(spec))
+            return parse_rational(spec)
 
         constraints = []
         for k, c in enumerate(json_entries(obj, "constraints", "constraint")):
@@ -198,10 +221,10 @@ class EmipModel(Frozen):
         return cls(tuple(variables), tuple(constraints), objective)
 
 
-def _term_to_json(fn: PwlFunction):
-    if fn.is_linear and fn.value_at_zero == 0:
-        return str(fn.slopes[0])
-    return fn.to_json()
+def _term_to_json(term):
+    if isinstance(term, PwlFunction):
+        return term.to_json()
+    return str(term)
 
 
 # -- validation -------------------------------------------------------------
@@ -223,26 +246,32 @@ def validate(model: EmipModel):
                 % (v.name, v.lower, v.upper)
             )
     n = len(model.variables)
-    transformed = model.nonlinear_var_indices()
+    # One walk over the terms; the lower-bound problems of the transformed
+    # variables still come before the constraints' own.
+    transformed = set()
+    term_problems = []
+    for j, cons in enumerate(model.constraints):
+        for side, terms, shape in (("left", cons.lhs, Shape.CONVEX),
+                                   ("right", cons.rhs, Shape.CONCAVE)):
+            for idx, term in terms:
+                if not (0 <= idx < n):
+                    term_problems.append("constraint %d: unknown variable "
+                                         "index %d" % (j, idx))
+                elif isinstance(term, PwlFunction) and not term.is_linear:
+                    transformed.add(idx)
+                    if term.shape is not shape:
+                        term_problems.append(
+                            "constraint %d: %s-hand transformation on %r must "
+                            "be %s or linear"
+                            % (j, side, model.variables[idx].name, shape.value)
+                        )
     for idx in sorted(transformed):
-        if 0 <= idx < n and (model.variables[idx].lower or 0) < 0:
+        if (model.variables[idx].lower or 0) < 0:
             problems.append(
                 "variable %r: transformed variables need a nonnegative lower "
                 "bound (canonical form)" % model.variables[idx].name
             )
-    for j, cons in enumerate(model.constraints):
-        for side, terms, shape in (("left", cons.lhs, Shape.CONVEX),
-                                   ("right", cons.rhs, Shape.CONCAVE)):
-            for idx, fn in terms:
-                if not (0 <= idx < n):
-                    problems.append("constraint %d: unknown variable index %d"
-                                    % (j, idx))
-                elif not fn.is_linear and fn.shape is not shape:
-                    problems.append(
-                        "constraint %d: %s-hand transformation on %r must be "
-                        "%s or linear"
-                        % (j, side, model.variables[idx].name, shape.value)
-                    )
+    problems += term_problems
     if model.objective is not None:
         for idx, _ in model.objective.coeffs:
             if not (0 <= idx < n):
@@ -262,14 +291,17 @@ class InvalidModelError(ValueError):
 
 
 def normalize(model: EmipModel) -> EmipModel:
-    """Canonical form: f(0)=0, no negative breakpoints, constants in b.
+    """Canonical form: constants in b, and every function term has f(0) = 0,
+    no negative breakpoints and at least one breakpoint.
 
-    Only constraints change; the variables and the objective are the input's
+    A function that keeps no breakpoint becomes its slope, a coefficient,
+    once its f(0) is in b, and a zero coefficient is dropped.  Only
+    constraints change; the variables and the objective are the input's
     own, so a solution of the result is a solution of the input.  A term is
     rebuilt only when it has breakpoints below 0 or f(0) != 0; otherwise the
-    result holds the input's own function object.  A constraint whose terms
-    all stay, none rebuilt and none dropped, keeps its b and is returned as
-    it is: the input's own constraint object.
+    result holds the input's own term.  A constraint whose terms all stay,
+    none rebuilt and none dropped, keeps its b and is returned as it is:
+    the input's own constraint object.
     """
     problems = validate(model)
     if problems:
@@ -281,16 +313,20 @@ def normalize(model: EmipModel) -> EmipModel:
         new_rhs = {}
         changed = False
         for side, sign, bucket in ((cons.lhs, -1, new_lhs), (cons.rhs, +1, new_rhs)):
-            for idx, fn in side:
-                # Without breakpoints below 0, f(0) is value_at_zero exactly.
-                new = fn.drop_negative_breakpoints()
-                if new.value_at_zero:
+            for idx, term in side:
+                new = term
+                if isinstance(term, PwlFunction):
+                    # Without breakpoints below 0, f(0) is value_at_zero exactly.
+                    new = term.drop_negative_breakpoints()
                     b += sign * new.value_at_zero
-                    new = new.with_value_at_zero(0)
-                if new.is_linear and new.slopes[0] == 0:
+                    if not new.breakpoints:
+                        new = new.slopes[0]
+                    elif new.value_at_zero:
+                        new = new.with_value_at_zero(0)
+                if not isinstance(new, PwlFunction) and new == 0:
                     changed = True
                     continue
-                changed = changed or new is not fn
+                changed = changed or new is not term
                 bucket[idx] = new
         if changed:
             cons = EmipConstraint(lhs=new_lhs, rhs=new_rhs, b=b)

@@ -9,9 +9,13 @@ maximize a linear form over the lowered model with :func:`milp.maximize
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from . import milp
 from .emip import EmipModel
-from .milp.model import SolveResult
+from .milp.model import SolveResult, VarKind
+from .rationals import exact
 from .reduction import lower, witness_lift
 
 
@@ -50,6 +54,21 @@ def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> So
     return _lift(model, lmap, result, sign)
 
 
+def _value_denominator(coeffs, fns):
+    """A D such that, at integer source points, the lowered form ``coeffs``
+    (through the breakpoint columns at z_l = max(0, x - rho_l) and the
+    bound columns at f(x)) takes only multiples of 1/D; ``fns`` are the
+    functions of its terms.  Each f(x) is d_0 x + sum_l (x - rho_l) *
+    (d_l - d_{l-1}) over the breakpoints below x."""
+    dens = {c.denominator for _, c in coeffs}
+    for fn in fns:
+        slopes = fn.slopes
+        dens.update(d.denominator for d in slopes)
+        dens.update((rho * (hi - lo)).denominator
+                    for rho, lo, hi in zip(fn.breakpoints, slopes, slopes[1:]))
+    return lcm(*dens)
+
+
 def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> SolveResult:
     """Minimize the left-hand side of a budget-style constraint, as written.
 
@@ -57,17 +76,30 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> Solve
     non-linear term that no other row uses as d_0 on x and d_l - d_{l-1} on
     each breakpoint column z_l, and a shared one through its bound column
     w; at any optimum both come to the exact function value.  The
-    constants that normalization moved into b are added back.  A form over
-    integer variables alone is minimized exactly (see :func:`maximize_emip`);
-    one with a breakpoint or bound column steps by integers, so ``best`` is
-    the exact minimum when it and those constants are integers and
-    otherwise high by less than 1.  No point within the budget: infeasible.
+    constants that normalization moved into b are added back.  When every
+    variable of the constraint is integer, the form takes only multiples
+    of 1/D at the integer points (D from the coefficients, slopes and
+    breakpoints), so the search runs on D times the form and ``best`` is
+    the exact minimum: f with breakpoint 1 and slopes 1/2, 3/2 over an
+    integer x in [1, 3] gives 1/2.  With a continuous variable the search
+    steps by integers, and ``best`` is exact when the minimum of the form
+    is an integer and otherwise high by less than 1.  No point within the
+    budget: infeasible.
     """
     cons = model.constraints[constraint]
     if cons.rhs:
         raise ValueError("constraint %d has a right-hand side" % constraint)
     lowered, lmap = lower(model)
     coeffs, b = lmap.forms[constraint]
-    result = milp.maximize(lowered, {i: -c for i, c in coeffs}, -b, None,
-                           node_limit)
+    scale = 1
+    if all(model.variables[i].kind is VarKind.INTEGER for i, _ in cons.lhs):
+        scale = _value_denominator(coeffs, [
+            term.fn for (j, _, _), term in lmap.terms if j == constraint])
+    objective, t_lo = {i: -c for i, c in coeffs}, -b
+    if scale > 1:
+        objective = {i: c * scale for i, c in objective.items()}
+        t_lo *= scale
+    result = milp.maximize(lowered, objective, t_lo, None, node_limit)
+    if scale > 1 and result.best is not None:
+        result.best = exact(Fraction(result.best, scale))
     return _lift(model, lmap, result, -1, cons.b - b)

@@ -15,7 +15,8 @@ function, side) of the normalized model:
       G = x*d_0 + sum_l y_l*(d_l - d_{l-1})
 
 Each constraint ``sum f_i(x_i) <= sum g_i(x_i) + b`` is then replaced by
-its *lowered form*, with linear terms kept on x itself.  A block that only
+its *lowered form*, with a linear term, which the normalized model holds
+as its coefficient, kept on x itself.  A block that only
 this constraint uses is inlined: the form holds F (or -G) itself, d_0 on x
 and the slope steps on z_l.  A block that several constraints share, such
 as a multiset-cover yield in every element row, gets a bound column w
@@ -33,7 +34,9 @@ named ``w_c<j>_<x>`` and ``z_c<j>_<x>_<l>`` (``u`` and ``y`` on the concave
 side) after the row j that first uses them, with ``_`` appended while a
 variable has the name.  Rows are scaled to integer coefficients.  A model
 with integral data is all ints already (:mod:`pwlmip.rationals`), so its
-rows need no scaling and no Fraction is made on the way.
+rows are taken as their sorted pairs, with no scaling and no Fraction
+made on the way; only a row with a Fraction goes through
+:func:`~pwlmip.milp.model.integer_row`.
 
 The rows are kept lean, which keeps the LP relaxation exactly as tight:
 
@@ -129,9 +132,9 @@ def lower(model: EmipModel):
     users = {}
     for j, cons in enumerate(model.constraints):
         for side, sign in ((cons.lhs, 1), (cons.rhs, -1)):
-            for idx, fn in side:
-                if not fn.is_linear:
-                    users.setdefault((idx, fn, sign), set()).add(j)
+            for idx, term in side:
+                if isinstance(term, PwlFunction):
+                    users.setdefault((idx, term, sign), set()).add(j)
 
     def lower_term(j, idx, fn, sign):
         """Auxiliaries and rows for sign * fn(x_idx), first met in row j:
@@ -166,15 +169,15 @@ def lower(model: EmipModel):
     for j, cons in enumerate(model.constraints):
         budget = {}
         for side_name, side, sign in (("lhs", cons.lhs, 1), ("rhs", cons.rhs, -1)):
-            for idx, fn in side:
-                if fn.is_linear:
-                    adds = ((idx, sign * fn.slopes[0]),)
-                else:
-                    key = (idx, fn, sign)
-                    if key not in blocks:
-                        blocks[key] = lower_term(j, idx, fn, sign)
-                    term, adds = blocks[key]
-                    term_map.append(((j, side_name, idx), term))
+            for idx, term in side:
+                if not isinstance(term, PwlFunction):
+                    budget[idx] = budget.get(idx, 0) + sign * term
+                    continue
+                key = (idx, term, sign)
+                if key not in blocks:
+                    blocks[key] = lower_term(j, idx, term, sign)
+                lowered, adds = blocks[key]
+                term_map.append(((j, side_name, idx), lowered))
                 for i, c in adds:
                     budget[i] = budget.get(i, 0) + c
         # tuple() of a list: from a generator it grows the tuple by
@@ -184,8 +187,10 @@ def lower(model: EmipModel):
         rows.append(form)
 
     n = len(variables)
-    milp = MilpModel(tuple(variables), tuple(
-        integer_row(coeffs, rhs, n) for coeffs, rhs in rows))
+    milp = MilpModel(tuple(variables), tuple([
+        (tuple(sorted(coeffs)), rhs)
+        if type(rhs) is int and all(type(c) is int for _, c in coeffs)
+        else integer_row(coeffs, rhs, n) for coeffs, rhs in rows]))
     return milp, LoweringMap(len(model.variables), tuple(term_map), tuple(forms))
 
 

@@ -16,6 +16,7 @@ from pwlmip.covering import CoverInstance
 from pwlmip.emip import EmipConstraint, EmipModel, Variable, VarKind
 from pwlmip.milp import SolveStats, SolverInternalError
 from pwlmip.oracle import gen_hard_instances
+from pwlmip.pwl import PwlFunction
 from pwlmip.voting import ApprovalElection, Voter
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -949,14 +950,9 @@ def test_integral_epsilon_makes_no_floats(capsys, epsilon):
     assert not [x for x in leaves if isinstance(x, str) and "." in x]
 
 
-def test_fraction_constructions_stay_few(capsys, tmp_path):
-    """Integral data stays int from the loaders to the kernel, so a few
-    in-process solves build few Fractions.  Counted deterministically:
-    every call of ``Fraction.__new__`` under ``sys.setprofile``.  54 are
-    made today, 76 while the decomposition kept every multiplicity as a
-    Fraction, 96 while a solve returned every value as a Fraction, 111
-    before each emitted vector kept its realized multiset; when every model
-    value was a Fraction, 968 were."""
+def _calls_made(code, capsys, tmp_path):
+    """How often ``code`` runs, counted under ``sys.setprofile``, over seven
+    in-process solves and exports of the fixtures."""
     calls = [
         ["wsm", fx("wsm3.json")],
         ["wsm", fx("wsm3.json"), "--minimize-cost"],
@@ -968,11 +964,10 @@ def test_fraction_constructions_stay_few(capsys, tmp_path):
     ]
     build_parser()  # built outside the count
     made = 0
-    new = Fraction.__new__.__code__
 
     def count(frame, event, arg):
         nonlocal made
-        if event == "call" and frame.f_code is new:
+        if event == "call" and frame.f_code is code:
             made += 1
 
     sys.setprofile(count)
@@ -982,4 +977,27 @@ def test_fraction_constructions_stay_few(capsys, tmp_path):
         sys.setprofile(None)
     capsys.readouterr()
     assert codes == [0] * len(calls)
+    return made
+
+
+def test_fraction_constructions_stay_few(capsys, tmp_path):
+    """Integral data stays int from the loaders to the kernel, so a few
+    in-process solves build few Fractions.  Counted deterministically:
+    every call of ``Fraction.__new__`` under ``sys.setprofile``.  57 are
+    made today, 76 while the decomposition kept every multiplicity as a
+    Fraction, 96 while a solve returned every value as a Fraction, 111
+    before each emitted vector kept its realized multiset; when every model
+    value was a Fraction, 968 were."""
+    made = _calls_made(Fraction.__new__.__code__, capsys, tmp_path)
     assert 0 < made <= 111
+
+
+def test_pwl_function_constructions_stay_few(capsys, tmp_path):
+    """A linear term is its coefficient from the model to its row, so only
+    terms with a breakpoint build a ``PwlFunction``.  Counted
+    deterministically: every call of ``PwlFunction.__init__`` under
+    ``sys.setprofile``.  18 are made today, all by the covering and
+    almost-cover builders and the JSON reader; 41 were while every linear
+    term was carried as a one-piece function."""
+    made = _calls_made(PwlFunction.__init__.__code__, capsys, tmp_path)
+    assert 0 < made <= 18

@@ -18,8 +18,10 @@ from pwlmip.covering import (
     solve_umm,
     solve_wsm,
 )
+from pwlmip.emip import term_value
 from pwlmip.milp import ResourceExhausted
 from pwlmip.oracle import OracleBudget, brute_cover, gen_hard_instances
+from pwlmip.pwl import PwlFunction
 from pwlmip.voting import solve_scoring_ccdv
 
 
@@ -139,8 +141,9 @@ def _solved_types(monkeypatch, solve):
 
 def _assert_prefix_sums(types, model, prefix, rank, terms, value):
     """Type j's count is ``prefix``j, its members are sorted by ``rank``
-    with ties in index order, and every function ``terms`` gives it (one
-    per row) is at z the sum of ``value`` over its first z members.
+    with ties in index order, and every term ``terms`` gives it (one per
+    row; a coefficient when it is linear) is at z the sum of ``value`` over
+    its first z members.
 
     Returns how many functions of several pieces were checked, and how
     many rank ties were met."""
@@ -151,10 +154,11 @@ def _assert_prefix_sums(types, model, prefix, rank, terms, value):
             "%s%d" % (prefix, j), 0, len(members))
         assert list(members) == sorted(members, key=lambda k: (rank(k), k))
         ties += sum(rank(a) == rank(b) for a, b in zip(members, members[1:]))
-        for row, fn in terms(j):
+        for row, term in terms(j):
             for z in range(len(members) + 1):
-                assert fn.eval(z) == sum(value(row, k) for k in members[:z])
-            checked += fn.pieces > 1
+                assert term_value(term, z) == sum(value(row, k)
+                                                  for k in members[:z])
+            checked += isinstance(term, PwlFunction)
     return checked, ties
 
 

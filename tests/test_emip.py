@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from generators import grid_feasible, iter_grid, random_grid_model, satisfies
+from generators import (grid_feasible, iter_grid, random_fraction,
+                        random_grid_model, satisfies)
 from pwlmip.emip import (
     EmipConstraint,
     EmipModel,
@@ -14,6 +15,7 @@ from pwlmip.emip import (
     Variable,
     VarKind,
     normalize,
+    term_value,
     validate,
 )
 from pwlmip.milp.lp import CompiledRows
@@ -29,9 +31,11 @@ def _var(name, lower=0, upper=6, kind=VarKind.INTEGER):
 
 
 def is_normalized(model):
-    """The postcondition of ``normalize``: f(0) = 0 and no breakpoint below 0."""
-    return all(fn.value_at_zero == 0
-               and not (fn.breakpoints and fn.breakpoints[0] < 0)
+    """The postcondition of ``normalize``: a linear term is a nonzero
+    coefficient, and a function has f(0) = 0 and a breakpoint, none below 0."""
+    return all(fn.value_at_zero == 0 and fn.breakpoints
+               and fn.breakpoints[0] >= 0
+               if isinstance(fn, PwlFunction) else type(fn) in (int, F) and fn
                for cons in model.constraints
                for _, fn in cons.lhs + cons.rhs)
 
@@ -50,15 +54,49 @@ def test_constraint_holds_boundary():
 
 
 def test_duplicate_index_on_one_side_rejected():
-    with pytest.raises(ValueError, match="twice"):
-        EmipConstraint(lhs=[(0, 1), (0, 2)], rhs={})
+    fn = PwlFunction(Shape.CONVEX, 0, (1,), (0, 1))
+    for terms in ([(0, 1), (0, 2)], [(0, fn), (0, 2)],
+                  [(0, fn), (0, PwlFunction(Shape.CONVEX, 0, (2,), (0, 1)))]):
+        with pytest.raises(ValueError, match="twice"):
+            EmipConstraint(lhs=terms, rhs={})
 
 
 def test_raw_coefficients_become_linear_terms():
-    cons = EmipConstraint(lhs={0: F(1, 2)}, rhs={1: -3})
-    assert all(isinstance(fn, PwlFunction) for _, fn in cons.lhs + cons.rhs)
-    assert cons.lhs[0][1].slopes == (F(1, 2),)
-    assert cons.rhs[0][1].slopes == (-3,)
+    cons = EmipConstraint(lhs={0: F(1, 2), 2: F(6, 3)}, rhs={1: -3})
+    assert cons.lhs == ((0, F(1, 2)), (2, 2)) and cons.rhs == ((1, -3),)
+    assert type(cons.lhs[1][1]) is int
+
+
+def test_one_piece_functions_with_zero_constant_are_stored_as_slopes():
+    cons = EmipConstraint(
+        lhs={0: PwlFunction.linear(F(1, 2)),
+             1: PwlFunction(Shape.CONVEX, 0, (1,), (2, 2))},  # merges to one piece
+        rhs={2: PwlFunction.linear(-3, 0, Shape.CONCAVE)})
+    assert cons == EmipConstraint(lhs={0: F(1, 2), 1: 2}, rhs={2: -3})
+    assert type(cons.lhs[1][1]) is int and type(cons.rhs[0][1]) is int
+    # a nonzero f(0) or a breakpoint keeps the function until normalize
+    shifted = PwlFunction.linear(1, 2)
+    kinked = PwlFunction(Shape.CONVEX, 0, (1,), (0, 1))
+    cons = EmipConstraint(lhs={0: shifted, 1: kinked}, rhs={})
+    assert cons.lhs == ((0, shifted), (1, kinked))
+
+
+def test_a_coefficient_holds_where_its_one_piece_function_does():
+    """A linear term as a coefficient c, and as the one-piece function with
+    slope c and f(0) = v whose v is in b instead: the same points hold."""
+    rng = random.Random(0xE30)
+    for _ in range(40):
+        c, d = (random_fraction(rng, -4, 4) for _ in range(2))
+        v, w, b = (random_fraction(rng, -6, 6) for _ in range(3))
+        as_functions = EmipConstraint(
+            lhs={0: PwlFunction.linear(c, v)},
+            rhs={1: PwlFunction.linear(d, w, Shape.CONCAVE)}, b=b)
+        as_coefficients = EmipConstraint(lhs={0: c}, rhs={1: d}, b=b - v + w)
+        for x in range(-3, 4):
+            assert term_value(c, x) == PwlFunction.linear(c).eval(x)
+            for y in range(-3, 4):
+                point = {0: x, 1: F(y, 2)}
+                assert as_functions.holds(point) == as_coefficients.holds(point)
 
 
 def test_var_index_and_nonlinear_indices():
@@ -159,8 +197,9 @@ def test_normalize_folds_constants_into_b():
     )
     norm = normalize(model)
     assert norm.constraints[0].b == -3
-    for _, fn in norm.constraints[0].lhs + norm.constraints[0].rhs:
-        assert fn.value_at_zero == 0
+    # and each one-piece function becomes its slope
+    assert norm.constraints[0].lhs == ((0, 1),)
+    assert norm.constraints[0].rhs == ((1, 1),)
     assert is_normalized(norm)
 
 
@@ -176,7 +215,8 @@ def test_normalize_rebuilds_only_terms_with_nonzero_value_at_zero():
     cons, = normalize(model).constraints
     (_, x_fn), (_, y_fn) = cons.lhs
     (_, z_fn), = cons.rhs
-    assert x_fn is canonical and z_fn is linear
+    # a one-piece function with f(0) = 0 was its slope from the start
+    assert x_fn is canonical and z_fn == 2
     assert y_fn is not shifted
     assert y_fn == PwlFunction(Shape.CONVEX, 0, (2,), (0, 1))
     # b' = b - f_y(0) = 5 - 3
@@ -250,8 +290,7 @@ def test_normalize_keeps_negative_linear_variable():
     norm = normalize(model)
     assert norm.variables is model.variables
     assert norm.variables[0].lower == -3 and norm.variables[0].upper == 2
-    (idx, fn), = norm.constraints[0].lhs
-    assert idx == 0 and fn.slopes == (2,)
+    assert norm.constraints[0].lhs == ((0, 2),)
 
 
 def test_normalize_keeps_objective():
@@ -349,6 +388,28 @@ def test_json_round_trip():
     assert again == model
 
 
+def test_json_one_piece_objects_read_as_coefficients_or_stay_functions():
+    """An ``emip-v1`` one-piece function object with f(0) = 0 is read as its
+    slope and written back as a string; one with f(0) != 0 stays an object
+    until normalize folds f(0) into b."""
+    def blob(at_zero):
+        return {"format": "emip-v1", "variables": [{"name": "x", "upper": "3"}],
+                "constraints": [{"lhs": {"x": {
+                    "shape": "convex", "value_at_zero": at_zero,
+                    "breakpoints": [], "slopes": ["1"]}}, "b": "5"}]}
+
+    plain = EmipModel.from_json(blob("0"))
+    assert plain.constraints[0].lhs == ((0, 1),)
+    assert plain.to_json()["constraints"][0]["lhs"] == {"x": "1"}
+    shifted = EmipModel.from_json(blob("2"))
+    (_, fn), = shifted.constraints[0].lhs
+    assert fn == PwlFunction.linear(1, 2)
+    assert shifted.to_json()["constraints"][0]["lhs"]["x"] == fn.to_json()
+    assert EmipModel.from_json(shifted.to_json()) == shifted
+    norm = normalize(shifted).constraints[0]
+    assert (norm.lhs, norm.b) == (((0, 1),), 3)
+
+
 def test_json_round_trip_random():
     rng = random.Random(0xE33)
     for _ in range(30):
@@ -409,7 +470,10 @@ def _model_scalars(model):
     for cons in model.constraints:
         out.append(cons.b)
         for _, fn in cons.lhs + cons.rhs:
-            out += [fn.value_at_zero, *fn.breakpoints, *fn.slopes]
+            if isinstance(fn, PwlFunction):
+                out += [fn.value_at_zero, *fn.breakpoints, *fn.slopes]
+            else:
+                out.append(fn)
     out += [c for _, c in model.objective.coeffs]
     return out
 

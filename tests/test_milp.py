@@ -12,11 +12,12 @@ from typing import NamedTuple
 
 import pytest
 
-from generators import grid_best, grid_feasible, random_fraction, random_grid_model
+from generators import (grid_best, grid_feasible, iter_grid, random_fraction,
+                        random_grid_model, random_pwl)
 from pwlmip import _kernel, covering, milp
 from pwlmip._kernel import phase1 as integer_phase1
 from pwlmip.emip import (EmipConstraint, EmipModel, Objective, Variable, VarKind,
-                         normalize)
+                         normalize, term_value)
 from pwlmip.milp import branch_bound
 from pwlmip.milp import lp as lp_module
 from pwlmip.milp.branch_bound import resolve_node_limit
@@ -289,6 +290,66 @@ def test_minimize_budget_finds_a_minimum_below_zero():
     result = minimize_budget(_budget_model(fn, 5, 10), 0)
     assert result.feasible and result.best == -4
     assert result.assignment == {0: 2}
+
+
+def test_minimize_budget_is_exact_over_integer_variables():
+    # f has breakpoint 1 and slopes 1/2, 3/2: its minimum over x in [1, 3]
+    # is f(1) = 1/2, as for the linear x/2, not the integer above it
+    kinked = PwlFunction(Shape.CONVEX, 0, (1,), (F(1, 2), F(3, 2)))
+    for fn in (kinked, F(1, 2)):
+        model = EmipModel((Variable("x", VarKind.INTEGER, 1, 3),),
+                          (EmipConstraint(lhs={0: fn}, rhs={}, b=9),))
+        result = minimize_budget(model, 0)
+        assert result.best == F(1, 2) and result.assignment == {0: 1}
+    # a block another row shares, read through its bound column, and an
+    # f(0) of 1/3 that normalization moves into b and back
+    shifted = PwlFunction(Shape.CONVEX, F(1, 3), (F(3, 2),), (F(-1, 2), 1))
+    model = EmipModel((Variable("x", VarKind.INTEGER, 0, 4),),
+                      (EmipConstraint(lhs={0: shifted}, rhs={}, b=9),
+                       EmipConstraint(lhs={0: shifted}, rhs={}, b=8)))
+    _, lmap = lower(model)
+    assert all(term.bound_var is not None for _, term in lmap.terms)
+    # f(1) = -1/6 and f(2) = 1/3 - 1 + 1/2 = -1/6: both are the minimum
+    result = minimize_budget(model, 0)
+    assert result.best == F(-1, 6) and result.assignment[0] in (1, 2)
+
+
+def test_minimize_budget_against_enumeration():
+    """Seeded all-integer models with a budget row of fractional convex
+    terms and coefficients, some shared with another row: ``best`` is the
+    exact minimum that enumeration finds, or the model is infeasible."""
+    rng = random.Random(0xB5D)
+    fractional = infeasible = shared = 0
+    for _ in range(150):
+        base = random_grid_model(rng, max_cons=1)
+        lhs, extra = {}, []
+        for i, v in enumerate(base.variables):
+            if v.lower >= 0 and rng.random() < 0.7:
+                lhs[i] = random_pwl(rng, Shape.CONVEX)
+                if rng.random() < 0.3:
+                    extra.append(EmipConstraint(
+                        lhs={i: lhs[i]}, rhs={}, b=random_fraction(rng, 0, 16)))
+            elif rng.random() < 0.7:
+                lhs[i] = random_fraction(rng, -4, 4)
+        budget = EmipConstraint(lhs=lhs, rhs={}, b=random_fraction(rng, -2, 16))
+        model = EmipModel(base.variables,
+                          base.constraints + tuple(extra) + (budget,))
+        row = len(model.constraints) - 1
+        values = [sum(term_value(t, point[i]) for i, t in budget.lhs)
+                  for point in iter_grid(model)
+                  if all(c.holds(point) for c in model.constraints)]
+        result = minimize_budget(model, row)
+        if not values:
+            assert not result.feasible
+            infeasible += 1
+            continue
+        assert result.feasible and result.best == min(values)
+        assert sum(term_value(t, result.assignment[i])
+                   for i, t in budget.lhs) == result.best
+        fractional += type(result.best) is F
+        shared += bool(extra)
+    assert fractional >= 40 and infeasible >= 20 and shared >= 10, (
+        fractional, infeasible, shared)
 
 
 def test_minimize_budget_rejects_a_right_hand_side():

@@ -320,9 +320,9 @@ def test_inlined_blocks_read_as_their_bound_columns_in_the_lp():
             form = {}
             for side_name, side, sign in (("lhs", cons.lhs, 1),
                                           ("rhs", cons.rhs, -1)):
-                for idx, fn in side:
-                    i, c = (idx, sign * fn.slopes[0]) if fn.is_linear else (
-                        columns[j, side_name, idx], sign)
+                for idx, term in side:
+                    i, c = (columns[j, side_name, idx], sign) if isinstance(
+                        term, PwlFunction) else (idx, sign * term)
                     form[i] = form.get(i, 0) + c
             forms.append(form)
         if not links:
