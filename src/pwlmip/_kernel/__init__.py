@@ -57,9 +57,10 @@ at its lower side and ``high[j]`` at its upper side.  They are the column
 indices of the tableau that would hold each upper bound as its own row
 ``x_j + s_j = U``: ``low[j]`` is x_j's index there and ``high[j]`` the
 slack s_j's, and the choices below are exactly the ones Bland's rule takes
-on that tableau, pivot for pivot.  A nonbasic column ranks ``high[j]`` when
-complemented (it is s_j that would be nonbasic) and ``low[j]`` otherwise.
-Every call passes bounds, flags and ranks; an unbounded column has None.
+on that tableau, pivot for pivot, fixed columns aside (below).  A
+nonbasic column ranks ``high[j]`` when complemented (it is s_j that would
+be nonbasic) and ``low[j]`` otherwise.  Every call passes bounds, flags
+and ranks; an unbounded column has None.
 
 A primal pivot: the entering column is the nonbasic column of lowest rank
 with a negative objective entry.  The leaving candidates are the rows whose
@@ -98,7 +99,22 @@ the LP infeasible: the kernel returns with that row's bound still violated,
 and the row is a Farkas ray, whether its right-hand side is negative or
 above its basic variable's upper bound.  :func:`violated_row` finds it on
 the returned tableau: its entries off the basic column are all ``>= 0``
-below 0 and all ``<= 0`` above U, and every nonbasic column reads >= 0.
+below 0 and all ``<= 0`` above U, fixed columns aside, and every nonbasic
+column reads >= 0.
+
+Fixed columns (Koberstein, *The dual simplex method*, 2005).  A column
+with U = 0 cannot move, so it never enters: it is no candidate of the dual
+ratio test, and never the entering column of a primal step.  Where its
+objective entry is negative it is complemented instead, which with U = 0
+negates the column and moves no right-hand side: bookkeeping, not a
+pivot, and not counted.  A primal step does so for every fixed column
+first; a dual pivot lowers only the objective entries of the columns with
+a negative entry in the leaving row, and is followed by it for the fixed
+ones among them.  So the objective row ends dual feasible over every
+column, and a warm start from the tableau stays valid whatever bounds the
+next call moves.  Fixed columns act as constants, so Bland's rule still
+terminates; in a Farkas row a fixed column's entry may have either sign,
+since its two bounds pin it at 0.
 """
 
 from math import gcd
@@ -109,9 +125,9 @@ REDUCE_ABOVE = 1 << 30
 
 def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
     """Pivot to an optimum in place; returns the pivot count, dual pivots
-    and bound flips included.  ``bounds`` holds U or None per column,
-    ``flipped`` the complemented columns (updated in place), and ``ranks``
-    is ``(low, high)``.
+    and bound flips included, complemented fixed columns not.  ``bounds``
+    holds U or None per column, ``flipped`` the complemented columns
+    (updated in place), and ``ranks`` is ``(low, high)``.
 
     It returns early in two cases.  A dual pivot row without a candidate
     leaves its bound violated: the LP is infeasible, and
@@ -131,9 +147,13 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
         above = row[ncols] >= 0  # the upper bound is violated, read x - U
         enter = -1
         best_c = best_a = 0
+        pinned = []  # fixed columns whose objective entry the pivot lowers
         for j in range(ncols):
             a = -row[j] if above else row[j]
             if a < 0 and j != b:
+                if bounds[j] == 0:
+                    pinned.append(j)
+                    continue
                 # obj[j] / -a < best_c / -best_a, times -a * -best_a > 0
                 c = obj[j]
                 if enter >= 0:
@@ -154,8 +174,12 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
             row[-1] = -row[-1]
         pivot_in(tableau, basis, nrows, ncols, leave, enter, bounds, flipped)
         pivots += 1
+        if pinned:
+            _pin(tableau, ncols, pinned, flipped)
 
+    fixed = [j for j, u in enumerate(bounds) if u == 0]
     while True:
+        _pin(tableau, ncols, fixed, flipped)
         obj = tableau[nrows]
         enter = lowest_rank((j for j in range(ncols) if obj[j] < 0),
                             flipped, low, high)
@@ -255,6 +279,17 @@ def pivot_in(tableau, basis, nrows, ncols, leave, enter, bounds, flipped):
     if flipped[enter]:
         _complement(tableau, leave, enter, bounds[enter], ncols)
         flipped[enter] = False
+
+
+def _pin(tableau, ncols, columns, flipped):
+    """Complement each fixed column of ``columns`` whose objective entry is
+    negative: with U = 0 that negates the column and moves no right-hand
+    side, so it is no pivot."""
+    obj = tableau[-1]
+    for j in columns:
+        if obj[j] < 0:
+            _flip(tableau, ncols, j, 0)
+            flipped[j] = not flipped[j]
 
 
 def _flip(tableau, ncols, j, u):

@@ -25,7 +25,7 @@ from .covering import Types
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget
-from .pwl import PwlFunction
+from .pwl import Shape, prefix_sum_term
 from .rationals import exact, parse_rational
 from .records import Frozen, Record
 
@@ -282,7 +282,7 @@ def almost_cover(instance, epsilon, node_limit=None) -> AlmostCoverSolution:
         for j in range(n_groups):
             covered = [r[i] for r in realized[j]]
             if any(covered):
-                gains[j] = PwlFunction.from_sorted_multiplicities(covered)
+                gains[j] = prefix_sum_term(covered, Shape.CONCAVE)
         gains[miss_base + i] = 1
         constraints.append(EmipConstraint(lhs={}, rhs=gains, b=-requirements[i]))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
-from .pwl import PwlFunction
+from .pwl import Shape, prefix_sum_term
 from .rationals import (json_array, json_entries, json_format, parse_count,
                         parse_field, parse_integer)
 from .records import Frozen, Record
@@ -209,7 +209,7 @@ def solve_wsm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
         for elem, r in enumerate(instance.requirements) if r
     ]
     costs = {
-        j: PwlFunction.from_sorted_weights([weights[k] for k in members])
+        j: prefix_sum_term([weights[k] for k in members], Shape.CONVEX)
         for j, members in enumerate(types.members)
     }
     constraints.append(EmipConstraint(lhs=costs, rhs={}, b=instance.budget))
@@ -227,7 +227,7 @@ def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
     types = Types.of([instance.support(k) or None for k in range(n)],
                      lambda k: -mults[k])
     yields = [
-        PwlFunction.from_sorted_multiplicities([mults[k] for k in members])
+        prefix_sum_term([mults[k] for k in members], Shape.CONCAVE)
         for members in types.members
     ]
     constraints = []

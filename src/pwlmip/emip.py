@@ -119,16 +119,6 @@ class EmipModel(Frozen):
                 return i
         raise KeyError(name)
 
-    def nonlinear_var_indices(self):
-        """Indices of variables carrying a transformation with >= 2 pieces."""
-        out = set()
-        for cons in self.constraints:
-            for side in (cons.lhs, cons.rhs):
-                for idx, term in side:
-                    if isinstance(term, PwlFunction) and not term.is_linear:
-                        out.add(idx)
-        return out
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):

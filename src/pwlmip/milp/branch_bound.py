@@ -48,11 +48,19 @@ simple rounding (Achterberg, *Constraint Integer Programming*, 2007,
 ch. 9).  At its first fractional vertex it fixes every integer variable at
 the ceiling of its value, or, if that box is empty, at the floor, and one
 LP through the live tableau fills in the continuous variables at their
-best.  A point found is re-checked and moves the threshold exactly as an
-integral vertex does; the node's children, which carry its LP optimum, are
-then solved only if that still beats the incumbent.  These at most two LPs
-per search solve no node: ``SolveStats.rounding_lps`` counts them, as do
-the LP counters, and the node limit does not.
+best.  A ceiling point worth less than the root cap is then improved by a
+greedy floor (same chapter): the variables the ceiling raised whose
+decrease gains objective go back to their floors one at a time, smallest
+fractional part first, each kept there if its box stays feasible and the
+point gains, until the point reaches the cap.  Its trials, one LP each,
+run on a copy of the live tableau, so the next node starts from the
+tableau simple rounding left.  A point found is re-checked and moves the
+threshold exactly as an integral vertex does; the node's children, which
+carry its LP optimum, are then solved only if that still beats the
+incumbent.  These LPs, the ceiling box and then the floor box or at most
+one trial per fractional variable, solve no node:
+``SolveStats.rounding_lps`` counts them, as do the LP counters, and the
+node limit does not.
 """
 
 from __future__ import annotations
@@ -246,7 +254,8 @@ class _Tree:
                     # deferred unsolved.
                     self.rounded = True
                     found = _round(self.rows, point, int_idx, stats,
-                                   self.phase2, live)
+                                   self.phase2, live, self.coeffs,
+                                   cap * self.den)
                     if found is not None and self.improve(found):
                         return []
                     if cap > self.t:
@@ -278,10 +287,13 @@ def _floor_value(point, coeffs, den):
     return total // (scale * den)
 
 
-def _round(rows, point, int_idx, stats, objective, live):
+def _round(rows, point, int_idx, stats, objective, live, coeffs, goal):
     """Simple rounding of a fractional vertex: the best point of the box
     with every integer variable fixed at the ceiling of its value, else at
     its floor (integral values stay), or None if both boxes are empty.
+    ``goal`` is the root cap times the threshold row's denominator: a
+    ceiling point at which the row ``coeffs`` reads above ``-goal``, worth
+    less than the cap, is improved by :func:`_greedy_floor`.
 
     Each box is one LP through the search's live tableau, counted in
     ``stats.rounding_lps`` as well as in the LP counters; it fills in the
@@ -294,8 +306,54 @@ def _round(rows, point, int_idx, stats, objective, live):
         feasible, found = solve_lp_feasibility(rows, fixed, fixed, stats,
                                                objective=objective, live=live)
         if feasible:
+            if ceil:
+                found = _greedy_floor(rows, values, fixed, found, int_idx,
+                                      stats, objective, live, coeffs, goal)
             return found
     return None
+
+
+def _greedy_floor(rows, values, fixed, found, int_idx, stats, objective,
+                  live, coeffs, goal):
+    """Lower the rounded-up variables of the ceiling point ``found`` back to
+    their floors, one at a time, while that gains objective.
+
+    Only a variable with a positive coefficient in the threshold row
+    ``coeffs`` gains by going down.  These are taken smallest fractional
+    part first, ties by index; each stays at its floor if its all-fixed
+    box is feasible and the point found there is worth more, and the walk
+    stops once the threshold row reaches ``-goal``, the root cap.  Each
+    trial is one LP, counted as :func:`_round` counts its own, on a copy of
+    the live tableau: the search's next node starts from the tableau that
+    rounding left, whatever the trials did.
+    """
+    lhs = _row_value(found, coeffs)
+    if lhs <= -goal:
+        return found
+    weight = dict(coeffs)
+    order = sorted((Fraction(p % q, q), j)
+                   for j, (p, q) in enumerate(values)
+                   if q > 1 and weight.get(int_idx[j], 0) > 0)
+    trial = live.copy()
+    for _, j in order:
+        fixed[j] -= 1
+        stats.rounding_lps += 1
+        feasible, point = solve_lp_feasibility(rows, fixed, fixed, stats,
+                                               objective=objective, live=trial)
+        if feasible:
+            value = _row_value(point, coeffs)
+            if value < lhs:
+                found, lhs = point, value
+                if lhs <= -goal:
+                    break
+                continue
+        fixed[j] += 1
+    return found
+
+
+def _row_value(point, coeffs):
+    """The left side of the threshold row at ``point``: lower is worth more."""
+    return sum(k * point[i] for i, k in coeffs)
 
 
 def _objective_end(model: MilpModel, coeffs, top):

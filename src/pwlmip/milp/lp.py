@@ -30,9 +30,10 @@ tableau: each shifted column x' = x - lo carries the bound U = up - lo as a
 column bound of the kernel, which stores a column at U complemented, as
 ``U - x'`` (``flipped``), and ranks every column at either bound as the
 tableau with one ``x <= up`` row per bound would index it, so that its
-pivots are that tableau's, one for one (see :mod:`pwlmip._kernel`).  A
-vertex reads U for a complemented column.  Fixed finite upper bounds, of
-the variables whose bounds never move, stay rows.
+pivots are that tableau's, one for one, except that a column fixed at
+lo = up never enters (see :mod:`pwlmip._kernel`).  A vertex reads U for
+a complemented column.  Fixed finite upper bounds, of the variables whose
+bounds never move, stay rows.
 
 That is the cold path, from the all-slack basis.  The nodes of a search
 share one constraint matrix, and only right-hand sides and column bounds
@@ -196,6 +197,16 @@ class LiveTableau:
     def __init__(self):
         self.tableau = self.basis = self.totals = None
         self.bounds = self.flipped = None
+
+    def copy(self):
+        """An independent copy: LPs warm-started from it leave this one as
+        it is."""
+        other = LiveTableau()
+        if self.tableau is not None:
+            other.tableau = [row[:] for row in self.tableau]
+            other.basis, other.totals = self.basis[:], self.totals[:]
+            other.bounds, other.flipped = self.bounds[:], self.flipped[:]
+        return other
 
 
 def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,

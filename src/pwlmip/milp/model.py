@@ -144,10 +144,11 @@ class SolveStats(Record):
     again.  ``probes`` counts the threshold levels ``maximize`` searched:
     1, plus 1 for each step down, and 0 for a feasibility search.
     ``infeasible_lps`` counts the LP relaxations that proved their box
-    empty, and ``rounding_lps`` the LPs that rounded a fractional vertex,
-    which are not nodes.  ``max_depth`` is the number of branchings from
-    the root to the deepest node solved, and ``max_tableau`` the
-    (nrows, ncols) of the largest kernel call.
+    empty, and ``rounding_lps`` the LPs that rounded a fractional vertex
+    (the ceiling and floor boxes, and the greedy floor's trials, at most
+    one per fractional variable), which are not nodes.  ``max_depth`` is
+    the number of branchings from the root to the deepest node solved, and
+    ``max_tableau`` the (nrows, ncols) of the largest kernel call.
     """
 
     __slots__ = _fields = ("nodes", "lp_calls", "pivots", "probes",

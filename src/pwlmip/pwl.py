@@ -196,6 +196,23 @@ class PwlFunction(Frozen):
         )
 
 
+def prefix_sum_term(values, shape):
+    """The constraint term of taking k items worth ``values``: the prefix
+    sums of :meth:`PwlFunction.from_sorted_weights` for a convex cost, of
+    :meth:`PwlFunction.from_sorted_multiplicities` for a concave yield.
+
+    When the values are all equal, one value included, those sums are
+    linear, and the term is that value as a coefficient, with no function
+    built.
+    """
+    first = exact(values[0])
+    if first >= 0 and all(v == first for v in values):
+        return first
+    if shape is Shape.CONVEX:
+        return PwlFunction.from_sorted_weights(values)
+    return PwlFunction.from_sorted_multiplicities(values)
+
+
 def _merge_equal_slopes(bps, slopes):
     """Drop breakpoints between pieces of equal slope (canonical form)."""
     keep = [k for k in range(len(bps)) if slopes[k + 1] != slopes[k]]

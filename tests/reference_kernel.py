@@ -103,7 +103,12 @@ def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
     them: ``bounds[j]`` is U or None, a column in ``flipped`` is stored as
     ``U - x``, and Bland's rule reads ranks, ``(low, high)``, instead of
     indices.  ``events``, a list, gets "flip" for each bound flip and
-    "upper" for each variable that leaves at its upper bound."""
+    "upper" for each variable that leaves at its upper bound.
+
+    A fixed column (U = 0) never enters.  It is complemented instead, with
+    no pivot, when its objective entry is negative: before each primal
+    step, and after each dual pivot among the columns with a negative
+    entry in the leaving row, the only ones that pivot lowers."""
     low, high = ranks
     obj = tableau[nrows]
     pivots = 0
@@ -126,6 +131,15 @@ def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
         if events is not None:
             events.append("upper")
 
+    def pin(columns):
+        # a fixed column with a negative objective entry is complemented:
+        # with U = 0 that negates it, and it is no pivot
+        for j in columns:
+            if bounds[j] == 0 and obj[j] < 0:
+                for row in tableau:
+                    row[j] = -row[j]
+                flipped[j] = not flipped[j]
+
     while True:
         violated = [(low[basis[i]], i) for i in range(nrows)
                     if tableau[i][ncols] < 0]
@@ -138,8 +152,9 @@ def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
         above = r != low[basis[leave]]
         row = tableau[leave]
         read = [-x for x in row] if above else row
-        candidates = [j for j in range(ncols)
-                      if read[j] < 0 and j != basis[leave]]
+        negative = [j for j in range(ncols)
+                    if read[j] < 0 and j != basis[leave]]
+        candidates = [j for j in negative if bounds[j] != 0]
         if not candidates:
             return pivots
         enter = min(candidates, key=lambda j: (obj[j] / -read[j], rank(j)))
@@ -147,8 +162,10 @@ def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
             leave_at_upper(leave)
         enter_at(leave, enter)
         pivots += 1
+        pin(negative)
 
     while True:
+        pin(range(ncols))
         entering = [j for j in range(ncols) if obj[j] < 0]
         if not entering:
             return pivots

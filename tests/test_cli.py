@@ -772,7 +772,7 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     # not branched
     code, report, _ = run_json(capsys, "solve-emip", fx("knapsackish.json"))
     assert code == 0
-    assert report["stats"] == {"nodes": 1, "lp_calls": 3, "pivots": 6,
+    assert report["stats"] == {"nodes": 1, "lp_calls": 3, "pivots": 4,
                                "probes": 1, "infeasible_lps": 1,
                                "max_depth": 0, "max_tableau": [3, 6],
                                "rounding_lps": 2}
@@ -798,7 +798,7 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
                                "rounding_lps": 0}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))
-    assert ("nodes: 1  lp calls: 3  pivots: 6  probes: 1  "
+    assert ("nodes: 1  lp calls: 3  pivots: 4  probes: 1  "
             "infeasible lps: 1  rounding lps: 2  max depth: 0  "
             "max tableau: 3x6\n") in out
 
@@ -996,8 +996,10 @@ def test_pwl_function_constructions_stay_few(capsys, tmp_path):
     """A linear term is its coefficient from the model to its row, so only
     terms with a breakpoint build a ``PwlFunction``.  Counted
     deterministically: every call of ``PwlFunction.__init__`` under
-    ``sys.setprofile``.  18 are made today, all by the covering and
-    almost-cover builders and the JSON reader; 41 were while every linear
-    term was carried as a one-piece function."""
+    ``sys.setprofile``.  6 are made today, all by the covering and
+    almost-cover builders for types whose members differ in value, and by
+    the JSON reader; 18 were while a type of one member or of equal values
+    built a one-piece function for its constraint to turn into a slope, and
+    41 while every linear term was carried as one."""
     made = _calls_made(PwlFunction.__init__.__code__, capsys, tmp_path)
-    assert 0 < made <= 18
+    assert 0 < made <= 6

@@ -99,7 +99,7 @@ def test_a_coefficient_holds_where_its_one_piece_function_does():
                 assert as_functions.holds(point) == as_coefficients.holds(point)
 
 
-def test_var_index_and_nonlinear_indices():
+def test_var_index():
     fn = PwlFunction(Shape.CONVEX, 0, (1,), (0, 1))
     model = EmipModel(
         (_var("x"), _var("y")),
@@ -108,7 +108,6 @@ def test_var_index_and_nonlinear_indices():
     assert model.var_index("y") == 1
     with pytest.raises(KeyError):
         model.var_index("zz")
-    assert model.nonlinear_var_indices() == {0}
 
 
 def test_objective_validation():

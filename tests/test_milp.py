@@ -829,10 +829,29 @@ def _basic_values(tableau, basis, nrows, ncols, n):
     return values
 
 
+def _random_box_rows(rng, n, lowers, uppers):
+    """Random rows over n variables in a box; most get one more row that
+    needs some variables near their top."""
+    rows = [
+        (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
+               if rng.random() < 0.8),
+         random_fraction(rng, -5, 5))
+        for _ in range(rng.randint(1, 4))
+    ]
+    if rng.random() < 0.8:
+        weights = [rng.randint(1, 3) for _ in range(n)]
+        top = sum(w * up for w, up in zip(weights, uppers))
+        rows.append((tuple((i, F(-w)) for i, w in enumerate(weights)),
+                     F(-top + rng.randint(0, 3))))
+    return rows
+
+
 def test_bounded_kernel_takes_the_explicit_row_pivots():
     """A cold phase 1 over integer variables with binding upper bounds takes
     as many pivots, and ends at the same vertex, with each bound a column
-    bound as with each bound a row ``x <= up`` under the plain Fraction rule.
+    bound as with each bound a row ``x <= up`` under the plain Fraction rule,
+    when no column is fixed (U = 0).  A fixed column never enters, so boxes
+    with one are compared with the bounded Fraction rule alone.
 
     The bounded tableau leaves the bound rows out; its ranks, as compiled
     rows give them, are the indices the explicit tableau gives each column
@@ -843,23 +862,12 @@ def test_bounded_kernel_takes_the_explicit_row_pivots():
     """
     rng = random.Random(0xB65)
     events = collections.Counter()
-    compared = 0
-    for _ in range(100):
+    compared = collections.Counter()
+    for _ in range(250):
         n = rng.randint(2, 5)
         lowers = [rng.randint(-2, 1) for _ in range(n)]
         uppers = [lo + rng.randint(0, 4) for lo in lowers]
-        rows = [
-            (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)
-                   if rng.random() < 0.8),
-             random_fraction(rng, -5, 5))
-            for _ in range(rng.randint(1, 4))
-        ]
-        # most boxes get a row that needs some variables near their top
-        if rng.random() < 0.8:
-            weights = [rng.randint(1, 3) for _ in range(n)]
-            top = sum(w * up for w, up in zip(weights, uppers))
-            rows.append((tuple((i, F(-w)) for i, w in enumerate(weights)),
-                         F(-top + rng.randint(0, 3))))
+        rows = _random_box_rows(rng, n, lowers, uppers)
         explicit = _per_node_tableau(rows, lowers, uppers)
         if explicit is None:
             continue
@@ -882,19 +890,82 @@ def test_bounded_kernel_takes_the_explicit_row_pivots():
         flipped = [False] * width
         rational = _fraction_rows(tableau, width)
         reference_flipped, reference_basis, seen = list(flipped), list(basis), []
-        assert bounded_phase1(rational, reference_basis, nrows, width, bounds,
-                              reference_flipped, ranks, seen) == pivots
+        expected = bounded_phase1(rational, reference_basis, nrows, width,
+                                  bounds, reference_flipped, ranks, seen)
         assert integer_phase1(tableau, basis, nrows, width, bounds=bounds,
-                              flipped=flipped, ranks=ranks) == pivots
+                              flipped=flipped, ranks=ranks) == expected
         assert (basis, flipped) == (reference_basis, reference_flipped)
         assert _fraction_rows(tableau, width) == rational
+        events.update(seen)
+        if 0 in bounds:
+            compared["fixed"] += 1
+            continue
+        assert expected == pivots
         values = _basic_values(rational, basis, nrows, width, n)
         assert [bounds[j] if flipped[j] else x
                 for j, x in enumerate(values)] == vertex
-        events.update(seen)
-        compared += 1
-    assert compared > 90
+        compared["explicit"] += 1
+    assert compared["explicit"] > 90 and compared["fixed"] > 50
     assert events["flip"] > 100 and events["upper"] > 30
+
+
+def test_fixed_columns_never_enter():
+    """On an all-fixed box (every bound U = 0) no structural column enters
+    the basis, and a fixed column met with a negative objective entry is
+    complemented instead.  A cold phase 1 runs only when some row is
+    violated at the box's one point, and proves it empty with slacks and
+    artificials basic alone; a warm dual phase reaches either verdict with
+    slack pivots alone.  The kernel agrees with the bounded Fraction rule,
+    and the objective row ends with no negative entry."""
+    rng = random.Random(0xB67)
+    seen = collections.Counter()
+    for case in range(200):
+        n = rng.randint(2, 5)
+        point = [rng.randint(-2, 2) for _ in range(n)]
+        rows = _random_box_rows(rng, n, point, point)
+        cold = _per_node_tableau(rows, point, point, range(n))
+        if cold is not None:
+            tableau, basis, nrows, width = cold
+            bounds = [0] * n + [None] * (width - n)
+            flipped = [False] * width
+            ranks = CompiledRows(_int_rows(rows, n), point, point,
+                                 range(n)).ranks
+            rational = _fraction_rows(tableau, width)
+            expected_basis, expected_flipped = list(basis), list(flipped)
+            expected = bounded_phase1(rational, expected_basis, nrows, width,
+                                      bounds, expected_flipped, ranks)
+            assert integer_phase1(tableau, basis, nrows, width, bounds=bounds,
+                                  flipped=flipped, ranks=ranks) == expected
+            assert (basis, flipped) == (expected_basis, expected_flipped)
+            assert min(basis) >= n
+            assert min(tableau[nrows][:width]) >= 0
+            seen["cold", tableau[nrows][width] == 0] += 1
+            seen["complemented"] += any(flipped)
+
+        # The same box, warm: the optimal tableau of a random objective over
+        # the box [-2, 2]^n, moved to the fixed point and re-optimized by
+        # the dual phase.
+        objective = (tuple((i, F(rng.randint(-3, 3))) for i in range(n)),
+                     F(100))
+        compiled = CompiledRows(_int_rows(rows + [objective], n), [-2] * n,
+                                [2] * n, range(n))
+        live, stats = lp_module.LiveTableau(), SolveStats()
+        solve_lp_feasibility(compiled, [-2] * n, [2] * n, stats,
+                             objective=len(rows), live=live)
+        if live.tableau is None:
+            continue
+        before = set(live.basis)
+        pivots = stats.pivots
+        feasible, _ = solve_lp_feasibility(compiled, point, point, stats,
+                                           objective=len(rows), live=live)
+        entered = set(live.basis) - before
+        assert all(j >= n for j in entered)
+        assert min(live.tableau[-1][:-2]) >= 0
+        seen["warm", feasible] += 1
+        seen["warm pivots"] += stats.pivots > pivots
+    assert seen["cold", False] > 100 and not seen["cold", True]
+    assert seen["warm", True] > 10 and seen["warm", False] > 50
+    assert seen["complemented"] > 10 and seen["warm pivots"] > 20
 
 
 def _ladder_cover(rng, m, n, kind):
@@ -930,12 +1001,12 @@ def _rational_knapsack(rng, n):
 def test_kernel_entries_stay_within_64_bits_on_covers(monkeypatch):
     """Lazy reduction lets rows grow past lowest terms, and a search moves
     one live tableau through all its nodes, but entries do not grow far: on
-    minimum-cost covers with m = 5..8 and on knapsacks with rational rows
+    minimum-cost covers with m = 5..10 and on knapsacks with rational rows
     and a rational objective no final tableau entry needs more than 64
     bits."""
     calls = _record_kernel(monkeypatch)
     rng = random.Random(0xB5C)
-    for m, n in ((5, 20), (6, 22), (7, 30), (8, 40)):
+    for m, n in ((5, 20), (6, 22), (7, 30), (8, 40), (9, 45), (10, 50)):
         for kind in ("umm", "wsm", "umm", "wsm"):
             instance = _ladder_cover(rng, m, n, kind)
             getattr(covering, "solve_" + kind)(instance, minimize_cost=True)
@@ -1651,9 +1722,11 @@ def test_warm_infeasible_verdicts_come_with_a_farkas_row(monkeypatch):
     """After every warm node LP that ends infeasible, ``violated_row`` finds
     a row of the live tableau that proves the box empty: its basic value is
     below 0 with no negative entry off the basic column, or above its bound
-    with no positive one.  Every nonbasic column reads at least 0, so no
-    point moves that basic value back inside its bounds.  The seeds reach
-    rows of both kinds."""
+    with no positive one, fixed columns (U = 0) aside.  Every nonbasic
+    column reads at least 0, so no point moves that basic value back inside
+    its bounds; a fixed column reads exactly 0, its two bounds certifying
+    it, so its entry may have either sign.  The seeds reach rows of both
+    kinds, and rows with a fixed column of each sign."""
     real_lp = branch_bound.solve_lp_feasibility
     seen = collections.Counter()
 
@@ -1667,7 +1740,12 @@ def test_warm_infeasible_verdicts_come_with_a_farkas_row(monkeypatch):
                                      rows.ranks)
             assert k >= 0
             row, b = tableau[k], basis[k]
-            others = [row[j] for j in range(width) if j != b]
+            others = [row[j] for j in range(width)
+                      if j != b and bounds[j] != 0]
+            pinned = [row[j] for j in range(width)
+                      if j != b and bounds[j] == 0 and row[j]]
+            seen["fixed", -1] += any(a < 0 for a in pinned)
+            seen["fixed", 1] += any(a > 0 for a in pinned)
             if row[width] < 0:
                 assert all(a >= 0 for a in others)
                 seen["below 0"] += 1
@@ -1686,6 +1764,7 @@ def test_warm_infeasible_verdicts_come_with_a_farkas_row(monkeypatch):
         else:
             milp.solve_feasibility(model)
     assert seen["below 0"] > 20 and seen["above the bound"] > 10
+    assert seen["fixed", -1] > 10 and seen["fixed", 1] > 10
 
 
 def _replay(steps, dense, head, totals, ups):
@@ -1921,9 +2000,11 @@ def test_rounding_tries_the_ceiling_then_the_floor_once(monkeypatch):
 
 
 def test_rounding_runs_at_most_twice_per_search(monkeypatch):
-    """Rounding LPs are the LPs of a search that solve no node: at most two
-    per optimization, none in a feasibility search, and never counted as
-    nodes, so the node limit still bounds the nodes alone."""
+    """Rounding LPs are the LPs of a search that solve no node: simple
+    rounding's two boxes at most per optimization, plus at most one trial
+    of the greedy floor per integer variable, none in a feasibility search,
+    and never counted as nodes, so the node limit still bounds the nodes
+    alone."""
     calls = _record_lps(monkeypatch)
     rng = random.Random(0xB64)
     rounded = collections.Counter()
@@ -1931,12 +2012,97 @@ def test_rounding_runs_at_most_twice_per_search(monkeypatch):
         model, objective, _, _ = _rational_milp(rng)
         del calls[:]
         stats = milp.maximize(model, objective, -12, 12).stats
-        assert stats.rounding_lps <= 2
+        assert stats.rounding_lps <= 2 + len(model.integer_indices())
         assert stats.lp_calls == len(calls) == stats.nodes + stats.rounding_lps
         assert sum(lo == up for lo, up, _, _ in calls) >= stats.rounding_lps
         rounded[stats.rounding_lps] += 1
         assert milp.solve_feasibility(model).stats.rounding_lps == 0
     assert rounded[1] > 10 and rounded[2] > 10
+
+
+def _without_greedy_floor(monkeypatch):
+    """Replace the greedy floor by one that returns the ceiling point as
+    it is."""
+    monkeypatch.setattr(branch_bound, "_greedy_floor",
+                        lambda rows, values, fixed, found, *rest: found)
+
+
+def _live_state(live):
+    return ([list(row) for row in live.tableau], list(live.basis),
+            list(live.totals), list(live.bounds), list(live.flipped))
+
+
+def test_greedy_floor_leaves_the_live_tableau_as_it_was(monkeypatch):
+    """The greedy floor's trials run on a copy of the search's live tableau:
+    its rows, basis, right-hand-side totals, bounds and complemented
+    columns are the same before and after, so the next node starts from the
+    tableau simple rounding left.  Each trial is one rounding LP."""
+    real = branch_bound._greedy_floor
+    seen = collections.Counter()
+
+    def spy(rows, values, fixed, found, int_idx, stats, objective, live,
+            coeffs, goal):
+        before = _live_state(live)
+        lps = stats.rounding_lps
+        better = real(rows, values, fixed, found, int_idx, stats, objective,
+                      live, coeffs, goal)
+        assert _live_state(live) == before
+        trials = stats.rounding_lps - lps
+        assert trials <= sum(q > 1 for _, q in values)
+        seen["trials"] += trials
+        seen["improved"] += better is not found
+        return better
+
+    monkeypatch.setattr(branch_bound, "_greedy_floor", spy)
+    rng = random.Random(0xB68)
+    for m in range(3, 8):
+        for kind in ("umm", "wsm") * 8:
+            instance = _ladder_cover(rng, m, 3 * m + 6, kind)
+            getattr(covering, "solve_" + kind)(instance, minimize_cost=True)
+    assert seen["trials"] > 40 and seen["improved"] > 10
+
+
+def test_greedy_floor_never_grows_a_ladder_tree(monkeypatch):
+    """On seeded ladder covers with m = 3..7 the greedy floor finds the
+    same optima in at most as many nodes as the ceiling point alone, and
+    in fewer on some."""
+    covers = []
+    for m in range(3, 8):
+        for n in (2 * m + 4, 3 * m + 6):
+            for kind in ("umm", "wsm"):
+                for seed in range(6):
+                    rng = random.Random(1000 * m + n + 100 * seed)
+                    covers.append((kind, _ladder_cover(rng, m, n, kind)))
+
+    def solve_all():
+        return [getattr(covering, "solve_" + kind)(instance,
+                                                   minimize_cost=True)
+                for kind, instance in covers]
+
+    greedy = solve_all()
+    _without_greedy_floor(monkeypatch)
+    plain = solve_all()
+    fewer = 0
+    for a, b in zip(greedy, plain):
+        assert a.cost == b.cost
+        assert a.stats.nodes <= b.stats.nodes
+        fewer += a.stats.nodes < b.stats.nodes
+    assert fewer > 10
+
+
+def test_greedy_floor_settles_a_ladder_cover_at_the_root(monkeypatch):
+    """A ladder cover, (7, 18) UMM with rng seed 7018, whose ceiling point
+    misses a root bound that is the optimum 2: the greedy floor lowers it
+    to the bound, and the search ends at its root, where the ceiling
+    point alone takes 17 nodes."""
+    instance = _ladder_cover(random.Random(7018), 7, 18, "umm")
+    solution = covering.solve_umm(instance, minimize_cost=True)
+    assert solution.cost == 2 and solution.stats.nodes == 1
+    assert solution.stats.rounding_lps > 1
+    _without_greedy_floor(monkeypatch)
+    solution = covering.solve_umm(instance, minimize_cost=True)
+    assert solution.cost == 2 and solution.stats.nodes == 17
+    assert solution.stats.rounding_lps == 1
 
 
 def test_a_corrupted_rounding_point_fails_the_exact_recheck(monkeypatch):
@@ -1967,15 +2133,18 @@ def test_rounding_keeps_the_heavy_ladder_trees_small():
 
 def test_column_bounds_keep_the_heavy_trees_and_shrink_their_tableaus():
     """Three heavy covers, searched at the root bound from a dual cold
-    start, pinned at their nodes and pivots: (8, 160) UMM takes 22 and
-    293, (12, 300) 80 and 389 and (10, 200) 201 and 1,628, against 115 and
-    1,049, 122 and 875 and 619 and 9,329 when the threshold only climbed
-    past each incumbent from a two-phase root.  With the integer bounds as
-    column bounds their largest tableaus keep only model rows: 72 of 193 at
-    (8, 160), 28 of 316 at (12, 300) and 32 of 219 at (10, 200)."""
-    for m, n, nodes, pivots, rows in ((8, 160, 22, 293, 80),
-                                      (12, 300, 80, 389, 30),
-                                      (10, 200, 201, 1628, 32)):
+    start, with fixed columns kept out of the basis and the ceiling point
+    lowered greedily, pinned at their nodes and pivots: (8, 160) UMM takes
+    28 and 358, (12, 300) 1 and 66 and (10, 200) 1 and 134, against 22 and
+    293, 80 and 389 and 201 and 1,628 with fixed columns entering and the
+    ceiling point as rounding left it, and 115 and 1,049, 122 and 875 and
+    619 and 9,329 when the threshold only climbed past each incumbent from
+    a two-phase root.  With the integer bounds as column bounds their
+    largest tableaus keep only model rows: 72 of 193 at (8, 160), 28 of 316
+    at (12, 300) and 32 of 219 at (10, 200)."""
+    for m, n, nodes, pivots, rows in ((8, 160, 28, 358, 80),
+                                      (12, 300, 1, 66, 30),
+                                      (10, 200, 1, 134, 32)):
         instance = _ladder_cover(random.Random(1000 * m + n), m, n, "umm")
         stats = covering.solve_umm(instance, minimize_cost=True,
                                    node_limit=20000).stats

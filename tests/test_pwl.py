@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from generators import chord_ok, random_pwl, reference_eval
-from pwlmip.pwl import PwlFunction, Shape
+from pwlmip.pwl import PwlFunction, Shape, prefix_sum_term
 from pwlmip.rationals import parse_integer, parse_rational
 
 F = Fraction
@@ -71,6 +71,23 @@ def test_from_sorted_rejects_negative():
         PwlFunction.from_sorted_weights([2, -1])
     with pytest.raises(ValueError):
         PwlFunction.from_sorted_multiplicities([-3])
+
+
+def test_prefix_sum_term_is_a_coefficient_for_equal_values():
+    """One value, or several equal ones, make a linear term: the value
+    itself, as exact gives it; values that differ make the function of
+    the shape's constructor, and a negative value is refused either way."""
+    assert prefix_sum_term([5], Shape.CONVEX) == 5
+    assert type(prefix_sum_term([Fraction(6, 3)] * 3, Shape.CONCAVE)) is int
+    assert prefix_sum_term([Fraction(1, 2)] * 2, Shape.CONVEX) == Fraction(1, 2)
+    assert prefix_sum_term([0, 0], Shape.CONVEX) == 0
+    assert prefix_sum_term([3, 1, 2], Shape.CONVEX) == \
+        PwlFunction.from_sorted_weights([3, 1, 2])
+    assert prefix_sum_term([1, 4, 2], Shape.CONCAVE) == \
+        PwlFunction.from_sorted_multiplicities([1, 4, 2])
+    for shape in Shape:
+        with pytest.raises(ValueError):
+            prefix_sum_term([-1, -1], shape)
 
 
 def test_equal_slopes_merge():
