@@ -134,7 +134,8 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
     :func:`violated_row` returns that row.  An entering column that neither
     a row nor a bound of its own stops: the objective is then unbounded
     below, and row ``nrows`` still holds that negative entry.  A phase-1
-    objective never is.
+    objective never is, nor is a branch-and-bound search's, which the
+    variables' bounds bound; only a direct LP call meets it.
     """
     low, high = ranks
     den = ncols + 1

@@ -113,12 +113,6 @@ class EmipModel(Frozen):
         object.__setattr__(self, "constraints", tuple(constraints))
         object.__setattr__(self, "objective", objective)
 
-    def var_index(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise KeyError(name)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):

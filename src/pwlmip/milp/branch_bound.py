@@ -17,31 +17,27 @@ tableau in its place.  A deferred child keeps only its bounds, so no
 tableau is ever copied, and memory stays that of one LP.
 
 Optimization (:func:`maximize`) adds the row ``objective >= T`` and
-searches in threshold levels.  Every node LP maximizes the objective, so
-an integral vertex is the best point of its box.  It becomes the
-incumbent, worth the integer part of its objective capped at t_hi, and T
-moves to that value + 1.  Each node carries a cap, the best value its box
-can reach: its parent's LP optimum, rounded down.  One level
-(:meth:`_Tree.search`) runs the depth-first search at T, which only
-incumbents raise.  It defers a node whose cap lies below T unsolved, and a
-node whose LP is infeasible at T with cap T - 1, since its box holds no
-point at T; a deferred node keeps its bounds and cap only.
+searches in integer threshold levels.  Every node LP maximizes the
+objective, so an integral vertex is the best point of its box.  It becomes
+the incumbent, worth the integer part of its objective, and T moves to that
+value + 1.  Each node carries a cap, the best value its box can reach: its
+parent's LP optimum, rounded down.  One level (:meth:`_Tree.search`) runs
+the depth-first search at T, which only incumbents raise.  It defers a node
+whose cap lies below T unsolved, and a node whose LP is infeasible at T
+with cap T - 1, since its box holds no point at T; a deferred node keeps
+its bounds and cap only.
 
-The driver, :func:`solve_feasibility`, starts T at t_lo.  After rounding
-the first fractional vertex (below) it raises T to that vertex's cap, the
-root bound, so the search looks for a point at the bound rather than
-climbing past each incumbent.  When a level runs dry, T steps down to the
-best deferred cap and those nodes are searched again.  The search stops
-once that cap is at most the incumbent's value or below t_lo, or once an
-incumbent reaches t_hi.  So every answer is a point re-checked exactly at
-T, plus a search exhausted above T.  ``SolveStats.probes`` counts the
-levels, and the node limit bounds all of them together.
-
-An objective unbounded on one node LP is unbounded on every feasible one,
-since a direction along which an LP stays feasible for ever moves no
-bounded variable, so no integer one: any integer point then reaches t_hi,
-and the search asks for feasibility at t_hi instead.  A box empty there is
-empty at every threshold, so that search defers nothing.
+:func:`solve_feasibility` runs the levels.  It starts T at the bracket's
+low end.  After rounding the first fractional vertex (below) it raises T
+to that vertex's cap, the root bound, so the search looks for a point at
+the bound rather than climbing past each incumbent.  When a level runs dry, T steps
+down to the best deferred cap and those nodes are searched again.  The
+search stops once that cap is at most the incumbent's value or below the
+low end, or once an incumbent reaches the top, the objective's largest
+value over the variables' bounds.  So every answer is a point re-checked
+exactly at T, plus a search exhausted above T.  ``SolveStats.probes``
+counts the levels, and the node limit bounds all of them together.  The
+top is finite, so the objective is bounded on every node LP.
 
 An optimization also looks for an incumbent before its first branch, by
 simple rounding (Achterberg, *Constraint Integer Programming*, 2007,
@@ -68,7 +64,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..rationals import exact
 from .lp import CompiledRows, LiveTableau, solve_lp_feasibility
 from .model import (
     MilpModel,
@@ -76,7 +71,6 @@ from .model import (
     SolveResult,
     SolveStats,
     SolverInternalError,
-    VarKind,
     integer_row,
 )
 
@@ -128,9 +122,10 @@ def solve_feasibility(model: MilpModel, node_limit=None,
 
     ``objective`` is None, or ``(coeffs, den, lo, hi)`` from
     :func:`maximize`: the integer row ``sum(k * x) <= -T * den`` that says
-    the objective is at least T, and the bracket of T.  The search then
-    returns its last incumbent, with ``best`` its value, and counts each
-    threshold level it searched in ``stats.probes``.
+    the objective is at least T, and the bracket of T, whose top ``hi`` no
+    point exceeds.  The search then returns its last incumbent, with
+    ``best`` its value, and counts each threshold level it searched in
+    ``stats.probes``.
     """
     limit = resolve_node_limit(node_limit)
     tree = _Tree(model, objective)
@@ -192,7 +187,7 @@ class _Tree:
             raise SolverInternalError(
                 "feasible answer failed exact re-check: %s" % "; ".join(problems)
             )
-        self.incumbent, self.best = point, min(value, self.hi)
+        self.incumbent, self.best = point, value
         if self.best == self.hi:
             return True
         self.aim(self.best + 1)
@@ -203,7 +198,7 @@ class _Tree:
         each incumbent raises.  Returns the nodes deferred to a lower
         threshold, each ``(lowers, uppers, depth, cap)``: [] once the
         incumbent reaches hi."""
-        stats, live, int_idx, hi = self.stats, self.live, self.int_idx, self.hi
+        stats, live, int_idx = self.stats, self.live, self.int_idx
         deferred = []
         # Each node carries the best value its box can reach: its parent's LP
         # optimum, rounded down.
@@ -225,11 +220,6 @@ class _Tree:
                 if self.phase2 is not None:
                     deferred.append((lo, up, depth, self.t - 1))
                 continue
-            if point is None:  # unbounded objective: solve this box again at hi
-                self.phase2 = None
-                self.aim(hi)
-                stack.append((lo, up, depth, hi))
-                continue
 
             # Branch on the most fractional value p/q (ties to the lowest
             # index): its distance to an integer is min(r, q - r)/q with
@@ -247,7 +237,7 @@ class _Tree:
                 continue
 
             if self.phase2 is not None:
-                cap = min(_floor_value(point, self.coeffs, self.den), hi)
+                cap = _floor_value(point, self.coeffs, self.den)
                 if not self.rounded:
                     # Round the first fractional vertex, then aim at its
                     # bound; children the incumbent already beats are then
@@ -375,23 +365,20 @@ def _objective_end(model: MilpModel, coeffs, top):
     return total
 
 
-def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
+def maximize(model: MilpModel, coeffs, t_lo=None,
              node_limit=None) -> SolveResult:
-    """Largest threshold T in [t_lo, t_hi] with {model, sum(c*x) >= T}
-    feasible, stepped in units of 1/den when every variable with a nonzero
-    coefficient is integer (den the lcm of the coefficients'
-    denominators), so that ``best`` is then the exact maximum, and in
-    units of 1 otherwise.
+    """Largest integer threshold T >= t_lo with {model, sum(c*x) >= T}
+    feasible.
 
-    ``coeffs`` maps variable index to an exact coefficient.  The bracket must
-    contain the optimum for the answer to be the true maximum; if the model is
-    infeasible even at the first step at or above t_lo the result reports
-    infeasible.  An end left None is worked out from the variables' bounds,
-    which must be finite on that side for every variable with a nonzero
-    coefficient.  A worked-out t_hi bounds the form over every point, so one
-    below the first step answers infeasible with no node solved; a given
-    bracket with no step in it is refused.  One search answers it, over all
-    its threshold levels, so the node limit bounds the whole call.
+    ``coeffs`` maps variable index to an exact coefficient.  The bracket's
+    top is the form's largest value over the variables' bounds, and its low
+    end, when t_lo is None, the least; each must be finite for every
+    variable with a nonzero coefficient on the side it reads.  A top below
+    the first integer at or above t_lo answers infeasible with no node
+    solved.  One search answers it, over all its threshold levels, so the
+    node limit bounds the whole call.  A form that takes only multiples of
+    1/D at the feasible points is searched exactly when given times D
+    (:mod:`pwlmip.pipeline` does so).
     """
     coeffs = tuple(coeffs.items() if isinstance(coeffs, dict) else coeffs)
     # The threshold row -sum(c * x) <= -T times den, the lcm of the
@@ -400,22 +387,10 @@ def maximize(model: MilpModel, coeffs, t_lo=None, t_hi=None,
     for _, c in coeffs:
         den = math.lcm(den, Fraction(c).denominator)
     threshold, _ = integer_row(((i, -c) for i, c in coeffs), 0, model.n_vars)
-    # Over integer variables the form takes only multiples of 1/den: the
-    # search then runs on den * T, whose row is -den * sum(c * x) <= -den*T.
-    step = den if all(c == 0 or model.variables[i].kind is VarKind.INTEGER
-                      for i, c in coeffs) else 1
     if t_lo is None:
         t_lo = _objective_end(model, coeffs, top=False)
-    lo = math.ceil(t_lo * step)
-    if t_hi is None:
-        t_hi = _objective_end(model, coeffs, top=True)
-        if lo > math.floor(t_hi * step):
-            return SolveResult(False, None)
-    hi = math.floor(t_hi * step)
+    lo = math.ceil(t_lo)
+    hi = math.floor(_objective_end(model, coeffs, top=True))
     if lo > hi:
-        raise ValueError("empty threshold bracket [%s, %s]" % (t_lo, t_hi))
-    result = solve_feasibility(model, node_limit,
-                               (threshold, den // step, lo, hi))
-    if step > 1 and result.best is not None:
-        result.best = exact(Fraction(result.best, step))
-    return result
+        return SolveResult(False, None)
+    return solve_feasibility(model, node_limit, (threshold, den, lo, hi))

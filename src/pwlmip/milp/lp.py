@@ -47,8 +47,9 @@ hands the tableau to the kernel, whose dual phase re-optimizes it; a basic
 variable left below 0 or above its bound is the verdict "infeasible", and
 its row, which :func:`pwlmip._kernel.violated_row` finds, is the Farkas
 ray.  A call starts cold only while the search holds no tableau: at its
-first LP, and after a cold LP that ended unbounded or infeasible, neither
-of which leaves one.
+first LP, and after a cold LP that ended infeasible, which leaves none.
+A search's objective is bounded over the variables' bounds, so none of its
+LPs ends unbounded; a direct call may.
 
 Tableau rows are Python ints over a positive per-row denominator, the layout
 :func:`pwlmip._kernel.phase1` pivots on.  Model rows arrive in ints (see

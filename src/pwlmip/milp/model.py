@@ -174,15 +174,14 @@ class SolveStats(Record):
 
 class SolveResult(Record):
     """A solve's verdict, witness and stats.  ``best`` is an optimization's
-    best threshold, None for a feasibility solve.  Over integer objective
-    variables the search steps by 1/den of the objective's coefficients, so
-    ``best`` is the exact optimum (minimizing x/2 over an integer x in
-    [1, 3] gives 1/2).  A budget minimization over integer variables is
-    exact too, piecewise terms included: it searches on a multiple of its
-    lowered form (:func:`pwlmip.pipeline.minimize_budget`).  An objective
-    with a continuous variable steps by integers, so ``best`` is exact
-    when the optimum is an integer and otherwise errs by less than 1
-    toward the worse side."""
+    best threshold, None for a feasibility solve.  :func:`pwlmip.milp.maximize`
+    searches integer thresholds of the form it is given, so its ``best`` is
+    the optimum rounded down.  :mod:`pwlmip.pipeline` decides the grid: over
+    integer variables it searches a multiple of the form, piecewise terms
+    included, so ``best`` is the exact optimum (minimizing x/2 over an
+    integer x in [1, 3] gives 1/2).  An objective with a continuous variable
+    is searched as it is, so ``best`` is exact when the optimum is an
+    integer and otherwise errs by less than 1 toward the worse side."""
 
     __slots__ = _fields = ("feasible", "assignment", "stats", "best")
 

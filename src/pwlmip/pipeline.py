@@ -3,8 +3,10 @@
 Each solve is lower (which normalizes) -> search -> lift, kept in one place
 for the covering, approximation, and election layers as well as the CLI.
 Every answer is re-checked against the caller's own model.  Both optimizers
-maximize a linear form over the lowered model with :func:`milp.maximize
-<pwlmip.milp.maximize>`, which also works out the threshold bracket.
+maximize a linear form over the lowered model through :func:`_maximize`,
+which decides the threshold grid: over integer variables it searches a
+multiple of the form, so that ``best`` is exact.  :func:`milp.maximize
+<pwlmip.milp.maximize>` works out the threshold bracket from the bounds.
 """
 
 from __future__ import annotations
@@ -35,22 +37,45 @@ def solve_emip(model: EmipModel, node_limit=None) -> SolveResult:
     return _lift(model, lmap, milp.solve_feasibility(lowered, node_limit))
 
 
-def maximize_emip(model: EmipModel, t_lo=None, t_hi=None, node_limit=None) -> SolveResult:
-    """Best threshold of the model's linear objective.
+def _maximize(model, lowered, form, reads, fns=(), t_lo=None,
+              node_limit=None) -> SolveResult:
+    """:func:`milp.maximize <pwlmip.milp.maximize>` of the lowered linear
+    ``form`` over ``lowered``, exact over integer variables.
+
+    ``reads`` are the variables of ``model`` that the form comes from and
+    ``fns`` the functions of its terms.  When every one of those variables
+    is integer, the form takes only multiples of 1/D at the feasible points
+    (:func:`_value_denominator`), so the search runs on D times the form and
+    ``best`` is the exact maximum; otherwise it searches integer thresholds,
+    and ``best`` is the largest integer at most the maximum.
+    """
+    scale = 1
+    if all(model.variables[i].kind is VarKind.INTEGER for i in reads):
+        scale = _value_denominator(form, fns)
+    result = milp.maximize(lowered, [(i, c * scale) for i, c in form],
+                           None if t_lo is None else t_lo * scale, node_limit)
+    if result.best is not None:
+        result.best = exact(Fraction(result.best, scale))
+    return result
+
+
+def maximize_emip(model: EmipModel, node_limit=None) -> SolveResult:
+    """Best value of the model's linear objective.
 
     Finds the largest T with {model, objective >= T} feasible (for a "min"
-    objective: the smallest T with objective <= T, via negation), stepping
-    T by 1/den of the objective's coefficients when every variable in it is
-    integer, so that ``best`` is then the exact optimum, and by 1
-    otherwise.  The bracket [t_lo, t_hi] must contain the optimum;
-    :func:`milp.maximize <pwlmip.milp.maximize>` works out an end left out.
+    objective: the smallest T with objective <= T, via negation).  ``best``
+    is the exact optimum when every variable in the objective is integer,
+    and otherwise the optimum rounded to an integer toward the worse side.
+    The threshold bracket comes from the variables' bounds, which must be
+    finite on the side the objective reads.
     """
     if model.objective is None:
         raise ValueError("model has no objective")
     sign = 1 if model.objective.sense == "max" else -1
-    coeffs = {i: sign * c for i, c in model.objective.coeffs}
+    form = [(i, sign * c) for i, c in model.objective.coeffs]
     lowered, lmap = lower(model)
-    result = milp.maximize(lowered, coeffs, t_lo, t_hi, node_limit)
+    result = _maximize(model, lowered, form, [i for i, c in form if c],
+                       node_limit=node_limit)
     return _lift(model, lmap, result, sign)
 
 
@@ -77,29 +102,18 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> Solve
     each breakpoint column z_l, and a shared one through its bound column
     w; at any optimum both come to the exact function value.  The
     constants that normalization moved into b are added back.  When every
-    variable of the constraint is integer, the form takes only multiples
-    of 1/D at the integer points (D from the coefficients, slopes and
-    breakpoints), so the search runs on D times the form and ``best`` is
-    the exact minimum: f with breakpoint 1 and slopes 1/2, 3/2 over an
-    integer x in [1, 3] gives 1/2.  With a continuous variable the search
-    steps by integers, and ``best`` is exact when the minimum of the form
-    is an integer and otherwise high by less than 1.  No point within the
-    budget: infeasible.
+    variable of the constraint is integer, ``best`` is the exact minimum:
+    f with breakpoint 1 and slopes 1/2, 3/2 over an integer x in [1, 3]
+    gives 1/2.  With a continuous variable ``best`` is exact when the
+    minimum of the form is an integer and otherwise high by less than 1.
+    No point within the budget: infeasible.
     """
     cons = model.constraints[constraint]
     if cons.rhs:
         raise ValueError("constraint %d has a right-hand side" % constraint)
     lowered, lmap = lower(model)
     coeffs, b = lmap.forms[constraint]
-    scale = 1
-    if all(model.variables[i].kind is VarKind.INTEGER for i, _ in cons.lhs):
-        scale = _value_denominator(coeffs, [
-            term.fn for (j, _, _), term in lmap.terms if j == constraint])
-    objective, t_lo = {i: -c for i, c in coeffs}, -b
-    if scale > 1:
-        objective = {i: c * scale for i, c in objective.items()}
-        t_lo *= scale
-    result = milp.maximize(lowered, objective, t_lo, None, node_limit)
-    if scale > 1 and result.best is not None:
-        result.best = exact(Fraction(result.best, scale))
+    fns = [term.fn for (j, _, _), term in lmap.terms if j == constraint]
+    result = _maximize(model, lowered, [(i, -c) for i, c in coeffs],
+                       [i for i, _ in cons.lhs], fns, -b, node_limit)
     return _lift(model, lmap, result, -1, cons.b - b)

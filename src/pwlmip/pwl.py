@@ -101,10 +101,6 @@ class PwlFunction(Frozen):
     # -- basic queries -----------------------------------------------------
 
     @property
-    def pieces(self) -> int:
-        return len(self.slopes)
-
-    @property
     def is_linear(self) -> bool:
         return len(self.slopes) == 1
 

@@ -99,17 +99,6 @@ def test_a_coefficient_holds_where_its_one_piece_function_does():
                 assert as_functions.holds(point) == as_coefficients.holds(point)
 
 
-def test_var_index():
-    fn = PwlFunction(Shape.CONVEX, 0, (1,), (0, 1))
-    model = EmipModel(
-        (_var("x"), _var("y")),
-        (EmipConstraint(lhs={0: fn, 1: 2}, rhs={}, b=3),),
-    )
-    assert model.var_index("y") == 1
-    with pytest.raises(KeyError):
-        model.var_index("zz")
-
-
 def test_objective_validation():
     with pytest.raises(ValueError, match="sense"):
         Objective("maximize", {0: 1})

@@ -107,8 +107,7 @@ def test_kernel_returns_its_pivot_count(traced):
 
 
 def test_lp_returns_its_verdict_first(traced):
-    maximize_emip(_knapsack())
-    maximize_emip(_knapsack(), t_lo=9)  # one past the optimum: no point
+    maximize_emip(_knapsack())  # the rounded-up box holds no point
     verdicts = set()
     for _, result in traced["solve_lp_feasibility"]:
         assert isinstance(result, tuple)

@@ -12,10 +12,13 @@ from typing import NamedTuple
 
 import pytest
 
-from generators import (grid_best, grid_feasible, iter_grid, random_fraction,
-                        random_grid_model, random_pwl)
+from generators import (grid_best, grid_feasible, iter_grid,
+                        random_exact_cover_mmc, random_fraction,
+                        random_grid_model, random_pwl, random_set_variant,
+                        random_uniform)
 from pwlmip import _kernel, covering, milp
 from pwlmip._kernel import phase1 as integer_phase1
+from pwlmip.approx import almost_cover
 from pwlmip.emip import (EmipConstraint, EmipModel, Objective, Variable, VarKind,
                          normalize, term_value)
 from pwlmip.milp import branch_bound
@@ -159,22 +162,13 @@ def test_maximize_knapsack():
         [("x", VarKind.INTEGER, F(0), F(2)), ("y", VarKind.INTEGER, F(0), F(6))],
         [([(0, 1), (1, 2)], 6)],
     )
-    result = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 8)
+    result = milp.maximize(model, {0: F(1), 1: F(1)}, 0)
     assert result.feasible and result.best == 4
     x, y = result.assignment[0], result.assignment[1]
     assert x + y >= 4 and x + 2 * y <= 6
-    # one past the optimum is infeasible: the bracket [T*+1, hi] finds nothing
-    past = milp.maximize(model, {0: F(1), 1: F(1)}, 5, 8)
+    # one past the optimum is infeasible: the bracket [T*+1, 8] finds nothing
+    past = milp.maximize(model, {0: F(1), 1: F(1)}, 5)
     assert not past.feasible
-
-
-def test_maximize_empty_bracket():
-    model = _mk([("x", VarKind.INTEGER, F(0), F(2))], [([(0, 1)], 2)])
-    with pytest.raises(ValueError, match="bracket"):
-        milp.maximize(model, {0: F(1)}, 3, 2)
-    # a given t_hi below the worked-out t_lo = 0 is refused too
-    with pytest.raises(ValueError, match="empty threshold bracket"):
-        milp.maximize(model, {0: F(1)}, t_hi=-1)
 
 
 def test_maximize_works_out_ends_from_fractional_bounds():
@@ -209,7 +203,7 @@ def test_maximize_empty_worked_out_bracket_is_infeasible():
 
 def test_maximize_entire_bracket_feasible():
     model = _mk([("x", VarKind.INTEGER, F(0), F(5))], [([(0, 1)], 5)])
-    result = milp.maximize(model, {0: F(1)}, 0, 5)
+    result = milp.maximize(model, {0: F(1)}, 0)
     assert result.best == 5 and result.assignment[0] == 5
 
 
@@ -237,6 +231,73 @@ def test_maximize_against_grid_enumeration():
         checked += 1
 
 
+def test_maximize_emip_is_exact_over_a_fractional_objective():
+    """The pipeline owns the threshold grid: over an all-integer model, an
+    objective with fractional coefficients is searched on D times the form,
+    so ``best`` is the exact optimum that enumeration finds."""
+    rng = random.Random(0xB6C)
+    fractional = 0
+    for _ in range(60):
+        base = random_grid_model(rng)
+        coeffs = {i: random_fraction(rng, -2, 2, 3)
+                  for i in range(len(base.variables))}
+        model = EmipModel(base.variables, base.constraints,
+                          Objective(rng.choice(("max", "min")), coeffs))
+        truth = grid_best(model)
+        result = maximize_emip(model)
+        if truth is None:
+            assert not result.feasible
+            continue
+        assert result.best == truth
+        assert sum(c * result.assignment[i] for i, c in coeffs.items()) \
+            == truth
+        fractional += truth.denominator != 1
+    assert fractional > 5
+
+
+def test_no_search_meets_an_unbounded_lp(monkeypatch):
+    """Every optimization's bracket tops out at the objective's largest
+    value over the bounds, so no node or rounding LP is unbounded: over
+    objectives, minimum-cost covers and almost-covers, no LP returns
+    feasible without a point."""
+    real_lp = branch_bound.solve_lp_feasibility
+    phase2 = []
+
+    def lp(*args, objective=None, **kwargs):
+        result = real_lp(*args, objective=objective, **kwargs)
+        assert result[1] is not None or not result[0]
+        phase2.append(objective is not None and result[0])
+        return result
+
+    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    rng = random.Random(0xB6D)
+    for _ in range(40):
+        maximize_emip(random_grid_model(rng, with_objective=True))
+        covering.solve_wsm(random_set_variant(rng), minimize_cost=True)
+        covering.solve_umm(random_uniform(rng), minimize_cost=True)
+        instance, _ = random_exact_cover_mmc(rng, max_sets=6, max_m=2)
+        almost_cover(instance, F(1, 2))
+    assert sum(phase2) > 100
+
+
+def test_a_free_bound_column_reaches_the_search():
+    """x >= 0 with no upper bound, and f with breakpoint 1 and slopes -2, -1
+    in two rows: the shared block's bound column w = f(x) has no lower
+    bound, so the LP splits it, and the search still finds the optimum."""
+    fn = PwlFunction(Shape.CONVEX, 0, (1,), (-2, -1))
+    model = EmipModel(
+        (Variable("x", VarKind.CONTINUOUS, 0, None),
+         Variable("k", VarKind.INTEGER, 0, 3)),
+        (EmipConstraint(lhs={0: fn, 1: 1}, rhs={}, b=-5),
+         EmipConstraint(lhs={0: fn}, rhs={1: 1}, b=-4)),
+        Objective("max", {1: 1}))
+    lowered, _ = lower(model)
+    (w,) = [v for v in lowered.variables if v.name == "w_c0_x"]
+    assert w.lower is None
+    result = maximize_emip(model)
+    assert result.best == 3 and result.assignment == {0: 7, 1: 3}
+
+
 def test_maximize_node_limit_bounds_the_one_tree(monkeypatch):
     # the root vertex rounded either way leaves the rows, so the tree branches
     model = _mk(
@@ -251,17 +312,17 @@ def test_maximize_node_limit_bounds_the_one_tree(monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(branch_bound, "solve_feasibility", counted)
-    full = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12)
+    full = milp.maximize(model, {0: F(1), 1: F(1)}, 0)
     assert full.feasible and full.best == 4
     assert len(trees) == 1 and full.stats.probes == 1
     nodes = full.stats.nodes
     assert nodes > 1 and full.stats.max_depth > 0
     assert full.stats.rounding_lps == 2
     # a budget of exactly the tree completes it; one node less runs out
-    again = milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=nodes)
+    again = milp.maximize(model, {0: F(1), 1: F(1)}, 0, node_limit=nodes)
     assert again.best == 4 and again.stats == full.stats
     with pytest.raises(milp.ResourceExhausted) as exc:
-        milp.maximize(model, {0: F(1), 1: F(1)}, 0, 12, node_limit=nodes - 1)
+        milp.maximize(model, {0: F(1), 1: F(1)}, 0, node_limit=nodes - 1)
     assert exc.value.nodes == exc.value.limit == nodes - 1
 
 
@@ -458,77 +519,43 @@ def _solve_square(a, b):
     return [F(b[0] * s - q * b[1]) / det, F(p * b[1] - r * b[0]) / det]
 
 
-def test_maximize_one_tree_against_enumeration(monkeypatch):
+def test_maximize_one_tree_against_enumeration():
     """The one-tree ``maximize`` against enumeration on seeded random MILPs:
     integer and continuous objective variables, rational coefficients and
-    ties, brackets that hold the optimum, end below it or start above it,
-    objectives unbounded on every feasible node LP, and exact fractional
-    optima over integer objective variables."""
-    unbounded_lps = []
-    real_lp = branch_bound.solve_lp_feasibility
-
-    def lp(*args, **kwargs):
-        result = real_lp(*args, **kwargs)
-        unbounded_lps.append(result[0] and result[1] is None)
-        return result
-
-    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
+    ties, and low ends at or below the optimum or above it.  ``best`` is the
+    largest integer threshold, the optimum rounded down."""
     rng = random.Random(0xB60)
     seen = collections.Counter()
-    for case in range(500):
-        unbounded = case % 4 == 3
-        model, objective, optimum, ties = _random_milp(rng, unbounded)
+    for _ in range(600):
+        model, objective, optimum, ties = _random_milp(rng)
         if optimum is None:
-            mode = "empty"
-            lo = rng.randint(-6, 0)
-            hi = lo + rng.randint(0, 6)
-        elif optimum == math.inf:
-            mode = "unbounded"
-            lo = rng.randint(-6, 0)
-            hi = lo + rng.randint(0, 8)
+            mode, lo = "empty", rng.randint(-6, 0)
         else:
-            mode = rng.choice(("inside", "hi below", "lo above"))
+            mode = rng.choice(("inside", "lo above"))
             top = math.floor(optimum)
-            if mode == "inside":
-                lo, hi = top - rng.randint(0, 3), top + rng.randint(0, 3)
-            elif mode == "hi below":
-                hi = top - rng.randint(1, 3)
-                lo = hi - rng.randint(0, 2)
-            else:
-                lo = top + rng.randint(1, 2)
-                hi = lo + rng.randint(0, 2)
-        del unbounded_lps[:]
-        result = milp.maximize(model, objective, lo, hi)
-        if optimum is None or optimum < lo:
+            lo = (top - rng.randint(0, 3) if mode == "inside"
+                  else top + rng.randint(1, 2))
+        result = milp.maximize(model, objective, lo)
+        if mode != "inside":
             assert not result.feasible and result.best is None
         else:
-            assert result.feasible
-            # thresholds step by 1/den over integer objective variables, so
-            # best is then the optimum itself; by 1 otherwise
-            steps = all(model.variables[i].kind is VarKind.INTEGER
-                        for i, c in objective.items() if c)
-            top = optimum if steps or optimum == math.inf else math.floor(
-                optimum)
-            assert result.best == min(hi, top)
-            seen["fractional best"] += result.best.denominator != 1
+            assert result.feasible and result.best == top
             witness = result.assignment
             assert model.check_assignment(witness) == []
             assert sum(c * witness[i] for i, c in objective.items()) \
                 >= result.best
+            seen["fractional optimum"] += optimum != top
         seen[mode, result.feasible] += 1
-        seen["empty with z"] += unbounded and optimum is None
         seen["ties"] += ties > 1
         seen["branched"] += result.stats.max_depth > 0
         seen["continuous objective"] += any(
             model.variables[i].kind is VarKind.CONTINUOUS and c
             for i, c in objective.items())
-        seen["unbounded lp"] += any(unbounded_lps)
-    for key in (("inside", True), ("hi below", True), ("lo above", False),
-                ("empty", False), ("unbounded", True), "empty with z"):
+    for key in (("inside", True), ("lo above", False), ("empty", False)):
         assert seen[key] >= 5, key
     assert seen["ties"] >= 10 and seen["branched"] >= 20
-    assert seen["continuous objective"] >= 50 and seen["unbounded lp"] >= 10
-    assert seen["fractional best"] >= 5
+    assert seen["continuous objective"] >= 50
+    assert seen["fractional optimum"] >= 50
 
 
 def test_threshold_steps_down_from_the_root_bound():
@@ -582,7 +609,7 @@ def test_threshold_steps_down_from_the_root_bound():
 def test_maximize_rejects_unknown_objective_variable():
     model = _mk([("x", VarKind.INTEGER, F(0), F(2))], [([(0, 1)], 2)])
     with pytest.raises(ValueError, match="unknown variable"):
-        milp.maximize(model, {3: F(1)}, 0, 2)
+        milp.maximize(model, {3: F(1)}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1040,7 @@ def test_kernel_entries_stay_within_64_bits_on_covers(monkeypatch):
     rational = len(calls)
     for n in (6, 8, 10, 12):
         model, objective = _rational_knapsack(rng, n)
-        milp.maximize(model, objective, 0, 6 * sum(objective.values()))
+        milp.maximize(model, objective, 0)
     assert sum(call.pivots for call in calls) > 1000
     assert sum(call.pivots for call in calls[rational:]) > 100
     bits = max(abs(x).bit_length()
@@ -1067,7 +1094,16 @@ def test_phase2_kernel_calls_match_reference(monkeypatch):
         milp.maximize(lowered, coeffs)
     for case in range(150):
         model, objective, _, _ = _random_milp(rng, unbounded=case % 3 == 0)
-        milp.maximize(model, objective, -6, 6)
+        if case % 3:
+            milp.maximize(model, objective, -6)
+            continue
+        # a search never meets an unbounded objective, so its root LP, at
+        # objective >= -6, is solved on its own
+        threshold = integer_row(((i, -c) for i, c in objective.items()), 6,
+                                model.n_vars)
+        branch_bound.solve_lp_feasibility(
+            model.rows + (threshold,), [v.lower for v in model.variables],
+            [v.upper for v in model.variables], objective=len(model.rows))
     for m, n in ((3, 8), (4, 10), (5, 12)) * 8:
         covering.solve_umm(_ladder_cover(rng, m, n, "umm"), minimize_cost=True)
     unbounded = warm_calls = dual_cold = 0
@@ -1395,15 +1431,16 @@ def test_rational_integer_bounds_round_inward():
         assert result.feasible == bool(points)
         verdicts.add(result.feasible)
         if not points:
-            assert not milp.maximize(model, {0: F(1)}, -9, 9).feasible
+            assert not milp.maximize(model, {0: F(1)}).feasible
             continue
         assert holds(*result.assignment.values())
         assert result.assignment[0] in {x for x, _ in points}
-        # x is integer, so thresholds step by 1/3 for c = 2/3: best is exact
+        # x is integer, so c * x takes only multiples of 1/3 for c = 2/3:
+        # the search on 3 * c * x, as the pipeline scales it, is exact
         for c in (F(1), F(-1), F(2, 3)):
             best = max(c * x for x, _ in points)
-            got = milp.maximize(model, {0: c}, best - 3, best + 3)
-            assert got.best == best
+            got = milp.maximize(model, {0: 3 * c}, 3 * best - 9)
+            assert got.best == 3 * best
             assert c * got.assignment[0] >= best
             assert holds(*got.assignment.values())
     assert verdicts == {True, False}
@@ -1416,18 +1453,18 @@ def test_empty_rounded_integer_box_is_infeasible_without_an_lp():
     result = milp.solve_feasibility(model)
     assert not result.feasible
     assert (result.stats.nodes, result.stats.lp_calls) == (1, 0)
-    assert not milp.maximize(model, {1: F(1)}, 0, 4).feasible
+    assert not milp.maximize(model, {1: F(1)}, 0).feasible
 
 
 def test_assignments_are_exact():
     """A solve returns every value in the one scalar form: an int when it
     is integral, a Fraction when it is not."""
     model = _mk([("x", VarKind.INTEGER, F(0), F(4)),
-                 ("y", VarKind.CONTINUOUS, F(0), None)],
+                 ("y", VarKind.CONTINUOUS, F(0), F(4))],
                 [([(0, 3), (1, 2)], 7)])
     answers = [milp.solve_feasibility(model).assignment,
-               milp.maximize(model, {0: F(1)}, 0, 4).assignment,
-               milp.maximize(model, {0: 2, 1: 2}, 0, 10).assignment]
+               milp.maximize(model, {0: F(1)}, 0).assignment,
+               milp.maximize(model, {0: 2, 1: 2}, 0).assignment]
     assert answers[2] == {0: 0, 1: F(7, 2)}  # y = 7/2 stays a Fraction
     emip = random_grid_model(random.Random(0xB57), with_objective=True)
     answers += [solve_emip(emip).assignment, maximize_emip(emip).assignment]
@@ -1628,7 +1665,7 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
         den = math.lcm(*(F(c).denominator for c in objective.values()))
         compiles.clear()
         nodes.clear()
-        milp.maximize(model, objective, -12, 12)
+        milp.maximize(model, objective, -12)
         assert len(compiles) == 1
         thresholds += len({node[0] for node in nodes}) > 1
         int_idx = model.integer_indices()
@@ -1711,7 +1748,7 @@ def test_warm_nodes_agree_with_cold_solves(monkeypatch, lowest_terms):
             return sum(c * point[i] for i, c in objective.items())
 
         if case % 3:
-            milp.maximize(model, objective, -12, 12)
+            milp.maximize(model, objective, -12)
         else:
             milp.solve_feasibility(model)
     assert seen["warm", True] > 100 and seen["warm", False] > 50
@@ -1760,7 +1797,7 @@ def test_warm_infeasible_verdicts_come_with_a_farkas_row(monkeypatch):
     for case in range(150):
         model, objective, _, _ = _rational_milp(rng)
         if case % 3:
-            milp.maximize(model, objective, -12, 12)
+            milp.maximize(model, objective, -12)
         else:
             milp.solve_feasibility(model)
     assert seen["below 0"] > 20 and seen["above the bound"] > 10
@@ -1858,48 +1895,6 @@ def test_moving_right_hand_sides_is_exact_in_any_row_form():
         seen["bounds"] += moved != before
     assert seen["totals"] > 150 and seen["bounds"] > 50
     assert seen["common factor"] > 100 and seen["lowest terms"] > 100
-
-
-def test_search_restarts_cold_after_an_unbounded_phase_2(monkeypatch):
-    """A node LP whose phase 2 is unbounded leaves no live tableau: the
-    search's next LP, the feasibility solve at t_hi, starts cold, and the
-    nodes after it re-use that LP's tableau with an all-zero objective row.
-    The answers still match enumeration."""
-    real_lp = branch_bound.solve_lp_feasibility
-    trace = []
-
-    def lp(rows, lo, up, stats=None, objective=None, live=None):
-        warm = live.tableau is not None
-        if warm and objective is None:
-            assert not any(live.tableau[-1][:-1])
-        result = real_lp(rows, lo, up, stats, objective=objective, live=live)
-        trace.append((warm, objective is None,
-                      result[0] and result[1] is None))
-        return result
-
-    monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
-    rng = random.Random(0xB62)
-    restarts = warm_after = 0
-    for _ in range(200):
-        model, objective, optimum, _ = _random_milp(rng, unbounded=True)
-        lo = rng.randint(-6, 0)
-        hi = lo + rng.randint(0, 8)
-        trace.clear()
-        result = milp.maximize(model, objective, lo, hi)
-        if optimum is None:
-            assert not result.feasible
-            continue
-        assert result.best == hi
-        assert model.check_assignment(result.assignment) == []
-        for k, (warm, _, unbounded) in enumerate(trace):
-            assert not (warm and unbounded)
-            if unbounded:
-                restarts += 1
-                after = trace[k + 1:]
-                assert after and not after[0][0] and after[0][1]
-                assert all(feasibility for _, feasibility, _ in after)
-                warm_after += any(warm for warm, _, _ in after)
-    assert restarts > 20 and warm_after > 5
 
 
 def test_warm_starts_keep_the_heavy_ladder_rung_cheap():
@@ -2011,7 +2006,7 @@ def test_rounding_runs_at_most_twice_per_search(monkeypatch):
     for _ in range(150):
         model, objective, _, _ = _rational_milp(rng)
         del calls[:]
-        stats = milp.maximize(model, objective, -12, 12).stats
+        stats = milp.maximize(model, objective, -12).stats
         assert stats.rounding_lps <= 2 + len(model.integer_indices())
         assert stats.lp_calls == len(calls) == stats.nodes + stats.rounding_lps
         assert sum(lo == up for lo, up, _, _ in calls) >= stats.rounding_lps

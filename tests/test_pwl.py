@@ -94,7 +94,6 @@ def test_equal_slopes_merge():
     fn = PwlFunction(Shape.CONVEX, 0, (1, 2), (1, 1, 2))
     assert fn.breakpoints == (2,)
     assert fn.slopes == (1, 2)
-    assert fn.pieces == 2
 
 
 def test_construction_errors():
