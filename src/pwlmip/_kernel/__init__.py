@@ -51,32 +51,33 @@ row's right-hand side is still its basic variable's value.  A basic column
 is never complemented.  A basic variable is feasible between 0 and U: its
 row may violate the upper side, ``rhs > U * den``.
 
-Pivot selection is Bland's rule on the rational values, over *ranks*.  Each
-column has two ranks, ``ranks = (low, high)``: ``low[j]`` when it is taken
-at its lower side and ``high[j]`` at its upper side.  They are the column
-indices of the tableau that would hold each upper bound as its own row
-``x_j + s_j = U``: ``low[j]`` is x_j's index there and ``high[j]`` the
-slack s_j's, and the choices below are exactly the ones Bland's rule takes
-on that tableau, pivot for pivot, fixed columns aside (below).  A
-nonbasic column ranks ``high[j]`` when complemented (it is s_j that would
-be nonbasic) and ``low[j]`` otherwise.  Every call passes bounds, flags
-and ranks; an unbounded column has None.
+Pivot selection is Bland's rule on the rational values, over each
+column's *rank*: ``j`` for column j at its lower side and ``ncols + j`` at
+its upper side.  Those are x_j's index and its slack s_j's in the tableau
+that would hold each upper bound as its own row ``x_j + s_j = U``, its
+slacks after every other column, artificials included.  So the choices
+below are exactly the ones Bland's rule takes on that tableau, pivot for
+pivot, fixed columns aside (below), and they terminate, as Bland's rule
+does under any fixed order of the variables (Bland, *Math. Oper. Res.*
+1977; Chvátal 1983, ch. 8).  A nonbasic column has rank ``ncols + j`` when
+complemented (it is s_j that would be nonbasic) and ``j`` otherwise.
+Every call passes bounds and flags; an unbounded column has None.
 
 A primal pivot: the entering column is the nonbasic column of lowest rank
 with a negative objective entry.  The leaving candidates are the rows whose
 basic variable the entering column drives to a bound (to 0 on a positive
-entry, ranked ``low``; to U on a negative entry, ranked ``high``) and the
-entering column's own bound (ranked ``high``, or ``low`` when it is already
-complemented).  The one with the smallest ratio leaves, compared by
-cross-multiplication (a row's denominator cancels from its ratio), ties to
-the lowest rank.  The entering column's own bound is a *bound flip*: the
-column is complemented or un-complemented in every row, with no basis
-change, and counts as one pivot, as it would be one on the bound's row.  A
-variable that leaves at U has its row complemented first, so that it leaves
-at 0 as ``U - x``; an entering column that was complemented has its row
-un-complemented after the pivot.  Bland's rule guarantees termination, and
-because every choice depends only on the rational values, the pivot
-sequence is the one a rational tableau would take.
+entry, ranked at its lower side; to U on a negative entry, at its upper
+side) and the entering column's own bound (ranked at its upper side, or at
+its lower side when it is already complemented).  The one with the
+smallest ratio leaves, compared by cross-multiplication (a row's
+denominator cancels from its ratio), ties to the lowest rank.  The
+entering column's own bound is a *bound flip*: the column is complemented
+or un-complemented in every row, with no basis change, and counts as one
+pivot, as it would be one on the bound's row.  A variable that leaves at U
+has its row complemented first, so that it leaves at 0 as ``U - x``; an
+entering column that was complemented has its row un-complemented after
+the pivot.  Because every choice depends only on the rational values, the
+pivot sequence is the one a rational tableau would take.
 
 A dual phase runs first, while some basic variable is outside its bounds.
 That is never so on a phase-1 tableau, whose rows all start at rhs >= 0
@@ -86,18 +87,18 @@ bounds (a warm start), and on an all-slack tableau whose objective row is
 already dual feasible (the LP layer's dual cold start).  Its precondition
 is a dual-feasible objective row: no negative entry among the columns.
 Dual Bland's rule picks the pivot: of the violated bounds (a negative
-right-hand side ranked ``low``, a right-hand side above U ranked
-``high``) the one of lowest rank leaves (:func:`violated_row`), and the
-entering column minimizes
-``obj[j] / -a_j`` over the negative entries a_j of the leaving row, read as
-``x - U`` for an upper violation, compared by cross-multiplication, ties to
-the lowest rank.  The leaving row is negated (its denominator kept), or its
-basic column complemented, so its pivot entry is positive, and pivoted on
-like any other.  The objective row stays dual feasible, and once no bound
-is violated the tableau is optimal.  A leaving row with no candidate proves
-the LP infeasible: the kernel returns with that row's bound still violated,
-and the row is a Farkas ray, whether its right-hand side is negative or
-above its basic variable's upper bound.  :func:`violated_row` finds it on
+right-hand side ranked at the lower side, a right-hand side above U at the
+upper side) the one of lowest rank leaves (:func:`violated_row`), and the
+entering column minimizes ``obj[j] / -a_j`` over the negative entries a_j
+of the leaving row, read as ``x - U`` for an upper violation, compared by
+cross-multiplication, ties to the lowest rank.  The leaving row is negated
+(its denominator kept), or its basic column complemented, so its pivot
+entry is positive, and pivoted on like any other.  The objective row stays
+dual feasible, and once no bound is violated the tableau is optimal.  A
+leaving row with no candidate proves the LP infeasible: the kernel returns
+with that row's bound still violated, and the row is a Farkas ray, whether
+its right-hand side is negative or above its basic variable's upper
+bound.  :func:`violated_row` finds it on
 the returned tableau: its entries off the basic column are all ``>= 0``
 below 0 and all ``<= 0`` above U, fixed columns aside, and every nonbasic
 column reads >= 0.
@@ -123,11 +124,11 @@ from math import gcd
 REDUCE_ABOVE = 1 << 30
 
 
-def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
+def phase1(tableau, basis, nrows, ncols, *, bounds, flipped):
     """Pivot to an optimum in place; returns the pivot count, dual pivots
     and bound flips included, complemented fixed columns not.  ``bounds``
-    holds U or None per column, ``flipped`` the complemented columns
-    (updated in place), and ``ranks`` is ``(low, high)``.
+    holds U or None per column, and ``flipped`` the complemented columns
+    (updated in place).
 
     It returns early in two cases.  A dual pivot row without a candidate
     leaves its bound violated: the LP is infeasible, and
@@ -137,11 +138,9 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
     objective never is, nor is a branch-and-bound search's, which the
     variables' bounds bound; only a direct LP call meets it.
     """
-    low, high = ranks
     den = ncols + 1
     pivots = 0
-    while (leave := violated_row(tableau, basis, nrows, ncols, bounds,
-                                 ranks)) >= 0:
+    while (leave := violated_row(tableau, basis, nrows, ncols, bounds)) >= 0:
         row = tableau[leave]
         obj = tableau[nrows]
         b = basis[leave]
@@ -160,8 +159,8 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
                 if enter >= 0:
                     lhs, cmp = c * best_a, best_c * a
                     if lhs < cmp or lhs == cmp and (
-                            _rank(j, flipped, low, high)
-                            > _rank(enter, flipped, low, high)):
+                            j + ncols * flipped[j]
+                            > enter + ncols * flipped[enter]):
                         continue
                 enter, best_c, best_a = j, c, a
         if enter < 0:
@@ -183,7 +182,7 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
         _pin(tableau, ncols, fixed, flipped)
         obj = tableau[nrows]
         enter = lowest_rank((j for j in range(ncols) if obj[j] < 0),
-                            flipped, low, high)
+                            flipped)
         if enter < 0:
             return pivots
 
@@ -194,14 +193,14 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
             a = row[enter]
             if a > 0:
                 rhs = row[ncols]
-                r = low[basis[i]]
+                r = basis[i]
             elif a < 0:
                 u = bounds[basis[i]]
                 if u is None:
                     continue
                 a = -a
                 rhs = u * row[den] - row[ncols]
-                r = high[basis[i]]
+                r = ncols + basis[i]
             else:
                 continue
             if leave >= 0:
@@ -215,7 +214,7 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
             leave = i
         u = bounds[enter]
         if u is not None:
-            r = low[enter] if flipped[enter] else high[enter]
+            r = enter if flipped[enter] else ncols + enter
             if leave < 0 or u * best_a < best_rhs or (
                     u * best_a == best_rhs and r < best_r):
                 _flip(tableau, ncols, enter, u)
@@ -232,46 +231,37 @@ def phase1(tableau, basis, nrows, ncols, *, bounds, flipped, ranks):
         pivots += 1
 
 
-def violated_row(tableau, basis, nrows, ncols, bounds, ranks):
-    """The row of lowest rank whose basic variable is below 0 (ranked
-    ``low``) or above its bound (ranked ``high``), or -1 if there is none."""
-    low, high = ranks
+def violated_row(tableau, basis, nrows, ncols, bounds):
+    """The row of lowest rank whose basic variable b is below 0 (ranked b)
+    or above its bound (ranked ``ncols + b``), or -1 if there is none."""
     leave = -1
     for i in range(nrows):
         row = tableau[i]
         rhs = row[ncols]
         b = basis[i]
         if rhs < 0:
-            r = low[b]
+            r = b
         else:
             u = bounds[b]
             if u is None or rhs <= u * row[ncols + 1]:
                 continue
-            r = high[b]
+            r = ncols + b
         if leave < 0 or r < best_r:
             leave, best_r = i, r
     return leave
 
 
-def _rank(j, flipped, low, high):
-    return high[j] if flipped[j] else low[j]
-
-
-def lowest_rank(columns, flipped, low, high):
+def lowest_rank(columns, flipped):
     """The column of lowest rank among ``columns``, given in increasing
-    order, or -1 if there is none.
-
-    A column at its lower side ranks below every column after it: ``low``
-    increases with the index, and only structural columns have a ``high``,
-    above every structural ``low``.  So the scan stops at the first one.
-    """
-    best = -1
+    order, or -1 if there is none: the first one at its lower side, else
+    the first one."""
+    first = -1
     for j in columns:
         if not flipped[j]:
-            return j if best < 0 or low[j] < best_r else best
-        if best < 0 or high[j] < best_r:
-            best, best_r = j, high[j]
-    return best
+            return j
+        if first < 0:
+            first = j
+    return first
 
 
 def pivot_in(tableau, basis, nrows, ncols, leave, enter, bounds, flipped):

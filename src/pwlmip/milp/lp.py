@@ -28,12 +28,10 @@ coverage rows.
 A search's integer (moving) variables keep their upper bounds out of the
 tableau: each shifted column x' = x - lo carries the bound U = up - lo as a
 column bound of the kernel, which stores a column at U complemented, as
-``U - x'`` (``flipped``), and ranks every column at either bound as the
-tableau with one ``x <= up`` row per bound would index it, so that its
-pivots are that tableau's, one for one, except that a column fixed at
-lo = up never enters (see :mod:`pwlmip._kernel`).  A vertex reads U for
-a complemented column.  Fixed finite upper bounds, of the variables whose
-bounds never move, stay rows.
+``U - x'`` (``flipped``) and orders the columns for Bland's rule itself
+(see :mod:`pwlmip._kernel`).  A vertex reads U for a complemented column.
+Fixed finite upper bounds, of the variables whose bounds never move, stay
+rows.
 
 That is the cold path, from the all-slack basis.  The nodes of a search
 share one constraint matrix, and only right-hand sides and column bounds
@@ -56,13 +54,13 @@ Tableau rows are Python ints over a positive per-row denominator, the layout
 :mod:`pwlmip.milp.model`), and every tableau row starts over 1, with slack
 and artificial entries 1.  A branch-and-bound search moves only the bounds
 of its integer variables, and keeps them finite ints.  So a search compiles
-its rows and the kernel's ranks once (:class:`CompiledRows`): the shifts
-and upper-bound rows of the variables whose bounds never move are folded in
-there, and a call only shifts right-hand sides and column bounds by integer
-amounts.  The tableau is entry for entry the one a direct build from
-Fraction rows and bounds would give.  The kernel may leave a row out of
-lowest terms, so a vertex value is read off with ``divmod``; it is an int
-when it is integral and a Fraction otherwise.
+its rows once (:class:`CompiledRows`): the shifts and upper-bound rows of
+the variables whose bounds never move are folded in there, and a call only
+shifts right-hand sides and column bounds by integer amounts.  The tableau
+is entry for entry the one a direct build from Fraction rows and bounds
+would give.  The kernel may leave a row out of lowest terms, so a vertex
+value is read off with ``divmod``; it is an int when it is integral and a
+Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -88,15 +86,12 @@ class CompiledRows:
     a row for a finite upper bound, or a positive/negative pair if its lower
     bound is None.  A row that a fractional fixed lower bound shifts is
     scaled to integers by ``scales[r]``, the least positive int that does.
-
-    ``ranks`` are the kernel's Bland ranks of every column, artificials
-    included, computed once for all the calls: the indices each column, and
-    each moving column's bound slack, would have in a tableau that held
-    every upper bound as a row (see :mod:`pwlmip._kernel`).
+    Columns keep their tableau order, which the kernel's Bland rule reads
+    (see :mod:`pwlmip._kernel`).
     """
 
     __slots__ = ("ncols", "dense", "totals", "rhs", "scales", "touch",
-                 "cols", "ranks", "plan")
+                 "cols", "plan")
 
     def __init__(self, rows, lowers, uppers=None, moving=()):
         n = len(lowers)
@@ -113,23 +108,9 @@ class CompiledRows:
         self.cols = [col_of[i] for i in moving]
 
         # x <= up is a row for a fixed upper bound and a column bound for a
-        # moving one; ``index`` counts the rows a tableau with both would have.
-        index = len(rows)
-        slack_rank = list(range(ncols, ncols + index))
-        high = [None] * ncols
-        for i in range(n):
-            if i in pos:
-                high[col_of[i]] = ncols + index
-            elif uppers[i] is not None:
-                slack_rank.append(ncols + index)
-                rows.append(integer_row(((i, 1),), uppers[i], n))
-            else:
-                continue
-            index += 1
-        m = len(rows)
-        low = list(range(ncols)) + slack_rank + list(
-            range(ncols + index, ncols + index + m))  # the artificials
-        self.ranks = low, high
+        # moving one.
+        rows += [integer_row(((i, 1),), uppers[i], n) for i in range(n)
+                 if i not in pos and uppers[i] is not None]
 
         # A fixed lower bound is folded into the total; a moving shift is
         # kept as (row, coefficient) for each call.
@@ -238,7 +219,7 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     totals = rows.totals_at(lowers)
     stats = SolveStats() if stats is None else stats
     stats.lp_calls += 1
-    ncols, ranks = rows.ncols, rows.ranks
+    ncols = rows.ncols
     m = len(totals)
     art_rows = [k for k in range(m) if totals[k] < 0]
     if not art_rows and objective is None:
@@ -253,8 +234,8 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
         _move_rhs(tableau, real, ncols, live.totals, totals)
         _move_bounds(tableau, real, bounds, flipped, rows.cols, lowers, uppers)
         live.totals = totals
-        _optimize(tableau, basis, m, real, bounds, flipped, ranks, stats)
-        if _kernel.violated_row(tableau, basis, m, real, bounds, ranks) >= 0:
+        _optimize(tableau, basis, m, real, bounds, flipped, stats)
+        if _kernel.violated_row(tableau, basis, m, real, bounds) >= 0:
             stats.infeasible_lps += 1
             return False, None
         return True, _point(rows.plan, lowers,
@@ -306,11 +287,11 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
             obj[ncols + k] = 1
         obj[width] = sum(totals[k] for k in art_rows)
         tableau.append(obj)
-        _optimize(tableau, basis, m, width, bounds, flipped, ranks, stats)
+        _optimize(tableau, basis, m, width, bounds, flipped, stats)
         if tableau[m][width]:
             stats.infeasible_lps += 1
             return False, None
-        _leave_artificials(tableau, basis, m, real, bounds, flipped, ranks)
+        _leave_artificials(tableau, basis, m, real, bounds, flipped)
         del bounds[real:], flipped[real:]
 
     # The objective row over the feasible basis (all zeros in a feasibility
@@ -329,9 +310,9 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
         if basis[k] < ncols and tableau[m][basis[k]]:
             _kernel.pivot(tableau, basis, m, real, k, basis[k])
     if objective is not None:
-        _optimize(tableau, basis, m, real, bounds, flipped, ranks, stats)
-        if dual and _kernel.violated_row(tableau, basis, m, real, bounds,
-                                         ranks) >= 0:
+        _optimize(tableau, basis, m, real, bounds, flipped, stats)
+        if dual and _kernel.violated_row(tableau, basis, m, real,
+                                         bounds) >= 0:
             stats.infeasible_lps += 1
             return False, None
         if min(tableau[m][:real]) < 0:
@@ -343,11 +324,11 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
                         _vertex(tableau, basis, ncols, real, bounds, flipped))
 
 
-def _optimize(tableau, basis, nrows, width, bounds, flipped, ranks, stats):
+def _optimize(tableau, basis, nrows, width, bounds, flipped, stats):
     """One kernel call, with its tableau size and pivots noted in ``stats``."""
     stats.note_tableau(nrows, width)
     stats.pivots += _kernel.phase1(tableau, basis, nrows, width,
-                                   bounds=bounds, flipped=flipped, ranks=ranks)
+                                   bounds=bounds, flipped=flipped)
 
 
 def _shift(tableau, width, col, delta):
@@ -400,7 +381,7 @@ def _vertex(tableau, basis, ncols, width, bounds, flipped):
     return values
 
 
-def _leave_artificials(tableau, basis, nrows, real, bounds, flipped, ranks):
+def _leave_artificials(tableau, basis, nrows, real, bounds, flipped):
     """Drop the artificial columns and the phase-1 objective row of a
     feasible phase-1 tableau.
 
@@ -416,7 +397,7 @@ def _leave_artificials(tableau, basis, nrows, real, bounds, flipped, ranks):
         if basis[k] >= real:
             row = tableau[k]
             enter = _kernel.lowest_rank((j for j in range(real) if row[j]),
-                                        flipped, *ranks)
+                                        flipped)
             if row[enter] < 0:
                 tableau[k] = [-x for x in row[:-1]] + row[-1:]
             _kernel.pivot_in(tableau, basis, nrows, width, k, enter, bounds,

@@ -97,24 +97,24 @@ def _complement(row, j, u, ncols):
     return new
 
 
-def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
+def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped,
                    events=None):
     """The same rules over columns with upper bounds, as the kernel states
     them: ``bounds[j]`` is U or None, a column in ``flipped`` is stored as
-    ``U - x``, and Bland's rule reads ranks, ``(low, high)``, instead of
-    indices.  ``events``, a list, gets "flip" for each bound flip and
-    "upper" for each variable that leaves at its upper bound.
+    ``U - x``, and Bland's rule reads ranks instead of indices: j at the
+    lower side of column j and ``ncols + j`` at its upper side.
+    ``events``, a list, gets "flip" for each bound flip and "upper" for
+    each variable that leaves at its upper bound.
 
     A fixed column (U = 0) never enters.  It is complemented instead, with
     no pivot, when its objective entry is negative: before each primal
     step, and after each dual pivot among the columns with a negative
     entry in the leaving row, the only ones that pivot lowers."""
-    low, high = ranks
     obj = tableau[nrows]
     pivots = 0
 
     def rank(j):
-        return high[j] if flipped[j] else low[j]
+        return ncols + j if flipped[j] else j
 
     def enter_at(leave, enter):
         _eliminate(tableau, nrows, ncols, leave, enter)
@@ -141,15 +141,15 @@ def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
                 flipped[j] = not flipped[j]
 
     while True:
-        violated = [(low[basis[i]], i) for i in range(nrows)
+        violated = [(basis[i], i) for i in range(nrows)
                     if tableau[i][ncols] < 0]
-        violated += [(high[basis[i]], i) for i in range(nrows)
+        violated += [(ncols + basis[i], i) for i in range(nrows)
                      if bounds[basis[i]] is not None
                      and tableau[i][ncols] > bounds[basis[i]]]
         if not violated:
             break
         r, leave = min(violated)
-        above = r != low[basis[leave]]
+        above = r >= ncols
         row = tableau[leave]
         read = [-x for x in row] if above else row
         negative = [j for j in range(ncols)
@@ -176,12 +176,12 @@ def bounded_phase1(tableau, basis, nrows, ncols, bounds, flipped, ranks,
             a = tableau[i][enter]
             u = bounds[basis[i]]
             if a > 0:
-                candidates.append((tableau[i][ncols] / a, low[basis[i]], i))
+                candidates.append((tableau[i][ncols] / a, basis[i], i))
             elif a < 0 and u is not None:
                 candidates.append(((u - tableau[i][ncols]) / -a,
-                                   high[basis[i]], i))
+                                   ncols + basis[i], i))
         if bounds[enter] is not None:
-            own = low[enter] if flipped[enter] else high[enter]
+            own = enter if flipped[enter] else ncols + enter
             candidates.append((bounds[enter], own, None))
         if not candidates:
             return pivots

@@ -631,16 +631,15 @@ def _fraction_rows(tableau, ncols):
 
 
 def _phase1(tableau, basis, nrows, ncols, **bounded):
-    """``_kernel.phase1``, with every column unbounded and ranked by its
-    index when the call carries no bounds, flags and ranks."""
+    """``_kernel.phase1``, with every column unbounded when the call carries
+    no bounds and flags."""
     return integer_phase1(tableau, basis, nrows, ncols, **bounded or {
-        "bounds": [None] * ncols, "flipped": [False] * ncols,
-        "ranks": (range(ncols), ())})
+        "bounds": [None] * ncols, "flipped": [False] * ncols})
 
 
 def _assert_agrees_with_reference(tableau, basis, nrows, ncols, **bounded):
     """Pivot an integer tableau in place and its Fractions by the reference,
-    its bounded rule when the call carries bounds, flags and ranks.
+    its bounded rule when the call carries bounds and flags.
 
     Returns the pivot count and the phase-1 optimum.
     """
@@ -650,7 +649,7 @@ def _assert_agrees_with_reference(tableau, basis, nrows, ncols, **bounded):
         expected_flipped = list(bounded["flipped"])
         expected_pivots = bounded_phase1(
             expected, expected_basis, nrows, ncols, bounded["bounds"],
-            expected_flipped, bounded["ranks"])
+            expected_flipped)
     else:
         expected_pivots = reference_phase1(expected, expected_basis, nrows,
                                            ncols)
@@ -688,10 +687,10 @@ def _record_kernel(monkeypatch, pivot=_phase1):
     """Route every ``_kernel.phase1`` call through ``pivot`` and record it.
 
     Returns the list each call is appended to as a :class:`KernelCall`.
-    The keyword arguments (column bounds, flags and ranks) are forwarded
-    when some column carries a bound; without one they are dropped, as they
-    then say what :func:`_phase1` supplies: no bound, and each column ranked
-    by its index.
+    The keyword arguments (column bounds and flags) are forwarded when some
+    column carries a bound; without one they are dropped, as they then say
+    what :func:`_phase1` supplies: no bound, and so each column ranked by
+    its index.
     """
     calls = []
 
@@ -880,9 +879,10 @@ def test_bounded_kernel_takes_the_explicit_row_pivots():
     when no column is fixed (U = 0).  A fixed column never enters, so boxes
     with one are compared with the bounded Fraction rule alone.
 
-    The bounded tableau leaves the bound rows out; its ranks, as compiled
-    rows give them, are the indices the explicit tableau gives each column
-    and each bound's slack.
+    The bounded tableau leaves the bound rows out.  The explicit one holds
+    its bound rows' slack columns after the artificials, so that its column
+    indices are the kernel's ranks: j for each column j, and the bounded
+    width plus j for column j's bound slack.
     The kernel agrees with the bounded Fraction rule pivot for pivot, and
     that rule reports the bound flips and the variables that leave at their
     upper bound on the way.
@@ -899,28 +899,29 @@ def test_bounded_kernel_takes_the_explicit_row_pivots():
         if explicit is None:
             continue
         bounded = _per_node_tableau(rows, lowers, uppers, range(n))
+        # The explicit tableau's rows are the bounded one's, then the bounds,
+        # and its columns structural | slacks | bound slacks | artificials:
+        # the bound slacks move to the end.
         tableau, basis, nrows, ncols = explicit
+        real = n + len(rows)
+        order = (list(range(real)) + list(range(real + n, ncols))
+                 + list(range(real, real + n)) + [ncols, ncols + 1])
+        tableau = [[row[c] for c in order] for row in tableau]
+        basis = [order.index(b) for b in basis]
         rational = _fraction_rows(tableau, ncols)
         pivots = reference_phase1(rational, basis, nrows, ncols)
         vertex = _basic_values(rational, basis, nrows, ncols, n)
 
-        # The explicit tableau's rows are the bounded one's, then the bounds.
         tableau, basis, nrows, width = bounded
-        real = n + nrows
-        ranks = (list(range(real)) + list(range(real + n, width + n)),
-                 [real + j for j in range(n)])
-        low, high = CompiledRows(_int_rows(rows, n), lowers, uppers,
-                                 range(n)).ranks
-        assert (low[:width], high) == ranks
         bounds = [up - lo for lo, up in zip(lowers, uppers)]
         bounds += [None] * (width - n)
         flipped = [False] * width
         rational = _fraction_rows(tableau, width)
         reference_flipped, reference_basis, seen = list(flipped), list(basis), []
         expected = bounded_phase1(rational, reference_basis, nrows, width,
-                                  bounds, reference_flipped, ranks, seen)
+                                  bounds, reference_flipped, seen)
         assert integer_phase1(tableau, basis, nrows, width, bounds=bounds,
-                              flipped=flipped, ranks=ranks) == expected
+                              flipped=flipped) == expected
         assert (basis, flipped) == (reference_basis, reference_flipped)
         assert _fraction_rows(tableau, width) == rational
         events.update(seen)
@@ -955,14 +956,12 @@ def test_fixed_columns_never_enter():
             tableau, basis, nrows, width = cold
             bounds = [0] * n + [None] * (width - n)
             flipped = [False] * width
-            ranks = CompiledRows(_int_rows(rows, n), point, point,
-                                 range(n)).ranks
             rational = _fraction_rows(tableau, width)
             expected_basis, expected_flipped = list(basis), list(flipped)
             expected = bounded_phase1(rational, expected_basis, nrows, width,
-                                      bounds, expected_flipped, ranks)
+                                      bounds, expected_flipped)
             assert integer_phase1(tableau, basis, nrows, width, bounds=bounds,
-                                  flipped=flipped, ranks=ranks) == expected
+                                  flipped=flipped) == expected
             assert (basis, flipped) == (expected_basis, expected_flipped)
             assert min(basis) >= n
             assert min(tableau[nrows][:width]) >= 0
@@ -1773,8 +1772,7 @@ def test_warm_infeasible_verdicts_come_with_a_farkas_row(monkeypatch):
         if warm and not result[0]:
             tableau, basis, bounds = live.tableau, live.basis, live.bounds
             nrows, width = len(basis), len(tableau[0]) - 2
-            k = _kernel.violated_row(tableau, basis, nrows, width, bounds,
-                                     rows.ranks)
+            k = _kernel.violated_row(tableau, basis, nrows, width, bounds)
             assert k >= 0
             row, b = tableau[k], basis[k]
             others = [row[j] for j in range(width)
@@ -1954,17 +1952,23 @@ def _knapsackish():
 
 
 def _record_lps(monkeypatch, corrupt=None):
-    """Log (lowers, uppers, feasible, point) of every LP a search solves;
-    ``corrupt`` may rewrite the point of each rounding LP (lowers ==
-    uppers) before the search sees it."""
+    """Log (lowers, uppers, feasible, point, rounding) of every LP a search
+    solves; ``corrupt`` may rewrite the point of each rounding LP before
+    the search sees it.  An LP is a rounding LP when the search's
+    ``stats.rounding_lps`` has grown since its previous LP: the search
+    counts a rounding LP just before it solves it."""
     calls = []
+    counted = {}  # id(stats) -> (stats, its rounding_lps at its last LP)
     real_lp = branch_bound.solve_lp_feasibility
 
     def lp(rows, lo, up, stats=None, **kwargs):
+        _, before = counted.get(id(stats), (stats, 0))
+        rounding = stats.rounding_lps > before
+        counted[id(stats)] = stats, stats.rounding_lps
         feasible, point = real_lp(rows, lo, up, stats, **kwargs)
-        if corrupt is not None and lo == up and feasible:
+        if corrupt is not None and rounding and feasible:
             point = corrupt(list(point))
-        calls.append((list(lo), list(up), feasible, point))
+        calls.append((list(lo), list(up), feasible, point, rounding))
         return feasible, point
 
     monkeypatch.setattr(branch_bound, "solve_lp_feasibility", lp)
@@ -1982,9 +1986,9 @@ def test_rounding_tries_the_ceiling_then_the_floor_once(monkeypatch):
     stats = result.stats
     assert (stats.nodes, stats.lp_calls, stats.rounding_lps,
             stats.infeasible_lps, stats.max_depth) == (1, 3, 2, 1, 0)
-    (root_lo, root_up, _, root), (ceil_lo, ceil_up, ceil_ok, _), \
-        (floor_lo, floor_up, floor_ok, rounded) = calls
-    assert root_lo != root_up
+    (_, _, _, root, at_root), (ceil_lo, ceil_up, ceil_ok, _, ceil), \
+        (floor_lo, floor_up, floor_ok, rounded, floor) = calls
+    assert (at_root, ceil, floor) == (False, True, True)
     ints = root[:2]  # x and y, the integer variables, come first
     assert any(type(x) is F for x in ints)
     assert ceil_lo == ceil_up == [math.ceil(x) for x in ints] and not ceil_ok
@@ -2009,7 +2013,7 @@ def test_rounding_runs_at_most_twice_per_search(monkeypatch):
         stats = milp.maximize(model, objective, -12).stats
         assert stats.rounding_lps <= 2 + len(model.integer_indices())
         assert stats.lp_calls == len(calls) == stats.nodes + stats.rounding_lps
-        assert sum(lo == up for lo, up, _, _ in calls) >= stats.rounding_lps
+        assert sum(rounding for *_, rounding in calls) == stats.rounding_lps
         rounded[stats.rounding_lps] += 1
         assert milp.solve_feasibility(model).stats.rounding_lps == 0
     assert rounded[1] > 10 and rounded[2] > 10
