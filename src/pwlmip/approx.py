@@ -25,7 +25,6 @@ from .covering import Types
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget
-from .pwl import Shape, prefix_sum_term
 from .rationals import exact, parse_rational
 from .records import Frozen, Record
 
@@ -273,16 +272,11 @@ def almost_cover(instance, epsilon, node_limit=None) -> AlmostCoverSolution:
             lhs={miss_base + i: 1 for i in range(instance.m)}, rhs={}, b=miss_cap
         )
     )
-    realized = [[vectors[pos].realized() for pos in members]
-                for members in types.members]
     for i in range(instance.m):
         if requirements[i] == 0:
             continue
-        gains = {}
-        for j in range(n_groups):
-            covered = [r[i] for r in realized[j]]
-            if any(covered):
-                gains[j] = prefix_sum_term(covered, Shape.CONCAVE)
+        gains = {j: t for j, t in enumerate(
+            types.prices(lambda pos: vectors[pos].realized()[i])) if t}
         gains[miss_base + i] = 1
         constraints.append(EmipConstraint(lhs={}, rhs=gains, b=-requirements[i]))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from .emip import EmipConstraint, EmipModel, Variable, VarKind
 from .milp.model import SolveStats, SolverInternalError
 from .pipeline import minimize_budget, solve_emip
-from .pwl import Shape, prefix_sum_term
+from .pwl import prefix_sum_term
 from .rationals import (json_array, json_entries, json_format, parse_count,
                         parse_field, parse_integer)
 from .records import Frozen, Record
@@ -137,7 +137,9 @@ class Types(Frozen):
     ``keys`` are the distinct type keys, sorted; ``members[j]`` holds type
     j's item indices, best first.  Taking z items of a type means taking
     its first z members, so a type is priced by one function of z: the
-    prefix sums of its members' weights or yields, convex or concave.
+    prefix sums of its members' weights or yields in that order
+    (:meth:`prices`).  The order decides the shape: rising values make a
+    convex cost, falling ones a concave yield.
     """
 
     __slots__ = _fields = ("keys", "members")
@@ -162,6 +164,13 @@ class Types(Frozen):
         """One integer variable per type, from 0 to its member count."""
         return [Variable("%s%d" % (prefix, j), VarKind.INTEGER, 0, len(members))
                 for j, members in enumerate(self.members)]
+
+    def prices(self, value):
+        """One term per type: the prefix sums of ``value(k)`` over its
+        members k in order (:func:`~pwlmip.pwl.prefix_sum_term`), so z
+        items of a type cost or yield what :meth:`take` realizes."""
+        return [prefix_sum_term([value(k) for k in members])
+                for members in self.members]
 
     def take(self, counts):
         """The first counts[j] members of each type j, type by type."""
@@ -208,10 +217,7 @@ def solve_wsm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
         EmipConstraint(lhs=covering[elem], rhs={}, b=-r)
         for elem, r in enumerate(instance.requirements) if r
     ]
-    costs = {
-        j: prefix_sum_term([weights[k] for k in members], Shape.CONVEX)
-        for j, members in enumerate(types.members)
-    }
+    costs = dict(enumerate(types.prices(weights.__getitem__)))
     constraints.append(EmipConstraint(lhs=costs, rhs={}, b=instance.budget))
     return _solve(instance, types, constraints, minimize_cost, node_limit)
 
@@ -226,10 +232,7 @@ def solve_umm(instance: CoverInstance, minimize_cost=False, node_limit=None) -> 
     mults = [instance.uniform_multiplicity(k) for k in range(n)]
     types = Types.of([instance.support(k) or None for k in range(n)],
                      lambda k: -mults[k])
-    yields = [
-        prefix_sum_term([mults[k] for k in members], Shape.CONCAVE)
-        for members in types.members
-    ]
+    yields = types.prices(mults.__getitem__)
     constraints = []
     for elem, r in enumerate(instance.requirements):
         if r:

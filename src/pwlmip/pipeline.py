@@ -16,25 +16,25 @@ from math import lcm
 
 from . import milp
 from .emip import EmipModel
-from .milp.model import SolveResult, VarKind
+from .milp.model import MilpModel, SolveResult, VarKind
 from .rationals import exact
 from .reduction import lower, witness_lift
 
 
-def _lift(model, lmap, result, sign=1, offset=0) -> SolveResult:
+def _lift(model, result, sign=1, offset=0) -> SolveResult:
     """A solve of ``model``'s lowering in ``model``'s variable indices, its
     ``best`` mapped to ``sign * best + offset``."""
     if not result.feasible:
         return result
     best = None if result.best is None else sign * result.best + offset
-    return SolveResult(True, witness_lift(model, lmap, result.assignment),
+    return SolveResult(True, witness_lift(model, result.assignment),
                        result.stats, best)
 
 
 def solve_emip(model: EmipModel, node_limit=None) -> SolveResult:
     """Feasibility for an extended model; the witness is exact and verified."""
-    lowered, lmap = lower(model)
-    return _lift(model, lmap, milp.solve_feasibility(lowered, node_limit))
+    lowered, _ = lower(model)
+    return _lift(model, milp.solve_feasibility(lowered, node_limit))
 
 
 def _maximize(model, lowered, form, reads, fns=(), t_lo=None,
@@ -73,10 +73,10 @@ def maximize_emip(model: EmipModel, node_limit=None) -> SolveResult:
         raise ValueError("model has no objective")
     sign = 1 if model.objective.sense == "max" else -1
     form = [(i, sign * c) for i, c in model.objective.coeffs]
-    lowered, lmap = lower(model)
+    lowered, _ = lower(model)
     result = _maximize(model, lowered, form, [i for i, c in form if c],
                        node_limit=node_limit)
-    return _lift(model, lmap, result, sign)
+    return _lift(model, result, sign)
 
 
 def _value_denominator(coeffs, fns):
@@ -101,19 +101,25 @@ def minimize_budget(model: EmipModel, constraint: int, node_limit=None) -> Solve
     non-linear term that no other row uses as d_0 on x and d_l - d_{l-1} on
     each breakpoint column z_l, and a shared one through its bound column
     w; at any optimum both come to the exact function value.  The
-    constants that normalization moved into b are added back.  When every
-    variable of the constraint is integer, ``best`` is the exact minimum:
-    f with breakpoint 1 and slopes 1/2, 3/2 over an integer x in [1, 3]
-    gives 1/2.  With a continuous variable ``best`` is exact when the
-    minimum of the form is an integer and otherwise high by less than 1.
+    constants that normalization moved into b are added back.  The search
+    runs without the constraint's own lowered row: the threshold row that
+    takes its place starts at the budget and only rises, so it holds the
+    budget at every level.  When every variable of the constraint is
+    integer, ``best`` is the exact minimum: f with breakpoint 1 and slopes
+    1/2, 3/2 over an integer x in [1, 3] gives 1/2.  With a continuous
+    variable ``best`` is exact when the minimum of the form is an integer
+    and otherwise high by less than 1.
     No point within the budget: infeasible.
     """
     cons = model.constraints[constraint]
     if cons.rhs:
         raise ValueError("constraint %d has a right-hand side" % constraint)
     lowered, lmap = lower(model)
-    coeffs, b = lmap.forms[constraint]
+    coeffs, b, row = lmap.forms[constraint]
     fns = [term.fn for (j, _, _), term in lmap.terms if j == constraint]
-    result = _maximize(model, lowered, [(i, -c) for i, c in coeffs],
+    # by index: a lowered model can hold a row identical to this one
+    rest = MilpModel(lowered.variables,
+                     lowered.rows[:row] + lowered.rows[row + 1:])
+    result = _maximize(model, rest, [(i, -c) for i, c in coeffs],
                        [i for i, _ in cons.lhs], fns, -b, node_limit)
-    return _lift(model, lmap, result, -1, cons.b - b)
+    return _lift(model, result, -1, cons.b - b)

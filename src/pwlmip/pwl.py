@@ -20,6 +20,11 @@ Values follow :func:`pwlmip.rationals.exact`: ``value_at_zero``, every
 breakpoint and every slope is an int when it is integral and a Fraction
 otherwise, and so is what :meth:`PwlFunction.eval` returns.  A function
 built from ints equals and hashes like one built from equal Fractions.
+
+The cost or yield of taking k of a type's interchangeable items is the
+prefix sum of their values in the order they are taken, best first
+(:func:`prefix_sum_term`); that order alone decides whether the function
+is convex or concave.
 """
 
 from __future__ import annotations
@@ -74,29 +79,6 @@ class PwlFunction(Frozen):
     def linear(cls, slope, value_at_zero=0, shape=Shape.CONVEX):
         """A one-piece (linear) function; linear counts as convex and concave."""
         return cls(shape, value_at_zero, (), (slope,))
-
-    @classmethod
-    def from_sorted_weights(cls, weights):
-        """Convex cost of taking k items: prefix sums of ascending weights.
-
-        f(k) = sum of the k smallest weights; f(0) = 0.  The empty collection
-        gives the constant zero function.
-        """
-        ws = sorted(map(exact, weights))
-        if ws and ws[0] < 0:
-            raise ValueError("weights must be nonnegative")
-        return cls(Shape.CONVEX, 0, range(1, len(ws)), ws or (0,))
-
-    @classmethod
-    def from_sorted_multiplicities(cls, multiplicities):
-        """Concave yield of taking k items: prefix sums of descending values.
-
-        f(k) = sum of the k largest multiplicities; f(0) = 0.
-        """
-        ts = sorted(map(exact, multiplicities), reverse=True)
-        if ts and ts[-1] < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        return cls(Shape.CONCAVE, 0, range(1, len(ts)), ts or (0,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -192,21 +174,23 @@ class PwlFunction(Frozen):
         )
 
 
-def prefix_sum_term(values, shape):
-    """The constraint term of taking k items worth ``values``: the prefix
-    sums of :meth:`PwlFunction.from_sorted_weights` for a convex cost, of
-    :meth:`PwlFunction.from_sorted_multiplicities` for a concave yield.
+def prefix_sum_term(values):
+    """The term of taking the first k of ``values``, given best first:
+    f(k) = values[0] + ... + values[k-1], with f(0) = 0.
 
-    When the values are all equal, one value included, those sums are
-    linear, and the term is that value as a coefficient, with no function
-    built.
+    The order decides the shape: values that rise make a convex cost and
+    values that fall a concave yield, so any other order fails the slope
+    check of :class:`PwlFunction`.  Equal values, one value included, make
+    a linear sum, and the term is that value as a coefficient, with no
+    function built.  A negative value is refused.
     """
-    first = exact(values[0])
-    if first >= 0 and all(v == first for v in values):
+    first, last = exact(values[0]), exact(values[-1])
+    if min(first, last) < 0:
+        raise ValueError("prefix-sum values must be nonnegative")
+    if all(v == first for v in values):
         return first
-    if shape is Shape.CONVEX:
-        return PwlFunction.from_sorted_weights(values)
-    return PwlFunction.from_sorted_multiplicities(values)
+    shape = Shape.CONVEX if first < last else Shape.CONCAVE
+    return PwlFunction(shape, 0, range(1, len(values)), values)
 
 
 def _merge_equal_slopes(bps, slopes):

@@ -89,17 +89,17 @@ class LoweringMap(Frozen):
 
     ``terms`` holds ((constraint_index, side, var_index), LoweredTerm)
     pairs, one per use; uses of the same (variable, function, side) share
-    one LoweredTerm.  ``forms`` holds one (coeffs, b) per source
+    one LoweredTerm.  ``forms`` holds one (coeffs, b, row) per source
     constraint: its lowered form, the unscaled row sum(c * column) <= b
-    over lowered columns, with b the normalized right-hand side.  It reads
-    an inlined term through x and its z/y columns and a shared one through
-    its w/u column.
+    over lowered columns, with b the normalized right-hand side, and the
+    index of the lowered row that holds it, scaled.  It reads an inlined
+    term through x and its z/y columns and a shared one through its w/u
+    column.
     """
 
-    __slots__ = _fields = ("n_original", "terms", "forms")
+    __slots__ = _fields = ("terms", "forms")
 
-    def __init__(self, n_original: int, terms: tuple, forms: tuple):
-        object.__setattr__(self, "n_original", n_original)
+    def __init__(self, terms: tuple, forms: tuple):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "forms", forms)
 
@@ -183,7 +183,7 @@ def lower(model: EmipModel):
         # tuple() of a list: from a generator it grows the tuple by
         # reallocation, which measurably raised peak RSS over long runs
         form = (tuple([(i, c) for i, c in budget.items() if c != 0]), cons.b)
-        forms.append(form)
+        forms.append((*form, len(rows)))
         rows.append(form)
 
     n = len(variables)
@@ -191,10 +191,10 @@ def lower(model: EmipModel):
         (tuple(sorted(coeffs)), rhs)
         if type(rhs) is int and all(type(c) is int for _, c in coeffs)
         else integer_row(coeffs, rhs, n) for coeffs, rhs in rows]))
-    return milp, LoweringMap(len(model.variables), tuple(term_map), tuple(forms))
+    return milp, LoweringMap(tuple(term_map), tuple(forms))
 
 
-def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
+def witness_lift(model: EmipModel, assignment):
     """Restrict a lowered-model point to the source variables and verify it
     against ``model``, the model as it was passed to :func:`lower`.
 
@@ -204,7 +204,7 @@ def witness_lift(model: EmipModel, lmap: LoweringMap, assignment):
     exact, an int when integral (:mod:`pwlmip.rationals`), and are returned
     as they are.
     """
-    point = {i: assignment[i] for i in range(lmap.n_original)}
+    point = {i: assignment[i] for i in range(len(model.variables))}
     problems = check_bounds(model.variables, point)
     problems += ["source constraint %d violated" % j
                  for j, cons in enumerate(model.constraints)

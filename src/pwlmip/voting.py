@@ -36,7 +36,6 @@ from __future__ import annotations
 from .covering import CoverInstance, Types, solve_umm, solve_wsm
 from .emip import EmipConstraint
 from .milp.model import SolveStats, SolverInternalError
-from .pwl import Shape, prefix_sum_term
 from .rationals import (json_array, json_entries, json_format, parse_count,
                         parse_field, parse_integer)
 from .records import Frozen, Record
@@ -417,10 +416,7 @@ def solve_scoring_ccdv(election, unique_winner=False, minimize_cost=False,
                 coeffs[j] = margin
                 base += len(types.members[j]) * margin
         constraints.append(EmipConstraint(lhs=coeffs, rhs={}, b=base))
-    prices = {
-        j: prefix_sum_term([voters[i].price for i in members], Shape.CONVEX)
-        for j, members in enumerate(types.members)
-    }
+    prices = dict(enumerate(types.prices(lambda i: voters[i].price)))
     constraints.append(EmipConstraint(lhs=prices, rhs={}, b=election.budget))
     result, action = types.solve("d", constraints, minimize_cost, node_limit)
     if not result.feasible:

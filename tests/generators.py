@@ -214,7 +214,7 @@ def witness_embed(model, lmap, assignment):
     such column), and every auxiliary to max(0, x - rho); the result satisfies the lowered model whenever the source point satisfies
     the source model.
     """
-    full = {i: Fraction(assignment[i]) for i in range(lmap.n_original)}
+    full = {i: Fraction(assignment[i]) for i in range(len(model.variables))}
     for (j, side, idx), term in lmap.terms:
         x = full[idx]
         if term.bound_var is not None:

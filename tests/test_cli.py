@@ -788,13 +788,14 @@ def test_stats_count_probes_and_infeasible_lps(capsys, tmp_path):
     assert report["stats"]["max_depth"] == 6
     assert report["stats"]["max_tableau"] == [2, 5]
 
-    # bribery is one covering search, settled at its root
+    # bribery is one covering search, settled at its root; the search
+    # holds the budget in its threshold row, not in a row of its own
     code, report, _ = run_json(capsys, "bribery", fx("ccdv.json"),
                                "--minimize-cost")
     assert code == 0
     assert report["stats"] == {"nodes": 1, "lp_calls": 1, "pivots": 1,
                                "probes": 1, "infeasible_lps": 0,
-                               "max_depth": 0, "max_tableau": [5, 8],
+                               "max_depth": 0, "max_tableau": [4, 7],
                                "rounding_lps": 0}
 
     code, out, _ = run(capsys, "solve-emip", fx("knapsackish.json"))

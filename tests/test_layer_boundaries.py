@@ -134,7 +134,9 @@ def test_lower_returns_model_and_map(traced):
     assert isinstance(result, tuple) and len(result) == 2
     assert result[0] is lowered and result[1] is lmap
     assert len(lowered.rows) > 0 and len(lowered.variables) > len(model.variables)
-    assert lmap.n_original == len(model.variables)
+    assert lowered.variables[:len(model.variables)] == model.variables
+    assert len(lmap.forms) == len(model.constraints)
+    assert all(0 <= row < len(lowered.rows) for _, _, row in lmap.forms)
 
 
 def _benchmark_tracing():

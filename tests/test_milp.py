@@ -2139,8 +2139,9 @@ def test_column_bounds_keep_the_heavy_trees_and_shrink_their_tableaus():
     ceiling point as rounding left it, and 115 and 1,049, 122 and 875 and
     619 and 9,329 when the threshold only climbed past each incumbent from
     a two-phase root.  With the integer bounds as column bounds their
-    largest tableaus keep only model rows: 72 of 193 at (8, 160), 28 of 316
-    at (12, 300) and 32 of 219 at (10, 200)."""
+    largest tableaus keep only model rows: 71 of 192 at (8, 160), 27 of 315
+    at (12, 300) and 31 of 218 at (10, 200), the budget held by the
+    threshold row alone."""
     for m, n, nodes, pivots, rows in ((8, 160, 28, 358, 80),
                                       (12, 300, 1, 66, 30),
                                       (10, 200, 1, 134, 32)):

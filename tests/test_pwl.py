@@ -45,49 +45,43 @@ def test_negative_breakpoints_keep_anchor():
 
 
 def test_from_sorted_weights_prefix_sums():
-    fn = PwlFunction.from_sorted_weights([3, 1, 2])
-    assert fn.shape is Shape.CONVEX
-    assert fn.breakpoints == (1, 2)
-    assert fn.slopes == (1, 2, 3)
+    """Weights given cheapest first rise: their prefix sums are convex."""
+    fn = prefix_sum_term([1, 2, 3])
+    assert fn == PwlFunction(Shape.CONVEX, 0, (1, 2), (1, 2, 3))
     assert [fn.eval(k) for k in range(4)] == [0, 1, 3, 6]
 
 
 def test_from_sorted_multiplicities_prefix_sums():
-    fn = PwlFunction.from_sorted_multiplicities([1, 4, 2])
-    assert fn.shape is Shape.CONCAVE
-    assert fn.slopes == (4, 2, 1)
+    """Multiplicities given largest first fall: their prefix sums are
+    concave."""
+    fn = prefix_sum_term([4, 2, 1])
+    assert fn == PwlFunction(Shape.CONCAVE, 0, (1, 2), (4, 2, 1))
     assert [fn.eval(k) for k in range(4)] == [0, 4, 6, 7]
-
-
-def test_from_sorted_empty_collections_are_zero():
-    for fn in (PwlFunction.from_sorted_weights([]),
-               PwlFunction.from_sorted_multiplicities([])):
-        assert fn.is_linear
-        assert fn.eval(7) == 0
 
 
 def test_from_sorted_rejects_negative():
     with pytest.raises(ValueError):
-        PwlFunction.from_sorted_weights([2, -1])
+        prefix_sum_term([-1, 2])
     with pytest.raises(ValueError):
-        PwlFunction.from_sorted_multiplicities([-3])
+        prefix_sum_term([-3])
 
 
 def test_prefix_sum_term_is_a_coefficient_for_equal_values():
     """One value, or several equal ones, make a linear term: the value
-    itself, as exact gives it; values that differ make the function of
-    the shape's constructor, and a negative value is refused either way."""
-    assert prefix_sum_term([5], Shape.CONVEX) == 5
-    assert type(prefix_sum_term([Fraction(6, 3)] * 3, Shape.CONCAVE)) is int
-    assert prefix_sum_term([Fraction(1, 2)] * 2, Shape.CONVEX) == Fraction(1, 2)
-    assert prefix_sum_term([0, 0], Shape.CONVEX) == 0
-    assert prefix_sum_term([3, 1, 2], Shape.CONVEX) == \
-        PwlFunction.from_sorted_weights([3, 1, 2])
-    assert prefix_sum_term([1, 4, 2], Shape.CONCAVE) == \
-        PwlFunction.from_sorted_multiplicities([1, 4, 2])
-    for shape in Shape:
+    itself, as exact gives it; values that differ make the function their
+    order shapes, and a negative value or an order that neither rises nor
+    falls is refused."""
+    assert prefix_sum_term([5]) == 5
+    assert type(prefix_sum_term([Fraction(6, 3)] * 3)) is int
+    assert prefix_sum_term([Fraction(1, 2)] * 2) == Fraction(1, 2)
+    assert prefix_sum_term([0, 0]) == 0
+    assert prefix_sum_term([1, 2, 3]) == \
+        PwlFunction(Shape.CONVEX, 0, (1, 2), (1, 2, 3))
+    assert prefix_sum_term([4, 2, 1]) == \
+        PwlFunction(Shape.CONCAVE, 0, (1, 2), (4, 2, 1))
+    for values in ([-1, -1], [3, 1, 2], [2, 1, 2]):
         with pytest.raises(ValueError):
-            prefix_sum_term([-1, -1], shape)
+            prefix_sum_term(values)
 
 
 def test_equal_slopes_merge():
@@ -221,8 +215,8 @@ def test_integral_json_values_are_ints():
     assert type(fn.eval(4)) is int and type(fn.eval(F(8, 2))) is int
     assert all(type(v) is int for v in fn.range_on(0, 6))
     for built in (PwlFunction.linear(F(3), F(2)),
-                  PwlFunction.from_sorted_weights([F(2), 1, "3"]),
-                  PwlFunction.from_sorted_multiplicities([F(4, 2), 1]),
+                  prefix_sum_term([1, F(2), F(6, 2)]),
+                  prefix_sum_term([F(4, 2), 1]),
                   fn.with_value_at_zero(F(0)).drop_negative_breakpoints()):
         assert all(type(v) is int for v in _scalars(built))
 

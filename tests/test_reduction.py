@@ -18,7 +18,7 @@ from pwlmip.emip import (
 from pwlmip.milp.lp import solve_lp_feasibility
 from pwlmip.milp.model import SolverInternalError, integer_row
 from pwlmip.oracle import brute_cover
-from pwlmip.pwl import PwlFunction, Shape
+from pwlmip.pwl import PwlFunction, Shape, prefix_sum_term
 from pwlmip.reduction import lower, witness_lift
 
 F = Fraction
@@ -77,10 +77,11 @@ def test_lowering_normalizes_the_model_as_written():
         (EmipConstraint(lhs={0: fn, 1: 2}, rhs={}, b=9),),
     )
     lowered, lmap = lower(model)
-    ((coeffs, b),) = lmap.forms
+    ((coeffs, b, row),) = lmap.forms
     (z,) = lmap.terms[0][1].aux_vars
     assert dict(coeffs) == {0: 1, z: 2, 1: 2} and b == 4  # f(x) + 2y <= 9 - 5
-    assert lowered.rows[-1] == (tuple(sorted(coeffs)), 4)
+    assert row == len(lowered.rows) - 1
+    assert lowered.rows[row] == (tuple(sorted(coeffs)), 4)
 
     rng = random.Random(0xD40)
     rewritten = solved = 0
@@ -91,7 +92,7 @@ def test_lowering_normalizes_the_model_as_written():
         assert (lowered, lmap) == lower(normalize(model))
         result = milp.solve_feasibility(lowered)
         if result.feasible:
-            witness_lift(model, lmap, result.assignment)  # raises on any lie
+            witness_lift(model, result.assignment)  # raises on any lie
             solved += 1
     assert rewritten > 30 and solved > 10
 
@@ -117,7 +118,7 @@ def test_rows_have_integer_coefficients():
 def test_witness_embed_satisfies_every_row():
     model = _knapsack_model()
     lowered, lmap = lower(model)
-    ((coeffs, _),) = lmap.forms
+    ((coeffs, _, _),) = lmap.forms
     for x in range(0, 7):
         point = witness_embed(model, lmap, {0: F(x)})
         assert point[1] == max(0, x - 2)                            # z = (x-2)+
@@ -129,18 +130,18 @@ def test_witness_embed_satisfies_every_row():
 
 def test_witness_lift_verifies_exactly():
     model = _knapsack_model()
-    lowered, lmap = lower(model)
+    lowered, _ = lower(model)
     result = milp.solve_feasibility(lowered)
     assert result.feasible
-    point = witness_lift(model, lmap, result.assignment)
+    point = witness_lift(model, result.assignment)
     assert model.constraints[0].holds(point)
     # a corrupted assignment is rejected, not passed through
     with pytest.raises(SolverInternalError, match="constraint"):
-        witness_lift(model, lmap, {0: F(6), 1: F(0), 2: F(0)})
+        witness_lift(model, {0: F(6), 1: F(0), 2: F(0)})
     with pytest.raises(SolverInternalError, match="below lower bound"):
-        witness_lift(model, lmap, {0: F(-1)})
+        witness_lift(model, {0: F(-1)})
     with pytest.raises(SolverInternalError, match="not integral"):
-        witness_lift(model, lmap, {0: F(1, 2)})
+        witness_lift(model, {0: F(1, 2)})
 
 
 def test_concave_side_lowering_keeps_gains_honest():
@@ -183,12 +184,12 @@ def test_feasibility_equivalence_small_batch():
     for _ in range(80):
         model = random_grid_model(rng)
         norm = normalize(model)
-        lowered, lmap = lower(norm)
+        lowered, _ = lower(norm)
         expected, _ = grid_feasible(model)
         result = milp.solve_feasibility(lowered)
         assert result.feasible == expected
         if result.feasible:
-            witness_lift(norm, lmap, result.assignment)  # raises on any lie
+            witness_lift(norm, result.assignment)  # raises on any lie
 
 
 def test_embed_of_every_feasible_grid_point_is_feasible():
@@ -204,7 +205,7 @@ def test_embed_of_every_feasible_grid_point_is_feasible():
 
 def test_lowered_rows_carry_no_zero_coefficient():
     # a zero first slope (a free first item) must not become a 0*x term
-    fn = PwlFunction.from_sorted_weights([0, 3, 5])
+    fn = prefix_sum_term([0, 3, 5])
     assert fn.slopes[0] == 0 and not fn.is_linear
     flat_then_falling = PwlFunction(Shape.CONCAVE, 0, (1,), (0, -2))
     models = [EmipModel(
@@ -334,11 +335,12 @@ def test_inlined_blocks_read_as_their_bound_columns_in_the_lp():
             return integer_row(((i, c) for i, c in coeffs if c != 0), rhs,
                                width)
 
-        lean_forms = [row(coeffs, b) for coeffs, b in lmap.forms]
+        lean_forms = [row(coeffs, b) for coeffs, b, _ in lmap.forms]
         full_forms = [row(form.items(), b)
-                      for form, (_, b) in zip(forms, lmap.forms)]
+                      for form, (_, b, _) in zip(forms, lmap.forms)]
         # every row but the lowered forms, then the links and the forms
-        base = tuple(r for r in lowered.rows if r not in lean_forms)
+        at = {k for _, _, k in lmap.forms}
+        base = tuple(r for k, r in enumerate(lowered.rows) if k not in at)
         full_rows = base + tuple(row(link.items(), 0) for link in links) + tuple(
             full_forms)
         for _ in range(6):
@@ -347,7 +349,7 @@ def test_inlined_blocks_read_as_their_bound_columns_in_the_lp():
                 lo = rng.randint(int(v.lower), int(v.upper))
                 up = lo if rng.random() < 0.5 else rng.randint(lo, int(v.upper))
                 box_lo[i], box_up[i] = lo, up
-            for j, (coeffs, _) in enumerate(lmap.forms):
+            for j, (coeffs, _, _) in enumerate(lmap.forms):
                 lean_ok, lean = solve_lp_feasibility(
                     lowered.rows + (lean_forms[j],), box_lo[:n], box_up[:n],
                     objective=len(lowered.rows))
