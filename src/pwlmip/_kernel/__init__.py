@@ -43,8 +43,8 @@ bounds how far past lowest terms a row's integers grow before it is reduced.
 
 Bounded columns (Chvátal, *Linear Programming*, 1983, ch. 8).  A column j
 may carry an upper bound ``bounds[j]`` = U (every column has lower bound 0):
-the LP layer gives one to each integer variable of a search, instead of a
-row ``x <= U``.  A nonbasic column sits at 0 or at U.  One at U is stored
+the LP layer gives one to each variable with a finite range, instead of
+a row ``x <= U``.  A nonbasic column sits at 0 or at U.  One at U is stored
 *complemented* (``flipped[j]``): the tableau holds the column of
 ``U - x``, which is at 0, so every nonbasic column still reads 0 and a
 row's right-hand side is still its basic variable's value.  A basic column

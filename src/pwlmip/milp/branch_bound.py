@@ -92,8 +92,9 @@ def _compile(model: MilpModel, extra=()):
 
     The rows are the model's, then ``extra``.  The integer variables'
     bounds are rounded inward to ints, which is the identity on integral
-    bounds; every other bound is fixed for the search and folded into the
-    compiled rows, which are None if the box is empty.
+    bounds, and move from node to node; every other bound is fixed for the
+    search and compiled into a column bound.  The compiled rows say whether
+    the rounded box is ``empty``.
     """
     int_idx = model.integer_indices()
     lowers = [v.lower for v in model.variables]
@@ -105,10 +106,7 @@ def _compile(model: MilpModel, extra=()):
                 "terminate" % model.variables[i].name
             )
         lowers[i], uppers[i] = math.ceil(lowers[i]), math.floor(uppers[i])
-    empty = any(l is not None and u is not None and l > u
-                for l, u in zip(lowers, uppers))
-    rows = None if empty else CompiledRows(model.rows + extra, lowers, uppers,
-                                           int_idx)
+    rows = CompiledRows(model.rows + extra, lowers, uppers, int_idx)
     # Node bounds are lists, not tuples: CPython keeps freed tuples on
     # per-length free lists until a full garbage collection, so a deep search
     # that unwinds would leave them holding memory for the rest of the process.
@@ -211,7 +209,7 @@ class _Tree:
                 raise ResourceExhausted(stats.nodes, limit)
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, depth)
-            if self.rows is None:  # the rounded root box is empty
+            if self.rows.empty:  # the rounded root box is empty
                 continue
             feasible, point = solve_lp_feasibility(
                 self.rows, lo, up, stats, objective=self.phase2, live=live)

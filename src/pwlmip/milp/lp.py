@@ -1,11 +1,11 @@
 """Exact rational LP by simplex on an integer tableau: two-phase, or dual
 from the all-slack basis.
 
-The caller hands over <=-rows and per-variable bounds; this module shifts or
-splits variables to the nonnegative orthant, adds slacks and artificials, and
-runs the Bland-rule pivot kernel.  It is the one place in the stack that
-handles variables that may go below zero or are unbounded below: the layers
-above pass every bound through as it is.  Feasibility holds iff the phase-1
+The caller hands over <=-rows and per-variable bounds; this module shifts,
+reflects or splits variables to the nonnegative orthant, adds slacks and
+artificials, and runs the Bland-rule pivot kernel.  It is the one place in
+the stack that handles variables that may go below zero or are unbounded
+below: the layers above pass every bound through as it is.  Feasibility holds iff the phase-1
 optimum is zero.  A caller that names an objective row gets a phase 2 on the
 same kernel: any artificial left basic at zero is pivoted out, the
 artificial columns are dropped, and the objective, priced out against the
@@ -25,13 +25,11 @@ moving column at cost 0 ties every dual ratio on its rows at zero, and
 Bland's rule then breaks those ties by index, an unguided phase 1 on dense
 coverage rows.
 
-A search's integer (moving) variables keep their upper bounds out of the
-tableau: each shifted column x' = x - lo carries the bound U = up - lo as a
-column bound of the kernel, which stores a column at U complemented, as
-``U - x'`` (``flipped``) and orders the columns for Bland's rule itself
+Every finite range is a column bound of the kernel, not a row: the column
+x' = x - lo carries U = up - lo, in units of its denominator since the
+kernel needs an int U, and is stored complemented, as ``U - x'``
+(``flipped``), at U.  The kernel orders the columns for Bland's rule itself
 (see :mod:`pwlmip._kernel`).  A vertex reads U for a complemented column.
-Fixed finite upper bounds, of the variables whose bounds never move, stay
-rows.
 
 That is the cold path, from the all-slack basis.  The nodes of a search
 share one constraint matrix, and only right-hand sides and column bounds
@@ -54,7 +52,7 @@ Tableau rows are Python ints over a positive per-row denominator, the layout
 :mod:`pwlmip.milp.model`), and every tableau row starts over 1, with slack
 and artificial entries 1.  A branch-and-bound search moves only the bounds
 of its integer variables, and keeps them finite ints.  So a search compiles
-its rows once (:class:`CompiledRows`): the shifts and upper-bound rows of
+its rows once (:class:`CompiledRows`): the shifts and column bounds of
 the variables whose bounds never move are folded in there, and a call only
 shifts right-hand sides and column bounds by integer amounts.  The tableau
 is entry for entry the one a direct build from Fraction rows and bounds
@@ -66,87 +64,88 @@ Fraction otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 
 from .. import _kernel
 from ..rationals import exact
-from .model import SolveStats, integer_row
+from .model import SolveStats
 
 
 class CompiledRows:
-    """Integer rows ``(coeffs, rhs)`` and the fixed upper bounds after
-    them, in variable order, as integer tableau rows.
+    """Integer rows ``(coeffs, rhs)`` as integer tableau rows over columns
+    with ``bounds``.
 
     Every call supplies finite int bounds for the ``moving`` variables
-    (default: none); each gets one shifted column whose upper bound
-    ``up - lo`` is a column bound of the kernel, not a row, and one without
-    finite bounds here is rejected.  The other variables' bounds (None, int
-    or Fraction) are fixed here: such a variable gets one shifted column and
-    a row for a finite upper bound, or a positive/negative pair if its lower
-    bound is None.  A row that a fractional fixed lower bound shifts is
-    scaled to integers by ``scales[r]``, the least positive int that does.
-    Columns keep their tableau order, which the kernel's Bland rule reads
-    (see :mod:`pwlmip._kernel`).
+    (default: none), one shifted column each; one without finite bounds
+    here is rejected.  The other variables' bounds (None, int or Fraction)
+    are fixed here: a variable with a lower bound is the column
+    ``unit * (x - lo)``, bounded by the int ``unit * (up - lo)`` if up is
+    finite, ``unit`` the denominator of ``up - lo``; one with an upper
+    bound only is the column ``up - x``, and a free one a positive/negative
+    pair.  A row takes ``k / unit`` as a column's coefficient and folds the
+    shifts into its total, times ``scales[r]``, the least positive int that
+    makes it integral.  ``empty`` says whether some range is empty.
+    Columns keep their tableau order, which the kernel's Bland rule reads.
     """
 
     __slots__ = ("ncols", "dense", "totals", "rhs", "scales", "touch",
-                 "cols", "plan")
+                 "cols", "bounds", "plan", "empty")
 
     def __init__(self, rows, lowers, uppers=None, moving=()):
-        n = len(lowers)
-        uppers = uppers or [None] * n
+        uppers = uppers or [None] * len(lowers)
         pos = {i: j for j, i in enumerate(moving)}
         for i in moving:
             if lowers[i] is None or uppers[i] is None:
                 raise ValueError("moving variable %d needs finite bounds" % i)
-        rows = list(rows)
-        self.rhs = [rhs for _, rhs in rows]
-        col_of = list(accumulate((1 if lo is not None else 2 for lo in lowers),
-                                 initial=0))
-        ncols = self.ncols = col_of.pop()
-        self.cols = [col_of[i] for i in moving]
 
-        # x <= up is a row for a fixed upper bound and a column bound for a
-        # moving one.
-        rows += [integer_row(((i, 1),), uppers[i], n) for i in range(n)
-                 if i not in pos and uppers[i] is not None]
+        # Per variable: (column, unit, anchor) for x = anchor + x' / unit,
+        # unit -1 for up - x, (column, 0, moving position) or (column, None,
+        # negative column); a row's scale clears dens[i] of each fixed one.
+        self.plan, self.bounds, dens = [], [], []
+        for i, (lo, up) in enumerate(zip(lowers, uppers)):
+            c = len(self.bounds)
+            span = None if lo is None or up is None else up - lo
+            self.bounds.append(None if span is None else span.numerator)
+            if i in pos:
+                how = (c, 0, pos[i])
+            elif lo is not None:
+                how = (c, 1 if span is None else span.denominator, lo)
+            elif up is not None:
+                how = (c, -1, up)
+            else:
+                how = (c, None, c + 1)
+                self.bounds.append(None)
+            self.plan.append(how)
+            dens.append(lcm(how[1], how[2].denominator) if how[1] else 1)
+        self.empty = any(u is not None and u < 0 for u in self.bounds)
+        ncols = self.ncols = len(self.bounds)
+        self.cols = [self.plan[i][0] for i in moving]
 
-        # A fixed lower bound is folded into the total; a moving shift is
-        # kept as (row, coefficient) for each call.
-        self.dense, self.totals, self.scales = [], [], []
+        # A fixed anchor is folded into the total; a moving shift is kept
+        # as (row, coefficient) for each call.
+        self.dense, self.totals, self.scales, self.rhs = [], [], [], []
         self.touch = [[] for _ in moving]
         for r, (coeffs, rhs) in enumerate(rows):
+            self.rhs.append(rhs)
             scale = 1
             for i, k in coeffs:
-                lo = lowers[i]
-                if type(lo) is Fraction:
-                    scale = lcm(scale, lo.denominator // gcd(k, lo.denominator))
+                if dens[i] > 1:
+                    scale = lcm(scale, dens[i] // gcd(k, dens[i]))
             dense = [0] * ncols
             total = rhs * scale
             for i, k in coeffs:
                 k *= scale
-                dense[col_of[i]] += k
-                lo = lowers[i]
-                if lo is None:
-                    dense[col_of[i] + 1] -= k
-                elif not k:
-                    continue
-                elif i in pos:
-                    self.touch[pos[i]].append((r, k))
-                else:
-                    total -= k * lo.numerator // lo.denominator
+                c, unit, anchor = self.plan[i]
+                dense[c] += k // (unit or 1)
+                if unit is None:
+                    dense[anchor] -= k
+                elif not unit:
+                    self.touch[anchor].append((r, k))
+                elif anchor:
+                    total -= k * anchor.numerator // anchor.denominator
             self.dense.append(dense)
             self.totals.append(total)
             self.scales.append(scale)
-
-        # How a vertex maps back, per variable: (column, 0, fixed lower),
-        # (column, 1, moving position) or (column, 2, negative column).
-        self.plan = [
-            (c, 2, c + 1) if lo is None else (c, 1, pos[i]) if i in pos
-            else (c, 0, lo)
-            for i, (c, lo) in enumerate(zip(col_of, lowers))
-        ]
 
     def set_rhs(self, r, rhs):
         """Give model row ``r`` the new right-hand side ``rhs``."""
@@ -219,6 +218,9 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     totals = rows.totals_at(lowers)
     stats = SolveStats() if stats is None else stats
     stats.lp_calls += 1
+    if rows.empty:
+        stats.infeasible_lps += 1
+        return False, None
     ncols = rows.ncols
     m = len(totals)
     art_rows = [k for k in range(m) if totals[k] < 0]
@@ -257,7 +259,7 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     # artificials) is the sum of the artificial rows' structural parts and
     # right-hand sides, with 1 in their slack columns.
     width = real + len(art_rows)
-    bounds = [None] * width
+    bounds = rows.bounds + [None] * (width - ncols)
     for c, lo, up in zip(rows.cols, lowers, uppers):
         bounds[c] = up - lo
     flipped = [False] * width
@@ -301,7 +303,7 @@ def solve_lp_feasibility(rows, lowers, uppers, stats=None, objective=None,
     # dual start nothing is complemented or basic, and the row goes in as
     # it is.
     obj = head + [0] * (m + 1) + [1]
-    for c in rows.cols:
+    for c in range(ncols):
         if flipped[c] and obj[c]:
             obj[real] -= obj[c] * bounds[c]
             obj[c] = -obj[c]
@@ -408,13 +410,13 @@ def _leave_artificials(tableau, basis, nrows, real, bounds, flipped):
 
 def _point(plan, lowers, values):
     point = []
-    for col, kind, arg in plan:
+    for col, unit, anchor in plan:
         x = values[col]
-        if kind == 2:
-            x -= values[arg]
-        elif kind == 1:
-            x += lowers[arg]
-        elif arg:
-            x = exact(x + arg)  # plus a Fraction lower bound, x may be integral
+        if unit is None:
+            x -= values[anchor]
+        elif not unit:
+            x += lowers[anchor]
+        elif unit != 1 or anchor:
+            x = exact(anchor + Fraction(x, unit))
         point.append(x)
     return point

@@ -59,6 +59,10 @@ def test_lp_feasibility_basic():
         _int_rows([(((0, F(-1)),), F(-11))], 1), [F(0)], [F(10)]
     )
     assert not ok
+    # an empty range is infeasible, though x = 3 meets the row x <= 5
+    for up in (1, F(5, 2)):
+        assert solve_lp_feasibility(_int_rows([(((0, F(1)),), F(5))], 1),
+                                    [3], [up]) == (False, None)
 
 
 def test_lp_handles_free_variables():
@@ -669,8 +673,9 @@ def _checked_phase1(tableau, basis, nrows, ncols, **bounded):
 
 class KernelCall(NamedTuple):
     """One ``_kernel.phase1`` call: its arguments as they came in, the pivot
-    count, and the tableau as the kernel left it (a copy: after phase 1 the
-    LP goes on pivoting the same rows)."""
+    count, the tableau as the kernel left it (a copy: after phase 1 the
+    LP goes on pivoting the same rows), and the column bounds it was
+    given."""
 
     tableau: list
     basis: list
@@ -678,9 +683,10 @@ class KernelCall(NamedTuple):
     ncols: int
     pivots: int
     final: list
+    bounds: list
 
     def given(self):
-        return self.tableau, self.basis, self.nrows, self.ncols
+        return self.tableau, self.basis, self.nrows, self.ncols, self.bounds
 
 
 def _record_kernel(monkeypatch, pivot=_phase1):
@@ -695,11 +701,13 @@ def _record_kernel(monkeypatch, pivot=_phase1):
     calls = []
 
     def record(tableau, basis, nrows, ncols, **bounded):
-        if all(u is None for u in bounded.get("bounds", ())):
+        bounds = list(bounded["bounds"])
+        if all(u is None for u in bounds):
             bounded = {}
         given = [list(row) for row in tableau], list(basis), nrows, ncols
         pivots = pivot(tableau, basis, nrows, ncols, **bounded)
-        calls.append(KernelCall(*given, pivots, [list(row) for row in tableau]))
+        calls.append(KernelCall(*given, pivots, [list(row) for row in tableau],
+                                bounds))
         return pivots
 
     monkeypatch.setattr(_kernel, "phase1", record)
@@ -895,14 +903,15 @@ def test_bounded_kernel_takes_the_explicit_row_pivots():
         lowers = [rng.randint(-2, 1) for _ in range(n)]
         uppers = [lo + rng.randint(0, 4) for lo in lowers]
         rows = _random_box_rows(rng, n, lowers, uppers)
-        explicit = _per_node_tableau(rows, lowers, uppers)
+        bound_rows = [(((i, F(1)),), F(up)) for i, up in enumerate(uppers)]
+        explicit = _per_node_tableau(rows + bound_rows, lowers, [None] * n)
         if explicit is None:
             continue
-        bounded = _per_node_tableau(rows, lowers, uppers, range(n))
+        bounded = _per_node_tableau(rows, lowers, uppers)
         # The explicit tableau's rows are the bounded one's, then the bounds,
         # and its columns structural | slacks | bound slacks | artificials:
         # the bound slacks move to the end.
-        tableau, basis, nrows, ncols = explicit
+        tableau, basis, nrows, ncols, _ = explicit
         real = n + len(rows)
         order = (list(range(real)) + list(range(real + n, ncols))
                  + list(range(real, real + n)) + [ncols, ncols + 1])
@@ -912,7 +921,7 @@ def test_bounded_kernel_takes_the_explicit_row_pivots():
         pivots = reference_phase1(rational, basis, nrows, ncols)
         vertex = _basic_values(rational, basis, nrows, ncols, n)
 
-        tableau, basis, nrows, width = bounded
+        tableau, basis, nrows, width, _ = bounded
         bounds = [up - lo for lo, up in zip(lowers, uppers)]
         bounds += [None] * (width - n)
         flipped = [False] * width
@@ -951,9 +960,9 @@ def test_fixed_columns_never_enter():
         n = rng.randint(2, 5)
         point = [rng.randint(-2, 2) for _ in range(n)]
         rows = _random_box_rows(rng, n, point, point)
-        cold = _per_node_tableau(rows, point, point, range(n))
+        cold = _per_node_tableau(rows, point, point)
         if cold is not None:
-            tableau, basis, nrows, width = cold
+            tableau, basis, nrows, width, _ = cold
             bounds = [0] * n + [None] * (width - n)
             flipped = [False] * width
             rational = _fraction_rows(tableau, width)
@@ -1106,7 +1115,7 @@ def test_phase2_kernel_calls_match_reference(monkeypatch):
     for m, n in ((3, 8), (4, 10), (5, 12)) * 8:
         covering.solve_umm(_ladder_cover(rng, m, n, "umm"), minimize_cost=True)
     unbounded = warm_calls = dual_cold = 0
-    for (tableau, basis, nrows, ncols, _, final), warm in phase2:
+    for (tableau, basis, nrows, ncols, _, final, _), warm in phase2:
         obj = tableau[nrows]
         assert sorted(set(basis)) == sorted(basis) and max(basis) < ncols
         for k, b in enumerate(basis):
@@ -1131,8 +1140,8 @@ def test_phase2_drives_a_basic_artificial_out(monkeypatch):
     no artificial column."""
     bases = []
 
-    def checked(tableau, basis, nrows, ncols):
-        pivots = _checked_phase1(tableau, basis, nrows, ncols)
+    def checked(tableau, basis, nrows, ncols, **bounded):
+        pivots = _checked_phase1(tableau, basis, nrows, ncols, **bounded)
         bases.append(list(basis))
         return pivots
 
@@ -1157,16 +1166,29 @@ def test_phase2_drives_a_basic_artificial_out(monkeypatch):
 
 
 def test_lp_rational_rows_and_bounds(monkeypatch):
-    built = _record_kernel(monkeypatch, _checked_phase1)
+    """Rational rows and bounds, each finite range a column bound: the
+    verdict holds and a point satisfies every row and bound exactly.  A
+    fractional range rescales its column, and those kernel calls agree
+    with the bounded Fraction rule pivot for pivot.  A variable with an
+    upper bound only is one column ``up - x``: its answers are those of
+    the mirrored model, ``x -> -x``, which has a lower bound only."""
+    bounded = []
+
+    def checked(tableau, basis, nrows, ncols, **kwargs):
+        bounded.append(bool(kwargs))
+        return _checked_phase1(tableau, basis, nrows, ncols, **kwargs)
+
+    built = _record_kernel(monkeypatch, checked)
     rng = random.Random(0xB54)
     verdicts = set()
-    compared = 0
+    compared = rescaled = mirrored = 0
     for case in range(150):
         n = rng.randint(1, 4)
-        orthant = case % 3 == 0  # x >= 0 only: no shift, split or bound rows
+        orthant = case % 3 == 0  # x >= 0 only: no shift, split or bound
         lowers = [F(0) if orthant else None if rng.random() < 0.3
                   else random_fraction(rng, -3, 2) for _ in range(n)]
-        uppers = [None if orthant or lo is None or rng.random() < 0.3
+        uppers = [None if orthant or rng.random() < 0.3
+                  else random_fraction(rng, -3, 2) if lo is None
                   else lo + random_fraction(rng, 0, 4) for lo in lowers]
         rows = [
             (tuple((i, random_fraction(rng, -3, 3)) for i in range(n)),
@@ -1174,6 +1196,7 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
             for _ in range(rng.randint(1, 4))
         ]
         built.clear()
+        bounded.clear()
         ok, point = solve_lp_feasibility(_int_rows(rows, n), lowers, uppers)
         verdicts.add(ok)
         if orthant and built:
@@ -1183,14 +1206,31 @@ def test_lp_rational_rows_and_bounds(monkeypatch):
             assert ((_fraction_rows(first.tableau, first.ncols), first.basis)
                     == _phase1_tableau(dense, n)[:2])
             compared += 1
+        if any(lo is not None and up is not None and (up - lo).denominator > 1
+               for lo, up in zip(lowers, uppers)):
+            # every call carried the bounds to the bounded Fraction rule
+            assert all(bounded)
+            rescaled += sum(call.pivots > 0 for call in built)
         if ok:
             for coeffs, rhs in rows:
                 assert sum(c * point[i] for i, c in coeffs) <= rhs
             for x, lo, up in zip(point, lowers, uppers):
                 assert lo is None or x >= lo
                 assert up is None or x <= up
+        flip = [lo is None and up is not None
+                for lo, up in zip(lowers, uppers)]
+        if any(flip):
+            mirror = [(tuple((i, -c if flip[i] else c) for i, c in coeffs),
+                       rhs) for coeffs, rhs in rows]
+            got = solve_lp_feasibility(
+                _int_rows(mirror, n),
+                [-up if f else lo for f, lo, up in zip(flip, lowers, uppers)],
+                [None if f else up for f, up in zip(flip, uppers)])
+            assert got == (ok, point and [-x if f else x
+                                          for f, x in zip(flip, point)])
+            mirrored += 1
     assert verdicts == {True, False}
-    assert compared > 10
+    assert compared > 10 and rescaled > 20 and mirrored > 20
 
 
 def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
@@ -1245,47 +1285,70 @@ def test_lp_vertex_values_are_ints_when_integral(monkeypatch):
     assert kinds == {int, Fraction}
 
 
-def _direct_rows(rows, lowers, uppers, moving):
-    """Fraction rows and bounds as integer rows ``(dense, rhs)``, with the
-    column count and each variable's columns: every column shifted or
-    split, and each row (bound rows included) in ints by
-    :func:`integer_row`, then times the least positive int that makes its
-    shifts by lower bounds integral.  The ``moving`` variables' upper
-    bounds make no row."""
-    col_of, ncols = [], 0
-    for lo in lowers:
-        col_of.append((ncols,) if lo is not None else (ncols, ncols + 1))
-        ncols += len(col_of[-1])
-    bound_rows = [(((i, F(1)),), up) for i, up in enumerate(uppers)
-                  if up is not None and i not in moving]
+def _direct_rows(rows, lowers, uppers):
+    """Fraction rows and bounds as integer rows ``(dense, rhs)``, with each
+    variable's columns and the columns' bounds.
+
+    A variable with a lower bound is the column ``unit * (x - lo)``, with
+    the bound ``unit * (up - lo)`` when its upper bound is finite, where
+    ``unit`` is the denominator of ``up - lo`` (else 1); one with an upper
+    bound only is the column ``up - x``; a free one is a positive/negative
+    pair.  Each row is in ints by :func:`integer_row`, then times the least
+    positive int that makes its coefficients over the units and its shifts
+    integral.  No bound makes a row.
+    """
+    col_of, how, bounds = [], [], []
+    for lo, up in zip(lowers, uppers):
+        c = len(bounds)
+        if lo is None and up is None:
+            col_of.append((c, c + 1))
+            how.append(None)
+            bounds += [None, None]
+            continue
+        col_of.append((c,))
+        if lo is None:
+            how.append((-1, up))  # x = up - x'
+            bounds.append(None)
+        else:
+            span = None if up is None else F(up - lo)
+            unit = 1 if span is None else span.denominator
+            how.append((unit, lo))  # x = lo + x' / unit
+            bounds.append(None if span is None else int(span * unit))
     int_rows = []
-    for coeffs, rhs in list(rows) + bound_rows:
+    for coeffs, rhs in rows:
         coeffs, rhs = integer_row(coeffs, rhs, len(lowers))
-        scale = math.lcm(*(F(c * lowers[i]).denominator for i, c in coeffs
-                           if lowers[i] is not None))
-        dense = [0] * ncols
-        total = rhs * scale
+        scale = math.lcm(*(F(x).denominator for i, c in coeffs
+                           if how[i] is not None
+                           for x in (F(c, how[i][0]), c * how[i][1])))
+        dense = [0] * len(bounds)
+        total = F(rhs * scale)
         for i, c in coeffs:
-            dense[col_of[i][0]] += c * scale
-            if lowers[i] is not None:
-                total -= c * scale * lowers[i]
-            else:
+            if how[i] is None:
+                dense[col_of[i][0]] += c * scale
                 dense[col_of[i][1]] -= c * scale
+                continue
+            unit, anchor = how[i]
+            entry = F(c * scale, unit)
+            assert entry.denominator == 1
+            dense[col_of[i][0]] += int(entry)
+            total -= c * scale * anchor
         assert total.denominator == 1
         int_rows.append((dense, int(total)))
-    return int_rows, ncols, col_of
+    return int_rows, col_of, bounds
 
 
-def _per_node_tableau(rows, lowers, uppers, moving=()):
+def _per_node_tableau(rows, lowers, uppers):
     """The phase-1 tableau built straight from Fraction rows and bounds.
 
     The direct construction that compiled rows replace: the rows of
     :func:`_direct_rows` over 1, then slacks, artificials and the objective,
     minus the sum of the artificial rows.  Returns (tableau, basis, nrows,
-    ncols), or None when the all-slack basis is already feasible and no
-    kernel call is needed.
+    ncols, bounds), the bounds those of :func:`_direct_rows` and None for
+    every slack and artificial column, or None when the all-slack basis is
+    already feasible and no kernel call is needed.
     """
-    int_rows, ncols, _ = _direct_rows(rows, lowers, uppers, moving)
+    int_rows, _, bounds = _direct_rows(rows, lowers, uppers)
+    ncols = len(bounds)
     m = len(int_rows)
     n_art = sum(1 for _, rhs in int_rows if rhs < 0)
     if not n_art:
@@ -1309,7 +1372,8 @@ def _per_node_tableau(rows, lowers, uppers, moving=()):
         if b >= ncols + m:
             obj[b] = 0
     tableau.append(obj)
-    return tableau, basis, m, ncols + m + n_art
+    return (tableau, basis, m, ncols + m + n_art,
+            bounds + [None] * (m + n_art))
 
 
 def _dual_start_tableau(rows, lowers, uppers, moving, objective):
@@ -1318,8 +1382,9 @@ def _dual_start_tableau(rows, lowers, uppers, moving, objective):
     all-slack basis: no negative entry, and a positive one on every moving
     column.  The rows of :func:`_direct_rows` keep their signs, with slacks
     and no artificial, every row over 1, and that row itself is the
-    objective.  Returns (tableau, basis, nrows, ncols)."""
-    int_rows, ncols, col_of = _direct_rows(rows, lowers, uppers, moving)
+    objective.  Returns (tableau, basis, nrows, ncols, bounds)."""
+    int_rows, col_of, bounds = _direct_rows(rows, lowers, uppers)
+    ncols = len(bounds)
     head = int_rows[objective][0]
     if min(head, default=0) < 0 or not all(head[col_of[i][0]] for i in moving):
         return None
@@ -1330,19 +1395,23 @@ def _dual_start_tableau(rows, lowers, uppers, moving, objective):
         row[ncols + k] = 1
         tableau.append(row)
     tableau.append(head + [0] * (m + 1) + [1])
-    return tableau, list(range(ncols, ncols + m)), m, ncols + m
+    return (tableau, list(range(ncols, ncols + m)), m, ncols + m,
+            bounds + [None] * m)
 
 
 def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
-    """One compiled row set serves every node of a search entry for entry.
+    """One compiled row set serves every node of a search entry for entry,
+    column bounds included.
 
-    Rows and the fixed variables' bounds are rational or None; the moving
-    variables get int bounds at each node, moved the way branching moves
-    them (an integer floor as upper, floor + 1 as lower).
+    Rows and the fixed variables' bounds are rational or None, so a fixed
+    range may be fractional and its column rescaled, and a variable with no
+    lower bound may have an upper one; the moving variables get int bounds
+    at each node, moved the way branching moves them (an integer floor as
+    upper, floor + 1 as lower).
     """
     built = _record_kernel(monkeypatch)
     rng = random.Random(0xB55)
-    compared = rational_lowers = moved = 0
+    compared = rational_lowers = moved = rescaled = reflected = 0
     for _ in range(80):
         n = rng.randint(1, 5)
         moving = [i for i in range(n) if rng.random() < 0.4]
@@ -1350,6 +1419,8 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
                   else None if rng.random() < 0.2
                   else random_fraction(rng, -3, 2) for i in range(n)]
         uppers = [lo + rng.randint(0, 5) if i in moving
+                  else random_fraction(rng, -3, 2) if lo is None
+                  and rng.random() < 0.5
                   else None if lo is None or rng.random() < 0.3
                   else lo + random_fraction(rng, 0, 5)
                   for i, lo in enumerate(lowers)]
@@ -1362,6 +1433,11 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
         compiled = CompiledRows(_int_rows(rows, n), lowers, uppers, moving)
         rational = any(lowers[i] is not None and lowers[i].denominator != 1
                        for i in range(n) if i not in moving)
+        fractional = any(lo is not None and up is not None
+                         and F(up - lo).denominator != 1
+                         for lo, up in zip(lowers, uppers))
+        upper_only = any(lo is None and up is not None
+                         for lo, up in zip(lowers, uppers))
         for node in range(6):
             lo, up = list(lowers), list(uppers)
             if node:
@@ -1373,7 +1449,7 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
                         up[i] = cut
                     else:
                         lo[i] = cut + 1
-            expected = _per_node_tableau(rows, lo, up, moving)
+            expected = _per_node_tableau(rows, lo, up)
             built.clear()
             result = solve_lp_feasibility(compiled, [lo[i] for i in moving],
                                           [up[i] for i in moving])
@@ -1383,7 +1459,10 @@ def test_compiled_rows_build_the_per_node_tableau(monkeypatch):
             compared += expected is not None
             rational_lowers += rational and expected is not None
             moved += expected is not None and any(lo[i] for i in moving)
+            rescaled += fractional and expected is not None
+            reflected += upper_only and expected is not None
     assert compared > 150 and rational_lowers > 100 and moved > 100
+    assert rescaled > 100 and reflected > 30
 
 
 def test_compiled_rows_reject_an_unbounded_moving_variable():
@@ -1677,8 +1756,8 @@ def test_maximize_compiles_once_and_builds_every_node_tableau(monkeypatch):
             uppers = [F(b[1]) for b in bounds]
             for j, i in enumerate(int_idx):
                 lowers[i], uppers[i] = F(lo[j]), F(up[j])
-            direct = rows + [threshold], lowers, uppers, int_idx
-            expected = _dual_start_tableau(*direct, len(rows))
+            direct = rows + [threshold], lowers, uppers
+            expected = _dual_start_tableau(*direct, int_idx, len(rows))
             if expected is not None:
                 # one kernel call, whatever its verdict
                 assert tableaux == [expected]
@@ -1917,7 +1996,7 @@ def test_stats_report_the_largest_tableau_the_kernel_received(monkeypatch):
         coeffs = dict(norm.objective.coeffs)
         calls.clear()
         stats = milp.maximize(lowered, coeffs).stats
-        for tableau, _, nrows, ncols, _, _ in calls:
+        for tableau, _, nrows, ncols, *_ in calls:
             assert len(tableau) == nrows + 1
             assert all(len(row) == ncols + 2 for row in tableau)
         shapes = [(call.nrows, call.ncols) for call in calls]
